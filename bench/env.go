@@ -164,8 +164,9 @@ func (a proMIPSIncrementalAdapter) Close() error          { return a.ix.Close() 
 // Zero fields fall back to the environment's config and the dataset spec
 // (c, p, m, page size, seed), then to the paper's defaults. It mirrors
 // promips.Options without the directory field — the harness owns its work
-// directories — so the package's exported surface stays free of internal
-// types.
+// directories — plus the iDistance partition-pattern knobs the ablations
+// vary (promips.Options fixes those at the paper's values), so the
+// package's exported surface stays free of internal types.
 type ProMIPSOptions struct {
 	C, P          float64
 	M             int

@@ -87,11 +87,11 @@ type DeleteResponse struct {
 	Deleted bool `json:"deleted"`
 }
 
-// StatsResponse is a point-in-time snapshot of the served index. For a
-// sharded index (promipsd -shards / a SHARDS directory) the scalar fields
-// aggregate over the shards — counters sum, Cache is the component-wise
-// total — and the Shards fields break the journal down per shard. For a
-// follower replica ReadOnly is true and Replication reports convergence.
+// StatsResponse is a point-in-time snapshot of the served index. The
+// scalar fields aggregate over the index's K shards — counters sum, Cache
+// is the component-wise total — and the Shards fields break the journal
+// down per shard. For a follower replica ReadOnly is true and Replication
+// reports convergence.
 type StatsResponse struct {
 	Points     int                   `json:"points"`      // base-index points (compaction folds the delta in)
 	Live       int                   `json:"live"`        // live points: base + delta - tombstones
@@ -101,25 +101,25 @@ type StatsResponse struct {
 	Cache      promips.CacheStats    `json:"cache"`       // whole-run buffer-pool counters (summed over shards)
 	Recovery   promips.RecoveryStats `json:"recovery"`    // what the journal replay at startup recovered (summed over shards)
 
-	// Shards is the shard count K of a sharded index; 0 for an unsharded
-	// one. ShardJournalLens is each shard's pending journal length in
-	// shard order (present only when Shards > 0). Epoch is the failover
-	// epoch fence a sharded primary serves under (bumped by promotion).
-	Shards          int   `json:"shards,omitempty"`
+	// Shards is the shard count K (1 for a default promipsctl build).
+	// ShardJournalLens is each shard's pending journal length in shard
+	// order. Epoch is the failover epoch fence the index serves under
+	// (bumped by promotion; omitted while 0).
+	Shards           int   `json:"shards,omitempty"`
 	ShardJournalLens []int `json:"shard_journal_lens,omitempty"`
 	Epoch            int64 `json:"epoch,omitempty"`
 
 	// ReadOnly marks a follower replica: updates are rejected with
 	// CodeReadOnly, and Replication reports how converged it is.
-	ReadOnly    bool               `json:"read_only,omitempty"`
-	Replication *ReplicationStats  `json:"replication,omitempty"`
+	ReadOnly    bool              `json:"read_only,omitempty"`
+	Replication *ReplicationStats `json:"replication,omitempty"`
 
 	// Updates reports the LSM-style update pipeline: delta occupancy,
 	// frozen segments, the flushed-segment watermark and lifetime
 	// freeze/flush counters (summed over shards).
 	Updates *promips.UpdateStats `json:"updates,omitempty"`
-	// Lease reports the primary's write-fencing lease (present only when
-	// the server runs with -lease > 0 or has a persisted lease binding).
+	// Lease reports a primary's write-fencing lease (absent on a
+	// follower; it only ever expires when the server runs with -lease > 0).
 	Lease *LeaseStats `json:"lease,omitempty"`
 	// AutoCompact reports the background compaction scheduler (present
 	// only when the server runs with -auto-compact > 0).

@@ -1,9 +1,11 @@
 // Command promipsctl builds, inspects, queries and maintains ProMIPS
 // indexes from the command line, entirely through the public promips API.
+// Every index it writes or opens is the sharded directory layout promipsd
+// serves (a SHARDS manifest over K shard directories; K=1 by default).
 //
 // Usage:
 //
-//	promipsctl build   -data vectors.pds -dir ./idx [-c 0.9 -p 0.5 -m 0 -page 4096]
+//	promipsctl build   -data vectors.pds -dir ./idx [-shards 1 -c 0.9 -p 0.5 -m 0 -page 4096]
 //	promipsctl query   -dir ./idx -data vectors.pds [-k 10 -queries 5 -seed 1 -c 0 -p 0]
 //	promipsctl compact -dir ./idx
 //	promipsctl stats   -dir ./idx
@@ -41,34 +43,6 @@ import (
 	"promips/dataset"
 	"promips/shard"
 )
-
-// ctlIndex is the surface the read-side subcommands need; satisfied by
-// both *promips.Index and *shard.Index, so every subcommand works on
-// either layout.
-type ctlIndex interface {
-	Search(ctx context.Context, q []float32, k int, opts ...promips.SearchOption) ([]promips.Result, promips.SearchStats, error)
-	Len() int
-	LiveCount() int
-	Dim() int
-	M() int
-	JournalLen() int
-	Options() promips.Options
-	Recovery() promips.RecoveryStats
-	CacheStats() promips.CacheStats
-	UpdateStats() promips.UpdateStats
-	Sizes() promips.SizeBreakdown
-	Save() error
-	Close() error
-}
-
-// openAny opens dir as whichever index layout it holds: the SHARDS
-// manifest selects the sharded opener, anything else the single-index one.
-func openAny(dir string) (ctlIndex, error) {
-	if shard.IsSharded(dir) {
-		return shard.Open(dir)
-	}
-	return promips.Open(dir)
-}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -136,7 +110,7 @@ func runBuild(args []string) error {
 	m := fs.Int("m", 0, "projected dimension (0 = optimized)")
 	page := fs.Int("page", 4096, "disk page size in bytes")
 	seed := fs.Int64("seed", 1, "random seed")
-	shards := fs.Int("shards", 1, "shard count K (K>1 builds a sharded index: parallel fan-out search, per-shard journals)")
+	shards := fs.Int("shards", 1, "shard count K (K>1 adds parallel fan-out search and per-shard journals; 1 is a pass-through to its one child)")
 	fs.Parse(args)
 	if *dataPath == "" || *dir == "" {
 		return fmt.Errorf("build requires -data and -dir")
@@ -145,25 +119,11 @@ func runBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(*dir, 0o755); err != nil {
-		return err
-	}
 	start := time.Now()
-	indexOpts := promips.Options{C: *c, P: *p, M: *m, PageSize: *page, Seed: *seed}
-	var ix ctlIndex
-	if *shards > 1 {
-		six, err := shard.Build(data, shard.Options{Shards: *shards, Dir: *dir, Index: indexOpts})
-		if err != nil {
-			return err
-		}
-		ix = six
-	} else {
-		indexOpts.Dir = *dir
-		uix, err := promips.Build(data, indexOpts)
-		if err != nil {
-			return err
-		}
-		ix = uix
+	ix, err := shard.Build(data, shard.Options{Shards: *shards, Dir: *dir,
+		Index: promips.Options{C: *c, P: *p, M: *m, PageSize: *page, Seed: *seed}})
+	if err != nil {
+		return err
 	}
 	defer ix.Close()
 	if err := ix.Save(); err != nil {
@@ -171,9 +131,7 @@ func runBuild(args []string) error {
 	}
 	sz := ix.Sizes()
 	fmt.Printf("built index over n=%d d=%d points in %v\n", ix.Len(), ix.Dim(), time.Since(start).Round(time.Millisecond))
-	if *shards > 1 {
-		fmt.Printf("shards: %d\n", *shards)
-	}
+	fmt.Printf("shards: %d\n", ix.Shards())
 	fmt.Printf("projected dimension m=%d\n", ix.M())
 	fmt.Printf("index size: %.2f MB (btree %.2f, projected %.2f, quick-probe %.2f, norms %.2f)\n",
 		float64(sz.Total())/(1<<20), float64(sz.BTree)/(1<<20), float64(sz.Projected)/(1<<20),
@@ -195,7 +153,7 @@ func runQuery(args []string) error {
 	if *dir == "" || *dataPath == "" {
 		return fmt.Errorf("query requires -dir and -data")
 	}
-	ix, err := openAny(*dir)
+	ix, err := shard.Open(*dir)
 	if err != nil {
 		return err
 	}
@@ -240,24 +198,7 @@ func runCompact(args []string) error {
 	}
 	ctx, cancel := opCtx(*timeout)
 	defer cancel()
-	if shard.IsSharded(*dir) {
-		ix, err := shard.Open(*dir)
-		if err != nil {
-			return err
-		}
-		defer ix.Close()
-		before := ix.Len()
-		start := time.Now()
-		remap, err := ix.Compact(ctx)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("compacted %d -> %d points across %d shards in %v (ids remapped per shard)\n",
-			before, len(remap), ix.Shards(), time.Since(start).Round(time.Millisecond))
-		fmt.Printf("index size now %.2f MB\n", float64(ix.Sizes().Total())/(1<<20))
-		return nil
-	}
-	ix, err := promips.Open(*dir)
+	ix, err := shard.Open(*dir)
 	if err != nil {
 		return err
 	}
@@ -268,8 +209,8 @@ func runCompact(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("compacted %d -> %d points in %v (ids remapped densely)\n",
-		before, len(remap), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("compacted %d -> %d points across %d shard(s) in %v (ids remapped per shard)\n",
+		before, len(remap), ix.Shards(), time.Since(start).Round(time.Millisecond))
 	fmt.Printf("index size now %.2f MB\n", float64(ix.Sizes().Total())/(1<<20))
 	return nil
 }
@@ -285,7 +226,7 @@ func runStats(args []string) error {
 	if *dir == "" {
 		return fmt.Errorf("stats requires -dir")
 	}
-	ix, err := openAny(*dir)
+	ix, err := shard.Open(*dir)
 	if err != nil {
 		return err
 	}
@@ -293,9 +234,7 @@ func runStats(args []string) error {
 	o := ix.Options()
 	sz := ix.Sizes()
 	fmt.Printf("points: %d (live %d)  dim: %d  projected m: %d\n", ix.Len(), ix.LiveCount(), ix.Dim(), ix.M())
-	if six, ok := ix.(*shard.Index); ok {
-		fmt.Printf("shards: %d  per-shard journal: %v\n", six.Shards(), six.JournalLens())
-	}
+	fmt.Printf("shards: %d  per-shard journal: %v\n", ix.Shards(), ix.JournalLens())
 	fmt.Printf("c: %.2f  p: %.2f  page size: %d\n", o.C, o.P, o.PageSize)
 	fmt.Printf("index size: %.2f MB\n", float64(sz.Total())/(1<<20))
 	fmt.Printf("  btree:       %10d bytes\n", sz.BTree)
@@ -335,7 +274,7 @@ func runStats(args []string) error {
 // how many of those segments are crash-durable in their own seg files
 // (the watermark background compaction triggers on), and the lifetime
 // freeze/flush counters.
-func printUpdates(ix ctlIndex) {
+func printUpdates(ix *shard.Index) {
 	us := ix.UpdateStats()
 	if us.DeltaEntries == 0 && us.Segments == 0 && us.Freezes == 0 && us.Tombstones == 0 {
 		return // nothing in the update pipeline; keep quiet
@@ -359,8 +298,8 @@ func plural(n int, one, many string) string {
 
 // printJournal reports the write-ahead journal's state: how many
 // acknowledged updates are not yet folded into a Save (summed over
-// shards for a sharded index), and what this Open's replay recovered.
-func printJournal(ix ctlIndex) {
+// shards), and what this Open's replay recovered.
+func printJournal(ix *shard.Index) {
 	if ix.Options().Fsync == promips.FsyncDisabled {
 		fmt.Println("journal: disabled (FsyncDisabled)")
 		return
@@ -381,7 +320,7 @@ func runPromote(args []string) error {
 	fs := flag.NewFlagSet("promote", flag.ExitOnError)
 	addr := fs.String("addr", "", "running promipsd follower to promote in place (base URL)")
 	dir := fs.String("dir", "", "offline: replica directory to promote")
-	primary := fs.String("primary", "", "offline: the dead primary's index directory")
+	primary := fs.String("primary", "", "offline: the dead primary's index directory or base URL")
 	retries := fs.Int("retries", 2, "client retry budget for the online promote")
 	timeout := timeoutFlag(fs)
 	fs.Parse(args)
@@ -420,7 +359,7 @@ func runPromote(args []string) error {
 
 // ctlReplSource resolves a primary operand (-primary, -from): a base URL
 // selects the HTTP replication source (promipsd's /v1/repl/* endpoints),
-// anything else the shared-filesystem source.
+// anything else the directory source.
 func ctlReplSource(primary string) shard.ReplSource {
 	if strings.HasPrefix(primary, "http://") || strings.HasPrefix(primary, "https://") {
 		return shard.NewHTTPSource(strings.TrimRight(primary, "/"))
@@ -474,7 +413,7 @@ func runRecover(args []string) error {
 		return fmt.Errorf("recover requires -dir")
 	}
 	start := time.Now()
-	ix, err := openAny(*dir)
+	ix, err := shard.Open(*dir)
 	if err != nil {
 		return fmt.Errorf("recovery failed: %w", err)
 	}
@@ -482,9 +421,7 @@ func runRecover(args []string) error {
 	rec := ix.Recovery()
 	fmt.Printf("opened in %v: %d points (%d live), journal policy %v\n",
 		time.Since(start).Round(time.Millisecond), ix.Len(), ix.LiveCount(), ix.Options().Fsync)
-	if six, ok := ix.(*shard.Index); ok {
-		fmt.Printf("shards: %d (journal replay is per shard; counts below are summed)\n", six.Shards())
-	}
+	fmt.Printf("shards: %d (journal replay is per shard; counts below are summed)\n", ix.Shards())
 	fmt.Printf("recovery: %d update(s) replayed on top of the last save\n", rec.Replayed)
 	fmt.Printf("          %d record(s) already covered by the saved metadata\n", rec.Skipped)
 	fmt.Printf("          %d torn byte(s) cleanly truncated from the journal tail\n", rec.TruncatedBytes)

@@ -12,11 +12,13 @@
 //	GET  /v1/readyz       readiness (a follower is ready only when converged)
 //	GET  /healthz         liveness
 //
-// The directory's layout is auto-detected: a SHARDS manifest serves as a
-// sharded index (parallel fan-out search, updates routed by id), anything
-// else as a single index. -shards K asserts the expected shard count — a
-// deployment guard, not a conversion; shard counts are fixed at build
-// time (promipsctl build -shards K).
+// -dir must hold the sharded layout promipsctl build writes: a SHARDS
+// manifest over K shard directories (parallel fan-out search, updates
+// routed by id; K=1, the build default, is a pass-through to its one
+// child). -shards K asserts the expected shard count — a deployment
+// guard, not a conversion; shard counts are fixed at build time
+// (promipsctl build -shards K). Every primary serves /v1/repl/* and can be
+// followed.
 //
 // With -follow PRIMARY the server runs as a read-only replica. PRIMARY is
 // either a directory on a shared filesystem or another promipsd's base URL
@@ -67,7 +69,7 @@
 // at once; excess requests get 429 + Retry-After instead of queuing without
 // limit. Every request runs under a deadline (-timeout, shortened by the
 // request's timeout_ms). On SIGINT/SIGTERM the listener drains in-flight
-// requests (up to -drain), then the index is Saved — folding the journal
+// requests (for up to 10s), then the index is Saved — folding the journal
 // into the metadata so the next open replays nothing — and closed. A
 // follower skips the Save (its directory is a cache of the primary's
 // state) and simply closes.
@@ -88,7 +90,6 @@ import (
 	"syscall"
 	"time"
 
-	"promips"
 	"promips/shard"
 )
 
@@ -97,10 +98,13 @@ import (
 // still reach the primary after this much quarantine).
 const replRequestTimeout = 5 * time.Second
 
+// drainGrace is how long shutdown waits for in-flight requests.
+const drainGrace = 10 * time.Second
+
 // runConfig carries main's flags into run.
 type runConfig struct {
 	dir, addr                string
-	timeout, drain           time.Duration
+	timeout                  time.Duration
 	searchq, updateq, shards int
 	follow                   string // primary dir or base URL
 	poll                     time.Duration
@@ -117,7 +121,6 @@ func main() {
 	flag.DurationVar(&cfg.timeout, "timeout", 5*time.Second, "default and maximum per-request deadline")
 	flag.IntVar(&cfg.searchq, "searchq", 64, "max concurrent search requests before 429")
 	flag.IntVar(&cfg.updateq, "updateq", 64, "max concurrent update requests before 429")
-	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "shutdown grace for in-flight requests")
 	flag.IntVar(&cfg.shards, "shards", 0, "assert the index has exactly this shard count (0 = no assertion)")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a read-only replica of this primary (index directory or promipsd base URL)")
 	flag.DurationVar(&cfg.poll, "poll", 500*time.Millisecond, "replication poll interval (with -follow)")
@@ -173,9 +176,10 @@ func urlOrEmpty(primary string) string {
 	return ""
 }
 
-// openIndex resolves -dir (and -follow / -shards) into the serving index
-// and reports whether shutdown should Save it.
-func openIndex(cfg runConfig) (ix index, saveOnExit bool, err error) {
+// openIndex resolves -dir (and -follow / -shards) into the serving index:
+// a follower of cfg.follow, or the primary the directory holds.
+func openIndex(cfg runConfig) (index, error) {
+	var ix index
 	if cfg.follow != "" {
 		promoter := ""
 		if cfg.autoPromote {
@@ -183,34 +187,21 @@ func openIndex(cfg runConfig) (ix index, saveOnExit bool, err error) {
 		}
 		f, err := openFollower(cfg.dir, cfg.follow, promoter)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		if cfg.shards > 0 && f.Shards() != cfg.shards {
-			f.Close()
-			return nil, false, fmt.Errorf("-shards %d asserted but replica has %d", cfg.shards, f.Shards())
-		}
-		return f, false, nil
-	}
-	if shard.IsSharded(cfg.dir) {
+		ix = f
+	} else {
 		six, err := shard.Open(cfg.dir)
 		if err != nil {
-			return nil, false, fmt.Errorf("open sharded %s: %w", cfg.dir, err)
+			return nil, err
 		}
-		if cfg.shards > 0 && six.Shards() != cfg.shards {
-			six.Close()
-			return nil, false, fmt.Errorf("-shards %d asserted but %s has %d", cfg.shards, cfg.dir, six.Shards())
-		}
-		log.Printf("opened %s: %d shards", cfg.dir, six.Shards())
-		return six, true, nil
+		ix = six
 	}
-	if cfg.shards > 1 {
-		return nil, false, fmt.Errorf("-shards %d asserted but %s is not a sharded index (build one with promipsctl build -shards)", cfg.shards, cfg.dir)
+	if cfg.shards > 0 && ix.Shards() != cfg.shards {
+		ix.Close()
+		return nil, fmt.Errorf("-shards %d asserted but %s has %d", cfg.shards, cfg.dir, ix.Shards())
 	}
-	uix, err := promips.Open(cfg.dir)
-	if err != nil {
-		return nil, false, fmt.Errorf("open %s: %w", cfg.dir, err)
-	}
-	return uix, true, nil
+	return ix, nil
 }
 
 // replSource builds the replication transport for -follow: an HTTP source
@@ -271,12 +262,12 @@ func run(cfg runConfig) error {
 	pollCtx, stopPoll := context.WithCancel(ctx)
 	defer stopPoll()
 
-	ix, saveOnExit, err := openIndex(cfg)
+	ix, err := openIndex(cfg)
 	if err != nil {
 		return err
 	}
 	rec := ix.Recovery()
-	log.Printf("serving %s: %d live points, dim %d (journal replayed %d)", cfg.dir, ix.LiveCount(), ix.Dim(), rec.Replayed)
+	log.Printf("serving %s: %d shards, %d live points, dim %d (journal replayed %d)", cfg.dir, ix.Shards(), ix.LiveCount(), ix.Dim(), rec.Replayed)
 
 	h := newServer(ix, serverConfig{
 		requestTimeout: cfg.timeout,
@@ -286,20 +277,13 @@ func run(cfg runConfig) error {
 		autoCompactMin: cfg.autoCompact,
 	})
 	h.stopPoll = stopPoll
-	switch f := ix.(type) {
-	case *shard.Follower:
+	if f, ok := ix.(*shard.Follower); ok {
 		// The supervisor owns polling (with failure backoff) and, when
-		// -auto-promote is set, the quarantine-then-promote failover.
-		// No auto-compact here: it starts only if this follower promotes.
+		// -auto-promote is set, the quarantine-then-promote failover. A
+		// primary needs nothing here: newServer already mounted its
+		// replication wire and started -auto-compact.
 		sup := newSupervisor(f, h, cfg.poll, urlOrEmpty(cfg.follow), cfg.autoPromote, cfg.lease, cfg.suspect)
 		go sup.run(pollCtx)
-	case *shard.Index:
-		// A sharded primary serves the replication wire (and, with -lease,
-		// fences its writes on replication silence).
-		h.enableRepl(cfg.dir)
-		h.startAutoCompact(f)
-	default:
-		h.startAutoCompact(ix)
 	}
 	srv := &http.Server{
 		Addr:              cfg.addr,
@@ -325,8 +309,8 @@ func run(cfg runConfig) error {
 	// A follower has nothing of its own to save — its tree mirrors the
 	// primary — so it only closes; unless it was promoted mid-run, in which
 	// case the served index IS a primary now and saves like one.
-	log.Printf("shutting down: draining for up to %s", cfg.drain)
-	dctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
+	log.Printf("shutting down: draining for up to %s", drainGrace)
+	dctx, cancel := context.WithTimeout(context.Background(), drainGrace)
 	defer cancel()
 	if err := srv.Shutdown(dctx); err != nil {
 		log.Printf("drain incomplete: %v", err)
@@ -336,7 +320,7 @@ func run(cfg runConfig) error {
 	// Stop cancels an in-flight fold's context so the drain stays bounded.
 	h.stopAutoCompact()
 	cur := h.cur() // promote may have swapped the served index
-	save := saveOnExit || h.promoted.Load()
+	save := cfg.follow == "" || h.promoted.Load()
 	if save {
 		if err := cur.Save(); err != nil {
 			cur.Close()

@@ -17,12 +17,12 @@ import (
 	"promips/shard"
 )
 
-// index is the serving surface promipsd needs, satisfied by the embedded
-// *promips.Index, the sharded *shard.Index, and the read-only
-// *shard.Follower (whose mutators return ErrReadOnlyReplica — surfaced
-// as 403/CodeReadOnly). The handlers are layout-agnostic; only
-// handleStats looks through the interface for shard- and
-// replication-specific extras.
+// index is the serving surface promipsd needs, satisfied by the primary
+// *shard.Index and the read-only *shard.Follower (whose mutators return
+// ErrReadOnlyReplica — surfaced as 403/CodeReadOnly). Both get the read
+// and reporting half from the one struct they embed, so the handlers are
+// role-agnostic; the code asks "is this a *shard.Follower" only where the
+// role itself is the question (promotion, readiness, replication stats).
 type index interface {
 	Search(ctx context.Context, q []float32, k int, opts ...promips.SearchOption) ([]promips.Result, promips.SearchStats, error)
 	SearchBatch(ctx context.Context, queries [][]float32, k int, opts ...promips.SearchOption) ([][]promips.Result, []promips.SearchStats, error)
@@ -34,7 +34,10 @@ type index interface {
 	LiveCount() int
 	Dim() int
 	M() int
+	Shards() int
+	Epoch() int64
 	JournalLen() int
+	JournalLens() []int
 	JournalPoisoned() bool
 	CacheStats() promips.CacheStats
 	Recovery() promips.RecoveryStats
@@ -89,20 +92,19 @@ type server struct {
 	promoteMu sync.Mutex
 	promoted  atomic.Bool
 
-	// lease fences the write path of a replicated primary (nil until
-	// enableRepl). pollFails mirrors the supervisor's consecutive poll
-	// failure count into /v1/stats. replOn guards the one-shot /v1/repl/
-	// mux registration (a promoted follower mounts it mid-run).
+	// lease fences the write path of a primary (nil while a follower is
+	// served). pollFails mirrors the supervisor's consecutive poll failure
+	// count into /v1/stats. replOn guards the one-shot /v1/repl/ mux
+	// registration (a promoted follower mounts it mid-run).
 	lease     atomic.Pointer[leaseGuard]
 	pollFails atomic.Int64
 	replOn    atomic.Bool
 
 	// compactor is the background compaction scheduler (nil unless
 	// -auto-compact > 0 and a writable primary is being served). Started
-	// by main for a primary, or by promoteNow when a follower takes over;
-	// main's drain path must Stop it before Save (a Save concurrent with
-	// a compaction handover is safe but wasteful — the fold would be
-	// redone against the new generation).
+	// by servePrimary; main's drain path must Stop it before Save (a Save
+	// concurrent with a compaction handover is safe but wasteful — the
+	// fold would be redone against the new generation).
 	compactor atomic.Pointer[promips.AutoCompactor]
 
 	// quarantined is set by the auto-failover supervisor while it waits
@@ -166,15 +168,26 @@ func newServer(ix index, cfg serverConfig) *server {
 		w.WriteHeader(http.StatusOK)
 		io.WriteString(w, "ok\n")
 	})
+	if p, ok := ix.(*shard.Index); ok {
+		s.servePrimary(p)
+	}
 	return s
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+// servePrimary turns on what only a writable primary runs — the
+// replication wire behind its lease guard and, if configured, background
+// compaction — for the primary this server was built over or the one its
+// follower just promoted into.
+func (s *server) servePrimary(p *shard.Index) {
+	s.enableRepl(p.Dir())
+	s.startAutoCompact(p)
+}
+
 // enableRepl mounts the replication wire for the primary tree at dir and
-// arms its lease guard. Called at startup for a primary, and again (for
-// the replica's own directory) when a follower promotes — at most once
-// per process; later calls are ignored.
+// arms its lease guard — at most once per process; later calls are
+// ignored.
 func (s *server) enableRepl(dir string) {
 	if !s.replOn.CompareAndSwap(false, true) {
 		return
@@ -183,42 +196,25 @@ func (s *server) enableRepl(dir string) {
 	s.mux.Handle("GET /v1/repl/", shard.NewReplHandler(dir, s.replPull))
 }
 
-// replPull vets one replication pull: only a writable sharded primary
-// serves history; the lease guard renews the write lease on the bound
-// auto-promoter's history pulls (metadata reads and plain replicas'
-// pulls are lease-neutral) — or deposes this primary, if the peer's
-// lineage epoch proves a completed failover elsewhere.
+// replPull vets one replication pull (the wire is mounted only while a
+// primary is served): the lease guard renews the write lease on the bound
+// auto-promoter's history pulls (metadata reads and plain replicas' pulls
+// are lease-neutral) — or deposes this primary, if the peer's lineage
+// epoch proves a completed failover elsewhere.
 func (s *server) replPull(pull shard.ReplPull) error {
-	ix, ok := s.cur().(*shard.Index)
-	if !ok {
-		return errors.New("not serving a writable sharded primary")
-	}
-	if g := s.lease.Load(); g != nil {
-		return g.served(pull, ix.Epoch())
-	}
-	return nil
+	return s.lease.Load().served(pull, s.cur().Epoch())
 }
 
-// startAutoCompact launches the background compaction scheduler for ix if
-// -auto-compact is configured and ix is a writable primary (embedded or
-// sharded). Followers are skipped: a replica's state must stay a
-// replayable function of its primary's WAL, and compaction reassigns ids.
-// At most one scheduler runs; a leftover one (possible only if promotion
-// raced a restart path) is stopped first.
-func (s *server) startAutoCompact(ix index) {
+// startAutoCompact launches the background compaction scheduler for the
+// primary ix if -auto-compact is configured. Only a primary is ever passed:
+// a replica's state must stay a replayable function of its primary's WAL,
+// and compaction reassigns ids. At most one scheduler runs; a leftover one
+// (possible only if promotion raced a restart path) is stopped first.
+func (s *server) startAutoCompact(ix *shard.Index) {
 	if s.cfg.autoCompactMin <= 0 {
 		return
 	}
-	var c *promips.AutoCompactor
-	switch t := ix.(type) {
-	case *promips.Index:
-		c = t.StartAutoCompact(s.cfg.autoCompactMin)
-	case *shard.Index:
-		c = t.StartAutoCompact(s.cfg.autoCompactMin)
-	default:
-		return
-	}
-	if old := s.compactor.Swap(c); old != nil {
+	if old := s.compactor.Swap(ix.StartAutoCompact(s.cfg.autoCompactMin)); old != nil {
 		old.Stop()
 	}
 	log.Printf("auto-compact: folding flushed segments at watermark %d", s.cfg.autoCompactMin)
@@ -233,8 +229,7 @@ func (s *server) stopAutoCompact() {
 }
 
 // writeAllowed gates the update path behind the lease fence (no-op for
-// unreplicated primaries and for followers, whose mutators refuse on
-// their own).
+// followers, whose mutators refuse on their own).
 func (s *server) writeAllowed() error {
 	if g := s.lease.Load(); g != nil {
 		return g.checkWrite()
@@ -310,11 +305,15 @@ func writeQueueFull(w http.ResponseWriter, what string) {
 	})
 }
 
-// decode parses the JSON body into v, rejecting trailing garbage.
+// decode parses the JSON body into v, rejecting trailing garbage: after
+// the one value only whitespace may follow.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
 	if err := dec.Decode(v); err != nil {
 		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON body")
 	}
 	return nil
 }
@@ -531,11 +530,10 @@ func (s *server) promoteNow(why string) error {
 	s.promoted.Store(true)
 	s.pollFails.Store(0)
 	s.quarantined.Store(false)
-	s.enableRepl(promoted.Dir())
 	// The promoted primary owns its lineage now, so background compaction
 	// (if configured) is safe — and wanted, since the replica may have
 	// accumulated flushed segments through WAL replay.
-	s.startAutoCompact(promoted)
+	s.servePrimary(promoted)
 	log.Printf("promoted (%s): serving as primary at epoch %d (%d live points)", why, promoted.Epoch(), promoted.LiveCount())
 	return nil
 }
@@ -551,7 +549,8 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// is alive (healthz) and can serve reads, but a load balancer routing
 	// writes here gets only 503s until a Save heals the journal. Surface
 	// that at readiness, with the same pacing hint the write path sends.
-	if _, isFollower := cur.(*shard.Follower); !isFollower && cur.JournalPoisoned() {
+	f, isFollower := cur.(*shard.Follower)
+	if !isFollower && cur.JournalPoisoned() {
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, client.ErrorBody{
 			Error:     "not ready: journal poisoned; updates refused until a save heals it",
@@ -560,7 +559,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if f, ok := cur.(*shard.Follower); ok {
+	if isFollower {
 		// A quarantining follower answers from local state: reaching out to
 		// the suspect primary would hang the probe — and re-arm the lease
 		// the quarantine is waiting out, were the primary slow-but-alive.
@@ -599,27 +598,23 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		JournalLen: cur.JournalLen(),
 		Cache:      cur.CacheStats(),
 		Recovery:   cur.Recovery(),
+
+		Shards:           cur.Shards(),
+		ShardJournalLens: cur.JournalLens(),
+		Epoch:            cur.Epoch(),
 	}
-	switch ix := cur.(type) {
-	case *shard.Index:
-		resp.Shards = ix.Shards()
-		resp.ShardJournalLens = ix.JournalLens()
-		resp.Epoch = ix.Epoch()
-	case *shard.Follower:
-		resp.Shards = ix.Shards()
-		resp.ShardJournalLens = ix.JournalLens()
-		resp.Epoch = ix.Epoch()
+	if f, ok := cur.(*shard.Follower); ok {
 		resp.ReadOnly = true
 		rep := &client.ReplicationStats{
-			Watermarks:          ix.Watermarks(),
-			Refreshes:           ix.Refreshes(),
+			Watermarks:          f.Watermarks(),
+			Refreshes:           f.Refreshes(),
 			ConsecutiveFailures: s.pollFails.Load(),
-			Source:              ix.Source(),
+			Source:              f.Source(),
 			Quarantined:         s.quarantined.Load(),
 		}
 		if rep.Quarantined {
 			rep.Lag = -1 // no remote reads against a quarantined primary
-		} else if lag, err := ix.Lag(); err == nil {
+		} else if lag, err := f.Lag(); err == nil {
 			rep.Lag = lag
 		} else {
 			rep.Lag = -1 // primary unreadable right now

@@ -1,19 +1,20 @@
 package main
 
 import (
-	"path/filepath"
-	"reflect"
-
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"promips/shard"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"promips"
 	"promips/client"
+	"promips/shard"
 )
 
 func testVecs(r *rand.Rand, n, d int) [][]float32 {
@@ -28,26 +29,30 @@ func testVecs(r *rand.Rand, n, d int) [][]float32 {
 	return out
 }
 
-// newTestServer builds a small index and serves it through the real handler
-// stack, returning a client pointed at it.
-func newTestServer(t *testing.T, cfg serverConfig) (*promips.Index, *client.Client) {
+// newTestServer builds and saves a small index the way promipsctl build
+// does by default (one shard) and serves it through the real handler stack,
+// returning a client pointed at it and the server's base URL.
+func newTestServer(t *testing.T, cfg serverConfig) (*shard.Index, *client.Client, string) {
 	t.Helper()
 	r := rand.New(rand.NewSource(7))
 	data := testVecs(r, 200, 8)
-	ix, err := promips.Build(data, promips.Options{Dir: t.TempDir(), Seed: 8, M: 4})
+	ix, err := shard.Build(data, shard.Options{Dir: t.TempDir(), Index: promips.Options{Seed: 8, M: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
+	if err := ix.Save(); err != nil {
+		t.Fatal(err)
+	}
 	hs := httptest.NewServer(newServer(ix, cfg))
 	t.Cleanup(hs.Close)
-	return ix, client.New(hs.URL, client.WithHTTPClient(hs.Client()))
+	return ix, client.New(hs.URL, client.WithHTTPClient(hs.Client())), hs.URL
 }
 
 // TestRoundTrips drives every endpoint through the real HTTP stack and the
 // client package: insert → search finds it → delete → stats agree.
 func TestRoundTrips(t *testing.T) {
-	ix, c := newTestServer(t, serverConfig{searchSlots: 4, updateSlots: 4})
+	ix, c, _ := newTestServer(t, serverConfig{searchSlots: 4, updateSlots: 4})
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(9))
 	vec := testVecs(r, 1, 8)[0]
@@ -109,7 +114,7 @@ func TestRoundTrips(t *testing.T) {
 // that the client maps them back to the promips sentinels — errors.Is parity
 // between remote and embedded use.
 func TestErrorMapping(t *testing.T) {
-	_, c := newTestServer(t, serverConfig{searchSlots: 4, updateSlots: 4})
+	_, c, url := newTestServer(t, serverConfig{searchSlots: 4, updateSlots: 4})
 	ctx := context.Background()
 
 	_, err := c.Search(ctx, client.SearchRequest{Vector: []float32{1, 2}, K: 3})
@@ -123,6 +128,28 @@ func TestErrorMapping(t *testing.T) {
 
 	if _, err := c.Insert(ctx, []float32{1}); !errors.Is(err, promips.ErrDimMismatch) {
 		t.Fatalf("mis-dimensioned remote insert = %v, want ErrDimMismatch", err)
+	}
+
+	// One JSON value per body: anything but whitespace after it is refused
+	// before the request reaches the index.
+	const okBody = `{"vector":[1,2,3,4,5,6,7,8],"k":1}`
+	for body, want := range map[string]int{
+		okBody + " \n\t":    http.StatusOK,
+		`{"k":1}{"k":2}`:    http.StatusBadRequest,
+		`{"k":1} x`:         http.StatusBadRequest,
+		okBody + `{"k":2}`:  http.StatusBadRequest,
+		okBody + "\n" + `]`: http.StatusBadRequest,
+	} {
+		resp, err := http.Post(url+"/v1/search", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb client.ErrorBody
+		json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != want || (want == http.StatusBadRequest && eb.Code != client.CodeBadRequest) {
+			t.Errorf("body %q = %d/%q, want %d", body, resp.StatusCode, eb.Code, want)
+		}
 	}
 }
 
@@ -166,7 +193,7 @@ func (e *wrapErr) Is(target error) bool {
 // refused with 429 + queue_full + Retry-After, and the client marks it
 // retryable.
 func TestQueueFull(t *testing.T) {
-	_, c := newTestServer(t, serverConfig{searchSlots: 0, updateSlots: 0})
+	_, c, _ := newTestServer(t, serverConfig{searchSlots: 0, updateSlots: 0})
 	ctx := context.Background()
 
 	_, err := c.Search(ctx, client.SearchRequest{Vector: make([]float32, 8), K: 3})
@@ -183,7 +210,7 @@ func TestQueueFull(t *testing.T) {
 // timeout_ms far below the work's duration must come back 504/deadline.
 // A 1ns server cap guarantees expiry without any slow-disk machinery.
 func TestRequestTimeout(t *testing.T) {
-	ix, _ := newTestServer(t, serverConfig{searchSlots: 4, updateSlots: 4})
+	ix, _, _ := newTestServer(t, serverConfig{searchSlots: 4, updateSlots: 4})
 	hs := httptest.NewServer(newServer(ix, serverConfig{
 		requestTimeout: 1, // 1ns: every context is born expired
 		searchSlots:    4,
@@ -299,5 +326,80 @@ func TestShardedServing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fres.Results, pres.Results) {
 		t.Fatalf("follower search diverges from primary:\n got %v\nwant %v", fres.Results, pres.Results)
+	}
+}
+
+// TestDefaultPrimaryIsFollowable: there is one serving shape, so the index a
+// plain `promipsctl build` makes (one shard) reports itself like any other
+// and serves the replication wire — a follower bootstraps from it over HTTP
+// and converges on a later insert through WAL shipping alone.
+func TestDefaultPrimaryIsFollowable(t *testing.T) {
+	primary, pc, url := newTestServer(t, serverConfig{searchSlots: 4, updateSlots: 4})
+	ctx := context.Background()
+
+	st, err := pc.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Shards != 1 || len(st.ShardJournalLens) != 1 || st.ReadOnly {
+		t.Fatalf("default-built primary stats: %+v, want shards 1", st)
+	}
+	resp, err := http.Get(url + "/v1/repl/manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/repl/manifest on a default-built primary = %d, want 200", resp.StatusCode)
+	}
+
+	replicaDir := filepath.Join(t.TempDir(), "replica")
+	if err := shard.SnapshotFrom(shard.NewHTTPSource(url), replicaDir); err != nil {
+		t.Fatalf("snapshot over HTTP: %v", err)
+	}
+	f, err := shard.OpenFollowerFrom(replicaDir, shard.NewHTTPSource(url))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	vec := testVecs(rand.New(rand.NewSource(21)), 1, 8)[0]
+	if _, err := pc.Insert(ctx, vec); err != nil {
+		t.Fatal(err)
+	}
+	if applied, err := f.Poll(); err != nil || applied != 1 {
+		t.Fatalf("poll applied %d records, err %v; want the one insert", applied, err)
+	}
+	if lag, err := f.Lag(); err != nil || lag != 0 {
+		t.Fatalf("lag %d err %v after poll, want 0", lag, err)
+	}
+	pres, _, err := primary.Search(ctx, vec, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fres, _, err := f.Search(ctx, vec, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fres, pres) {
+		t.Fatalf("follower search diverges from primary:\n got %v\nwant %v", fres, pres)
+	}
+}
+
+// TestBareIndexRefused: a directory holding an index saved without the
+// shard layer (promips.Build + Save, or a pre-sharding promipsctl build) is
+// not opened as "no index here" — promipsd names the layout and the fix.
+func TestBareIndexRefused(t *testing.T) {
+	dir := t.TempDir()
+	ix, err := promips.Build(testVecs(rand.New(rand.NewSource(5)), 50, 8), promips.Options{Dir: dir, Seed: 6, M: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Save(); err != nil {
+		t.Fatal(err)
+	}
+	ix.Close()
+	_, err = openIndex(runConfig{dir: dir})
+	if err == nil || !strings.Contains(err.Error(), "bare promips index") || !strings.Contains(err.Error(), "promipsctl build") {
+		t.Fatalf("openIndex on a bare index = %v, want the rebuild-with-promipsctl error", err)
 	}
 }

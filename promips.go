@@ -80,8 +80,10 @@ import (
 )
 
 // Options configures Build. The zero value reproduces the paper's default
-// setting: c = 0.9, p = 0.5, optimized projected dimension, kp = 5,
-// Nkey = 40, ksp = 10 and 4KB pages.
+// setting: c = 0.9, p = 0.5, optimized projected dimension and 4KB pages.
+// The iDistance partition pattern is fixed at the paper's kp = 5 k-means
+// partitions, Nkey = 40 rings per partition (ring width derived from the
+// data) and ksp = 10 sub-partitions per ring.
 type Options struct {
 	// Dir is the directory for the index's page files. Empty means a fresh
 	// temporary directory (removed on Close unless the index was Saved).
@@ -94,12 +96,6 @@ type Options struct {
 	// M is the projected dimensionality; 0 selects the paper's optimized
 	// m = argmin 2^m(m+1) + n/2^m.
 	M int
-
-	// Kp, Nkey and Ksp shape the iDistance partition pattern: top-level
-	// k-means partitions, rings per partition, sub-partitions per ring.
-	Kp, Nkey, Ksp int
-	// Epsilon overrides the ring width (0 = derive from data).
-	Epsilon float64
 
 	// PageSize is the disk page size in bytes (default 4096). Vectors must
 	// fit in one page: use larger pages for very high dimensions, as the
@@ -286,7 +282,6 @@ func Build(data [][]float32, opts Options) (*Index, error) {
 	}
 	coreOpts := core.Options{
 		C: opts.C, P: opts.P, M: opts.M,
-		Kp: opts.Kp, Nkey: opts.Nkey, Ksp: opts.Ksp, Epsilon: opts.Epsilon,
 		PageSize: opts.PageSize, PoolSize: opts.PoolSize, MissLatency: opts.MissLatency,
 		Seed:           opts.Seed,
 		Fsync:          opts.Fsync,
@@ -703,7 +698,6 @@ func (ix *Index) Options() Options {
 	return Options{
 		Dir: ix.dir,
 		C:   o.C, P: o.P, M: o.M,
-		Kp: o.Kp, Nkey: o.Nkey, Ksp: o.Ksp, Epsilon: o.Epsilon,
 		PageSize: o.PageSize, PoolSize: o.PoolSize, MissLatency: o.MissLatency,
 		Seed:           o.Seed,
 		Fsync:          o.Fsync,

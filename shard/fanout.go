@@ -13,8 +13,8 @@ import (
 	"promips"
 )
 
-// Fan-out query execution over K child indexes, shared by the primary
-// Index and the read-only Follower.
+// Fan-out query execution over K child indexes, and the shardSet read
+// surface the primary Index and the read-only Follower both embed.
 //
 // Id remapping: child s owns every global id ≡ s (mod K), stored locally
 // as global/K, so results come back with local ids and are remapped to
@@ -365,62 +365,150 @@ func mergeStats(sts []promips.SearchStats) promips.SearchStats {
 	return m
 }
 
-// Aggregations over child indexes, shared by Index and Follower.
+// shardSet is the K open children of one sharded directory and the read
+// surface over them: the one implementation Index and Follower both embed,
+// so a primary and a replica answer and report through the same code.
+//
+// mu orders reads against the follower's child swap (refreshShard replaces
+// a child and closes the old one; no read may straddle that). A primary
+// never writes children after construction, so its RLock is always
+// uncontended and Index's own methods read the slice without it.
+type shardSet struct {
+	dir string // root: SHARDS manifest + shard-NNN children
 
-func sumLen(children []*promips.Index) int {
-	n := 0
-	for _, c := range children {
-		n += c.Len()
+	mu       sync.RWMutex
+	children []*promips.Index
+
+	faultsMu sync.Mutex // guards faults
+	faults   *Faults
+}
+
+// each calls fn on every child, in shard order, under the read lock.
+func (ss *shardSet) each(fn func(c *promips.Index)) {
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	for _, c := range ss.children {
+		fn(c)
 	}
+}
+
+// Search returns the global top-k c-AMIP points for q, fanned out across
+// all shards in parallel and merged with a deterministic (inner product
+// desc, id asc) order. The caller's (c, p) guarantee holds over the
+// merged result: each shard runs at p_shard = 1 − (1−p)/K, so by the
+// union bound every per-shard guarantee holds simultaneously with
+// probability ≥ p, and the per-shard c-approximations compose (see the
+// top of this file). WithC/WithP/WithFilter apply globally; the filter
+// sees global ids. A Follower answers against its current replicated
+// state.
+func (ss *shardSet) Search(ctx context.Context, q []float32, k int, opts ...promips.SearchOption) ([]promips.Result, promips.SearchStats, error) {
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	return fanSearch(ctx, ss.children, ss.getFaults(), q, k, opts)
+}
+
+// SearchBatch answers many queries with a bounded worker pool (WithWorkers
+// sizes it); each in-flight query fans out across all K shards, so disk
+// I/O overlaps workers×K ways. Answers are identical to sequential Search
+// calls.
+func (ss *shardSet) SearchBatch(ctx context.Context, queries [][]float32, k int, opts ...promips.SearchOption) ([][]promips.Result, []promips.SearchStats, error) {
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	return fanBatch(ctx, ss.children, ss.getFaults(), queries, k, opts)
+}
+
+// Exact returns the exact global top-k by scanning every shard in
+// parallel — the ground truth Search approximates.
+func (ss *shardSet) Exact(ctx context.Context, q []float32, k int) ([]promips.Result, error) {
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	return fanExact(ctx, ss.children, q, k)
+}
+
+// Shards returns the shard count K.
+func (ss *shardSet) Shards() int { return len(ss.children) }
+
+// Dir returns the root directory (SHARDS manifest + shard
+// subdirectories); a Follower's is the replica directory it owns.
+func (ss *shardSet) Dir() string { return ss.dir }
+
+// Dim returns the dataset dimensionality (uniform across shards).
+func (ss *shardSet) Dim() int {
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	return ss.children[0].Dim()
+}
+
+// M returns the projected dimensionality in use (uniform across shards:
+// every child is built from the same options over same-dimensional data).
+func (ss *shardSet) M() int {
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	return ss.children[0].M()
+}
+
+// Len returns the total number of points in the disk-resident shards.
+func (ss *shardSet) Len() (n int) {
+	ss.each(func(c *promips.Index) { n += c.Len() })
 	return n
 }
 
-func sumLive(children []*promips.Index) int {
-	n := 0
-	for _, c := range children {
-		n += c.LiveCount()
-	}
+// LiveCount returns the total number of live points across all shards.
+func (ss *shardSet) LiveCount() (n int) {
+	ss.each(func(c *promips.Index) { n += c.LiveCount() })
 	return n
 }
 
-func sumJournal(children []*promips.Index) int {
-	n := 0
-	for _, c := range children {
-		n += c.JournalLen()
-	}
+// JournalLen returns the total acknowledged updates pending across all
+// shard journals. (A replica's own journals only grow by snapshot copy.)
+func (ss *shardSet) JournalLen() (n int) {
+	ss.each(func(c *promips.Index) { n += c.JournalLen() })
 	return n
 }
 
-func journalLens(children []*promips.Index) []int {
-	ls := make([]int, len(children))
-	for s, c := range children {
-		ls[s] = c.JournalLen()
-	}
+// JournalLens returns each shard's pending journal length, in shard
+// order — the per-shard replication/recovery watermarks promipsd reports.
+func (ss *shardSet) JournalLens() []int {
+	ls := make([]int, 0, len(ss.children))
+	ss.each(func(c *promips.Index) { ls = append(ls, c.JournalLen()) })
 	return ls
 }
 
-func sumCache(children []*promips.Index) promips.CacheStats {
-	var cs promips.CacheStats
-	for _, c := range children {
-		cs = cs.Add(c.CacheStats())
-	}
-	return cs
+// JournalPoisoned reports whether any shard's journal writer is poisoned:
+// an append-path write/fsync failed, so new updates are being refused
+// (ErrJournalPoisoned) until a Save heals it. Serving layers use it to
+// fail writes fast at readiness rather than per-request. (Normally always
+// false on a replica, whose journals only grow by snapshot copy.)
+func (ss *shardSet) JournalPoisoned() (poisoned bool) {
+	ss.each(func(c *promips.Index) { poisoned = poisoned || c.JournalPoisoned() })
+	return poisoned
 }
 
-func sumRecovery(children []*promips.Index) promips.RecoveryStats {
-	var rs promips.RecoveryStats
-	for _, c := range children {
+// Recovery sums what every shard's journal replay recovered at Open.
+func (ss *shardSet) Recovery() (rs promips.RecoveryStats) {
+	ss.each(func(c *promips.Index) {
 		r := c.Recovery()
 		rs.Replayed += r.Replayed
 		rs.Skipped += r.Skipped
 		rs.TruncatedBytes += r.TruncatedBytes
-	}
+	})
 	return rs
 }
 
-func sumUpdateStats(children []*promips.Index) promips.UpdateStats {
-	var us promips.UpdateStats
-	for _, c := range children {
+// CacheStats sums the buffer-pool counters of every shard's I/O engine.
+func (ss *shardSet) CacheStats() (cs promips.CacheStats) {
+	ss.each(func(c *promips.Index) { cs = cs.Add(c.CacheStats()) })
+	return cs
+}
+
+// UpdateStats sums the update-pipeline state — delta sizes, frozen and
+// flushed segments, tombstones, freeze/flush counters — across all shards.
+// A follower's segments come from WAL replay (its children freeze on the
+// same thresholds the primary does), never from local writes, and a
+// follower never compacts — segments fold only when a refreshed snapshot
+// replaces the child wholesale or the follower is promoted.
+func (ss *shardSet) UpdateStats() (us promips.UpdateStats) {
+	ss.each(func(c *promips.Index) {
 		u := c.UpdateStats()
 		us.DeltaEntries += u.DeltaEntries
 		us.Segments += u.Segments
@@ -430,19 +518,6 @@ func sumUpdateStats(children []*promips.Index) promips.UpdateStats {
 		us.Freezes += u.Freezes
 		us.Flushes += u.Flushes
 		us.FlushFailures += u.FlushFailures
-	}
+	})
 	return us
-}
-
-func sumSizes(children []*promips.Index) promips.SizeBreakdown {
-	var sz promips.SizeBreakdown
-	for _, c := range children {
-		s := c.Sizes()
-		sz.BTree += s.BTree
-		sz.Projected += s.Projected
-		sz.QuickProbe += s.QuickProbe
-		sz.Norms += s.Norms
-		sz.Sketch += s.Sketch
-	}
-	return sz
 }

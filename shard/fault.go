@@ -53,8 +53,8 @@ type Faults struct {
 	// Delay adds latency to every op of the given shards.
 	Delay map[int]time.Duration
 
-	mu      sync.Mutex
-	ops     map[int]int
+	mu       sync.Mutex
+	ops      map[int]int
 	injected int
 }
 
@@ -108,31 +108,18 @@ func (f *Faults) Injected() int {
 }
 
 // SetFaults installs (or, with nil, removes) a fan-out fault injector on
-// the primary. For tests and benchmarks: the injector makes shard
-// failures, wedges and slow shards deterministic, which is how the chaos
-// matrix and the degraded-search benchmark drive the failure domain
+// a primary or a replica. For tests and benchmarks: the injector makes
+// shard failures, wedges and slow shards deterministic, which is how the
+// chaos matrix and the degraded-search benchmark drive the failure domain
 // without real hardware faults.
-func (ix *Index) SetFaults(f *Faults) {
-	ix.faultsMu.Lock()
-	ix.faults = f
-	ix.faultsMu.Unlock()
+func (ss *shardSet) SetFaults(f *Faults) {
+	ss.faultsMu.Lock()
+	ss.faults = f
+	ss.faultsMu.Unlock()
 }
 
-func (ix *Index) getFaults() *Faults {
-	ix.faultsMu.Lock()
-	defer ix.faultsMu.Unlock()
-	return ix.faults
-}
-
-// SetFaults installs (or removes) a fan-out fault injector on the replica.
-func (f *Follower) SetFaults(flt *Faults) {
-	f.faultsMu.Lock()
-	f.faults = flt
-	f.faultsMu.Unlock()
-}
-
-func (f *Follower) getFaults() *Faults {
-	f.faultsMu.Lock()
-	defer f.faultsMu.Unlock()
-	return f.faults
+func (ss *shardSet) getFaults() *Faults {
+	ss.faultsMu.Lock()
+	defer ss.faultsMu.Unlock()
+	return ss.faults
 }

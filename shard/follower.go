@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -17,8 +16,9 @@ import (
 )
 
 // Follower is a read-only replica of a sharded primary, converged through
-// a ReplSource — a shared filesystem (NewDirSource) or a primary
-// promipsd's /v1/repl/* endpoints (NewHTTPSource) — by two mechanisms:
+// a ReplSource — the primary's directory itself (NewDirSource) or a
+// primary promipsd's /v1/repl/* endpoints (NewHTTPSource) — by two
+// mechanisms:
 //
 //   - Journal tailing (the fast path): every Poll reads each primary
 //     shard's live write-ahead journal bytes from the replica's resumable
@@ -38,8 +38,9 @@ import (
 //     replica — and re-copies that shard's tree from the source
 //     wholesale, then resumes tailing. Refreshes counts these.
 //
-// The replica answers Search/SearchBatch/Exact with the same fan-out
-// merge as the primary. Mutating operations return ErrReadOnlyReplica.
+// The replica answers Search/SearchBatch/Exact — and reports Len,
+// CacheStats, … — through the embedded shardSet, the same code the
+// primary runs. Mutating operations return ErrReadOnlyReplica.
 //
 // Consistency model: eventual, with a per-shard LSN watermark
 // (Watermarks/Lag) measuring convergence — watermark W on shard s means
@@ -57,20 +58,15 @@ import (
 // time: Poll is serialized internally; reads run concurrently with it
 // except during a shard swap.
 type Follower struct {
-	dir   string     // replica root (this follower owns it)
-	src   ReplSource // replication transport to the primary
-	epoch int64      // lineage epoch fence (see ErrStalePrimary)
+	shardSet // dir is the replica root, which this follower owns
 
-	mu       sync.RWMutex // guards children swaps (refresh) vs reads
-	children []*promips.Index
-	marks    []followMark
+	src   ReplSource   // replication transport to the primary
+	epoch int64        // lineage epoch fence (see ErrStalePrimary)
+	marks []followMark // guarded by shardSet.mu, like the children they describe
 
 	pollMu    sync.Mutex // serializes Poll; guards promoted
 	promoted  bool       // set by Promote: this follower is consumed
 	refreshes atomic.Int64
-
-	faultsMu sync.Mutex // guards faults
-	faults   *Faults
 }
 
 // followMark pins the primary-side state a replica shard was built from:
@@ -132,10 +128,9 @@ func OpenFollowerFrom(replicaDir string, src ReplSource) (*Follower, error) {
 		}
 	}
 	f := &Follower{
-		dir:      replicaDir,
+		shardSet: shardSet{dir: replicaDir, children: make([]*promips.Index, 0, k)},
 		src:      src,
 		epoch:    epoch,
-		children: make([]*promips.Index, 0, k),
 		marks:    make([]followMark, k),
 	}
 	f.stampSource()
@@ -358,28 +353,6 @@ func (f *Follower) Lag() (int64, error) {
 // performed (epoch crossings: primary Saves/Compacts caught up with).
 func (f *Follower) Refreshes() int64 { return f.refreshes.Load() }
 
-// Search answers against the replica's current state with the same
-// fan-out merge — and the same (c, p) composition — as the primary.
-func (f *Follower) Search(ctx context.Context, q []float32, k int, opts ...promips.SearchOption) ([]promips.Result, promips.SearchStats, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return fanSearch(ctx, f.children, f.getFaults(), q, k, opts)
-}
-
-// SearchBatch answers many queries against the replica's current state.
-func (f *Follower) SearchBatch(ctx context.Context, queries [][]float32, k int, opts ...promips.SearchOption) ([][]promips.Result, []promips.SearchStats, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return fanBatch(ctx, f.children, f.getFaults(), queries, k, opts)
-}
-
-// Exact returns the exact top-k over the replica's current state.
-func (f *Follower) Exact(ctx context.Context, q []float32, k int) ([]promips.Result, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return fanExact(ctx, f.children, q, k)
-}
-
 // Insert always fails: replicas converge by replaying the primary's
 // journal, and a direct write would fork the id space.
 func (f *Follower) Insert(v []float32) (uint32, error) {
@@ -436,9 +409,6 @@ func (f *Follower) closeChildrenLocked() error {
 	return first
 }
 
-// Shards returns the shard count K.
-func (f *Follower) Shards() int { return len(f.children) }
-
 // Epoch returns the lineage epoch this replica follows under — the fence
 // a resurrected pre-failover primary is measured against.
 func (f *Follower) Epoch() int64 {
@@ -447,74 +417,8 @@ func (f *Follower) Epoch() int64 {
 	return f.epoch
 }
 
-// Dir returns the replica's directory.
-func (f *Follower) Dir() string { return f.dir }
-
 // Source names the replication source this follower converges from.
 func (f *Follower) Source() string { return f.src.String() }
-
-// Len returns the total disk-resident points in the replica's state.
-func (f *Follower) Len() int { f.mu.RLock(); defer f.mu.RUnlock(); return sumLen(f.children) }
-
-// LiveCount returns the total live points in the replica's state.
-func (f *Follower) LiveCount() int { f.mu.RLock(); defer f.mu.RUnlock(); return sumLive(f.children) }
-
-// Dim returns the dataset dimensionality.
-func (f *Follower) Dim() int { f.mu.RLock(); defer f.mu.RUnlock(); return f.children[0].Dim() }
-
-// M returns the projected dimensionality in use.
-func (f *Follower) M() int { f.mu.RLock(); defer f.mu.RUnlock(); return f.children[0].M() }
-
-// JournalLen returns the replicated-but-unsaved record count across
-// shards (the replica's own journals only grow by snapshot copy).
-func (f *Follower) JournalLen() int { f.mu.RLock(); defer f.mu.RUnlock(); return sumJournal(f.children) }
-
-// JournalLens returns each replica shard's journal length in shard order.
-func (f *Follower) JournalLens() []int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return journalLens(f.children)
-}
-
-// JournalPoisoned reports whether any replica shard's journal writer is
-// poisoned. Replica journals only grow by snapshot copy, so this is
-// normally always false; it exists so promipsd can serve one readiness
-// surface for both roles.
-func (f *Follower) JournalPoisoned() bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	for _, c := range f.children {
-		if c.JournalPoisoned() {
-			return true
-		}
-	}
-	return false
-}
-
-// Recovery sums what every replica shard's journal replay recovered.
-func (f *Follower) Recovery() promips.RecoveryStats {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return sumRecovery(f.children)
-}
-
-// CacheStats sums the replica's buffer-pool counters.
-func (f *Follower) CacheStats() promips.CacheStats {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return sumCache(f.children)
-}
-
-// UpdateStats sums the replica's update-pipeline state across shards. A
-// follower's segments come from WAL replay (its children freeze on the
-// same thresholds the primary does), never from local writes, and a
-// follower never compacts — segments fold only when a refreshed snapshot
-// replaces the child wholesale or the follower is promoted.
-func (f *Follower) UpdateStats() promips.UpdateStats {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return sumUpdateStats(f.children)
-}
 
 // epochOf fingerprints a primary shard's current journal epoch: the raw
 // CURRENT content, the generation it names, and a digest of that

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 
@@ -13,12 +14,11 @@ import (
 
 // The SHARDS manifest is the root of a sharded index directory: a tiny
 // text file recording the shard count, written atomically (temp + fsync +
-// rename + directory fsync) by Save. Its presence is what distinguishes a
-// sharded directory from a single-index one — promipsd and promipsctl
-// auto-detect it — and its K is load-bearing: the id-space layout
-// (globalID = localID·K + shard) is a pure function of K, so opening with
-// the wrong K would silently mis-route every id. K is therefore fixed at
-// Build and validated on every Open.
+// rename + directory fsync) by Save. It is what makes a directory an index
+// promipsd and promipsctl will open, and its K is load-bearing: the
+// id-space layout (globalID = localID·K + shard) is a pure function of K,
+// so opening with the wrong K would silently mis-route every id. K is
+// therefore fixed at Build and validated on every Open.
 //
 // The manifest also carries the directory's failover epoch — a monotonic
 // fence bumped by Promote. A follower refuses to tail a primary whose
@@ -104,12 +104,24 @@ func parseManifest(b []byte) (int, int64, error) {
 }
 
 // IsSharded reports whether dir holds a sharded index — a valid SHARDS
-// manifest. Serving and tooling use it to pick Open vs promips.Open. An
-// unreadable or invalid manifest reports false; Open will surface the
-// real error.
+// manifest. promipsd and promipsctl snapshot use it to tell a directory
+// to bootstrap into from one to leave alone. An unreadable or invalid
+// manifest reports false; Open will surface the real error.
 func IsSharded(dir string) bool {
 	k, _, err := readManifest(fsutil.OS, dir)
 	return err == nil && k >= 1
+}
+
+// holdsBareIndex reports whether dir looks like a promips index saved
+// without a shard layer around it: the root-layout metadata file or a
+// CURRENT generation pointer directly under dir.
+func holdsBareIndex(dir string) bool {
+	for _, name := range []string{"promips.meta", "CURRENT"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // notExist reports whether err means the manifest simply is not there.

@@ -62,9 +62,8 @@ func Promote(f *Follower) (*Index, error) {
 	f.epoch = newEpoch
 	f.src.Close() // the dead primary's transport is no longer needed
 	return &Index{
-		dir:      f.dir,
+		shardSet: shardSet{dir: f.dir, children: f.children},
 		fs:       fsutil.OS,
-		children: f.children,
 		epoch:    newEpoch,
 		saved:    true,
 	}, nil

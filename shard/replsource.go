@@ -11,11 +11,15 @@ import (
 	"promips/internal/wal"
 )
 
-// ReplSource abstracts a follower's read access to its primary — the
-// replication transport. Two implementations ship: NewDirSource reads the
-// primary's directory over a shared filesystem (the original PR 7 path),
-// and NewHTTPSource pulls the same artifacts over promipsd's /v1/repl/*
-// endpoints, so a follower needs no filesystem in common with its primary.
+// ReplSource abstracts a follower's read access to its primary. There is
+// one network transport, NewHTTPSource, which pulls over promipsd's
+// /v1/repl/* endpoints; NewDirSource is not a second transport beside it
+// but the reader of a primary's directory that everything else stands on:
+// NewReplHandler serves those endpoints from one, the offline `promipsctl
+// promote -primary DIR` drains a dead primary's journals through one, and
+// the snapshot/promote fault tests inject FaultFS errors through its
+// filesystem seam. A follower on the primary's own machine may use it
+// directly.
 //
 // The contract mirrors what the primary's directory durably holds, so the
 // two sources are interchangeable record for record:
@@ -100,10 +104,10 @@ type WALChunk struct {
 	Epoch int64
 }
 
-// NewDirSource returns the shared-filesystem ReplSource: the follower
-// reads the primary's directory tree directly. This is the PR 7 transport,
-// kept for single-box deployments and for the crash/fault harness (its
-// reads thread through the fsutil seam).
+// NewDirSource returns the ReplSource that reads a primary's directory
+// tree directly: the reader behind NewReplHandler and the offline
+// `promipsctl promote -primary DIR` drain, and — through its fsutil seam —
+// the one the snapshot/promote fault tests tear and fail (see ReplSource).
 func NewDirSource(primaryDir string) ReplSource {
 	return &dirSource{dir: primaryDir, fs: fsutil.OS}
 }
@@ -239,7 +243,7 @@ func copyFile(fsys fsutil.FS, src, dst string) error {
 	return out.Close()
 }
 
-// staleChunk reports whether a stamped read came from a primary whose
+// staleStamp reports whether a stamped read came from a primary whose
 // epoch fell below the follower's lineage.
 func staleStamp(stamp, lineage int64) bool {
 	return stamp != UnstampedEpoch && stamp < lineage

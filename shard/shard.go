@@ -70,20 +70,18 @@ func (o Options) WithFS(fsys fsutil.FS) Options {
 // fan out to every shard in parallel; updates route to the owning shard.
 // All methods are safe for concurrent use — queries and updates go
 // straight to the children, whose own locks order them against lifecycle
-// operations; Save, Compact and Close serialize on the Index.
+// operations; Save, Compact and Close serialize on the Index. The read
+// and reporting methods (Search, SearchBatch, Exact, Len, CacheStats, …)
+// are the embedded shardSet's, shared with Follower.
 type Index struct {
-	dir      string
-	fs       fsutil.FS
-	children []*promips.Index
-	epoch    int64 // failover epoch fence (manifest); bumped by Promote
+	shardSet
+	fs    fsutil.FS
+	epoch int64 // failover epoch fence (manifest); bumped by Promote
 
-	mu      sync.Mutex // lifecycle: Save, Compact, Close
+	lifeMu  sync.Mutex // lifecycle: Save, Compact, Close
 	ownsDir bool
 	saved   bool
 	closed  bool
-
-	faultsMu sync.Mutex // guards faults
-	faults   *Faults
 }
 
 // Build constructs a sharded index over data, assigning point i to shard
@@ -123,7 +121,7 @@ func Build(data [][]float32, opts Options) (*Index, error) {
 	for i, v := range data {
 		parts[i%k] = append(parts[i%k], v)
 	}
-	ix := &Index{dir: dir, fs: fsys, children: make([]*promips.Index, 0, k), ownsDir: ownsDir}
+	ix := &Index{shardSet: shardSet{dir: dir, children: make([]*promips.Index, 0, k)}, fs: fsys, ownsDir: ownsDir}
 	for s := 0; s < k; s++ {
 		childDir := filepath.Join(dir, shardDirName(s))
 		if err := os.MkdirAll(childDir, 0o755); err != nil {
@@ -158,18 +156,24 @@ func (ix *Index) abortBuild() {
 // manifest fixes K, and every child reopens through promips.Open —
 // replaying its own write-ahead journal, so acknowledged updates on every
 // shard survive a crash. A directory without a manifest surfaces the
-// underlying not-exist error (use promips.Open for unsharded
-// directories; IsSharded tells them apart); a manifest naming shards
-// whose directories cannot be loaded surfaces that child's error.
+// underlying not-exist error — unless it holds a bare promips index (one
+// written by promips.Build/Save directly, or by promipsctl build before
+// every index was sharded), which gets its own error saying how to
+// rebuild it: promips.Open is for embedded-library use only, and nothing
+// that serves indexes reads that layout. A manifest naming shards whose
+// directories cannot be loaded surfaces that child's error.
 func Open(dir string) (*Index, error) {
 	k, epoch, err := readManifest(fsutil.OS, dir)
 	if err != nil {
-		if notExist(err) {
-			return nil, fmt.Errorf("shard: open %s: %w (no %s manifest — not a sharded index)", dir, err, manifestFile)
+		if !notExist(err) {
+			return nil, err
 		}
-		return nil, err
+		if holdsBareIndex(dir) {
+			return nil, fmt.Errorf("shard: open %s: holds a bare promips index (no %s manifest), but promipsd and promipsctl serve only the sharded layout: rebuild it from its vectors with `promipsctl build` (-shards defaults to 1), or open it in-process with promips.Open", dir, manifestFile)
+		}
+		return nil, fmt.Errorf("shard: open %s: %w (no %s manifest — not a sharded index)", dir, err, manifestFile)
 	}
-	ix := &Index{dir: dir, fs: fsutil.OS, children: make([]*promips.Index, 0, k), epoch: epoch, saved: true}
+	ix := &Index{shardSet: shardSet{dir: dir, children: make([]*promips.Index, 0, k)}, fs: fsutil.OS, epoch: epoch, saved: true}
 	for s := 0; s < k; s++ {
 		child, err := promips.Open(filepath.Join(dir, shardDirName(s)))
 		if err != nil {
@@ -181,31 +185,6 @@ func Open(dir string) (*Index, error) {
 		ix.children = append(ix.children, child)
 	}
 	return ix, nil
-}
-
-// Search returns the global top-k c-AMIP points for q, fanned out across
-// all shards in parallel and merged with a deterministic (inner product
-// desc, id asc) order. The caller's (c, p) guarantee holds over the
-// merged result: each shard runs at p_shard = 1 − (1−p)/K, so by the
-// union bound every per-shard guarantee holds simultaneously with
-// probability ≥ p, and the per-shard c-approximations compose (fanout.go).
-// WithC/WithP/WithFilter apply globally; the filter sees global ids.
-func (ix *Index) Search(ctx context.Context, q []float32, k int, opts ...promips.SearchOption) ([]promips.Result, promips.SearchStats, error) {
-	return fanSearch(ctx, ix.children, ix.getFaults(), q, k, opts)
-}
-
-// SearchBatch answers many queries with a bounded worker pool (WithWorkers
-// sizes it); each in-flight query fans out across all K shards, so disk
-// I/O overlaps workers×K ways. Answers are identical to sequential Search
-// calls.
-func (ix *Index) SearchBatch(ctx context.Context, queries [][]float32, k int, opts ...promips.SearchOption) ([][]promips.Result, []promips.SearchStats, error) {
-	return fanBatch(ctx, ix.children, ix.getFaults(), queries, k, opts)
-}
-
-// Exact returns the exact global top-k by scanning every shard in
-// parallel — the ground truth Search approximates.
-func (ix *Index) Exact(ctx context.Context, q []float32, k int) ([]promips.Result, error) {
-	return fanExact(ctx, ix.children, q, k)
 }
 
 // Insert adds a point and returns its global id. The point routes to the
@@ -264,8 +243,8 @@ func (ix *Index) DeleteChecked(id uint32) (bool, error) {
 // each shard independently recovers its acknowledged state from meta +
 // journal, whichever side of its own Save it crashed on.
 func (ix *Index) Save() error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
+	ix.lifeMu.Lock()
+	defer ix.lifeMu.Unlock()
 	if ix.closed {
 		return promips.ErrClosed
 	}
@@ -292,8 +271,8 @@ func (ix *Index) Save() error {
 // tombstones); any other error stops the sequence, leaving earlier shards
 // compacted and the rest untouched, with the partial remap returned.
 func (ix *Index) Compact(ctx context.Context) (map[uint32]uint32, error) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
+	ix.lifeMu.Lock()
+	defer ix.lifeMu.Unlock()
 	if ix.closed {
 		return nil, promips.ErrClosed
 	}
@@ -317,8 +296,8 @@ func (ix *Index) Compact(ctx context.Context) (map[uint32]uint32, error) {
 // Close releases every shard. When Build created a temporary root and the
 // index was never Saved, the root is removed.
 func (ix *Index) Close() error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
+	ix.lifeMu.Lock()
+	defer ix.lifeMu.Unlock()
 	if ix.closed {
 		return promips.ErrClosed
 	}
@@ -337,63 +316,15 @@ func (ix *Index) Close() error {
 	return first
 }
 
-// Shards returns the shard count K.
-func (ix *Index) Shards() int { return len(ix.children) }
-
 // Epoch returns the failover epoch fence this primary serves under: 0 for
 // an original Build lineage, and one past the superseded primary's epoch
 // after every Promote. Followers refuse primaries below their own epoch.
 func (ix *Index) Epoch() int64 { return ix.epoch }
 
-// Dir returns the root directory (SHARDS manifest + shard
-// subdirectories).
-func (ix *Index) Dir() string { return ix.dir }
-
-// Len returns the total number of points in the disk-resident shards.
-func (ix *Index) Len() int { return sumLen(ix.children) }
-
-// LiveCount returns the total number of live points across all shards.
-func (ix *Index) LiveCount() int { return sumLive(ix.children) }
-
-// Dim returns the dataset dimensionality (uniform across shards).
-func (ix *Index) Dim() int { return ix.children[0].Dim() }
-
-// M returns the projected dimensionality in use (uniform across shards:
-// every child is built from the same options over same-dimensional data).
-func (ix *Index) M() int { return ix.children[0].M() }
-
 // Options returns the resolved per-shard index options. They are
 // identical across shards except for Dir and Seed, which are the first
 // shard's.
 func (ix *Index) Options() promips.Options { return ix.children[0].Options() }
-
-// JournalLen returns the total acknowledged updates pending across all
-// shard journals.
-func (ix *Index) JournalLen() int { return sumJournal(ix.children) }
-
-// JournalLens returns each shard's pending journal length, in shard
-// order — the per-shard replication/recovery watermarks promipsd reports.
-func (ix *Index) JournalLens() []int { return journalLens(ix.children) }
-
-// JournalPoisoned reports whether any shard's journal writer is poisoned:
-// an append-path write/fsync failed, so new updates are being refused
-// (ErrJournalPoisoned) until the process restarts. Serving layers use it
-// to fail writes fast at readiness rather than per-request.
-func (ix *Index) JournalPoisoned() bool {
-	for _, c := range ix.children {
-		if c.JournalPoisoned() {
-			return true
-		}
-	}
-	return false
-}
-
-// Recovery sums what every shard's journal replay recovered at Open.
-func (ix *Index) Recovery() promips.RecoveryStats { return sumRecovery(ix.children) }
-
-// UpdateStats sums the update-pipeline state — delta sizes, frozen and
-// flushed segments, tombstones, freeze/flush counters — across all shards.
-func (ix *Index) UpdateStats() promips.UpdateStats { return sumUpdateStats(ix.children) }
 
 // StartAutoCompact launches a background scheduler that compacts each
 // shard once at least minFlushed of ITS frozen segments are durable in
@@ -438,8 +369,16 @@ func (ix *Index) StartAutoCompact(minFlushed int) *promips.AutoCompactor {
 	)
 }
 
-// CacheStats sums the buffer-pool counters of every shard's I/O engine.
-func (ix *Index) CacheStats() promips.CacheStats { return sumCache(ix.children) }
-
 // Sizes sums the storage footprint of every shard.
-func (ix *Index) Sizes() promips.SizeBreakdown { return sumSizes(ix.children) }
+func (ix *Index) Sizes() promips.SizeBreakdown {
+	var sz promips.SizeBreakdown
+	for _, c := range ix.children {
+		s := c.Sizes()
+		sz.BTree += s.BTree
+		sz.Projected += s.Projected
+		sz.QuickProbe += s.QuickProbe
+		sz.Norms += s.Norms
+		sz.Sketch += s.Sketch
+	}
+	return sz
+}
