@@ -218,10 +218,13 @@ type SearchStats struct {
 	// index has no sketch). Pre-ranking changes verification ORDER only;
 	// every counted candidate is still exactly verified.
 	Preranked int
-	// NormPruned counts candidates skipped without any disk read because an
-	// exact in-memory bound — Cauchy-Schwarz ‖o‖‖q‖, or the PQ-sketch
-	// estimate plus its residual bound — proves they cannot enter the
-	// top-k (no probability is spent; results are unchanged).
+	// NormPruned counts points skipped without computing their inner
+	// product because an exact in-memory bound — Cauchy-Schwarz ‖o‖‖q‖, or
+	// the PQ-sketch estimate plus its residual bound — proves they cannot
+	// enter the top-k (no probability is spent; results are unchanged).
+	// Both kinds of point count: disk candidates, whose store page is then
+	// never read, and un-compacted update entries (frozen segments and the
+	// delta), whose d-dimensional dot product is then never taken.
 	NormPruned int
 	// GroupsProbed is how many sign-code groups Quick-Probe examined.
 	GroupsProbed int

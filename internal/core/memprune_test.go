@@ -1,0 +1,389 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+
+	"promips/internal/dataset"
+	"promips/internal/vec"
+)
+
+// Tests of scanMem's exact prune (segment.go): un-compacted entries carry
+// PQ codes under the current generation's sketch and are skipped when the
+// sketch bound or Cauchy-Schwarz proves they cannot enter the top-k.
+
+// backlogIndex builds a Netflix-like index whose update state has every
+// shape scanMem walks: two frozen segments, a partly filled delta, and
+// tombstones in the base index, a segment and the delta.
+func backlogIndex(t testing.TB, dir string) (*Index, [][]float32) {
+	t.Helper()
+	const n, inserts = 1500, 700
+	all := dataset.Netflix().Generate(n+inserts+200, 13)
+	ix, err := Build(all[:n], dir, Options{Seed: 7, M: 6, SegmentEntries: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
+	for _, v := range all[n : n+inserts] {
+		if _, err := ix.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []uint32{3, 700, n + 10, n + 300, n + inserts - 1} {
+		if !ix.Delete(id) {
+			t.Fatalf("delete %d failed", id)
+		}
+	}
+	if st := ix.UpdateStats(); st.Segments != 2 || st.DeltaEntries != inserts-512 {
+		t.Fatalf("update state = %+v, want 2 segments and %d delta entries", st, inserts-512)
+	}
+	return ix, all
+}
+
+// withoutMemPrune returns sn's reference twin: the same view with the
+// in-memory prune off. It shares sn's generation reference — release sn only.
+func withoutMemPrune(sn *snapshot) *snapshot {
+	ref := *sn
+	ref.noMemPrune = true
+	return &ref
+}
+
+// memPruneDifferential runs the three query paths against sn with the
+// prune on and off and requires identical answers and identical disk work.
+// It returns how many more points the pruned side skipped.
+func memPruneDifferential(sn *snapshot, q []float32, k int, params SearchParams) (extraPruned int, err error) {
+	ctx := context.Background()
+	ref := withoutMemPrune(sn)
+	type run func(*snapshot) ([]Result, SearchStats, error)
+	paths := map[string]run{
+		"Search":            func(s *snapshot) ([]Result, SearchStats, error) { return s.search(ctx, q, k, params) },
+		"SearchIncremental": func(s *snapshot) ([]Result, SearchStats, error) { return s.searchIncremental(ctx, q, k, params) },
+		"Exact": func(s *snapshot) ([]Result, SearchStats, error) {
+			res, err := s.exact(ctx, q, k)
+			return res, SearchStats{}, err
+		},
+	}
+	for name, path := range paths {
+		got, gotSt, err := path(sn)
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", name, err)
+		}
+		want, wantSt, err := path(ref)
+		if err != nil {
+			return 0, fmt.Errorf("%s (reference): %w", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			return 0, fmt.Errorf("%s: results differ with the prune on:\n got %v\nwant %v", name, got, want)
+		}
+		extraPruned += gotSt.NormPruned - wantSt.NormPruned
+		gotSt.NormPruned, wantSt.NormPruned = 0, 0
+		if !reflect.DeepEqual(gotSt, wantSt) {
+			return 0, fmt.Errorf("%s: stats differ beyond NormPruned:\n got %+v\nwant %+v", name, gotSt, wantSt)
+		}
+	}
+	return extraPruned, nil
+}
+
+// TestMemPruneIsExact: on every query path, with and without a filter, the
+// pruned scan returns byte-identical results and does identical disk work
+// (Candidates, PageAccesses, termination) to scanning every entry — and it
+// does skip entries.
+func TestMemPruneIsExact(t *testing.T) {
+	ix, all := backlogIndex(t, t.TempDir())
+	sn, err := ix.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.release()
+	if sn.memLUT(all[0], new([]float64)) == nil {
+		t.Fatal("prune not armed on an index with a sketch and a backlog")
+	}
+	filters := map[string]func(uint32) bool{
+		"unfiltered": nil,
+		"filtered":   func(id uint32) bool { return id%3 != 0 },
+	}
+	for name, filter := range filters {
+		pruned := 0
+		for qi := 0; qi < 40; qi++ {
+			q := all[(qi*53)%len(all)] // base members, inserted members and out-of-index vectors
+			extra, err := memPruneDifferential(sn, q, 1+qi%10, SearchParams{Filter: filter})
+			if err != nil {
+				t.Fatalf("%s query %d: %v", name, qi, err)
+			}
+			pruned += extra
+		}
+		if pruned <= 0 {
+			t.Fatalf("%s: the prune skipped nothing (extra NormPruned = %d)", name, pruned)
+		}
+	}
+}
+
+// TestScanMemCancellation: the backlog scan is a cancellation point. The
+// context is cancelled from inside the scan (by the filter, at a known
+// entry); the scan must stop within its 256-entry check interval instead of
+// running the backlog out.
+func TestScanMemCancellation(t *testing.T) {
+	ix, all := backlogIndex(t, t.TempDir())
+	sn, err := ix.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.release()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	visited := 0
+	params := SearchParams{Filter: func(uint32) bool {
+		if visited++; visited == 100 {
+			cancel()
+		}
+		return true
+	}}
+	q := all[0]
+	_, err = sn.scanMem(ctx, q, vec.Norm2Sq(q), sn.memLUT(q, new([]float64)), newTopK(5), &params)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("scanMem under a cancelled context returned %v, want context.Canceled", err)
+	}
+	if visited > 100+256 {
+		t.Fatalf("scan visited %d entries after a cancel at entry 100", visited)
+	}
+	// And through the public path: a Search whose context dies in the
+	// backlog scan reports it.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	_, _, err = ix.SearchContext(ctx2, q, 5, SearchParams{Filter: func(uint32) bool { cancel2(); return true }})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Search cancelled mid-backlog returned %v, want context.Canceled", err)
+	}
+}
+
+// entryCodesErr verifies the codes-follow-the-generation invariant on a
+// captured view: every un-compacted entry's codes and residual are what a
+// fresh Encode under the view's own sketch produces.
+func entryCodesErr(sn *snapshot) error {
+	if sn.sketch == nil {
+		return errors.New("view has no sketch")
+	}
+	var want deltaEntry
+	check := func(entries []deltaEntry, where string) error {
+		for _, e := range entries {
+			want.resid = sn.sketch.Encode(e.v, want.codes[:sn.sketch.Subspaces()])
+			if e.codes != want.codes || e.resid != want.resid {
+				return fmt.Errorf("%s entry %d: codes %v resid %v, fresh Encode under the view's sketch gives %v %v",
+					where, e.id, e.codes, e.resid, want.codes, want.resid)
+			}
+		}
+		return nil
+	}
+	for i, seg := range sn.segs {
+		if err := check(seg.entries, fmt.Sprintf("segment %d", i)); err != nil {
+			return err
+		}
+	}
+	return check(sn.delta, "delta")
+}
+
+// exactVsBrute compares sn.exact with the top-k over the view's live set
+// computed with no help from the index: every live stored vector and every
+// live entry, one Dot each.
+func exactVsBrute(sn *snapshot, q []float32, k int) error {
+	top := newTopK(k)
+	scan := func(entries []deltaEntry) {
+		for _, e := range entries {
+			if sn.live(e.id) {
+				top.offer(e.id, vec.Dot(e.v, q))
+			}
+		}
+	}
+	for _, seg := range sn.segs {
+		scan(seg.entries)
+	}
+	scan(sn.delta)
+	buf := make([]float32, sn.d)
+	for pos, id := range sn.idist.Layout() {
+		if !sn.live(id) {
+			continue
+		}
+		v, err := sn.orig.VectorAt(pos, buf, nil)
+		if err != nil {
+			return err
+		}
+		top.offer(id, vec.Dot(v, q))
+	}
+	got, err := sn.exact(context.Background(), q, k)
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(got, top.results) {
+		return fmt.Errorf("exact differs from brute force over the same view:\n got %v\nwant %v", got, top.results)
+	}
+	return nil
+}
+
+// checkView runs every per-view check of this file.
+func checkView(sn *snapshot, q []float32) error {
+	if err := entryCodesErr(sn); err != nil {
+		return err
+	}
+	if _, err := memPruneDifferential(sn, q, 10, SearchParams{}); err != nil {
+		return err
+	}
+	return exactVsBrute(sn, q, 10)
+}
+
+// TestEntryCodesFollowGeneration races updaters and searchers against
+// repeated Compacts (run it under -race). A Compact retrains the sketch, so
+// no view may ever pair entries encoded against one generation's codebooks
+// with another generation's sketch: every captured view must hold the
+// invariant, answer identically with the prune on and off, and its Exact
+// must equal a brute force over that same view's live set.
+func TestEntryCodesFollowGeneration(t *testing.T) {
+	const n, d = 600, 24
+	r := rand.New(rand.NewSource(17))
+	all := randData(r, n+4000, d)
+	base := t.TempDir()
+	ix, err := Build(all[:n], base, Options{Seed: 3, M: 5, SegmentEntries: 64, Fsync: FsyncDisabled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+
+	// Each worker alternates one insert with one checked view, which also
+	// paces the inserts: the backlog a Compact folds stays in the hundreds.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i += 3 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := ix.Insert(all[n+i%4000]); err != nil {
+					t.Errorf("insert: %v", err)
+					return
+				}
+				sn, err := ix.snapshot()
+				if err != nil {
+					t.Errorf("snapshot: %v", err)
+					return
+				}
+				err = checkView(sn, all[(i*37)%len(all)])
+				sn.release()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for gen := 1; gen <= 5; gen++ {
+		if _, err := ix.Compact(context.Background(), filepath.Join(base, fmt.Sprintf("gen%d", gen)), nil); err != nil {
+			t.Errorf("compact %d: %v", gen, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestInsertPreparedAgainstRetiredSketch pins the re-check the race above
+// hits only by luck: an insert whose off-lock prep encoded against a sketch
+// that a Compact then retired must be re-encoded under the lock.
+func TestInsertPreparedAgainstRetiredSketch(t *testing.T) {
+	ix, all := backlogIndex(t, t.TempDir())
+	retired := ix.sketch
+	e := newDeltaEntry(retired, 0, vec.Clone(all[2300]))
+	if _, err := ix.Compact(context.Background(), filepath.Join(t.TempDir(), "gen1"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if ix.sketch == retired {
+		t.Fatal("Compact kept the old sketch")
+	}
+	ix.mu.Lock()
+	_, _, err := ix.insertPreparedLocked(e, retired, true)
+	ix.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := ix.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.release()
+	if len(sn.delta) != 1 {
+		t.Fatalf("delta holds %d entries after one post-compact insert", len(sn.delta))
+	}
+	if err := checkView(sn, all[2300]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoveredEntryCodes: entries rebuilt from persisted state — the
+// meta's delta list, seg files and the journal at Open, and a shipped
+// journal applied by a replica (ApplyWALChunk) — carry codes under the
+// sketch that index opened, though nothing about them was persisted.
+func TestRecoveredEntryCodes(t *testing.T) {
+	primaryDir := t.TempDir()
+	ix, all := backlogIndex(t, primaryDir)
+	if err := ix.Save(primaryDir); err != nil { // 700 entries into the meta's delta list
+		t.Fatal(err)
+	}
+	// The replica starts from a copy of the saved generation…
+	replicaDir := filepath.Join(t.TempDir(), "replica")
+	if err := os.CopyFS(replicaDir, os.DirFS(primaryDir)); err != nil {
+		t.Fatal(err)
+	}
+	replica, err := Open(replicaDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	// …and the primary moves on: a freeze's worth of journaled inserts.
+	for _, v := range all[2200:2400] {
+		if _, err := ix.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walBytes, err := os.ReadFile(filepath.Join(primaryDir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied, _, _, _, err := replica.ApplyWALChunk(walBytes, false); err != nil || applied != 200 {
+		t.Fatalf("replica apply: applied=%d err=%v, want 200", applied, err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(primaryDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if rec := reopened.Recovery(); rec.Replayed != 200 {
+		t.Fatalf("reopen replayed %d journal records, want 200", rec.Replayed)
+	}
+	for name, ix := range map[string]*Index{"reopened": reopened, "replica": replica} {
+		sn, err := ix.snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sn.frozenLen + len(sn.delta); got != 900 {
+			t.Fatalf("%s holds %d un-compacted entries, want 900", name, got)
+		}
+		err = checkView(sn, all[5])
+		sn.release()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}

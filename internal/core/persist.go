@@ -15,7 +15,6 @@ import (
 	"promips/internal/pq"
 	"promips/internal/randproj"
 	"promips/internal/store"
-	"promips/internal/vec"
 	"promips/internal/wal"
 )
 
@@ -245,6 +244,14 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 			closeAll()
 			return nil, fmt.Errorf("core: %v: %w", err, errs.ErrCorruptIndex)
 		}
+		// The search path indexes the sketch by base id and query dimension,
+		// and update entries hold entryCodeBytes codes: a sketch of any other
+		// geometry is not one Build wrote for this index.
+		if sk.Len() != m.N || sk.Dim() != m.D || sk.Subspaces() > entryCodeBytes {
+			closeAll()
+			return nil, fmt.Errorf("core: meta: sketch of %d points, dim %d, %d subspaces over n=%d d=%d: %w",
+				sk.Len(), sk.Dim(), sk.Subspaces(), m.N, m.D, errs.ErrCorruptIndex)
+		}
 		ix.sketch = sk
 	}
 	ix.groups = make([]group, len(m.Groups))
@@ -252,12 +259,9 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 		ix.groups[i] = group{code: g.Code, minNorm1: g.MinNorm1, minID: g.MinID, count: g.Count}
 	}
 	if len(m.Delta) > 0 {
-		ix.delta = make([]deltaEntry, len(m.Delta))
-		for i, e := range m.Delta {
-			ix.delta[i] = deltaEntry{id: e.ID, v: e.V, ip2: vec.Norm2Sq(e.V)}
-			if ix.delta[i].ip2 > ix.maxNorm2Sq {
-				ix.maxNorm2Sq = ix.delta[i].ip2
-			}
+		ix.delta = make([]deltaEntry, 0, len(m.Delta))
+		for _, e := range m.Delta {
+			ix.appendDeltaLocked(newDeltaEntry(ix.sketch, e.ID, e.V))
 		}
 	}
 	if len(m.Deleted) > 0 {
@@ -385,11 +389,7 @@ func (ix *Index) applyRecords(recs []wal.Record) (applied, skipped int, err erro
 			if len(r.Vec) != ix.d {
 				return applied, skipped, fmt.Errorf("core: journal: insert id %d has dim %d, want %d: %w", r.ID, len(r.Vec), ix.d, errs.ErrCorruptIndex)
 			}
-			n2 := vec.Norm2Sq(r.Vec)
-			ix.delta = append(ix.delta, deltaEntry{id: r.ID, v: r.Vec, ip2: n2})
-			if n2 > ix.maxNorm2Sq {
-				ix.maxNorm2Sq = n2
-			}
+			ix.appendDeltaLocked(newDeltaEntry(ix.sketch, r.ID, r.Vec))
 			applied++
 		case wal.TypeDelete:
 			if int(r.ID) >= ix.n+ix.frozenEntries+len(ix.delta) {

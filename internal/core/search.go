@@ -129,7 +129,8 @@ func (ix *Index) Search(q []float32, k int) ([]Result, SearchStats, error) {
 // probability at least p, every returned point oi satisfies
 // ⟨oi,q⟩ ≥ c·⟨o*i,q⟩, where (c, p) come from params (falling back to the
 // build-time options). Cancellation is honored between iDistance
-// sub-partition scans; the error then satisfies errors.Is(err, ctx.Err()).
+// sub-partition scans and every 256 entries of the un-compacted update scan;
+// the error then satisfies errors.Is(err, ctx.Err()).
 // SearchContext is safe to call from many goroutines against one shared
 // Index; each call accounts its own page accesses. The query runs against
 // a SNAPSHOT of the index state at call time: the index lock is held only
@@ -216,10 +217,16 @@ func (sn *snapshot) search(ctx context.Context, q []float32, k int, params Searc
 	top.reset(k)
 	// Recently inserted points (frozen segments and the mutable delta) are
 	// evaluated exactly up front (no disk I/O); their inner products can
-	// only tighten the conditions below.
-	sn.scanMem(q, top, &params)
-	// sketchLUT is set once the pre-ranking pass builds the query's lookup
-	// table; it arms the sketch-bound prune inside verifyCand.
+	// only tighten the conditions below. The query's sketch lookup table is
+	// built here when that scan can prune with it, and at most once: the
+	// pre-ranking pass below reuses it.
+	memLUT := sn.memLUT(q, &sc.lut)
+	st.NormPruned, err = sn.scanMem(ctx, q, normQSq, memLUT, top, &params)
+	if err != nil {
+		return nil, st, err
+	}
+	// sketchLUT is set once the pre-ranking pass runs; it arms the
+	// sketch-bound prune inside verifyCand.
 	var sketchLUT []float64
 	normQ := math.Sqrt(normQSq)
 	// verifyCand computes the candidate's exact inner product straight from
@@ -297,7 +304,9 @@ func (sn *snapshot) search(ctx context.Context, q []float32, k int, params Searc
 	terminated := ""
 	preranked := sc.prerankIDs[:0]
 	if sn.sketch != nil && !params.NoPrerank && len(sc.cands) > k {
-		sc.lut = sn.sketch.NewLUT(q, sc.lut)
+		if memLUT == nil {
+			sc.lut = sn.sketch.NewLUT(q, sc.lut)
+		}
 		sketchLUT = sc.lut
 		for _, pc := range sc.selectPrerank(sn.sketch, k) {
 			v, err := verifyCand(pc.cand)
@@ -486,6 +495,10 @@ func (ix *Index) SearchIncrementalContext(ctx context.Context, q []float32, k in
 		return nil, SearchStats{}, err
 	}
 	defer sn.release()
+	return sn.searchIncremental(ctx, q, k, params)
+}
+
+func (sn *snapshot) searchIncremental(ctx context.Context, q []float32, k int, params SearchParams) ([]Result, SearchStats, error) {
 	c, p, k, err := sn.beginSearch(q, k, params)
 	if err != nil {
 		return nil, SearchStats{}, err
@@ -499,7 +512,11 @@ func (ix *Index) SearchIncrementalContext(ctx context.Context, q []float32, k in
 	normQSq := vec.Norm2Sq(q)
 	top := &sc.top
 	top.reset(k)
-	sn.scanMem(q, top, &params)
+	memLUT := sn.memLUT(q, &sc.lut)
+	st.NormPruned, err = sn.scanMem(ctx, q, normQSq, memLUT, top, &params)
+	if err != nil {
+		return nil, st, err
+	}
 
 	it := sn.idist.NewIterator(ctx, sc.pq, io)
 	for {
@@ -552,13 +569,20 @@ func (ix *Index) SearchIncrementalContext(ctx context.Context, q []float32, k in
 // for concurrent use and never blocks updates. Cancelling ctx stops the
 // scan between store pages and returns ctx.Err() — the scan is linear in
 // the dataset, so a fanned-out exact merge (promips/shard) needs the same
-// cancellation point the approximate paths have.
+// cancellation point the approximate paths have. Un-compacted entries go
+// through the same exactly-pruned scanMem as the approximate paths (a
+// pruned entry provably cannot be in the top-k), and the layout walk scores
+// four stored vectors per pass of the row-interleaved kernel.
 func (ix *Index) Exact(ctx context.Context, q []float32, k int) ([]Result, error) {
 	sn, err := ix.snapshot()
 	if err != nil {
 		return nil, err
 	}
 	defer sn.release()
+	return sn.exact(ctx, q, k)
+}
+
+func (sn *snapshot) exact(ctx context.Context, q []float32, k int) ([]Result, error) {
 	if len(q) != sn.d {
 		return nil, fmt.Errorf("core: %w: query dim %d, want %d", errs.ErrDimMismatch, len(q), sn.d)
 	}
@@ -575,9 +599,13 @@ func (ix *Index) Exact(ctx context.Context, q []float32, k int) ([]Result, error
 		return nil, fmt.Errorf("core: %w: index has no live points", errs.ErrEmptyIndex)
 	}
 	top := newTopK(k)
-	sn.scanMem(q, top, nil)
+	if _, err := sn.scanMem(ctx, q, vec.Norm2Sq(q), sn.memLUT(q, new([]float64)), top, nil); err != nil {
+		return nil, err
+	}
 	rd := sn.orig.NewReader()
 	layout := sn.idist.Layout()
+	var batch [4]int // layout positions of live points awaiting one Dot4At
+	nb := 0
 	for pos := 0; pos < sn.n; pos++ {
 		// Checking every position would put a branch on ctx into the inner
 		// loop for nothing: 256 positions are at most a few pages of I/O.
@@ -587,15 +615,27 @@ func (ix *Index) Exact(ctx context.Context, q []float32, k int) ([]Result, error
 			}
 		}
 		// The reader walks layout order; recover the id from the layout.
-		id := layout[pos]
-		if !sn.live(id) {
+		if !sn.live(layout[pos]) {
 			continue
 		}
+		batch[nb] = pos
+		if nb++; nb == len(batch) {
+			ips, err := rd.Dot4At(batch, q, nil)
+			if err != nil {
+				return nil, err
+			}
+			for i, ip := range ips {
+				top.offer(layout[batch[i]], ip)
+			}
+			nb = 0
+		}
+	}
+	for _, pos := range batch[:nb] {
 		ip, err := rd.DotAt(pos, q, nil)
 		if err != nil {
 			return nil, err
 		}
-		top.offer(id, ip)
+		top.offer(layout[pos], ip)
 	}
 	return top.results, nil
 }

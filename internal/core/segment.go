@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"sync/atomic"
@@ -183,6 +185,11 @@ type snapshot struct {
 	frozenLen  int // total entries across segs
 	tombFrozen map[uint32]bool
 	tombRecent []uint32
+
+	// noMemPrune makes scanMem evaluate every entry. Never set outside
+	// tests: it is the reference side of their prune-on/prune-off
+	// differential.
+	noMemPrune bool
 }
 
 // snapshot captures the current queryable state under a short read lock
@@ -219,26 +226,83 @@ func (sn *snapshot) liveCount() int {
 	return sn.n + sn.frozenLen + len(sn.delta) - len(sn.tombFrozen) - len(sn.tombRecent)
 }
 
-// scanMem offers every live in-memory point (frozen segments and the
-// mutable delta) accepted by the query's filter to the accumulator —
-// exact evaluation, no disk I/O. params may be nil for an unfiltered
-// scan.
-func (sn *snapshot) scanMem(q []float32, top *topK, params *SearchParams) {
-	scan := func(entries []deltaEntry) {
-		for _, e := range entries {
-			if !sn.live(e.id) {
+// memLUT builds the query's sketch lookup table into *buf (reused when
+// large enough) when scanMem can prune with it: the snapshot has a sketch
+// and un-compacted entries to scan. nil otherwise — scanMem then evaluates
+// every entry, the only behavior an index saved before sketches existed has.
+func (sn *snapshot) memLUT(q []float32, buf *[]float64) []float64 {
+	if sn.sketch == nil || sn.noMemPrune || sn.frozenLen+len(sn.delta) == 0 {
+		return nil
+	}
+	*buf = sn.sketch.NewLUT(q, *buf)
+	return *buf
+}
+
+// scanMem offers the live in-memory points (frozen segments, then the
+// mutable delta, in insertion order) accepted by the query's filter to the
+// accumulator — exact evaluation, no disk I/O. params may be nil for an
+// unfiltered scan; normQSq is ‖q‖².
+//
+// With lut = memLUT(q) non-nil an entry is skipped — and counted in pruned —
+// when one of verifyCand's two exact bounds proves ⟨o,q⟩ ≤ the current k-th
+// inner product: Cauchy-Schwarz on the stored ‖o‖², or the sketch bound
+// over the codes the entry was encoded with (snapshot() captures sketch,
+// delta and segments under one lock acquisition, so they belong to the same
+// generation — see deltaEntry). topK.offer ignores such an entry anyway, so
+// the accumulator after the scan is bit-identical to evaluating everything.
+// Survivors are scored four rows at a time (vec.Dot4); the k-th inner
+// product a prune reads may therefore lag up to three offers behind, which
+// only makes the test more conservative.
+//
+// ctx is checked at the start of every segment and every 256 entries within
+// one, so a backlog scan is a cancellation point like the disk scans.
+func (sn *snapshot) scanMem(ctx context.Context, q []float32, normQSq float64, lut []float64, top *topK, params *SearchParams) (pruned int, err error) {
+	normQ := math.Sqrt(normQSq)
+	var codeLen int
+	if lut != nil {
+		codeLen = sn.sketch.Subspaces()
+	}
+	var batch [4]*deltaEntry
+	nb := 0
+	for si := 0; si <= len(sn.segs); si++ { // the segments, oldest first, then the delta
+		entries := sn.delta
+		if si < len(sn.segs) {
+			entries = sn.segs[si].entries
+		}
+		for i := range entries {
+			if i&255 == 0 {
+				if err := ctx.Err(); err != nil {
+					return pruned, err
+				}
+			}
+			e := &entries[i]
+			if !sn.live(e.id) || (params != nil && !params.accepts(e.id)) {
 				continue
 			}
-			if params != nil && !params.accepts(e.id) {
-				continue
+			if lut != nil {
+				if ipK, full := top.kth(); full {
+					if (ipK >= 0 && e.ip2*normQSq <= ipK*ipK) ||
+						sn.sketch.BoundCodes(e.codes[:codeLen], e.resid, lut, normQ) <= ipK {
+						pruned++
+						continue
+					}
+				}
 			}
-			top.offer(e.id, vec.Dot(e.v, q))
+			batch[nb] = e
+			if nb++; nb == len(batch) {
+				ip0, ip1, ip2, ip3 := vec.Dot4(batch[0].v, batch[1].v, batch[2].v, batch[3].v, q)
+				top.offer(batch[0].id, ip0)
+				top.offer(batch[1].id, ip1)
+				top.offer(batch[2].id, ip2)
+				top.offer(batch[3].id, ip3)
+				nb = 0
+			}
 		}
 	}
-	for _, seg := range sn.segs {
-		scan(seg.entries)
+	for _, e := range batch[:nb] {
+		top.offer(e.id, vec.Dot(e.v, q))
 	}
-	scan(sn.delta)
+	return pruned, nil
 }
 
 // maybeFreezeLocked freezes the mutable delta into a segment when it has

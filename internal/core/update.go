@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"promips/internal/errs"
+	"promips/internal/pq"
 	"promips/internal/vec"
 	"promips/internal/wal"
 )
@@ -31,21 +32,58 @@ import (
 //     new one atomically.
 
 // deltaEntry is one inserted point not yet folded into the disk index.
+// codes and resid are v's PQ encoding under the CURRENT generation's sketch
+// (pq.Sketch.Encode): derived state, never persisted, re-derived by
+// newDeltaEntry wherever an entry is built. They feed scanMem's exact
+// sketch-bound prune. The invariant — every entry reachable from ix.delta
+// and ix.segs is encoded against ix.sketch — holds under ix.mu: entries only
+// enter through newDeltaEntry with the sketch read (or re-checked) under the
+// lock, and Compact's swap replaces sketch, delta and segments together,
+// the latter two rebuilt by re-inserting into the next generation.
 type deltaEntry struct {
-	id  uint32
-	v   []float32
-	ip2 float64 // ‖v‖²
+	id    uint32
+	resid float32
+	v     []float32
+	ip2   float64 // ‖v‖²
+	codes [entryCodeBytes]byte
+}
+
+// entryCodeBytes is the PQ code width a deltaEntry holds: the default
+// sketch geometry Build always uses (pq.SketchConfig's 16 subspaces, fewer
+// when d < 16). OpenFS rejects a persisted sketch that is wider.
+const entryCodeBytes = 16
+
+// newDeltaEntry builds the entry for point id with vector v (which the
+// entry takes ownership of), encoding it against sk — the generation's
+// sketch, nil for an index saved before sketches existed.
+func newDeltaEntry(sk *pq.Sketch, id uint32, v []float32) deltaEntry {
+	e := deltaEntry{id: id, v: v, ip2: vec.Norm2Sq(v)}
+	if sk != nil {
+		e.resid = sk.Encode(v, e.codes[:sk.Subspaces()])
+	}
+	return e
+}
+
+// appendDeltaLocked publishes e in the mutable delta. Caller holds ix.mu
+// exclusive (or owns ix) and built e against ix.sketch.
+func (ix *Index) appendDeltaLocked(e deltaEntry) {
+	ix.delta = append(ix.delta, e)
+	if e.ip2 > ix.maxNorm2Sq {
+		// A new max-norm point tightens nothing but must be respected:
+		// Condition A's proof requires ‖oM‖ to bound every live norm.
+		ix.maxNorm2Sq = e.ip2
+	}
 }
 
 // Insert adds a point and returns its id. The point lives in the delta
 // region (and then a frozen segment) until compaction. The per-point prep
-// — cloning the vector and computing its norm — runs BEFORE the exclusive
-// lock, so concurrent updaters overlap on it; the lock is held only to
-// SEQUENCE the update — write the journal record and apply the in-memory
-// change — and released before waiting for durability, so it interleaves
-// correctly with concurrent searches (each snapshot sees the state before
-// or after the insert, never a partial one) and an updater's fsync never
-// stalls readers. Under FsyncAlways the fsyncs are group-committed:
+// — cloning the vector, computing its norm and its PQ codes — runs BEFORE
+// the exclusive lock, so concurrent updaters overlap on it; the lock is held
+// only to SEQUENCE the update — write the journal record and apply the
+// in-memory change — and released before waiting for durability, so it
+// interleaves correctly with concurrent searches (each snapshot sees the
+// state before or after the insert, never a partial one) and an updater's
+// fsync never stalls readers. Under FsyncAlways the fsyncs are group-committed:
 // concurrent inserts that overlap one fsync are all covered by the next,
 // so N racing updaters pay ~2 fsyncs between them instead of N (see
 // wal.Journal.WaitDurable).
@@ -66,11 +104,15 @@ func (ix *Index) Insert(v []float32) (uint32, error) {
 		return 0, fmt.Errorf("core: %w: insert dim %d, want %d", errs.ErrDimMismatch, len(v), ix.d)
 	}
 	// Per-point prep outside the critical section: the clone is private
-	// from here on, so the norm can be computed from it lock-free too.
-	clone := vec.Clone(v)
-	n2 := vec.Norm2Sq(clone)
+	// from here on, so its norm and codes can be computed from it lock-free
+	// too. The sketch the codes are encoded against is re-checked under the
+	// exclusive lock (a Compact may swap generations in between).
+	ix.mu.RLock()
+	sk := ix.sketch
+	ix.mu.RUnlock()
+	e := newDeltaEntry(sk, 0, vec.Clone(v))
 	ix.mu.Lock()
-	id, lsn, err := ix.insertPreparedLocked(clone, n2, true)
+	id, lsn, err := ix.insertPreparedLocked(e, sk, true)
 	j := ix.journal
 	ix.mu.Unlock()
 	if err != nil {
@@ -102,22 +144,29 @@ func (ix *Index) Insert(v []float32) (uint32, error) {
 // generation being replaced, which stays the durable one until the
 // handover commits — see Compact).
 func (ix *Index) insertLocked(v []float32, journaled bool) (uint32, int64, error) {
-	clone := vec.Clone(v)
-	return ix.insertPreparedLocked(clone, vec.Norm2Sq(clone), journaled)
+	return ix.insertPreparedLocked(newDeltaEntry(ix.sketch, 0, vec.Clone(v)), ix.sketch, journaled)
 }
 
 // insertPreparedLocked is Insert's sequencing half; the caller holds
-// ix.mu exclusive and hands over ownership of clone (with n2 = ‖clone‖²).
-// It writes the journal record, applies the in-memory change, freezes the
+// ix.mu exclusive and hands over e, prepared against sketch sk with its id
+// still unassigned. If the index has moved to another generation's sketch
+// since sk was read, e is re-encoded here, under the lock — rare (one
+// Compact swap racing one insert) and the only way codes of a retired
+// generation could have entered the new one's delta. It assigns the id,
+// writes the journal record, applies the in-memory change, freezes the
 // delta if it reached the segment threshold, and returns the record's LSN
 // — the caller waits for durability on it AFTER releasing the lock (lsn 0
 // means nothing to wait for: the journal is off, buffered, or
 // journaled=false).
-func (ix *Index) insertPreparedLocked(clone []float32, n2 float64, journaled bool) (uint32, int64, error) {
+func (ix *Index) insertPreparedLocked(e deltaEntry, sk *pq.Sketch, journaled bool) (uint32, int64, error) {
 	if ix.closed {
 		return 0, 0, errs.ErrClosed
 	}
+	if sk != ix.sketch {
+		e = newDeltaEntry(ix.sketch, 0, e.v)
+	}
 	id := uint32(ix.n + ix.frozenEntries + len(ix.delta))
+	e.id = id
 	var lsn int64
 	if journaled && ix.journal != nil {
 		// Write-ahead: if the record cannot be WRITTEN, the insert is not
@@ -129,18 +178,13 @@ func (ix *Index) insertPreparedLocked(clone []float32, n2 float64, journaled boo
 		// gets the private clone, not the caller's slice: under FsyncNever
 		// it retains the vector until a batched flush, and the delta never
 		// mutates it.
-		l, err := ix.journal.Append(wal.Record{Type: wal.TypeInsert, ID: id, Vec: clone})
+		l, err := ix.journal.Append(wal.Record{Type: wal.TypeInsert, ID: id, Vec: e.v})
 		if err != nil {
 			return 0, 0, fmt.Errorf("core: insert: %w", err)
 		}
 		lsn = l
 	}
-	ix.delta = append(ix.delta, deltaEntry{id: id, v: clone, ip2: n2})
-	if n2 > ix.maxNorm2Sq {
-		// A new max-norm point tightens nothing but must be respected:
-		// Condition A's proof requires ‖oM‖ to bound every live norm.
-		ix.maxNorm2Sq = n2
-	}
+	ix.appendDeltaLocked(e)
 	ix.maybeFreezeLocked()
 	return id, lsn, nil
 }

@@ -11,9 +11,14 @@ package core
 // one that regresses if prep work creeps back under the lock.
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
+
+	"promips/internal/dataset"
+	"promips/internal/vec"
 )
 
 // benchInsertIndex builds a journal-less index (FsyncDisabled isolates
@@ -71,5 +76,57 @@ func BenchmarkInsertContended(b *testing.B) {
 	stop.Store(true)
 	for w := 0; w < searchers; w++ {
 		<-done
+	}
+}
+
+// BenchmarkSearchBacklog is search latency against the un-compacted
+// backlog: one shard of the e2e benchmark's mixed-updates shape (Netflix
+// generator, d=300, resident pool, default SegmentEntries so 12,288 entries
+// are three frozen segments), member queries, k=10. dots/query counts the
+// full d-dimensional inner products one query takes — verified disk
+// candidates plus backlog entries scanMem did not prune — and is a pure
+// function of the inputs, so it repeats exactly where ns/op does not.
+//
+//	go test ./internal/core -run NONE -bench SearchBacklog -benchtime 2000x
+func BenchmarkSearchBacklog(b *testing.B) {
+	const n, k = 8000, 10
+	all := dataset.Netflix().Generate(n+12288, 20210419)
+	queries := all[:64]
+	for _, backlog := range []int{0, 4096, 12288} {
+		b.Run(fmt.Sprint(backlog), func(b *testing.B) {
+			ix := buildIndex(b, all[:n], Options{Seed: 5, M: 6, PoolSize: 8192, Fsync: FsyncDisabled})
+			for _, v := range all[n : n+backlog] {
+				if _, err := ix.Insert(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ctx := context.Background()
+			sn, err := ix.snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			dots := 0
+			for _, q := range queries {
+				// The in-query scan starts from an empty accumulator too, so
+				// this replays exactly the prunes the search makes.
+				pruned, err := sn.scanMem(ctx, q, vec.Norm2Sq(q), sn.memLUT(q, new([]float64)), newTopK(k), nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, st, err := sn.search(ctx, q, k, SearchParams{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				dots += st.Candidates + backlog - pruned
+			}
+			sn.release()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ix.Search(queries[i%len(queries)], k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(dots)/float64(len(queries)), "dots/query")
+		})
 	}
 }

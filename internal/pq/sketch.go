@@ -93,8 +93,6 @@ func BuildSketch(data [][]float32, cfg SketchConfig) (*Sketch, error) {
 		codes:     make([]byte, n*cfg.Subspaces),
 		resid:     make([]float32, n),
 	}
-	residSq := make([]float64, n)
-
 	// Training sample: an even stride over the dataset keeps the sample
 	// deterministic and spread across the (often locality-ordered) input.
 	stride := 1
@@ -102,7 +100,6 @@ func BuildSketch(data [][]float32, cfg SketchConfig) (*Sketch, error) {
 		stride = n / cfg.TrainSample
 	}
 
-	chunk := make([]float32, subDim)
 	for sub := 0; sub < cfg.Subspaces; sub++ {
 		lo := sub * subDim
 		sample := make([][]float32, 0, n/stride+1)
@@ -121,7 +118,8 @@ func BuildSketch(data [][]float32, cfg SketchConfig) (*Sketch, error) {
 		} else if k != s.centroids {
 			// Degenerate data can reduce a codebook below K; pad with copies
 			// of the last centroid so every subspace has the same table
-			// geometry (codes never reference the padding).
+			// geometry (codes never reference the padding: Encode keeps the
+			// first of equidistant codewords).
 			if k < s.centroids {
 				pad := make([]float32, s.centroids*subDim)
 				copy(pad, book)
@@ -133,28 +131,47 @@ func BuildSketch(data [][]float32, cfg SketchConfig) (*Sketch, error) {
 				s.codebooks[sub] = book[:s.centroids*subDim]
 			}
 		}
-
-		// Encode every point against this codebook, accumulating its
-		// quantization residual.
-		for i, o := range data {
-			c := subChunk(o, lo, subDim, chunk)
-			best, bestD := 0, float64(0)
-			for ci := 0; ci < k && ci < s.centroids; ci++ {
-				dd := vec.L2DistSq(c, book[ci*subDim:(ci+1)*subDim])
-				if ci == 0 || dd < bestD {
-					best, bestD = ci, dd
-				}
-			}
-			s.codes[i*cfg.Subspaces+sub] = byte(best)
-			residSq[i] += bestD
-		}
 	}
-	for i, r2 := range residSq {
-		// Round the residual up by one float32 ulp-ish factor so the bound
-		// stays an upper bound after the float32 truncation.
-		s.resid[i] = float32(math.Sqrt(r2)) * (1 + 1e-6)
+	for i, o := range data {
+		s.resid[i] = s.Encode(o, s.codes[i*cfg.Subspaces:(i+1)*cfg.Subspaces])
 	}
 	return s, nil
+}
+
+// Encode quantizes v — any d-dimensional vector, not only a point the
+// codebooks were trained on — against the sketch's codebooks: codes[sub]
+// receives the nearest codeword of v's chunk sub (len(codes) must be
+// Subspaces()), and the returned residual is v's total quantization error,
+// rounded up. BoundCodes over the pair is an exact upper bound on ⟨v,q⟩ for
+// every q: the Cauchy-Schwarz argument on Sketch.resid holds for whatever
+// codeword was picked, so it never relied on v being in the training set.
+// BuildSketch encodes the dataset through this same function.
+func (s *Sketch) Encode(v []float32, codes []byte) float32 {
+	var residSq float64
+	var pad []float32 // the ragged last chunk, zero-padded to subDim
+	for sub := 0; sub < s.subspaces; sub++ {
+		lo := sub * s.subDim
+		var c []float32
+		if lo+s.subDim <= len(v) {
+			c = v[lo : lo+s.subDim]
+		} else {
+			pad = subChunk(v, lo, s.subDim, pad)
+			c = pad
+		}
+		book := s.codebooks[sub]
+		best, bestD := 0, float64(0)
+		for ci := 0; ci < s.centroids; ci++ {
+			dd := vec.L2DistSq(c, book[ci*s.subDim:(ci+1)*s.subDim])
+			if ci == 0 || dd < bestD {
+				best, bestD = ci, dd
+			}
+		}
+		codes[sub] = byte(best)
+		residSq += bestD
+	}
+	// Round the residual up by one float32 ulp-ish factor so the bound
+	// stays an upper bound after the float32 truncation.
+	return float32(math.Sqrt(residSq)) * (1 + 1e-6)
 }
 
 // subChunk copies v[lo:lo+subDim] into dst (allocating when nil),
@@ -173,6 +190,12 @@ func subChunk(v []float32, lo, subDim int, dst []float32) []float32 {
 
 // Len returns the number of encoded points.
 func (s *Sketch) Len() int { return s.n }
+
+// Dim returns the dimensionality of the vectors the sketch encodes.
+func (s *Sketch) Dim() int { return s.d }
+
+// Subspaces returns the number of one-byte codes per encoded vector.
+func (s *Sketch) Subspaces() int { return s.subspaces }
 
 // Bytes returns the in-memory footprint of the codes, residuals and
 // codebooks (the per-point cost the index size accounting charges the
@@ -222,9 +245,17 @@ func (s *Sketch) NewLUT(q []float32, dst []float64) []float64 {
 // Estimate returns the sketch's estimated ⟨o_id, q⟩ from a table NewLUT
 // built for q.
 func (s *Sketch) Estimate(id uint32, lut []float64) float64 {
-	row := s.codes[int(id)*s.subspaces : (int(id)+1)*s.subspaces]
+	return s.estimateCodes(s.row(id), lut)
+}
+
+// row returns point id's codes.
+func (s *Sketch) row(id uint32) []byte {
+	return s.codes[int(id)*s.subspaces : (int(id)+1)*s.subspaces]
+}
+
+func (s *Sketch) estimateCodes(codes []byte, lut []float64) float64 {
 	var acc float64
-	for sub, code := range row {
+	for sub, code := range codes {
 		acc += lut[sub*s.centroids+int(code)]
 	}
 	return acc
@@ -239,7 +270,14 @@ func (s *Sketch) Estimate(id uint32, lut []float64) float64 {
 // inner product provably cannot enter the top-k, so its disk verification
 // can be skipped with no probability spent.
 func (s *Sketch) Bound(id uint32, lut []float64, normQ float64) float64 {
-	b := s.Estimate(id, lut) + float64(s.resid[id])*normQ
+	return s.BoundCodes(s.row(id), s.resid[id], lut, normQ)
+}
+
+// BoundCodes is Bound for a vector held outside the sketch: codes and resid
+// are what Encode returned for it under THIS sketch's codebooks (codes from
+// another sketch index a different table and bound nothing).
+func (s *Sketch) BoundCodes(codes []byte, resid float32, lut []float64, normQ float64) float64 {
+	b := s.estimateCodes(codes, lut) + float64(resid)*normQ
 	if b >= 0 {
 		return b * (1 + 1e-9)
 	}

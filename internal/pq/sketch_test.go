@@ -154,3 +154,70 @@ func TestSketchLowDim(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeBoundIsUpperBound is TestSketchBoundIsUpperBound for vectors
+// the codebooks never saw — the un-compacted update entries of the core
+// index, pruned by BoundCodes(Encode(v)). The bound must dominate the true
+// inner product for EVERY vector and query, with the two degenerate
+// encodings included: a vector that is exactly a concatenation of codewords
+// (zero residual: the bound rests on the epsilon widening alone) and the
+// zero vector (the bound is a pure residual term around an estimate of a
+// codeword the vector is not near).
+func TestEncodeBoundIsUpperBound(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for _, d := range []int{7, 32, 300} {
+		s, err := BuildSketch(randVecs(r, 300, d), SketchConfig{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := randVecs(r, 200, d)
+		for i := range fresh[:50] { // off-distribution: far larger than anything trained on
+			for j := range fresh[i] {
+				fresh[i][j] *= 40
+			}
+		}
+		codeword := make([]float32, 0, s.subspaces*s.subDim)
+		for sub := 0; sub < s.subspaces; sub++ {
+			c := r.Intn(s.centroids)
+			codeword = append(codeword, s.codebooks[sub][c*s.subDim:(c+1)*s.subDim]...)
+		}
+		fresh = append(fresh, codeword[:d], make([]float32, d))
+
+		codes := make([]byte, s.Subspaces())
+		var lut []float64
+		queries := append(randVecs(r, 20, d), make([]float32, d))
+		for vi, v := range fresh {
+			resid := s.Encode(v, codes)
+			for _, q := range queries {
+				lut = s.NewLUT(q, lut)
+				truth := vec.Dot(v, q)
+				if bound := s.BoundCodes(codes, resid, lut, vec.Norm2(q)); bound < truth {
+					t.Fatalf("d=%d vector %d: bound %v < true inner product %v", d, vi, bound, truth)
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeMatchesBuild pins the one-encoder contract: Encode of a dataset
+// point reproduces the codes and residual BuildSketch stored for it, so
+// Bound(id) and BoundCodes(Encode(point id)) are the same number.
+func TestEncodeMatchesBuild(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	for _, d := range []int{3, 40, 300} {
+		data := randVecs(r, 150, d)
+		s, err := BuildSketch(data, SketchConfig{Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes := make([]byte, s.Subspaces())
+		q := randVecs(r, 1, d)[0]
+		lut := s.NewLUT(q, nil)
+		for id, v := range data {
+			resid := s.Encode(v, codes)
+			if got, want := s.BoundCodes(codes, resid, lut, vec.Norm2(q)), s.Bound(uint32(id), lut, vec.Norm2(q)); got != want {
+				t.Fatalf("d=%d id=%d: BoundCodes(Encode) %v != Bound %v", d, id, got, want)
+			}
+		}
+	}
+}

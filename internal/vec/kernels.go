@@ -98,6 +98,44 @@ func dotKernel(a, b []float32) float64 {
 	return s
 }
 
+// Dot4 returns ⟨a0,b⟩ … ⟨a3,b⟩, each ==-identical to Dot(ai, b). Dot's
+// single accumulator makes it latency-bound — every add waits for the
+// previous one — and the bit-exactness contract forbids splitting that sum.
+// Scoring four ROWS in one loop gives the CPU four independent add chains
+// instead, with no sum reassociated: each row keeps its own accumulator in
+// ascending index order. Linear scans (the un-compacted update entries,
+// Exact's layout walk) use it; it panics on a dimension mismatch like Dot.
+func Dot4(a0, a1, a2, a3, b []float32) (s0, s1, s2, s3 float64) {
+	n := len(b)
+	if len(a0) != n || len(a1) != n || len(a2) != n || len(a3) != n {
+		panic(fmt.Sprintf("vec: Dot4 dimension mismatch %d/%d/%d/%d != %d", len(a0), len(a1), len(a2), len(a3), n))
+	}
+	for i, q := range b {
+		f := float64(q)
+		s0 += float64(a0[i]) * f
+		s1 += float64(a1[i]) * f
+		s2 += float64(a2[i]) * f
+		s3 += float64(a3[i]) * f
+	}
+	return
+}
+
+// Dot4Bytes is Dot4 over four encoded vectors (each the len(b)-dimensional
+// vector at the start of its buffer), each result bit-identical to DotBytes
+// of that buffer; like it, it panics on a buffer shorter than the vector.
+// When any buffer cannot be aliased (big-endian host, unaligned bytes) all
+// four take the DotBytes path.
+func Dot4Bytes(buf0, buf1, buf2, buf3 []byte, b []float32) (s0, s1, s2, s3 float64) {
+	v0, ok0 := F32View(buf0, len(b))
+	v1, ok1 := F32View(buf1, len(b))
+	v2, ok2 := F32View(buf2, len(b))
+	v3, ok3 := F32View(buf3, len(b))
+	if ok0 && ok1 && ok2 && ok3 {
+		return Dot4(v0, v1, v2, v3, b)
+	}
+	return DotBytes(buf0, b), DotBytes(buf1, b), DotBytes(buf2, b), DotBytes(buf3, b)
+}
+
 // l2Kernel is the shared squared-distance loop; same contract as dotKernel.
 func l2Kernel(a, b []float32) float64 {
 	var s float64

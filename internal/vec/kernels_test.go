@@ -107,6 +107,46 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDot4BitIdentical pins the row-interleaved kernel to Dot: four rows
+// scored in one loop must each equal their own Dot bit for bit, on lengths
+// around Dot's 4-way unroll (tails, d not divisible by 4, empty) and on
+// adversarial payloads — and Dot4Bytes over their encodings, aliased or
+// (one row unaligned) on the DotBytes fallback, must agree too.
+func TestDot4BitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 299, 300, 301} {
+		for trial := 0; trial < 50; trial++ {
+			gen := randVec
+			if trial%2 == 1 {
+				gen = advVec
+			}
+			rows := [4][]float32{gen(rng, n), gen(rng, n), gen(rng, n), gen(rng, n)}
+			q := gen(rng, n)
+			var got [4]float64
+			got[0], got[1], got[2], got[3] = Dot4(rows[0], rows[1], rows[2], rows[3], q)
+			var fused [4]float64
+			pad := trial % 4 // 0: every row 4-byte aligned; else row 0 is not
+			fused[0], fused[1], fused[2], fused[3] = Dot4Bytes(
+				encodeAt(rows[0], pad), encodeAt(rows[1], 0), encodeAt(rows[2], 0), encodeAt(rows[3], 0), q)
+			for r, row := range rows {
+				want := Dot(row, q)
+				if !bitsEqual(got[r], want) {
+					t.Fatalf("n=%d trial=%d row %d: Dot4 %v != Dot %v", n, trial, r, got[r], want)
+				}
+				if !bitsEqual(fused[r], want) {
+					t.Fatalf("n=%d trial=%d row %d pad=%d: Dot4Bytes %v != Dot %v", n, trial, r, pad, fused[r], want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Dot4 accepted a short row")
+		}
+	}()
+	Dot4(make([]float32, 3), make([]float32, 4), make([]float32, 4), make([]float32, 4), make([]float32, 4))
+}
+
 // TestF32View checks the aliasing contract: same values as Decode, shared
 // memory, empty views, and the short-buffer panic.
 func TestF32View(t *testing.T) {
@@ -185,4 +225,35 @@ func BenchmarkDotBytesFused(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = DotBytes(buf, q)
 	}
+}
+
+var sinkDot float64
+
+// BenchmarkDot4Rows300 and BenchmarkDotRows300 score the same 4,096 rows
+// against one query; ns/op is per ROW in both.
+func BenchmarkDotRows300(b *testing.B) {
+	rows, q := benchRows(4096, 300)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkDot += Dot(rows[i%len(rows)], q)
+	}
+}
+
+func BenchmarkDot4Rows300(b *testing.B) {
+	rows, q := benchRows(4096, 300)
+	b.ResetTimer()
+	for i := 0; i+4 <= b.N; i += 4 {
+		j := i % len(rows)
+		s0, s1, s2, s3 := Dot4(rows[j], rows[j+1], rows[j+2], rows[j+3], q)
+		sinkDot += s0 + s1 + s2 + s3
+	}
+}
+
+func benchRows(n, d int) ([][]float32, []float32) {
+	rng := rand.New(rand.NewSource(9))
+	rows := make([][]float32, n)
+	for i := range rows {
+		rows[i] = randVec(rng, d)
+	}
+	return rows, randVec(rng, d)
 }
