@@ -41,7 +41,9 @@ type SearchRequest struct {
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 }
 
-// SearchResponse carries the results and the query's work stats.
+// SearchResponse carries the results and the query's work stats. On the
+// wire stats.TerminatedBy is "A", "B", "exhausted" or "scan" (answered
+// exactly by one sequential scan), joined with "+" across shards.
 type SearchResponse struct {
 	Results []promips.Result    `json:"results"`
 	Stats   promips.SearchStats `json:"stats"`

@@ -232,8 +232,12 @@ type SearchStats struct {
 	Radius float64
 	// ExtendedRadius is the compensation range r' (0 when no extension ran).
 	ExtendedRadius float64
-	// TerminatedBy records which condition ended the search:
-	// "A", "B", or "exhausted".
+	// TerminatedBy records what ended the search: "A" or "B" (the
+	// termination condition that held), "exhausted" (the compensation range
+	// was consumed whole), or "scan" — the query had exactly verified more
+	// than a quarter of the stored points, so it finished with one
+	// sequential scan of the vector store and the results are the EXACT
+	// top-k among live, filter-accepted points.
 	TerminatedBy string
 	// Degraded is non-nil when a fanned-out sharded search lost shards —
 	// per-shard timeouts or errors isolated instead of failing the query —

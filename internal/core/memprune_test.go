@@ -189,14 +189,16 @@ func entryCodesErr(sn *snapshot) error {
 	return check(sn.delta, "delta")
 }
 
-// exactVsBrute compares sn.exact with the top-k over the view's live set
-// computed with no help from the index: every live stored vector and every
-// live entry, one Dot each.
-func exactVsBrute(sn *snapshot, q []float32, k int) error {
+// bruteView is the top-k over the view's live, accepted points computed with
+// no help from the index: every stored vector and every un-compacted entry,
+// one decode and one Dot each, in the order scanAll offers them (ties at the
+// k-th inner product resolve by offer order). accept nil admits every id.
+func bruteView(sn *snapshot, q []float32, k int, accept func(uint32) bool) ([]Result, error) {
 	top := newTopK(k)
+	admits := func(id uint32) bool { return sn.live(id) && (accept == nil || accept(id)) }
 	scan := func(entries []deltaEntry) {
 		for _, e := range entries {
-			if sn.live(e.id) {
+			if admits(e.id) {
 				top.offer(e.id, vec.Dot(e.v, q))
 			}
 		}
@@ -207,21 +209,55 @@ func exactVsBrute(sn *snapshot, q []float32, k int) error {
 	scan(sn.delta)
 	buf := make([]float32, sn.d)
 	for pos, id := range sn.idist.Layout() {
-		if !sn.live(id) {
+		if !admits(id) {
 			continue
 		}
 		v, err := sn.orig.VectorAt(pos, buf, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		top.offer(id, vec.Dot(v, q))
+	}
+	return top.results, nil
+}
+
+// exactVsBrute compares sn.exact with bruteView over the same view.
+func exactVsBrute(sn *snapshot, q []float32, k int) error {
+	want, err := bruteView(sn, q, k, nil)
+	if err != nil {
+		return err
 	}
 	got, err := sn.exact(context.Background(), q, k)
 	if err != nil {
 		return err
 	}
-	if !reflect.DeepEqual(got, top.results) {
-		return fmt.Errorf("exact differs from brute force over the same view:\n got %v\nwant %v", got, top.results)
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("exact differs from brute force over the same view:\n got %v\nwant %v", got, want)
+	}
+	return nil
+}
+
+// forcedScanVsBrute asks the view for more results than a query may randomly
+// verify before the runaway rule stops it — k exceeds the un-compacted
+// entries plus the verification budget, so the top-k cannot fill, and no
+// condition can fire, before the budget is spent — and requires the answer
+// of the sequential scan it must end in to be the exact filtered top-k.
+func forcedScanVsBrute(sn *snapshot, q []float32) error {
+	accept := func(id uint32) bool { return id%5 != 2 }
+	k := sn.n/scanAfterShare + sn.frozenLen + len(sn.delta) + 2
+	got, st, err := sn.search(context.Background(), q, k, SearchParams{Filter: accept})
+	if err != nil {
+		return err
+	}
+	if st.TerminatedBy != "scan" {
+		return fmt.Errorf("k=%d over n=%d disk points terminated by %q after %d verifications, want the scan", k, sn.n, st.TerminatedBy, st.Candidates)
+	}
+	want, err := bruteView(sn, q, min(k, sn.liveCount()), accept)
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("scan fallback differs from brute force over the same view:\n got %v\nwant %v", got, want)
 	}
 	return nil
 }
@@ -234,6 +270,9 @@ func checkView(sn *snapshot, q []float32) error {
 	if _, err := memPruneDifferential(sn, q, 10, SearchParams{}); err != nil {
 		return err
 	}
+	if err := forcedScanVsBrute(sn, q); err != nil {
+		return err
+	}
 	return exactVsBrute(sn, q, 10)
 }
 
@@ -241,14 +280,17 @@ func checkView(sn *snapshot, q []float32) error {
 // repeated Compacts (run it under -race). A Compact retrains the sketch, so
 // no view may ever pair entries encoded against one generation's codebooks
 // with another generation's sketch: every captured view must hold the
-// invariant, answer identically with the prune on and off, and its Exact
-// must equal a brute force over that same view's live set.
+// invariant, answer identically with the prune on and off, and both its
+// Exact and a Search forced into the scan fallback (with a filter) must
+// equal a brute force over that same view's live set.
 func TestEntryCodesFollowGeneration(t *testing.T) {
 	const n, d = 600, 24
 	r := rand.New(rand.NewSource(17))
 	all := randData(r, n+4000, d)
 	base := t.TempDir()
-	ix, err := Build(all[:n], base, Options{Seed: 3, M: 5, SegmentEntries: 64, Fsync: FsyncDisabled})
+	// An 8-page pool under a 15-page vector file: the forced scans read
+	// around the pool, as they do on an index larger than its cache.
+	ix, err := Build(all[:n], base, Options{Seed: 3, M: 5, SegmentEntries: 64, Fsync: FsyncDisabled, PoolSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +313,9 @@ func TestEntryCodesFollowGeneration(t *testing.T) {
 				if _, err := ix.Insert(all[n+i%4000]); err != nil {
 					t.Errorf("insert: %v", err)
 					return
+				}
+				if i%7 == 0 { // tombstones, in whatever generation holds the id now
+					ix.Delete(uint32(i * 13 % n))
 				}
 				sn, err := ix.snapshot()
 				if err != nil {

@@ -24,6 +24,7 @@ import (
 // workers each draw their own from the pool, so concurrent queries never
 // share one.
 type queryScratch struct {
+	query   query // the search in progress (see search.go)
 	io      pager.IOStats
 	pq      []float32 // projected query (m)
 	probePt []float32 // Quick-Probe point's projected vector (m)
@@ -34,20 +35,31 @@ type queryScratch struct {
 	stream   idistance.CandidateStream
 
 	// PQ-sketch pre-ranking state: the query's asymmetric lookup table, the
-	// estimated-best window selected for early verification, and its ids
-	// (sorted) for the stream phase's membership check.
-	lut        []float64
-	prerank    []prerankCand
-	prerankIDs []uint32
+	// sketch estimate of every range-search candidate (parallel to cands as
+	// collected), the estimated-best window selected for early verification,
+	// and the window's positions in cands (sorted) for the ordered pass to
+	// step over.
+	lut     []float64
+	ests    []float64
+	prerank []prerankCand
+	window  []int32
 
-	top    topK         // its results slice is the pooled backing
-	reader store.Reader // page-local verification cursor
+	// seen holds the candidates of the pass in progress that are exactly
+	// bounded without being ordered: the pre-ranked window's, then the ones
+	// the ordered pass set aside (see query.orderedPass).
+	seen []idistance.Candidate
+
+	top     topK         // its results slice is the pooled backing
+	reader  store.Reader // page-local verification cursor
+	scanBuf []byte       // the sequential scan's read buffer (nil until a query needs it)
 }
 
-// prerankCand is one pre-ranking window entry: a range-search candidate and
-// its sketch-estimated inner product with the query.
+// prerankCand is one pre-ranking window entry: a range-search candidate, its
+// position in the collected set and its sketch-estimated inner product with
+// the query.
 type prerankCand struct {
 	cand idistance.Candidate
+	idx  int32
 	est  float64
 }
 
@@ -60,9 +72,10 @@ const prerankMinWindow = 48
 
 // selectPrerank fills sc.prerank with the candidates of sc.cands holding
 // the largest sketch-estimated inner products (window max(4k,
-// prerankMinWindow)), best first. sc.lut must already hold the query's
-// lookup table. The selection is deterministic: ties in the estimate break
-// on the smaller id.
+// prerankMinWindow)), best first, and sc.ests with every candidate's
+// estimate — each code row is walked once per query, here. sc.lut must
+// already hold the query's lookup table. The selection is deterministic:
+// ties in the estimate break on the smaller id.
 func (sc *queryScratch) selectPrerank(sk *pq.Sketch, k int) []prerankCand {
 	w := 4 * k
 	if w < prerankMinWindow {
@@ -72,8 +85,10 @@ func (sc *queryScratch) selectPrerank(sk *pq.Sketch, k int) []prerankCand {
 		w = len(sc.cands)
 	}
 	sel := sc.prerank[:0]
-	for _, cand := range sc.cands {
+	ests := sc.ests[:0]
+	for i, cand := range sc.cands {
 		est := sk.Estimate(cand.ID, sc.lut)
+		ests = append(ests, est)
 		pos := sort.Search(len(sel), func(i int) bool {
 			if sel[i].est != est {
 				return sel[i].est < est
@@ -87,9 +102,9 @@ func (sc *queryScratch) selectPrerank(sk *pq.Sketch, k int) []prerankCand {
 			sel = append(sel, prerankCand{})
 		}
 		copy(sel[pos+1:], sel[pos:])
-		sel[pos] = prerankCand{cand: cand, est: est}
+		sel[pos] = prerankCand{cand: cand, idx: int32(i), est: est}
 	}
-	sc.prerank = sel
+	sc.prerank, sc.ests = sel, ests
 	return sel
 }
 
@@ -113,11 +128,13 @@ func getScratch(sn *snapshot) *queryScratch {
 	return sc
 }
 
-// putScratch returns sc to the pool. The pinned verification pages are
-// released first so an idle pool does not hold page snapshots (or a
-// retired store generation) alive.
+// putScratch returns sc to the pool. The pinned verification pages and the
+// query state are released first so an idle pool does not hold page
+// snapshots, a retired store generation or a caller's query, context and
+// filter alive.
 func putScratch(sc *queryScratch) {
 	sc.reader.Reset(nil)
+	sc.query = query{}
 	queryScratchPool.Put(sc)
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -9,6 +10,7 @@ import (
 
 	"promips/internal/errs"
 	"promips/internal/idistance"
+	"promips/internal/pager"
 	"promips/internal/randproj"
 	"promips/internal/stats"
 	"promips/internal/vec"
@@ -80,17 +82,6 @@ type SearchParams struct {
 	NoPrerank bool
 }
 
-// Candidate verdicts of the verification path: skipped candidates
-// (tombstoned or filtered) advance nothing; pruned and verified ones both
-// advance the Condition B distance frontier — a pruned candidate is exactly
-// (if one-sidedly) bounded, so it is "seen" in the sense the termination
-// argument needs.
-const (
-	candSkipped = iota
-	candPruned
-	candVerified
-)
-
 // resolve returns the effective (c, p) for a query.
 func (sn *snapshot) resolve(p SearchParams) (float64, float64, error) {
 	c, pr := p.C, p.P
@@ -129,8 +120,9 @@ func (ix *Index) Search(q []float32, k int) ([]Result, SearchStats, error) {
 // probability at least p, every returned point oi satisfies
 // ⟨oi,q⟩ ≥ c·⟨o*i,q⟩, where (c, p) come from params (falling back to the
 // build-time options). Cancellation is honored between iDistance
-// sub-partition scans and every 256 entries of the un-compacted update scan;
-// the error then satisfies errors.Is(err, ctx.Err()).
+// sub-partition scans, every 256 entries of the un-compacted update scan,
+// every 256 candidates of the verification passes and between reads of the
+// sequential scan; the error then satisfies errors.Is(err, ctx.Err()).
 // SearchContext is safe to call from many goroutines against one shared
 // Index; each call accounts its own page accesses. The query runs against
 // a SNAPSHOT of the index state at call time: the index lock is held only
@@ -169,6 +161,60 @@ func (sn *snapshot) beginSearch(q []float32, k int, params SearchParams) (c, p f
 	return c, p, k, nil
 }
 
+// scanAfterShare sets the point at which a query stops paying for random
+// verifications: once it has exactly verified more than 1/scanAfterShare of
+// the disk-resident points it is an exact scan in disguise, and finishing
+// with ONE sequential walk of the vector store is cheaper than continuing —
+// a random verification that misses the buffer pool costs about 3 µs, a
+// sequentially scanned vector about 0.35 µs, so the walk costs what n/9
+// misses do. It is the ski-rental rule: the random reads wasted before the
+// switch are bounded by a small multiple of the price of the scan itself
+// (see DESIGN.md, "Verify only what can still win").
+const scanAfterShare = 4
+
+// errRunaway is verify's signal that the query crossed the scanAfterShare
+// threshold; search answers it with scanAll. It never leaves this file.
+var errRunaway = errors.New("core: verification budget exceeded")
+
+// query is one Search's working state: the inputs, the per-query constants
+// derived from them, and the accumulators every phase updates. Its methods
+// are the phases of Algorithm 2 + 3 in the order run calls them.
+type query struct {
+	ctx    context.Context
+	sn     *snapshot
+	sc     *queryScratch
+	q      []float32
+	params SearchParams
+	k      int
+	c, p   float64
+
+	normQSq, normQ float64
+	chi            float64 // Ψm⁻¹(p): shared by Quick-Probe's Test A and Condition B
+
+	top *topK
+	io  *pager.IOStats // nil discards the accounting (Exact)
+	st  SearchStats
+	// sketchLUT is set once the pre-ranking pass runs; it arms the
+	// sketch-bound prune of the verification passes.
+	sketchLUT []float64
+	verifies  int // verify calls so far: every 256th is a cancellation point
+	// ordered counts the candidates handed to the lazy sort — what the
+	// set-aside pass of orderedPass exists to keep small. Diagnostic: read by
+	// BenchmarkSearchCold and the differential test only.
+	ordered int
+}
+
+// newQuery binds sc's query state to one search. The state lives in the
+// pooled scratch (putScratch clears it), so a query allocates nothing for it.
+func (sn *snapshot) newQuery(ctx context.Context, sc *queryScratch, q []float32, k int, c, p float64, params SearchParams) *query {
+	s := &sc.query
+	*s = query{ctx: ctx, sn: sn, sc: sc, q: q, params: params, k: k, c: c, p: p, top: &sc.top, io: &sc.io}
+	s.normQSq = vec.Norm2Sq(q)
+	s.normQ = math.Sqrt(s.normQSq)
+	s.top.reset(k)
+	return s
+}
+
 func (sn *snapshot) search(ctx context.Context, q []float32, k int, params SearchParams) ([]Result, SearchStats, error) {
 	c, p, k, err := sn.beginSearch(q, k, params)
 	if err != nil {
@@ -176,258 +222,400 @@ func (sn *snapshot) search(ctx context.Context, q []float32, k int, params Searc
 	}
 	sc := getScratch(sn)
 	defer putScratch(sc)
-	io := &sc.io
-	var st SearchStats
+	s := sn.newQuery(ctx, sc, q, k, c, p, params)
+	return s.finish(s.run())
+}
 
-	sc.pq = sn.proj.ProjectInto(q, sc.pq)
-	pq := sc.pq
-	normQSq := vec.Norm2Sq(q)
-	norm1Q := vec.Norm1(q)
-
-	// Ψm⁻¹(p) is shared by Quick-Probe's Test A and Condition B below —
-	// one inverse-CDF evaluation per query, not two.
-	chiThreshold := stats.ChiSquareInvCDF(sn.m, p)
-
-	// ---- Quick-Probe (Algorithm 2) -----------------------------------
-	probeID := sn.quickProbe(pq, norm1Q, c, chiThreshold, &st, sc)
-
-	// The located point's projected distance is the estimated range
-	// (fetching its projected vector costs one page access, the only
-	// projected-point read Quick-Probe needs).
-	sc.probePt, err = sn.idist.Projected(probeID, sc.probePt, io)
+// finish turns the outcome of run into Search's return values; a runaway
+// query is answered by the sequential scan first.
+func (s *query) finish(err error) ([]Result, SearchStats, error) {
+	if err == errRunaway {
+		s.st.TerminatedBy = "scan"
+		err = s.scanAll()
+	}
 	if err != nil {
-		return nil, st, err
+		return nil, s.st, err
 	}
-	r := vec.L2Dist(sc.probePt, pq)
-	if r <= 0 {
-		// The located point projects exactly onto the query; fall back to
-		// one ring width so the range search has volume.
-		r = sn.idist.Epsilon()
-	}
-	st.Radius = r
+	s.st.PageAccesses = s.io.Pages()
+	return s.sc.takeResults(), s.st, nil
+}
 
-	// ---- MIP-Search-II (Algorithm 3) ----------------------------------
-	// Candidates are consumed in ascending projected distance (the order
-	// the incremental NN search of Algorithm 1 would return them in), so
-	// Theorem 2 lets us test Condition B on every candidate using the
-	// projected distance the range search already computed — no extra disk
-	// reads, one threshold comparison per point. Condition B's test
-	// Ψm(dis²/denom) ≥ p is evaluated as dis² ≥ Ψm⁻¹(p)·denom.
-	top := &sc.top
-	top.reset(k)
+// run is Quick-Probe + MIP-Search-II (Algorithm 3). Candidates are consumed
+// in ascending projected distance (the order the incremental NN search of
+// Algorithm 1 would return them in), so Theorem 2 lets Condition B be tested
+// on every candidate using the projected distance the range search already
+// computed — no extra disk reads, one threshold comparison per point.
+func (s *query) run() error {
+	sn, sc := s.sn, s.sc
+	r, err := s.probeRadius()
+	if err != nil {
+		return err
+	}
 	// Recently inserted points (frozen segments and the mutable delta) are
 	// evaluated exactly up front (no disk I/O); their inner products can
 	// only tighten the conditions below. The query's sketch lookup table is
 	// built here when that scan can prune with it, and at most once: the
-	// pre-ranking pass below reuses it.
-	memLUT := sn.memLUT(q, &sc.lut)
-	st.NormPruned, err = sn.scanMem(ctx, q, normQSq, memLUT, top, &params)
-	if err != nil {
-		return nil, st, err
+	// pre-ranking pass reuses it.
+	memLUT := sn.memLUT(s.q, &sc.lut)
+	if s.st.NormPruned, err = sn.scanMem(s.ctx, s.q, s.normQSq, memLUT, s.top, &s.params); err != nil {
+		return err
 	}
-	// sketchLUT is set once the pre-ranking pass runs; it arms the
-	// sketch-bound prune inside verifyCand.
-	var sketchLUT []float64
-	normQ := math.Sqrt(normQSq)
-	// verifyCand computes the candidate's exact inner product straight from
-	// its store page (zero-copy, page-local via the scratch reader) and
-	// updates the top-k. Before paying the page read it applies two EXACT
-	// in-memory prunes — no probability is spent, and the result set is
-	// bit-identical to verifying everything:
-	//   1. Cauchy-Schwarz: ⟨o,q⟩ ≤ ‖o‖‖q‖, with ‖o‖² in memory;
-	//   2. the PQ-sketch bound ⟨o,q⟩ ≤ estimate + residual·‖q‖.
-	// A candidate whose bound cannot beat ⟨omax^k,q⟩ (which offer ignores
-	// at equality) cannot change the result set, so its store page is never
-	// touched. This is what turns the pre-ranking pass into page savings:
-	// ⟨omax^k,q⟩ peaks after the pre-ranked window, disqualifying most of
-	// the remaining candidates from memory alone.
-	verifyCand := func(cand idistance.Candidate) (verdict int, err error) {
-		if !sn.live(cand.ID) {
-			return candSkipped, nil // tombstoned by Delete
-		}
-		if !params.accepts(cand.ID) {
-			return candSkipped, nil // rejected by the query's filter
-		}
-		if ipK, full := top.kth(); full {
-			if ipK >= 0 && sn.norm2Sq[cand.ID]*normQSq <= ipK*ipK {
-				st.NormPruned++
-				return candPruned, nil
-			}
-			if sketchLUT != nil && sn.sketch.Bound(cand.ID, sketchLUT, normQ) <= ipK {
-				st.NormPruned++
-				return candPruned, nil
-			}
-		}
-		ip, err := sc.reader.Dot(cand.ID, q, io)
-		if err != nil {
-			return candSkipped, err
-		}
-		st.Candidates++
-		top.offer(cand.ID, ip)
-		return candVerified, nil
-	}
-	// conditions evaluates the termination tests at a distance frontier:
-	// every point NOT yet exactly verified projects at least dist from the
-	// query, so Theorem 2 lets Condition B be tested with dist — no extra
-	// disk reads, one threshold comparison. Condition B's test
-	// Ψm(dis²/denom) ≥ p is evaluated as dis² ≥ Ψm⁻¹(p)·denom.
-	conditions := func(dist float64) string {
-		ipK, full := top.kth()
-		if !full {
-			return ""
-		}
-		denom := sn.conditionBDenominator(c, normQSq, ipK)
-		if denom <= 0 {
-			return "A" // Condition A (Formula 1) holds
-		}
-		if dist*dist >= chiThreshold*denom {
-			return "B" // Condition B (Formula 2) holds
-		}
-		return ""
-	}
-
 	// Candidates are collected unsorted, in disk order.
-	sc.cands, err = sn.idist.CollectRangeAppend(ctx, pq, r, io, sc.cands)
-	if err != nil {
-		return nil, st, err
+	if sc.cands, err = sn.idist.CollectRangeAppend(s.ctx, sc.pq, r, s.io, sc.cands); err != nil {
+		return err
 	}
-
-	// ---- PQ-sketch pre-ranking ---------------------------------------
-	// Verify the sketch-estimated best candidates first: the true top-k
-	// usually sits inside this window, so ⟨omax^k,q⟩ — and with it
-	// Condition B's denominator — reaches (near) its final value after a
-	// few dozen exact verifications instead of hundreds. The guarantee is
-	// untouched: the sketch only reorders verification, every result is
-	// still exactly verified, and the distance-ordered pass below tests the
-	// termination conditions at frontiers no farther than the first
-	// unverified candidate (see DESIGN.md "I/O engine").
-	terminated := ""
-	preranked := sc.prerankIDs[:0]
-	if sn.sketch != nil && !params.NoPrerank && len(sc.cands) > k {
-		if memLUT == nil {
-			sc.lut = sn.sketch.NewLUT(q, sc.lut)
-		}
-		sketchLUT = sc.lut
-		for _, pc := range sc.selectPrerank(sn.sketch, k) {
-			v, err := verifyCand(pc.cand)
-			if err != nil {
-				return nil, st, err
-			}
-			if v == candVerified {
-				st.Preranked++
-			}
-			if v != candSkipped {
-				// Seen (verified or exactly bounded): the distance-ordered
-				// pass below treats it as frontier-advancing only.
-				preranked = append(preranked, pc.cand.ID)
-			}
-		}
-		slices.Sort(preranked)
-		// Condition A needs no distance frontier, so it can already fire.
-		if ipK, full := top.kth(); full && sn.conditionBDenominator(c, normQSq, ipK) <= 0 {
-			terminated = "A"
+	if err := s.prerank(memLUT != nil); err != nil {
+		return err
+	}
+	// Condition A needs no distance frontier, so it can fire right after the
+	// pre-ranking pass.
+	reason := ""
+	if cond, _ := s.stopFrom(); cond == "A" && len(sc.window) > 0 {
+		reason = "A"
+	}
+	if reason == "" {
+		if reason, err = s.orderedPass(sc.cands, sc.window, sc.ests); err != nil {
+			return err
 		}
 	}
-	sc.prerankIDs = preranked
-
-	// The distance-ordered pass: the lazy stream yields ascending projected
-	// distance, sorting only the prefix consumed before a condition
-	// terminates the query (usually a small fraction of the collected set).
-	if terminated == "" {
-		sc.stream.Init(sc.cands)
-		for {
-			cand, ok := sc.stream.Next()
-			if !ok {
-				break
-			}
-			if len(preranked) > 0 {
-				if _, found := slices.BinarySearch(preranked, cand.ID); found {
-					// Verified in the pre-rank pass; its distance still
-					// advances the termination frontier.
-					if terminated = conditions(cand.Dist); terminated != "" {
-						break
-					}
-					continue
-				}
-			}
-			v, err := verifyCand(cand)
-			if err != nil {
-				return nil, st, err
-			}
-			if v != candSkipped {
-				if terminated = conditions(cand.Dist); terminated != "" {
-					break
-				}
-			}
-		}
+	if reason == "" {
+		// Range exhausted: test Condition B with the scanned radius (every
+		// unseen point projects farther than r, so Ψm(r²/denom) ≥ p bounds
+		// the miss probability by 1−p).
+		reason = s.conditionsAtRadius(r)
 	}
-	if terminated != "" {
-		st.TerminatedBy = terminated
-		st.PageAccesses = io.Pages()
-		return sc.takeResults(), st, nil
-	}
-
-	// Range exhausted: test Condition B with the scanned radius (every
-	// unseen point projects farther than r, so Ψm(r²/denom) ≥ p bounds the
-	// miss probability by 1−p).
-	ipK, full := top.kth()
-	if full {
-		denom := sn.conditionBDenominator(c, normQSq, ipK)
-		if denom <= 0 {
-			st.TerminatedBy = "A"
-			st.PageAccesses = io.Pages()
-			return sc.takeResults(), st, nil
-		}
-		if stats.ChiSquareCDF(sn.m, r*r/denom) >= p {
-			st.TerminatedBy = "B"
-			st.PageAccesses = io.Pages()
-			return sc.takeResults(), st, nil
-		}
+	if reason != "" {
+		s.st.TerminatedBy = reason
+		return nil
 	}
 
 	// Compensation: extend the range to r' (Algorithm 3 line 15). When
 	// fewer than k candidates were found the guarantee needs a full scan,
 	// so r' falls back to infinity.
 	rExt := math.Inf(1)
-	if full {
-		denom := sn.conditionBDenominator(c, normQSq, ipK)
-		rExt = math.Sqrt(chiThreshold * denom)
+	if ipK, full := s.top.kth(); full {
+		rExt = math.Sqrt(s.chi * sn.conditionBDenominator(s.c, s.normQSq, ipK))
 	}
-	st.ExtendedRadius = rExt
-
+	s.st.ExtendedRadius = rExt
 	extCands := sc.extCands[:0]
-	err = sn.idist.Search(ctx, pq, r, rExt, io, func(cand idistance.Candidate) bool {
+	err = sn.idist.Search(s.ctx, sc.pq, r, rExt, s.io, func(cand idistance.Candidate) bool {
 		extCands = append(extCands, cand)
 		return true
 	})
 	sc.extCands = extCands
 	if err != nil {
-		return nil, st, err
+		return err
 	}
 	// Extension candidates lie in (r, r'] — disjoint from the range pass, so
-	// none of them can have been pre-rank verified.
-	sc.stream.Init(extCands)
-	for {
-		cand, ok := sc.stream.Next()
-		if !ok {
-			break
-		}
-		v, err := verifyCand(cand)
-		if err != nil {
-			return nil, st, err
-		}
-		if v == candSkipped {
+	// nothing seen so far can share their frontier and no estimate is cached.
+	sc.seen = sc.seen[:0]
+	if reason, err = s.orderedPass(extCands, nil, nil); err != nil {
+		return err
+	}
+	if reason == "" {
+		reason = "exhausted"
+	}
+	s.st.TerminatedBy = reason
+	return nil
+}
+
+// probeRadius projects the query, runs Quick-Probe (Algorithm 2) and returns
+// the estimated range: the located point's projected distance (fetching its
+// projected vector costs one page access, the only projected-point read
+// Quick-Probe needs).
+func (s *query) probeRadius() (float64, error) {
+	sn, sc := s.sn, s.sc
+	sc.pq = sn.proj.ProjectInto(s.q, sc.pq)
+	s.chi = stats.ChiSquareInvCDF(sn.m, s.p)
+	probeID := sn.quickProbe(sc.pq, vec.Norm1(s.q), s.c, s.chi, &s.st, sc)
+	var err error
+	if sc.probePt, err = sn.idist.Projected(probeID, sc.probePt, s.io); err != nil {
+		return 0, err
+	}
+	r := vec.L2Dist(sc.probePt, sc.pq)
+	if r <= 0 {
+		// The located point projects exactly onto the query; fall back to
+		// one ring width so the range search has volume.
+		r = sn.idist.Epsilon()
+	}
+	s.st.Radius = r
+	return r, nil
+}
+
+// prerank verifies the sketch-estimated best candidates of sc.cands first:
+// the true top-k usually sits inside this window, so ⟨omax^k,q⟩ — and with
+// it Condition B's denominator and both exact prunes — reaches (near) its
+// final value after a few dozen exact verifications instead of hundreds. The
+// guarantee is untouched: the sketch only reorders verification, every
+// result is still exactly verified, and the distance-ordered pass tests the
+// termination conditions at frontiers no farther than the first unverified
+// candidate (see DESIGN.md "I/O engine").
+//
+// It leaves the window's positions in sc.window (ascending), its seen
+// members — verified or exactly bounded — in sc.seen, and every collected
+// candidate's estimate in sc.ests. No sketch, NoPrerank or at most k
+// candidates: all three stay empty and the sketch prune stays disarmed.
+func (s *query) prerank(lutBuilt bool) error {
+	sn, sc := s.sn, s.sc
+	sc.window, sc.seen, sc.ests = sc.window[:0], sc.seen[:0], sc.ests[:0]
+	if sn.sketch == nil || s.params.NoPrerank || len(sc.cands) <= s.k {
+		return nil
+	}
+	if !lutBuilt {
+		sc.lut = sn.sketch.NewLUT(s.q, sc.lut)
+	}
+	s.sketchLUT = sc.lut
+	for _, pc := range sc.selectPrerank(sn.sketch, s.k) {
+		sc.window = append(sc.window, pc.idx)
+		if !s.admits(pc.cand.ID) {
 			continue
 		}
-		if cond := conditions(cand.Dist); cond != "" {
-			st.TerminatedBy = cond
-			st.PageAccesses = io.Pages()
-			return sc.takeResults(), st, nil
+		verified, err := s.verify(pc.cand)
+		if err != nil {
+			return err
+		}
+		if verified {
+			s.st.Preranked++
+		}
+		sc.seen = append(sc.seen, pc.cand)
+	}
+	slices.Sort(sc.window)
+	return nil
+}
+
+// admits reports whether id can be a result at all: not tombstoned by
+// Delete, not rejected by the query's filter. A point that fails is skipped
+// everywhere — it is neither verified nor counted, and it advances nothing.
+func (s *query) admits(id uint32) bool {
+	return s.sn.live(id) && s.params.accepts(id)
+}
+
+// dismissed applies the two EXACT in-memory prunes to an admitted candidate
+// — no probability is spent, and the result set is bit-identical to
+// verifying everything:
+//  1. Cauchy-Schwarz: ⟨o,q⟩ ≤ ‖o‖‖q‖, with ‖o‖² in memory;
+//  2. the PQ-sketch bound ⟨o,q⟩ ≤ estimate + residual·‖q‖ (est is the
+//     candidate's cached sketch estimate, nil to compute it).
+//
+// A candidate whose bound cannot beat ⟨omax^k,q⟩ (which offer ignores at
+// equality) cannot change the result set, so its store page is never
+// touched. This is what turns the pre-ranking pass into page savings:
+// ⟨omax^k,q⟩ peaks after the pre-ranked window, disqualifying most of the
+// remaining candidates from memory alone. Both tests are monotone in
+// ⟨omax^k,q⟩: a candidate dismissed once stays dismissed as the top-k fills.
+func (s *query) dismissed(id uint32, est *float64) bool {
+	ipK, full := s.top.kth()
+	if !full {
+		return false
+	}
+	if ipK >= 0 && s.sn.norm2Sq[id]*s.normQSq <= ipK*ipK {
+		return true
+	}
+	if s.sketchLUT == nil {
+		return false
+	}
+	if est == nil {
+		return s.sn.sketch.Bound(id, s.sketchLUT, s.normQ) <= ipK
+	}
+	return s.sn.sketch.BoundEstimate(id, *est, s.normQ) <= ipK
+}
+
+// verify handles one admitted candidate at its turn: dismissed from memory
+// (counted in NormPruned) or exactly verified — its inner product computed
+// straight from its store page (zero-copy, page-local via the scratch
+// reader) and offered to the top-k. Either way the candidate is SEEN: it is
+// exactly (if one-sidedly) bounded, which is all the termination argument
+// needs of a point inside the distance frontier.
+func (s *query) verify(cand idistance.Candidate) (verified bool, err error) {
+	if s.verifies&255 == 0 {
+		if err := s.ctx.Err(); err != nil {
+			return false, err
 		}
 	}
-	st.TerminatedBy = "exhausted"
-	st.PageAccesses = io.Pages()
-	return sc.takeResults(), st, nil
+	s.verifies++
+	if s.dismissed(cand.ID, nil) {
+		s.st.NormPruned++
+		return false, nil
+	}
+	if s.st.Candidates > s.sn.n/scanAfterShare {
+		return false, errRunaway
+	}
+	ip, err := s.sc.reader.Dot(cand.ID, s.q, s.io)
+	if err != nil {
+		return false, err
+	}
+	s.st.Candidates++
+	s.top.offer(cand.ID, ip)
+	return true, nil
+}
+
+// stopFrom evaluates the termination tests against the current top-k: the
+// condition that would end the query ("" while fewer than k points are
+// held) and the squared projected distance from which it does. Every point
+// NOT yet seen projects at least as far as the frontier, so Theorem 2 lets
+// Condition B be tested with the frontier's distance: Ψm(dis²/denom) ≥ p,
+// evaluated as dis² ≥ Ψm⁻¹(p)·denom. Condition A (Formula 1, denom ≤ 0)
+// holds at any distance. As ⟨omax^k,q⟩ only rises, denom only falls: a
+// frontier that may stop the query now may stop it ever after.
+func (s *query) stopFrom() (reason string, distSq float64) {
+	ipK, full := s.top.kth()
+	if !full {
+		return "", math.Inf(1)
+	}
+	denom := s.sn.conditionBDenominator(s.c, s.normQSq, ipK)
+	if denom <= 0 {
+		return "A", math.Inf(-1)
+	}
+	return "B", s.chi * denom
+}
+
+// conditions is stopFrom applied to one frontier distance.
+func (s *query) conditions(dist float64) string {
+	if reason, from := s.stopFrom(); dist*dist >= from {
+		return reason
+	}
+	return ""
+}
+
+// conditionsAtRadius is the test after a range has been consumed whole:
+// the frontier is the scanned radius itself.
+func (s *query) conditionsAtRadius(r float64) string {
+	ipK, full := s.top.kth()
+	if !full {
+		return ""
+	}
+	denom := s.sn.conditionBDenominator(s.c, s.normQSq, ipK)
+	if denom <= 0 {
+		return "A"
+	}
+	if stats.ChiSquareCDF(s.sn.m, r*r/denom) >= s.p {
+		return "B"
+	}
+	return ""
+}
+
+// orderedPass consumes cands in ascending projected distance — verifying
+// each, testing the termination conditions at its distance — and returns
+// the condition that ended the query, "" when the candidates ran out first.
+// window lists the positions in cands already handled by the pre-ranking
+// pass (their seen members are in sc.seen) and ests the cached sketch
+// estimates, both empty for a pass without pre-ranking.
+//
+// Only candidates that can still win are ordered. One linear pass first
+// drops the points the query does not admit and sets aside, as seen, every
+// candidate the current ⟨omax^k,q⟩ already dismisses; the survivors alone
+// go through the lazy stream and are re-tested against the live ⟨omax^k,q⟩
+// at their turn. Because dismissal is monotone, a candidate dismissed here
+// is one the full ordered walk would have dismissed at its turn, so the
+// verified sequence, the top-k and every page read are those of ordering
+// everything. A set-aside candidate still advances the frontier at its own
+// distance, but at a fixed top-k the conditions are monotone in distance:
+// between two survivors they can only fire if they fire at the later one's
+// distance. Only then does one scan of the seen set look for the earliest
+// seen candidate in the gap at which the full walk would have stopped.
+// NormPruned counts the set-aside candidates the full walk would have
+// reached, i.e. those ordered no later than where the pass ends.
+func (s *query) orderedPass(cands []idistance.Candidate, window []int32, ests []float64) (string, error) {
+	sc := s.sc
+	fromWindow := len(sc.seen) // counted by the pre-ranking pass already
+	survivors := cands[:0]
+	for i, cand := range cands {
+		if len(window) > 0 && window[0] == int32(i) {
+			window = window[1:]
+			continue
+		}
+		if !s.admits(cand.ID) {
+			continue
+		}
+		var est *float64
+		if len(ests) > 0 {
+			est = &ests[i]
+		}
+		if s.dismissed(cand.ID, est) {
+			sc.seen = append(sc.seen, cand)
+		} else {
+			survivors = append(survivors, cand)
+		}
+	}
+	s.ordered += len(survivors)
+	setAside := sc.seen[fromWindow:]
+	countReached := func(end idistance.Candidate) {
+		for _, c := range setAside {
+			if idistance.CompareCandidates(c, end) <= 0 {
+				s.st.NormPruned++
+			}
+		}
+	}
+
+	sc.stream.Init(survivors)
+	prev := idistance.Candidate{Dist: math.Inf(-1)}
+	for {
+		cand, more := sc.stream.Next()
+		if !more {
+			cand = idistance.Candidate{Dist: math.Inf(1), ID: math.MaxUint32}
+		}
+		if !more || s.conditions(cand.Dist) != "" {
+			if at, reason := s.firstStop(prev, cand); reason != "" {
+				countReached(at)
+				return reason, nil
+			}
+		}
+		if !more {
+			countReached(cand)
+			return "", nil
+		}
+		if _, err := s.verify(cand); err != nil {
+			countReached(cand) // a runaway query reports its stats too
+			return "", err
+		}
+		if reason := s.conditions(cand.Dist); reason != "" {
+			countReached(cand)
+			return reason, nil
+		}
+		prev = cand
+	}
+}
+
+// firstStop finds the earliest seen candidate strictly between two
+// consecutive survivors at whose distance the conditions hold for the
+// current top-k — where a walk over every candidate would have stopped —
+// and the condition; reason is "" when there is none.
+func (s *query) firstStop(after, before idistance.Candidate) (at idistance.Candidate, reason string) {
+	cond, from := s.stopFrom()
+	if cond == "" {
+		return at, ""
+	}
+	for _, c := range s.sc.seen {
+		if c.Dist*c.Dist >= from && idistance.CompareCandidates(after, c) < 0 &&
+			idistance.CompareCandidates(c, before) < 0 &&
+			(reason == "" || idistance.CompareCandidates(c, at) < 0) {
+			at, reason = c, cond
+		}
+	}
+	return at, reason
+}
+
+// scanAll replaces whatever the top-k holds with the EXACT top-k over the
+// view's live, admitted points: the un-compacted entries through scanMem,
+// then every stored vector through the store's sequential scorer. It is how
+// a runaway query finishes — an exact answer satisfies any (c, p) with
+// probability 1 — and it is all of Exact.
+func (s *query) scanAll() error {
+	sn, sc := s.sn, s.sc
+	s.top.reset(s.k)
+	// The entries scanMem prunes were counted by the query's first scan.
+	if _, err := sn.scanMem(s.ctx, s.q, s.normQSq, sn.memLUT(s.q, &sc.lut), s.top, &s.params); err != nil {
+		return err
+	}
+	layout := sn.idist.Layout() // the store is written in this order
+	keep := func(pos int) bool { return s.admits(layout[pos]) }
+	emit := func(pos int, ip float64) {
+		s.st.Candidates++
+		s.top.offer(layout[pos], ip)
+	}
+	var err error
+	sc.scanBuf, err = sn.orig.ScanDot(s.ctx, s.q, sc.scanBuf, s.io, keep, emit)
+	return err
 }
 
 // quickProbe implements Algorithm 2: rank the sign-code groups by their
@@ -562,17 +750,17 @@ func (sn *snapshot) searchIncremental(ctx context.Context, q []float32, k int, p
 	return sc.takeResults(), st, nil
 }
 
-// Exact scans the whole dataset through the store and returns the true
-// top-k MIP points. It is the ground truth used by the overall-ratio and
-// recall metrics and by tests of the probability guarantee. Like the
-// approximate paths it runs against a call-time snapshot, so it is safe
-// for concurrent use and never blocks updates. Cancelling ctx stops the
-// scan between store pages and returns ctx.Err() — the scan is linear in
-// the dataset, so a fanned-out exact merge (promips/shard) needs the same
-// cancellation point the approximate paths have. Un-compacted entries go
-// through the same exactly-pruned scanMem as the approximate paths (a
-// pruned entry provably cannot be in the top-k), and the layout walk scores
-// four stored vectors per pass of the row-interleaved kernel.
+// Exact scans the whole dataset and returns the true top-k MIP points. It
+// is the ground truth used by the overall-ratio and recall metrics and by
+// tests of the probability guarantee. Like the approximate paths it runs
+// against a call-time snapshot, so it is safe for concurrent use and never
+// blocks updates. Cancelling ctx stops the scan between store reads and
+// returns ctx.Err() — the scan is linear in the dataset, so a fanned-out
+// exact merge (promips/shard) needs the same cancellation point the
+// approximate paths have. It is scanAll, the walk a runaway Search finishes
+// with: un-compacted entries through the exactly-pruned scanMem (a pruned
+// entry provably cannot be in the top-k), stored vectors through the
+// store's pool-bypassing sequential scorer.
 func (ix *Index) Exact(ctx context.Context, q []float32, k int) ([]Result, error) {
 	sn, err := ix.snapshot()
 	if err != nil {
@@ -583,59 +771,19 @@ func (ix *Index) Exact(ctx context.Context, q []float32, k int) ([]Result, error
 }
 
 func (sn *snapshot) exact(ctx context.Context, q []float32, k int) ([]Result, error) {
-	if len(q) != sn.d {
-		return nil, fmt.Errorf("core: %w: query dim %d, want %d", errs.ErrDimMismatch, len(q), sn.d)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("core: k must be positive, got %d", k)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if live := sn.liveCount(); k > live {
-		k = live
-	}
-	if k == 0 {
-		return nil, fmt.Errorf("core: %w: index has no live points", errs.ErrEmptyIndex)
-	}
-	top := newTopK(k)
-	if _, err := sn.scanMem(ctx, q, vec.Norm2Sq(q), sn.memLUT(q, new([]float64)), top, nil); err != nil {
+	_, _, k, err := sn.beginSearch(q, k, SearchParams{})
+	if err != nil {
 		return nil, err
 	}
-	rd := sn.orig.NewReader()
-	layout := sn.idist.Layout()
-	var batch [4]int // layout positions of live points awaiting one Dot4At
-	nb := 0
-	for pos := 0; pos < sn.n; pos++ {
-		// Checking every position would put a branch on ctx into the inner
-		// loop for nothing: 256 positions are at most a few pages of I/O.
-		if pos&255 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		// The reader walks layout order; recover the id from the layout.
-		if !sn.live(layout[pos]) {
-			continue
-		}
-		batch[nb] = pos
-		if nb++; nb == len(batch) {
-			ips, err := rd.Dot4At(batch, q, nil)
-			if err != nil {
-				return nil, err
-			}
-			for i, ip := range ips {
-				top.offer(layout[batch[i]], ip)
-			}
-			nb = 0
-		}
+	sc := getScratch(sn)
+	defer putScratch(sc)
+	s := sn.newQuery(ctx, sc, q, k, 0, 0, SearchParams{})
+	s.io = nil
+	if err := s.scanAll(); err != nil {
+		return nil, err
 	}
-	for _, pos := range batch[:nb] {
-		ip, err := rd.DotAt(pos, q, nil)
-		if err != nil {
-			return nil, err
-		}
-		top.offer(layout[pos], ip)
-	}
-	return top.results, nil
+	return sc.takeResults(), nil
 }

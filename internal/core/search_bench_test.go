@@ -1,0 +1,68 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"promips/internal/dataset"
+)
+
+// BenchmarkSearchCold measures Search where verification dominates: the
+// e2ebench cold-large shard (Netflix generator, n=25,000, d=300, the default
+// 1024-page pool against an 8,334-page vector file), k=10, with member
+// queries and with out-of-sample ones (dataset.Spec.Queries), which prune
+// nothing and end in the sequential scan. Beside ns/op it reports two counts
+// that repeat exactly at a fixed -benchtime Nx: ordered/query, the candidates
+// handed to the lazy sort, and store-reads/query, the read calls issued
+// against the vector file.
+//
+//	go test ./internal/core -run NONE -bench SearchCold -benchtime 256x
+func BenchmarkSearchCold(b *testing.B) {
+	const n, k = 25000, 10
+	spec := dataset.Netflix()
+	data := spec.Generate(n, 20210419)
+	ix := buildIndex(b, data, Options{Seed: 20210419, M: 6, Fsync: FsyncDisabled})
+	member := make([][]float32, 256)
+	for i := range member {
+		member[i] = data[i*(n/len(member))]
+	}
+	arms := []struct {
+		name    string
+		queries [][]float32
+	}{
+		{"member", member},
+		{"out-of-sample", spec.Queries(64, 20210419)},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			ctx := context.Background()
+			sn, err := ix.snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ordered := 0
+			for _, q := range arm.queries {
+				sc := getScratch(sn)
+				s := sn.newQuery(ctx, sc, q, k, sn.optC, sn.optP, SearchParams{})
+				_, _, err := s.finish(s.run())
+				ordered += s.ordered
+				putScratch(sc)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			sn.release()
+			before := ix.orig.Pager().Stats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ix.Search(arm.queries[i%len(arm.queries)], k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			reads := ix.orig.Pager().Stats().Sub(before).FileReads
+			b.ReportMetric(float64(ordered)/float64(len(arm.queries)), "ordered/query")
+			b.ReportMetric(float64(reads)/float64(b.N), "store-reads/query")
+		})
+	}
+}

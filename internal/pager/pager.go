@@ -62,13 +62,16 @@ const (
 // Stats counts I/O activity. Accesses is the number of logical page reads
 // issued through the pager; Hits the buffer-pool hits among them; Misses
 // the pool misses (pages actually read from the file); Evictions the pages
-// CLOCK pushed out of the pool to make room.
+// CLOCK pushed out of the pool to make room; FileReads the read calls issued
+// against the file to serve the misses (one per missed page for Read, one per
+// gap-free span for ReadRun, one per ReadDirect however many pages it spans).
 type Stats struct {
 	Accesses  int64
 	Hits      int64
 	Misses    int64
 	Evictions int64
 	Writes    int64
+	FileReads int64
 }
 
 // Sub returns s - t component-wise; callers snapshot Stats around a query to
@@ -80,6 +83,7 @@ func (s Stats) Sub(t Stats) Stats {
 		Misses:    s.Misses - t.Misses,
 		Evictions: s.Evictions - t.Evictions,
 		Writes:    s.Writes - t.Writes,
+		FileReads: s.FileReads - t.FileReads,
 	}
 }
 
@@ -92,6 +96,7 @@ func (s Stats) Add(t Stats) Stats {
 		Misses:    s.Misses + t.Misses,
 		Evictions: s.Evictions + t.Evictions,
 		Writes:    s.Writes + t.Writes,
+		FileReads: s.FileReads + t.FileReads,
 	}
 }
 
@@ -217,11 +222,19 @@ type Pager struct {
 
 	missLatency time.Duration
 
+	// mutSeq counts Alloc and Write calls (bumped under the shard lock, after
+	// the dirty entry is installed); syncedSeq is mutSeq as the last completed
+	// Sync sampled it before flushing. They are equal exactly when the file
+	// holds every page's current bytes, which is what ReadDirect requires.
+	mutSeq    atomic.Int64
+	syncedSeq atomic.Int64
+
 	accesses  atomic.Int64
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 	writes    atomic.Int64
+	fileReads atomic.Int64
 }
 
 // Options configures a Pager.
@@ -319,6 +332,9 @@ func (p *Pager) NumPages() int64 { return p.numPages.Load() }
 // SizeBytes returns the on-disk size of the page file.
 func (p *Pager) SizeBytes() int64 { return p.numPages.Load() * int64(p.pageSize) }
 
+// PoolPages returns the buffer pool's capacity in pages.
+func (p *Pager) PoolPages() int64 { return p.shardN * int64(p.shards[0].cap) }
+
 // Shards returns the number of buffer-pool stripes in use (diagnostics).
 func (p *Pager) Shards() int { return int(p.shardN) }
 
@@ -332,6 +348,7 @@ func (p *Pager) Stats() Stats {
 		Misses:    p.misses.Load(),
 		Evictions: p.evictions.Load(),
 		Writes:    p.writes.Load(),
+		FileReads: p.fileReads.Load(),
 	}
 }
 
@@ -342,6 +359,7 @@ func (p *Pager) ResetStats() {
 	p.misses.Store(0)
 	p.evictions.Store(0)
 	p.writes.Store(0)
+	p.fileReads.Store(0)
 }
 
 // Alloc appends a zeroed page and returns its id. The id is reserved from
@@ -354,6 +372,7 @@ func (p *Pager) Alloc() (int64, error) {
 	sh.mu.Lock()
 	e := &poolEntry{id: id, data: make([]byte, p.pageSize), dirty: true}
 	sh.insert(p, e)
+	p.mutSeq.Add(1)
 	sh.mu.Unlock()
 	for {
 		cur := p.numPages.Load()
@@ -414,7 +433,7 @@ func (p *Pager) readMiss(sh *shard, id int64) ([]byte, error) {
 	sh.mu.RUnlock()
 	p.misses.Add(1)
 	data := make([]byte, p.pageSize)
-	_, readErr := p.f.ReadAt(data, id*int64(p.pageSize))
+	_, readErr := p.readAt(data, id)
 	if p.missLatency > 0 {
 		time.Sleep(p.missLatency)
 	}
@@ -428,13 +447,20 @@ func (p *Pager) readMiss(sh *shard, id int64) ([]byte, error) {
 		// Locked re-read: nothing can write or flush this shard's pages now,
 		// and any raced Write has been fully flushed (its eviction completed
 		// under an earlier hold of this lock).
-		if _, err := p.f.ReadAt(data, id*int64(p.pageSize)); err != nil {
+		if _, err := p.readAt(data, id); err != nil {
 			return nil, fmt.Errorf("pager: read page %d: %w", id, err)
 		}
 	}
 	e := &poolEntry{id: id, data: data}
 	sh.insert(p, e)
 	return data, nil
+}
+
+// readAt fills buf from the file starting at page first: every read the
+// pager issues goes through here, so FileReads counts them all.
+func (p *Pager) readAt(buf []byte, first int64) (int, error) {
+	p.fileReads.Add(1)
+	return p.f.ReadAt(buf, first*int64(p.pageSize))
 }
 
 // ReadRun returns the contents of the n consecutive pages starting at
@@ -526,7 +552,7 @@ func (p *Pager) readChunk(start, end int64, out [][]byte) error {
 			spanEnd++
 		}
 		span := chunkSpan{first: id, end: spanEnd, buf: make([]byte, int(spanEnd-id)*p.pageSize)}
-		if _, err := p.f.ReadAt(span.buf, id*int64(p.pageSize)); err != nil && readErr == nil {
+		if _, err := p.readAt(span.buf, id); err != nil && readErr == nil {
 			readErr = err
 		}
 		spans = append(spans, span)
@@ -546,7 +572,7 @@ func (p *Pager) readChunk(start, end int64, out [][]byte) error {
 			// flush, or missing (EOF racing an Alloc): re-read the span
 			// under the lock, serialized with this shard's writes/flushes,
 			// skipping pages the pool resolved meanwhile below.
-			if _, err := p.f.ReadAt(span.buf, span.first*int64(p.pageSize)); err != nil {
+			if _, err := p.readAt(span.buf, span.first); err != nil {
 				return fmt.Errorf("pager: read pages [%d,%d): %w", span.first, span.end, err)
 			}
 		}
@@ -562,6 +588,49 @@ func (p *Pager) readChunk(start, end int64, out [][]byte) error {
 			sh.insert(p, e)
 			out[id-start] = e.data
 		}
+	}
+	return nil
+}
+
+// ErrUnsyncedPages is returned by ReadDirect when a page has been allocated
+// or written since the last completed Sync: the file may not hold its
+// current bytes, and only the buffer pool knows which pages those are.
+var ErrUnsyncedPages = errors.New("pager: direct read with unsynced pages")
+
+// ReadDirect fills buf — a whole number of pages — with the consecutive
+// pages starting at first, using ONE file read that bypasses the buffer
+// pool: nothing is looked up, allocated, installed or evicted. It is the
+// read of a sequential scan over a file far larger than the pool, which
+// would otherwise evict the pool's whole working set to install pages it
+// never touches again. Every page is still accounted as one access and one
+// miss, in io and in the shared counters, and the call sleeps MissLatency
+// once, like one ReadRun span.
+//
+// The file is the only source, so the call is refused with ErrUnsyncedPages
+// unless every page's current bytes are in it; a caller that scans a file
+// still being written must Sync first and must not race the scan with
+// Writes (an immutable, finalized file — the vector store — does neither).
+func (p *Pager) ReadDirect(first int64, buf []byte, io *IOStats) error {
+	n := len(buf) / p.pageSize
+	if n*p.pageSize != len(buf) {
+		return fmt.Errorf("pager: direct read of %d bytes is not a whole number of %d-byte pages", len(buf), p.pageSize)
+	}
+	if first < 0 || first+int64(n) > p.numPages.Load() {
+		return fmt.Errorf("%w: run [%d,%d) (have %d)", ErrPageOutOfRange, first, first+int64(n), p.numPages.Load())
+	}
+	if p.mutSeq.Load() != p.syncedSeq.Load() {
+		return ErrUnsyncedPages
+	}
+	for i := 0; i < n; i++ {
+		io.record(p.id, first+int64(i))
+	}
+	p.accesses.Add(int64(n))
+	p.misses.Add(int64(n))
+	if _, err := p.readAt(buf, first); err != nil {
+		return fmt.Errorf("pager: read pages [%d,%d): %w", first, first+int64(n), err)
+	}
+	if p.missLatency > 0 {
+		time.Sleep(p.missLatency)
 	}
 	return nil
 }
@@ -609,10 +678,10 @@ func (p *Pager) Write(id int64, data []byte) error {
 		e.data = append([]byte(nil), data...)
 		e.dirty = true
 		e.ref.Store(true)
-		return nil
+	} else {
+		sh.insert(p, &poolEntry{id: id, data: append([]byte(nil), data...), dirty: true})
 	}
-	e := &poolEntry{id: id, data: append([]byte(nil), data...), dirty: true}
-	sh.insert(p, e)
+	p.mutSeq.Add(1)
 	return nil
 }
 
@@ -658,6 +727,7 @@ func (p *Pager) flushEntry(e *poolEntry) {
 
 // Sync flushes all dirty pages to the file.
 func (p *Pager) Sync() error {
+	seq := p.mutSeq.Load()
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
@@ -672,7 +742,14 @@ func (p *Pager) Sync() error {
 		}
 		sh.mu.Unlock()
 	}
-	return p.f.Sync()
+	if err := p.f.Sync(); err != nil {
+		return err
+	}
+	// Every write counted in seq installed its entry before bumping the
+	// counter, so the loop above saw and flushed it; a write that raced the
+	// loop bumped past seq and keeps the pager marked unsynced.
+	p.syncedSeq.Store(seq)
+	return nil
 }
 
 // DropPool flushes and empties the buffer pool, so subsequent reads count as

@@ -2,6 +2,7 @@ package pager
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -410,4 +411,97 @@ func TestConcurrentPerQueryAccounting(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("concurrent accounting failed: %v", err)
 	}
+}
+
+// TestReadDirect: the pool-bypassing read returns, for every page, the bytes
+// Read returns — on the pager that wrote them (after Sync) and on the file
+// reopened — with one file read however many pages it spans, every page
+// accounted as an access and a miss, and the pool untouched. It is refused
+// while any page allocated or written since the last Sync may exist only in
+// the pool.
+func TestReadDirect(t *testing.T) {
+	const pageSize, pages, pool = 128, 40, 8
+	path := filepath.Join(t.TempDir(), "pages.db")
+	p, err := Create(path, Options{PageSize: pageSize, PoolSize: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, pages*pageSize)
+	if _, err := p.Alloc(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ReadDirect(0, buf[:pageSize], nil); !errors.Is(err, ErrUnsyncedPages) {
+		t.Fatalf("direct read of a freshly allocated page returned %v, want ErrUnsyncedPages", err)
+	}
+	for id := int64(0); id < pages; id++ {
+		if id > 0 {
+			if _, err := p.Alloc(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Write(id, bytes.Repeat([]byte{byte(id + 1)}, pageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.ReadDirect(0, buf, nil); !errors.Is(err, ErrUnsyncedPages) {
+		t.Fatalf("direct read before Sync returned %v, want ErrUnsyncedPages", err)
+	}
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(name string, p *Pager) {
+		t.Helper()
+		before := p.Stats()
+		var io IOStats
+		if err := p.ReadDirect(0, buf, &io); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		delta := p.Stats().Sub(before)
+		if delta.Accesses != pages || delta.Misses != pages || delta.FileReads != 1 || delta.Hits != 0 || delta.Evictions != 0 {
+			t.Fatalf("%s: direct read of %d pages recorded %+v", name, pages, delta)
+		}
+		if io.Pages() != pages || io.Reads != pages {
+			t.Fatalf("%s: IOStats saw %d pages in %d reads, want %d", name, io.Pages(), io.Reads, pages)
+		}
+		for id := int64(0); id < pages; id++ {
+			want, err := p.Read(id, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf[id*pageSize:(id+1)*pageSize], want) {
+				t.Fatalf("%s: page %d differs from Read", name, id)
+			}
+		}
+		// A run in the middle, and the refusals.
+		if err := p.ReadDirect(7, buf[:3*pageSize], nil); err != nil || buf[0] != 8 || buf[2*pageSize] != 10 {
+			t.Fatalf("%s: direct read of pages [7,10): err=%v first bytes %d, %d", name, err, buf[0], buf[2*pageSize])
+		}
+		if err := p.ReadDirect(pages-1, buf[:2*pageSize], nil); !errors.Is(err, ErrPageOutOfRange) {
+			t.Fatalf("%s: direct read past the end returned %v", name, err)
+		}
+		if err := p.ReadDirect(0, buf[:pageSize+1], nil); err == nil {
+			t.Fatalf("%s: direct read of a partial page succeeded", name)
+		}
+	}
+	check("synced", p)
+	// One write makes the file stale for that page until the next Sync.
+	if err := p.Write(3, bytes.Repeat([]byte{0xEE}, pageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ReadDirect(0, buf, nil); !errors.Is(err, ErrUnsyncedPages) {
+		t.Fatalf("direct read after a Write returned %v, want ErrUnsyncedPages", err)
+	}
+	if err := p.Write(3, bytes.Repeat([]byte{4}, pageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil { // Close syncs
+		t.Fatal(err)
+	}
+	reopened, err := Open(path, Options{PageSize: pageSize, PoolSize: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	check("reopened", reopened)
 }

@@ -262,22 +262,35 @@ func (s *Sketch) estimateCodes(codes []byte, lut []float64) float64 {
 }
 
 // Bound returns an EXACT upper bound on ⟨o_id, q⟩: the sketch estimate plus
-// the point's quantization residual times ‖q‖ (normQ), widened by a
-// relative epsilon that dominates the float64 accumulation error (without
-// it, a zero-residual point — one that IS a codeword — would rest the
-// bound on bit-for-bit rounding agreement between two differently ordered
-// dot products). A candidate whose Bound cannot beat the current k-th
-// inner product provably cannot enter the top-k, so its disk verification
-// can be skipped with no probability spent.
+// the point's quantization residual times ‖q‖ (normQ), pushed outward by
+// widen. A candidate whose Bound cannot beat the current
+// k-th inner product provably cannot enter the top-k, so its disk
+// verification can be skipped with no probability spent.
 func (s *Sketch) Bound(id uint32, lut []float64, normQ float64) float64 {
-	return s.BoundCodes(s.row(id), s.resid[id], lut, normQ)
+	return s.BoundEstimate(id, s.Estimate(id, lut), normQ)
+}
+
+// BoundEstimate is Bound for a caller that already holds est =
+// Estimate(id, lut) — the search path computes every collected candidate's
+// estimate once, to pre-rank, and bounds from that instead of walking the
+// codes again. The result is bit-identical to Bound.
+func (s *Sketch) BoundEstimate(id uint32, est, normQ float64) float64 {
+	return widen(est + float64(s.resid[id])*normQ)
 }
 
 // BoundCodes is Bound for a vector held outside the sketch: codes and resid
 // are what Encode returned for it under THIS sketch's codebooks (codes from
 // another sketch index a different table and bound nothing).
 func (s *Sketch) BoundCodes(codes []byte, resid float32, lut []float64, normQ float64) float64 {
-	b := s.estimateCodes(codes, lut) + float64(resid)*normQ
+	return widen(s.estimateCodes(codes, lut) + float64(resid)*normQ)
+}
+
+// widen pushes a bound outward by a relative epsilon that dominates the
+// float64 accumulation error of the estimate (without it, a zero-residual
+// point — one that IS a codeword — would rest the bound on bit-for-bit
+// rounding agreement between two differently ordered dot products). Every
+// bound the sketch hands out goes through here.
+func widen(b float64) float64 {
 	if b >= 0 {
 		return b * (1 + 1e-9)
 	}

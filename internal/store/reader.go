@@ -99,25 +99,6 @@ func (r *Reader) DotAt(posn int, q []float32, io *pager.IOStats) (float64, error
 	return vec.DotBytes(entry, q), nil
 }
 
-// Dot4At is DotAt for four layout positions at once, scored in one pass of
-// the row-interleaved kernel (vec.Dot4Bytes) — the linear-scan form: each
-// result is bit-identical to DotAt of its position. Page slices stay valid
-// after they rotate out of the window, so four positions on four different
-// pages are fine.
-func (r *Reader) Dot4At(posn [4]int, q []float32, io *pager.IOStats) (ips [4]float64, err error) {
-	if len(q) != r.s.dim {
-		return ips, fmt.Errorf("store: query dim %d, want %d", len(q), r.s.dim)
-	}
-	var entries [4][]byte
-	for i, p := range posn {
-		if entries[i], err = r.entry(p, io); err != nil {
-			return ips, err
-		}
-	}
-	ips[0], ips[1], ips[2], ips[3] = vec.Dot4Bytes(entries[0], entries[1], entries[2], entries[3], q)
-	return ips, nil
-}
-
 // Vector reads the vector with the given id into dst (reused when large
 // enough), like Store.Vector but through the pinned window.
 func (r *Reader) Vector(id uint32, dst []float32, io *pager.IOStats) ([]float32, error) {

@@ -85,37 +85,6 @@ func TestReaderDotMatchesVector(t *testing.T) {
 			t.Fatalf("random id %d mismatch", id)
 		}
 	}
-
-	// The four-row form: any four positions — neighbours on one page,
-	// strays on four different ones — each bit-identical to its own DotAt,
-	// with the same page accounting; and the same errors.
-	rd3, rd4 := st.NewReader(), st.NewReader()
-	var io3, io4 pager.IOStats
-	for trial := 0; trial < 200; trial++ {
-		posn := [4]int{trial % len(data), (trial + 1) % len(data), rng.Intn(len(data)), rng.Intn(len(data))}
-		got, err := rd3.Dot4At(posn, q, &io3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range posn {
-			want, err := rd4.DotAt(p, q, &io4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("Dot4At position %d: %x, DotAt %x", p, math.Float64bits(got[i]), math.Float64bits(want))
-			}
-		}
-	}
-	if io3.Pages() != io4.Pages() || io3.Reads != io4.Reads {
-		t.Fatalf("Dot4At touched %d pages in %d reads, DotAt %d in %d", io3.Pages(), io3.Reads, io4.Pages(), io4.Reads)
-	}
-	if _, err := rd3.Dot4At([4]int{0, 1, 2, len(data)}, q, nil); err == nil {
-		t.Fatal("Dot4At accepted an out-of-range position")
-	}
-	if _, err := rd3.Dot4At([4]int{0, 1, 2, 3}, q[:5], nil); err == nil {
-		t.Fatal("Dot4At accepted a short query")
-	}
 }
 
 func TestReaderVectorAndReset(t *testing.T) {

@@ -172,6 +172,9 @@ const (
 type Result = core.Result
 
 // SearchStats describes the work a query performed; see core.SearchStats.
+// TerminatedBy is "A", "B", "exhausted" or "scan" (the query fell back to
+// one sequential scan and its results are the exact top-k); a sharded
+// search joins its shards' distinct reasons with "+".
 type SearchStats = core.SearchStats
 
 // DegradedStats reports a degraded sharded fan-out — which shards answered
