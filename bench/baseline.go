@@ -370,7 +370,7 @@ func MeasureInsertAck(updaters int, seed int64) (*InsertAckReport, error) {
 			return 0, err
 		}
 		defer os.RemoveAll(dir)
-		ix, err := core.Build(data, dir, core.Options{M: 5, Seed: seed + 1, Fsync: fsync})
+		ix, err := core.Build(context.Background(), data, dir, core.Options{M: 5, Seed: seed + 1, Fsync: fsync})
 		if err != nil {
 			return 0, err
 		}

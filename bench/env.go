@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -214,7 +215,7 @@ func (e *Env) BuildProMIPS(popts ProMIPSOptions) (Built, error) {
 		opts.Seed = e.Cfg.Seed
 	}
 	start := time.Now()
-	ix, err := core.Build(e.Data, dir, opts)
+	ix, err := core.Build(context.Background(), e.Data, dir, opts)
 	if err != nil {
 		return Built{}, fmt.Errorf("build ProMIPS: %w", err)
 	}

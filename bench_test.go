@@ -102,7 +102,7 @@ func searchBenchEnv(b *testing.B) (*bench.Env, *core.Index) {
 			searchErr = err
 			return
 		}
-		searchIx, searchErr = core.Build(searchEnv.Data, dir, core.Options{M: 6, Seed: 1})
+		searchIx, searchErr = core.Build(context.Background(), searchEnv.Data, dir, core.Options{M: 6, Seed: 1})
 		if searchErr != nil {
 			return
 		}
@@ -291,7 +291,7 @@ func BenchmarkFig4Preprocess(b *testing.B) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			b.Fatal(err)
 		}
-		ix, err := core.Build(env.Data, dir, core.Options{M: 6, Seed: int64(i)})
+		ix, err := core.Build(context.Background(), env.Data, dir, core.Options{M: 6, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -391,7 +391,7 @@ func BenchmarkFig11ImpactP(b *testing.B) {
 func BenchmarkConcurrentThroughput(b *testing.B) {
 	env, _ := sharedEnv(b)
 	dir := b.TempDir()
-	ix, err := core.Build(env.Data, dir, core.Options{M: 6, Seed: 7})
+	ix, err := core.Build(context.Background(), env.Data, dir, core.Options{M: 6, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}

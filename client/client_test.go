@@ -25,8 +25,8 @@ type scriptRT struct {
 }
 
 type scriptStep struct {
-	err    error       // transport-level failure (response never arrives)
-	status int         // else: canned HTTP response
+	err    error // transport-level failure (response never arrives)
+	status int   // else: canned HTTP response
 	body   string
 	header http.Header
 }

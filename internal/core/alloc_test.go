@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime/debug"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; counts are only meaningful without it")
 	}
 	data := dataset.Netflix().Generate(1000, 5)
-	ix, err := Build(data, t.TempDir(), Options{M: 6, Seed: 5})
+	ix, err := Build(context.Background(), data, t.TempDir(), Options{M: 6, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,12 @@
 // (internal/idistance) and the original-vector store (internal/store) —
 // into the pre-process and searching process of the paper's Fig. 2:
 //
-//	Pre-process:  project points → compute norms and sign codes for
-//	              Quick-Probe → build iDistance → lay original points out
-//	              on disk in sub-partition order.
+//	Pre-process:  project points and compute norms and sign codes for
+//	              Quick-Probe; then, side by side, the in-memory PQ sketch
+//	              and the disk half — build iDistance, lay original points
+//	              out on disk in sub-partition order. On every core, same
+//	              bytes at any core count (Build; DESIGN.md, "Build
+//	              pipeline").
 //	Search:       Quick-Probe locates a point whose projected distance
 //	              seeds a range search (Algorithm 3 / MIP-Search-II);
 //	              candidates are verified by true inner product; Conditions
@@ -20,6 +23,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -31,6 +35,7 @@ import (
 	"promips/internal/fsutil"
 	"promips/internal/idistance"
 	"promips/internal/pager"
+	"promips/internal/par"
 	"promips/internal/pq"
 	"promips/internal/randproj"
 	"promips/internal/store"
@@ -367,9 +372,25 @@ type RecoveryStats struct {
 	TruncatedBytes int64
 }
 
+// buildGrain is how many points one per-point pool task of Build covers
+// (about a millisecond of projection and norms at d = 300).
+const buildGrain = 1024
+
 // Build constructs an index over data in dir (page files are created
 // there). Point i keeps id uint32(i).
-func Build(data [][]float32, dir string, opts Options) (*Index, error) {
+//
+// The work runs on runtime.GOMAXPROCS(0) workers (internal/par) and writes
+// the same bytes at any worker count: per-point tasks fill their own slots,
+// reductions across points are done after the join in index order, and the
+// two independent halves of the index — the in-memory PQ sketch, and the
+// iDistance index with the vector store laid out in its order — are built
+// side by side from inputs neither modifies. DESIGN.md, "Build pipeline",
+// has the stage graph.
+//
+// ctx is tested between pool tasks and between stages; once it is done Build
+// closes the page files it created and returns ctx.Err(). Files already
+// written stay in dir, as after any other failed Build.
+func Build(ctx context.Context, data [][]float32, dir string, opts Options) (*Index, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
@@ -391,26 +412,34 @@ func Build(data [][]float32, dir string, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("core: m=%d exceeds %d", m, randproj.MaxM)
 	}
 
-	// Pre-process step 1: 2-stable projections.
+	// Stage 1, per point on the pool: 2-stable projections, and the norms
+	// and sign codes Quick-Probe and Condition A read.
 	proj := randproj.New(d, m, opts.Seed)
-	projected := proj.ProjectAll(data)
-
-	// Pre-process step 2: norms and binary codes for Quick-Probe.
 	ix := &Index{
 		opts: opts, n: n, d: d, m: m, proj: proj,
 		norm2Sq: make([]float64, n),
 		norm1:   make([]float64, n),
 		codes:   make([]uint32, n),
 	}
+	projected := make([][]float32, n)
+	err := par.Range(ctx, n, buildGrain, func(lo, hi int) {
+		copy(projected[lo:hi], proj.ProjectAll(data[lo:hi]))
+		for i := lo; i < hi; i++ {
+			ix.norm2Sq[i] = vec.Norm2Sq(data[i])
+			ix.norm1[i] = vec.Norm1(data[i])
+			ix.codes[i] = randproj.Code(projected[i])
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	// The reductions over points, in index order: ‖oM‖², and each sign-code
+	// group's smallest 1-norm (the first point wins a tie).
 	byCode := make(map[uint32]*group)
-	for i, o := range data {
-		ix.norm2Sq[i] = vec.Norm2Sq(o)
-		ix.norm1[i] = vec.Norm1(o)
+	for i, code := range ix.codes {
 		if ix.norm2Sq[i] > ix.maxNorm2Sq {
 			ix.maxNorm2Sq = ix.norm2Sq[i]
 		}
-		code := randproj.Code(projected[i])
-		ix.codes[i] = code
 		g, ok := byCode[code]
 		if !ok {
 			byCode[code] = &group{code: code, minNorm1: ix.norm1[i], minID: uint32(i), count: 1}
@@ -427,59 +456,45 @@ func Build(data [][]float32, dir string, opts Options) (*Index, error) {
 	}
 	sort.Slice(ix.groups, func(i, j int) bool { return ix.groups[i].code < ix.groups[j].code })
 
-	// Pre-process step 2b: PQ sketch codes over the original vectors, kept
-	// in memory to pre-rank candidate verification (16 bytes per point).
-	sk, err := pq.BuildSketch(data, pq.SketchConfig{Seed: opts.Seed})
+	// Stage 2, two halves side by side. The PQ sketch — codes over the
+	// original vectors, kept in memory to pre-rank candidate verification
+	// (16 bytes per point) — is more than half of a build and shares only
+	// data with the disk half, so it runs on a goroutine of its own while
+	// this one builds the disk half. It is joined before Build returns,
+	// whichever half fails.
+	var skErr error
+	sketchDone := make(chan struct{})
+	go func() {
+		defer close(sketchDone)
+		ix.sketch, skErr = pq.BuildSketch(ctx, data, pq.SketchConfig{Seed: opts.Seed})
+	}()
+	idx, st, err := buildDisk(ctx, data, projected, dir, opts)
+	<-sketchDone
 	if err != nil {
 		return nil, err
 	}
-	ix.sketch = sk
-
-	// Pre-process step 3: iDistance over the projected points.
-	idx, err := idistance.Build(projected, dir, idistance.Config{
-		Kp: opts.Kp, Nkey: opts.Nkey, Ksp: opts.Ksp, Epsilon: opts.Epsilon,
-		Seed: opts.Seed, PageSize: opts.PageSize, PoolSize: opts.PoolSize,
-		MissLatency: opts.MissLatency,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ix.idist = idx
-
-	// Pre-process step 4: original points on disk in sub-partition order,
-	// so verification reads are sequential.
-	w, err := store.Create(dir+"/orig.data", d, n, pager.Options{PageSize: opts.PageSize, PoolSize: opts.PoolSize, MissLatency: opts.MissLatency})
-	if err != nil {
-		idx.Close()
-		return nil, err
-	}
-	for _, id := range idx.Layout() {
-		if err := w.Append(id, data[id]); err != nil {
-			idx.Close()
-			return nil, err
-		}
-	}
-	st, err := w.Finalize()
-	if err != nil {
-		idx.Close()
-		return nil, err
-	}
-	ix.orig = st
-
-	// Pre-process step 5: a fresh update journal. Build may target a
-	// directory that held an older index, so any stale wal.log is
-	// truncated, not replayed — and stale seg files are removed for the
-	// same reason (they belong to the older index's update stream).
-	if err := removeSegFiles(opts.fsys(), dir); err != nil {
+	closeDisk := func() {
 		idx.Close()
 		st.Close()
+	}
+	if skErr != nil {
+		closeDisk()
+		return nil, skErr
+	}
+	ix.idist, ix.orig = idx, st
+
+	// Stage 3: a fresh update journal. Build may target a directory that
+	// held an older index, so any stale wal.log is truncated, not replayed —
+	// and stale seg files are removed for the same reason (they belong to
+	// the older index's update stream).
+	if err := removeSegFiles(opts.fsys(), dir); err != nil {
+		closeDisk()
 		return nil, err
 	}
 	if opts.Fsync != FsyncDisabled {
 		j, err := wal.Create(opts.fsys(), filepath.Join(dir, "wal.log"), opts.syncMode())
 		if err != nil {
-			idx.Close()
-			st.Close()
+			closeDisk()
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		ix.journal = j
@@ -490,6 +505,51 @@ func Build(data [][]float32, dir string, opts Options) (*Index, error) {
 	ix.ref = newGenRef(idx, st)
 	ix.startFlusher()
 	return ix, nil
+}
+
+// buildDisk writes the disk half of an index: the iDistance index over the
+// projected points, then the original vectors in its sub-partition order so
+// that verification reads are sequential. On failure, cancellation included,
+// it closes the page files it created.
+func buildDisk(ctx context.Context, data, projected [][]float32, dir string, opts Options) (*idistance.Index, *store.Store, error) {
+	idx, err := idistance.Build(ctx, projected, dir, idistance.Config{
+		Kp: opts.Kp, Nkey: opts.Nkey, Ksp: opts.Ksp, Epsilon: opts.Epsilon,
+		Seed: opts.Seed, PageSize: opts.PageSize, PoolSize: opts.PoolSize,
+		MissLatency: opts.MissLatency,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := writeStore(ctx, data, idx.Layout(), dir, opts)
+	if err != nil {
+		idx.Close()
+		return nil, nil, err
+	}
+	return idx, st, nil
+}
+
+// writeStore writes data to dir's vector store in layout order.
+func writeStore(ctx context.Context, data [][]float32, layout []uint32, dir string, opts Options) (st *store.Store, err error) {
+	w, err := store.Create(dir+"/orig.data", len(data[0]), len(data), pager.Options{PageSize: opts.PageSize, PoolSize: opts.PoolSize, MissLatency: opts.MissLatency})
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			w.Close()
+		}
+	}()
+	for pos, id := range layout {
+		if pos%buildGrain == 0 {
+			if err = ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if err = w.Append(id, data[id]); err != nil {
+			return nil, err
+		}
+	}
+	return w.Finalize()
 }
 
 // removeSegFiles deletes stale segment flush files in dir — Build's

@@ -23,7 +23,7 @@ func randData(r *rand.Rand, n, d int) [][]float32 {
 
 func buildIndex(t testing.TB, data [][]float32, opts Options) *Index {
 	t.Helper()
-	ix, err := Build(data, t.TempDir(), opts)
+	ix, err := Build(context.Background(), data, t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,17 +41,17 @@ func bruteTopK(data [][]float32, q []float32, k int) []Result {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build(nil, t.TempDir(), Options{}); err == nil {
+	if _, err := Build(context.Background(), nil, t.TempDir(), Options{}); err == nil {
 		t.Fatal("expected error for empty dataset")
 	}
-	if _, err := Build([][]float32{{1, 2}, {1}}, t.TempDir(), Options{}); err == nil {
+	if _, err := Build(context.Background(), [][]float32{{1, 2}, {1}}, t.TempDir(), Options{}); err == nil {
 		t.Fatal("expected error for ragged dataset")
 	}
 	data := [][]float32{{1, 2}, {3, 4}}
-	if _, err := Build(data, t.TempDir(), Options{C: 1.5}); err == nil {
+	if _, err := Build(context.Background(), data, t.TempDir(), Options{C: 1.5}); err == nil {
 		t.Fatal("expected error for c >= 1")
 	}
-	if _, err := Build(data, t.TempDir(), Options{P: -0.5}); err == nil {
+	if _, err := Build(context.Background(), data, t.TempDir(), Options{P: -0.5}); err == nil {
 		t.Fatal("expected error for p <= 0")
 	}
 }

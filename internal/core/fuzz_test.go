@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"math/rand"
@@ -19,7 +20,7 @@ func realMetaBytes(tb testing.TB) []byte {
 	r := rand.New(rand.NewSource(9))
 	data := randData(r, 40, 6)
 	dir := tb.TempDir()
-	ix, err := Build(data, dir, Options{Seed: 10, M: 4})
+	ix, err := Build(context.Background(), data, dir, Options{Seed: 10, M: 4})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestOpenCorruptMeta(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	data := randData(r, 40, 6)
 	dir := t.TempDir()
-	ix, err := Build(data, dir, Options{Seed: 22, M: 4})
+	ix, err := Build(context.Background(), data, dir, Options{Seed: 22, M: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func capture(t *testing.T, res []Result, st SearchStats) goldenQuery {
 // go test ./internal/core -run TestSearchGolden -update-golden
 func TestSearchGolden(t *testing.T) {
 	data := dataset.Netflix().Generate(1500, 11)
-	ix, err := Build(data, t.TempDir(), Options{M: 6, Seed: 3})
+	ix, err := Build(context.Background(), data, t.TempDir(), Options{M: 6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func backlogIndex(t testing.TB, dir string) (*Index, [][]float32) {
 	t.Helper()
 	const n, inserts = 1500, 700
 	all := dataset.Netflix().Generate(n+inserts+200, 13)
-	ix, err := Build(all[:n], dir, Options{Seed: 7, M: 6, SegmentEntries: 256})
+	ix, err := Build(context.Background(), all[:n], dir, Options{Seed: 7, M: 6, SegmentEntries: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestEntryCodesFollowGeneration(t *testing.T) {
 	base := t.TempDir()
 	// An 8-page pool under a 15-page vector file: the forced scans read
 	// around the pool, as they do on an index larger than its cache.
-	ix, err := Build(all[:n], base, Options{Seed: 3, M: 5, SegmentEntries: 64, Fsync: FsyncDisabled, PoolSize: 8})
+	ix, err := Build(context.Background(), all[:n], base, Options{Seed: 3, M: 5, SegmentEntries: 64, Fsync: FsyncDisabled, PoolSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -9,7 +10,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	data := randData(r, 700, 14)
 	dir := t.TempDir()
-	ix, err := Build(data, dir, Options{Seed: 32, M: 5, C: 0.9, P: 0.6})
+	ix, err := Build(context.Background(), data, dir, Options{Seed: 32, M: 5, C: 0.9, P: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}

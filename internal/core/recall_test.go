@@ -16,7 +16,7 @@ import (
 // that a tuning knob drifted.
 func TestRecallParityWithPrerank(t *testing.T) {
 	data := dataset.Netflix().Generate(1500, 7)
-	ix, err := Build(data, t.TempDir(), Options{M: 6, Seed: 7})
+	ix, err := Build(context.Background(), data, t.TempDir(), Options{M: 6, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRecallParityWithPrerank(t *testing.T) {
 // evaluation of that id).
 func TestPruneIsExact(t *testing.T) {
 	data := dataset.Netflix().Generate(800, 9)
-	ix, err := Build(data, t.TempDir(), Options{M: 6, Seed: 9})
+	ix, err := Build(context.Background(), data, t.TempDir(), Options{M: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,9 +299,10 @@ func (ix *Index) DeltaCount() int {
 // the new generation — and Compact returns the valid remap alongside the
 // error.
 //
-// Cancellation is honored between the snapshot, build and swap phases; on
-// ctx expiry the index is left untouched and partially written files in dir
-// are the caller's to clean up.
+// Cancellation is honored between the snapshot, build and swap phases and
+// inside the build (it runs under ctx; see Build); on ctx expiry the index
+// is left untouched and partially written files in dir are the caller's to
+// clean up.
 //
 // Error contract: error with a nil remap means nothing happened — ix is
 // untouched, still serving (and journaling into) the old generation, and
@@ -363,7 +364,7 @@ func (ix *Index) Compact(ctx context.Context, dir string, persist func(next *Ind
 		return nil, err
 	}
 	opts.noFlusher = true
-	next, err := Build(liveData, dir, opts)
+	next, err := Build(ctx, liveData, dir, opts)
 	if err != nil {
 		return nil, err
 	}

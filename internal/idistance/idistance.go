@@ -16,6 +16,7 @@
 package idistance
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -103,8 +104,10 @@ type Candidate struct {
 }
 
 // Build constructs the index over the projected points in dir. Point i's id
-// is uint32(i).
-func Build(projected [][]float32, dir string, cfg Config) (*Index, error) {
+// is uint32(i). ctx is tested after the first-stage clustering and before
+// every ring; once it is done Build closes its page files and returns
+// ctx.Err().
+func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (*Index, error) {
 	cfg.normalize()
 	n := len(projected)
 	if n == 0 {
@@ -118,6 +121,9 @@ func Build(projected [][]float32, dir string, cfg Config) (*Index, error) {
 
 	// Stage 1: kp-means over the projected points.
 	res := kmeans.Run(projected, kmeans.Config{K: cfg.Kp, Seed: cfg.Seed})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	kp := len(res.Centroids)
 
 	// Ring width ε from the average first-stage radius (§VI).
@@ -196,6 +202,10 @@ func Build(projected [][]float32, dir string, cfg Config) (*Index, error) {
 	// slack.
 	rw := idx.newRingWriter()
 	for _, key := range keys {
+		if err := ctx.Err(); err != nil {
+			idx.closeAll()
+			return nil, err
+		}
 		ids := rings[key]
 		pts := make([][]float32, len(ids))
 		for j, id := range ids {

@@ -24,7 +24,7 @@ func randPoints(r *rand.Rand, n, m int, scale float64) [][]float32 {
 
 func buildTestIndex(t testing.TB, pts [][]float32, cfg Config) *Index {
 	t.Helper()
-	idx, err := Build(pts, t.TempDir(), cfg)
+	idx, err := Build(context.Background(), pts, t.TempDir(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +44,14 @@ func bruteRange(pts [][]float32, q []float32, r float64) map[uint32]float64 {
 }
 
 func TestBuildEmpty(t *testing.T) {
-	if _, err := Build(nil, t.TempDir(), Config{}); err == nil {
+	if _, err := Build(context.Background(), nil, t.TempDir(), Config{}); err == nil {
 		t.Fatal("expected error for empty dataset")
 	}
 }
 
 func TestBuildEntryTooLarge(t *testing.T) {
 	pts := randPoints(rand.New(rand.NewSource(1)), 10, 100, 1)
-	if _, err := Build(pts, t.TempDir(), Config{PageSize: 256}); err == nil {
+	if _, err := Build(context.Background(), pts, t.TempDir(), Config{PageSize: 256}); err == nil {
 		t.Fatal("expected error: 100-dim entry exceeds 256B page")
 	}
 }
@@ -307,7 +307,7 @@ func TestPropertyRangeSearchComplete(t *testing.T) {
 		m := 3 + r.Intn(5)
 		pts := randPoints(r, n, m, 5)
 		dir := t.TempDir()
-		idx, err := Build(pts, dir, Config{Kp: 1 + r.Intn(4), Nkey: 5 + r.Intn(30),
+		idx, err := Build(context.Background(), pts, dir, Config{Kp: 1 + r.Intn(4), Nkey: 5 + r.Intn(30),
 			Ksp: 1 + r.Intn(8), Seed: seed, PageSize: 512})
 		if err != nil {
 			return false

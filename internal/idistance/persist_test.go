@@ -10,7 +10,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	pts := randPoints(r, 900, 6, 10)
 	dir := t.TempDir()
-	idx, err := Build(pts, dir, Config{Kp: 4, Nkey: 15, Ksp: 6, Seed: 31, PageSize: 512})
+	idx, err := Build(context.Background(), pts, dir, Config{Kp: 4, Nkey: 15, Ksp: 6, Seed: 31, PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

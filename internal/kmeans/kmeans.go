@@ -66,12 +66,7 @@ func Run(data [][]float32, cfg Config) Result {
 		iters = iter + 1
 		changed := 0
 		for i, p := range data {
-			best, bestD := 0, math.Inf(1)
-			for c, cent := range cents {
-				if d := vec.L2DistSq(p, cent); d < bestD {
-					best, bestD = c, d
-				}
-			}
+			best := nearest(p, cents)
 			if assign[i] != best {
 				assign[i] = best
 				changed++
@@ -93,6 +88,38 @@ func Run(data [][]float32, cfg Config) Result {
 		}
 	}
 	return Result{Centroids: cents, Assign: assign, Radii: radii, Sizes: sizes, Iterations: iters}
+}
+
+// nearest returns the index of the centroid closest to p, the first one on
+// ties. Centroids are scored four per pass (vec.L2DistSq4: one add chain per
+// centroid instead of one in all) and compared in index order, so the
+// distances and the first-strictly-smaller winner are those of a one-by-one
+// vec.L2DistSq(p, cent) loop (the kernel takes the difference the other way
+// round; its square is the same float).
+func nearest(p []float32, cents [][]float32) int {
+	best, bestD := 0, math.Inf(1)
+	c := 0
+	for ; c+4 <= len(cents); c += 4 {
+		d0, d1, d2, d3 := vec.L2DistSq4(cents[c], cents[c+1], cents[c+2], cents[c+3], p)
+		if d0 < bestD {
+			best, bestD = c, d0
+		}
+		if d1 < bestD {
+			best, bestD = c+1, d1
+		}
+		if d2 < bestD {
+			best, bestD = c+2, d2
+		}
+		if d3 < bestD {
+			best, bestD = c+3, d3
+		}
+	}
+	for ; c < len(cents); c++ {
+		if d := vec.L2DistSq(cents[c], p); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
 }
 
 // seedPlusPlus chooses k initial centroids with k-means++ (D² sampling).

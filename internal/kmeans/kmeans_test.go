@@ -182,3 +182,36 @@ func TestPropertyInertiaImproves(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNearestMatchesOneByOne pins the four-at-a-time assignment step to the
+// loop it replaced — vec.L2DistSq against each centroid in turn, first
+// strictly smaller distance wins — for centroid counts on both sides of the
+// group of four, with duplicated centroids so that ties occur.
+func TestNearestMatchesOneByOne(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for k := 1; k <= 11; k++ {
+		for trial := 0; trial < 200; trial++ {
+			cents := make([][]float32, k)
+			for c := range cents {
+				if c > 0 && r.Intn(3) == 0 {
+					cents[c] = cents[r.Intn(c)]
+					continue
+				}
+				cents[c] = []float32{float32(r.Intn(5)), float32(r.NormFloat64()), float32(r.NormFloat64())}
+			}
+			p := cents[r.Intn(k)]
+			if trial%2 == 0 {
+				p = []float32{float32(r.Intn(5)), float32(r.NormFloat64()), float32(r.NormFloat64())}
+			}
+			want, wantD := 0, vec.L2DistSq(p, cents[0])
+			for c, cent := range cents {
+				if d := vec.L2DistSq(p, cent); d < wantD {
+					want, wantD = c, d
+				}
+			}
+			if got := nearest(p, cents); got != want {
+				t.Fatalf("k=%d trial=%d: nearest=%d, one-by-one loop says %d", k, trial, got, want)
+			}
+		}
+	}
+}

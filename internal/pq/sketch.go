@@ -2,11 +2,13 @@ package pq
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"math"
 
 	"promips/internal/kmeans"
+	"promips/internal/par"
 	"promips/internal/vec"
 )
 
@@ -73,10 +75,19 @@ func (c *SketchConfig) normalize(d int) {
 	}
 }
 
+// encodeGrain is how many points one Encode pool task quantizes: a few
+// milliseconds of work, so tasks balance across workers and a cancelled
+// build stops promptly.
+const encodeGrain = 512
+
 // BuildSketch trains the per-subspace codebooks on (a sample of) data and
 // encodes every point. Point i's codes row is i, matching the ids the
-// ProMIPS core assigns at Build.
-func BuildSketch(data [][]float32, cfg SketchConfig) (*Sketch, error) {
+// ProMIPS core assigns at Build. The subspaces train, and then the points
+// encode, as tasks of the build worker pool (internal/par): each subspace
+// draws from its own seed and each point writes its own codes row, so the
+// sketch is the same at every worker count. A done ctx stops the build
+// between tasks and is returned as ctx.Err().
+func BuildSketch(ctx context.Context, data [][]float32, cfg SketchConfig) (*Sketch, error) {
 	n := len(data)
 	if n == 0 {
 		return nil, fmt.Errorf("pq: sketch over empty dataset")
@@ -100,40 +111,47 @@ func BuildSketch(data [][]float32, cfg SketchConfig) (*Sketch, error) {
 		stride = n / cfg.TrainSample
 	}
 
-	for sub := 0; sub < cfg.Subspaces; sub++ {
+	err := par.Do(ctx, cfg.Subspaces, func(sub int) {
 		lo := sub * subDim
 		sample := make([][]float32, 0, n/stride+1)
 		for i := 0; i < n; i += stride {
 			sample = append(sample, subChunk(data[i], lo, subDim, nil))
 		}
 		res := kmeans.Run(sample, kmeans.Config{K: cfg.Centroids, Seed: cfg.Seed + int64(sub)*131, MaxIter: cfg.MaxIter})
-		k := len(res.Centroids)
-		book := make([]float32, k*subDim)
+		book := make([]float32, len(res.Centroids)*subDim)
 		for ci, cent := range res.Centroids {
 			copy(book[ci*subDim:], cent)
 		}
 		s.codebooks[sub] = book
-		if sub == 0 {
-			s.centroids = k
-		} else if k != s.centroids {
-			// Degenerate data can reduce a codebook below K; pad with copies
-			// of the last centroid so every subspace has the same table
-			// geometry (codes never reference the padding: Encode keeps the
-			// first of equidistant codewords).
-			if k < s.centroids {
-				pad := make([]float32, s.centroids*subDim)
-				copy(pad, book)
-				for ci := k; ci < s.centroids; ci++ {
-					copy(pad[ci*subDim:], book[(k-1)*subDim:k*subDim])
-				}
-				s.codebooks[sub] = pad
-			} else {
-				s.codebooks[sub] = book[:s.centroids*subDim]
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Subspace 0 fixes the codebook size. Degenerate data can leave another
+	// codebook with fewer centroids; pad it with copies of its last one so
+	// every subspace has the same table geometry (codes never reference the
+	// padding: Encode keeps the first of equidistant codewords).
+	s.centroids = len(s.codebooks[0]) / subDim
+	for sub, book := range s.codebooks {
+		k := len(book) / subDim
+		if k < s.centroids {
+			pad := make([]float32, s.centroids*subDim)
+			copy(pad, book)
+			for ci := k; ci < s.centroids; ci++ {
+				copy(pad[ci*subDim:], book[(k-1)*subDim:k*subDim])
 			}
+			s.codebooks[sub] = pad
+		} else {
+			s.codebooks[sub] = book[:s.centroids*subDim]
 		}
 	}
-	for i, o := range data {
-		s.resid[i] = s.Encode(o, s.codes[i*cfg.Subspaces:(i+1)*cfg.Subspaces])
+	err = par.Range(ctx, n, encodeGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s.resid[i] = s.Encode(data[i], s.codes[i*cfg.Subspaces:(i+1)*cfg.Subspaces])
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -149,20 +167,40 @@ func BuildSketch(data [][]float32, cfg SketchConfig) (*Sketch, error) {
 func (s *Sketch) Encode(v []float32, codes []byte) float32 {
 	var residSq float64
 	var pad []float32 // the ragged last chunk, zero-padded to subDim
+	sd := s.subDim
 	for sub := 0; sub < s.subspaces; sub++ {
-		lo := sub * s.subDim
+		lo := sub * sd
 		var c []float32
-		if lo+s.subDim <= len(v) {
-			c = v[lo : lo+s.subDim]
+		if lo+sd <= len(v) {
+			c = v[lo : lo+sd]
 		} else {
-			pad = subChunk(v, lo, s.subDim, pad)
+			pad = subChunk(v, lo, sd, pad)
 			c = pad
 		}
+		// Codewords are scored four per pass (vec.L2DistSq4) and compared in
+		// index order: the distances and the winner — codeword 0 until one
+		// is strictly smaller — are those of a one-by-one vec.L2DistSq loop.
 		book := s.codebooks[sub]
 		best, bestD := 0, float64(0)
-		for ci := 0; ci < s.centroids; ci++ {
-			dd := vec.L2DistSq(c, book[ci*s.subDim:(ci+1)*s.subDim])
-			if ci == 0 || dd < bestD {
+		ci := 0
+		for ; ci+4 <= s.centroids; ci += 4 {
+			rows := book[ci*sd : (ci+4)*sd]
+			d0, d1, d2, d3 := vec.L2DistSq4(rows[:sd], rows[sd:2*sd], rows[2*sd:3*sd], rows[3*sd:], c)
+			if ci == 0 || d0 < bestD {
+				best, bestD = ci, d0
+			}
+			if d1 < bestD {
+				best, bestD = ci+1, d1
+			}
+			if d2 < bestD {
+				best, bestD = ci+2, d2
+			}
+			if d3 < bestD {
+				best, bestD = ci+3, d3
+			}
+		}
+		for ; ci < s.centroids; ci++ {
+			if dd := vec.L2DistSq(book[ci*sd:(ci+1)*sd], c); ci == 0 || dd < bestD {
 				best, bestD = ci, dd
 			}
 		}

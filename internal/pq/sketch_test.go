@@ -1,6 +1,8 @@
 package pq
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -27,7 +29,7 @@ func TestSketchBoundIsUpperBound(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, d := range []int{7, 32, 300} {
 		data := randVecs(r, 300, d)
-		s, err := BuildSketch(data, SketchConfig{Seed: 5})
+		s, err := BuildSketch(context.Background(), data, SketchConfig{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +57,7 @@ func TestSketchEstimateQuality(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	const d = 64
 	data := randVecs(r, 500, d)
-	s, err := BuildSketch(data, SketchConfig{Seed: 5})
+	s, err := BuildSketch(context.Background(), data, SketchConfig{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestSketchEstimateQuality(t *testing.T) {
 func TestSketchMarshalRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	data := randVecs(r, 120, 40)
-	s, err := BuildSketch(data, SketchConfig{Seed: 2})
+	s, err := BuildSketch(context.Background(), data, SketchConfig{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestUnmarshalSketchRejectsGarbage(t *testing.T) {
 	// too: truncate the codes of a real sketch.
 	r := rand.New(rand.NewSource(23))
 	data := randVecs(r, 50, 16)
-	s, err := BuildSketch(data, SketchConfig{Seed: 2})
+	s, err := BuildSketch(context.Background(), data, SketchConfig{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestUnmarshalSketchRejectsGarbage(t *testing.T) {
 func TestSketchLowDim(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	data := randVecs(r, 9, 3)
-	s, err := BuildSketch(data, SketchConfig{Seed: 1})
+	s, err := BuildSketch(context.Background(), data, SketchConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestSketchLowDim(t *testing.T) {
 func TestEncodeBoundIsUpperBound(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for _, d := range []int{7, 32, 300} {
-		s, err := BuildSketch(randVecs(r, 300, d), SketchConfig{Seed: 5})
+		s, err := BuildSketch(context.Background(), randVecs(r, 300, d), SketchConfig{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +208,7 @@ func TestEncodeMatchesBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	for _, d := range []int{3, 40, 300} {
 		data := randVecs(r, 150, d)
-		s, err := BuildSketch(data, SketchConfig{Seed: 2})
+		s, err := BuildSketch(context.Background(), data, SketchConfig{Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,6 +219,45 @@ func TestEncodeMatchesBuild(t *testing.T) {
 			resid := s.Encode(v, codes)
 			if got, want := s.BoundCodes(codes, resid, lut, vec.Norm2(q)), s.Bound(uint32(id), lut, vec.Norm2(q)); got != want {
 				t.Fatalf("d=%d id=%d: BoundCodes(Encode) %v != Bound %v", d, id, got, want)
+			}
+		}
+	}
+}
+
+// TestEncodeMatchesOneByOne pins Encode's four-codewords-at-a-time scoring
+// to the loop it replaced — vec.L2DistSq of the chunk against each codeword
+// in turn, codeword 0 until one is strictly closer — codes and residual
+// alike, for codebook sizes on both sides of the group of four and a ragged
+// last chunk.
+func TestEncodeMatchesOneByOne(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for _, centroids := range []int{1, 3, 4, 6, 16} {
+		for _, d := range []int{5, 32, 300} {
+			s, err := BuildSketch(context.Background(), randVecs(r, 200, d), SketchConfig{Seed: 3, Centroids: centroids})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range randVecs(r, 50, d) {
+				codes := make([]byte, s.Subspaces())
+				resid := s.Encode(v, codes)
+				var residSq float64
+				for sub := range codes {
+					c := subChunk(v, sub*s.subDim, s.subDim, nil)
+					best, bestD := 0, float64(0)
+					for ci := 0; ci < s.centroids; ci++ {
+						dd := vec.L2DistSq(c, s.codebooks[sub][ci*s.subDim:(ci+1)*s.subDim])
+						if ci == 0 || dd < bestD {
+							best, bestD = ci, dd
+						}
+					}
+					if int(codes[sub]) != best {
+						t.Fatalf("centroids=%d d=%d sub=%d: code %d, one-by-one loop says %d", centroids, d, sub, codes[sub], best)
+					}
+					residSq += bestD
+				}
+				if want := float32(math.Sqrt(residSq)) * (1 + 1e-6); resid != want {
+					t.Fatalf("centroids=%d d=%d: residual %v, one-by-one loop says %v", centroids, d, resid, want)
+				}
 			}
 		}
 	}

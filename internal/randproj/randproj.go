@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"promips/internal/vec"
 )
 
 // MaxM bounds the projected dimension so sign codes fit a uint32 group key.
@@ -70,12 +72,17 @@ func (p *Projector) ProjectInto(o []float32, dst []float32) []float32 {
 		dst = make([]float32, p.m)
 	}
 	dst = dst[:p.m]
-	for i, row := range p.rows {
-		var s float64
-		for j, v := range row {
-			s += float64(v) * float64(o[j])
-		}
-		dst[i] = float32(s)
+	// Each Pᵢ(o) is one float64 sum in ascending coordinate order. Rows go
+	// through vec.Dot4 four at a time — four independent add chains instead
+	// of one latency-bound chain per row — which keeps every sum's order.
+	rows := p.rows
+	i := 0
+	for ; i+4 <= p.m; i += 4 {
+		s0, s1, s2, s3 := vec.Dot4(rows[i], rows[i+1], rows[i+2], rows[i+3], o)
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = float32(s0), float32(s1), float32(s2), float32(s3)
+	}
+	for ; i < p.m; i++ {
+		dst[i] = float32(vec.Dot(rows[i], o))
 	}
 	return dst
 }

@@ -82,6 +82,31 @@ func TestProjectDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestProjectMatchesRowByRowSum pins ProjectInto's four-rows-at-a-time walk
+// to the loop it replaced — one float64 sum per row in ascending coordinate
+// order — bit for bit, for every m around the group-of-four boundary.
+func TestProjectMatchesRowByRowSum(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for m := 1; m <= 10; m++ {
+		for _, d := range []int{1, 3, 4, 7, 300} {
+			p := New(d, m, int64(100*m+d))
+			for trial := 0; trial < 20; trial++ {
+				o := randVec(r, d)
+				got := p.Project(o)
+				for i, row := range p.rows {
+					var s float64
+					for j, v := range row {
+						s += float64(v) * float64(o[j])
+					}
+					if math.Float32bits(got[i]) != math.Float32bits(float32(s)) {
+						t.Fatalf("m=%d d=%d row %d: Project %v != row sum %v", m, d, i, got[i], float32(s))
+					}
+				}
+			}
+		}
+	}
+}
+
 // Lemma 1/2 Monte-Carlo check: dis²(P(o),P(q))/dis²(o,q) over many random
 // projectors follows χ²(m) — mean m, variance 2m.
 func TestLemma2ChiSquareDistribution(t *testing.T) {

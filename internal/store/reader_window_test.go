@@ -145,7 +145,7 @@ func TestReaderAcrossShardedPool(t *testing.T) {
 	for i := range data {
 		v := make([]float32, dim)
 		for j := range v {
-			v[j] = float32((i+1)*(j+2) % 97)
+			v[j] = float32((i + 1) * (j + 2) % 97)
 		}
 		data[i] = v
 		if err := w.Append(uint32(i), v); err != nil {

@@ -116,6 +116,10 @@ func (w *Writer) Append(id uint32, v []float32) error {
 	return nil
 }
 
+// Close abandons an unfinished store and releases its page file. After a
+// successful Finalize the file belongs to the Store, which is closed instead.
+func (w *Writer) Close() error { return w.st.pg.Close() }
+
 func (w *Writer) flush() error {
 	if w.cur < 0 {
 		return nil

@@ -157,6 +157,31 @@ func l2Kernel(a, b []float32) float64 {
 	return s
 }
 
+// L2DistSq4 returns ‖a0−b‖₂² … ‖a3−b‖₂², each ==-identical to
+// L2DistSq(ai, b): Dot4's trick for the squared distance — four rows, four
+// independent accumulators, each in ascending index order. The nearest-
+// centroid loops of index construction (kmeans.Run's assignment step,
+// pq.Sketch.Encode) score four centroids per pass through it; it panics on a
+// dimension mismatch like L2DistSq.
+func L2DistSq4(a0, a1, a2, a3, b []float32) (s0, s1, s2, s3 float64) {
+	n := len(b)
+	if len(a0) != n || len(a1) != n || len(a2) != n || len(a3) != n {
+		panic(fmt.Sprintf("vec: L2DistSq4 dimension mismatch %d/%d/%d/%d != %d", len(a0), len(a1), len(a2), len(a3), n))
+	}
+	for i, q := range b {
+		f := float64(q)
+		d0 := float64(a0[i]) - f
+		s0 += d0 * d0
+		d1 := float64(a1[i]) - f
+		s1 += d1 * d1
+		d2 := float64(a2[i]) - f
+		s2 += d2 * d2
+		d3 := float64(a3[i]) - f
+		s3 += d3 * d3
+	}
+	return
+}
+
 // DotBytes returns ⟨o,b⟩ where o is the len(b)-dimensional encoded vector
 // at the start of buf — bit-identical to Dot(Decode(buf, len(b), nil), b)
 // with no decode buffer. It panics when buf is too short, mirroring Dot's

@@ -147,6 +147,59 @@ func TestDot4BitIdentical(t *testing.T) {
 	Dot4(make([]float32, 3), make([]float32, 4), make([]float32, 4), make([]float32, 4), make([]float32, 4))
 }
 
+// TestL2DistSq4BitIdentical pins the four-row distance kernel to L2DistSq
+// the way TestDot4BitIdentical pins Dot4: every length 0–67 (empty, every
+// residue of L2DistSq's 4-way unroll, longer runs), plain and adversarial
+// payloads, each row's result equal to its own L2DistSq bit for bit.
+func TestL2DistSq4BitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	for n := 0; n <= 67; n++ {
+		for trial := 0; trial < 20; trial++ {
+			gen := randVec
+			if trial%2 == 1 {
+				gen = advVec
+			}
+			rows := [4][]float32{gen(rng, n), gen(rng, n), gen(rng, n), gen(rng, n)}
+			q := gen(rng, n)
+			var got [4]float64
+			got[0], got[1], got[2], got[3] = L2DistSq4(rows[0], rows[1], rows[2], rows[3], q)
+			for r, row := range rows {
+				if want := L2DistSq(row, q); !bitsEqual(got[r], want) {
+					t.Fatalf("n=%d trial=%d row %d: L2DistSq4 %v != L2DistSq %v", n, trial, r, got[r], want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("L2DistSq4 accepted a short row")
+		}
+	}()
+	L2DistSq4(make([]float32, 4), make([]float32, 4), make([]float32, 3), make([]float32, 4), make([]float32, 4))
+}
+
+// FuzzL2DistSq4 cross-checks the four-row kernel against L2DistSq on
+// fuzzer-chosen bytes: the input is cut into five equal vectors, four rows
+// and the shared operand.
+func FuzzL2DistSq4(f *testing.F) {
+	f.Add(make([]byte, 20))
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 128, 127, 0, 0, 128, 255, 255, 255, 255, 127, 1, 0, 0, 0, 0, 0, 0, 128, 9, 9, 9, 9, 0, 0, 64, 64, 0, 0, 160, 64})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		n := len(raw) / 20
+		var v [5][]float32
+		for i := range v {
+			v[i] = Decode(raw[4*n*i:], n, nil)
+		}
+		var got [4]float64
+		got[0], got[1], got[2], got[3] = L2DistSq4(v[0], v[1], v[2], v[3], v[4])
+		for r := range got {
+			if want := L2DistSq(v[r], v[4]); !bitsEqual(got[r], want) {
+				t.Fatalf("n=%d row %d: L2DistSq4=%x want %x", n, r, math.Float64bits(got[r]), math.Float64bits(want))
+			}
+		}
+	})
+}
+
 // TestF32View checks the aliasing contract: same values as Decode, shared
 // memory, empty views, and the short-buffer panic.
 func TestF32View(t *testing.T) {
@@ -245,6 +298,28 @@ func BenchmarkDot4Rows300(b *testing.B) {
 	for i := 0; i+4 <= b.N; i += 4 {
 		j := i % len(rows)
 		s0, s1, s2, s3 := Dot4(rows[j], rows[j+1], rows[j+2], rows[j+3], q)
+		sinkDot += s0 + s1 + s2 + s3
+	}
+}
+
+// BenchmarkL2DistSqRows19 and BenchmarkL2DistSq4Rows19 score the same rows
+// against one chunk at the PQ sketch's subspace width (d=300 over 16
+// subspaces), where index construction spends most of its time; ns/op is
+// per ROW in both.
+func BenchmarkL2DistSqRows19(b *testing.B) {
+	rows, q := benchRows(4096, 19)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkDot += L2DistSq(rows[i%len(rows)], q)
+	}
+}
+
+func BenchmarkL2DistSq4Rows19(b *testing.B) {
+	rows, q := benchRows(4096, 19)
+	b.ResetTimer()
+	for i := 0; i+4 <= b.N; i += 4 {
+		j := i % len(rows)
+		s0, s1, s2, s3 := L2DistSq4(rows[j], rows[j+1], rows[j+2], rows[j+3], q)
 		sinkDot += s0 + s1 + s2 + s3
 	}
 }

@@ -268,7 +268,9 @@ type Index struct {
 }
 
 // Build constructs an index over data. Every point must share one
-// dimensionality; point i is identified by uint32(i) in results.
+// dimensionality; point i is identified by uint32(i) in results. The work
+// runs on runtime.GOMAXPROCS(0) workers and the index written is the same,
+// byte for byte, at any worker count.
 func Build(data [][]float32, opts Options) (*Index, error) {
 	dir := opts.Dir
 	ownsDir := false
@@ -293,7 +295,7 @@ func Build(data [][]float32, opts Options) (*Index, error) {
 	if opts.segFlushSync {
 		coreOpts = coreOpts.WithSyncSegmentFlush()
 	}
-	inner, err := core.Build(data, dir, coreOpts)
+	inner, err := core.Build(context.Background(), data, dir, coreOpts)
 	if err != nil {
 		if ownsDir {
 			os.RemoveAll(dir)

@@ -32,6 +32,7 @@ import (
 
 	"promips"
 	"promips/internal/fsutil"
+	"promips/internal/par"
 )
 
 // Options configures Build.
@@ -87,7 +88,9 @@ type Index struct {
 // Build constructs a sharded index over data, assigning point i to shard
 // i%K as local point i/K — global ids come out identical to an unsharded
 // Build over the same data. Each shard must receive at least one point,
-// so len(data) >= K is required.
+// so len(data) >= K is required. Shards build side by side; if any fail, the
+// lowest-numbered failure is returned after every shard that did build has
+// been closed (and a temporary root removed).
 func Build(data [][]float32, opts Options) (*Index, error) {
 	k := opts.Shards
 	if k == 0 {
@@ -121,35 +124,44 @@ func Build(data [][]float32, opts Options) (*Index, error) {
 	for i, v := range data {
 		parts[i%k] = append(parts[i%k], v)
 	}
-	ix := &Index{shardSet: shardSet{dir: dir, children: make([]*promips.Index, 0, k)}, fs: fsys, ownsDir: ownsDir}
-	for s := 0; s < k; s++ {
+	// The children share nothing — own seed, own directory, own slice of
+	// the data — so they build as tasks of the build worker pool, as many
+	// at once as there are workers, each parallel inside as well. A failure
+	// stops shards that have not started; tasks start in shard order, so
+	// those all lie above the failed one.
+	children := make([]*promips.Index, k)
+	errs := make([]error, k)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	par.Do(ctx, k, func(s int) {
 		childDir := filepath.Join(dir, shardDirName(s))
-		if err := os.MkdirAll(childDir, 0o755); err != nil {
-			ix.abortBuild()
-			return nil, fmt.Errorf("shard: %w", err)
+		if errs[s] = os.MkdirAll(childDir, 0o755); errs[s] == nil {
+			childOpts := opts.Index
+			childOpts.Dir = childDir
+			childOpts.Seed += int64(s)
+			children[s], errs[s] = promips.Build(parts[s], childOpts.WithFS(fsys))
 		}
-		childOpts := opts.Index
-		childOpts.Dir = childDir
-		childOpts.Seed += int64(s)
-		child, err := promips.Build(parts[s], childOpts.WithFS(fsys))
-		if err != nil {
-			ix.abortBuild()
-			return nil, fmt.Errorf("shard: build shard %d: %w", s, err)
+		if errs[s] != nil {
+			cancel()
 		}
-		ix.children = append(ix.children, child)
+	})
+	for s, err := range errs {
+		if err == nil {
+			continue
+		}
+		// The lowest-numbered failure is reported; tear down the shards
+		// that did build, and the root if Build created it.
+		for _, c := range children {
+			if c != nil {
+				c.Close()
+			}
+		}
+		if ownsDir {
+			os.RemoveAll(dir)
+		}
+		return nil, fmt.Errorf("shard: build shard %d: %w", s, err)
 	}
-	return ix, nil
-}
-
-// abortBuild tears down a partially built index: close what was built and
-// remove the root if Build created it.
-func (ix *Index) abortBuild() {
-	for _, c := range ix.children {
-		c.Close()
-	}
-	if ix.ownsDir {
-		os.RemoveAll(ix.dir)
-	}
+	return &Index{shardSet: shardSet{dir: dir, children: children}, fs: fsys, ownsDir: ownsDir}, nil
 }
 
 // Open loads a sharded index previously persisted with Save: the SHARDS
