@@ -1,20 +1,23 @@
-// Package btree implements a disk-resident B+-tree over a pager.Pager. It is
-// the "single B+-tree" that makes iDistance a lightweight index in the
-// paper's sense: int64 keys (iDistance ring keys) map to variable-length
-// value blobs (the encoded sub-partition directory of a ring). Values larger
-// than the inline threshold spill into overflow page chains, so one ring can
-// describe arbitrarily many sub-partitions.
+// Package btree implements a disk-resident B+-tree over write-once page
+// files. It is the "single B+-tree" that makes iDistance a lightweight index
+// in the paper's sense: int64 keys (iDistance ring keys) map to
+// variable-length value blobs (the encoded sub-partition directory of a
+// ring). Values larger than the inline threshold spill into overflow page
+// chains, so one ring can describe arbitrarily many sub-partitions.
 //
-// The tree is build-once / read-mostly, matching the paper's workload:
-// Insert replaces on duplicate keys, Delete removes lazily (no rebalancing),
-// and freed overflow pages are not recycled.
+// A tree is bulk-loaded once, by Build, from its sorted keys, and is
+// immutable afterwards: Open decodes every node page into memory and Scan
+// serves from there (overflow values keep going through the pager). Updates
+// to the indexed data never reach the tree; they live in the layers above
+// until a compaction builds a new one.
 package btree
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
+	"slices"
 
+	"promips/internal/errs"
 	"promips/internal/pager"
 )
 
@@ -28,124 +31,26 @@ const (
 	ovHeader    = 12 // next(8) + used(4)
 	flagInline  = byte(0)
 	flagOverflw = byte(1)
+
+	// minPageSize keeps the format meaningful: the meta page holds its four
+	// fields, a leaf holds at least one entry and an inner node three children.
+	minPageSize = 64
 )
 
 // nilPage marks an absent page link (stored on disk as all-ones).
-var nilPage int64 = -1
+const nilPage int64 = -1
 
-// ErrValueTooLarge is reserved for future size limits; the overflow chain
-// currently accepts any value length.
-var ErrValueTooLarge = errors.New("btree: value too large")
-
-// Tree is a B+-tree rooted in page 0's metadata.
+// Tree is an opened B+-tree: page 0 holds its metadata, and every node page
+// reachable from the root is held decoded in nodes.
 type Tree struct {
 	pg     *pager.Pager
 	root   int64
-	height int
-	count  int64
-
-	// frozen, when non-nil, maps every node page to its decoded form: the
-	// tree is build-once / read-mostly, so after Freeze the query path
-	// serves nodes from memory instead of re-decoding the page on every
-	// visit (decoding was the dominant per-query allocation source). Page
-	// accounting is unchanged: a frozen hit still records the node page as
-	// a logical access. Any mutation drops the cache.
-	frozen map[int64]*node
+	height int // node levels; 1 = the root is a leaf
+	nodes  map[int64]*node
 }
-
-// Freeze decodes every node page once and serves all subsequent node reads
-// from memory. Call it when the tree will no longer be mutated (after a
-// build or open); Insert and Delete invalidate the cache automatically.
-// Overflow-chain values keep going through the pager, so their page
-// accounting and buffering are untouched.
-func (t *Tree) Freeze() error {
-	frozen := make(map[int64]*node)
-	var walk func(id int64, level int) error
-	walk = func(id int64, level int) error {
-		n, err := t.readNode(id, nil)
-		if err != nil {
-			return err
-		}
-		frozen[id] = n
-		if level > 1 {
-			for _, c := range n.children {
-				if err := walk(c, level-1); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, t.height); err != nil {
-		return err
-	}
-	t.frozen = frozen
-	return nil
-}
-
-// Create initializes a new tree on an empty pager (page 0 becomes the meta
-// page, page 1 the empty root leaf).
-func Create(pg *pager.Pager) (*Tree, error) {
-	if pg.NumPages() != 0 {
-		return nil, fmt.Errorf("btree: Create requires an empty pager, have %d pages", pg.NumPages())
-	}
-	if _, err := pg.Alloc(); err != nil { // meta page
-		return nil, err
-	}
-	rootID, err := pg.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	t := &Tree{pg: pg, root: rootID, height: 1}
-	if err := t.writeNode(rootID, &node{leaf: true, next: nilPage}); err != nil {
-		return nil, err
-	}
-	if err := t.writeMeta(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// Open loads an existing tree from its meta page.
-func Open(pg *pager.Pager) (*Tree, error) {
-	meta, err := pg.Read(0, nil)
-	if err != nil {
-		return nil, fmt.Errorf("btree: read meta: %w", err)
-	}
-	if binary.LittleEndian.Uint32(meta) != magic {
-		return nil, errors.New("btree: bad magic in meta page")
-	}
-	t := &Tree{
-		pg:     pg,
-		root:   int64(binary.LittleEndian.Uint64(meta[8:])),
-		height: int(binary.LittleEndian.Uint32(meta[16:])),
-		count:  int64(binary.LittleEndian.Uint64(meta[24:])),
-	}
-	return t, nil
-}
-
-func (t *Tree) writeMeta() error {
-	buf := make([]byte, t.pg.PageSize())
-	binary.LittleEndian.PutUint32(buf, magic)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(t.root))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(t.height))
-	binary.LittleEndian.PutUint64(buf[24:], uint64(t.count))
-	return t.pg.Write(0, buf)
-}
-
-// Count returns the number of keys in the tree.
-func (t *Tree) Count() int64 { return t.count }
-
-// Height returns the number of node levels (1 = root is a leaf).
-func (t *Tree) Height() int { return t.height }
-
-// inlineMax is the largest value stored inside a leaf; bigger values go to
-// overflow chains. A quarter page keeps at least a few entries per leaf.
-func (t *Tree) inlineMax() int { return (t.pg.PageSize() - headerSize) / 4 }
 
 // node is the in-memory form of a tree page.
 type node struct {
-	leaf bool
 	keys []int64
 	// Leaf payload: vals[i] holds inline bytes when ov[i] == nilPage,
 	// otherwise the value lives in the overflow chain starting at ov[i]
@@ -159,194 +64,310 @@ type node struct {
 	children []int64
 }
 
-func (n *node) size(pageSize int) int {
-	if !n.leaf {
-		return headerSize + len(n.keys)*innerEntry + 8
-	}
-	s := headerSize
-	for i := range n.keys {
-		s += leafFixed
-		if n.ov[i] == nilPage {
-			s += len(n.vals[i])
-		} else {
-			s += 8
-		}
-	}
-	return s
+// inlineMax is the largest value stored inside a leaf; bigger values go to
+// overflow chains. A quarter page keeps at least a few entries per leaf.
+func inlineMax(pageSize int) int { return (pageSize - headerSize) / 4 }
+
+// child is one subtree of the level under construction: its page and the
+// smallest key below it.
+type child struct {
+	key  int64
+	page int64
 }
 
-func (t *Tree) readNode(id int64, io *pager.IOStats) (*node, error) {
-	if n, ok := t.frozen[id]; ok {
-		t.pg.RecordRead(id, io)
-		return n, nil
+// Build writes the tree mapping keys[i] to values[i] into the empty file w.
+// Keys must be strictly ascending. Leaves are packed full left to right (each
+// overflow chain follows the leaves on consecutive pages), then every inner
+// level is built over the one below until a single root remains.
+func Build(w *pager.Writer, keys []int64, values [][]byte) error {
+	ps := w.PageSize()
+	if ps < minPageSize || w.NumPages() != 0 {
+		return fmt.Errorf("btree: Build requires an empty file of pages ≥ %d bytes, have %d pages of %d", minPageSize, w.NumPages(), ps)
 	}
-	buf, err := t.pg.Read(id, io)
-	if err != nil {
-		return nil, err
+	if len(keys) != len(values) {
+		return fmt.Errorf("btree: %d keys for %d values", len(keys), len(values))
 	}
-	n := &node{leaf: buf[0] == nodeLeaf}
-	nk := int(binary.LittleEndian.Uint16(buf[1:]))
-	off := headerSize
-	if n.leaf {
-		n.next = int64(binary.LittleEndian.Uint64(buf[8:]))
-		n.keys = make([]int64, nk)
-		n.vals = make([][]byte, nk)
-		n.ov = make([]int64, nk)
-		n.vlen = make([]uint32, nk)
-		for i := 0; i < nk; i++ {
-			n.keys[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
-			flag := buf[off+8]
-			l := binary.LittleEndian.Uint32(buf[off+9:])
-			off += leafFixed
-			n.vlen[i] = l
-			if flag == flagInline {
-				n.ov[i] = nilPage
-				n.vals[i] = append([]byte(nil), buf[off:off+int(l)]...)
-				off += int(l)
-			} else {
-				n.ov[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
-				off += 8
-			}
+	for i := 1; i < len(keys); i++ {
+		if keys[i] <= keys[i-1] {
+			return fmt.Errorf("btree: keys not strictly ascending at %d (%d after %d)", i, keys[i], keys[i-1])
 		}
-		return n, nil
 	}
-	n.keys = make([]int64, nk)
-	n.children = make([]int64, nk+1)
-	for i := 0; i < nk; i++ {
-		n.keys[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
+	entrySize := func(v []byte) int {
+		if len(v) <= inlineMax(ps) {
+			return leafFixed + len(v)
+		}
+		return leafFixed + 8
 	}
-	for i := 0; i <= nk; i++ {
-		n.children[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	return n, nil
-}
+	w.Alloc() // meta page, written last
 
-func (t *Tree) writeNode(id int64, n *node) error {
-	buf := make([]byte, t.pg.PageSize())
-	if n.leaf {
+	// Cut the keys into leaves; an empty tree is one empty leaf.
+	starts := []int{0}
+	used := headerSize
+	for i, v := range values {
+		if used+entrySize(v) > ps {
+			starts = append(starts, i)
+			used = headerSize
+		}
+		used += entrySize(v)
+	}
+	level := make([]child, len(starts))
+	for i := range level {
+		level[i].page = w.Alloc()
+	}
+	buf := make([]byte, ps)
+	for li, lo := range starts {
+		hi, next := len(keys), nilPage
+		if li+1 < len(starts) {
+			hi, next = starts[li+1], level[li+1].page
+		}
+		clear(buf)
 		buf[0] = nodeLeaf
-	} else {
-		buf[0] = nodeInner
-	}
-	binary.LittleEndian.PutUint16(buf[1:], uint16(len(n.keys)))
-	off := headerSize
-	if n.leaf {
-		binary.LittleEndian.PutUint64(buf[8:], uint64(n.next))
-		for i := range n.keys {
-			binary.LittleEndian.PutUint64(buf[off:], uint64(n.keys[i]))
-			if n.ov[i] == nilPage {
+		binary.LittleEndian.PutUint16(buf[1:], uint16(hi-lo))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(next))
+		off := headerSize
+		for i := lo; i < hi; i++ {
+			v := values[i]
+			binary.LittleEndian.PutUint64(buf[off:], uint64(keys[i]))
+			binary.LittleEndian.PutUint32(buf[off+9:], uint32(len(v)))
+			if len(v) <= inlineMax(ps) {
 				buf[off+8] = flagInline
-				binary.LittleEndian.PutUint32(buf[off+9:], uint32(len(n.vals[i])))
-				off += leafFixed
-				copy(buf[off:], n.vals[i])
-				off += len(n.vals[i])
-			} else {
-				buf[off+8] = flagOverflw
-				binary.LittleEndian.PutUint32(buf[off+9:], n.vlen[i])
-				off += leafFixed
-				binary.LittleEndian.PutUint64(buf[off:], uint64(n.ov[i]))
+				off += leafFixed + copy(buf[off+leafFixed:], v)
+				continue
+			}
+			head, err := writeOverflow(w, v)
+			if err != nil {
+				return err
+			}
+			buf[off+8] = flagOverflw
+			binary.LittleEndian.PutUint64(buf[off+leafFixed:], uint64(head))
+			off += leafFixed + 8
+		}
+		if err := w.Write(level[li].page, buf); err != nil {
+			return err
+		}
+		if lo < hi {
+			level[li].key = keys[lo]
+		}
+	}
+
+	// Inner levels: spread the children evenly over as few nodes as hold them.
+	height := 1
+	fanout := (ps-headerSize-8)/innerEntry + 1
+	for ; len(level) > 1; height++ {
+		up := make([]child, (len(level)+fanout-1)/fanout)
+		for j := range up {
+			kids := level[j*len(level)/len(up) : (j+1)*len(level)/len(up)]
+			clear(buf)
+			buf[0] = nodeInner
+			binary.LittleEndian.PutUint16(buf[1:], uint16(len(kids)-1))
+			off := headerSize
+			for _, c := range kids[1:] {
+				binary.LittleEndian.PutUint64(buf[off:], uint64(c.key))
 				off += 8
 			}
-		}
-	} else {
-		for _, k := range n.keys {
-			binary.LittleEndian.PutUint64(buf[off:], uint64(k))
-			off += 8
-		}
-		for _, c := range n.children {
-			binary.LittleEndian.PutUint64(buf[off:], uint64(c))
-			off += 8
-		}
-	}
-	if off > len(buf) {
-		panic(fmt.Sprintf("btree: node %d overflows page: %d > %d", id, off, len(buf)))
-	}
-	return t.pg.Write(id, buf)
-}
-
-// writeOverflow stores val in a chain of overflow pages, returning the head.
-func (t *Tree) writeOverflow(val []byte) (int64, error) {
-	chunk := t.pg.PageSize() - ovHeader
-	var head, prev int64 = nilPage, nilPage
-	var prevBuf []byte
-	for off := 0; off < len(val) || head == nilPage; off += chunk {
-		id, err := t.pg.Alloc()
-		if err != nil {
-			return 0, err
-		}
-		if head == nilPage {
-			head = id
-		}
-		if prev != nilPage {
-			binary.LittleEndian.PutUint64(prevBuf, uint64(id))
-			if err := t.pg.Write(prev, prevBuf); err != nil {
-				return 0, err
+			for _, c := range kids {
+				binary.LittleEndian.PutUint64(buf[off:], uint64(c.page))
+				off += 8
+			}
+			up[j] = child{key: kids[0].key, page: w.Alloc()}
+			if err := w.Write(up[j].page, buf); err != nil {
+				return err
 			}
 		}
-		buf := make([]byte, t.pg.PageSize())
-		binary.LittleEndian.PutUint64(buf, uint64(nilPage))
-		end := off + chunk
-		if end > len(val) {
-			end = len(val)
+		level = up
+	}
+
+	clear(buf)
+	binary.LittleEndian.PutUint32(buf, magic)
+	binary.LittleEndian.PutUint64(buf[8:], uint64(level[0].page))
+	binary.LittleEndian.PutUint32(buf[16:], uint32(height))
+	binary.LittleEndian.PutUint64(buf[24:], uint64(len(keys)))
+	return w.Write(0, buf)
+}
+
+// writeOverflow stores val (never empty) on freshly allocated consecutive
+// pages, returning the first.
+func writeOverflow(w *pager.Writer, val []byte) (int64, error) {
+	chunk := w.PageSize() - ovHeader
+	buf := make([]byte, w.PageSize())
+	head := w.NumPages()
+	for off := 0; off < len(val); off += chunk {
+		id, next := w.Alloc(), nilPage
+		end := min(off+chunk, len(val))
+		if end < len(val) {
+			next = id + 1
 		}
-		used := end - off
-		binary.LittleEndian.PutUint32(buf[8:], uint32(used))
+		clear(buf)
+		binary.LittleEndian.PutUint64(buf, uint64(next))
+		binary.LittleEndian.PutUint32(buf[8:], uint32(end-off))
 		copy(buf[ovHeader:], val[off:end])
-		if err := t.pg.Write(id, buf); err != nil {
+		if err := w.Write(id, buf); err != nil {
 			return 0, err
-		}
-		prev, prevBuf = id, buf
-		if end >= len(val) {
-			break
 		}
 	}
 	return head, nil
 }
 
+func corrupt(format string, a ...any) error {
+	return fmt.Errorf("btree: "+format+": %w", append(a, errs.ErrCorruptIndex)...)
+}
+
+// Open loads a tree, decoding every node page once: queries then serve nodes
+// from memory (decoding was the dominant per-query allocation source) while
+// still recording each node visit as a logical page access. The file is
+// untrusted: every length and page id is bounded by the page and the file,
+// no page is reached twice, and the leaf chain must run through the leaves in
+// tree order, so neither Open nor a later Scan can index out of range or
+// loop; any violation is reported as errs.ErrCorruptIndex.
+func Open(pg *pager.Pager) (*Tree, error) {
+	np := pg.NumPages()
+	if pg.PageSize() < minPageSize || np < 2 {
+		return nil, corrupt("%d pages of %d bytes hold no tree", np, pg.PageSize())
+	}
+	meta, err := pg.Read(0, nil)
+	if err != nil {
+		return nil, fmt.Errorf("btree: read meta: %w", err)
+	}
+	if binary.LittleEndian.Uint32(meta) != magic {
+		return nil, corrupt("bad magic in meta page")
+	}
+	// Every level of the walk claims a page of its own, so a height within
+	// the page count bounds the recursion.
+	height := int64(binary.LittleEndian.Uint32(meta[16:]))
+	if height < 1 || height >= np {
+		return nil, corrupt("height %d in a file of %d pages", height, np)
+	}
+	t := &Tree{
+		pg:     pg,
+		root:   int64(binary.LittleEndian.Uint64(meta[8:])),
+		height: int(height),
+		nodes:  make(map[int64]*node),
+	}
+	var lastLeaf *node
+	var load func(id int64, level int) error
+	load = func(id int64, level int) error {
+		if id < 1 || id >= np {
+			return corrupt("node page %d outside the file's %d pages", id, np)
+		}
+		if t.nodes[id] != nil {
+			return corrupt("node page %d reached twice", id)
+		}
+		buf, err := pg.Read(id, nil)
+		if err != nil {
+			return fmt.Errorf("btree: read node %d: %w", id, err)
+		}
+		n, err := decodeNode(id, buf, level == 1, np)
+		if err != nil {
+			return err
+		}
+		t.nodes[id] = n
+		if level == 1 {
+			if lastLeaf != nil && lastLeaf.next != id {
+				return corrupt("leaf chain skips page %d", id)
+			}
+			lastLeaf = n
+		}
+		for _, c := range n.children {
+			if err := load(c, level-1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := load(t.root, t.height); err != nil {
+		return nil, err
+	}
+	if lastLeaf.next != nilPage {
+		return nil, corrupt("leaf chain runs past the last leaf to page %d", lastLeaf.next)
+	}
+	return t, nil
+}
+
+// decodeNode parses node page id of a file of np pages.
+func decodeNode(id int64, buf []byte, leaf bool, np int64) (*node, error) {
+	if (buf[0] == nodeLeaf) != leaf || buf[0] > nodeInner {
+		return nil, corrupt("node %d: type %d on the wrong level", id, buf[0])
+	}
+	nk := int(binary.LittleEndian.Uint16(buf[1:]))
+	off := headerSize
+	n := &node{keys: make([]int64, nk)}
+	if !leaf {
+		if off+nk*innerEntry+8 > len(buf) {
+			return nil, corrupt("node %d: %d inner keys overflow the page", id, nk)
+		}
+		n.children = make([]int64, nk+1)
+		for i := range n.keys {
+			n.keys[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
+			off += 8
+		}
+		for i := range n.children {
+			n.children[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
+			off += 8
+		}
+		return n, nil
+	}
+	n.next = int64(binary.LittleEndian.Uint64(buf[8:]))
+	n.vals = make([][]byte, nk)
+	n.ov = make([]int64, nk)
+	n.vlen = make([]uint32, nk)
+	for i := 0; i < nk; i++ {
+		if off+leafFixed > len(buf) {
+			return nil, corrupt("node %d: %d leaf entries overflow the page", id, nk)
+		}
+		n.keys[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
+		flag := buf[off+8]
+		l := binary.LittleEndian.Uint32(buf[off+9:])
+		off += leafFixed
+		n.vlen[i] = l
+		switch {
+		case flag == flagInline && int64(l) <= int64(len(buf)-off):
+			n.ov[i] = nilPage
+			n.vals[i] = append([]byte(nil), buf[off:off+int(l)]...)
+			off += int(l)
+		case flag == flagOverflw && off+8 <= len(buf):
+			n.ov[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
+			off += 8
+			// A value cannot be longer than the file that holds its chain.
+			if n.ov[i] < 1 || n.ov[i] >= np || int64(l) > np*int64(len(buf)-ovHeader) {
+				return nil, corrupt("node %d entry %d: %d-byte overflow value at page %d of %d", id, i, l, n.ov[i], np)
+			}
+		default:
+			return nil, corrupt("node %d entry %d: flag %d, length %d at offset %d", id, i, flag, l, off)
+		}
+	}
+	return n, nil
+}
+
+// node returns the decoded node page id, recording the visit in io.
+func (t *Tree) node(id int64, io *pager.IOStats) *node {
+	t.pg.RecordRead(id, io)
+	return t.nodes[id]
+}
+
+// readOverflow reads the total-byte value whose chain starts at head. Every
+// page must add between one byte and a page's worth without passing total,
+// which also bounds the walk on a chain that loops.
 func (t *Tree) readOverflow(head int64, total uint32, io *pager.IOStats) ([]byte, error) {
 	out := make([]byte, 0, total)
 	for id := head; id != nilPage; {
+		if id < 1 || id >= t.pg.NumPages() {
+			return nil, corrupt("overflow page %d outside the file's %d pages", id, t.pg.NumPages())
+		}
 		buf, err := t.pg.Read(id, io)
 		if err != nil {
 			return nil, err
 		}
-		next := int64(binary.LittleEndian.Uint64(buf))
-		used := binary.LittleEndian.Uint32(buf[8:])
+		used := int64(binary.LittleEndian.Uint32(buf[8:]))
+		if used < 1 || used > int64(len(buf)-ovHeader) || int64(len(out))+used > int64(total) {
+			return nil, corrupt("overflow page %d holds %d bytes, %d of %d read", id, used, len(out), total)
+		}
 		out = append(out, buf[ovHeader:ovHeader+int(used)]...)
-		id = next
+		id = int64(binary.LittleEndian.Uint64(buf))
 	}
 	if uint32(len(out)) != total {
-		return nil, fmt.Errorf("btree: overflow chain length %d, want %d", len(out), total)
+		return nil, corrupt("overflow chain length %d, want %d", len(out), total)
 	}
 	return out, nil
-}
-
-// Get returns the value stored under key, or ok=false if absent. Page
-// reads are recorded in io (nil discards the accounting).
-func (t *Tree) Get(key int64, io *pager.IOStats) ([]byte, bool, error) {
-	id := t.root
-	for level := t.height; level > 1; level-- {
-		n, err := t.readNode(id, io)
-		if err != nil {
-			return nil, false, err
-		}
-		id = n.children[childIndex(n.keys, key)]
-	}
-	n, err := t.readNode(id, io)
-	if err != nil {
-		return nil, false, err
-	}
-	i, found := leafIndex(n.keys, key)
-	if !found {
-		return nil, false, nil
-	}
-	if n.ov[i] == nilPage {
-		return n.vals[i], true, nil
-	}
-	v, err := t.readOverflow(n.ov[i], n.vlen[i], io)
-	return v, err == nil, err
 }
 
 // childIndex returns the child slot to follow for key in an inner node:
@@ -364,217 +385,6 @@ func childIndex(keys []int64, key int64) int {
 	return lo
 }
 
-// leafIndex returns the insertion position of key and whether it is present.
-func leafIndex(keys []int64, key int64) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(keys) && keys[lo] == key
-}
-
-type splitResult struct {
-	split  bool
-	sepKey int64
-	right  int64
-}
-
-// Insert stores value under key, replacing any previous value.
-func (t *Tree) Insert(key int64, value []byte) error {
-	t.frozen = nil // mutation invalidates the decoded-node cache
-	res, replaced, err := t.insertAt(t.root, t.height, key, value)
-	if err != nil {
-		return err
-	}
-	if res.split {
-		newRootID, err := t.pg.Alloc()
-		if err != nil {
-			return err
-		}
-		root := &node{
-			leaf:     false,
-			keys:     []int64{res.sepKey},
-			children: []int64{t.root, res.right},
-		}
-		if err := t.writeNode(newRootID, root); err != nil {
-			return err
-		}
-		t.root = newRootID
-		t.height++
-	}
-	if !replaced {
-		t.count++
-	}
-	return t.writeMeta()
-}
-
-func (t *Tree) insertAt(id int64, level int, key int64, value []byte) (splitResult, bool, error) {
-	n, err := t.readNode(id, nil)
-	if err != nil {
-		return splitResult{}, false, err
-	}
-	if level == 1 {
-		return t.insertLeaf(id, n, key, value)
-	}
-	ci := childIndex(n.keys, key)
-	res, replaced, err := t.insertAt(n.children[ci], level-1, key, value)
-	if err != nil {
-		return splitResult{}, false, err
-	}
-	if !res.split {
-		return splitResult{}, replaced, nil
-	}
-	// Insert separator into this inner node.
-	n.keys = append(n.keys, 0)
-	copy(n.keys[ci+1:], n.keys[ci:])
-	n.keys[ci] = res.sepKey
-	n.children = append(n.children, 0)
-	copy(n.children[ci+2:], n.children[ci+1:])
-	n.children[ci+1] = res.right
-	if n.size(t.pg.PageSize()) <= t.pg.PageSize() {
-		return splitResult{}, replaced, t.writeNode(id, n)
-	}
-	// Split inner node at the middle key; the middle key moves up.
-	mid := len(n.keys) / 2
-	sep := n.keys[mid]
-	right := &node{
-		leaf:     false,
-		keys:     append([]int64(nil), n.keys[mid+1:]...),
-		children: append([]int64(nil), n.children[mid+1:]...),
-	}
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid+1]
-	rightID, err := t.pg.Alloc()
-	if err != nil {
-		return splitResult{}, false, err
-	}
-	if err := t.writeNode(rightID, right); err != nil {
-		return splitResult{}, false, err
-	}
-	if err := t.writeNode(id, n); err != nil {
-		return splitResult{}, false, err
-	}
-	return splitResult{split: true, sepKey: sep, right: rightID}, replaced, nil
-}
-
-func (t *Tree) insertLeaf(id int64, n *node, key int64, value []byte) (splitResult, bool, error) {
-	// Prepare the entry representation (inline or overflow).
-	var inline []byte
-	ovPage := nilPage
-	vlen := uint32(len(value))
-	if len(value) <= t.inlineMax() {
-		inline = append([]byte(nil), value...)
-	} else {
-		head, err := t.writeOverflow(value)
-		if err != nil {
-			return splitResult{}, false, err
-		}
-		ovPage = head
-	}
-
-	i, found := leafIndex(n.keys, key)
-	replaced := false
-	if found {
-		n.vals[i], n.ov[i], n.vlen[i] = inline, ovPage, vlen
-		replaced = true
-	} else {
-		n.keys = append(n.keys, 0)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.vals = append(n.vals, nil)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = inline
-		n.ov = append(n.ov, 0)
-		copy(n.ov[i+1:], n.ov[i:])
-		n.ov[i] = ovPage
-		n.vlen = append(n.vlen, 0)
-		copy(n.vlen[i+1:], n.vlen[i:])
-		n.vlen[i] = vlen
-	}
-	if n.size(t.pg.PageSize()) <= t.pg.PageSize() {
-		return splitResult{}, replaced, t.writeNode(id, n)
-	}
-
-	// Split the leaf so both halves fit; balance by serialized size.
-	target := n.size(t.pg.PageSize()) / 2
-	acc := headerSize
-	split := 1
-	for j := 0; j < len(n.keys)-1; j++ {
-		es := leafFixed
-		if n.ov[j] == nilPage {
-			es += len(n.vals[j])
-		} else {
-			es += 8
-		}
-		acc += es
-		if acc >= target {
-			split = j + 1
-			break
-		}
-		split = j + 2
-	}
-	right := &node{
-		leaf: true,
-		keys: append([]int64(nil), n.keys[split:]...),
-		vals: append([][]byte(nil), n.vals[split:]...),
-		ov:   append([]int64(nil), n.ov[split:]...),
-		vlen: append([]uint32(nil), n.vlen[split:]...),
-		next: n.next,
-	}
-	rightID, err := t.pg.Alloc()
-	if err != nil {
-		return splitResult{}, false, err
-	}
-	n.keys = n.keys[:split]
-	n.vals = n.vals[:split]
-	n.ov = n.ov[:split]
-	n.vlen = n.vlen[:split]
-	n.next = rightID
-	if err := t.writeNode(rightID, right); err != nil {
-		return splitResult{}, false, err
-	}
-	if err := t.writeNode(id, n); err != nil {
-		return splitResult{}, false, err
-	}
-	return splitResult{split: true, sepKey: right.keys[0], right: rightID}, replaced, nil
-}
-
-// Delete removes key from its leaf (lazily: inner separators and overflow
-// pages are left in place). It reports whether the key was present.
-func (t *Tree) Delete(key int64) (bool, error) {
-	t.frozen = nil // mutation invalidates the decoded-node cache
-	id := t.root
-	for level := t.height; level > 1; level-- {
-		n, err := t.readNode(id, nil)
-		if err != nil {
-			return false, err
-		}
-		id = n.children[childIndex(n.keys, key)]
-	}
-	n, err := t.readNode(id, nil)
-	if err != nil {
-		return false, err
-	}
-	i, found := leafIndex(n.keys, key)
-	if !found {
-		return false, nil
-	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.vals = append(n.vals[:i], n.vals[i+1:]...)
-	n.ov = append(n.ov[:i], n.ov[i+1:]...)
-	n.vlen = append(n.vlen[:i], n.vlen[i+1:]...)
-	if err := t.writeNode(id, n); err != nil {
-		return false, err
-	}
-	t.count--
-	return true, t.writeMeta()
-}
-
 // Scan visits keys in [lo, hi] in ascending order. fn returning false stops
 // the scan early. Page reads are recorded in io (nil discards the
 // accounting).
@@ -584,28 +394,20 @@ func (t *Tree) Scan(lo, hi int64, io *pager.IOStats, fn func(key int64, val []by
 	}
 	id := t.root
 	for level := t.height; level > 1; level-- {
-		n, err := t.readNode(id, io)
-		if err != nil {
-			return err
-		}
+		n := t.node(id, io)
 		id = n.children[childIndex(n.keys, lo)]
 	}
 	for id != nilPage {
-		n, err := t.readNode(id, io)
-		if err != nil {
-			return err
-		}
-		start, _ := leafIndex(n.keys, lo)
+		n := t.node(id, io)
+		start, _ := slices.BinarySearch(n.keys, lo)
 		for i := start; i < len(n.keys); i++ {
 			if n.keys[i] > hi {
 				return nil
 			}
-			var v []byte
-			if n.ov[i] == nilPage {
-				v = n.vals[i]
-			} else {
-				v, err = t.readOverflow(n.ov[i], n.vlen[i], io)
-				if err != nil {
+			v := n.vals[i]
+			if n.ov[i] != nilPage {
+				var err error
+				if v, err = t.readOverflow(n.ov[i], n.vlen[i], io); err != nil {
 					return err
 				}
 			}

@@ -74,8 +74,12 @@ func capture(t *testing.T, res []Result, st SearchStats) goldenQuery {
 // shift toward higher inner products (every result is still exactly
 // verified; TestRecallParityWithPrerank pins recall against the
 // pre-ranking-off path). Since then this file again gates perf changes to
-// bit-identical behavior. Regenerate (only when an intentional semantic
-// change occurs) with:
+// bit-identical behavior. It was regenerated for PR 22, which bulk-loads the
+// B+-tree bottom-up: the leaves are packed full instead of left half-empty by
+// Insert's splits (31 → 21 tree pages at n = 17,770, m = 6), so every query
+// touches 6–7 fewer tree pages; the diff is page_accesses lines only, each
+// lower, with results, candidates, radii and terminations untouched.
+// Regenerate (only when an intentional semantic change occurs) with:
 // go test ./internal/core -run TestSearchGolden -update-golden
 func TestSearchGolden(t *testing.T) {
 	data := dataset.Netflix().Generate(1500, 11)

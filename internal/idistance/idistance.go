@@ -107,7 +107,7 @@ type Candidate struct {
 // is uint32(i). ctx is tested after the first-stage clustering and before
 // every ring; once it is done Build closes its page files and returns
 // ctx.Err().
-func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (*Index, error) {
+func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (_ *Index, err error) {
 	cfg.normalize()
 	n := len(projected)
 	if n == 0 {
@@ -165,28 +165,19 @@ func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
-	opts := pager.Options{PageSize: cfg.PageSize, PoolSize: cfg.PoolSize, MissLatency: cfg.MissLatency}
-	data, err := pager.Create(filepath.Join(dir, "idist.data"), opts)
+	dataW, err := pager.Create(filepath.Join(dir, "idist.data"), cfg.PageSize)
 	if err != nil {
 		return nil, err
 	}
-	btPg, err := pager.Create(filepath.Join(dir, "idist.btree"), opts)
+	btW, err := pager.Create(filepath.Join(dir, "idist.btree"), cfg.PageSize)
 	if err != nil {
-		data.Close()
+		dataW.Close()
 		return nil, err
 	}
-	tree, err := btree.Create(btPg)
-	if err != nil {
-		data.Close()
-		btPg.Close()
-		return nil, err
-	}
-
 	idx := &Index{
 		cfg: cfg, m: m, n: n,
 		centers: res.Centroids, radii: res.Radii,
 		epsilon: eps, stride: stride,
-		data: data, btPg: btPg, tree: tree,
 		entriesPerPage: cfg.PageSize / entrySize,
 		locPage:        make([]int64, n),
 		locSlot:        make([]int32, n),
@@ -195,15 +186,25 @@ func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (
 	for i := range idx.locPage {
 		idx.locPage[i] = -1
 	}
+	// Every exit passes here: a file still being written is abandoned (Close
+	// does nothing once Finish has run), and a failed build also closes
+	// whichever pools it had already opened.
+	defer func() {
+		dataW.Close()
+		btW.Close()
+		if err != nil {
+			idx.Close()
+		}
+	}()
 
 	// Stage 2: per-ring ksp-means, contiguous page layout, B+-tree entry.
 	// One ring writer spans all rings: each ring continues on the page the
 	// previous one ended on, so the file carries no per-ring alignment
 	// slack.
-	rw := idx.newRingWriter()
-	for _, key := range keys {
+	rw := &ringWriter{idx: idx, w: dataW, page: make([]byte, cfg.PageSize), cur: -1}
+	dirs := make([][]byte, len(keys)) // dirs[i] is ring keys[i]'s B+-tree value
+	for ki, key := range keys {
 		if err := ctx.Err(); err != nil {
-			idx.closeAll()
 			return nil, err
 		}
 		ids := rings[key]
@@ -230,7 +231,6 @@ func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (
 			}
 			page, slot, err := rw.writeSub(members[s], projected)
 			if err != nil {
-				idx.closeAll()
 				return nil, err
 			}
 			subs[s].startPage = page
@@ -238,13 +238,12 @@ func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (
 			subs[s].numPoints = len(members[s])
 		}
 		if err := rw.flush(); err != nil {
-			idx.closeAll()
 			return nil, err
 		}
-		if err := tree.Insert(key, encodeSubs(subs, m)); err != nil {
-			idx.closeAll()
-			return nil, err
-		}
+		dirs[ki] = encodeSubs(subs, m)
+	}
+	if err := btree.Build(btW, keys, dirs); err != nil {
+		return nil, err
 	}
 
 	// The farthest point of any partition bounds every meaningful radius.
@@ -253,19 +252,15 @@ func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (
 			idx.maxDist = res.Radii[p]
 		}
 	}
-	if err := data.Sync(); err != nil {
-		idx.closeAll()
+	// Both files are durable before anything reads them.
+	opts := pager.Options{PageSize: cfg.PageSize, PoolSize: cfg.PoolSize, MissLatency: cfg.MissLatency}
+	if idx.data, err = dataW.Finish(opts); err != nil {
 		return nil, err
 	}
-	if err := btPg.Sync(); err != nil {
-		idx.closeAll()
+	if idx.btPg, err = btW.Finish(opts); err != nil {
 		return nil, err
 	}
-	// The tree is immutable from here on (updates go through core's delta
-	// and compaction): decode every node once so the query path never
-	// re-decodes a node page. Page accounting is unaffected.
-	if err := tree.Freeze(); err != nil {
-		idx.closeAll()
+	if idx.tree, err = btree.Open(idx.btPg); err != nil {
 		return nil, err
 	}
 	return idx, nil
@@ -274,13 +269,10 @@ func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (
 // ringWriter packs one ring's sub-partition entries onto contiguous pages.
 type ringWriter struct {
 	idx  *Index
+	w    *pager.Writer
 	page []byte
 	cur  int64
 	slot int
-}
-
-func (idx *Index) newRingWriter() *ringWriter {
-	return &ringWriter{idx: idx, page: make([]byte, idx.cfg.PageSize), cur: -1}
 }
 
 // writeSub appends one sub-partition's entries and returns the (page, slot)
@@ -294,14 +286,8 @@ func (rw *ringWriter) writeSub(ids []uint32, projected [][]float32) (int64, int,
 			if err := rw.flush(); err != nil {
 				return 0, 0, err
 			}
-			pid, err := idx.data.Alloc()
-			if err != nil {
-				return 0, 0, err
-			}
-			rw.cur, rw.slot = pid, 0
-			for i := range rw.page {
-				rw.page[i] = 0
-			}
+			rw.cur, rw.slot = rw.w.Alloc(), 0
+			clear(rw.page)
 		}
 		if firstPage < 0 {
 			firstPage, firstSlot = rw.cur, rw.slot
@@ -323,21 +309,22 @@ func (rw *ringWriter) flush() error {
 	if rw.cur < 0 {
 		return nil
 	}
-	return rw.idx.data.Write(rw.cur, rw.page)
+	return rw.w.Write(rw.cur, rw.page)
 }
 
-func (idx *Index) closeAll() {
-	idx.data.Close()
-	idx.btPg.Close()
-}
-
-// Close releases the underlying page files.
+// Close releases the underlying page files (a failed Build may have opened
+// only some of them).
 func (idx *Index) Close() error {
-	if err := idx.data.Close(); err != nil {
-		idx.btPg.Close()
-		return err
+	var err error
+	for _, pg := range []*pager.Pager{idx.data, idx.btPg} {
+		if pg == nil {
+			continue
+		}
+		if e := pg.Close(); err == nil {
+			err = e
+		}
 	}
-	return idx.btPg.Close()
+	return err
 }
 
 // M returns the projected dimensionality.

@@ -81,13 +81,6 @@ func Open(dir string) (*Index, error) {
 		btPg.Close()
 		return nil, err
 	}
-	// The reopened tree is read-only from here on: decode its nodes once so
-	// queries don't re-decode them (see Build).
-	if err := tree.Freeze(); err != nil {
-		data.Close()
-		btPg.Close()
-		return nil, err
-	}
 	return &Index{
 		cfg: m.Cfg, m: m.M, n: m.N,
 		centers: m.Centers, radii: m.Radii,

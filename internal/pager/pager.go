@@ -1,11 +1,15 @@
-// Package pager provides a file-backed page store with a sharded CLOCK
-// buffer pool and page-access accounting. Every disk-resident structure in
-// this repository (the iDistance B+-tree, the original-vector store, QALSH's
-// hash tables, Range-LSH's sequential partitions, PQ's inverted lists) does
-// its I/O through a Pager, so the paper's "Page Access" metric is measured
-// identically for every method: one logical access per page touched.
+// Package pager provides write-once page files: a Writer creates a file and
+// puts its pages straight into it, Finish makes the file durable and hands it
+// to a Pager — a read-only, sharded CLOCK buffer pool with page-access
+// accounting — and nothing writes the file again. Every disk-resident
+// structure in this repository (the iDistance B+-tree, the original-vector
+// store, QALSH's hash tables, Range-LSH's sequential partitions, PQ's
+// inverted lists) is built through a Writer and read through a Pager, so the
+// paper's "Page Access" metric is measured identically for every method: one
+// logical access per page touched.
 //
-// Concurrency. A Pager is safe for concurrent use. The buffer pool is split
+// Concurrency. A Pager is safe for concurrent use (a Writer belongs to the
+// one goroutine building the file). The buffer pool is split
 // into lock-striped shards keyed by page id (consecutive pages share a
 // shard block, so short sequential runs resolve under one shard lock), and
 // the pool-hit path — the common case on a warm index — takes only that
@@ -24,10 +28,9 @@
 // giving referenced pages a second pass before they go. This keeps the hit
 // path free of list maintenance (no LRU chain to relink under a lock).
 //
-// Page slices returned by Read alias the buffer pool and are never mutated
-// in place: Write installs a fresh buffer (copy-on-write) and eviction only
-// drops the pool's reference. A slice obtained before either event remains
-// a valid, stable snapshot of the page for as long as the caller keeps it.
+// Page slices returned by Read alias the buffer pool and are never mutated:
+// the file is immutable and eviction only drops the pool's reference, so a
+// slice stays valid for as long as the caller keeps it.
 package pager
 
 import (
@@ -62,7 +65,7 @@ const (
 // Stats counts I/O activity. Accesses is the number of logical page reads
 // issued through the pager; Hits the buffer-pool hits among them; Misses
 // the pool misses (pages actually read from the file); Evictions the pages
-// CLOCK pushed out of the pool to make room; FileReads the read calls issued
+// CLOCK dropped from the pool to make room; FileReads the read calls issued
 // against the file to serve the misses (one per missed page for Read, one per
 // gap-free span for ReadRun, one per ReadDirect however many pages it spans).
 type Stats struct {
@@ -70,7 +73,6 @@ type Stats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	Writes    int64
 	FileReads int64
 }
 
@@ -82,7 +84,6 @@ func (s Stats) Sub(t Stats) Stats {
 		Hits:      s.Hits - t.Hits,
 		Misses:    s.Misses - t.Misses,
 		Evictions: s.Evictions - t.Evictions,
-		Writes:    s.Writes - t.Writes,
 		FileReads: s.FileReads - t.FileReads,
 	}
 }
@@ -95,7 +96,6 @@ func (s Stats) Add(t Stats) Stats {
 		Hits:      s.Hits + t.Hits,
 		Misses:    s.Misses + t.Misses,
 		Evictions: s.Evictions + t.Evictions,
-		Writes:    s.Writes + t.Writes,
 		FileReads: s.FileReads + t.FileReads,
 	}
 }
@@ -130,8 +130,8 @@ type ioKey struct {
 // accepted and discards the accounting. An IOStats is NOT safe for
 // concurrent use: each query owns its own.
 type IOStats struct {
-	// Reads counts logical page reads (every Read/ReadCopy call, and one per
-	// page of a ReadRun).
+	// Reads counts logical page reads (every Read call, and one per page of a
+	// ReadRun or ReadDirect).
 	Reads int64
 
 	seen   []ioKey // access log; seen[:unique] is sorted and duplicate-free
@@ -182,64 +182,49 @@ func (s *IOStats) Reset() {
 var nextPagerID atomic.Uint64
 
 // poolEntry is one cached page. The reference bit starts CLEAR on install
-// and is set only by a later touch (hit, write), so the CLOCK sweep grants
+// and is set only by a later hit, so the CLOCK sweep grants
 // its second chance to re-referenced pages specifically: a sequential scan
 // that touches each page once cannot displace the re-used working set
 // behind it (scan resistance), and a fill evicts in insertion order like
 // the LRU it replaced.
 type poolEntry struct {
-	id    int64
-	data  []byte
-	dirty bool
-	ref   atomic.Bool // CLOCK reference bit; set on re-touch, cleared by the sweep
+	id   int64
+	data []byte
+	ref  atomic.Bool // CLOCK reference bit; set on re-touch, cleared by the sweep
 }
 
 // shard is one stripe of the buffer pool: a page map plus a CLOCK ring of
-// at most cap entries. writeSeq (guarded by mu) counts Writes landing in
-// the shard; the optimistic miss path samples it before its lock-free file
-// read and re-reads under the lock when it moved, so bytes that raced a
-// Write — or a concurrent eviction flush, which could tear an unlocked
-// read — are never installed or returned.
+// at most cap entries.
 type shard struct {
-	mu       sync.RWMutex
-	pool     map[int64]*poolEntry
-	ring     []*poolEntry
-	hand     int
-	cap      int
-	writeSeq uint64
+	mu   sync.RWMutex
+	pool map[int64]*poolEntry
+	ring []*poolEntry
+	hand int
+	cap  int
 }
 
-// Pager owns one page file. It is safe for concurrent use; see the package
-// comment for the locking contract.
+// Pager reads one finished page file through its buffer pool. It is safe for
+// concurrent use; see the package comment for the locking contract.
 type Pager struct {
 	f        *os.File
 	id       uint64
 	pageSize int
-	numPages atomic.Int64 // published page count: raised only after the page is readable
-	allocSeq atomic.Int64 // id reservation counter for Alloc
+	numPages int64
 	shards   []shard
 	shardN   int64 // len(shards), for the id → shard map
 
 	missLatency time.Duration
 
-	// mutSeq counts Alloc and Write calls (bumped under the shard lock, after
-	// the dirty entry is installed); syncedSeq is mutSeq as the last completed
-	// Sync sampled it before flushing. They are equal exactly when the file
-	// holds every page's current bytes, which is what ReadDirect requires.
-	mutSeq    atomic.Int64
-	syncedSeq atomic.Int64
-
 	accesses  atomic.Int64
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-	writes    atomic.Int64
 	fileReads atomic.Int64
 }
 
 // Options configures a Pager.
 type Options struct {
-	PageSize int // 0 means DefaultPageSize
+	PageSize int // 0 means DefaultPageSize; Finish uses the Writer's instead
 	PoolSize int // buffer pool capacity in pages; 0 means 1024
 
 	// MissLatency is a simulated per-file-read latency, slept on every pool
@@ -260,21 +245,11 @@ func (o *Options) normalize() {
 	}
 }
 
-// Create makes (or truncates) the page file at path.
-func Create(path string, opts Options) (*Pager, error) {
-	opts.normalize()
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("pager: create %s: %w", path, err)
-	}
-	return newPager(f, opts, 0), nil
-}
-
 // Open opens an existing page file. The file length must be a multiple of
 // the page size.
 func Open(path string, opts Options) (*Pager, error) {
 	opts.normalize()
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("pager: open %s: %w", path, err)
 	}
@@ -305,12 +280,11 @@ func newPager(f *os.File, opts Options, numPages int64) *Pager {
 		f:           f,
 		id:          nextPagerID.Add(1),
 		pageSize:    opts.PageSize,
+		numPages:    numPages,
 		shards:      make([]shard, nShards),
 		shardN:      int64(nShards),
 		missLatency: opts.MissLatency,
 	}
-	p.numPages.Store(numPages)
-	p.allocSeq.Store(numPages)
 	for i := range p.shards {
 		p.shards[i] = shard{pool: make(map[int64]*poolEntry), cap: perShard}
 	}
@@ -326,11 +300,11 @@ func (p *Pager) shard(id int64) *shard {
 // PageSize returns the page size in bytes.
 func (p *Pager) PageSize() int { return p.pageSize }
 
-// NumPages returns the number of allocated pages.
-func (p *Pager) NumPages() int64 { return p.numPages.Load() }
+// NumPages returns the number of pages in the file.
+func (p *Pager) NumPages() int64 { return p.numPages }
 
 // SizeBytes returns the on-disk size of the page file.
-func (p *Pager) SizeBytes() int64 { return p.numPages.Load() * int64(p.pageSize) }
+func (p *Pager) SizeBytes() int64 { return p.numPages * int64(p.pageSize) }
 
 // PoolPages returns the buffer pool's capacity in pages.
 func (p *Pager) PoolPages() int64 { return p.shardN * int64(p.shards[0].cap) }
@@ -347,7 +321,6 @@ func (p *Pager) Stats() Stats {
 		Hits:      p.hits.Load(),
 		Misses:    p.misses.Load(),
 		Evictions: p.evictions.Load(),
-		Writes:    p.writes.Load(),
 		FileReads: p.fileReads.Load(),
 	}
 }
@@ -358,39 +331,16 @@ func (p *Pager) ResetStats() {
 	p.hits.Store(0)
 	p.misses.Store(0)
 	p.evictions.Store(0)
-	p.writes.Store(0)
 	p.fileReads.Store(0)
-}
-
-// Alloc appends a zeroed page and returns its id. The id is reserved from
-// allocSeq but published through numPages only AFTER the zeroed entry is
-// installed, so a concurrent reader that passes the range check finds the
-// pool entry instead of racing the not-yet-extended file.
-func (p *Pager) Alloc() (int64, error) {
-	id := p.allocSeq.Add(1) - 1
-	sh := p.shard(id)
-	sh.mu.Lock()
-	e := &poolEntry{id: id, data: make([]byte, p.pageSize), dirty: true}
-	sh.insert(p, e)
-	p.mutSeq.Add(1)
-	sh.mu.Unlock()
-	for {
-		cur := p.numPages.Load()
-		if cur >= id+1 || p.numPages.CompareAndSwap(cur, id+1) {
-			break
-		}
-	}
-	return id, nil
 }
 
 // Read returns the content of page id, recording the access in io (nil
 // discards the accounting). The returned slice aliases the buffer pool;
-// callers must treat it as read-only. It remains a stable snapshot even
-// across concurrent Writes (which install fresh buffers), but holding it
-// does not pin the page in the pool.
+// callers must treat it as read-only. It stays valid for as long as the
+// caller keeps it, but holding it does not pin the page in the pool.
 func (p *Pager) Read(id int64, io *IOStats) ([]byte, error) {
-	if id < 0 || id >= p.numPages.Load() {
-		return nil, fmt.Errorf("%w: %d (have %d)", ErrPageOutOfRange, id, p.numPages.Load())
+	if id < 0 || id >= p.numPages {
+		return nil, fmt.Errorf("%w: %d (have %d)", ErrPageOutOfRange, id, p.numPages)
 	}
 	p.accesses.Add(1)
 	io.record(p.id, id)
@@ -409,31 +359,14 @@ func (p *Pager) Read(id int64, io *IOStats) ([]byte, error) {
 
 // readMiss loads a page from the file with no lock held — misses in
 // different (or even the same) shard overlap — then installs it under the
-// shard's exclusive lock. Three races are handled at install time:
-//   - another goroutine installed the page meanwhile: the pooled copy wins
-//     (it may carry a Write newer than the bytes this read saw);
-//   - a Write landed in this shard during the unlocked read (writeSeq
-//     moved): the unlocked bytes may be stale — or torn by the racing
-//     eviction flush — so the page is re-read under the lock, serialized
-//     with this shard's writes and flushes, before anything is served;
-//   - the unlocked read failed (e.g. EOF racing an Alloc that published
-//     its id before installing the zeroed entry): resolved by the same
-//     locked pool re-check + re-read.
+// shard's exclusive lock. When another goroutine installed the page
+// meanwhile, the pooled copy wins, so every reader shares one buffer.
 func (p *Pager) readMiss(sh *shard, id int64) ([]byte, error) {
-	sh.mu.RLock()
-	if e, ok := sh.pool[id]; ok {
-		// Installed since the caller's shared-lock check: a hit after all.
-		e.ref.Store(true)
-		data := e.data
-		sh.mu.RUnlock()
-		p.hits.Add(1)
-		return data, nil
-	}
-	seq := sh.writeSeq
-	sh.mu.RUnlock()
 	p.misses.Add(1)
 	data := make([]byte, p.pageSize)
-	_, readErr := p.readAt(data, id)
+	if _, err := p.readAt(data, id); err != nil {
+		return nil, fmt.Errorf("pager: read page %d: %w", id, err)
+	}
 	if p.missLatency > 0 {
 		time.Sleep(p.missLatency)
 	}
@@ -443,16 +376,7 @@ func (p *Pager) readMiss(sh *shard, id int64) ([]byte, error) {
 		e.ref.Store(true)
 		return e.data, nil
 	}
-	if readErr != nil || sh.writeSeq != seq {
-		// Locked re-read: nothing can write or flush this shard's pages now,
-		// and any raced Write has been fully flushed (its eviction completed
-		// under an earlier hold of this lock).
-		if _, err := p.readAt(data, id); err != nil {
-			return nil, fmt.Errorf("pager: read page %d: %w", id, err)
-		}
-	}
-	e := &poolEntry{id: id, data: data}
-	sh.insert(p, e)
+	sh.insert(p, &poolEntry{id: id, data: data})
 	return data, nil
 }
 
@@ -475,8 +399,8 @@ func (p *Pager) ReadRun(first int64, n int, dst [][]byte, io *IOStats) ([][]byte
 	if n <= 0 {
 		return dst, nil
 	}
-	if first < 0 || first+int64(n) > p.numPages.Load() {
-		return nil, fmt.Errorf("%w: run [%d,%d) (have %d)", ErrPageOutOfRange, first, first+int64(n), p.numPages.Load())
+	if first < 0 || first+int64(n) > p.numPages {
+		return nil, fmt.Errorf("%w: run [%d,%d) (have %d)", ErrPageOutOfRange, first, first+int64(n), p.numPages)
 	}
 	base := len(dst)
 	for i := 0; i < n; i++ {
@@ -513,9 +437,8 @@ type chunkSpan struct {
 // readChunk fills out with pages [start, end) of one shard block. The fast
 // path (everything cached) finishes under the shared lock; otherwise the
 // missing pages are read from the file in contiguous spans without any
-// lock and installed under the exclusive lock — with the same raced-Write
-// (writeSeq), raced-install (pool copy wins) and failed-unlocked-read
-// handling as readMiss.
+// lock and installed under the exclusive lock, the pool copy winning a raced
+// install as in readMiss.
 func (p *Pager) readChunk(start, end int64, out [][]byte) error {
 	sh := p.shard(start)
 	missing := 0
@@ -528,7 +451,6 @@ func (p *Pager) readChunk(start, end int64, out [][]byte) error {
 			missing++
 		}
 	}
-	seq := sh.writeSeq
 	sh.mu.RUnlock()
 	if missing == 0 {
 		p.hits.Add(end - start)
@@ -540,7 +462,6 @@ func (p *Pager) readChunk(start, end int64, out [][]byte) error {
 	// Read every gap-free span of missing pages with one ReadAt into a
 	// span-sized buffer.
 	var spans []chunkSpan
-	var readErr error
 	slept := false
 	for id := start; id < end; {
 		if out[id-start] != nil {
@@ -552,8 +473,8 @@ func (p *Pager) readChunk(start, end int64, out [][]byte) error {
 			spanEnd++
 		}
 		span := chunkSpan{first: id, end: spanEnd, buf: make([]byte, int(spanEnd-id)*p.pageSize)}
-		if _, err := p.readAt(span.buf, id); err != nil && readErr == nil {
-			readErr = err
+		if _, err := p.readAt(span.buf, id); err != nil {
+			return fmt.Errorf("pager: read pages [%d,%d): %w", id, spanEnd, err)
 		}
 		spans = append(spans, span)
 		if p.missLatency > 0 && !slept {
@@ -567,18 +488,9 @@ func (p *Pager) readChunk(start, end int64, out [][]byte) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, span := range spans {
-		if readErr != nil || sh.writeSeq != seq {
-			// The unlocked bytes may be stale, torn by a racing eviction
-			// flush, or missing (EOF racing an Alloc): re-read the span
-			// under the lock, serialized with this shard's writes/flushes,
-			// skipping pages the pool resolved meanwhile below.
-			if _, err := p.readAt(span.buf, span.first); err != nil {
-				return fmt.Errorf("pager: read pages [%d,%d): %w", span.first, span.end, err)
-			}
-		}
 		for id := span.first; id < span.end; id++ {
 			if e, ok := sh.pool[id]; ok {
-				// Installed (or written) concurrently; the pool copy wins.
+				// Installed concurrently; the pool copy wins.
 				e.ref.Store(true)
 				out[id-start] = e.data
 				continue
@@ -592,11 +504,6 @@ func (p *Pager) readChunk(start, end int64, out [][]byte) error {
 	return nil
 }
 
-// ErrUnsyncedPages is returned by ReadDirect when a page has been allocated
-// or written since the last completed Sync: the file may not hold its
-// current bytes, and only the buffer pool knows which pages those are.
-var ErrUnsyncedPages = errors.New("pager: direct read with unsynced pages")
-
 // ReadDirect fills buf — a whole number of pages — with the consecutive
 // pages starting at first, using ONE file read that bypasses the buffer
 // pool: nothing is looked up, allocated, installed or evicted. It is the
@@ -605,21 +512,13 @@ var ErrUnsyncedPages = errors.New("pager: direct read with unsynced pages")
 // never touches again. Every page is still accounted as one access and one
 // miss, in io and in the shared counters, and the call sleeps MissLatency
 // once, like one ReadRun span.
-//
-// The file is the only source, so the call is refused with ErrUnsyncedPages
-// unless every page's current bytes are in it; a caller that scans a file
-// still being written must Sync first and must not race the scan with
-// Writes (an immutable, finalized file — the vector store — does neither).
 func (p *Pager) ReadDirect(first int64, buf []byte, io *IOStats) error {
 	n := len(buf) / p.pageSize
 	if n*p.pageSize != len(buf) {
 		return fmt.Errorf("pager: direct read of %d bytes is not a whole number of %d-byte pages", len(buf), p.pageSize)
 	}
-	if first < 0 || first+int64(n) > p.numPages.Load() {
-		return fmt.Errorf("%w: run [%d,%d) (have %d)", ErrPageOutOfRange, first, first+int64(n), p.numPages.Load())
-	}
-	if p.mutSeq.Load() != p.syncedSeq.Load() {
-		return ErrUnsyncedPages
+	if first < 0 || first+int64(n) > p.numPages {
+		return fmt.Errorf("%w: run [%d,%d) (have %d)", ErrPageOutOfRange, first, first+int64(n), p.numPages)
 	}
 	for i := 0; i < n; i++ {
 		io.record(p.id, first+int64(i))
@@ -645,46 +544,6 @@ func (p *Pager) RecordRead(id int64, io *IOStats) {
 	io.record(p.id, id)
 }
 
-// ReadCopy returns a private copy of page id, recording the access in io.
-func (p *Pager) ReadCopy(id int64, dst []byte, io *IOStats) ([]byte, error) {
-	data, err := p.Read(id, io)
-	if err != nil {
-		return nil, err
-	}
-	if cap(dst) < p.pageSize {
-		dst = make([]byte, p.pageSize)
-	}
-	dst = dst[:p.pageSize]
-	copy(dst, data)
-	return dst, nil
-}
-
-// Write replaces the content of page id. data must be exactly one page.
-// The pooled buffer is replaced, not overwritten, so slices handed out by
-// earlier Reads keep their pre-write snapshot.
-func (p *Pager) Write(id int64, data []byte) error {
-	if len(data) != p.pageSize {
-		return fmt.Errorf("pager: write of %d bytes, want %d", len(data), p.pageSize)
-	}
-	if id < 0 || id >= p.numPages.Load() {
-		return fmt.Errorf("%w: %d (have %d)", ErrPageOutOfRange, id, p.numPages.Load())
-	}
-	p.writes.Add(1)
-	sh := p.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.writeSeq++
-	if e, ok := sh.pool[id]; ok {
-		e.data = append([]byte(nil), data...)
-		e.dirty = true
-		e.ref.Store(true)
-	} else {
-		sh.insert(p, &poolEntry{id: id, data: append([]byte(nil), data...), dirty: true})
-	}
-	p.mutSeq.Add(1)
-	return nil
-}
-
 // insert adds e to the shard (whose lock the caller holds), evicting with
 // the CLOCK sweep when the ring is full.
 func (sh *shard) insert(p *Pager, e *poolEntry) {
@@ -703,9 +562,6 @@ func (sh *shard) insert(p *Pager, e *poolEntry) {
 			sh.hand = (sh.hand + 1) % len(sh.ring)
 			continue
 		}
-		if cand.dirty {
-			p.flushEntry(cand)
-		}
 		delete(sh.pool, cand.id)
 		p.evictions.Add(1)
 		sh.ring[sh.hand] = e
@@ -715,70 +571,18 @@ func (sh *shard) insert(p *Pager, e *poolEntry) {
 	}
 }
 
-func (p *Pager) flushEntry(e *poolEntry) {
-	// A write failure here would mean the backing file is gone; every later
-	// Sync/Close reports it, so the eviction path panics rather than losing
-	// a dirty page silently.
-	if _, err := p.f.WriteAt(e.data, e.id*int64(p.pageSize)); err != nil {
-		panic(fmt.Sprintf("pager: flush page %d: %v", e.id, err))
-	}
-	e.dirty = false
-}
-
-// Sync flushes all dirty pages to the file.
-func (p *Pager) Sync() error {
-	seq := p.mutSeq.Load()
+// DropPool empties the buffer pool, so subsequent reads count as misses.
+// Benchmarks call this between queries to model a cold cache.
+func (p *Pager) DropPool() {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.pool {
-			if e.dirty {
-				if _, err := p.f.WriteAt(e.data, e.id*int64(p.pageSize)); err != nil {
-					sh.mu.Unlock()
-					return fmt.Errorf("pager: sync page %d: %w", e.id, err)
-				}
-				e.dirty = false
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if err := p.f.Sync(); err != nil {
-		return err
-	}
-	// Every write counted in seq installed its entry before bumping the
-	// counter, so the loop above saw and flushed it; a write that raced the
-	// loop bumped past seq and keeps the pager marked unsynced.
-	p.syncedSeq.Store(seq)
-	return nil
-}
-
-// DropPool flushes and empties the buffer pool, so subsequent reads count as
-// misses. Benchmarks call this between queries to model a cold cache.
-func (p *Pager) DropPool() error {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.pool {
-			if e.dirty {
-				if _, err := p.f.WriteAt(e.data, e.id*int64(p.pageSize)); err != nil {
-					sh.mu.Unlock()
-					return fmt.Errorf("pager: flush page %d: %w", e.id, err)
-				}
-			}
-		}
 		sh.pool = make(map[int64]*poolEntry)
 		sh.ring = sh.ring[:0]
 		sh.hand = 0
 		sh.mu.Unlock()
 	}
-	return nil
 }
 
-// Close flushes and closes the page file.
-func (p *Pager) Close() error {
-	if err := p.Sync(); err != nil {
-		p.f.Close()
-		return err
-	}
-	return p.f.Close()
-}
+// Close closes the page file.
+func (p *Pager) Close() error { return p.f.Close() }

@@ -5,15 +5,58 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
-func newTestPager(t *testing.T, opts Options) *Pager {
+// writeFile creates the page file at path and writes pages[i] as page i, in
+// the given order of ids (every id once when order is nil; an id may repeat,
+// the last write winning, or be absent, leaving the page unwritten).
+func writeFile(t testing.TB, path string, pageSize int, pages [][]byte, order []int) *Writer {
 	t.Helper()
-	p, err := Create(filepath.Join(t.TempDir(), "pages.db"), opts)
+	w, err := Create(path, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	for range pages {
+		w.Alloc()
+	}
+	if order == nil {
+		order = rand.New(rand.NewSource(int64(len(pages)))).Perm(len(pages))
+	}
+	for _, id := range order {
+		if err := w.Write(int64(id), pages[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w
+}
+
+// randomPages returns n pages of random bytes.
+func randomPages(r *rand.Rand, n, pageSize int) [][]byte {
+	pages := make([][]byte, n)
+	for i := range pages {
+		pages[i] = make([]byte, pageSize)
+		r.Read(pages[i])
+	}
+	return pages
+}
+
+// newTestPager returns a cold pool over a finished file of n pages, each
+// stamped with its id in byte 0.
+func newTestPager(t testing.TB, opts Options, n int) *Pager {
+	t.Helper()
+	opts.normalize()
+	pages := make([][]byte, n)
+	for i := range pages {
+		pages[i] = make([]byte, opts.PageSize)
+		pages[i][0] = byte(i)
+	}
+	p, err := writeFile(t, filepath.Join(t.TempDir(), "pages.db"), opts.PageSize, pages, nil).Finish(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,77 +64,131 @@ func newTestPager(t *testing.T, opts Options) *Pager {
 	return p
 }
 
+// TestAllocReadWriteRoundTrip: pages written in a random order read back
+// through the pool, and the Writer's deferred Close after Finish leaves the
+// pool's descriptor alone.
 func TestAllocReadWriteRoundTrip(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 128})
-	id, err := p.Alloc()
+	pages := randomPages(rand.New(rand.NewSource(1)), 9, 128)
+	w := writeFile(t, filepath.Join(t.TempDir(), "pages.db"), 128, pages, nil)
+	p, err := w.Finish(Options{PoolSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := bytes.Repeat([]byte{0xAB}, 128)
-	if err := p.Write(id, data); err != nil {
-		t.Fatal(err)
+	defer p.Close()
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close after Finish: %v", err)
 	}
-	got, err := p.Read(id, nil)
-	if err != nil {
-		t.Fatal(err)
+	if p.PageSize() != 128 || p.NumPages() != 9 {
+		t.Fatalf("pool of %d pages of %d bytes, want 9 of 128", p.NumPages(), p.PageSize())
 	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("read back different data")
-	}
-}
-
-func TestAllocReturnsZeroedPage(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64})
-	id, _ := p.Alloc()
-	got, err := p.Read(id, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range got {
-		if b != 0 {
-			t.Fatal("fresh page not zeroed")
+	for id, want := range pages {
+		got, err := p.Read(int64(id), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("page %d read back different data", id)
 		}
 	}
 }
 
+// TestAllocReturnsZeroedPage: an allocated page that is never written — the
+// last one included — reads as zeros, and the finished file is n pages long.
+func TestAllocReturnsZeroedPage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	pages := randomPages(rand.New(rand.NewSource(2)), 6, 64)
+	p, err := writeFile(t, path, 64, pages, []int{4, 0, 2}).Finish(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 6*64 {
+		t.Fatalf("file length %d (%v), want %d", fi.Size(), err, 6*64)
+	}
+	for id := range pages {
+		want := make([]byte, 64)
+		if id == 0 || id == 2 || id == 4 {
+			want = pages[id]
+		}
+		got, err := p.Read(int64(id), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("page %d: unexpected content", id)
+		}
+	}
+}
+
+// TestFinishFailureClosesFile: when Finish cannot make the file durable it
+// returns the error and closes the descriptor. The pager has no filesystem
+// seam to fail an fsync through, so the failure is provoked with a read-only
+// descriptor, which fails the truncate that shares fsync's error path.
+func TestFinishFailureClosesFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	w := writeFile(t, path, 64, randomPages(rand.New(rand.NewSource(3)), 3, 64), nil)
+	w.f.Close()
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.f = ro
+	w.Alloc() // the file must grow, so the truncate cannot be a no-op
+	if p, err := w.Finish(Options{}); err == nil {
+		p.Close()
+		t.Fatal("Finish succeeded on a read-only descriptor")
+	}
+	if _, err := ro.Stat(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("descriptor after the failed Finish: Stat returned %v, want os.ErrClosed", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close after the failed Finish: %v", err)
+	}
+}
+
+// TestWriterCloseAbandons: Close without Finish releases the descriptor and
+// later writes fail instead of reaching a closed file silently.
+func TestWriterCloseAbandons(t *testing.T) {
+	w := writeFile(t, filepath.Join(t.TempDir(), "pages.db"), 64, randomPages(rand.New(rand.NewSource(5)), 2, 64), nil)
+	f := w.f
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Stat(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("descriptor after Close: Stat returned %v, want os.ErrClosed", err)
+	}
+	if err := w.Write(0, make([]byte, 64)); err == nil {
+		t.Fatal("Write after Close succeeded")
+	}
+}
+
 func TestReadOutOfRange(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64})
-	if _, err := p.Read(0, nil); err == nil {
-		t.Fatal("expected error reading unallocated page")
+	p := newTestPager(t, Options{PageSize: 64}, 1)
+	if _, err := p.Read(1, nil); !errors.Is(err, ErrPageOutOfRange) {
+		t.Fatalf("reading past the end returned %v", err)
 	}
-	if _, err := p.Read(-1, nil); err == nil {
-		t.Fatal("expected error reading negative page id")
+	if _, err := p.Read(-1, nil); !errors.Is(err, ErrPageOutOfRange) {
+		t.Fatalf("reading a negative page id returned %v", err)
 	}
-	if err := p.Write(5, make([]byte, 64)); err == nil {
-		t.Fatal("expected error writing unallocated page")
+	w := writeFile(t, filepath.Join(t.TempDir(), "w.db"), 64, nil, nil)
+	if err := w.Write(0, make([]byte, 64)); !errors.Is(err, ErrPageOutOfRange) {
+		t.Fatalf("writing an unallocated page returned %v", err)
 	}
 }
 
 func TestWriteWrongSize(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64})
-	id, _ := p.Alloc()
-	if err := p.Write(id, make([]byte, 63)); err == nil {
+	w := writeFile(t, filepath.Join(t.TempDir(), "w.db"), 64, nil, nil)
+	if err := w.Write(w.Alloc(), make([]byte, 63)); err == nil {
 		t.Fatal("expected error for short write")
 	}
 }
 
 func TestPersistenceAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pages.db")
-	p, err := Create(path, Options{PageSize: 256})
+	path := filepath.Join(t.TempDir(), "pages.db")
+	want := randomPages(rand.New(rand.NewSource(4)), 20, 256)
+	p, err := writeFile(t, path, 256, want, nil).Finish(Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	want := make(map[int64][]byte)
-	r := rand.New(rand.NewSource(4))
-	for i := 0; i < 20; i++ {
-		id, _ := p.Alloc()
-		data := make([]byte, 256)
-		r.Read(data)
-		if err := p.Write(id, data); err != nil {
-			t.Fatal(err)
-		}
-		want[id] = data
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -106,7 +203,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatalf("NumPages after reopen = %d, want 20", q.NumPages())
 	}
 	for id, data := range want {
-		got, err := q.Read(id, nil)
+		got, err := q.Read(int64(id), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,10 +214,11 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 }
 
 func TestOpenRejectsBadLength(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pages.db")
-	p, _ := Create(path, Options{PageSize: 100})
-	p.Alloc()
+	path := filepath.Join(t.TempDir(), "pages.db")
+	p, err := writeFile(t, path, 100, make([][]byte, 1), []int{}).Finish(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Close()
 	if _, err := Open(path, Options{PageSize: 64}); err == nil {
 		t.Fatal("expected error for mismatched page size")
@@ -128,17 +226,8 @@ func TestOpenRejectsBadLength(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64, PoolSize: 4})
-	var ids []int64
-	for i := 0; i < 10; i++ {
-		id, _ := p.Alloc()
-		ids = append(ids, id)
-	}
-	if err := p.DropPool(); err != nil {
-		t.Fatal(err)
-	}
-	p.ResetStats()
-	for _, id := range ids {
+	p := newTestPager(t, Options{PageSize: 64, PoolSize: 4}, 10)
+	for id := int64(0); id < 10; id++ {
 		if _, err := p.Read(id, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +240,7 @@ func TestStatsCounting(t *testing.T) {
 		t.Fatalf("Misses = %d, want 10 (cold pool of size 4)", s.Misses)
 	}
 	// Re-reading the last 4 pages hits the pool: accesses grow, misses don't.
-	for _, id := range ids[6:] {
+	for id := int64(6); id < 10; id++ {
 		p.Read(id, nil)
 	}
 	s2 := p.Stats()
@@ -164,66 +253,41 @@ func TestStatsCounting(t *testing.T) {
 }
 
 func TestStatsSub(t *testing.T) {
-	a := Stats{Accesses: 10, Misses: 4, Writes: 2}
-	b := Stats{Accesses: 7, Misses: 1, Writes: 2}
+	a := Stats{Accesses: 10, Misses: 4, FileReads: 2}
+	b := Stats{Accesses: 7, Misses: 1, FileReads: 2}
 	d := a.Sub(b)
-	if d.Accesses != 3 || d.Misses != 3 || d.Writes != 0 {
+	if d.Accesses != 3 || d.Misses != 3 || d.FileReads != 0 {
 		t.Fatalf("Sub = %+v", d)
 	}
 }
 
+// TestLRUEvictionPreservesData: a pool of two pages over sixteen evicts
+// constantly, and dropping a page never costs its content.
 func TestLRUEvictionPreservesData(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64, PoolSize: 2})
-	r := rand.New(rand.NewSource(8))
-	want := make([][]byte, 16)
-	for i := range want {
-		id, _ := p.Alloc()
-		data := make([]byte, 64)
-		r.Read(data)
-		if err := p.Write(id, data); err != nil {
-			t.Fatal(err)
-		}
-		want[i] = data
-	}
-	// All but 2 pages have been evicted (and flushed). Everything must read
-	// back intact.
-	for i, data := range want {
-		got, err := p.Read(int64(i), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("page %d corrupted by eviction", i)
-		}
-	}
-}
-
-func TestReadCopyIsPrivate(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64})
-	id, _ := p.Alloc()
-	data := bytes.Repeat([]byte{7}, 64)
-	p.Write(id, data)
-	cp, err := p.ReadCopy(id, nil, nil)
+	want := randomPages(rand.New(rand.NewSource(8)), 16, 64)
+	p, err := writeFile(t, filepath.Join(t.TempDir(), "pages.db"), 64, want, nil).Finish(Options{PoolSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp[0] = 99
-	got, _ := p.Read(id, nil)
-	if got[0] != 7 {
-		t.Fatal("ReadCopy aliased the pool buffer")
+	defer p.Close()
+	for pass := 0; pass < 2; pass++ {
+		for i, data := range want {
+			got, err := p.Read(int64(i), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("pass %d: page %d corrupted by eviction", pass, i)
+			}
+		}
+	}
+	if s := p.Stats(); s.Evictions != 30 {
+		t.Fatalf("%d evictions, want 30 (32 misses into a pool of 2)", s.Evictions)
 	}
 }
 
 func TestConcurrentReaders(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64, PoolSize: 8})
-	var ids []int64
-	for i := 0; i < 32; i++ {
-		id, _ := p.Alloc()
-		data := make([]byte, 64)
-		data[0] = byte(i)
-		p.Write(id, data)
-		ids = append(ids, id)
-	}
+	p := newTestPager(t, Options{PageSize: 64, PoolSize: 8}, 32)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -231,8 +295,8 @@ func TestConcurrentReaders(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				id := ids[(i*7+g)%len(ids)]
-				got, err := p.ReadCopy(id, nil, nil)
+				id := int64((i*7 + g) % 32)
+				got, err := p.Read(id, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -251,39 +315,35 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-// Property: any sequence of writes followed by reads returns the written
-// data, regardless of pool size (i.e. the pool is transparent).
+// Property: whatever order the pages were written in — rewrites of a page
+// included, the last one winning — and whatever the pool size, the pool reads
+// back exactly what the Writer was given.
 func TestPropertyPoolTransparency(t *testing.T) {
 	f := func(seed int64, poolSize uint8) bool {
-		dir := t.TempDir()
-		p, err := Create(filepath.Join(dir, "p.db"), Options{PageSize: 32, PoolSize: int(poolSize%16) + 1})
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(40)
+		w, err := Create(filepath.Join(t.TempDir(), "p.db"), 32)
+		if err != nil {
+			return false
+		}
+		defer w.Close()
+		for i := 0; i < n; i++ {
+			w.Alloc()
+		}
+		want := make([][]byte, n)
+		for _, id := range append(r.Perm(n), r.Perm(n)[:n/2]...) {
+			want[id] = make([]byte, 32)
+			r.Read(want[id])
+			if w.Write(int64(id), want[id]) != nil {
+				return false
+			}
+		}
+		p, err := w.Finish(Options{PoolSize: int(poolSize%16) + 1})
 		if err != nil {
 			return false
 		}
 		defer p.Close()
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(40)
-		want := make([][]byte, n)
-		for i := 0; i < n; i++ {
-			id, _ := p.Alloc()
-			data := make([]byte, 32)
-			r.Read(data)
-			if p.Write(id, data) != nil {
-				return false
-			}
-			want[i] = data
-		}
-		// Random overwrite pass.
-		for i := 0; i < n/2; i++ {
-			id := int64(r.Intn(n))
-			data := make([]byte, 32)
-			r.Read(data)
-			if p.Write(id, data) != nil {
-				return false
-			}
-			want[id] = data
-		}
-		for i := 0; i < n; i++ {
+		for _, i := range append(r.Perm(n), r.Perm(n)...) {
 			got, err := p.Read(int64(i), nil)
 			if err != nil || !bytes.Equal(got, want[i]) {
 				return false
@@ -297,12 +357,8 @@ func TestPropertyPoolTransparency(t *testing.T) {
 }
 
 func TestIOStatsPerCaller(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64, PoolSize: 8})
-	var ids []int64
-	for i := 0; i < 6; i++ {
-		id, _ := p.Alloc()
-		ids = append(ids, id)
-	}
+	p := newTestPager(t, Options{PageSize: 64, PoolSize: 8}, 6)
+	ids := []int64{0, 1, 2, 3, 4, 5}
 	var a, b IOStats
 	// Caller A touches pages 0..3, twice each; caller B touches 2..5 once.
 	for pass := 0; pass < 2; pass++ {
@@ -330,25 +386,14 @@ func TestIOStatsPerCaller(t *testing.T) {
 }
 
 func TestIOStatsSpansPagers(t *testing.T) {
-	dir := t.TempDir()
-	p1, err := Create(filepath.Join(dir, "a.db"), Options{PageSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p1.Close()
-	p2, err := Create(filepath.Join(dir, "b.db"), Options{PageSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	id1, _ := p1.Alloc()
-	id2, _ := p2.Alloc()
+	p1 := newTestPager(t, Options{PageSize: 64}, 1)
+	p2 := newTestPager(t, Options{PageSize: 64}, 1)
 	var io IOStats
 	// Page 0 of two different pagers must count as two distinct pages.
-	if _, err := p1.Read(id1, &io); err != nil {
+	if _, err := p1.Read(0, &io); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.Read(id2, &io); err != nil {
+	if _, err := p2.Read(0, &io); err != nil {
 		t.Fatal(err)
 	}
 	if io.Pages() != 2 {
@@ -370,16 +415,8 @@ func TestNilIOStatsDiscards(t *testing.T) {
 // their own page set in their IOStats, independent of pool state and of
 // what the other goroutines read.
 func TestConcurrentPerQueryAccounting(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64, PoolSize: 4})
 	const numPages = 24
-	for i := 0; i < numPages; i++ {
-		id, _ := p.Alloc()
-		data := make([]byte, 64)
-		data[0] = byte(id)
-		if err := p.Write(id, data); err != nil {
-			t.Fatal(err)
-		}
-	}
+	p := newTestPager(t, Options{PageSize: 64, PoolSize: 4}, numPages)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -414,41 +451,21 @@ func TestConcurrentPerQueryAccounting(t *testing.T) {
 }
 
 // TestReadDirect: the pool-bypassing read returns, for every page, the bytes
-// Read returns — on the pager that wrote them (after Sync) and on the file
-// reopened — with one file read however many pages it spans, every page
-// accounted as an access and a miss, and the pool untouched. It is refused
-// while any page allocated or written since the last Sync may exist only in
-// the pool.
+// Read returns — on the pool Finish handed out and on the file reopened —
+// with one file read however many pages it spans, every page accounted as an
+// access and a miss, and the pool untouched.
 func TestReadDirect(t *testing.T) {
 	const pageSize, pages, pool = 128, 40, 8
 	path := filepath.Join(t.TempDir(), "pages.db")
-	p, err := Create(path, Options{PageSize: pageSize, PoolSize: pool})
+	content := make([][]byte, pages)
+	for id := range content {
+		content[id] = bytes.Repeat([]byte{byte(id + 1)}, pageSize)
+	}
+	p, err := writeFile(t, path, pageSize, content, nil).Finish(Options{PoolSize: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, pages*pageSize)
-	if _, err := p.Alloc(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ReadDirect(0, buf[:pageSize], nil); !errors.Is(err, ErrUnsyncedPages) {
-		t.Fatalf("direct read of a freshly allocated page returned %v, want ErrUnsyncedPages", err)
-	}
-	for id := int64(0); id < pages; id++ {
-		if id > 0 {
-			if _, err := p.Alloc(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := p.Write(id, bytes.Repeat([]byte{byte(id + 1)}, pageSize)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.ReadDirect(0, buf, nil); !errors.Is(err, ErrUnsyncedPages) {
-		t.Fatalf("direct read before Sync returned %v, want ErrUnsyncedPages", err)
-	}
-	if err := p.Sync(); err != nil {
-		t.Fatal(err)
-	}
 
 	check := func(name string, p *Pager) {
 		t.Helper()
@@ -484,18 +501,8 @@ func TestReadDirect(t *testing.T) {
 			t.Fatalf("%s: direct read of a partial page succeeded", name)
 		}
 	}
-	check("synced", p)
-	// One write makes the file stale for that page until the next Sync.
-	if err := p.Write(3, bytes.Repeat([]byte{0xEE}, pageSize)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ReadDirect(0, buf, nil); !errors.Is(err, ErrUnsyncedPages) {
-		t.Fatalf("direct read after a Write returned %v, want ErrUnsyncedPages", err)
-	}
-	if err := p.Write(3, bytes.Repeat([]byte{4}, pageSize)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil { // Close syncs
+	check("finished", p)
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := Open(path, Options{PageSize: pageSize, PoolSize: pool})

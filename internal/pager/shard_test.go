@@ -4,31 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
-
-// fillPages allocates n pages, each stamped with its id in byte 0, and
-// drops the pool so reads start cold.
-func fillPages(t *testing.T, p *Pager, n int) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		id, err := p.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := make([]byte, p.PageSize())
-		data[0] = byte(id)
-		if err := p.Write(id, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.DropPool(); err != nil {
-		t.Fatal(err)
-	}
-	p.ResetStats()
-}
 
 // TestShardScaling pins the stripe-count policy: tiny pools stay single
 // shard (so their capacity is not fragmented), big pools stripe out.
@@ -38,7 +17,7 @@ func TestShardScaling(t *testing.T) {
 	}{
 		{1, 1}, {8, 1}, {32, 1}, {64, 2}, {256, 8}, {1024, 16}, {65536, 16},
 	} {
-		p := newTestPager(t, Options{PageSize: 64, PoolSize: tc.pool})
+		p := newTestPager(t, Options{PageSize: 64, PoolSize: tc.pool}, 1)
 		if got := p.Shards(); got != tc.wantShards {
 			t.Errorf("PoolSize=%d: %d shards, want %d", tc.pool, got, tc.wantShards)
 		}
@@ -49,8 +28,7 @@ func TestShardScaling(t *testing.T) {
 // chances: with a pool of 2 and the access pattern A B A C, page A's
 // reference bit must save it, so C evicts B and a re-read of A still hits.
 func TestClockSecondChance(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64, PoolSize: 2})
-	fillPages(t, p, 3)
+	p := newTestPager(t, Options{PageSize: 64, PoolSize: 2}, 3)
 	readOK := func(id int64) {
 		t.Helper()
 		got, err := p.Read(id, nil)
@@ -86,9 +64,8 @@ func TestClockSecondChance(t *testing.T) {
 // full-hit runs, mixed runs with cached holes, shard-block-crossing runs,
 // and the error cases.
 func TestReadRunBasics(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64, PoolSize: 1024})
 	const n = 64
-	fillPages(t, p, n)
+	p := newTestPager(t, Options{PageSize: 64, PoolSize: 1024}, n)
 
 	check := func(pages [][]byte, first int64) {
 		t.Helper()
@@ -151,31 +128,36 @@ func TestReadRunBasics(t *testing.T) {
 	}
 }
 
-// TestReadRunSeesWrites asserts the pool-wins rule: a page Written while
-// cached must be served from the pool by a subsequent ReadRun, not
-// re-fetched stale from the file.
+// TestReadRunSeesWrites: a page the Writer wrote twice (as the iDistance ring
+// writer re-flushes the page the next ring continues on) reads back with its
+// last content, cold and from the pool.
 func TestReadRunSeesWrites(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64, PoolSize: 1024})
-	fillPages(t, p, 8)
-	fresh := bytes.Repeat([]byte{0xEE}, 64)
-	if err := p.Write(4, fresh); err != nil {
+	stale, fresh := bytes.Repeat([]byte{0x11}, 64), bytes.Repeat([]byte{0xEE}, 64)
+	w := writeFile(t, filepath.Join(t.TempDir(), "pages.db"), 64, [][]byte{stale, stale, stale}, nil)
+	if err := w.Write(1, fresh); err != nil {
 		t.Fatal(err)
 	}
-	pages, err := p.ReadRun(0, 8, nil, nil)
+	p, err := w.Finish(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pages[4], fresh) {
-		t.Fatal("ReadRun returned stale bytes for a written page")
+	defer p.Close()
+	for pass := 0; pass < 2; pass++ {
+		pages, err := p.ReadRun(0, 3, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pages[0], stale) || !bytes.Equal(pages[1], fresh) || !bytes.Equal(pages[2], stale) {
+			t.Fatalf("pass %d: ReadRun did not return the last write of each page", pass)
+		}
 	}
 }
 
 // TestReadRunAgainstRandomReads cross-checks ReadRun against single-page
 // Reads under random interleaving and a small pool (constant eviction).
 func TestReadRunAgainstRandomReads(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64, PoolSize: 4})
 	const n = 40
-	fillPages(t, p, n)
+	p := newTestPager(t, Options{PageSize: 64, PoolSize: 4}, n)
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 300; trial++ {
 		if rng.Intn(2) == 0 {
@@ -203,115 +185,76 @@ func TestReadRunAgainstRandomReads(t *testing.T) {
 	}
 }
 
-// TestOneShardStress hammers a single shard block from many goroutines —
-// reads, runs and writes all landing on the same stripe — under a pool
-// small enough to evict constantly. Each page carries a per-page sequence
-// number its (single) writer increments, and every reader asserts the
-// sequence it observes never goes backwards: a miss path that installed
-// stale or torn file bytes over a newer Write (the lock-free read race)
-// fails here deterministically in content, and -race covers the memory
-// model.
+// TestOneShardStress hammers a pool smaller than its file — one stripe, so
+// every install, hit and eviction contends on the same lock — from many
+// goroutines mixing Read, ReadRun and ReadDirect, and checks every byte
+// returned against the model the file was written from. -race covers the
+// memory model; the content check covers a miss path installing or returning
+// the wrong page.
 func TestOneShardStress(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64, PoolSize: 4})
+	const pageSize, numPages = 64, 40
+	model := randomPages(rand.New(rand.NewSource(9)), numPages, pageSize)
+	p, err := writeFile(t, filepath.Join(t.TempDir(), "pages.db"), pageSize, model, nil).Finish(Options{PoolSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
 	if p.Shards() != 1 {
 		t.Fatalf("want a single shard for the stress, got %d", p.Shards())
 	}
-	// One shard block: pages 0..7 all map to shard 0 even with striping.
-	const blockPages = 8
-	fillPages(t, p, blockPages)
 
-	pageSeq := func(page []byte) uint32 {
-		return uint32(page[4]) | uint32(page[5])<<8 | uint32(page[6])<<16 | uint32(page[7])<<24
-	}
-
-	var wg, readers sync.WaitGroup
-	errs := make(chan error, 16)
-	stop := make(chan struct{})
-	// Two writers own disjoint page sets (id%2), each stamping its pages
-	// with an increasing sequence, so per-page sequences are well ordered.
-	for g := 0; g < 2; g++ {
+	var wg sync.WaitGroup
+	errs := make(chan error, 9)
+	for g := 0; g < 9; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			buf := make([]byte, 64)
-			for i := uint32(1); ; i++ {
-				select {
-				case <-stop:
-					return
+			rng := rand.New(rand.NewSource(int64(g)))
+			var io IOStats
+			var reads int64
+			direct := make([]byte, 5*pageSize)
+			for i := 0; i < 1500; i++ {
+				first := rng.Intn(numPages)
+				n := 1 + rng.Intn(min(5, numPages-first))
+				var got [][]byte
+				var err error
+				switch g % 3 {
+				case 0:
+					n = 1
+					var page []byte
+					page, err = p.Read(int64(first), &io)
+					got = [][]byte{page}
+				case 1:
+					got, err = p.ReadRun(int64(first), n, nil, &io)
 				default:
+					err = p.ReadDirect(int64(first), direct[:n*pageSize], &io)
+					for j := 0; j < n; j++ {
+						got = append(got, direct[j*pageSize:(j+1)*pageSize])
+					}
 				}
-				id := int64(g + 2*(int(i)%(blockPages/2)))
-				buf[0] = byte(id)
-				buf[4], buf[5], buf[6], buf[7] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-				if err := p.Write(id, buf); err != nil {
+				if err != nil {
 					errs <- err
 					return
 				}
+				reads += int64(n)
+				for j, page := range got {
+					if !bytes.Equal(page, model[first+j]) {
+						errs <- fmt.Errorf("goroutine %d: page %d differs from the model", g, first+j)
+						return
+					}
+				}
+			}
+			if io.Reads != reads {
+				errs <- fmt.Errorf("goroutine %d: IOStats counted %d reads, issued %d", g, io.Reads, reads)
 			}
 		}(g)
 	}
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		readers.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			defer readers.Done()
-			var io IOStats
-			var lastSeen [blockPages]uint32
-			observe := func(id int64, page []byte) error {
-				if page[0] != byte(id) {
-					return fmt.Errorf("goroutine %d: page %d corrupted: %d", g, id, page[0])
-				}
-				seq := pageSeq(page)
-				if seq < lastSeen[id] {
-					return fmt.Errorf("goroutine %d: page %d went backwards: saw seq %d after %d (stale install)",
-						g, id, seq, lastSeen[id])
-				}
-				lastSeen[id] = seq
-				return nil
-			}
-			for i := 0; i < 2000; i++ {
-				if g%2 == 0 {
-					id := int64((i*3 + g) % blockPages)
-					page, err := p.Read(id, &io)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if err := observe(id, page); err != nil {
-						errs <- err
-						return
-					}
-				} else {
-					first := int64(i % (blockPages - 2))
-					pages, err := p.ReadRun(first, 3, nil, &io)
-					if err != nil {
-						errs <- err
-						return
-					}
-					for j, page := range pages {
-						if err := observe(first+int64(j), page); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}
-			}
-		}(g)
-	}
-	// Readers finish their fixed iteration counts with the writers still
-	// churning, then the writers are stopped.
-	readers.Wait()
-	close(stop)
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("stress deadlocked")
-	}
+	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatalf("stress failure: %v", err)
+	}
+	if s := p.Stats(); s.Hits+s.Misses != s.Accesses || s.Evictions == 0 {
+		t.Fatalf("shared counters after the stress: %+v", s)
 	}
 }

@@ -232,21 +232,20 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 		cellHH[c] = householders(rng, cfg.Reflections, padded)
 	}
 
-	opts := pager.Options{PageSize: cfg.PageSize, PoolSize: cfg.PoolSize}
-	var err error
-	ix.rotPg, err = pager.Create(filepath.Join(dir, "pq.rot"), opts)
+	// Deferred Close abandons a file unless Finish has run.
+	rotW, err := pager.Create(filepath.Join(dir, "pq.rot"), cfg.PageSize)
 	if err != nil {
 		return nil, err
 	}
-	ix.listPg, err = pager.Create(filepath.Join(dir, "pq.lists"), opts)
+	defer rotW.Close()
+	listW, err := pager.Create(filepath.Join(dir, "pq.lists"), cfg.PageSize)
 	if err != nil {
-		ix.rotPg.Close()
 		return nil, err
 	}
+	defer listW.Close()
 	for c := 0; c < cells; c++ {
-		start, err := ix.writeRotation(cellHH[c])
+		start, err := ix.writeRotation(rotW, cellHH[c])
 		if err != nil {
-			ix.Close()
 			return nil, err
 		}
 		ix.cells[c].rotStart = start
@@ -320,26 +319,18 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 			if cur < 0 {
 				return nil
 			}
-			return ix.listPg.Write(cur, page)
+			return listW.Write(cur, page)
 		}
 		for _, id := range members[c] {
 			if cur < 0 || slot == ix.entriesPerPage {
 				if err := flush(); err != nil {
-					ix.Close()
 					return nil, err
 				}
-				pid, err := ix.listPg.Alloc()
-				if err != nil {
-					ix.Close()
-					return nil, err
-				}
+				cur, slot = listW.Alloc(), 0
 				if first < 0 {
-					first = pid
+					first = cur
 				}
-				cur, slot = pid, 0
-				for i := range page {
-					page[i] = 0
-				}
+				clear(page)
 			}
 			off := slot * ix.entrySize
 			binary.LittleEndian.PutUint32(page[off:], id)
@@ -347,17 +338,16 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 			slot++
 		}
 		if err := flush(); err != nil {
-			ix.Close()
 			return nil, err
 		}
 		ix.cells[c].listStart = first
 	}
-	if err := ix.rotPg.Sync(); err != nil {
-		ix.Close()
+	opts := pager.Options{PageSize: cfg.PageSize, PoolSize: cfg.PoolSize}
+	if ix.rotPg, err = rotW.Finish(opts); err != nil {
 		return nil, err
 	}
-	if err := ix.listPg.Sync(); err != nil {
-		ix.Close()
+	if ix.listPg, err = listW.Finish(opts); err != nil {
+		ix.rotPg.Close()
 		return nil, err
 	}
 
@@ -389,7 +379,7 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 // writeRotation materializes the Householder product as a D×D row-major
 // matrix on fresh pages (rotRowsPerPage rows per page) and returns the
 // first page id.
-func (ix *Index) writeRotation(vs [][]float64) (int64, error) {
+func (ix *Index) writeRotation(w *pager.Writer, vs [][]float64) (int64, error) {
 	D := ix.padded
 	// Row i of R is (H_T···H_1)ᵀ applied to eᵢ... we need R x, stored by
 	// rows: R[i][j]. Build R by rotating each basis vector: column j of R
@@ -415,24 +405,18 @@ func (ix *Index) writeRotation(vs [][]float64) (int64, error) {
 		if cur < 0 {
 			return nil
 		}
-		return ix.rotPg.Write(cur, page)
+		return w.Write(cur, page)
 	}
 	for i := 0; i < D; i++ {
 		if cur < 0 || rowInPage == ix.rotRowsPerPage {
 			if err := flush(); err != nil {
 				return 0, err
 			}
-			pid, err := ix.rotPg.Alloc()
-			if err != nil {
-				return 0, err
-			}
+			cur, rowInPage = w.Alloc(), 0
 			if first < 0 {
-				first = pid
+				first = cur
 			}
-			cur, rowInPage = pid, 0
-			for b := range page {
-				page[b] = 0
-			}
+			clear(page)
 		}
 		off := rowInPage * 4 * D
 		for j := 0; j < D; j++ {

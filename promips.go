@@ -199,8 +199,6 @@ type CacheStats struct {
 	Hits, Misses int64
 	// Evictions counts pages the CLOCK policy pushed out to make room.
 	Evictions int64
-	// Writes counts page writes.
-	Writes int64
 }
 
 // HitRatio returns Hits/Accesses, or 0 before any reads.
@@ -218,7 +216,6 @@ func (s CacheStats) Sub(t CacheStats) CacheStats {
 		Hits:      s.Hits - t.Hits,
 		Misses:    s.Misses - t.Misses,
 		Evictions: s.Evictions - t.Evictions,
-		Writes:    s.Writes - t.Writes,
 	}
 }
 
@@ -231,7 +228,6 @@ func (s CacheStats) Add(t CacheStats) CacheStats {
 		Hits:      s.Hits + t.Hits,
 		Misses:    s.Misses + t.Misses,
 		Evictions: s.Evictions + t.Evictions,
-		Writes:    s.Writes + t.Writes,
 	}
 }
 
@@ -690,7 +686,6 @@ func (ix *Index) CacheStats() CacheStats {
 		Hits:      s.Hits,
 		Misses:    s.Misses,
 		Evictions: s.Evictions,
-		Writes:    s.Writes,
 	}
 }
 
