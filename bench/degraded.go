@@ -25,21 +25,8 @@ import (
 //	                    degrade, which is what p99 looks like without
 //	                    this PR's isolation.
 //
-// ShardsAnsweredAvg and AchievedPAvg record the price paid: fewer shards
-// and a weaker union-bound guarantee on the degraded answers.
-
-// DegradedPoint is one configuration's measurement.
-type DegradedPoint struct {
-	Config            string  `json:"config"`
-	SlowShardDelayMS  float64 `json:"slow_shard_delay_ms,omitempty"`
-	ShardTimeoutMS    float64 `json:"shard_timeout_ms,omitempty"`
-	P50US             float64 `json:"p50_us"`
-	P99US             float64 `json:"p99_us"`
-	QPS               float64 `json:"qps"`
-	ShardsAnsweredAvg float64 `json:"shards_answered_avg"`
-	AchievedPAvg      float64 `json:"achieved_p_avg"`
-	DegradedQueries   int     `json:"degraded_queries"`
-}
+// The "shards answered" and "achieved p" columns record the price paid:
+// fewer shards and a weaker union-bound guarantee on the degraded answers.
 
 // Degraded-model parameters: the slow shard serves every op this late,
 // and the degraded config abandons a shard after the timeout. The delay
@@ -50,9 +37,15 @@ const (
 	DegradedShardTimeout = 1 * time.Millisecond
 )
 
-// MeasureDegradedSearch builds a K-shard in-RAM index over the workload's
-// data and measures the three configurations on the same warm index.
-func MeasureDegradedSearch(ctx context.Context, e *Env, shards, k int) ([]DegradedPoint, error) {
+// DegradedSearch builds a K-shard in-RAM index over the workload's data,
+// measures the three configurations on the same warm index and renders them
+// as a benchrunner table (-fig degraded).
+func DegradedSearch(ctx context.Context, e *Env, shards, k int) (Table, error) {
+	t := Table{
+		Title: fmt.Sprintf("Degraded fan-out: one slow shard (%v) vs per-shard deadline (%v) — %s (%d shards, k=%d)",
+			DegradedSlowDelay, DegradedShardTimeout, e.Cfg.Spec.Name, shards, k),
+		Header: []string{"config", "p50 us", "p99 us", "QPS", "shards answered", "achieved p", "degraded"},
+	}
 	ix, err := shard.Build(e.Data, shard.Options{
 		Shards: shards,
 		Dir:    filepath.Join(e.dir, fmt.Sprintf("degraded-%d", shards)),
@@ -62,58 +55,46 @@ func MeasureDegradedSearch(ctx context.Context, e *Env, shards, k int) ([]Degrad
 		},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("build %d-shard degraded index: %w", shards, err)
+		return t, fmt.Errorf("build %d-shard degraded index: %w", shards, err)
 	}
 	defer ix.Close()
 	// Warm pass: no point pays cold structures inside the timed loop.
 	for _, q := range e.Queries {
 		if _, _, err := ix.Search(ctx, q, k); err != nil {
-			return nil, err
+			return t, err
 		}
 	}
 
 	p := ix.Options().P
-	configs := []struct {
-		point DegradedPoint
-		flt   *shard.Faults
-		opts  []promips.SearchOption
-	}{
-		{point: DegradedPoint{Config: "healthy"}},
-		{
-			point: DegradedPoint{
-				Config:           "slow_shard_degraded",
-				SlowShardDelayMS: float64(DegradedSlowDelay) / float64(time.Millisecond),
-				ShardTimeoutMS:   float64(DegradedShardTimeout) / float64(time.Millisecond),
-			},
-			flt:  &shard.Faults{Delay: map[int]time.Duration{0: DegradedSlowDelay}},
-			opts: []promips.SearchOption{promips.WithShardTimeout(DegradedShardTimeout)},
-		},
-		{
-			point: DegradedPoint{
-				Config:           "slow_shard_strict",
-				SlowShardDelayMS: float64(DegradedSlowDelay) / float64(time.Millisecond),
-			},
-			flt: &shard.Faults{Delay: map[int]time.Duration{0: DegradedSlowDelay}},
-		},
+	slow := func() *shard.Faults {
+		return &shard.Faults{Delay: map[int]time.Duration{0: DegradedSlowDelay}}
 	}
-
-	var out []DegradedPoint
+	configs := []struct {
+		name string
+		flt  *shard.Faults
+		opts []promips.SearchOption
+	}{
+		{name: "healthy"},
+		{name: "slow_shard_degraded", flt: slow(), opts: []promips.SearchOption{promips.WithShardTimeout(DegradedShardTimeout)}},
+		{name: "slow_shard_strict", flt: slow()},
+	}
+	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	for _, cfg := range configs {
 		ix.SetFaults(cfg.flt)
-		pt := cfg.point
 		lats := make([]time.Duration, 0, len(e.Queries))
 		var answered, achieved float64
+		degraded := 0
 		start := time.Now()
 		for _, q := range e.Queries {
 			qs := time.Now()
 			_, st, err := ix.Search(ctx, q, k, cfg.opts...)
 			if err != nil {
 				ix.SetFaults(nil)
-				return nil, fmt.Errorf("degraded config %s: %w", pt.Config, err)
+				return t, fmt.Errorf("degraded config %s: %w", cfg.name, err)
 			}
 			lats = append(lats, time.Since(qs))
 			if st.Degraded != nil {
-				pt.DegradedQueries++
+				degraded++
 				answered += float64(st.Degraded.ShardsAnswered)
 				achieved += st.Degraded.AchievedP
 			} else {
@@ -125,32 +106,8 @@ func MeasureDegradedSearch(ctx context.Context, e *Env, shards, k int) ([]Degrad
 		ix.SetFaults(nil)
 		nq := float64(len(e.Queries))
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		pt.P50US = float64(lats[len(lats)/2]) / float64(time.Microsecond)
-		pt.P99US = float64(lats[len(lats)*99/100]) / float64(time.Microsecond)
-		pt.QPS = nq / elapsed
-		pt.ShardsAnsweredAvg = answered / nq
-		pt.AchievedPAvg = achieved / nq
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
-// DegradedSearch renders MeasureDegradedSearch as a benchrunner table
-// (-fig degraded).
-func DegradedSearch(ctx context.Context, e *Env, shards, k int) (Table, error) {
-	t := Table{
-		Title: fmt.Sprintf("Degraded fan-out: one slow shard (%v) vs per-shard deadline (%v) — %s (%d shards, k=%d)",
-			DegradedSlowDelay, DegradedShardTimeout, e.Cfg.Spec.Name, shards, k),
-		Header: []string{"config", "p50 us", "p99 us", "QPS", "shards answered", "achieved p", "degraded"},
-	}
-	points, err := MeasureDegradedSearch(ctx, e, shards, k)
-	if err != nil {
-		return t, err
-	}
-	for _, p := range points {
-		t.AddRow(p.Config, f1(p.P50US), f1(p.P99US), f1(p.QPS),
-			fmt.Sprintf("%.2f", p.ShardsAnsweredAvg), fmt.Sprintf("%.3f", p.AchievedPAvg),
-			fmt.Sprint(p.DegradedQueries))
+		t.AddRow(cfg.name, f1(us(lats[len(lats)/2])), f1(us(lats[len(lats)*99/100])), f1(nq/elapsed),
+			fmt.Sprintf("%.2f", answered/nq), fmt.Sprintf("%.3f", achieved/nq), fmt.Sprint(degraded))
 	}
 	return t, nil
 }

@@ -175,18 +175,14 @@ type ProMIPSOptions struct {
 	Epsilon       float64
 	PageSize      int
 	PoolSize      int
-	// MissLatency simulates a disk read per buffer-pool miss (one per
-	// readahead run); the concurrent-serving experiments use it to measure
-	// scaling under the paper's disk-resident cost model.
-	MissLatency time.Duration
-	Seed        int64
+	Seed          int64
 }
 
 func (o ProMIPSOptions) core() core.Options {
 	return core.Options{
 		C: o.C, P: o.P, M: o.M,
 		Kp: o.Kp, Nkey: o.Nkey, Ksp: o.Ksp, Epsilon: o.Epsilon,
-		PageSize: o.PageSize, PoolSize: o.PoolSize, MissLatency: o.MissLatency,
+		PageSize: o.PageSize, PoolSize: o.PoolSize,
 		Seed: o.Seed,
 	}
 }

@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
 
-	"promips/internal/core"
 	"promips/internal/vec"
 	"promips/mips"
 )
@@ -200,85 +198,6 @@ func Table2Scaling(cfgBase Config, ns []int, k int) (Table, error) {
 		}
 		t.AddRow(fmt.Sprint(n), fmt.Sprint(b.BuildTime.Milliseconds()),
 			f3(p.CPUms), f1(p.Pages), f3(p.Pages/float64(n)*1000))
-	}
-	return t, nil
-}
-
-// Concurrency measures serving throughput of one shared ProMIPS index as
-// the worker count grows: the whole query workload, repeated rounds times,
-// is pushed through Index.SearchBatch with 1, 2, 4, … workers. Per-query
-// I/O accounting makes the page metric identical at every worker count, so
-// the table doubles as a correctness check on the concurrent read path —
-// and the per-worker pages/query, buffer-pool hit ratio and
-// speedup-vs-1-worker columns make a flat or inverted curve diagnosable
-// from the report itself (a 2-worker point below the 1-worker point with a
-// falling hit ratio is pool thrash; with a flat hit ratio it is lock or
-// CPU serialization).
-//
-// With missLatency > 0 the index is built with a small buffer pool and
-// that simulated per-miss disk cost (the paper's PageCostMs charge), so
-// the curve measures miss overlap — the disk-resident serving regime —
-// rather than warm in-RAM CPU scaling.
-//
-// ctx bounds the whole experiment (benchrunner's -timeout): it is passed
-// to every SearchBatch, so a deadline aborts between queries.
-func Concurrency(ctx context.Context, e *Env, workerCounts []int, k, rounds int, missLatency time.Duration) (Table, error) {
-	popts := ProMIPSOptions{}
-	model := "warm pool"
-	if missLatency > 0 {
-		popts.PoolSize = DiskModelPoolPages
-		popts.MissLatency = missLatency
-		model = fmt.Sprintf("disk model: pool=%d pages, %v/miss", DiskModelPoolPages, missLatency)
-	}
-	t := Table{
-		Title: fmt.Sprintf("Concurrency: QPS on one shared index — %s (k=%d, %d queries/round, %d rounds, %s)",
-			e.Cfg.Spec.Name, k, len(e.Queries), rounds, model),
-		Header: []string{"workers", "wall(ms)", "QPS", "ms/query", "speedup", "pages/query", "hit%"},
-	}
-	if rounds <= 0 {
-		rounds = 1
-	}
-	b, err := e.BuildProMIPS(popts)
-	if err != nil {
-		return t, err
-	}
-	defer b.Method.Close()
-	ix := b.Method.(proMIPSAdapter).ix
-
-	workload := make([][]float32, 0, len(e.Queries)*rounds)
-	for r := 0; r < rounds; r++ {
-		workload = append(workload, e.Queries...)
-	}
-	// Untimed warm-up so the first worker count (the speedup baseline) does
-	// not pay the fully cold buffer pool alone.
-	if _, _, err := ix.SearchBatch(ctx, e.Queries, k, 1, core.SearchParams{}); err != nil {
-		return t, err
-	}
-	var base float64
-	for _, w := range workerCounts {
-		before := ix.CacheStats()
-		start := time.Now()
-		_, qstats, err := ix.SearchBatch(ctx, workload, k, w, core.SearchParams{})
-		if err != nil {
-			return t, err
-		}
-		elapsed := time.Since(start).Seconds()
-		interval := ix.CacheStats().Sub(before)
-		if base == 0 {
-			base = elapsed
-		}
-		var pages float64
-		for _, st := range qstats {
-			pages += float64(st.PageAccesses)
-		}
-		nq := float64(len(workload))
-		t.AddRow(fmt.Sprint(w),
-			f1(elapsed*1000),
-			f1(nq/elapsed),
-			f3(elapsed*1000/nq),
-			fmt.Sprintf("%.2fx", base/elapsed),
-			f1(pages/nq),
-			f1(interval.HitRatio()*100))
 	}
 	return t, nil
 }

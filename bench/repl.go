@@ -27,33 +27,20 @@ import (
 // be zero on both transports — steady tailing never re-snapshots — so a
 // nonzero count flags a fingerprint bug, not a slow wire.
 
-// ReplPoint is one transport's measurement.
-type ReplPoint struct {
-	Source        string  `json:"source"`
-	BootstrapMS   float64 `json:"bootstrap_ms"`
-	ConvergeMSAvg float64 `json:"converge_ms_avg"` // per batch
-	RecordsPerSec float64 `json:"records_per_sec"`
-	PollRounds    int64   `json:"poll_rounds"`
-	Refreshes     int64   `json:"refreshes"`
+// replPoint is one transport's measurement.
+type replPoint struct {
+	BootstrapMS   float64
+	ConvergeMSAvg float64 // per batch
+	RecordsPerSec float64
+	PollRounds    int64
+	Refreshes     int64
 }
 
-// MeasureReplTransport builds one fresh primary per transport (identical
-// data and options, so the two rows differ only in the wire) and measures
-// the bootstrap plus batches×batchSize replicated inserts.
-func MeasureReplTransport(ctx context.Context, e *Env, shards, batches, batchSize int) ([]ReplPoint, error) {
-	var out []ReplPoint
-	for _, sourceKind := range []string{"dir", "http"} {
-		pt, err := measureReplOne(ctx, e, sourceKind, shards, batches, batchSize)
-		if err != nil {
-			return nil, fmt.Errorf("repl transport %s: %w", sourceKind, err)
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
-func measureReplOne(ctx context.Context, e *Env, sourceKind string, shards, batches, batchSize int) (ReplPoint, error) {
-	pt := ReplPoint{Source: sourceKind}
+// measureReplOne builds a fresh primary (identical data and options for
+// every transport, so the rows differ only in the wire) and measures the
+// bootstrap plus batches×batchSize replicated inserts.
+func measureReplOne(ctx context.Context, e *Env, sourceKind string, shards, batches, batchSize int) (replPoint, error) {
+	var pt replPoint
 	pdir := filepath.Join(e.dir, fmt.Sprintf("repl-%s-primary", sourceKind))
 	primary, err := shard.Build(e.Data, shard.Options{
 		Shards: shards,
@@ -131,20 +118,20 @@ func measureReplOne(ctx context.Context, e *Env, sourceKind string, shards, batc
 	return pt, nil
 }
 
-// ReplTransport renders MeasureReplTransport as a benchrunner table
-// (-fig repl).
+// ReplTransport measures each transport and renders the rows as a
+// benchrunner table (-fig repl).
 func ReplTransport(ctx context.Context, e *Env, shards, batches, batchSize int) (Table, error) {
 	t := Table{
 		Title: fmt.Sprintf("Replication transport: dir vs http WAL shipping — %s (%d shards, %d batches × %d inserts)",
 			e.Cfg.Spec.Name, shards, batches, batchSize),
 		Header: []string{"source", "bootstrap ms", "converge ms/batch", "records/s", "poll rounds", "refreshes"},
 	}
-	points, err := MeasureReplTransport(ctx, e, shards, batches, batchSize)
-	if err != nil {
-		return t, err
-	}
-	for _, p := range points {
-		t.AddRow(p.Source, f1(p.BootstrapMS), fmt.Sprintf("%.2f", p.ConvergeMSAvg), f1(p.RecordsPerSec),
+	for _, sourceKind := range []string{"dir", "http"} {
+		p, err := measureReplOne(ctx, e, sourceKind, shards, batches, batchSize)
+		if err != nil {
+			return t, fmt.Errorf("repl transport %s: %w", sourceKind, err)
+		}
+		t.AddRow(sourceKind, f1(p.BootstrapMS), fmt.Sprintf("%.2f", p.ConvergeMSAvg), f1(p.RecordsPerSec),
 			fmt.Sprint(p.PollRounds), fmt.Sprint(p.Refreshes))
 	}
 	return t, nil

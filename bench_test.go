@@ -8,8 +8,8 @@
 // built once and shared across benchmarks.
 //
 // This is an external test package (promips_test): bench imports the root
-// package via bench/shards.go, so an in-package test file would close an
-// import cycle through the test binary.
+// package (bench/degraded.go, bench/repl.go), so an in-package test file
+// would close an import cycle through the test binary.
 package promips_test
 
 import (
@@ -85,9 +85,8 @@ var (
 // searchBenchEnv builds a ProMIPS-only environment for the hot-path
 // benchmarks (the four-method sharedEnv is much slower to set up) and warms
 // the buffer pool so the timed loops measure the steady state. The index is
-// built directly through internal/core with the same parameters
-// bench.RunPerf uses (this test package lives inside the module), keeping
-// the public bench API free of internal types.
+// built directly through internal/core (this test package lives inside the
+// module), keeping the public bench API free of internal types.
 func searchBenchEnv(b *testing.B) (*bench.Env, *core.Index) {
 	b.Helper()
 	searchOnce.Do(func() {
@@ -118,10 +117,10 @@ func searchBenchEnv(b *testing.B) (*bench.Env, *core.Index) {
 	return searchEnv, searchIx
 }
 
-// BenchmarkSearch is the headline hot-path benchmark the repo's perf
-// trajectory (BENCH_*.json) tracks: one warm sequential ProMIPS query on the
-// default synthetic workload. Run with -benchmem; cmd/benchrunner -out
-// records the same loop plus page accesses and the QPS curve as JSON.
+// BenchmarkSearch is the headline hot-path micro-benchmark: one warm
+// sequential ProMIPS query on the default synthetic workload. Run with
+// -benchmem; e2ebench's promips.search_ms is the same path measured inside
+// a serving promipsd.
 func BenchmarkSearch(b *testing.B) {
 	env, ix := searchBenchEnv(b)
 	b.ReportAllocs()
@@ -137,8 +136,7 @@ func BenchmarkSearch(b *testing.B) {
 // BenchmarkSearchFiltered is the same warm hot path under a
 // WithFilter-shaped predicate rejecting every even id — the
 // filtered-serving workload (closing ROADMAP item 5's "WithFilter exists
-// but has no bench"). cmd/benchrunner -out records the same loop as the
-// report's search_filtered point.
+// but has no bench").
 func BenchmarkSearchFiltered(b *testing.B) {
 	env, ix := searchBenchEnv(b)
 	params := core.SearchParams{Filter: func(id uint32) bool { return id%2 == 1 }}
@@ -199,8 +197,8 @@ func BenchmarkInsertAck(b *testing.B) {
 // concurrent updaters — the group-commit measurement. Every ack that arrives
 // while another updater's fsync is in flight coalesces onto the next one, so
 // per-ack cost at 8 updaters must sit well below the serial fsync-always
-// number (the PR-6 acceptance bar is ≥4× amortization; BENCH_pr6.json
-// records the same measurement via bench.MeasureInsertAck). The coalescing
+// number (the PR-6 acceptance bar was ≥4× amortization; e2ebench's
+// wal.insert_ack_p50_ms is the end-to-end figure). The coalescing
 // happens while goroutines block in fsync, so it shows up even at
 // GOMAXPROCS=1 — SetParallelism rounds up to keep 8 updaters alive.
 func BenchmarkInsertAckParallel(b *testing.B) {

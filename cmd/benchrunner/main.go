@@ -10,24 +10,23 @@
 //
 // Figures: 4 (index size + preprocessing), 5 (overall ratio), 6 (recall),
 // 7 (page access), 8 (CPU time), 9 (total time), 10 (impact of c),
-// 11 (impact of p), table2 (complexity scaling), ablations (Quick-Probe,
-// partition pattern, projected dimension), concurrency (QPS of one shared
-// index under 1/2/4/8 workers), shards (disk-model QPS across 1/2/4/8
-// shards at a fixed worker count, one disk-model pool per shard),
-// degraded (fan-out tail latency with one slow shard, with and without
-// per-shard deadlines — the failure-isolation measurement), repl
-// (replication convergence over the shared-filesystem source vs the
-// /v1/repl/* HTTP wire), updates (search tail under a concurrent insert
-// stream with and without background auto-compaction — the non-blocking
-// updates measurement).
+// 11 (impact of p), table2 (complexity scaling), degraded (fan-out tail
+// latency with one slow shard, with and without per-shard deadlines),
+// repl (replication convergence over the shared-filesystem source vs the
+// /v1/repl/* HTTP wire), ablations (Quick-Probe, partition pattern,
+// projected dimension). An unknown -fig value is an error (exit status 2).
+//
+// The tables print the paper's metrics; timing of the running system is
+// e2ebench's job (bash e2ebench/run.sh) and the root package's benchmarks.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"promips/bench"
@@ -35,17 +34,101 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: all,4,5,6,7,8,9,10,11,table2,ablations,concurrency,shards,degraded,repl,updates")
-	ds := flag.String("dataset", "all", "dataset: all, Netflix, Yahoo, P53, Sift")
-	n := flag.Int("n", 0, "points per dataset (0 = laptop-scale default)")
-	queries := flag.Int("queries", 0, "queries per dataset (0 = 100, the paper's workload)")
-	seed := flag.Int64("seed", 1, "random seed")
-	kList := flag.String("ks", "", "comma-separated k values (default 10..100 step 10)")
-	out := flag.String("out", "", "perf mode: write a BENCH_<label>.json report to this path instead of printing figures")
-	label := flag.String("label", "", "perf mode: label recorded in the report (default derived from -out filename)")
-	baseline := flag.String("baseline", "", "perf mode: prior report to embed and diff against")
-	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// figure is one -fig value: its name and the runner that prints its tables.
+type figure struct {
+	name string
+	run  func(*job) error
+}
+
+// figures lists every -fig value in the order "all" runs them. The flag's
+// help string and the unknown-name error are generated from it.
+var figures = []figure{
+	{"4", (*job).fig4},
+	{"5", sweepTable(0)},
+	{"6", sweepTable(1)},
+	{"7", sweepTable(2)},
+	{"8", sweepTable(3)},
+	{"9", sweepTable(4)},
+	{"10", (*job).fig10},
+	{"11", (*job).fig11},
+	{"table2", (*job).table2},
+	{"degraded", (*job).degraded},
+	{"repl", (*job).repl},
+	{"ablations", (*job).ablations},
+}
+
+// figureNames returns the valid -fig values, "all" first.
+func figureNames() string {
+	names := []string{"all"}
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	return strings.Join(names, ",")
+}
+
+// selectFigures resolves a -fig value to the figures it runs.
+func selectFigures(name string) ([]figure, error) {
+	if name == "all" {
+		return figures, nil
+	}
+	for _, f := range figures {
+		if f.name == name {
+			return []figure{f}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown -fig %q (valid: %s)", name, figureNames())
+}
+
+// run is main without the process: it parses args, runs the selected
+// figures on the selected datasets and returns the exit status (2 for a
+// usage error, 1 for a failed run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "figure to regenerate: "+figureNames())
+	ds := fs.String("dataset", "all", "dataset: all, Netflix, Yahoo, P53, Sift")
+	n := fs.Int("n", 0, "points per dataset (0 = laptop-scale default)")
+	queries := fs.Int("queries", 0, "queries per dataset (0 = 100, the paper's workload)")
+	seed := fs.Int64("seed", 1, "random seed")
+	kList := fs.String("ks", "", "comma-separated k values (default 10..100 step 10)")
+	timeout := fs.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, "benchrunner:", err)
+		return 2
+	}
+
+	selected, err := selectFigures(*fig)
+	if err != nil {
+		return usage(err)
+	}
+	specs := dataset.Specs()
+	if *ds != "all" {
+		s, err := dataset.Get(*ds)
+		if err != nil {
+			return usage(err)
+		}
+		specs = []dataset.Spec{s}
+	}
+	ks := bench.Ks()
+	if *kList != "" {
+		ks = nil
+		for _, part := range strings.Split(*kList, ",") {
+			var k int
+			if _, err := fmt.Sscan(strings.TrimSpace(part), &k); err != nil || k <= 0 {
+				return usage(fmt.Errorf("bad k %q", part))
+			}
+			ks = append(ks, k)
+		}
+	}
 
 	// Every experiment below runs under this context: -timeout turns a hung
 	// or mis-sized workload into a clean deadline error instead of a CI job
@@ -57,271 +140,133 @@ func main() {
 		defer cancel()
 	}
 
-	if *out != "" {
-		if err := runPerf(ctx, *out, *label, *baseline, *n, *queries, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	specs := dataset.Specs()
-	if *ds != "all" {
-		s, err := dataset.Get(*ds)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		specs = []dataset.Spec{s}
-	}
-	ks := bench.Ks()
-	if *kList != "" {
-		ks = nil
-		for _, part := range strings.Split(*kList, ",") {
-			var k int
-			if _, err := fmt.Sscan(strings.TrimSpace(part), &k); err != nil || k <= 0 {
-				fmt.Fprintf(os.Stderr, "benchrunner: bad k %q\n", part)
-				os.Exit(1)
-			}
-			ks = append(ks, k)
-		}
-	}
-
 	for _, spec := range specs {
-		if err := runDataset(ctx, spec, *fig, *n, *queries, *seed, ks); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
+		cfg := bench.Config{Spec: spec, N: *n, NumQueries: *queries, Seed: *seed}
+		if err := runDataset(ctx, cfg, selected, ks, stdout); err != nil {
+			fmt.Fprintln(stderr, "benchrunner:", err)
+			return 1
 		}
 	}
+	return 0
 }
 
-// runPerf records the perf baseline every perf PR is judged against: the
-// Search hot path (ns/op, allocs/op, B/op, pages) and the QPS curve on the
-// default synthetic workload, written as JSON for the repo's BENCH_*.json
-// trajectory.
-func runPerf(ctx context.Context, out, label, baselinePath string, n, queries int, seed int64) error {
-	if label == "" {
-		base := filepath.Base(out)
-		base = strings.TrimSuffix(base, filepath.Ext(base))
-		label = strings.TrimPrefix(base, "BENCH_")
-	}
-	cfg := bench.PerfConfig{Label: label, N: n, NumQueries: queries, Seed: seed}
-	fmt.Fprintf(os.Stderr, "perf: measuring label=%q...\n", label)
-	rep, err := bench.RunPerf(ctx, cfg)
+func runDataset(ctx context.Context, cfg bench.Config, selected []figure, ks []int, out io.Writer) error {
+	fmt.Fprintf(out, "\n######## dataset %s ########\n", cfg.Spec.Name)
+	env, err := bench.NewEnv(cfg)
 	if err != nil {
 		return err
 	}
-	if baselinePath != "" {
-		prior, err := bench.LoadPerfReport(baselinePath)
-		if err != nil {
+	j := &job{ctx: ctx, env: env, ks: ks, out: out}
+	defer j.close()
+	fmt.Fprintf(out, "n=%d d=%d queries=%d page=%dB m=%d\n",
+		len(env.Data), cfg.Spec.D, len(env.Queries), cfg.Spec.PageSize, cfg.Spec.M)
+	for _, f := range selected {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		rep.CompareToBaseline(prior)
+		if err := f.run(j); err != nil {
+			return fmt.Errorf("fig %s: %w", f.name, err)
+		}
 	}
-	if err := rep.WriteFile(out); err != nil {
-		return err
-	}
-	fmt.Printf("perf[%s]: Search %d ns/op, %d allocs/op, %d B/op, %.1f pages/query (gomaxprocs=%d)\n",
-		rep.Label, rep.Search.NsPerOp, rep.Search.AllocsPerOp, rep.Search.BytesPerOp, rep.Search.PagesPerOp, rep.GoMaxProcs)
-	fmt.Printf("perf[%s]: filtered Search %d ns/op, %.1f pages/query\n",
-		rep.Label, rep.Filtered.NsPerOp, rep.Filtered.PagesPerOp)
-	if a := rep.InsertAck; a != nil {
-		fmt.Printf("perf[%s]: insert ack (fsync-always): %d ns/op serial, %d ns/op at %d updaters (%.1fx amortized; fsync-never floor %d ns/op)\n",
-			rep.Label, a.SerialNsPerOp, a.ParallelNsPerOp, a.Updaters, a.AmortizationX, a.FsyncNeverNsPerOp)
-	}
-	if eff := rep.Prefilter; eff != nil {
-		fmt.Printf("perf[%s]: pq_prefilter candidates %.1f -> %.1f, pages %.1f -> %.1f (preranked %.0f, pruned %.0f per query)\n",
-			rep.Label, eff.CandidatesWithout, eff.CandidatesWith, eff.PagesWithout, eff.PagesWith,
-			eff.PrerankedPerQuery, eff.PrunedPerQuery)
-	}
-	if m := rep.BatchModel; m != nil {
-		fmt.Printf("perf[%s]: batch disk model: pool=%d pages, %dus/miss\n", rep.Label, m.PoolPages, m.MissLatencyUS)
-	}
-	for _, bp := range rep.Batch {
-		fmt.Printf("perf[%s]: batch workers=%d %.0f qps (%.2fx, %.1f pages/q, hit %.1f%%)\n",
-			rep.Label, bp.Workers, bp.QPS, bp.Speedup, bp.PagesPerQuery, bp.HitRatio*100)
-	}
-	for _, bp := range rep.BatchWarm {
-		fmt.Printf("perf[%s]: batch-warm workers=%d %.0f qps (%.2fx)\n", rep.Label, bp.Workers, bp.QPS, bp.Speedup)
-	}
-	for _, sp := range rep.Shards {
-		fmt.Printf("perf[%s]: shards=%d workers=%d %.0f qps (%.2fx vs 1 shard, %.1f pages/q, hit %.1f%%)\n",
-			rep.Label, sp.Shards, sp.Workers, sp.QPS, sp.SpeedupVs1, sp.PagesPerQuery, sp.HitRatio*100)
-	}
-	for _, dp := range rep.DegradedSearch {
-		fmt.Printf("perf[%s]: degraded %-19s p50=%.0fus p99=%.0fus %.0f qps (%.2f shards answered, achieved p %.3f, %d degraded)\n",
-			rep.Label, dp.Config, dp.P50US, dp.P99US, dp.QPS, dp.ShardsAnsweredAvg, dp.AchievedPAvg, dp.DegradedQueries)
-	}
-	for _, mp := range rep.Mixed {
-		fmt.Printf("perf[%s]: mixed workers=%d auto=%-5v %.0f inserts/s, read p99=%.0fus mixed p99=%.0fus (%.2fx; %d freezes, %d flushes, %d compactions)\n",
-			rep.Label, mp.Workers, mp.AutoCompact, mp.InsertsPerSec, mp.ReadP99US, mp.MixedP99US, mp.P99Ratio,
-			mp.Freezes, mp.Flushes, mp.Compactions)
-	}
-	if g := rep.Gate; g != nil {
-		fmt.Printf("perf[%s]: gate n=%d queries=%d: %.2f pages/query\n", rep.Label, g.N, g.NumQueries, g.PagesPerQuery)
-	}
-	if rep.Delta != nil {
-		fmt.Printf("perf[%s]: vs %s: ns/op %+.1f%%, allocs/op %+.1f%%, B/op %+.1f%%, pages %+.1f%%\n",
-			rep.Label, rep.Baseline.Label, rep.Delta.SearchNsPerOpPct, rep.Delta.SearchAllocsPerOpPct,
-			rep.Delta.SearchBytesPerOpPct, rep.Delta.SearchPagesPerOpPct)
-	}
-	fmt.Printf("perf: wrote %s\n", out)
 	return nil
 }
 
-func runDataset(ctx context.Context, spec dataset.Spec, fig string, n, queries int, seed int64, ks []int) error {
-	fmt.Printf("\n######## dataset %s ########\n", spec.Name)
-	env, err := bench.NewEnv(bench.Config{Spec: spec, N: n, NumQueries: queries, Seed: seed})
+// job is one dataset's run: the environment plus what figures 4–9 share,
+// so "all" builds the four methods and sweeps k once.
+type job struct {
+	ctx context.Context
+	env *bench.Env
+	ks  []int
+	out io.Writer
+
+	builts []bench.Built   // the four methods, built on first use
+	sweep  *[5]bench.Table // figures 5–9, measured together on first use
+}
+
+func (j *job) close() {
+	for _, b := range j.builts {
+		b.Method.Close()
+	}
+	j.env.Close()
+}
+
+// table prints one experiment's table, or passes its error on.
+func (j *job) table(t bench.Table, err error) error {
 	if err != nil {
 		return err
 	}
-	defer env.Close()
-	fmt.Printf("n=%d d=%d queries=%d page=%dB m=%d\n",
-		len(env.Data), spec.D, len(env.Queries), spec.PageSize, spec.M)
+	fmt.Fprintln(j.out)
+	t.Fprint(j.out)
+	return nil
+}
 
-	wantSweep := fig == "all" || fig == "4" || fig == "5" || fig == "6" || fig == "7" || fig == "8" || fig == "9"
-	if wantSweep {
-		builts, err := env.BuildAll(nil)
+func (j *job) methods() ([]bench.Built, error) {
+	if j.builts == nil {
+		builts, err := j.env.BuildAll(nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		defer func() {
-			for _, b := range builts {
-				b.Method.Close()
-			}
-		}()
-		fig4 := bench.Fig4(env, builts)
-		if fig == "all" || fig == "4" {
-			fmt.Println()
-			fig4.Fprint(os.Stdout)
-		}
-		if fig != "4" {
-			tables, err := bench.Sweep(env, builts, ks)
+		j.builts = builts
+	}
+	return j.builts, nil
+}
+
+func (j *job) fig4() error {
+	builts, err := j.methods()
+	if err != nil {
+		return err
+	}
+	return j.table(bench.Fig4(j.env, builts), nil)
+}
+
+// sweepTable returns the runner of one of figures 5–9: table i of the
+// shared k sweep.
+func sweepTable(i int) func(*job) error {
+	return func(j *job) error {
+		if j.sweep == nil {
+			builts, err := j.methods()
 			if err != nil {
 				return err
 			}
-			want := map[string]int{"5": 0, "6": 1, "7": 2, "8": 3, "9": 4}
-			if idx, ok := want[fig]; ok {
-				fmt.Println()
-				tables[idx].Fprint(os.Stdout)
-			} else { // all
-				for _, t := range tables {
-					fmt.Println()
-					t.Fprint(os.Stdout)
-				}
+			tables, err := bench.Sweep(j.env, builts, j.ks)
+			if err != nil {
+				return err
 			}
+			j.sweep = &tables
 		}
+		return j.table(j.sweep[i], nil)
 	}
-
-	if fig == "all" || fig == "10" {
-		t, err := bench.Fig10(env, []float64{0.7, 0.8, 0.9}, 10)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t.Fprint(os.Stdout)
-	}
-	if fig == "all" || fig == "11" {
-		t, err := bench.Fig11(env, []float64{0.3, 0.5, 0.7, 0.9}, 10)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t.Fprint(os.Stdout)
-	}
-	if fig == "all" || fig == "table2" {
-		base := bench.Config{Spec: spec, NumQueries: min(queriesOrDefault(queries), 20), Seed: seed}
-		nBase := len(env.Data)
-		t, err := bench.Table2Scaling(base, []int{nBase / 4, nBase / 2, nBase}, 10)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t.Fprint(os.Stdout)
-	}
-	if fig == "all" || fig == "concurrency" {
-		// Warm in-RAM curve and the disk-resident model (small pool + the
-		// paper's per-page cost as miss latency) side by side: the second
-		// is where worker scaling is expected, and the per-worker
-		// pages/query, hit%, and speedup columns say why when it is not.
-		t, err := bench.Concurrency(ctx, env, []int{1, 2, 4, 8}, 10, 3, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t.Fprint(os.Stdout)
-		t2, err := bench.Concurrency(ctx, env, []int{1, 2, 4, 8}, 10, 1, bench.DiskModelMissLatency)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t2.Fprint(os.Stdout)
-	}
-	if fig == "all" || fig == "shards" {
-		t, err := bench.ShardScaling(ctx, env, []int{1, 2, 4, 8}, 10, 8, 3)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t.Fprint(os.Stdout)
-	}
-	if fig == "all" || fig == "degraded" {
-		t, err := bench.DegradedSearch(ctx, env, 4, 10)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t.Fprint(os.Stdout)
-	}
-	if fig == "all" || fig == "repl" {
-		t, err := bench.ReplTransport(ctx, env, 2, 5, 50)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t.Fprint(os.Stdout)
-	}
-	if fig == "all" || fig == "updates" {
-		t, err := bench.MixedWorkload(ctx, env, []int{1, 4, 8}, 10)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t.Fprint(os.Stdout)
-	}
-	if fig == "all" || fig == "ablations" {
-		t, err := bench.AblationQuickProbe(env, []int{10, 50, 100})
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t.Fprint(os.Stdout)
-		t2, err := bench.AblationPartition(env, []int{10, 50, 100})
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t2.Fprint(os.Stdout)
-		t3, err := bench.AblationProjDim(env, []int{4, 6, 8, 10}, 10)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		t3.Fprint(os.Stdout)
-	}
-	return nil
 }
 
-func queriesOrDefault(q int) int {
-	if q <= 0 {
-		return 100
-	}
-	return q
+func (j *job) fig10() error {
+	return j.table(bench.Fig10(j.env, []float64{0.7, 0.8, 0.9}, 10))
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+func (j *job) fig11() error {
+	return j.table(bench.Fig11(j.env, []float64{0.3, 0.5, 0.7, 0.9}, 10))
+}
+
+func (j *job) table2() error {
+	base := j.env.Cfg
+	base.NumQueries = min(len(j.env.Queries), 20)
+	nBase := len(j.env.Data)
+	return j.table(bench.Table2Scaling(base, []int{nBase / 4, nBase / 2, nBase}, 10))
+}
+
+func (j *job) degraded() error {
+	return j.table(bench.DegradedSearch(j.ctx, j.env, 4, 10))
+}
+
+func (j *job) repl() error {
+	return j.table(bench.ReplTransport(j.ctx, j.env, 2, 5, 50))
+}
+
+func (j *job) ablations() error {
+	if err := j.table(bench.AblationQuickProbe(j.env, []int{10, 50, 100})); err != nil {
+		return err
 	}
-	return b
+	if err := j.table(bench.AblationPartition(j.env, []int{10, 50, 100})); err != nil {
+		return err
+	}
+	return j.table(bench.AblationProjDim(j.env, []int{4, 6, 8, 10}, 10))
 }

@@ -29,7 +29,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"promips/internal/errs"
 	"promips/internal/fsutil"
@@ -64,11 +63,6 @@ type Options struct {
 	PageSize int
 	// PoolSize is the buffer-pool capacity in pages per page file.
 	PoolSize int
-	// MissLatency is a simulated disk latency per buffer-pool miss (one per
-	// readahead run), slept on the read path. Zero disables it; the
-	// benchmark harness uses it to model a disk-resident working set (the
-	// paper's cost regime) on machines whose page files sit in RAM.
-	MissLatency time.Duration
 	// Seed makes projections and clustering deterministic.
 	Seed int64
 	// Fsync selects the update journal's durability policy (the zero value
@@ -515,7 +509,6 @@ func buildDisk(ctx context.Context, data, projected [][]float32, dir string, opt
 	idx, err := idistance.Build(ctx, projected, dir, idistance.Config{
 		Kp: opts.Kp, Nkey: opts.Nkey, Ksp: opts.Ksp, Epsilon: opts.Epsilon,
 		Seed: opts.Seed, PageSize: opts.PageSize, PoolSize: opts.PoolSize,
-		MissLatency: opts.MissLatency,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -530,7 +523,7 @@ func buildDisk(ctx context.Context, data, projected [][]float32, dir string, opt
 
 // writeStore writes data to dir's vector store in layout order.
 func writeStore(ctx context.Context, data [][]float32, layout []uint32, dir string, opts Options) (st *store.Store, err error) {
-	w, err := store.Create(dir+"/orig.data", len(data[0]), len(data), pager.Options{PageSize: opts.PageSize, PoolSize: opts.PoolSize, MissLatency: opts.MissLatency})
+	w, err := store.Create(dir+"/orig.data", len(data[0]), len(data), pager.Options{PageSize: opts.PageSize, PoolSize: opts.PoolSize})
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"promips/internal/errs"
 )
@@ -39,6 +41,76 @@ func realMetaBytes(tb testing.TB) []byte {
 	return b
 }
 
+// legacyOptions and legacyCoreMeta mirror what promips.meta carried while
+// Options still had the benchmark-only MissLatency field (removed in PR 23):
+// the same exported fields, by name, plus that one.
+type legacyOptions struct {
+	C, P           float64
+	M              int
+	Kp, Nkey, Ksp  int
+	Epsilon        float64
+	PageSize       int
+	PoolSize       int
+	MissLatency    time.Duration
+	Seed           int64
+	Fsync          FsyncPolicy
+	SegmentEntries int
+}
+
+type legacyCoreMeta struct {
+	Opts       legacyOptions
+	N, D, M    int
+	Projector  []byte
+	Norm2Sq    []float64
+	Norm1      []float64
+	Codes      []uint32
+	MaxNorm2Sq float64
+	Groups     []groupMeta
+	Delta      []deltaMeta
+	Deleted    []uint32
+	Sketch     []byte
+}
+
+// legacyMetaBytes re-encodes a real meta the way the old type wrote it,
+// with a non-zero MissLatency in the stream.
+func legacyMetaBytes(tb testing.TB, real []byte) []byte {
+	tb.Helper()
+	var old legacyCoreMeta
+	if err := gob.NewDecoder(bytes.NewReader(real)).Decode(&old); err != nil {
+		tb.Fatal(err)
+	}
+	old.Opts.MissLatency = 50 * time.Millisecond
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeMetaDropsMissLatency: a meta saved while Options had a
+// MissLatency field — here with a non-zero value — decodes through the
+// decoder Open uses into exactly what the same meta decodes to without it.
+// Gob skips a stream field the receiver lacks, so old directories open and
+// the value is dropped.
+func TestDecodeMetaDropsMissLatency(t *testing.T) {
+	real := realMetaBytes(t)
+	legacy := legacyMetaBytes(t, real)
+	if !bytes.Contains(legacy, []byte("MissLatency")) {
+		t.Fatal("legacy stream does not carry the MissLatency field")
+	}
+	want, err := decodeCoreMeta(bytes.NewReader(real))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeCoreMeta(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("legacy meta: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy meta decoded to\n%+v\nwant\n%+v", got.Opts, want.Opts)
+	}
+}
+
 // FuzzCoreMetaDecode: arbitrary bytes fed to the promips.meta decoder must
 // yield ErrCorruptIndex or a validated meta — never a panic, and never a
 // meta whose shape would make the search path index out of bounds.
@@ -52,6 +124,7 @@ func FuzzCoreMetaDecode(f *testing.F) {
 	var hostile bytes.Buffer
 	gob.NewEncoder(&hostile).Encode(&coreMeta{N: 1 << 30, D: 4, M: 4})
 	f.Add(hostile.Bytes())
+	f.Add(legacyMetaBytes(f, real))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeCoreMeta(bytes.NewReader(data))

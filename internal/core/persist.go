@@ -219,7 +219,7 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 		return nil, err
 	}
 	orig, err := store.Open(filepath.Join(dir, "orig.data"),
-		pager.Options{PageSize: m.Opts.PageSize, PoolSize: m.Opts.PoolSize, MissLatency: m.Opts.MissLatency})
+		pager.Options{PageSize: m.Opts.PageSize, PoolSize: m.Opts.PoolSize})
 	if err != nil {
 		idist.Close()
 		return nil, err

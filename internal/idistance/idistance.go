@@ -22,7 +22,6 @@ import (
 	"math"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"promips/internal/btree"
 	"promips/internal/errs"
@@ -41,9 +40,6 @@ type Config struct {
 	Seed     int64
 	PageSize int
 	PoolSize int
-	// MissLatency is a simulated per-miss disk latency forwarded to the
-	// pagers (benchmark harness only; zero disables it).
-	MissLatency time.Duration
 }
 
 func (c *Config) normalize() {
@@ -253,7 +249,7 @@ func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (
 		}
 	}
 	// Both files are durable before anything reads them.
-	opts := pager.Options{PageSize: cfg.PageSize, PoolSize: cfg.PoolSize, MissLatency: cfg.MissLatency}
+	opts := pager.Options{PageSize: cfg.PageSize, PoolSize: cfg.PoolSize}
 	if idx.data, err = dataW.Finish(opts); err != nil {
 		return nil, err
 	}

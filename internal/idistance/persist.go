@@ -65,7 +65,7 @@ func Open(dir string) (*Index, error) {
 	if err := gob.NewDecoder(f).Decode(&m); err != nil {
 		return nil, fmt.Errorf("idistance: decode meta: %v: %w", err, errs.ErrCorruptIndex)
 	}
-	opts := pager.Options{PageSize: m.Cfg.PageSize, PoolSize: m.Cfg.PoolSize, MissLatency: m.Cfg.MissLatency}
+	opts := pager.Options{PageSize: m.Cfg.PageSize, PoolSize: m.Cfg.PoolSize}
 	data, err := pager.Open(filepath.Join(dir, "idist.data"), opts)
 	if err != nil {
 		return nil, err

@@ -40,7 +40,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"promips/internal/errs"
 )
@@ -213,8 +212,6 @@ type Pager struct {
 	shards   []shard
 	shardN   int64 // len(shards), for the id → shard map
 
-	missLatency time.Duration
-
 	accesses  atomic.Int64
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -226,14 +223,6 @@ type Pager struct {
 type Options struct {
 	PageSize int // 0 means DefaultPageSize; Finish uses the Writer's instead
 	PoolSize int // buffer pool capacity in pages; 0 means 1024
-
-	// MissLatency is a simulated per-file-read latency, slept on every pool
-	// miss (once per contiguous span for ReadRun). Zero — the default —
-	// disables it. It exists for the benchmark harness: the paper's cost
-	// model charges queries per disk page, and sleeping the miss path models
-	// a disk-resident working set so concurrent-serving scaling is
-	// measurable even when the files sit in the OS page cache.
-	MissLatency time.Duration
 }
 
 func (o *Options) normalize() {
@@ -277,13 +266,12 @@ func newPager(f *os.File, opts Options, numPages int64) *Pager {
 	}
 	perShard := (opts.PoolSize + nShards - 1) / nShards
 	p := &Pager{
-		f:           f,
-		id:          nextPagerID.Add(1),
-		pageSize:    opts.PageSize,
-		numPages:    numPages,
-		shards:      make([]shard, nShards),
-		shardN:      int64(nShards),
-		missLatency: opts.MissLatency,
+		f:        f,
+		id:       nextPagerID.Add(1),
+		pageSize: opts.PageSize,
+		numPages: numPages,
+		shards:   make([]shard, nShards),
+		shardN:   int64(nShards),
 	}
 	for i := range p.shards {
 		p.shards[i] = shard{pool: make(map[int64]*poolEntry), cap: perShard}
@@ -367,9 +355,6 @@ func (p *Pager) readMiss(sh *shard, id int64) ([]byte, error) {
 	if _, err := p.readAt(data, id); err != nil {
 		return nil, fmt.Errorf("pager: read page %d: %w", id, err)
 	}
-	if p.missLatency > 0 {
-		time.Sleep(p.missLatency)
-	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.pool[id]; ok {
@@ -390,11 +375,10 @@ func (p *Pager) readAt(buf []byte, first int64) (int, error) {
 // ReadRun returns the contents of the n consecutive pages starting at
 // first, appended to dst, recording one access per page in io. Cached pages
 // come from the pool; the missing ones of each shard block are fetched with
-// one contiguous file read (one syscall-equivalent — and one MissLatency
-// sleep — per gap-free span), which is what makes a sub-partition's short
-// sequential page run cost one I/O round trip instead of one per page. The
-// returned slices alias the buffer pool under the same stability contract
-// as Read.
+// one contiguous file read per gap-free span, which is what makes a
+// sub-partition's short sequential page run cost one I/O round trip instead
+// of one per page. The returned slices alias the buffer pool under the same
+// stability contract as Read.
 func (p *Pager) ReadRun(first int64, n int, dst [][]byte, io *IOStats) ([][]byte, error) {
 	if n <= 0 {
 		return dst, nil
@@ -462,7 +446,6 @@ func (p *Pager) readChunk(start, end int64, out [][]byte) error {
 	// Read every gap-free span of missing pages with one ReadAt into a
 	// span-sized buffer.
 	var spans []chunkSpan
-	slept := false
 	for id := start; id < end; {
 		if out[id-start] != nil {
 			id++
@@ -477,12 +460,6 @@ func (p *Pager) readChunk(start, end int64, out [][]byte) error {
 			return fmt.Errorf("pager: read pages [%d,%d): %w", id, spanEnd, err)
 		}
 		spans = append(spans, span)
-		if p.missLatency > 0 && !slept {
-			// One simulated disk round trip per run chunk: the readahead
-			// contract is one I/O wait for the whole span, not one per page.
-			time.Sleep(p.missLatency)
-			slept = true
-		}
 		id = spanEnd
 	}
 	sh.mu.Lock()
@@ -510,8 +487,7 @@ func (p *Pager) readChunk(start, end int64, out [][]byte) error {
 // read of a sequential scan over a file far larger than the pool, which
 // would otherwise evict the pool's whole working set to install pages it
 // never touches again. Every page is still accounted as one access and one
-// miss, in io and in the shared counters, and the call sleeps MissLatency
-// once, like one ReadRun span.
+// miss, in io and in the shared counters.
 func (p *Pager) ReadDirect(first int64, buf []byte, io *IOStats) error {
 	n := len(buf) / p.pageSize
 	if n*p.pageSize != len(buf) {
@@ -527,9 +503,6 @@ func (p *Pager) ReadDirect(first int64, buf []byte, io *IOStats) error {
 	p.misses.Add(int64(n))
 	if _, err := p.readAt(buf, first); err != nil {
 		return fmt.Errorf("pager: read pages [%d,%d): %w", first, first+int64(n), err)
-	}
-	if p.missLatency > 0 {
-		time.Sleep(p.missLatency)
 	}
 	return nil
 }

@@ -73,7 +73,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"promips/internal/core"
 	"promips/internal/fsutil"
@@ -103,11 +102,6 @@ type Options struct {
 	PageSize int
 	// PoolSize is the per-file buffer pool capacity in pages.
 	PoolSize int
-	// MissLatency simulates a disk read per buffer-pool miss (one sleep
-	// per readahead run). Zero — the default — disables it; benchmarks use
-	// it to model a disk-resident working set (the paper's cost regime) on
-	// machines whose page files sit in RAM.
-	MissLatency time.Duration
 
 	// Seed fixes all randomness (projections, clustering).
 	Seed int64
@@ -283,7 +277,7 @@ func Build(data [][]float32, opts Options) (*Index, error) {
 	}
 	coreOpts := core.Options{
 		C: opts.C, P: opts.P, M: opts.M,
-		PageSize: opts.PageSize, PoolSize: opts.PoolSize, MissLatency: opts.MissLatency,
+		PageSize: opts.PageSize, PoolSize: opts.PoolSize,
 		Seed:           opts.Seed,
 		Fsync:          opts.Fsync,
 		SegmentEntries: opts.SegmentEntries,
@@ -698,7 +692,7 @@ func (ix *Index) Options() Options {
 	return Options{
 		Dir: ix.dir,
 		C:   o.C, P: o.P, M: o.M,
-		PageSize: o.PageSize, PoolSize: o.PoolSize, MissLatency: o.MissLatency,
+		PageSize: o.PageSize, PoolSize: o.PoolSize,
 		Seed:           o.Seed,
 		Fsync:          o.Fsync,
 		SegmentEntries: o.SegmentEntries,
