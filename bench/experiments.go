@@ -12,7 +12,7 @@ import (
 // PageCostMs is the simulated per-page disk read cost used by the Total
 // Time experiment (Fig 9). The paper measures wall time on a spinning disk;
 // we model it as CPU time + pages × PageCostMs so that the metric remains
-// deterministic (see EXPERIMENTS.md).
+// deterministic (see DESIGN.md, "The perf rail").
 const PageCostMs = 0.1
 
 // Ks returns the paper's k sweep: 10, 20, …, 100.

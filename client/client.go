@@ -116,9 +116,9 @@ type StatsResponse struct {
 	ReadOnly    bool              `json:"read_only,omitempty"`
 	Replication *ReplicationStats `json:"replication,omitempty"`
 
-	// Updates reports the LSM-style update pipeline: delta occupancy,
-	// frozen segments, the flushed-segment watermark and lifetime
-	// freeze/flush counters (summed over shards).
+	// Updates reports the update pipeline: delta occupancy, frozen
+	// segments, tombstones and the lifetime freeze counter (summed over
+	// shards).
 	Updates *promips.UpdateStats `json:"updates,omitempty"`
 	// Lease reports a primary's write-fencing lease (absent on a
 	// follower; it only ever expires when the server runs with -lease > 0).
@@ -153,9 +153,9 @@ type LeaseStats struct {
 
 // AutoCompactStats reports the background compaction scheduler.
 type AutoCompactStats struct {
-	// MinFlushed is the flushed-segment watermark that triggers a
+	// MinSegments is the per-shard frozen-segment count that triggers a
 	// compaction run.
-	MinFlushed int `json:"min_flushed"`
+	MinSegments int `json:"min_segments"`
 	// Runs counts completed background compactions.
 	Runs int64 `json:"runs"`
 	// Failures counts failed attempts (each retried on a later tick).

@@ -269,23 +269,20 @@ func runStats(args []string) error {
 	return nil
 }
 
-// printUpdates reports the LSM-style update pipeline: how much
-// un-compacted data sits in the mutable delta and the frozen segments,
-// how many of those segments are crash-durable in their own seg files
-// (the watermark background compaction triggers on), and the lifetime
-// freeze/flush counters.
+// printUpdates reports the update pipeline: how much un-compacted data
+// sits in the mutable delta and the frozen segments (whose count background
+// compaction triggers on), and the lifetime freeze counter.
 func printUpdates(ix *shard.Index) {
 	us := ix.UpdateStats()
 	if us.DeltaEntries == 0 && us.Segments == 0 && us.Freezes == 0 && us.Tombstones == 0 {
 		return // nothing in the update pipeline; keep quiet
 	}
-	fmt.Printf("updates: delta %d entr%s, %d frozen segment(s) holding %d entr%s (%d flushed to seg files), %d tombstone(s)\n",
+	fmt.Printf("updates: delta %d entr%s, %d frozen segment(s) holding %d entr%s, %d tombstone(s)\n",
 		us.DeltaEntries, plural(us.DeltaEntries, "y", "ies"),
 		us.Segments, us.SegmentEntries, plural(us.SegmentEntries, "y", "ies"),
-		us.FlushedSegments, us.Tombstones)
-	if us.Freezes > 0 || us.Flushes > 0 {
-		fmt.Printf("         lifetime: %d freeze(s), %d flush(es), %d flush failure(s)\n",
-			us.Freezes, us.Flushes, us.FlushFailures)
+		us.Tombstones)
+	if us.Freezes > 0 {
+		fmt.Printf("         lifetime: %d freeze(s)\n", us.Freezes)
 	}
 }
 

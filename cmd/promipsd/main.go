@@ -127,7 +127,7 @@ func main() {
 	flag.BoolVar(&cfg.autoPromote, "auto-promote", false, "promote automatically when the followed primary dies (requires -follow URL and -lease; run at most one per primary)")
 	flag.DurationVar(&cfg.lease, "lease", 0, "replication write lease: a primary fences writes when its auto-promoting follower has not pulled history for this long; a follower waits it out before auto-promoting (0 = disabled; both sides must set it, primary's no larger than the follower's)")
 	flag.IntVar(&cfg.suspect, "suspect", 3, "consecutive poll failures before the primary is suspected dead (with -auto-promote)")
-	flag.IntVar(&cfg.autoCompact, "auto-compact", 0, "fold flushed update segments into the base index in the background once this many accumulate (0 = disabled; ids are reassigned by each fold; a follower never auto-compacts, but adopts the setting if promoted)")
+	flag.IntVar(&cfg.autoCompact, "auto-compact", 0, "fold frozen update segments into the base index in the background once this many accumulate (0 = disabled; ids are reassigned by each fold; a follower never auto-compacts, but adopts the setting if promoted)")
 	flag.Parse()
 	if cfg.dir == "" {
 		fmt.Fprintln(os.Stderr, "promipsd: -dir is required")

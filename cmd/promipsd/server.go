@@ -63,7 +63,7 @@ type serverConfig struct {
 	leaseDur time.Duration
 	// autoCompactMin, when > 0, runs a background compaction scheduler on
 	// any writable primary this server serves (including one it promotes
-	// mid-run): flushed update segments are folded into the base index
+	// mid-run): frozen update segments are folded into the base index
 	// once at least autoCompactMin of them accumulate. 0 disables it.
 	// Followers never auto-compact — their state must stay a replayable
 	// function of the primary's WAL.
@@ -217,7 +217,7 @@ func (s *server) startAutoCompact(ix *shard.Index) {
 	if old := s.compactor.Swap(ix.StartAutoCompact(s.cfg.autoCompactMin)); old != nil {
 		old.Stop()
 	}
-	log.Printf("auto-compact: folding flushed segments at watermark %d", s.cfg.autoCompactMin)
+	log.Printf("auto-compact: folding frozen segments once %d accumulate", s.cfg.autoCompactMin)
 }
 
 // stopAutoCompact halts the scheduler (if any) and waits for an in-flight
@@ -532,7 +532,7 @@ func (s *server) promoteNow(why string) error {
 	s.quarantined.Store(false)
 	// The promoted primary owns its lineage now, so background compaction
 	// (if configured) is safe — and wanted, since the replica may have
-	// accumulated flushed segments through WAL replay.
+	// accumulated frozen segments through WAL replay.
 	s.servePrimary(promoted)
 	log.Printf("promoted (%s): serving as primary at epoch %d (%d live points)", why, promoted.Epoch(), promoted.LiveCount())
 	return nil
@@ -636,9 +636,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if c := s.compactor.Load(); c != nil {
 		resp.AutoCompact = &client.AutoCompactStats{
-			MinFlushed: s.cfg.autoCompactMin,
-			Runs:       c.Runs(),
-			Failures:   c.Failures(),
+			MinSegments: s.cfg.autoCompactMin,
+			Runs:        c.Runs(),
+			Failures:    c.Failures(),
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -8,15 +8,15 @@ import (
 	"time"
 )
 
-// autoCompactPoll is how often the auto-compactor samples the flushed-
-// segment watermark. Freezes happen at SegmentEntries-insert granularity,
+// autoCompactPoll is how often the auto-compactor samples the frozen-
+// segment count. Freezes happen at SegmentEntries-insert granularity,
 // so sub-second polling tracks even a hot insert stream closely without
 // measurable idle cost (two atomic loads and a lock-free stats read per
 // tick).
 const autoCompactPoll = 500 * time.Millisecond
 
 // AutoCompactor is a background compaction scheduler: it watches an
-// index's update pipeline and folds flushed segments into the disk-
+// index's update pipeline and folds frozen segments into the disk-
 // resident structures — through the same Compact handover searches already
 // tolerate — once enough of them accumulate. Obtain one from
 // Index.StartAutoCompact (or shard.Index.StartAutoCompact) and Stop it
@@ -95,19 +95,17 @@ func (c *AutoCompactor) Runs() int64 { return c.runs.Load() }
 func (c *AutoCompactor) Failures() int64 { return c.failures.Load() }
 
 // StartAutoCompact launches a background scheduler that compacts this
-// index whenever at least minFlushed frozen segments are durable in their
-// own seg files (minFlushed < 1 is treated as 1). The flushed watermark —
-// not the raw segment count — is the trigger, so compaction never races
-// the flusher for segments that are still only in memory: by the time the
-// fold starts, everything it folds already survives a crash without the
-// journal. Stop the returned scheduler before Close. See AutoCompactor
-// for the id-reassignment caveat.
-func (ix *Index) StartAutoCompact(minFlushed int) *AutoCompactor {
-	if minFlushed < 1 {
-		minFlushed = 1
+// index whenever at least minSegments frozen segments have accumulated
+// (minSegments < 1 is treated as 1). Every frozen segment is already
+// crash-durable in the journal, so the fold needs nothing else on disk.
+// Stop the returned scheduler before Close. See AutoCompactor for the
+// id-reassignment caveat.
+func (ix *Index) StartAutoCompact(minSegments int) *AutoCompactor {
+	if minSegments < 1 {
+		minSegments = 1
 	}
 	return NewAutoCompactor(
-		func() bool { return ix.UpdateStats().FlushedSegments >= minFlushed },
+		func() bool { return ix.UpdateStats().Segments >= minSegments },
 		func(ctx context.Context) error {
 			_, err := ix.Compact(ctx)
 			return err

@@ -85,8 +85,8 @@ func crashWorkloadSteps(points [][]float32) []crashStep {
 		{"compact", func(ix *Index) error { _, err := ix.Compact(context.Background()); return err }},
 		{"insert-post-compact", func(ix *Index) error { _, err := ix.Insert(points[3]); return err }},
 		// The second post-compact insert hits the freeze threshold
-		// (SegmentEntries=2), so a freeze + seg-file flush also runs against
-		// the generation the Compact handover installed.
+		// (SegmentEntries=2), so the generation the Compact handover
+		// installed also recovers and saves a frozen segment.
 		{"insert-post-compact-2", func(ix *Index) error { _, err := ix.Insert(points[4]); return err }},
 		{"delete-post-compact-7", func(ix *Index) error { _, err := ix.DeleteChecked(7); return err }},
 		{"save-final", func(ix *Index) error { return ix.Save() }},
@@ -102,12 +102,10 @@ func crashWorkloadSteps(points [][]float32) []crashStep {
 // every completed step.
 func runCrashWorkload(fsys fsutil.FS, dir string, data, points [][]float32,
 	stopOnError bool, record func(*Index)) (completed int, ix *Index, firstErr error) {
-	// SegmentEntries 2 + synchronous segment flushing put every seg-file
-	// operation — freeze, flush write, flush fsync, directory sync — on the
-	// deterministic op sequence the matrix crashes at, so "no acked write
-	// lost" is proven at every segment-flush fault point too.
+	// SegmentEntries 2 makes the workload freeze segments before and after
+	// the Compact, so every fault point recovers across freeze boundaries.
 	ix, err := Build(data, Options{Dir: dir, Seed: 42, M: 4, fs: fsys,
-		SegmentEntries: 2, segFlushSync: true})
+		SegmentEntries: 2})
 	if err != nil {
 		return -1, nil, err
 	}

@@ -7,6 +7,7 @@ package promips
 
 import (
 	"context"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -303,36 +304,142 @@ func TestFsyncNeverCleanShutdown(t *testing.T) {
 }
 
 // TestFsyncDisabledNoJournal: FsyncDisabled writes no journal and Open
-// recovers only the last Save.
+// recovers only the last Save — whether or not the unsaved inserts crossed
+// a freeze (a frozen segment is an in-memory structure, not a durable one).
 func TestFsyncDisabledNoJournal(t *testing.T) {
-	r := rand.New(rand.NewSource(65))
-	data := randData(r, 60, 6)
+	for _, tc := range []struct {
+		name           string
+		segmentEntries int
+		inserts        int
+	}{
+		{"one insert", 0, 1},
+		{"inserts across two freezes", 4, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(65))
+			data := randData(r, 60, 6)
+			dir := t.TempDir()
+			ix, err := Build(data, Options{Dir: dir, Seed: 66, M: 4, Fsync: FsyncDisabled,
+				SegmentEntries: tc.segmentEntries})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Save(); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range randData(r, tc.inserts, 6) {
+				if _, err := ix.Insert(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ix.JournalLen() != 0 {
+				t.Fatalf("JournalLen = %d with journal disabled", ix.JournalLen())
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "wal.log")); !os.IsNotExist(err) {
+				t.Fatalf("wal.log exists under FsyncDisabled: %v", err)
+			}
+			re, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.LiveCount() != 60 {
+				t.Fatalf("LiveCount = %d: the unsaved inserts should be lost by policy", re.LiveCount())
+			}
+		})
+	}
+}
+
+// dirBytes sums the sizes of the regular files under dir.
+func dirBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	var total int64
+	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		total += info.Size()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return total
+}
+
+// TestRestartDoesNotGrowDirectory: reopening an index writes nothing. An
+// un-Saved backlog that crossed freezes lives in wal.log and is replayed
+// from there on every Open; after a Save it lives in the meta and an Open
+// has nothing to recover. Either way the directory's byte count does not
+// depend on how often the process restarted.
+func TestRestartDoesNotGrowDirectory(t *testing.T) {
+	const segmentEntries, inserts = 4, 2*4 + 3
+	r := rand.New(rand.NewSource(75))
 	dir := t.TempDir()
-	ix, err := Build(data, Options{Dir: dir, Seed: 66, M: 4, Fsync: FsyncDisabled})
+	ix, err := Build(randData(r, 60, 6), Options{Dir: dir, Seed: 76, M: 4, SegmentEntries: segmentEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Save(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.Insert(randData(r, 1, 6)[0]); err != nil {
-		t.Fatal(err)
+	for _, v := range randData(r, inserts, 6) {
+		if _, err := ix.Insert(v); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if ix.JournalLen() != 0 {
-		t.Fatalf("JournalLen = %d with journal disabled", ix.JournalLen())
+	if got := ix.JournalLen(); got != inserts {
+		t.Fatalf("JournalLen = %d after %d un-Saved inserts", got, inserts)
 	}
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "wal.log")); !os.IsNotExist(err) {
-		t.Fatalf("wal.log exists under FsyncDisabled: %v", err)
+
+	// reopenThrice opens and closes the index three times and requires the
+	// same recovery report and an unchanged directory size every time.
+	reopenThrice := func(phase string, wantRec RecoveryStats) {
+		t.Helper()
+		want := dirBytes(t, dir)
+		for i := 1; i <= 3; i++ {
+			re, err := Open(dir)
+			if err != nil {
+				t.Fatalf("%s, reopen %d: %v", phase, i, err)
+			}
+			if rec := re.Recovery(); rec != wantRec {
+				t.Errorf("%s, reopen %d: recovery %+v, want %+v", phase, i, rec, wantRec)
+			}
+			if got := re.LiveCount(); got != 60+inserts {
+				t.Errorf("%s, reopen %d: LiveCount = %d, want %d", phase, i, got, 60+inserts)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := dirBytes(t, dir); got != want {
+				t.Errorf("%s, reopen %d: directory holds %d bytes, %d before", phase, i, got, want)
+			}
+		}
 	}
+	reopenThrice("backlog in the journal", RecoveryStats{Replayed: inserts})
+
 	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if re.LiveCount() != 60 {
-		t.Fatalf("LiveCount = %d: the unsaved insert should be lost by policy", re.LiveCount())
+	if got := re.JournalLen(); got != inserts {
+		t.Errorf("JournalLen = %d before the Save, want %d", got, inserts)
 	}
+	if err := re.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopenThrice("backlog in the meta", RecoveryStats{})
 }

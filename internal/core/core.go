@@ -70,8 +70,7 @@ type Options struct {
 	// the policy it was built with.
 	Fsync FsyncPolicy
 	// SegmentEntries caps the mutable update delta: once it holds this many
-	// inserts it freezes into an immutable, searchable segment that a
-	// background goroutine flushes to its own seg file off the index lock
+	// inserts it freezes into an immutable, searchable in-memory segment
 	// (see segment.go). 0 selects the default (4096); negative disables
 	// freezing — one unbounded mutable delta, the pre-segment behavior.
 	// Persisted in the metadata like the other build knobs.
@@ -81,14 +80,6 @@ type Options struct {
 	// real filesystem. Unexported so gob skips it when the Options ride
 	// inside coreMeta; set it with WithFS.
 	fs fsutil.FS
-	// syncSegFlush makes segment flushes run inline on the update path
-	// instead of in the background goroutine — the crash matrix needs
-	// deterministic filesystem op counts. Test-only, never persisted.
-	syncSegFlush bool
-	// noFlusher suppresses the background flusher entirely: Compact builds
-	// its private next generation with it so the long-lived Index's own
-	// flusher (which survives the swap) stays the only segment writer.
-	noFlusher bool
 }
 
 // defaultSegmentEntries is the delta freeze threshold when
@@ -104,14 +95,6 @@ func (o Options) segmentEntries() int {
 		return 0
 	}
 	return o.SegmentEntries
-}
-
-// WithSyncSegmentFlush returns a copy of o whose segment flushes run
-// synchronously on the update path — the deterministic-op-count seam the
-// crash matrix tests through, paired with WithFS.
-func (o Options) WithSyncSegmentFlush() Options {
-	o.syncSegFlush = true
-	return o
 }
 
 // FsyncPolicy selects how the update journal acknowledges Insert/Delete.
@@ -311,32 +294,17 @@ type Index struct {
 	// Index's — the files close when the last snapshot drains.
 	ref *genRef
 
-	// dir is the directory the current generation (and its seg files)
-	// lives in; follows the generation across Compact swaps.
-	dir string
-
 	// Update state (see update.go and segment.go): the mutable delta,
 	// frozen immutable segments, and the copy-on-write tombstone set
-	// (never nil). tombsSinceFreeze accumulates the ids deleted since the
-	// last freeze so each segment's flush file covers its whole window.
-	delta            []deltaEntry
-	segs             []*segment
-	segSeq           int
-	frozenEntries    int // total entries across segs
-	tombs            *tombSet
-	tombsSinceFreeze []uint32
-	segLimit         int // resolved freeze threshold (0 = disabled)
+	// (never nil).
+	delta         []deltaEntry
+	segs          []*segment
+	frozenEntries int // total entries across segs
+	tombs         *tombSet
+	segLimit      int // resolved freeze threshold (0 = disabled)
 
-	// Background segment flusher (see segment.go).
-	flusherKick     chan struct{}
-	flusherStop     chan struct{}
-	flusherDone     sync.WaitGroup
-	flusherStopOnce sync.Once
-
-	// Lifetime update-pipeline counters (UpdateStats).
-	freezes       atomic.Int64
-	flushes       atomic.Int64
-	flushFailures atomic.Int64
+	// freezes counts delta freezes over the index's lifetime (UpdateStats).
+	freezes atomic.Int64
 
 	// journal is the write-ahead update log (wal.log in the index
 	// directory): every acknowledged Insert/Delete appends a record before
@@ -478,13 +446,7 @@ func Build(ctx context.Context, data [][]float32, dir string, opts Options) (*In
 	ix.idist, ix.orig = idx, st
 
 	// Stage 3: a fresh update journal. Build may target a directory that
-	// held an older index, so any stale wal.log is truncated, not replayed —
-	// and stale seg files are removed for the same reason (they belong to
-	// the older index's update stream).
-	if err := removeSegFiles(opts.fsys(), dir); err != nil {
-		closeDisk()
-		return nil, err
-	}
+	// held an older index, so any stale wal.log is truncated, not replayed.
 	if opts.Fsync != FsyncDisabled {
 		j, err := wal.Create(opts.fsys(), filepath.Join(dir, "wal.log"), opts.syncMode())
 		if err != nil {
@@ -493,11 +455,9 @@ func Build(ctx context.Context, data [][]float32, dir string, opts Options) (*In
 		}
 		ix.journal = j
 	}
-	ix.dir = dir
 	ix.segLimit = opts.segmentEntries()
 	ix.tombs = &tombSet{}
 	ix.ref = newGenRef(idx, st)
-	ix.startFlusher()
 	return ix, nil
 }
 
@@ -545,21 +505,6 @@ func writeStore(ctx context.Context, data [][]float32, layout []uint32, dir stri
 	return w.Finalize()
 }
 
-// removeSegFiles deletes stale segment flush files in dir — Build's
-// analogue of truncating a stale wal.log.
-func removeSegFiles(fsys fsutil.FS, dir string) error {
-	names, err := filepath.Glob(filepath.Join(dir, segFilePattern))
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		if err := fsys.Remove(name); err != nil {
-			return fmt.Errorf("core: remove stale %s: %w", filepath.Base(name), err)
-		}
-	}
-	return nil
-}
-
 // Close releases the index's page files. Further operations return
 // ErrClosed; a second Close is a no-op. Close waits for in-flight
 // searches — snapshots pinning the current generation — to drain, so the
@@ -572,11 +517,6 @@ func (ix *Index) Close() error {
 		return nil
 	}
 	ix.closed = true
-	ix.mu.Unlock()
-	// Stop the flusher OUTSIDE the lock: its post-write section takes the
-	// lock, and its closed-check makes any in-flight write a no-op.
-	ix.stopFlusher()
-	ix.mu.Lock()
 	ref, j := ix.ref, ix.journal
 	ix.mu.Unlock()
 	// Release the Index's own reference and wait for in-flight snapshots.
@@ -604,21 +544,18 @@ func (ix *Index) Len() int {
 // Dim returns the original dimensionality.
 func (ix *Index) Dim() int { return ix.d }
 
-// JournalLen returns the number of updates in the write-ahead journal
-// that are not yet folded into a Save — exactly what a crash-recovery
-// Open would replay (records a stale journal holds but the metadata
-// already covers are excluded). 0 when the journal is disabled.
+// JournalLen returns the number of records in the write-ahead journal —
+// literally what a crash-recovery Open would decode. Save and Compact empty
+// it; a journal left one Save behind by a crash between the metadata fsync
+// and the truncation still counts the records that replay will skip. 0 when
+// the journal is disabled.
 func (ix *Index) JournalLen() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if ix.journal == nil {
 		return 0
 	}
-	n := ix.journal.Len() - int(ix.journal.Covered())
-	if n < 0 {
-		n = 0
-	}
-	return n
+	return ix.journal.Len()
 }
 
 // JournalPoisoned reports whether the update journal is refusing

@@ -374,7 +374,7 @@ func TestInsertPreparedAgainstRetiredSketch(t *testing.T) {
 }
 
 // TestRecoveredEntryCodes: entries rebuilt from persisted state — the
-// meta's delta list, seg files and the journal at Open, and a shipped
+// meta's delta list and the journal at Open, and a shipped
 // journal applied by a replica (ApplyWALChunk) — carry codes under the
 // sketch that index opened, though nothing about them was persisted.
 func TestRecoveredEntryCodes(t *testing.T) {

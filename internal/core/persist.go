@@ -168,17 +168,6 @@ func (ix *Index) Save(dir string) error {
 	if err := fsutil.SyncDir(fsys, dir); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	// Every frozen segment is now covered by the durable meta: its seg file
-	// (flushed or not) is replay-skipped garbage from here on. The files are
-	// NOT deleted — a failed remove would have to surface from a Save that
-	// logically succeeded, and stale seg files replay as skips and are swept
-	// with the generation. Marking persisted stops the flusher from writing
-	// files nobody needs (the flag write races only other atomic accesses;
-	// the flusher's marking section takes the exclusive lock, which Save's
-	// read lock excludes).
-	for _, seg := range ix.segs {
-		seg.persisted.Store(true)
-	}
 	// The journaled updates are durable in the meta now; empty the journal.
 	// A failure here leaves a stale-but-harmless journal (replay skips
 	// records the meta already covers) and surfaces so the caller retries.
@@ -229,7 +218,6 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 		proj: proj, idist: idist, orig: orig,
 		norm2Sq: m.Norm2Sq, norm1: m.Norm1, codes: m.Codes,
 		maxNorm2Sq: m.MaxNorm2Sq,
-		dir:        dir,
 		tombs:      &tombSet{},
 	}
 	ix.opts.fs = fsys
@@ -271,16 +259,6 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 		}
 		ix.tombs = &tombSet{frozen: frozen}
 	}
-	// Replay flushed segment files on top of the meta state, oldest first.
-	// Each seg file is a complete journal-format image of one frozen update
-	// window (atomic rename: it is either absent or whole). Records the meta
-	// already covers — every record, after a successful Save — replay as
-	// idempotent skips; records the meta predates re-enter the delta exactly
-	// as the wal.log replay below would apply them.
-	if err := ix.replaySegFiles(dir); err != nil {
-		closeAll()
-		return nil, err
-	}
 	if m.Opts.Fsync != FsyncDisabled {
 		j, recs, torn, err := wal.Open(ix.opts.fsys(), filepath.Join(dir, "wal.log"), ix.opts.syncMode())
 		if err != nil {
@@ -288,69 +266,26 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		ix.journal = j
-		walSkipBefore := ix.recovery.Skipped
 		if err := ix.replayJournal(recs); err != nil {
 			j.Close()
 			closeAll()
 			return nil, err
 		}
 		ix.recovery.TruncatedBytes = torn
-		// Records the wal replay skipped are covered by the meta and the seg
-		// files; only seg-file and meta coverage counts toward the journal's
-		// covered watermark (they are a prefix of the log — inserts are dense
-		// and in order).
-		j.MarkCovered(int64(ix.recovery.Skipped - walSkipBefore))
 	}
 	// The replayed delta may be far past the freeze threshold (a whole
-	// crash window of updates): re-freeze it as one segment so JournalLen
-	// shrinks again once the flusher re-covers it, and so search snapshots
-	// scan it as the immutable structure it is.
+	// crash window of updates): re-freeze it as one segment so search
+	// snapshots scan it as the immutable structure it is.
 	ix.maybeFreezeLocked()
-	if ix.opts.syncSegFlush {
-		if err := ix.flushPendingSegments(); err != nil {
-			if ix.journal != nil {
-				ix.journal.Close()
-			}
-			closeAll()
-			return nil, err
-		}
+	// A directory written by an older version may hold per-segment image
+	// files of frozen update windows. Their records are a subset of what the
+	// meta and wal.log above already restored (DESIGN.md, "Durability &
+	// recovery"), so they are not read — only removed, best-effort.
+	legacy, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg")) // the pattern is well-formed
+	for _, name := range legacy {
+		_ = ix.opts.fsys().Remove(name) // a file left behind is never read; the next Open tries again
 	}
-	ix.startFlusher()
 	return ix, nil
-}
-
-// replaySegFiles applies every seg-NNNNNN.seg flush file in dir to the
-// restored state, ascending by sequence, and resumes the segment sequence
-// counter past the highest one found. Counts land in ix.recovery alongside
-// the journal replay's.
-func (ix *Index) replaySegFiles(dir string) error {
-	matches, err := filepath.Glob(filepath.Join(dir, segFilePattern))
-	if err != nil {
-		return fmt.Errorf("core: scan seg files: %w", err)
-	}
-	sort.Strings(matches) // zero-padded seqs: lexical order is numeric order
-	fsys := ix.opts.fsys()
-	for _, path := range matches {
-		var seq int
-		if _, err := fmt.Sscanf(filepath.Base(path), "seg-%d.seg", &seq); err != nil {
-			continue // not a flush file; leave it alone
-		}
-		b, err := fsys.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("core: read seg file %s: %w", filepath.Base(path), err)
-		}
-		recs, _, err := wal.Decode(b)
-		if err != nil {
-			return fmt.Errorf("core: seg file %s: %w", filepath.Base(path), err)
-		}
-		if err := ix.replayJournal(recs); err != nil {
-			return fmt.Errorf("core: seg file %s: %w", filepath.Base(path), err)
-		}
-		if seq >= ix.segSeq {
-			ix.segSeq = seq + 1
-		}
-	}
-	return nil
 }
 
 // replayJournal applies the journal's records on top of the state the
@@ -400,7 +335,6 @@ func (ix *Index) applyRecords(recs []wal.Record) (applied, skipped int, err erro
 				continue
 			}
 			ix.tombs = ix.tombs.add(r.ID)
-			ix.tombsSinceFreeze = append(ix.tombsSinceFreeze, r.ID)
 			applied++
 		default:
 			return applied, skipped, fmt.Errorf("core: journal: record type %d: %w", r.Type, errs.ErrCorruptIndex)
@@ -409,37 +343,28 @@ func (ix *Index) applyRecords(recs []wal.Record) (applied, skipped int, err erro
 	return applied, skipped, nil
 }
 
-// ApplyWALBytes replays a shipped copy of another index's write-ahead
-// journal on top of this one — the tail-read hook WAL-based replication
-// (promips/shard.Follower) is built on. b is the raw bytes of the
-// primary's wal.log, read while the primary may still be appending: a torn
-// trailing record is cleanly ignored exactly as wal.Open would truncate it
+// ApplyWALChunk replays a chunk of another index's write-ahead journal on
+// top of this one — the tail-read hook WAL-based replication
+// (promips/shard.Follower) is built on. b is raw bytes of the primary's
+// wal.log from some byte offset, read while the primary may still be
+// appending: cont=false means the chunk starts at the top of the file
+// (magic header included, byte offset 0); cont=true means it is a
+// headerless record suffix resuming from a record boundary. A torn trailing
+// record is cleanly ignored exactly as wal.Open would truncate it
 // (wal.Decode's contract), and fully-written records are applied through
 // the same idempotent path Open's recovery uses, WITHOUT journaling them
 // locally — the replica's own journal stays the snapshot's, and the
 // primary's log remains the single source of truth. Feeding the same bytes
-// again is a no-op (applied=0, everything skipped), so a poller can ship
-// the whole file every round. records is the total decoded — the replica's
-// LSN watermark into the primary's log (wal LSNs restart at the file's
-// record count on open, so the count IS the durable LSN). A decode error
-// means the bytes are not a crash-or-mid-write state of a journal
-// (ErrCorruptIndex); an apply error means the log skips ahead of this
-// replica's state — it missed an epoch and must re-snapshot.
-func (ix *Index) ApplyWALBytes(b []byte) (applied, skipped, records int, err error) {
-	applied, skipped, records, _, err = ix.ApplyWALChunk(b, false)
-	return applied, skipped, records, err
-}
-
-// ApplyWALChunk replays a chunk of another index's journal read from an
-// arbitrary byte offset — the resumable-offset form of ApplyWALBytes that
-// network WAL shipping pulls through. cont=false means the chunk starts at
-// the top of the file (magic header included, byte offset 0); cont=true
-// means it is a headerless record suffix resuming from a record boundary.
+// again is a no-op (applied=0, everything skipped).
+//
 // bytes is the length of the valid prefix consumed from b — the caller
 // advances its replication offset by exactly that much and re-requests
 // from there, so a chunk torn in flight (truncated mid-record) costs
 // nothing but a re-fetch of the torn tail. records counts the complete
-// records decoded from this chunk (not the whole file).
+// records decoded from this chunk (not the whole file). A decode error
+// means the bytes are not a crash-or-mid-write state of a journal
+// (ErrCorruptIndex); an apply error means the log skips ahead of this
+// replica's state — it missed an epoch and must re-snapshot.
 func (ix *Index) ApplyWALChunk(b []byte, cont bool) (applied, skipped, records int, bytes int64, err error) {
 	var recs []wal.Record
 	if cont {

@@ -2,64 +2,41 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math"
-	"path/filepath"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"promips/internal/errs"
-	"promips/internal/fsutil"
 	"promips/internal/idistance"
 	"promips/internal/pq"
 	"promips/internal/randproj"
 	"promips/internal/store"
 	"promips/internal/vec"
-	"promips/internal/wal"
 )
 
-// LSM-flavored update pipeline. The mutable delta used to grow without
-// bound between compactions, and every Insert serialized behind one
-// exclusive lock held across its norm/clone work while searches held the
-// same lock shared for their whole run. This file restructures that:
+// In-memory update pipeline. The mutable delta used to grow without bound
+// between compactions, and every Insert serialized behind one exclusive
+// lock held across its norm/clone work while searches held the same lock
+// shared for their whole run. This file restructures that:
 //
 //   - At SegmentEntries inserts the mutable delta FREEZES into an
 //     immutable segment — a pure pointer move under the already-held
 //     exclusive lock, no I/O. Frozen segments stay searchable exactly like
 //     the delta (their entries are scanned with exact inner products).
-//   - A background flusher writes each frozen segment to its own
-//     seg-NNNNNN.seg file (journal record format, atomic rename) OFF the
-//     index lock, then marks the journal records up to the segment's
-//     freeze watermark as covered. The wal.log stays the recovery source
-//     of truth — seg files only let JournalLen report what a recovery
-//     would actually need and give compaction a durability watermark.
+//     Freezing is a query-time structure only: nothing about a segment is
+//     written anywhere. On disk the wal.log is the one redo log and
+//     promips.meta the one checkpoint (persist.go).
 //   - Searches run against a SNAPSHOT captured under a brief RLock —
 //     generation handles (refcounted so Compact/Close cannot close pages
 //     under a running query), the delta and segment slices, and a
 //     copy-on-write tombstone view — and then never touch the lock again,
 //     so updates no longer block in-flight searches and vice versa.
 
-// segment is one frozen, immutable slice of the update delta, plus the
-// tombstones recorded in the window that ended at its freeze. entries and
-// tombs are never mutated after publication; the flags are the only
-// post-publication writes.
+// segment is one frozen slice of the update delta, never mutated after
+// publication.
 type segment struct {
 	entries []deltaEntry // frozen delta, ids dense and ascending
-	tombs   []uint32     // tombstones recorded since the previous freeze
-	walMark int64        // journal record count at freeze: every record ≤ walMark is reflected in segments up to and including this one
-	seq     int          // seg file sequence number (seg-%06d.seg)
-
-	flushed   atomic.Bool // seg file durable on disk
-	persisted atomic.Bool // folded into promips.meta by Save; the seg file is now replay-skipped garbage
 }
-
-// segFileName names the flush file of segment sequence seq.
-func segFileName(seq int) string { return fmt.Sprintf("seg-%06d.seg", seq) }
-
-// segFilePattern matches flush files for directory scans and hygiene.
-const segFilePattern = "seg-*.seg"
 
 // tombSet is the copy-on-write tombstone set. frozen is immutable once
 // published (readers access it lock-free from snapshots); recent is
@@ -314,169 +291,13 @@ func (ix *Index) maybeFreezeLocked() {
 }
 
 // freezeLocked turns the whole mutable delta into an immutable segment: a
-// pointer move, no I/O, no copying. The tombstones recorded since the
-// last freeze ride along so the segment's flush file replays the full
-// update window. Caller holds ix.mu exclusive and len(ix.delta) > 0.
+// pointer move, no I/O, no copying. Caller holds ix.mu exclusive and
+// len(ix.delta) > 0.
 func (ix *Index) freezeLocked() {
-	seg := &segment{entries: ix.delta, tombs: ix.tombsSinceFreeze, seq: ix.segSeq}
-	if ix.journal != nil {
-		seg.walMark = int64(ix.journal.Len())
-	}
-	ix.segSeq++
-	ix.segs = append(ix.segs, seg)
-	ix.frozenEntries += len(seg.entries)
+	ix.segs = append(ix.segs, &segment{entries: ix.delta})
+	ix.frozenEntries += len(ix.delta)
 	ix.delta = nil
-	ix.tombsSinceFreeze = nil
 	ix.freezes.Add(1)
-	ix.kickFlusher()
-}
-
-// errNoSegment is flushOneSegment's "nothing to do" sentinel.
-var errNoSegment = errors.New("core: no unflushed segment")
-
-// flushOneSegment writes the oldest unflushed, unpersisted segment to its
-// seg file and marks the journal coverage. It captures the segment and
-// generation identity under a read lock, does the write with NO lock
-// held, and re-validates under the exclusive lock before marking — if
-// Compact swapped generations mid-write the work is discarded (the file
-// lands in the retired generation's directory and is swept with it).
-func (ix *Index) flushOneSegment() error {
-	ix.mu.RLock()
-	if ix.closed {
-		ix.mu.RUnlock()
-		return errNoSegment
-	}
-	var seg *segment
-	for _, s := range ix.segs {
-		if !s.flushed.Load() && !s.persisted.Load() {
-			seg = s
-			break
-		}
-	}
-	if seg == nil {
-		ix.mu.RUnlock()
-		return errNoSegment
-	}
-	ref, j, dir := ix.ref, ix.journal, ix.dir
-	fsys := ix.opts.fsys()
-	ix.mu.RUnlock()
-
-	recs := make([]wal.Record, 0, len(seg.entries)+len(seg.tombs))
-	for _, e := range seg.entries {
-		recs = append(recs, wal.Record{Type: wal.TypeInsert, ID: e.id, Vec: e.v})
-	}
-	// Inserts first, then the window's deletes: a delete may target an id
-	// inserted in the same window, and replay range-checks targets.
-	for _, id := range seg.tombs {
-		recs = append(recs, wal.Record{Type: wal.TypeDelete, ID: id})
-	}
-	enc := wal.EncodeLog(recs)
-	path := filepath.Join(dir, segFileName(seg.seq))
-	err := fsutil.WriteAtomic(fsys, path, func(f fsutil.File) error {
-		_, werr := f.Write(enc)
-		return werr
-	})
-	if err == nil {
-		err = fsutil.SyncDir(fsys, dir)
-	}
-	if err != nil {
-		ix.flushFailures.Add(1)
-		return fmt.Errorf("core: flush segment %d: %w", seg.seq, err)
-	}
-
-	ix.mu.Lock()
-	// ref doubles as the generation identity: a swap while we wrote means
-	// the segment (and its walMark) belong to the retired generation.
-	if ix.ref == ref && !ix.closed && !seg.persisted.Load() {
-		seg.flushed.Store(true)
-		ix.flushes.Add(1)
-		if j != nil {
-			j.MarkCovered(seg.walMark)
-		}
-	}
-	ix.mu.Unlock()
-	return nil
-}
-
-// flushPendingSegments flushes until no unflushed segment remains — the
-// synchronous path (syncSegFlush mode, and OpenFS's post-replay freeze).
-func (ix *Index) flushPendingSegments() error {
-	for {
-		err := ix.flushOneSegment()
-		if err == errNoSegment {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// startFlusher launches the background segment flusher. Not started when
-// segmenting is disabled, in synchronous-flush mode (tests that need
-// deterministic filesystem op counts), or for the private next-generation
-// index Compact builds — the long-lived Index's own flusher adopts that
-// generation's segments at swap.
-func (ix *Index) startFlusher() {
-	if ix.segLimit <= 0 || ix.opts.syncSegFlush || ix.opts.noFlusher {
-		return
-	}
-	ix.flusherKick = make(chan struct{}, 1)
-	ix.flusherStop = make(chan struct{})
-	ix.flusherDone.Add(1)
-	go func() {
-		defer ix.flusherDone.Done()
-		for {
-			select {
-			case <-ix.flusherStop:
-				return
-			case <-ix.flusherKick:
-			}
-			for {
-				err := ix.flushOneSegment()
-				if err == errNoSegment {
-					break
-				}
-				if err != nil {
-					// Transient (disk full, a fault seam): retry after a
-					// pause, bailing out promptly on Close.
-					select {
-					case <-ix.flusherStop:
-						return
-					case <-time.After(flushRetryDelay):
-					}
-				}
-			}
-		}
-	}()
-	// Cover segments frozen before the flusher existed (OpenFS replay).
-	ix.kickFlusher()
-}
-
-// flushRetryDelay paces flusher retries after a failed segment write.
-const flushRetryDelay = 50 * time.Millisecond
-
-// kickFlusher nudges the background flusher; a no-op when it is not
-// running (synchronous mode flushes inline) or already signaled.
-func (ix *Index) kickFlusher() {
-	if ix.flusherKick == nil {
-		return
-	}
-	select {
-	case ix.flusherKick <- struct{}{}:
-	default:
-	}
-}
-
-// stopFlusher terminates the background flusher and waits it out.
-// Idempotent; safe when the flusher never started.
-func (ix *Index) stopFlusher() {
-	ix.flusherStopOnce.Do(func() {
-		if ix.flusherStop != nil {
-			close(ix.flusherStop)
-		}
-	})
-	ix.flusherDone.Wait()
 }
 
 // UpdateStats describes the update pipeline's state and lifetime
@@ -486,20 +307,25 @@ type UpdateStats struct {
 	// last freeze).
 	DeltaEntries int `json:"delta_entries"`
 	// Segments is the number of frozen in-memory segments awaiting
-	// compaction (persisted ones included until a Compact folds them).
+	// compaction — the count automatic compaction triggers on.
 	Segments int `json:"segments"`
 	// SegmentEntries is the total entry count across those segments.
 	SegmentEntries int `json:"segment_entries"`
-	// FlushedSegments is how many of them are durable in their own seg
-	// file — the watermark automatic compaction triggers on.
-	FlushedSegments int `json:"flushed_segments"`
 	// Tombstones is the live tombstone count.
 	Tombstones int `json:"tombstones"`
-	// Freezes and Flushes count delta freezes and durable segment flushes
-	// over the index's lifetime; FlushFailures counts flush attempts that
-	// failed (each is retried).
-	Freezes       int64 `json:"freezes"`
-	Flushes       int64 `json:"flushes"`
+	// Freezes counts delta freezes over the index's lifetime.
+	Freezes int64 `json:"freezes"`
+	// Flushes is always zero.
+	//
+	// Deprecated: segments are no longer written to files of their own (the
+	// journal already holds every un-compacted update). The field stays only
+	// because e2ebench/run.go reads it for its segments.flushes row, and
+	// goes when that row does (ROADMAP item 4(a)).
+	Flushes int64 `json:"flushes"`
+	// FlushFailures is always zero.
+	//
+	// Deprecated: see Flushes; read by e2ebench's segments.flush_failures
+	// row.
 	FlushFailures int64 `json:"flush_failures"`
 }
 
@@ -507,19 +333,11 @@ type UpdateStats struct {
 func (ix *Index) UpdateStats() UpdateStats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	st := UpdateStats{
+	return UpdateStats{
 		DeltaEntries:   len(ix.delta),
 		Segments:       len(ix.segs),
 		SegmentEntries: ix.frozenEntries,
 		Tombstones:     ix.tombs.count(),
 		Freezes:        ix.freezes.Load(),
-		Flushes:        ix.flushes.Load(),
-		FlushFailures:  ix.flushFailures.Load(),
 	}
-	for _, s := range ix.segs {
-		if s.flushed.Load() || s.persisted.Load() {
-			st.FlushedSegments++
-		}
-	}
-	return st
 }

@@ -127,15 +127,6 @@ func (ix *Index) Insert(v []float32) (uint32, error) {
 			return 0, fmt.Errorf("core: insert: %w", err)
 		}
 	}
-	// Synchronous-flush mode (crash matrix): if this insert froze a
-	// segment, write it out now, on this goroutine, so filesystem op
-	// counts stay deterministic. The insert above is already applied and
-	// journaled — a flush failure here surfaces without un-acking it.
-	if ix.opts.syncSegFlush {
-		if err := ix.flushPendingSegments(); err != nil {
-			return id, err
-		}
-	}
 	return id, nil
 }
 
@@ -229,7 +220,6 @@ func (ix *Index) DeleteChecked(id uint32) (bool, error) {
 		lsn = l
 	}
 	ix.tombs = ix.tombs.add(id)
-	ix.tombsSinceFreeze = append(ix.tombsSinceFreeze, id)
 	j := ix.journal
 	ix.mu.Unlock()
 	if lsn > 0 {
@@ -283,8 +273,7 @@ func (ix *Index) DeltaCount() int {
 // rebuild are folded in during the brief exclusive swap phase (inserts move
 // into the new generation's delta, deletes are re-applied through the id
 // remap). The old generation's page files are closed but not removed; the
-// caller owns directory hygiene (the retired directory includes any seg
-// files the flusher wrote for it).
+// caller owns directory hygiene.
 //
 // persist, when non-nil, runs inside the exclusive section after the fold
 // and BEFORE the in-memory swap: it must make the new generation durable
@@ -357,13 +346,10 @@ func (ix *Index) Compact(ctx context.Context, dir string, persist func(next *Ind
 		return nil, err
 	}
 
-	// Phase 2: build the next generation. Readers are not blocked. The
-	// next index is private until the swap, so it must not start its own
-	// flusher — ix's long-lived flusher adopts its segments at swap.
+	// Phase 2: build the next generation. Readers are not blocked.
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	opts.noFlusher = true
 	next, err := Build(ctx, liveData, dir, opts)
 	if err != nil {
 		return nil, err
@@ -479,13 +465,11 @@ func (ix *Index) swapLocked(next *Index) {
 	ix.proj = next.proj
 	ix.idist, ix.orig = next.idist, next.orig
 	ix.ref = next.ref
-	ix.dir = next.dir
 	ix.sketch = next.sketch
 	ix.norm2Sq, ix.norm1, ix.codes, ix.groups = next.norm2Sq, next.norm1, next.codes, next.groups
 	ix.maxNorm2Sq = next.maxNorm2Sq
 	ix.delta, ix.tombs = next.delta, next.tombs
-	ix.segs, ix.segSeq, ix.frozenEntries = next.segs, next.segSeq, next.frozenEntries
-	ix.tombsSinceFreeze = next.tombsSinceFreeze
+	ix.segs, ix.frozenEntries = next.segs, next.frozenEntries
 	// The journal swaps with the generation it lives in. The persist step
 	// above already saved the new generation's metadata (covering the
 	// folded updates — next's journal is empty) and flipped the pointer,
@@ -502,10 +486,5 @@ func (ix *Index) swapLocked(next *Index) {
 	oldRef.release()
 	if oldJournal != nil {
 		oldJournal.Close()
-	}
-	// Adopted segments (fold-phase freezes in next) need the flusher's
-	// attention in the new directory.
-	if len(ix.segs) > 0 {
-		ix.kickFlusher()
 	}
 }

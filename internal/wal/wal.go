@@ -42,6 +42,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -133,14 +134,6 @@ type Journal struct {
 	size int64 // bytes durably part of the log (header + whole records written)
 
 	count atomic.Int64 // records in the journal, pending ones included
-
-	// covered is the highest record count known to be reflected in durable
-	// storage OUTSIDE the journal — the persisted metadata (Open's replay
-	// skips that many records) or a flushed delta segment (core marks the
-	// segment's freeze watermark once its seg file is durable). Purely an
-	// accounting watermark: the file itself only ever shrinks at Reset.
-	// Monotone between Resets; Reset clears it with the records it covers.
-	covered atomic.Int64
 
 	pending      []Record // SyncNever: acknowledged records awaiting encode+write
 	pendingBytes int64    // encoded size of pending (flush threshold accounting)
@@ -247,37 +240,40 @@ func Open(fsys fsutil.FS, path string, mode SyncMode) (*Journal, []Record, int64
 // corruption are returned alongside it. Decode never panics on arbitrary
 // input — pinned by FuzzDecode.
 func Decode(b []byte) ([]Record, int64, error) {
-	n := len(b)
-	if n < headerLen {
-		// A prefix of the magic is a torn header; anything else is not ours.
-		for i := range b {
-			if b[i] != magic[i] {
-				return nil, 0, fmt.Errorf("wal: bad header: %w", errs.ErrCorruptIndex)
-			}
-		}
-		return nil, 0, nil
+	hdr, err := checkHeader(b)
+	if hdr == 0 {
+		return nil, 0, err
 	}
-	for i := range magic {
-		if b[i] != magic[i] {
-			return nil, 0, fmt.Errorf("wal: bad magic: %w", errs.ErrCorruptIndex)
-		}
-	}
-	recs, validLen, err := DecodeRecords(b[headerLen:])
-	return recs, headerLen + validLen, err
+	recs, validLen, err := DecodeRecords(b[hdr:])
+	return recs, hdr + validLen, err
 }
 
-// DecodeRecords parses a headerless record sequence — journal bytes
-// starting at any record boundary past the file header. This is the wire
-// format network WAL shipping resumes from: a replica that has applied the
-// first N bytes of a primary's journal requests the suffix from byte
-// offset N, and the chunk it gets back is exactly such a sequence. The
-// torn-tail taxonomy is Decode's, unchanged: a chunk truncated mid-record
-// (the network analogue of a crash tear) keeps its valid prefix and
-// validLen tells the caller where to resume, while checksum-valid garbage
-// is errs.ErrCorruptIndex. validLen is relative to the start of b.
-func DecodeRecords(b []byte) ([]Record, int64, error) {
+// checkHeader checks the file magic and returns where the records start:
+// headerLen, or 0 when there are none to read — with a nil error a torn
+// header (b is a proper prefix of the magic, so no record was ever
+// written), with an error bytes that are not a journal.
+func checkHeader(b []byte) (int64, error) {
+	if len(b) < headerLen {
+		if !bytes.HasPrefix(magic, b) {
+			return 0, fmt.Errorf("wal: bad header: %w", errs.ErrCorruptIndex)
+		}
+		return 0, nil
+	}
+	if !bytes.HasPrefix(b, magic) {
+		return 0, fmt.Errorf("wal: bad magic: %w", errs.ErrCorruptIndex)
+	}
+	return headerLen, nil
+}
+
+// walkRecords is the one walk over a headerless record sequence: it hands
+// visit every complete record, in order, decoded, and returns the length of
+// the valid prefix. Any trailing anomaly a tear can produce — short record
+// header, undersized or oversized length, short payload, checksum mismatch —
+// ends the walk cleanly there. A payload that checksums clean but does not
+// decode is corruption: the walk stops at that record's start with the
+// error.
+func walkRecords(b []byte, visit func(Record)) (int64, error) {
 	n := int64(len(b))
-	var recs []Record
 	var off int64
 	for off < n {
 		if off+recHdrLen > n {
@@ -294,59 +290,42 @@ func DecodeRecords(b []byte) ([]Record, int64, error) {
 		}
 		rec, err := decodePayload(payload)
 		if err != nil {
-			return recs, off, err
+			return off, err
 		}
-		recs = append(recs, rec)
+		visit(rec)
 		off += recHdrLen + plen
 	}
-	return recs, off, nil
+	return off, nil
+}
+
+// DecodeRecords parses a headerless record sequence — journal bytes
+// starting at any record boundary past the file header. This is the wire
+// format network WAL shipping resumes from: a replica that has applied the
+// first N bytes of a primary's journal requests the suffix from byte
+// offset N, and the chunk it gets back is exactly such a sequence. The
+// torn-tail taxonomy is Decode's, unchanged: a chunk truncated mid-record
+// (the network analogue of a crash tear) keeps its valid prefix and
+// validLen tells the caller where to resume, while checksum-valid garbage
+// is errs.ErrCorruptIndex. validLen is relative to the start of b.
+func DecodeRecords(b []byte) ([]Record, int64, error) {
+	var recs []Record
+	validLen, err := walkRecords(b, func(r Record) { recs = append(recs, r) })
+	return recs, validLen, err
 }
 
 // CountRecords reports how many complete records journal bytes hold,
-// ignoring a torn tail — Decode's walk without materializing the vectors.
+// ignoring a torn tail — Decode's walk without retaining the records.
 // Replication uses it to read a primary's LSN watermark from shipped bytes
 // (LSNs restart at the file's record count on open, so the count is the
-// durable LSN) without paying a per-record allocation on every poll.
+// durable LSN).
 func CountRecords(b []byte) (int, error) {
-	n := len(b)
-	if n < headerLen {
-		for i := range b {
-			if b[i] != magic[i] {
-				return 0, fmt.Errorf("wal: bad header: %w", errs.ErrCorruptIndex)
-			}
-		}
-		return 0, nil
-	}
-	for i := range magic {
-		if b[i] != magic[i] {
-			return 0, fmt.Errorf("wal: bad magic: %w", errs.ErrCorruptIndex)
-		}
+	hdr, err := checkHeader(b)
+	if hdr == 0 {
+		return 0, err
 	}
 	count := 0
-	off := int64(headerLen)
-	for off < int64(n) {
-		if off+recHdrLen > int64(n) {
-			break
-		}
-		crc := binary.LittleEndian.Uint32(b[off:])
-		plen := int64(binary.LittleEndian.Uint32(b[off+4:]))
-		if plen < 5 || plen > maxPayload || off+recHdrLen+plen > int64(n) {
-			break
-		}
-		payload := b[off+recHdrLen : off+recHdrLen+plen]
-		if crc32.Checksum(payload, crcTable) != crc {
-			break
-		}
-		// The payload checksums clean but may still be malformed (a record
-		// Decode would reject as corrupt, not torn): count only what Decode
-		// would return.
-		if _, err := decodePayload(payload); err != nil {
-			return count, err
-		}
-		count++
-		off += recHdrLen + plen
-	}
-	return count, nil
+	_, err = walkRecords(b[hdr:], func(Record) { count++ })
+	return count, err
 }
 
 // decodePayload decodes one checksum-verified payload. Anything malformed
@@ -372,20 +351,6 @@ func decodePayload(p []byte) (Record, error) {
 		return Record{}, fmt.Errorf("wal: unknown record type %d: %w", rec.Type, errs.ErrCorruptIndex)
 	}
 	return rec, nil
-}
-
-// EncodeLog serializes records as a complete standalone journal byte
-// stream — header magic followed by checksummed records — decodable with
-// Decode. Delta-segment flush files use it: a frozen segment written in
-// the journal's own format replays through the same torn-tail-tolerant,
-// idempotent machinery recovery already trusts.
-func EncodeLog(recs []Record) []byte {
-	b := make([]byte, 0, headerLen+len(recs)*64)
-	b = append(b, magic...)
-	for _, r := range recs {
-		b = appendRecord(b, r)
-	}
-	return b
 }
 
 // appendRecord encodes r onto dst. The vector bytes go through the bulk
@@ -570,24 +535,6 @@ func (j *Journal) flush() error {
 	return nil
 }
 
-// MarkCovered records that the first n journal records are reflected in
-// durable storage outside the journal (persisted metadata or a flushed
-// delta segment). Monotone: a smaller n than already marked is a no-op.
-// Safe for concurrent use; callers serialize it against Reset the same way
-// they serialize their own state transitions (core holds the index lock).
-func (j *Journal) MarkCovered(n int64) {
-	for {
-		cur := j.covered.Load()
-		if n <= cur || j.covered.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// Covered returns the MarkCovered watermark: how many of the journal's
-// records durable storage outside the journal already accounts for.
-func (j *Journal) Covered() int64 { return j.covered.Load() }
-
 // Len returns the number of records currently in the journal (replayed at
 // Open plus appended since, minus Resets; pending records included). Len
 // is safe to call concurrently with any other method.
@@ -668,7 +615,6 @@ func (j *Journal) Reset() error {
 	}
 	j.size = headerLen
 	j.count.Store(0)
-	j.covered.Store(0)
 	j.gmu.Lock()
 	j.bad = nil
 	j.gmu.Unlock()

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"promips/internal/leaktest"
 )
 
 // TestLifecycleRoundTrip drives the full durable lifecycle through the
@@ -546,4 +548,28 @@ func TestOpenSweepsStaleGenerations(t *testing.T) {
 	if _, _, err := re.Search(context.Background(), randData(r, 1, 8)[0], 3); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOpenIndexOwnsNoGoroutine: an index is passive between calls. Build's
+// workers have exited when it returns, and freezing the delta — here twice —
+// starts nothing in the background, so while the index is still open the
+// process runs no more goroutines than before it existed.
+func TestOpenIndexOwnsNoGoroutine(t *testing.T) {
+	r := rand.New(rand.NewSource(91))
+	data, points := randData(r, 60, 6), randData(r, 9, 6)
+	before := runtime.NumGoroutine()
+	ix, err := Build(data, Options{Dir: t.TempDir(), Seed: 92, M: 4, SegmentEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for _, v := range points {
+		if _, err := ix.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if us := ix.UpdateStats(); us.Freezes != 2 {
+		t.Fatalf("inserts crossed %d freezes, want 2: %+v", us.Freezes, us)
+	}
+	leaktest.SettleGoroutines(t, before)
 }

@@ -108,11 +108,10 @@ type Options struct {
 
 	// SegmentEntries sets how many inserts accumulate in the mutable
 	// in-memory delta before it freezes into an immutable, searchable
-	// segment that a background goroutine flushes to its own seg file (see
-	// DESIGN.md, "Update segments & snapshot reads"). 0 selects the default
-	// (4096); a negative value disables segmenting (the delta grows until
-	// Compact, as before). Persisted with the index, so Open keeps the
-	// build-time value.
+	// in-memory segment (see DESIGN.md, "Update segments & snapshot
+	// reads"). 0 selects the default (4096); a negative value disables
+	// segmenting (the delta grows until Compact, as before). Persisted with
+	// the index, so Open keeps the build-time value.
 	SegmentEntries int
 
 	// Fsync selects the write-ahead journal's durability policy for
@@ -126,10 +125,6 @@ type Options struct {
 	// crash-injection tests; other packages in this module set it with
 	// WithFS.
 	fs fsutil.FS
-	// segFlushSync runs segment flushes inline on the update path instead
-	// of in the background goroutine. Test-only (the crash matrix needs a
-	// deterministic filesystem op count); never persisted.
-	segFlushSync bool
 }
 
 // WithFS returns a copy of o whose persistence writes go through fsys —
@@ -282,9 +277,6 @@ func Build(data [][]float32, opts Options) (*Index, error) {
 		Fsync:          opts.Fsync,
 		SegmentEntries: opts.SegmentEntries,
 	}.WithFS(fsys)
-	if opts.segFlushSync {
-		coreOpts = coreOpts.WithSyncSegmentFlush()
-	}
 	inner, err := core.Build(context.Background(), data, dir, coreOpts)
 	if err != nil {
 		if ownsDir {
@@ -355,20 +347,6 @@ func sweepStaleGenerations(dir, active string) {
 		for _, name := range rootGenerationFiles {
 			os.Remove(filepath.Join(dir, name))
 		}
-		removeRootSegFiles(dir)
-	}
-}
-
-// removeRootSegFiles deletes (best-effort) the segment flush files of a
-// superseded root-layout generation. Their count is workload-dependent, so
-// they cannot ride the fixed rootGenerationFiles list.
-func removeRootSegFiles(dir string) {
-	matches, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
-	if err != nil {
-		return
-	}
-	for _, m := range matches {
-		os.Remove(m)
 	}
 }
 
@@ -422,7 +400,7 @@ func (ix *Index) Exact(ctx context.Context, q []float32, k int) ([]Result, error
 // index's.
 func (ix *Index) NextID() uint32 { return ix.inner.NextID() }
 
-// WALApply reports what ApplyWAL did with a shipped journal.
+// WALApply reports what ApplyWALChunk did with a shipped journal chunk.
 type WALApply struct {
 	// Applied is the number of records that changed this index's state.
 	Applied int
@@ -441,28 +419,20 @@ type WALApply struct {
 	Bytes int64
 }
 
-// ApplyWAL replays a shipped copy of another index's write-ahead journal
-// (the raw bytes of its wal.log) on top of this one — the replication hook
-// shard.Follower tails a primary with. The bytes may be read mid-append: a
-// torn trailing record is ignored under the journal's clean-truncation
-// rule, complete records are applied through the same idempotent path
-// crash recovery uses, and nothing is re-journaled locally. Feeding the
-// same bytes again is a no-op, so a poller ships the whole file every
-// round. An error wrapping ErrCorruptIndex means the bytes cannot be a
-// journal state (or the log skips ahead of this replica — it missed an
-// epoch and must re-snapshot); the successfully applied prefix stays
-// applied.
-func (ix *Index) ApplyWAL(b []byte) (WALApply, error) {
-	return ix.ApplyWALChunk(b, false)
-}
-
-// ApplyWALChunk is ApplyWAL for a journal read from an arbitrary byte
-// offset — the resumable form network WAL shipping uses. cont=false means
-// b starts at the top of the journal file (header included); cont=true
-// means b is a headerless record suffix resuming from a record boundary
-// (what a primary serves for a tail request at offset N > 0). The torn-tail
-// taxonomy is unchanged: a chunk truncated in flight keeps its valid
-// prefix, and WALApply.Bytes tells the caller where to resume.
+// ApplyWALChunk replays a chunk of another index's write-ahead journal
+// (raw bytes of its wal.log) on top of this one — the replication hook
+// shard.Follower tails a primary with. cont=false means b starts at the top
+// of the journal file (header included); cont=true means b is a headerless
+// record suffix resuming from a record boundary (what a primary serves for
+// a tail request at offset N > 0). The bytes may be read mid-append, or
+// truncated in flight: a torn trailing record is ignored under the
+// journal's clean-truncation rule, and WALApply.Bytes tells the caller
+// where to resume. Complete records are applied through the same
+// idempotent path crash recovery uses, and nothing is re-journaled
+// locally; feeding the same bytes again is a no-op. An error wrapping
+// ErrCorruptIndex means the bytes cannot be a journal state (or the log
+// skips ahead of this replica — it missed an epoch and must re-snapshot);
+// the successfully applied prefix stays applied.
 func (ix *Index) ApplyWALChunk(b []byte, cont bool) (WALApply, error) {
 	applied, skipped, records, bytes, err := ix.inner.ApplyWALChunk(b, cont)
 	return WALApply{Applied: applied, Skipped: skipped, Records: records, Bytes: bytes}, err
@@ -496,8 +466,8 @@ func (ix *Index) Delete(id uint32) bool { return ix.inner.Delete(id) }
 // Deletes are journaled and replayed exactly like inserts.
 func (ix *Index) DeleteChecked(id uint32) (bool, error) { return ix.inner.DeleteChecked(id) }
 
-// JournalLen returns the number of acknowledged updates sitting in the
-// write-ahead journal — those a crash-recovery Open would replay. Save and
+// JournalLen returns the number of update records sitting in the
+// write-ahead journal — those a crash-recovery Open would decode. Save and
 // Compact fold them into the persisted metadata and empty the journal; 0
 // also when the journal is disabled (FsyncDisabled).
 func (ix *Index) JournalLen() int { return ix.inner.JournalLen() }
@@ -509,13 +479,13 @@ func (ix *Index) JournalLen() int { return ix.inner.JournalLen() }
 func (ix *Index) JournalPoisoned() bool { return ix.inner.JournalPoisoned() }
 
 // UpdateStats describes the state of the update pipeline — mutable-delta
-// size, frozen segments and how many are durable in their own seg file,
-// tombstones, and lifetime freeze/flush counters; see core.UpdateStats.
+// size, frozen segments, tombstones, and the lifetime freeze counter; see
+// core.UpdateStats.
 type UpdateStats = core.UpdateStats
 
-// UpdateStats reports the update pipeline's current state. The
-// FlushedSegments watermark is what automatic background compaction
-// triggers on (see StartAutoCompact).
+// UpdateStats reports the update pipeline's current state. The Segments
+// count is what automatic background compaction triggers on (see
+// StartAutoCompact).
 func (ix *Index) UpdateStats() UpdateStats { return ix.inner.UpdateStats() }
 
 // RecoveryStats reports what the journal replay at Open recovered; see
@@ -649,7 +619,6 @@ func (ix *Index) removeGeneration(gen string) {
 		for _, name := range rootGenerationFiles {
 			os.Remove(filepath.Join(ix.dir, name))
 		}
-		removeRootSegFiles(ix.dir)
 		return
 	}
 	os.RemoveAll(filepath.Join(ix.dir, gen))

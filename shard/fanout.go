@@ -501,8 +501,8 @@ func (ss *shardSet) CacheStats() (cs promips.CacheStats) {
 	return cs
 }
 
-// UpdateStats sums the update-pipeline state — delta sizes, frozen and
-// flushed segments, tombstones, freeze/flush counters — across all shards.
+// UpdateStats sums the update-pipeline state — delta sizes, frozen
+// segments, tombstones, the freeze counter — across all shards.
 // A follower's segments come from WAL replay (its children freeze on the
 // same thresholds the primary does), never from local writes, and a
 // follower never compacts — segments fold only when a refreshed snapshot
@@ -513,11 +513,8 @@ func (ss *shardSet) UpdateStats() (us promips.UpdateStats) {
 		us.DeltaEntries += u.DeltaEntries
 		us.Segments += u.Segments
 		us.SegmentEntries += u.SegmentEntries
-		us.FlushedSegments += u.FlushedSegments
 		us.Tombstones += u.Tombstones
 		us.Freezes += u.Freezes
-		us.Flushes += u.Flushes
-		us.FlushFailures += u.FlushFailures
 	})
 	return us
 }

@@ -339,20 +339,20 @@ func (ix *Index) Epoch() int64 { return ix.epoch }
 func (ix *Index) Options() promips.Options { return ix.children[0].Options() }
 
 // StartAutoCompact launches a background scheduler that compacts each
-// shard once at least minFlushed of ITS frozen segments are durable in
-// their own seg files (the per-shard watermark, not the sum — compaction
-// is a per-child rebuild, so only children that actually accumulated
-// segments pay for one). Like promips.Index.StartAutoCompact, the
-// compactions reassign ids — here global ids, since the shard-local dense
-// renumbering composes through the striping — so enable it only when no
-// external system holds ids across compactions. Stop the returned
-// scheduler before Close; a follower must never run one.
-func (ix *Index) StartAutoCompact(minFlushed int) *promips.AutoCompactor {
-	if minFlushed < 1 {
-		minFlushed = 1
+// shard once at least minSegments of ITS frozen segments have accumulated
+// (the per-shard count, not the sum — compaction is a per-child rebuild,
+// so only children that actually accumulated segments pay for one). Like
+// promips.Index.StartAutoCompact, the compactions reassign ids — here
+// global ids, since the shard-local dense renumbering composes through the
+// striping — so enable it only when no external system holds ids across
+// compactions. Stop the returned scheduler before Close; a follower must
+// never run one.
+func (ix *Index) StartAutoCompact(minSegments int) *promips.AutoCompactor {
+	if minSegments < 1 {
+		minSegments = 1
 	}
 	due := func(c *promips.Index) bool {
-		return c.UpdateStats().FlushedSegments >= minFlushed
+		return c.UpdateStats().Segments >= minSegments
 	}
 	return promips.NewAutoCompactor(
 		func() bool {

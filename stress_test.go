@@ -1,13 +1,11 @@
 package promips
 
 // Mixed read/write stress: searches stream concurrently with an insert
-// stream that drives the whole update pipeline — delta freezes, background
-// seg-file flushes, and automatic background compactions — and search
-// latency must stay bounded throughout (snapshot reads mean an update
-// never blocks a search; the p99 assertion catches any regression back to
-// lock-coupled behavior). Run under -race this also exercises every
-// cross-goroutine edge of the pipeline: inserter vs flusher vs compactor
-// vs searchers.
+// stream that drives the whole update pipeline — delta freezes and
+// automatic background compactions — and search latency must stay bounded
+// throughout (snapshot reads mean an update never blocks a search; the p99
+// assertion catches any regression back to lock-coupled behavior). Run under -race this also exercises every
+// cross-goroutine edge of the pipeline: inserter vs compactor vs searchers.
 
 import (
 	"context"
@@ -37,7 +35,7 @@ func TestMixedWorkloadStress(t *testing.T) {
 	const dim = 16
 	data := randData(r, 200, dim)
 	// A small freeze threshold makes the insert stream cross many
-	// freeze/flush boundaries; FsyncNever keeps the journal on (replay
+	// freeze boundaries; FsyncNever keeps the journal on (replay
 	// correctness stays covered) without an fsync per insert dominating.
 	ix, err := Build(data, Options{
 		Dir: t.TempDir(), Seed: 7, M: 4,
@@ -98,7 +96,7 @@ func TestMixedWorkloadStress(t *testing.T) {
 		}
 	}
 	// Let the pipeline drain a little so at least one background
-	// compaction observes the flushed watermark.
+	// compaction observes the frozen segments.
 	deadline := time.Now().Add(5 * time.Second)
 	for ac.Runs() == 0 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
@@ -116,9 +114,9 @@ func TestMixedWorkloadStress(t *testing.T) {
 	p99 := percentile(latencies, 0.99)
 	t.Logf("mixed workload: %d searches, p50=%v p99=%v", len(latencies), p50, p99)
 	// The bound is deliberately loose for CI noise (and the -race
-	// slowdown): what it excludes is searches serializing behind a freeze,
-	// a seg-file flush, or a compaction fold — those would push p99 into
-	// whole-rebuild territory (hundreds of ms to seconds on this size).
+	// slowdown): what it excludes is searches serializing behind a freeze
+	// or a compaction fold — those would push p99 into whole-rebuild
+	// territory (hundreds of ms to seconds on this size).
 	if p99 > time.Second {
 		t.Fatalf("mixed-workload search p99 %v: searches are being blocked by updates", p99)
 	}
@@ -126,9 +124,6 @@ func TestMixedWorkloadStress(t *testing.T) {
 	us := ix.UpdateStats()
 	if us.Freezes == 0 {
 		t.Fatalf("insert stream crossed no freeze boundary: %+v", us)
-	}
-	if us.Flushes == 0 && us.FlushFailures == 0 && ac.Runs() == 0 {
-		t.Fatalf("no segment was ever flushed or compacted: %+v", us)
 	}
 	if ac.Runs() == 0 {
 		t.Fatalf("auto-compactor never ran (failures=%d, stats %+v)", ac.Failures(), us)
