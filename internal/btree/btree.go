@@ -224,10 +224,12 @@ func Open(pg *pager.Pager) (*Tree, error) {
 	if pg.PageSize() < minPageSize || np < 2 {
 		return nil, corrupt("%d pages of %d bytes hold no tree", np, pg.PageSize())
 	}
-	meta, err := pg.Read(0, nil)
+	mp, err := pg.Read(0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("btree: read meta: %w", err)
 	}
+	defer mp.Release()
+	meta := mp.Bytes()
 	if binary.LittleEndian.Uint32(meta) != magic {
 		return nil, corrupt("bad magic in meta page")
 	}
@@ -252,11 +254,12 @@ func Open(pg *pager.Pager) (*Tree, error) {
 		if t.nodes[id] != nil {
 			return corrupt("node page %d reached twice", id)
 		}
-		buf, err := pg.Read(id, nil)
+		page, err := pg.Read(id, nil)
 		if err != nil {
 			return fmt.Errorf("btree: read node %d: %w", id, err)
 		}
-		n, err := decodeNode(id, buf, level == 1, np)
+		n, err := decodeNode(id, page.Bytes(), level == 1, np)
+		page.Release()
 		if err != nil {
 			return err
 		}
@@ -353,16 +356,19 @@ func (t *Tree) readOverflow(head int64, total uint32, io *pager.IOStats) ([]byte
 		if id < 1 || id >= t.pg.NumPages() {
 			return nil, corrupt("overflow page %d outside the file's %d pages", id, t.pg.NumPages())
 		}
-		buf, err := t.pg.Read(id, io)
+		page, err := t.pg.Read(id, io)
 		if err != nil {
 			return nil, err
 		}
+		buf := page.Bytes()
 		used := int64(binary.LittleEndian.Uint32(buf[8:]))
 		if used < 1 || used > int64(len(buf)-ovHeader) || int64(len(out))+used > int64(total) {
+			page.Release()
 			return nil, corrupt("overflow page %d holds %d bytes, %d of %d read", id, used, len(out), total)
 		}
 		out = append(out, buf[ovHeader:ovHeader+int(used)]...)
 		id = int64(binary.LittleEndian.Uint64(buf))
+		page.Release()
 	}
 	if uint32(len(out)) != total {
 		return nil, corrupt("overflow chain length %d, want %d", len(out), total)

@@ -47,3 +47,47 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state Search allocs/op = %.1f, want <= 8", avg)
 	}
 }
+
+// TestColdSearchAllocs is TestSearchSteadyStateAllocs on a buffer pool
+// smaller than the vector store, where most verifications miss: a miss reads
+// into the frame of the page it evicts, so a cold Search allocates no more
+// than a warm one (before frames were recycled, every miss allocated its
+// page buffer and entry: 90 allocations per query here).
+func TestColdSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are only meaningful without it")
+	}
+	data := dataset.Netflix().Generate(1000, 5)
+	ix, err := Build(context.Background(), data, t.TempDir(), Options{M: 6, Seed: 5, PoolSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if ix.orig.Pager().Resident() {
+		t.Fatalf("a %d-page pool holds the %d-page store", ix.orig.Pager().PoolPages(), ix.orig.Pager().NumPages())
+	}
+
+	queries := data[:16]
+	for _, q := range queries {
+		if _, _, err := ix.Search(q, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := ix.orig.Pager().Stats()
+	i := 0
+	avg := testing.AllocsPerRun(200, func() {
+		q := queries[i%len(queries)]
+		i++
+		if _, _, err := ix.Search(q, 10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if misses := ix.orig.Pager().Stats().Sub(before).Misses; misses < 201*10 {
+		t.Fatalf("only %d store misses over 201 queries: the pool is not cold", misses)
+	}
+	if avg > 8 {
+		t.Fatalf("steady-state cold Search allocs/op = %.1f, want <= 8", avg)
+	}
+}

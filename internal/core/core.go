@@ -216,8 +216,9 @@ type SearchStats struct {
 	ExtendedRadius float64
 	// TerminatedBy records what ended the search: "A" or "B" (the
 	// termination condition that held), "exhausted" (the compensation range
-	// was consumed whole), or "scan" — the query had exactly verified more
-	// than a quarter of the stored points, so it finished with one
+	// was consumed whole), or "scan" — the query spent its verification
+	// budget (a quarter of the stored points when the store's buffer pool
+	// holds the store, a twelfth when it does not), so it finished with one
 	// sequential scan of the vector store and the results are the EXACT
 	// top-k among live, filter-accepted points.
 	TerminatedBy string

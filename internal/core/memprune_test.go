@@ -244,7 +244,7 @@ func exactVsBrute(sn *snapshot, q []float32, k int) error {
 // of the sequential scan it must end in to be the exact filtered top-k.
 func forcedScanVsBrute(sn *snapshot, q []float32) error {
 	accept := func(id uint32) bool { return id%5 != 2 }
-	k := sn.n/scanAfterShare + sn.frozenLen + len(sn.delta) + 2
+	k := sn.runawayBudget() + sn.frozenLen + len(sn.delta) + 1
 	got, st, err := sn.search(context.Background(), q, k, SearchParams{Filter: accept})
 	if err != nil {
 		return err

@@ -52,7 +52,7 @@ func (s *query) referenceRun() error {
 				return candPruned, nil
 			}
 		}
-		if st.Candidates > sn.n/scanAfterShare {
+		if st.Candidates >= sn.runawayBudget() {
 			return candSkipped, errRunaway
 		}
 		ip, err := sc.reader.Dot(cand.ID, s.q, s.io)
@@ -207,7 +207,7 @@ func (tl *orderedPassTally) differential(sn *snapshot, q []float32, k int, param
 	// The sequential scan is how a query ends exactly when it spent its
 	// verification budget: never below it, and then the scan's own
 	// verifications come on top.
-	if spent := sn.n/scanAfterShare + 1; (gotSt.TerminatedBy == "scan") != (gotSt.Candidates > spent) {
+	if spent := sn.runawayBudget(); (gotSt.TerminatedBy == "scan") != (gotSt.Candidates > spent) {
 		return 0, fmt.Errorf("terminated by %q after %d verifications; the runaway rule fires past %d", gotSt.TerminatedBy, gotSt.Candidates, spent)
 	}
 	if tl.by == nil {

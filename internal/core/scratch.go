@@ -84,28 +84,40 @@ func (sc *queryScratch) selectPrerank(sk *pq.Sketch, k int) []prerankCand {
 	if w > len(sc.cands) {
 		w = len(sc.cands)
 	}
-	sel := sc.prerank[:0]
 	ests := sc.ests[:0]
-	for i, cand := range sc.cands {
-		est := sk.Estimate(cand.ID, sc.lut)
-		ests = append(ests, est)
-		pos := sort.Search(len(sel), func(i int) bool {
-			if sel[i].est != est {
-				return sel[i].est < est
-			}
-			return sel[i].cand.ID > cand.ID
-		})
-		if pos >= w {
+	for _, cand := range sc.cands {
+		ests = append(ests, sk.Estimate(cand.ID, sc.lut))
+	}
+	sc.ests = ests
+	sc.prerank = bestByEstimate(sc.prerank[:0], sc.cands, ests, w)
+	return sc.prerank
+}
+
+// bestByEstimate appends to sel (empty) the w ≥ 1 candidates with the
+// largest estimates, ordered by (estimate desc, id asc), as an insertion
+// into a window kept in that order. Nearly every candidate of a query loses
+// to the window's current last entry once the window is full, so that one
+// comparison comes before the binary search for the insertion point.
+func bestByEstimate(sel []prerankCand, cands []idistance.Candidate, ests []float64, w int) []prerankCand {
+	for i, est := range ests {
+		id := cands[i].ID
+		if len(sel) == w && !outranks(est, id, sel[w-1]) {
 			continue
 		}
+		pos := sort.Search(len(sel), func(j int) bool { return outranks(est, id, sel[j]) })
 		if len(sel) < w {
 			sel = append(sel, prerankCand{})
 		}
 		copy(sel[pos+1:], sel[pos:])
-		sel[pos] = prerankCand{cand: cand, idx: int32(i), est: est}
+		sel[pos] = prerankCand{cand: cands[i], idx: int32(i), est: est}
 	}
-	sc.prerank, sc.ests = sel, ests
 	return sel
+}
+
+// outranks reports whether a candidate with estimate est and id ranks
+// strictly before pc in the pre-ranking order.
+func outranks(est float64, id uint32, pc prerankCand) bool {
+	return est > pc.est || (est == pc.est && id < pc.cand.ID)
 }
 
 // rankedGroup is one Quick-Probe ranking entry: a sign-code group and its

@@ -161,19 +161,38 @@ func (sn *snapshot) beginSearch(q []float32, k int, params SearchParams) (c, p f
 	return c, p, k, nil
 }
 
-// scanAfterShare sets the point at which a query stops paying for random
-// verifications: once it has exactly verified more than 1/scanAfterShare of
-// the disk-resident points it is an exact scan in disguise, and finishing
-// with ONE sequential walk of the vector store is cheaper than continuing —
-// a random verification that misses the buffer pool costs about 3 µs, a
-// sequentially scanned vector about 0.35 µs, so the walk costs what n/9
-// misses do. It is the ski-rental rule: the random reads wasted before the
-// switch are bounded by a small multiple of the price of the scan itself
-// (see DESIGN.md, "Verify only what can still win").
-const scanAfterShare = 4
+// The ski-rental shares: a query that has exactly verified more than
+// 1/share of the disk-resident points one random read at a time is an exact
+// scan in disguise, and finishing with ONE sequential walk of the vector
+// store is cheaper than continuing. The price of a random verification
+// depends on where its page lives, so the share does too: when the pool
+// holds the store a verification is a pool hit, worth about 3.5 scanned
+// vectors, and the rent runs to n/4; when it cannot, nearly every
+// verification is a miss, worth 5–7 scanned vectors when the page cache
+// serves it and more when a device does, and the rent stops at n/12. Either
+// way the random reads wasted before the switch are bounded by a small
+// multiple of the price of the scan itself (DESIGN.md, "Ski-rental scan",
+// derives both shares from measured costs).
+const (
+	residentScanShare = 4
+	coldScanShare     = 12
+)
 
-// errRunaway is verify's signal that the query crossed the scanAfterShare
-// threshold; search answers it with scanAll. It never leaves this file.
+// runawayBudget is how many stored points a query on this view may verify
+// one random read at a time: the verification after the budget is spent ends
+// the query in the sequential scan instead. It counts verifications, not
+// misses, so a query's answer is a deterministic function of the index and
+// of whether its store is resident.
+func (sn *snapshot) runawayBudget() int {
+	share := coldScanShare
+	if sn.orig.Pager().Resident() {
+		share = residentScanShare
+	}
+	return sn.n/share + 1
+}
+
+// errRunaway is verify's signal that the query spent its runawayBudget;
+// search answers it with scanAll. It never leaves this file.
 var errRunaway = errors.New("core: verification budget exceeded")
 
 // query is one Search's working state: the inputs, the per-query constants
@@ -198,6 +217,7 @@ type query struct {
 	// sketch-bound prune of the verification passes.
 	sketchLUT []float64
 	verifies  int // verify calls so far: every 256th is a cancellation point
+	budget    int // sn.runawayBudget()
 	// ordered counts the candidates handed to the lazy sort — what the
 	// set-aside pass of orderedPass exists to keep small. Diagnostic: read by
 	// BenchmarkSearchCold and the differential test only.
@@ -208,7 +228,8 @@ type query struct {
 // pooled scratch (putScratch clears it), so a query allocates nothing for it.
 func (sn *snapshot) newQuery(ctx context.Context, sc *queryScratch, q []float32, k int, c, p float64, params SearchParams) *query {
 	s := &sc.query
-	*s = query{ctx: ctx, sn: sn, sc: sc, q: q, params: params, k: k, c: c, p: p, top: &sc.top, io: &sc.io}
+	*s = query{ctx: ctx, sn: sn, sc: sc, q: q, params: params, k: k, c: c, p: p, top: &sc.top, io: &sc.io,
+		budget: sn.runawayBudget()}
 	s.normQSq = vec.Norm2Sq(q)
 	s.normQ = math.Sqrt(s.normQSq)
 	s.top.reset(k)
@@ -437,7 +458,7 @@ func (s *query) verify(cand idistance.Candidate) (verified bool, err error) {
 		s.st.NormPruned++
 		return false, nil
 	}
-	if s.st.Candidates > s.sn.n/scanAfterShare {
+	if s.st.Candidates >= s.budget {
 		return false, errRunaway
 	}
 	ip, err := s.sc.reader.Dot(cand.ID, s.q, s.io)

@@ -11,10 +11,11 @@ import (
 // e2ebench cold-large shard (Netflix generator, n=25,000, d=300, the default
 // 1024-page pool against an 8,334-page vector file), k=10, with member
 // queries and with out-of-sample ones (dataset.Spec.Queries), which prune
-// nothing and end in the sequential scan. Beside ns/op it reports two counts
-// that repeat exactly at a fixed -benchtime Nx: ordered/query, the candidates
-// handed to the lazy sort, and store-reads/query, the read calls issued
-// against the vector file.
+// nothing and end in the sequential scan. Beside ns/op, B/op and allocs/op it
+// reports three counts that repeat exactly at a fixed -benchtime Nx:
+// ordered/query, the candidates handed to the lazy sort; scans/query, the
+// share of queries that ended in the sequential scan; and store-reads/query,
+// the read calls issued against the vector file.
 //
 //	go test ./internal/core -run NONE -bench SearchCold -benchtime 256x
 func BenchmarkSearchCold(b *testing.B) {
@@ -40,12 +41,15 @@ func BenchmarkSearchCold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ordered := 0
+			ordered, scans := 0, 0
 			for _, q := range arm.queries {
 				sc := getScratch(sn)
 				s := sn.newQuery(ctx, sc, q, k, sn.optC, sn.optP, SearchParams{})
-				_, _, err := s.finish(s.run())
+				_, st, err := s.finish(s.run())
 				ordered += s.ordered
+				if st.TerminatedBy == "scan" {
+					scans++
+				}
 				putScratch(sc)
 				if err != nil {
 					b.Fatal(err)
@@ -53,6 +57,7 @@ func BenchmarkSearchCold(b *testing.B) {
 			}
 			sn.release()
 			before := ix.orig.Pager().Stats()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := ix.Search(arm.queries[i%len(arm.queries)], k); err != nil {
@@ -62,6 +67,7 @@ func BenchmarkSearchCold(b *testing.B) {
 			b.StopTimer()
 			reads := ix.orig.Pager().Stats().Sub(before).FileReads
 			b.ReportMetric(float64(ordered)/float64(len(arm.queries)), "ordered/query")
+			b.ReportMetric(float64(scans)/float64(len(arm.queries)), "scans/query")
 			b.ReportMetric(float64(reads)/float64(b.N), "store-reads/query")
 		})
 	}

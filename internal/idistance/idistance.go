@@ -357,9 +357,10 @@ func (idx *Index) Projected(id uint32, dst []float32, io *pager.IOStats) ([]floa
 	if err != nil {
 		return nil, err
 	}
+	defer page.Release()
 	entrySize := 4 + vec.EncodedSize(idx.m)
 	off := int(idx.locSlot[id]) * entrySize
-	return vec.Decode(page[off+4:], idx.m, dst), nil
+	return vec.Decode(page.Bytes()[off+4:], idx.m, dst), nil
 }
 
 // encodeSubs serializes a ring's sub-partition directory:

@@ -29,15 +29,15 @@ func CompareCandidates(a, b Candidate) int {
 // allocates nothing here.
 type scanScratch struct {
 	subs  []subPartition
-	pages [][]byte
+	pages []pager.Page
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
 func (sc *scanScratch) release() {
-	// Drop the aliased center views and buffer-pool page views before
+	// Drop the aliased center views and the (released) page handles before
 	// pooling so the scratch does not retain B+-tree value buffers or page
-	// snapshots across queries.
+	// frames across queries.
 	subs := sc.subs[:cap(sc.subs)]
 	clear(subs)
 	clear(sc.pages[:cap(sc.pages)])
@@ -127,7 +127,8 @@ func (idx *Index) Search(ctx context.Context, q []float32, rLo, rHi float64, io 
 // from the pool, the missing remainder costs one contiguous file read under
 // one shard lock instead of a pager round trip per page — and distances are
 // computed by the fused zero-copy kernel straight from the page bytes (no
-// per-entry decode buffer exists on this path). It returns more=false when
+// per-entry decode buffer exists on this path). The run stays pinned while
+// it is scored and is released on every exit. It returns more=false when
 // visit stops the scan, and a non-nil error when the run read fails (the
 // caller must not treat that as a clean early stop: a truncated candidate
 // set would silently void the probability guarantee).
@@ -137,9 +138,11 @@ func (idx *Index) scanSub(sub subPartition, q []float32, rLo, rHi float64, entry
 	if err != nil {
 		return false, err
 	}
+	defer pager.ReleaseAll(sc.pages)
 	remaining := sub.numPoints
 	slot := sub.startSlot
-	for _, page := range sc.pages {
+	for _, pg := range sc.pages {
+		page := pg.Bytes()
 		for ; slot < idx.entriesPerPage && remaining > 0; slot++ {
 			off := slot * entrySize
 			id := vec.U32(page[off:])

@@ -28,9 +28,13 @@
 // giving referenced pages a second pass before they go. This keeps the hit
 // path free of list maintenance (no LRU chain to relink under a lock).
 //
-// Page slices returned by Read alias the buffer pool and are never mutated:
-// the file is immutable and eviction only drops the pool's reference, so a
-// slice stays valid for as long as the caller keeps it.
+// Frames are recycled under a pin count. Read and ReadRun hand out Pages,
+// each pinned under the shard lock that found or installed it; a Page's
+// bytes are valid until its holder calls Release, and not after. CLOCK never
+// evicts a pinned entry, and an evicted entry — its frame included — goes to
+// the shard's free list, where the next miss reads into it instead of
+// allocating. A miss that finds every entry of its shard pinned returns an
+// unpooled frame rather than waiting.
 package pager
 
 import (
@@ -180,26 +184,75 @@ func (s *IOStats) Reset() {
 // nextPagerID distinguishes pagers inside IOStats sets.
 var nextPagerID atomic.Uint64
 
-// poolEntry is one cached page. The reference bit starts CLEAR on install
+// poolEntry is one page frame. The reference bit starts CLEAR on install
 // and is set only by a later hit, so the CLOCK sweep grants
 // its second chance to re-referenced pages specifically: a sequential scan
 // that touches each page once cannot displace the re-used working set
 // behind it (scan resistance), and a fill evicts in insertion order like
 // the LRU it replaced.
+//
+// pins counts the Pages handed out and not yet released. It only rises under
+// the shard lock (shared or exclusive) while the entry is in the pool, and
+// eviction reads it under the exclusive lock, so an entry seen unpinned
+// there has no holder and can get none: its frame is free to reuse.
 type poolEntry struct {
 	id   int64
 	data []byte
-	ref  atomic.Bool // CLOCK reference bit; set on re-touch, cleared by the sweep
+	ref  atomic.Bool  // CLOCK reference bit; set on re-touch, cleared by the sweep
+	pins atomic.Int32 // outstanding Pages; a pinned entry is never evicted
 }
 
-// shard is one stripe of the buffer pool: a page map plus a CLOCK ring of
-// at most cap entries.
+// Page is a pinned view of one page, as Read and ReadRun return it. Bytes is
+// the page content, read-only, and valid until Release; Release unpins the
+// page so CLOCK may evict it and reuse its frame. Every Page must be released
+// exactly once; the zero Page and a released one have no bytes.
+type Page struct {
+	e *poolEntry
+}
+
+// Bytes returns the page content. The slice aliases a pool frame: do not
+// write it, and do not touch it after Release.
+func (pg Page) Bytes() []byte {
+	if pg.e == nil {
+		return nil
+	}
+	return pg.e.data
+}
+
+// Release unpins the page and clears the handle, so releasing it again does
+// nothing.
+func (pg *Page) Release() {
+	if pg.e != nil {
+		pg.e.pins.Add(-1)
+		pg.e = nil
+	}
+}
+
+// ReleaseAll releases every page of a run ReadRun returned.
+func ReleaseAll(pages []Page) {
+	for i := range pages {
+		pages[i].Release()
+	}
+}
+
+// pin takes one pin on e for a caller that holds e's shard lock and found e
+// in the pool.
+func (e *poolEntry) pin() Page {
+	e.ref.Store(true)
+	e.pins.Add(1)
+	return Page{e}
+}
+
+// shard is one stripe of the buffer pool: a page map, a CLOCK ring of at
+// most cap entries, and the free list of evicted entries whose frames the
+// next misses read into.
 type shard struct {
 	mu   sync.RWMutex
 	pool map[int64]*poolEntry
 	ring []*poolEntry
 	hand int
 	cap  int
+	free []*poolEntry
 }
 
 // Pager reads one finished page file through its buffer pool. It is safe for
@@ -210,7 +263,8 @@ type Pager struct {
 	pageSize int
 	numPages int64
 	shards   []shard
-	shardN   int64 // len(shards), for the id → shard map
+	shardN   int64     // len(shards), for the id → shard map
+	spanBufs sync.Pool // *[]byte of one shard block: multi-page span reads land here first
 
 	accesses  atomic.Int64
 	hits      atomic.Int64
@@ -276,6 +330,10 @@ func newPager(f *os.File, opts Options, numPages int64) *Pager {
 	for i := range p.shards {
 		p.shards[i] = shard{pool: make(map[int64]*poolEntry), cap: perShard}
 	}
+	p.spanBufs.New = func() any {
+		b := make([]byte, p.pageSize<<shardBlockShift)
+		return &b
+	}
 	return p
 }
 
@@ -296,6 +354,27 @@ func (p *Pager) SizeBytes() int64 { return p.numPages * int64(p.pageSize) }
 
 // PoolPages returns the buffer pool's capacity in pages.
 func (p *Pager) PoolPages() int64 { return p.shardN * int64(p.shards[0].cap) }
+
+// Resident reports whether the pool can hold the whole file, i.e. whether a
+// page read costs a pool hit once the file has been read through once.
+func (p *Pager) Resident() bool { return p.PoolPages() >= p.numPages }
+
+// Pinned returns the number of pins held on pooled pages: zero whenever no
+// caller holds an unreleased Page, so a leaked Page shows here. Pages handed
+// out unpooled (the overflow of a shard whose entries are all pinned) are
+// not counted; a leak of one costs nothing but its own memory.
+func (p *Pager) Pinned() int {
+	n := 0
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.RLock()
+		for _, e := range sh.ring {
+			n += int(e.pins.Load())
+		}
+		sh.mu.RUnlock()
+	}
+	return n
+}
 
 // Shards returns the number of buffer-pool stripes in use (diagnostics).
 func (p *Pager) Shards() int { return int(p.shardN) }
@@ -322,47 +401,42 @@ func (p *Pager) ResetStats() {
 	p.fileReads.Store(0)
 }
 
-// Read returns the content of page id, recording the access in io (nil
-// discards the accounting). The returned slice aliases the buffer pool;
-// callers must treat it as read-only. It stays valid for as long as the
-// caller keeps it, but holding it does not pin the page in the pool.
-func (p *Pager) Read(id int64, io *IOStats) ([]byte, error) {
+// Read returns page id, pinned, recording the access in io (nil discards
+// the accounting). The Page's bytes alias a pool frame: callers must treat
+// them as read-only, and they are valid until the caller releases the Page —
+// after that the frame may hold another page.
+func (p *Pager) Read(id int64, io *IOStats) (Page, error) {
 	if id < 0 || id >= p.numPages {
-		return nil, fmt.Errorf("%w: %d (have %d)", ErrPageOutOfRange, id, p.numPages)
+		return Page{}, fmt.Errorf("%w: %d (have %d)", ErrPageOutOfRange, id, p.numPages)
 	}
 	p.accesses.Add(1)
 	io.record(p.id, id)
 	sh := p.shard(id)
 	sh.mu.RLock()
 	if e, ok := sh.pool[id]; ok {
-		e.ref.Store(true)
-		data := e.data
+		pg := e.pin()
 		sh.mu.RUnlock()
 		p.hits.Add(1)
-		return data, nil
+		return pg, nil
 	}
 	sh.mu.RUnlock()
 	return p.readMiss(sh, id)
 }
 
-// readMiss loads a page from the file with no lock held — misses in
+// readMiss loads a page into a free frame with no lock held — misses in
 // different (or even the same) shard overlap — then installs it under the
-// shard's exclusive lock. When another goroutine installed the page
-// meanwhile, the pooled copy wins, so every reader shares one buffer.
-func (p *Pager) readMiss(sh *shard, id int64) ([]byte, error) {
+// shard's exclusive lock.
+func (p *Pager) readMiss(sh *shard, id int64) (Page, error) {
 	p.misses.Add(1)
-	data := make([]byte, p.pageSize)
-	if _, err := p.readAt(data, id); err != nil {
-		return nil, fmt.Errorf("pager: read page %d: %w", id, err)
+	var fr [1]*poolEntry
+	sh.frames(p, fr[:])
+	if _, err := p.readAt(fr[0].data, id); err != nil {
+		sh.recycle(fr[:])
+		return Page{}, fmt.Errorf("pager: read page %d: %w", id, err)
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.pool[id]; ok {
-		e.ref.Store(true)
-		return e.data, nil
-	}
-	sh.insert(p, &poolEntry{id: id, data: data})
-	return data, nil
+	return sh.install(p, id, fr[0]), nil
 }
 
 // readAt fills buf from the file starting at page first: every read the
@@ -372,14 +446,14 @@ func (p *Pager) readAt(buf []byte, first int64) (int, error) {
 	return p.f.ReadAt(buf, first*int64(p.pageSize))
 }
 
-// ReadRun returns the contents of the n consecutive pages starting at
-// first, appended to dst, recording one access per page in io. Cached pages
-// come from the pool; the missing ones of each shard block are fetched with
-// one contiguous file read per gap-free span, which is what makes a
+// ReadRun returns the n consecutive pages starting at first, each pinned
+// like a Read, appended to dst, recording one access per page in io. Cached
+// pages come from the pool; the missing ones of each shard block are fetched
+// with one contiguous file read per gap-free span, which is what makes a
 // sub-partition's short sequential page run cost one I/O round trip instead
-// of one per page. The returned slices alias the buffer pool under the same
-// stability contract as Read.
-func (p *Pager) ReadRun(first int64, n int, dst [][]byte, io *IOStats) ([][]byte, error) {
+// of one per page. The caller releases the run (ReleaseAll); on error
+// nothing stays pinned.
+func (p *Pager) ReadRun(first int64, n int, dst []Page, io *IOStats) ([]Page, error) {
 	if n <= 0 {
 		return dst, nil
 	}
@@ -388,7 +462,7 @@ func (p *Pager) ReadRun(first int64, n int, dst [][]byte, io *IOStats) ([][]byte
 	}
 	base := len(dst)
 	for i := 0; i < n; i++ {
-		dst = append(dst, nil)
+		dst = append(dst, Page{})
 		io.record(p.id, first+int64(i))
 	}
 	p.accesses.Add(int64(n))
@@ -402,6 +476,7 @@ func (p *Pager) ReadRun(first int64, n int, dst [][]byte, io *IOStats) ([][]byte
 			end = last
 		}
 		if err := p.readChunk(start, end, dst[base+int(start-first):base+int(end-first)]); err != nil {
+			ReleaseAll(dst[base:])
 			return nil, err
 		}
 		start = end
@@ -409,74 +484,79 @@ func (p *Pager) ReadRun(first int64, n int, dst [][]byte, io *IOStats) ([][]byte
 	return dst, nil
 }
 
-// chunkSpan is one gap-free run of missing pages inside a shard block,
-// with its own exactly sized buffer: installed pool entries alias it page
-// by page, so a resident entry never pins bytes beyond its own span (a
-// block-wide buffer would let one cached page retain the whole block).
-type chunkSpan struct {
-	first, end int64
-	buf        []byte
-}
-
 // readChunk fills out with pages [start, end) of one shard block. The fast
 // path (everything cached) finishes under the shared lock; otherwise the
-// missing pages are read from the file in contiguous spans without any
-// lock and installed under the exclusive lock, the pool copy winning a raced
-// install as in readMiss.
-func (p *Pager) readChunk(start, end int64, out [][]byte) error {
+// missing pages are read from the file in contiguous spans into free frames
+// without any lock and installed under the exclusive lock, as in readMiss.
+func (p *Pager) readChunk(start, end int64, out []Page) error {
 	sh := p.shard(start)
 	missing := 0
 	sh.mu.RLock()
 	for id := start; id < end; id++ {
 		if e, ok := sh.pool[id]; ok {
-			e.ref.Store(true)
-			out[id-start] = e.data
+			out[id-start] = e.pin()
 		} else {
 			missing++
 		}
 	}
 	sh.mu.RUnlock()
+	p.hits.Add(end - start - int64(missing))
 	if missing == 0 {
-		p.hits.Add(end - start)
 		return nil
 	}
-	p.hits.Add(end - start - int64(missing))
 	p.misses.Add(int64(missing))
 
-	// Read every gap-free span of missing pages with one ReadAt into a
-	// span-sized buffer.
-	var spans []chunkSpan
+	// fr[i] receives the i-th missing page of the block.
+	var frameBuf [1 << shardBlockShift]*poolEntry
+	fr := frameBuf[:missing]
+	sh.frames(p, fr)
+	next := 0
 	for id := start; id < end; {
-		if out[id-start] != nil {
+		if out[id-start].e != nil {
 			id++
 			continue
 		}
 		spanEnd := id + 1
-		for spanEnd < end && out[spanEnd-start] == nil {
+		for spanEnd < end && out[spanEnd-start].e == nil {
 			spanEnd++
 		}
-		span := chunkSpan{first: id, end: spanEnd, buf: make([]byte, int(spanEnd-id)*p.pageSize)}
-		if _, err := p.readAt(span.buf, id); err != nil {
-			return fmt.Errorf("pager: read pages [%d,%d): %w", id, spanEnd, err)
+		if err := p.readSpan(id, fr[next:next+int(spanEnd-id)]); err != nil {
+			sh.recycle(fr)
+			return err
 		}
-		spans = append(spans, span)
+		next += int(spanEnd - id)
 		id = spanEnd
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, span := range spans {
-		for id := span.first; id < span.end; id++ {
-			if e, ok := sh.pool[id]; ok {
-				// Installed concurrently; the pool copy wins.
-				e.ref.Store(true)
-				out[id-start] = e.data
-				continue
-			}
-			off := int(id-span.first) * p.pageSize
-			e := &poolEntry{id: id, data: span.buf[off : off+p.pageSize]}
-			sh.insert(p, e)
-			out[id-start] = e.data
+	next = 0
+	for id := start; id < end; id++ {
+		if out[id-start].e == nil {
+			out[id-start] = sh.install(p, id, fr[next])
+			next++
 		}
+	}
+	return nil
+}
+
+// readSpan fills the frames with the consecutive pages starting at first in
+// ONE file read — FileReads counts a span once. A frame holds one page, so a
+// longer span is read into a pooled block buffer and copied out.
+func (p *Pager) readSpan(first int64, frames []*poolEntry) error {
+	if len(frames) == 1 {
+		if _, err := p.readAt(frames[0].data, first); err != nil {
+			return fmt.Errorf("pager: read page %d: %w", first, err)
+		}
+		return nil
+	}
+	bp := p.spanBufs.Get().(*[]byte)
+	defer p.spanBufs.Put(bp)
+	buf := (*bp)[:len(frames)*p.pageSize]
+	if _, err := p.readAt(buf, first); err != nil {
+		return fmt.Errorf("pager: read pages [%d,%d): %w", first, first+int64(len(frames)), err)
+	}
+	for i, e := range frames {
+		copy(e.data, buf[i*p.pageSize:])
 	}
 	return nil
 }
@@ -517,26 +597,69 @@ func (p *Pager) RecordRead(id int64, io *IOStats) {
 	io.record(p.id, id)
 }
 
+// frames fills dst with entries a miss may read into: recycled ones from the
+// free list first, fresh allocations for the rest.
+func (sh *shard) frames(p *Pager, dst []*poolEntry) {
+	n := 0
+	sh.mu.Lock()
+	for ; n < len(dst) && len(sh.free) > 0; n++ {
+		last := len(sh.free) - 1
+		dst[n], sh.free[last] = sh.free[last], nil
+		sh.free = sh.free[:last]
+	}
+	sh.mu.Unlock()
+	for ; n < len(dst); n++ {
+		dst[n] = &poolEntry{data: make([]byte, p.pageSize)}
+	}
+}
+
+// recycle returns frames a failed read did not install to the free list.
+func (sh *shard) recycle(frames []*poolEntry) {
+	sh.mu.Lock()
+	sh.free = append(sh.free, frames...)
+	sh.mu.Unlock()
+}
+
+// install makes e, just filled with page id, the pooled copy of that page and
+// returns it pinned; the caller holds the shard's exclusive lock. When
+// another goroutine installed the page meanwhile, the pooled copy wins — every
+// reader shares one frame — and e goes back to the free list.
+func (sh *shard) install(p *Pager, id int64, e *poolEntry) Page {
+	if cur, ok := sh.pool[id]; ok {
+		sh.free = append(sh.free, e)
+		return cur.pin()
+	}
+	e.id = id
+	e.ref.Store(false)
+	e.pins.Store(1)
+	sh.insert(p, e)
+	return Page{e}
+}
+
 // insert adds e to the shard (whose lock the caller holds), evicting with
-// the CLOCK sweep when the ring is full.
+// the CLOCK sweep when the ring is full. The victim's entry goes to the free
+// list. When every entry is pinned, e stays out of the pool: its holder
+// keeps an unpooled frame, which the garbage collector takes after Release.
 func (sh *shard) insert(p *Pager, e *poolEntry) {
 	if len(sh.ring) < sh.cap {
 		sh.ring = append(sh.ring, e)
 		sh.pool[e.id] = e
 		return
 	}
-	// CLOCK second chance: sweep from the hand, clearing reference bits;
-	// the first unreferenced entry is the victim. Concurrent hits can re-set
-	// bits behind the hand, so the sweep is bounded: after two full passes
-	// the entry under the hand is taken regardless.
-	for step := 0; ; step++ {
+	// CLOCK second chance over the unpinned entries: sweep from the hand,
+	// clearing reference bits; the first unreferenced entry is the victim.
+	// Concurrent hits can re-set bits behind the hand, so the sweep is
+	// bounded: after two full passes the first unpinned entry under the hand
+	// is taken regardless, and a third pass that meets none gives up.
+	for step := 0; step < 3*len(sh.ring); step++ {
 		cand := sh.ring[sh.hand]
-		if step < 2*len(sh.ring) && cand.ref.Swap(false) {
+		if cand.pins.Load() != 0 || (step < 2*len(sh.ring) && cand.ref.Swap(false)) {
 			sh.hand = (sh.hand + 1) % len(sh.ring)
 			continue
 		}
 		delete(sh.pool, cand.id)
 		p.evictions.Add(1)
+		sh.free = append(sh.free, cand)
 		sh.ring[sh.hand] = e
 		sh.pool[e.id] = e
 		sh.hand = (sh.hand + 1) % len(sh.ring)
@@ -545,12 +668,20 @@ func (sh *shard) insert(p *Pager, e *poolEntry) {
 }
 
 // DropPool empties the buffer pool, so subsequent reads count as misses.
-// Benchmarks call this between queries to model a cold cache.
+// Benchmarks call this between queries to model a cold cache. Unpinned
+// frames go to the free lists; a pinned page leaves the pool but stays valid
+// for its holder until Release.
 func (p *Pager) DropPool() {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		sh.pool = make(map[int64]*poolEntry)
+		for _, e := range sh.ring {
+			if e.pins.Load() == 0 {
+				sh.free = append(sh.free, e)
+			}
+		}
+		clear(sh.pool)
+		clear(sh.ring)
 		sh.ring = sh.ring[:0]
 		sh.hand = 0
 		sh.mu.Unlock()

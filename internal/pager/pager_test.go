@@ -46,8 +46,34 @@ func randomPages(r *rand.Rand, n, pageSize int) [][]byte {
 	return pages
 }
 
+// readCopy reads page id and returns a copy of its bytes, releasing the pin
+// before it returns.
+func readCopy(p *Pager, id int64, io *IOStats) ([]byte, error) {
+	pg, err := p.Read(id, io)
+	if err != nil {
+		return nil, err
+	}
+	defer pg.Release()
+	return bytes.Clone(pg.Bytes()), nil
+}
+
+// runCopy is readCopy for a ReadRun.
+func runCopy(p *Pager, first int64, n int, io *IOStats) ([][]byte, error) {
+	run, err := p.ReadRun(first, n, nil, io)
+	if err != nil {
+		return nil, err
+	}
+	defer ReleaseAll(run)
+	out := make([][]byte, len(run))
+	for i, pg := range run {
+		out[i] = bytes.Clone(pg.Bytes())
+	}
+	return out, nil
+}
+
 // newTestPager returns a cold pool over a finished file of n pages, each
-// stamped with its id in byte 0.
+// stamped with its id in byte 0. Cleanup requires every pin to have been
+// released.
 func newTestPager(t testing.TB, opts Options, n int) *Pager {
 	t.Helper()
 	opts.normalize()
@@ -60,7 +86,12 @@ func newTestPager(t testing.TB, opts Options, n int) *Pager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { p.Close() })
+	t.Cleanup(func() {
+		if n := p.Pinned(); n != 0 {
+			t.Errorf("%d pins still held at the end of the test", n)
+		}
+		p.Close()
+	})
 	return p
 }
 
@@ -82,7 +113,7 @@ func TestAllocReadWriteRoundTrip(t *testing.T) {
 		t.Fatalf("pool of %d pages of %d bytes, want 9 of 128", p.NumPages(), p.PageSize())
 	}
 	for id, want := range pages {
-		got, err := p.Read(int64(id), nil)
+		got, err := readCopy(p, int64(id), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +141,7 @@ func TestAllocReturnsZeroedPage(t *testing.T) {
 		if id == 0 || id == 2 || id == 4 {
 			want = pages[id]
 		}
-		got, err := p.Read(int64(id), nil)
+		got, err := readCopy(p, int64(id), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,10 +195,10 @@ func TestWriterCloseAbandons(t *testing.T) {
 
 func TestReadOutOfRange(t *testing.T) {
 	p := newTestPager(t, Options{PageSize: 64}, 1)
-	if _, err := p.Read(1, nil); !errors.Is(err, ErrPageOutOfRange) {
+	if _, err := readCopy(p, 1, nil); !errors.Is(err, ErrPageOutOfRange) {
 		t.Fatalf("reading past the end returned %v", err)
 	}
-	if _, err := p.Read(-1, nil); !errors.Is(err, ErrPageOutOfRange) {
+	if _, err := readCopy(p, -1, nil); !errors.Is(err, ErrPageOutOfRange) {
 		t.Fatalf("reading a negative page id returned %v", err)
 	}
 	w := writeFile(t, filepath.Join(t.TempDir(), "w.db"), 64, nil, nil)
@@ -203,7 +234,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatalf("NumPages after reopen = %d, want 20", q.NumPages())
 	}
 	for id, data := range want {
-		got, err := q.Read(int64(id), nil)
+		got, err := readCopy(q, int64(id), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +259,7 @@ func TestOpenRejectsBadLength(t *testing.T) {
 func TestStatsCounting(t *testing.T) {
 	p := newTestPager(t, Options{PageSize: 64, PoolSize: 4}, 10)
 	for id := int64(0); id < 10; id++ {
-		if _, err := p.Read(id, nil); err != nil {
+		if _, err := readCopy(p, id, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +272,7 @@ func TestStatsCounting(t *testing.T) {
 	}
 	// Re-reading the last 4 pages hits the pool: accesses grow, misses don't.
 	for id := int64(6); id < 10; id++ {
-		p.Read(id, nil)
+		readCopy(p, id, nil)
 	}
 	s2 := p.Stats()
 	if s2.Accesses != 14 {
@@ -272,7 +303,7 @@ func TestLRUEvictionPreservesData(t *testing.T) {
 	defer p.Close()
 	for pass := 0; pass < 2; pass++ {
 		for i, data := range want {
-			got, err := p.Read(int64(i), nil)
+			got, err := readCopy(p, int64(i), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -296,7 +327,7 @@ func TestConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := int64((i*7 + g) % 32)
-				got, err := p.Read(id, nil)
+				got, err := readCopy(p, id, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -344,7 +375,7 @@ func TestPropertyPoolTransparency(t *testing.T) {
 		}
 		defer p.Close()
 		for _, i := range append(r.Perm(n), r.Perm(n)...) {
-			got, err := p.Read(int64(i), nil)
+			got, err := readCopy(p, int64(i), nil)
 			if err != nil || !bytes.Equal(got, want[i]) {
 				return false
 			}
@@ -363,13 +394,13 @@ func TestIOStatsPerCaller(t *testing.T) {
 	// Caller A touches pages 0..3, twice each; caller B touches 2..5 once.
 	for pass := 0; pass < 2; pass++ {
 		for _, id := range ids[:4] {
-			if _, err := p.Read(id, &a); err != nil {
+			if _, err := readCopy(p, id, &a); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for _, id := range ids[2:] {
-		if _, err := p.Read(id, &b); err != nil {
+		if _, err := readCopy(p, id, &b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,10 +421,10 @@ func TestIOStatsSpansPagers(t *testing.T) {
 	p2 := newTestPager(t, Options{PageSize: 64}, 1)
 	var io IOStats
 	// Page 0 of two different pagers must count as two distinct pages.
-	if _, err := p1.Read(0, &io); err != nil {
+	if _, err := readCopy(p1, 0, &io); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.Read(0, &io); err != nil {
+	if _, err := readCopy(p2, 0, &io); err != nil {
 		t.Fatal(err)
 	}
 	if io.Pages() != 2 {
@@ -427,7 +458,7 @@ func TestConcurrentPerQueryAccounting(t *testing.T) {
 			seen := make(map[int64]bool)
 			for i := 0; i < 300; i++ {
 				id := int64((i*5 + g*3) % numPages)
-				got, err := p.Read(id, &io)
+				got, err := readCopy(p, id, &io)
 				if err != nil {
 					errs <- err
 					return
@@ -482,7 +513,7 @@ func TestReadDirect(t *testing.T) {
 			t.Fatalf("%s: IOStats saw %d pages in %d reads, want %d", name, io.Pages(), io.Reads, pages)
 		}
 		for id := int64(0); id < pages; id++ {
-			want, err := p.Read(id, nil)
+			want, err := readCopy(p, id, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

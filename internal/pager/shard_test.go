@@ -31,7 +31,7 @@ func TestClockSecondChance(t *testing.T) {
 	p := newTestPager(t, Options{PageSize: 64, PoolSize: 2}, 3)
 	readOK := func(id int64) {
 		t.Helper()
-		got, err := p.Read(id, nil)
+		got, err := readCopy(p, id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestReadRunBasics(t *testing.T) {
 
 	// Cold run spanning several shard blocks.
 	var io IOStats
-	pages, err := p.ReadRun(3, 20, nil, &io)
+	pages, err := runCopy(p, 3, 20, &io)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestReadRunBasics(t *testing.T) {
 
 	// The same run again: all hits.
 	before := p.Stats()
-	pages, err = p.ReadRun(3, 20, pages[:0], &io)
+	pages, err = runCopy(p, 3, 20, &io)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestReadRunBasics(t *testing.T) {
 	// A run overlapping the cached range: holes are fetched, cached pages
 	// served from the pool.
 	before = p.Stats()
-	pages, err = p.ReadRun(0, 30, pages[:0], nil)
+	pages, err = runCopy(p, 0, 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestReadRunSeesWrites(t *testing.T) {
 	}
 	defer p.Close()
 	for pass := 0; pass < 2; pass++ {
-		pages, err := p.ReadRun(0, 3, nil, nil)
+		pages, err := runCopy(p, 0, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestReadRunAgainstRandomReads(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			first := int64(rng.Intn(n - 1))
 			length := 1 + rng.Intn(int(int64(n)-first))
-			pages, err := p.ReadRun(first, length, nil, nil)
+			pages, err := runCopy(p, first, length, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestReadRunAgainstRandomReads(t *testing.T) {
 			}
 		} else {
 			id := int64(rng.Intn(n))
-			page, err := p.Read(id, nil)
+			page, err := readCopy(p, id, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,9 +188,14 @@ func TestReadRunAgainstRandomReads(t *testing.T) {
 // TestOneShardStress hammers a pool smaller than its file — one stripe, so
 // every install, hit and eviction contends on the same lock — from many
 // goroutines mixing Read, ReadRun and ReadDirect, and checks every byte
-// returned against the model the file was written from. -race covers the
-// memory model; the content check covers a miss path installing or returning
-// the wrong page.
+// returned against the model the file was written from. The Read and ReadRun
+// goroutines are also holders: they keep up to two pinned runs across later
+// iterations, while the others churn the pool, and check each run's bytes
+// against the model again just before releasing it — a frame recycled under
+// a pin shows there. With more pins than frames, installs regularly meet an
+// all-pinned stripe and fall back to unpooled frames. -race covers the
+// memory model; the content checks cover a miss path installing or returning
+// the wrong page and an eviction that ignores a pin.
 func TestOneShardStress(t *testing.T) {
 	const pageSize, numPages = 64, 40
 	model := randomPages(rand.New(rand.NewSource(9)), numPages, pageSize)
@@ -203,6 +208,18 @@ func TestOneShardStress(t *testing.T) {
 		t.Fatalf("want a single shard for the stress, got %d", p.Shards())
 	}
 
+	type held struct {
+		first int
+		run   []Page
+	}
+	matches := func(h held) error {
+		for j, pg := range h.run {
+			if !bytes.Equal(pg.Bytes(), model[h.first+j]) {
+				return fmt.Errorf("page %d differs from the model", h.first+j)
+			}
+		}
+		return nil
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 9)
 	for g := 0; g < 9; g++ {
@@ -213,36 +230,48 @@ func TestOneShardStress(t *testing.T) {
 			var io IOStats
 			var reads int64
 			direct := make([]byte, 5*pageSize)
+			var holding []held
+			defer func() {
+				for _, h := range holding {
+					ReleaseAll(h.run)
+				}
+			}()
 			for i := 0; i < 1500; i++ {
 				first := rng.Intn(numPages)
 				n := 1 + rng.Intn(min(5, numPages-first))
-				var got [][]byte
+				h := held{first: first}
 				var err error
 				switch g % 3 {
 				case 0:
 					n = 1
-					var page []byte
-					page, err = p.Read(int64(first), &io)
-					got = [][]byte{page}
+					var pg Page
+					pg, err = p.Read(int64(first), &io)
+					h.run = []Page{pg}
 				case 1:
-					got, err = p.ReadRun(int64(first), n, nil, &io)
+					h.run, err = p.ReadRun(int64(first), n, nil, &io)
 				default:
 					err = p.ReadDirect(int64(first), direct[:n*pageSize], &io)
-					for j := 0; j < n; j++ {
-						got = append(got, direct[j*pageSize:(j+1)*pageSize])
+					for j := 0; err == nil && j < n; j++ {
+						if !bytes.Equal(direct[j*pageSize:(j+1)*pageSize], model[first+j]) {
+							err = fmt.Errorf("direct page %d differs from the model", first+j)
+						}
+					}
+				}
+				if err == nil && h.run != nil {
+					holding = append(holding, h)
+					err = matches(h)
+				}
+				for err == nil && len(holding) > 0 && (len(holding) > 2 || rng.Intn(2) == 0) {
+					if err = matches(holding[0]); err == nil {
+						ReleaseAll(holding[0].run)
+						holding = holding[1:]
 					}
 				}
 				if err != nil {
-					errs <- err
+					errs <- fmt.Errorf("goroutine %d, iteration %d: %w", g, i, err)
 					return
 				}
 				reads += int64(n)
-				for j, page := range got {
-					if !bytes.Equal(page, model[first+j]) {
-						errs <- fmt.Errorf("goroutine %d: page %d differs from the model", g, first+j)
-						return
-					}
-				}
 			}
 			if io.Reads != reads {
 				errs <- fmt.Errorf("goroutine %d: IOStats counted %d reads, issued %d", g, io.Reads, reads)
@@ -256,5 +285,120 @@ func TestOneShardStress(t *testing.T) {
 	}
 	if s := p.Stats(); s.Hits+s.Misses != s.Accesses || s.Evictions == 0 {
 		t.Fatalf("shared counters after the stress: %+v", s)
+	}
+	if n := p.Pinned(); n != 0 {
+		t.Fatalf("%d pins held after every holder released", n)
+	}
+}
+
+// TestPinBlocksEviction: a held page keeps its frame and its pool slot
+// through any amount of churn, and becomes an ordinary CLOCK victim once
+// released.
+func TestPinBlocksEviction(t *testing.T) {
+	p := newTestPager(t, Options{PageSize: 64, PoolSize: 2}, 12)
+	held, err := p.Read(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(1); id < 12; id++ {
+		if _, err := readCopy(p, id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := held.Bytes()[0]; got != 0 {
+		t.Fatalf("held page 0 now reads as page %d", got)
+	}
+	if p.Pinned() != 1 {
+		t.Fatalf("Pinned = %d with one page held", p.Pinned())
+	}
+	before := p.Stats()
+	if _, err := readCopy(p, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats().Sub(before).Hits != 1 {
+		t.Fatal("the held page left the pool")
+	}
+	held.Release()
+	held.Release() // the handle is spent: a second Release does nothing
+	if held.Bytes() != nil || p.Pinned() != 0 {
+		t.Fatalf("after Release: bytes %v, Pinned %d", held.Bytes(), p.Pinned())
+	}
+	for id := int64(1); id < 12; id++ {
+		if _, err := readCopy(p, id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = p.Stats()
+	if _, err := readCopy(p, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats().Sub(before).Misses != 1 {
+		t.Fatal("the released page was never evicted")
+	}
+}
+
+// TestPinAllPinnedFallsBack: when every entry of a stripe is pinned, a miss
+// neither blocks nor evicts — it returns the right bytes in an unpooled frame.
+func TestPinAllPinnedFallsBack(t *testing.T) {
+	p := newTestPager(t, Options{PageSize: 64, PoolSize: 2}, 8)
+	run, err := p.ReadRun(0, 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := p.Stats()
+	extra, err := p.ReadRun(2, 3, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pg := range extra {
+		if pg.Bytes()[0] != byte(2+i) {
+			t.Fatalf("unpooled page %d reads as page %d", 2+i, pg.Bytes()[0])
+		}
+	}
+	if d := p.Stats().Sub(before); d.Evictions != 0 || d.Misses != 3 {
+		t.Fatalf("misses over an all-pinned pool recorded %+v", d)
+	}
+	if p.Pinned() != 2 {
+		t.Fatalf("Pinned = %d, want the 2 pooled pins", p.Pinned())
+	}
+	ReleaseAll(extra)
+	ReleaseAll(run)
+	if _, err := readCopy(p, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats().Evictions != 1 {
+		t.Fatalf("after the release a miss should evict; stats %+v", p.Stats())
+	}
+}
+
+// TestMissRecyclesFrames: once the pool is full, a miss reads into the
+// frame of the page CLOCK evicted — Read and ReadRun allocate nothing,
+// however often the pool turns over.
+func TestMissRecyclesFrames(t *testing.T) {
+	const n = 64
+	p := newTestPager(t, Options{PageSize: 64, PoolSize: 8}, n)
+	var run []Page
+	id := int64(0)
+	cycle := func() {
+		pg, err := p.Read(id%n, nil)
+		if err != nil || pg.Bytes()[0] != byte(id%n) {
+			t.Fatalf("page %d: %v", id%n, err)
+		}
+		pg.Release()
+		if run, err = p.ReadRun((id*5)%(n-4), 4, run[:0], nil); err != nil {
+			t.Fatal(err)
+		}
+		ReleaseAll(run)
+		id += 3
+	}
+	for i := 0; i < 2*n; i++ {
+		cycle()
+	}
+	before := p.Stats()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("%.1f allocations per Read + ReadRun cycle, want 0", allocs)
+	}
+	if d := p.Stats().Sub(before); d.Misses == 0 || d.Evictions == 0 {
+		t.Fatalf("the cycle never missed: %+v", d)
 	}
 }

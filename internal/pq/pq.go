@@ -439,10 +439,11 @@ func (ix *Index) readRotateResidual(c int, x []float32) ([]float32, error) {
 	out := make([]float32, D)
 	rowsDone := 0
 	for pid := ix.cells[c].rotStart; rowsDone < D; pid++ {
-		page, err := ix.rotPg.Read(pid, nil)
+		pg, err := ix.rotPg.Read(pid, nil)
 		if err != nil {
 			return nil, err
 		}
+		page := pg.Bytes()
 		rows := ix.rotRowsPerPage
 		if D-rowsDone < rows {
 			rows = D - rowsDone
@@ -455,6 +456,7 @@ func (ix *Index) readRotateResidual(c int, x []float32) ([]float32, error) {
 			}
 			out[rowsDone+r] = float32(s)
 		}
+		pg.Release()
 		rowsDone += rows
 	}
 	return out, nil
@@ -578,10 +580,11 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 		}
 		remaining := meta.count
 		for pid := meta.listStart; remaining > 0; pid++ {
-			page, err := ix.listPg.Read(pid, nil)
+			pg, err := ix.listPg.Read(pid, nil)
 			if err != nil {
 				return nil, qs, err
 			}
+			page := pg.Bytes()
 			inPage := ix.entriesPerPage
 			if remaining < inPage {
 				inPage = remaining
@@ -596,6 +599,7 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 				qs.Candidates++
 				offer(id, dSq)
 			}
+			pg.Release()
 			remaining -= inPage
 		}
 	}

@@ -221,9 +221,10 @@ func (idx *Index) entry(t int, j int) (float64, uint32, error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	defer page.Release()
 	off := (j % idx.entriesPerPage) * entrySize
-	return math.Float64frombits(binary.LittleEndian.Uint64(page[off:])),
-		binary.LittleEndian.Uint32(page[off+8:]), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(page.Bytes()[off:])),
+		binary.LittleEndian.Uint32(page.Bytes()[off+8:]), nil
 }
 
 // lowerBound returns the first entry index of table t whose projection is

@@ -15,10 +15,11 @@ import (
 const readerWindow = 4
 
 // Reader is one query's cursor over the store: a page-local memo that turns
-// the pager round trip per candidate into one per distinct page. Page
-// slices handed out by the pager are stable snapshots (writes install fresh
-// buffers; eviction only drops the pool's reference), so pinning them here
-// is safe for the Reader's lifetime.
+// the pager round trip per candidate into one per distinct page. It holds the
+// window's pages pinned, so their frames cannot be recycled under it, and
+// releases each page when a newer one replaces it in the window and all of
+// them on Reset: a query that Resets its Reader when it ends leaves no pin
+// behind.
 //
 // A Reader belongs to a single query: it is not safe for concurrent use,
 // and it must not outlive the Store it came from (a compaction swap closes
@@ -28,7 +29,7 @@ const readerWindow = 4
 type Reader struct {
 	s     *Store
 	pids  [readerWindow]int64
-	pages [readerWindow][]byte
+	pages [readerWindow]pager.Page
 	next  int
 }
 
@@ -41,20 +42,21 @@ func (s *Store) NewReader() Reader {
 	return r
 }
 
-// Reset empties the window and rebinds the Reader to st, so a pooled query
-// scratch can reuse the same Reader value across queries (and across
-// compaction generation swaps).
+// Reset releases the window's pages and rebinds the Reader to st, so a
+// pooled query scratch can reuse the same Reader value across queries (and
+// across compaction generation swaps).
 func (r *Reader) Reset(st *Store) {
 	r.s = st
 	for i := range r.pids {
 		r.pids[i] = -1
-		r.pages[i] = nil
+		r.pages[i].Release()
 	}
 	r.next = 0
 }
 
 // entry returns the encoded bytes of the vector at layout position posn,
-// reading the page through the pinned window.
+// reading the page through the pinned window. The bytes are valid until the
+// window moves on, i.e. until the Reader's next read of another page.
 func (r *Reader) entry(posn int, io *pager.IOStats) ([]byte, error) {
 	s := r.s
 	if posn < 0 || posn >= s.n {
@@ -64,17 +66,18 @@ func (r *Reader) entry(posn int, io *pager.IOStats) ([]byte, error) {
 	off := (posn % s.perPage) * vec.EncodedSize(s.dim)
 	for i := range r.pids {
 		if r.pids[i] == pid {
-			return r.pages[i][off:], nil
+			return r.pages[i].Bytes()[off:], nil
 		}
 	}
 	page, err := s.pg.Read(pid, io)
 	if err != nil {
 		return nil, err
 	}
+	r.pages[r.next].Release()
 	r.pids[r.next] = pid
 	r.pages[r.next] = page
 	r.next = (r.next + 1) % readerWindow
-	return page[off:], nil
+	return page.Bytes()[off:], nil
 }
 
 // Dot returns ⟨o,q⟩ for the stored vector with the given id, computed

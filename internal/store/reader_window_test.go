@@ -63,10 +63,11 @@ func TestReaderWindowWraparound(t *testing.T) {
 }
 
 // TestReaderRePinAfterEviction pins pages through a pager whose pool is
-// smaller than the touched set, so every pinned page is evicted underneath
-// the Reader. The pinned slices must stay valid snapshots (the pool drops
-// its reference, never the bytes), and re-pinning an evicted page must
-// re-read it correctly.
+// smaller than the touched set, then churns the pool until every unpinned
+// frame has been recycled. The window's pages are pinned, so churn cannot
+// evict them: they keep serving exact bytes. Reset releases the pins, the
+// churn then evicts those pages too, and a Reader re-pinning them re-reads
+// them correctly from the file.
 func TestReaderRePinAfterEviction(t *testing.T) {
 	const dim, pageSize = 8, 128
 	n := 256 // 64 data pages, far beyond the pool below
@@ -99,13 +100,21 @@ func TestReaderRePinAfterEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Churn the pool until every early page has been evicted.
-	for posn := n - 1; posn >= n-128; posn-- {
-		if _, err := st.VectorAt(posn, nil, nil); err != nil {
-			t.Fatal(err)
+	churn := func() {
+		t.Helper()
+		for posn := n - 1; posn >= n-128; posn-- {
+			if _, err := st.VectorAt(posn, nil, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// The Reader's pinned snapshots must still serve exact bytes…
+	pg := st.Pager()
+	churn()
+	if pg.Pinned() != readerWindow {
+		t.Fatalf("Pinned = %d with a full window, want %d", pg.Pinned(), readerWindow)
+	}
+	// The Reader's pinned pages must still serve exact bytes, from the pool…
+	before := pg.Stats()
 	for posn := 0; posn < readerWindow*4; posn++ {
 		got, err := rd.DotAt(posn, q, nil)
 		if err != nil {
@@ -116,9 +125,19 @@ func TestReaderRePinAfterEviction(t *testing.T) {
 			t.Fatalf("posn %d after eviction: got %x want %x", posn, math.Float64bits(got), math.Float64bits(want))
 		}
 	}
-	// …and a fresh Reader re-pinning the evicted pages reads them back
-	// intact from the file.
+	if pg.Stats().Sub(before).Accesses != 0 {
+		t.Fatal("the pinned window went through the pager again")
+	}
+	rd.Reset(st)
+	if pg.Pinned() != 0 {
+		t.Fatalf("Pinned = %d after Reset", pg.Pinned())
+	}
+	// …and once released they are evicted like any page, and a fresh Reader
+	// re-pinning them reads them back intact from the file.
+	churn()
+	before = pg.Stats()
 	rd2 := st.NewReader()
+	defer rd2.Reset(nil)
 	for posn := 0; posn < readerWindow*4; posn++ {
 		got, err := rd2.DotAt(posn, q, nil)
 		if err != nil {
@@ -128,6 +147,9 @@ func TestReaderRePinAfterEviction(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("posn %d re-pin: got %x want %x", posn, math.Float64bits(got), math.Float64bits(want))
 		}
+	}
+	if d := pg.Stats().Sub(before); d.Misses != readerWindow {
+		t.Fatalf("re-pinning the released window missed %d times, want %d", d.Misses, readerWindow)
 	}
 }
 

@@ -22,11 +22,11 @@ const scanChunkBytes = 128 << 10
 // When the file is larger than the buffer pool the walk reads it in
 // scanChunkBytes pieces straight into buf (grown when too small and returned
 // for reuse), bypassing the pool: a scan touches every page once, so pooling
-// them would cost an allocation, an install and an eviction per page and
-// leave the pool holding nothing the next query wants. That is safe because a
-// Store only exists over a finished, immutable page file, so the file is the
-// truth. A file that fits in the pool is
-// walked through it instead, zero-copy: there is nothing to protect, and its
+// them would cost an install and an eviction per page and leave the pool
+// holding nothing the next query wants. That is safe because a Store only
+// exists over a finished, immutable page file, so the file is the truth. A
+// file that fits in the pool (pager.Resident) is walked through it instead,
+// zero-copy, one pinned chunk at a time: there is nothing to protect, and its
 // resident pages need no read at all. Either way io and the pager's shared
 // counters record every page as an access. ctx is checked before every chunk.
 func (s *Store) ScanDot(ctx context.Context, q []float32, buf []byte, io *pager.IOStats,
@@ -36,13 +36,14 @@ func (s *Store) ScanDot(ctx context.Context, q []float32, buf []byte, io *pager.
 	}
 	pageSize := s.pg.PageSize()
 	chunkPages := max(1, scanChunkBytes/pageSize)
-	resident := s.pg.PoolPages() >= s.pg.NumPages()
+	resident := s.pg.Resident()
 	if !resident && cap(buf) < chunkPages*pageSize {
 		buf = make([]byte, chunkPages*pageSize)
 	}
 	rowSize := vec.EncodedSize(s.dim)
 	dataPages := (s.n + s.perPage - 1) / s.perPage
 	pages := make([][]byte, 0, chunkPages) // the chunk in hand: pool pages, or buf cut up
+	var run []pager.Page                   // the pool pages' pins, released once the chunk is scored
 	var rows [4][]byte                     // kept rows awaiting one Dot4Bytes, and their positions
 	var at [4]int
 	for page := 0; page < dataPages; page += chunkPages {
@@ -51,12 +52,16 @@ func (s *Store) ScanDot(ctx context.Context, q []float32, buf []byte, io *pager.
 		}
 		first, n := s.firstData+int64(page), min(chunkPages, dataPages-page)
 		var err error
+		pages = pages[:0]
 		if resident {
-			pages, err = s.pg.ReadRun(first, n, pages[:0], io)
+			run, err = s.pg.ReadRun(first, n, run[:0], io)
+			for _, pg := range run {
+				pages = append(pages, pg.Bytes())
+			}
 		} else {
 			chunk := buf[:n*pageSize]
 			err = s.pg.ReadDirect(first, chunk, io)
-			for pages = pages[:0]; len(chunk) > 0; chunk = chunk[pageSize:] {
+			for ; len(chunk) > 0; chunk = chunk[pageSize:] {
 				pages = append(pages, chunk[:pageSize])
 			}
 		}
@@ -81,10 +86,12 @@ func (s *Store) ScanDot(ctx context.Context, q []float32, buf []byte, io *pager.
 				}
 			}
 		}
-		// The next read overwrites buf: score the stragglers now.
+		// The next read overwrites buf, or the chunk's pages are released:
+		// score the stragglers now.
 		for i := 0; i < nb; i++ {
 			emit(at[i], vec.DotBytes(rows[i], q))
 		}
+		pager.ReleaseAll(run)
 	}
 	return buf, nil
 }

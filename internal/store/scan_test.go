@@ -3,11 +3,15 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"promips/internal/pager"
+	"promips/internal/vec"
 )
 
 // Scan-test geometry: 9 vectors per 1 KiB page, 223 data pages, 128 pages per
@@ -113,6 +117,15 @@ func TestScanDotMatchesDotAt(t *testing.T) {
 				t.Fatalf("%s position %d (filtered scan): %x, want %x", name, pos, math.Float64bits(odd[pos]), math.Float64bits(want[pos]))
 			}
 		}
+		// The scans released every chunk they pinned: only the Reader's
+		// window is held, until its Reset.
+		if got := st.Pager().Pinned(); got > readerWindow {
+			t.Fatalf("%s: %d pins held after the scans", name, got)
+		}
+		rd.Reset(nil)
+		if got := st.Pager().Pinned(); got != 0 {
+			t.Fatalf("%s: %d pins held after the Reader's Reset", name, got)
+		}
 	}
 	check("resident", resident, false)
 	check("finalized", finalized, true)
@@ -152,5 +165,96 @@ func TestScanDotRefusals(t *testing.T) {
 	}
 	if chunkRows := scanChunkBytes / scanPageSize * st.perPage; visited > chunkRows {
 		t.Fatalf("scan visited %d positions after a cancel at 10; one chunk holds %d", visited, chunkRows)
+	}
+}
+
+// TestScanDotCancelReleasesPins: a scan through the pool that is cancelled
+// mid-walk leaves no page of its last chunk pinned.
+func TestScanDotCancelReleasesPins(t *testing.T) {
+	st, data := buildReaderStore(t, scanN, scanDim, scanPageSize)
+	if !st.Pager().Resident() {
+		t.Fatal("the default pool should hold the scan store")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	visited := 0
+	_, err := st.ScanDot(ctx, data[0], nil, nil, func(int) bool {
+		if visited++; visited == 10 {
+			cancel()
+		}
+		return true
+	}, func(int, float64) {})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
+	}
+	if got := st.Pager().Pinned(); got != 0 {
+		t.Fatalf("%d pins held after the cancelled scan", got)
+	}
+}
+
+// TestReaderPinStress runs Readers on many goroutines over a one-stripe pool
+// smaller than the file and than their windows together, so frames are
+// recycled around every pinned window and installs regularly meet an
+// all-pinned stripe. Every inner product must stay bit-exact — a window page
+// recycled under its Reader would score another page's bytes — and after
+// the Readers' Resets nothing is pinned.
+func TestReaderPinStress(t *testing.T) {
+	const dim, pageSize, n = 8, 128, 400 // 100 data pages, 4 vectors each
+	path := filepath.Join(t.TempDir(), "s.data")
+	w, err := Create(path, dim, n, pager.Options{PageSize: pageSize, PoolSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([][]float32, n)
+	for i := range data {
+		data[i] = make([]float32, dim)
+		for j := range data[i] {
+			data[i][j] = float32(i*dim + j)
+		}
+		if err := w.Append(uint32(i), data[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := w.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Pager().Shards() != 1 {
+		t.Fatalf("want one stripe, got %d", st.Pager().Shards())
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 6)
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rd := st.NewReader()
+			defer rd.Reset(nil)
+			rng := rand.New(rand.NewSource(int64(g)))
+			q := data[g]
+			for i := 0; i < 3000; i++ {
+				pos := rng.Intn(n)
+				if i%3 == 0 { // revisit the window's pages too
+					pos = (pos % 16) + g*16
+				}
+				got, err := rd.DotAt(pos, q, nil)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if want := vec.Dot(data[pos], q); math.Float64bits(got) != math.Float64bits(want) {
+					errs <- fmt.Errorf("goroutine %d: position %d scored %v, want %v", g, pos, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := st.Pager().Pinned(); got != 0 {
+		t.Fatalf("%d pins held after every Reader was Reset", got)
 	}
 }

@@ -165,11 +165,13 @@ func Open(path string, opts pager.Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	header, err := pg.Read(0, nil)
+	hp, err := pg.Read(0, nil)
 	if err != nil {
 		pg.Close()
 		return nil, err
 	}
+	defer hp.Release()
+	header := hp.Bytes()
 	if binary.LittleEndian.Uint32(header) != storeMagic {
 		pg.Close()
 		return nil, fmt.Errorf("store: bad magic: %w", errs.ErrCorruptIndex)
@@ -185,11 +187,12 @@ func Open(path string, opts pager.Options) (*Store, error) {
 		firstData: int64(1 + tablePgs),
 	}
 	for p := 0; p < tablePgs; p++ {
-		buf, err := pg.Read(int64(1+p), nil)
+		tp, err := pg.Read(int64(1+p), nil)
 		if err != nil {
 			pg.Close()
 			return nil, err
 		}
+		buf := tp.Bytes()
 		for s := 0; s < idsPerPage; s++ {
 			id := p*idsPerPage + s
 			if id >= n {
@@ -197,6 +200,7 @@ func Open(path string, opts pager.Options) (*Store, error) {
 			}
 			st.pos[id] = binary.LittleEndian.Uint32(buf[s*4:])
 		}
+		tp.Release()
 	}
 	return st, nil
 }
@@ -237,8 +241,9 @@ func (s *Store) VectorAt(posn int, dst []float32, io *pager.IOStats) ([]float32,
 	if err != nil {
 		return nil, err
 	}
+	defer page.Release()
 	off := (posn % s.perPage) * vec.EncodedSize(s.dim)
-	return vec.Decode(page[off:], s.dim, dst), nil
+	return vec.Decode(page.Bytes()[off:], s.dim, dst), nil
 }
 
 // Close closes the file.

@@ -100,7 +100,12 @@ type Options struct {
 	// fit in one page: use larger pages for very high dimensions, as the
 	// paper does for P53 (64KB).
 	PageSize int
-	// PoolSize is the per-file buffer pool capacity in pages.
+	// PoolSize is the per-file buffer pool capacity in pages. A pool too
+	// small to hold the vector store makes random verifications dearer, so
+	// a query switches to its exact sequential scan sooner (TerminatedBy
+	// "scan"): PoolSize can turn an approximate answer into an exact one,
+	// never the other way, and an answer that is not a scan at one PoolSize
+	// is the same at every larger one.
 	PoolSize int
 
 	// Seed fixes all randomness (projections, clustering).
