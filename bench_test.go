@@ -150,11 +150,9 @@ func BenchmarkSearchFiltered(b *testing.B) {
 	}
 }
 
-// BenchmarkInsertAck measures the acknowledgement cost of one Insert
-// under each journal policy. The ISSUE-5 acceptance bar: fsync=never must
-// sit within 10% of the journal-off (pre-WAL) path — the journal append is
-// an in-memory encode into the buffered log, not a syscall — while
-// fsync=always pays the real fsync an acknowledged-durable update costs.
+// BenchmarkInsertAck measures the acknowledgement cost of one sequential
+// Insert: the journal append plus the fsync that makes it durable (with one
+// updater, group commit has nothing to coalesce).
 func BenchmarkInsertAck(b *testing.B) {
 	r := rand.New(rand.NewSource(17))
 	data := make([][]float32, 500)
@@ -165,38 +163,24 @@ func BenchmarkInsertAck(b *testing.B) {
 		}
 		data[i] = v
 	}
-	for _, tc := range []struct {
-		name  string
-		fsync promips.FsyncPolicy
-	}{
-		{"journal-off", promips.FsyncDisabled},
-		{"fsync-never", promips.FsyncNever},
-		{"fsync-always", promips.FsyncAlways},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			ix, err := promips.Build(data, promips.Options{Dir: b.TempDir(), Seed: 18, M: 5, Fsync: tc.fsync})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ix.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ix.Insert(data[i%len(data)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// The deferred Close (FsyncNever's batched write-out) is
-			// teardown, not acknowledgement cost.
-			b.StopTimer()
-		})
+	ix, err := promips.Build(data, promips.Options{Dir: b.TempDir(), Seed: 18, M: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ix.Insert(data[i%len(data)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkInsertAckParallel is BenchmarkInsertAck's fsync-always case with
-// concurrent updaters — the group-commit measurement. Every ack that arrives
-// while another updater's fsync is in flight coalesces onto the next one, so
-// per-ack cost at 8 updaters must sit well below the serial fsync-always
+// BenchmarkInsertAckParallel is BenchmarkInsertAck with concurrent
+// updaters — the group-commit measurement. Every ack that arrives while
+// another updater's fsync is in flight coalesces onto the next one, so
+// per-ack cost at 8 updaters must sit well below the serial
 // number (the PR-6 acceptance bar was ≥4× amortization; e2ebench's
 // wal.insert_ack_p50_ms is the end-to-end figure). The coalescing
 // happens while goroutines block in fsync, so it shows up even at
@@ -213,7 +197,7 @@ func BenchmarkInsertAckParallel(b *testing.B) {
 	}
 	for _, updaters := range []int{2, 8} {
 		b.Run("updaters="+strconv.Itoa(updaters), func(b *testing.B) {
-			ix, err := promips.Build(data, promips.Options{Dir: b.TempDir(), Seed: 18, M: 5, Fsync: promips.FsyncAlways})
+			ix, err := promips.Build(data, promips.Options{Dir: b.TempDir(), Seed: 18, M: 5})
 			if err != nil {
 				b.Fatal(err)
 			}

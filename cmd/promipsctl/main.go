@@ -297,10 +297,6 @@ func plural(n int, one, many string) string {
 // acknowledged updates are not yet folded into a Save (summed over
 // shards), and what this Open's replay recovered.
 func printJournal(ix *shard.Index) {
-	if ix.Options().Fsync == promips.FsyncDisabled {
-		fmt.Println("journal: disabled (FsyncDisabled)")
-		return
-	}
 	fmt.Printf("journal: %d pending update(s)\n", ix.JournalLen())
 	if rec := ix.Recovery(); rec.Replayed > 0 || rec.Skipped > 0 || rec.TruncatedBytes > 0 {
 		fmt.Printf("recovery at open: %d update(s) replayed, %d already persisted, %d torn byte(s) truncated\n",
@@ -416,8 +412,8 @@ func runRecover(args []string) error {
 	}
 	defer ix.Close()
 	rec := ix.Recovery()
-	fmt.Printf("opened in %v: %d points (%d live), journal policy %v\n",
-		time.Since(start).Round(time.Millisecond), ix.Len(), ix.LiveCount(), ix.Options().Fsync)
+	fmt.Printf("opened in %v: %d points (%d live)\n",
+		time.Since(start).Round(time.Millisecond), ix.Len(), ix.LiveCount())
 	fmt.Printf("shards: %d (journal replay is per shard; counts below are summed)\n", ix.Shards())
 	fmt.Printf("recovery: %d update(s) replayed on top of the last save\n", rec.Replayed)
 	fmt.Printf("          %d record(s) already covered by the saved metadata\n", rec.Skipped)

@@ -6,7 +6,7 @@ package promips
 // the workload performs, crashing at exactly that operation. After every
 // simulated crash the directory is reopened with the real filesystem and
 // must hold either the pre- or the post-state of the operation in flight —
-// every update acknowledged under FsyncAlways before the crash included —
+// every update acknowledged before the crash included —
 // and must never surface as corrupt. A second, transient pass injects a
 // plain error (no crash) at every op and asserts the live process stays
 // exactly consistent: whatever the error swallowed is absent, everything

@@ -263,96 +263,6 @@ func TestRecoveryTornTail(t *testing.T) {
 	}
 }
 
-// TestFsyncNeverCleanShutdown: under FsyncNever, updates acknowledged
-// before a clean Close survive reopen (the journal buffer flushes on
-// Close), and the journal never fsyncs on the ack path.
-func TestFsyncNeverCleanShutdown(t *testing.T) {
-	r := rand.New(rand.NewSource(55))
-	data := randData(r, 70, 6)
-	dir := t.TempDir()
-	ix, err := Build(data, Options{Dir: dir, Seed: 56, M: 4, Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Save(); err != nil {
-		t.Fatal(err)
-	}
-	id, err := ix.Insert(randData(r, 1, 6)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok := ix.Delete(3); !ok {
-		t.Fatal("delete")
-	}
-	if err := ix.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Options().Fsync != FsyncNever {
-		t.Fatalf("policy not persisted: %v", re.Options().Fsync)
-	}
-	if rec := re.Recovery(); rec.Replayed != 2 {
-		t.Fatalf("recovery = %+v, want 2 replayed", rec)
-	}
-	if re.LiveCount() != 70 || int(id) != 70 {
-		t.Fatalf("LiveCount = %d id = %d", re.LiveCount(), id)
-	}
-}
-
-// TestFsyncDisabledNoJournal: FsyncDisabled writes no journal and Open
-// recovers only the last Save — whether or not the unsaved inserts crossed
-// a freeze (a frozen segment is an in-memory structure, not a durable one).
-func TestFsyncDisabledNoJournal(t *testing.T) {
-	for _, tc := range []struct {
-		name           string
-		segmentEntries int
-		inserts        int
-	}{
-		{"one insert", 0, 1},
-		{"inserts across two freezes", 4, 9},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(65))
-			data := randData(r, 60, 6)
-			dir := t.TempDir()
-			ix, err := Build(data, Options{Dir: dir, Seed: 66, M: 4, Fsync: FsyncDisabled,
-				SegmentEntries: tc.segmentEntries})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ix.Save(); err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range randData(r, tc.inserts, 6) {
-				if _, err := ix.Insert(v); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if ix.JournalLen() != 0 {
-				t.Fatalf("JournalLen = %d with journal disabled", ix.JournalLen())
-			}
-			if err := ix.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, "wal.log")); !os.IsNotExist(err) {
-				t.Fatalf("wal.log exists under FsyncDisabled: %v", err)
-			}
-			re, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			if re.LiveCount() != 60 {
-				t.Fatalf("LiveCount = %d: the unsaved inserts should be lost by policy", re.LiveCount())
-			}
-		})
-	}
-}
-
 // dirBytes sums the sizes of the regular files under dir.
 func dirBytes(t *testing.T, dir string) int64 {
 	t.Helper()

@@ -19,7 +19,7 @@ import (
 	"promips/internal/fsutil"
 )
 
-// buildGated builds a small FsyncAlways index through a FaultFS and
+// buildGated builds a small index through a FaultFS and
 // returns it with a gate on OpSync: after arm() is called, the next fsync
 // parks inside the filesystem until release() runs (signaling `entered`
 // when it parks). Build's and Save's own fsyncs run before arm, ungated.
@@ -28,7 +28,7 @@ func buildGated(t *testing.T, n, d int) (ix *Index, ffs *fsutil.FaultFS, arm fun
 	r := rand.New(rand.NewSource(91))
 	data := randData(r, n, d)
 	ffs = &fsutil.FaultFS{}
-	ix, err := Build(data, Options{Dir: t.TempDir(), Seed: 92, M: 4, Fsync: FsyncAlways, fs: ffs})
+	ix, err := Build(data, Options{Dir: t.TempDir(), Seed: 92, M: 4, fs: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +57,8 @@ func buildGated(t *testing.T, n, d int) (ix *Index, ffs *fsutil.FaultFS, arm fun
 	return ix, ffs, arm, entered, release
 }
 
-// TestSearchNotBlockedBySlowFsync is THE bug this PR fixes: under
-// FsyncAlways, a search must complete while an updater's journal fsync is
+// TestSearchNotBlockedBySlowFsync pins the ack-path stall group commit
+// removed: a search must complete while an updater's journal fsync is
 // still in flight. Before group commit, Insert held ix.mu exclusive across
 // the fsync, so the search below would park on the gated disk and time out.
 func TestSearchNotBlockedBySlowFsync(t *testing.T) {
@@ -161,7 +161,7 @@ func TestPoisonedJournalSentinelAndSaveHeals(t *testing.T) {
 	r := rand.New(rand.NewSource(95))
 	data := randData(r, 100, 8)
 	ffs := &fsutil.FaultFS{}
-	ix, err := Build(data, Options{Dir: t.TempDir(), Seed: 96, M: 4, Fsync: FsyncAlways, fs: ffs})
+	ix, err := Build(data, Options{Dir: t.TempDir(), Seed: 96, M: 4, fs: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func BenchmarkBuild(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix, err := Build(ctx, data, b.TempDir(), Options{Seed: 20210419, M: 6, Fsync: FsyncDisabled})
+		ix, err := Build(ctx, data, b.TempDir(), Options{Seed: 20210419, M: 6})
 		if err != nil {
 			b.Fatal(err)
 		}

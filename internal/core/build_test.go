@@ -64,7 +64,7 @@ func answersOf(t *testing.T, ix *Index, queries [][]float32) []answer {
 // exactly as before.
 func TestCompactCancelledMidBuild(t *testing.T) {
 	data := dataset.Netflix().Generate(3000, 11)
-	opts := Options{Seed: 12, M: 6, Fsync: FsyncDisabled}
+	opts := Options{Seed: 12, M: 6}
 	ix := buildIndex(t, data, opts)
 	queries := data[:8]
 	want := answersOf(t, ix, queries)

@@ -65,16 +65,20 @@ type Options struct {
 	PoolSize int
 	// Seed makes projections and clustering deterministic.
 	Seed int64
-	// Fsync selects the update journal's durability policy (the zero value
-	// is FsyncAlways). Persisted in the metadata, so a reopened index keeps
-	// the policy it was built with.
-	Fsync FsyncPolicy
 	// SegmentEntries caps the mutable update delta: once it holds this many
 	// inserts it freezes into an immutable, searchable in-memory segment
-	// (see segment.go). 0 selects the default (4096); negative disables
-	// freezing — one unbounded mutable delta, the pre-segment behavior.
-	// Persisted in the metadata like the other build knobs.
+	// (see segment.go). ≤ 0 selects the default (4096). Persisted in the
+	// metadata like the other build knobs.
 	SegmentEntries int
+
+	// Fsync is a retired persisted value, kept only so Open can read it:
+	// metadata written by older versions carries the fsync policy the index
+	// was built with, and gob decodes a nested field only into a field of
+	// the same name. Build ignores it and Save writes it as 0. The one value
+	// Open acts on is 2, the retired no-journal policy, under which Build
+	// left any wal.log it found in place — so that log may belong to another
+	// index, and Open recreates it instead of replaying it (see OpenFS).
+	Fsync int
 
 	// fs is the filesystem seam persistence writes through; nil means the
 	// real filesystem. Unexported so gob skips it when the Options ride
@@ -83,46 +87,17 @@ type Options struct {
 }
 
 // defaultSegmentEntries is the delta freeze threshold when
-// Options.SegmentEntries is 0.
+// Options.SegmentEntries is not positive.
 const defaultSegmentEntries = 4096
 
-// segmentEntries resolves the freeze threshold: ≤ 0 means disabled.
+// segmentEntries resolves the freeze threshold, always positive. A legacy
+// metadata may carry a negative value (it once meant "never freeze"); freeze
+// boundaries never change an answer, so it simply opens with the default.
 func (o Options) segmentEntries() int {
-	if o.SegmentEntries == 0 {
+	if o.SegmentEntries <= 0 {
 		return defaultSegmentEntries
 	}
-	if o.SegmentEntries < 0 {
-		return 0
-	}
 	return o.SegmentEntries
-}
-
-// FsyncPolicy selects how the update journal acknowledges Insert/Delete.
-type FsyncPolicy int
-
-const (
-	// FsyncAlways (the default) fsyncs the journal before every update is
-	// acknowledged: an acknowledged update survives any crash.
-	FsyncAlways FsyncPolicy = iota
-	// FsyncNever journals updates without fsync (buffered, flushed on
-	// Close): acknowledged updates survive a clean shutdown, and a crash
-	// may lose the un-synced tail — never corrupting the index.
-	FsyncNever
-	// FsyncDisabled turns the journal off entirely: updates are durable
-	// only from the next successful Save (the pre-journal semantics).
-	FsyncDisabled
-)
-
-func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncAlways:
-		return "fsync-always"
-	case FsyncNever:
-		return "fsync-never"
-	case FsyncDisabled:
-		return "disabled"
-	}
-	return fmt.Sprintf("FsyncPolicy(%d)", int(p))
 }
 
 // WithFS returns a copy of o whose persistence goes through fsys — the
@@ -138,15 +113,6 @@ func (o Options) fsys() fsutil.FS {
 		return fsutil.OS
 	}
 	return o.fs
-}
-
-// syncMode maps the fsync policy onto the journal's mode. Only meaningful
-// when the policy is not FsyncDisabled.
-func (o Options) syncMode() wal.SyncMode {
-	if o.Fsync == FsyncNever {
-		return wal.SyncNever
-	}
-	return wal.SyncAlways
 }
 
 func (o *Options) normalize() error {
@@ -302,7 +268,7 @@ type Index struct {
 	segs          []*segment
 	frozenEntries int // total entries across segs
 	tombs         *tombSet
-	segLimit      int // resolved freeze threshold (0 = disabled)
+	segLimit      int // resolved freeze threshold
 
 	// freezes counts delta freezes over the index's lifetime (UpdateStats).
 	freezes atomic.Int64
@@ -310,10 +276,10 @@ type Index struct {
 	// journal is the write-ahead update log (wal.log in the index
 	// directory): every acknowledged Insert/Delete appends a record before
 	// the in-memory state changes, Open replays it on top of the persisted
-	// delta, and Save truncates it once the delta is durable. Nil when
-	// Options.Fsync is FsyncDisabled. Guarded by mu like the delta it
-	// shadows (appends under the exclusive lock, truncation under Save's
-	// shared lock — the two cannot interleave).
+	// delta, and Save truncates it once the delta is durable. Never nil on
+	// an open index. Guarded by mu like the delta it shadows (appends under
+	// the exclusive lock, truncation under Save's shared lock — the two
+	// cannot interleave).
 	journal *wal.Journal
 
 	// recovery describes what Open's journal replay did.
@@ -448,14 +414,12 @@ func Build(ctx context.Context, data [][]float32, dir string, opts Options) (*In
 
 	// Stage 3: a fresh update journal. Build may target a directory that
 	// held an older index, so any stale wal.log is truncated, not replayed.
-	if opts.Fsync != FsyncDisabled {
-		j, err := wal.Create(opts.fsys(), filepath.Join(dir, "wal.log"), opts.syncMode())
-		if err != nil {
-			closeDisk()
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		ix.journal = j
+	j, err := wal.Create(opts.fsys(), filepath.Join(dir, "wal.log"))
+	if err != nil {
+		closeDisk()
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	ix.journal = j
 	ix.segLimit = opts.segmentEntries()
 	ix.tombs = &tombSet{}
 	ix.ref = newGenRef(idx, st)
@@ -524,12 +488,10 @@ func (ix *Index) Close() error {
 	ref.release()
 	<-ref.done
 	err := ref.closeErr
-	// Close flushes (FsyncNever buffers) but never truncates: the journal
-	// must survive Close so an unsaved index still replays at Open.
-	if j != nil {
-		if err2 := j.Close(); err == nil {
-			err = err2
-		}
+	// Close never truncates: the journal must survive Close so an unsaved
+	// index still replays at Open.
+	if err2 := j.Close(); err == nil {
+		err = err2
 	}
 	return err
 }
@@ -548,24 +510,19 @@ func (ix *Index) Dim() int { return ix.d }
 // JournalLen returns the number of records in the write-ahead journal —
 // literally what a crash-recovery Open would decode. Save and Compact empty
 // it; a journal left one Save behind by a crash between the metadata fsync
-// and the truncation still counts the records that replay will skip. 0 when
-// the journal is disabled.
+// and the truncation still counts the records that replay will skip.
 func (ix *Index) JournalLen() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.journal == nil {
-		return 0
-	}
 	return ix.journal.Len()
 }
 
 // JournalPoisoned reports whether the update journal is refusing
-// acknowledgements (ErrJournalPoisoned) until a Save heals it. False when
-// the journal is disabled.
+// acknowledgements (ErrJournalPoisoned) until a Save heals it.
 func (ix *Index) JournalPoisoned() bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.journal != nil && ix.journal.Poisoned()
+	return ix.journal.Poisoned()
 }
 
 // Recovery reports what the journal replay at Open recovered. Zero for a

@@ -42,8 +42,9 @@ func realMetaBytes(tb testing.TB) []byte {
 }
 
 // legacyOptions and legacyCoreMeta mirror what promips.meta carried while
-// Options still had the benchmark-only MissLatency field (removed in PR 23):
-// the same exported fields, by name, plus that one.
+// Options still had the retired persisted values: the same exported fields,
+// by name, plus the benchmark-only MissLatency, and Fsync as the policy enum
+// it was (0 fsync-always, 1 fsync-never, 2 no journal).
 type legacyOptions struct {
 	C, P           float64
 	M              int
@@ -53,7 +54,7 @@ type legacyOptions struct {
 	PoolSize       int
 	MissLatency    time.Duration
 	Seed           int64
-	Fsync          FsyncPolicy
+	Fsync          int
 	SegmentEntries int
 }
 
@@ -72,14 +73,14 @@ type legacyCoreMeta struct {
 }
 
 // legacyMetaBytes re-encodes a real meta the way the old type wrote it,
-// with a non-zero MissLatency in the stream.
-func legacyMetaBytes(tb testing.TB, real []byte) []byte {
+// with set applied to its options.
+func legacyMetaBytes(tb testing.TB, real []byte, set func(*legacyOptions)) []byte {
 	tb.Helper()
 	var old legacyCoreMeta
 	if err := gob.NewDecoder(bytes.NewReader(real)).Decode(&old); err != nil {
 		tb.Fatal(err)
 	}
-	old.Opts.MissLatency = 50 * time.Millisecond
+	set(&old.Opts)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
 		tb.Fatal(err)
@@ -87,27 +88,45 @@ func legacyMetaBytes(tb testing.TB, real []byte) []byte {
 	return buf.Bytes()
 }
 
-// TestDecodeMetaDropsMissLatency: a meta saved while Options had a
-// MissLatency field — here with a non-zero value — decodes through the
-// decoder Open uses into exactly what the same meta decodes to without it.
-// Gob skips a stream field the receiver lacks, so old directories open and
-// the value is dropped.
-func TestDecodeMetaDropsMissLatency(t *testing.T) {
+// retiredValues are the persisted values older versions wrote that this one
+// no longer has as options, each with what it decodes to.
+var retiredValues = []struct {
+	name      string
+	set       func(*legacyOptions)
+	wantFsync int // Options.Fsync after decoding
+}{
+	// Gob skips a stream field the receiver lacks: the value is dropped.
+	{"MissLatency", func(o *legacyOptions) { o.MissLatency = 50 * time.Millisecond }, 0},
+	// The buffered policy: read, and then ignored — Open replays wal.log.
+	{"Fsync=1", func(o *legacyOptions) { o.Fsync = 1 }, 1},
+	// The no-journal policy: read, so Open can discard a stale wal.log.
+	{"Fsync=2", func(o *legacyOptions) { o.Fsync = 2 }, retiredNoJournal},
+}
+
+// TestDecodeMetaRetiredValues: a meta carrying a retired persisted value
+// decodes through the decoder Open uses into exactly what the same meta
+// decodes to without it — apart from Options.Fsync, the one retired value
+// still read.
+func TestDecodeMetaRetiredValues(t *testing.T) {
 	real := realMetaBytes(t)
-	legacy := legacyMetaBytes(t, real)
-	if !bytes.Contains(legacy, []byte("MissLatency")) {
-		t.Fatal("legacy stream does not carry the MissLatency field")
-	}
 	want, err := decodeCoreMeta(bytes.NewReader(real))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeCoreMeta(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy meta: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy meta decoded to\n%+v\nwant\n%+v", got.Opts, want.Opts)
+	for _, tc := range retiredValues {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := decodeCoreMeta(bytes.NewReader(legacyMetaBytes(t, real, tc.set)))
+			if err != nil {
+				t.Fatalf("legacy meta: %v", err)
+			}
+			if got.Opts.Fsync != tc.wantFsync {
+				t.Fatalf("Opts.Fsync decoded to %d, want %d", got.Opts.Fsync, tc.wantFsync)
+			}
+			got.Opts.Fsync = 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("legacy meta decoded to\n%+v\nwant\n%+v", got.Opts, want.Opts)
+			}
+		})
 	}
 }
 
@@ -124,7 +143,9 @@ func FuzzCoreMetaDecode(f *testing.F) {
 	var hostile bytes.Buffer
 	gob.NewEncoder(&hostile).Encode(&coreMeta{N: 1 << 30, D: 4, M: 4})
 	f.Add(hostile.Bytes())
-	f.Add(legacyMetaBytes(f, real))
+	for _, rv := range retiredValues {
+		f.Add(legacyMetaBytes(f, real, rv.set))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeCoreMeta(bytes.NewReader(data))

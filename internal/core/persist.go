@@ -131,6 +131,7 @@ func (ix *Index) Save(dir string) error {
 		MaxNorm2Sq: ix.maxNorm2Sq,
 	}
 	m.Opts.fs = nil // the seam is per-process, never persisted
+	m.Opts.Fsync = 0
 	if ix.sketch != nil {
 		sk, err := ix.sketch.Marshal()
 		if err != nil {
@@ -171,10 +172,8 @@ func (ix *Index) Save(dir string) error {
 	// The journaled updates are durable in the meta now; empty the journal.
 	// A failure here leaves a stale-but-harmless journal (replay skips
 	// records the meta already covers) and surfaces so the caller retries.
-	if ix.journal != nil {
-		if err := ix.journal.Reset(); err != nil {
-			return fmt.Errorf("core: truncate journal: %w", err)
-		}
+	if err := ix.journal.Reset(); err != nil {
+		return fmt.Errorf("core: truncate journal: %w", err)
 	}
 	return nil
 }
@@ -259,8 +258,13 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 		}
 		ix.tombs = &tombSet{frozen: frozen}
 	}
-	if m.Opts.Fsync != FsyncDisabled {
-		j, recs, torn, err := wal.Open(ix.opts.fsys(), filepath.Join(dir, "wal.log"), ix.opts.syncMode())
+	if m.Opts.Fsync == retiredNoJournal {
+		if err := ix.recreateJournal(dir); err != nil {
+			closeAll()
+			return nil, err
+		}
+	} else {
+		j, recs, torn, err := wal.Open(ix.opts.fsys(), filepath.Join(dir, "wal.log"))
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("core: %w", err)
@@ -286,6 +290,30 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 		_ = ix.opts.fsys().Remove(name) // a file left behind is never read; the next Open tries again
 	}
 	return ix, nil
+}
+
+// retiredNoJournal is the persisted Options.Fsync value of the retired
+// no-journal policy (see Options.Fsync).
+const retiredNoJournal = 2
+
+// recreateJournal opens an index saved under the retired no-journal policy.
+// That policy's Build left any wal.log it found in place, so the file may
+// hold another index's records: replace it with an empty journal, then Save
+// so the meta stops naming the policy before any update is acknowledged into
+// the new journal — a later Open of the old meta would empty it again. A
+// crash between the two leaves the old meta over an empty journal, which the
+// next Open handles the same way.
+func (ix *Index) recreateJournal(dir string) error {
+	j, err := wal.Create(ix.opts.fsys(), filepath.Join(dir, "wal.log"))
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	ix.journal = j
+	if err := ix.Save(dir); err != nil {
+		j.Close()
+		return err
+	}
+	return nil
 }
 
 // replayJournal applies the journal's records on top of the state the

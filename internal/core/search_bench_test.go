@@ -22,7 +22,7 @@ func BenchmarkSearchCold(b *testing.B) {
 	const n, k = 25000, 10
 	spec := dataset.Netflix()
 	data := spec.Generate(n, 20210419)
-	ix := buildIndex(b, data, Options{Seed: 20210419, M: 6, Fsync: FsyncDisabled})
+	ix := buildIndex(b, data, Options{Seed: 20210419, M: 6})
 	member := make([][]float32, 256)
 	for i := range member {
 		member[i] = data[i*(n/len(member))]

@@ -285,7 +285,7 @@ func (sn *snapshot) scanMem(ctx context.Context, q []float32, normQSq float64, l
 // maybeFreezeLocked freezes the mutable delta into a segment when it has
 // reached the configured size. Caller holds ix.mu exclusive.
 func (ix *Index) maybeFreezeLocked() {
-	if ix.segLimit > 0 && len(ix.delta) >= ix.segLimit {
+	if len(ix.delta) >= ix.segLimit {
 		ix.freezeLocked()
 	}
 }

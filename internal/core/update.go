@@ -83,18 +83,17 @@ func (ix *Index) appendDeltaLocked(e deltaEntry) {
 // in-memory change — and released before waiting for durability, so it
 // interleaves correctly with concurrent searches (each snapshot sees the
 // state before or after the insert, never a partial one) and an updater's
-// fsync never stalls readers. Under FsyncAlways the fsyncs are group-committed:
-// concurrent inserts that overlap one fsync are all covered by the next,
-// so N racing updaters pay ~2 fsyncs between them instead of N (see
+// fsync never stalls readers. The fsyncs are group-committed: concurrent
+// inserts that overlap one fsync are all covered by the next, so N racing
+// updaters pay ~2 fsyncs between them instead of N (see
 // wal.Journal.WaitDurable).
 //
 // Durability: the record is journaled BEFORE the in-memory state changes,
-// and the insert is acknowledged only once the journal says it is durable
-// under its fsync policy. A successful return therefore means the insert
-// survives a crash (FsyncAlways) or a clean shutdown (FsyncNever). On a
-// journal WRITE failure neither memory nor disk took the update (the
-// journal heals in place). On a group-FSYNC failure the insert is applied
-// in memory but NOT acknowledged — it behaves like an un-acked update: a
+// and the insert is acknowledged only once an fsync covers it. A successful
+// return therefore means the insert survives a crash. On a journal WRITE
+// failure neither memory nor disk took the update (the journal heals in
+// place). On a group-FSYNC failure the insert is applied in memory but NOT
+// acknowledged — it behaves like an un-acked update: a
 // crash may or may not recover it, a later Save persists it — and the
 // journal is poisoned (ErrJournalPoisoned) until a successful Save
 // re-establishes durability through the metadata path. Inserting into a
@@ -122,10 +121,8 @@ func (ix *Index) Insert(v []float32) (uint32, error) {
 	// against the already-applied update while the disk catches up, and
 	// every concurrent updater parked here is acknowledged by the same
 	// group fsync.
-	if lsn > 0 {
-		if err := j.WaitDurable(lsn); err != nil {
-			return 0, fmt.Errorf("core: insert: %w", err)
-		}
+	if err := j.WaitDurable(lsn); err != nil {
+		return 0, fmt.Errorf("core: insert: %w", err)
 	}
 	return id, nil
 }
@@ -147,8 +144,7 @@ func (ix *Index) insertLocked(v []float32, journaled bool) (uint32, int64, error
 // writes the journal record, applies the in-memory change, freezes the
 // delta if it reached the segment threshold, and returns the record's LSN
 // — the caller waits for durability on it AFTER releasing the lock (lsn 0
-// means nothing to wait for: the journal is off, buffered, or
-// journaled=false).
+// means nothing to wait for: journaled=false).
 func (ix *Index) insertPreparedLocked(e deltaEntry, sk *pq.Sketch, journaled bool) (uint32, int64, error) {
 	if ix.closed {
 		return 0, 0, errs.ErrClosed
@@ -159,16 +155,13 @@ func (ix *Index) insertPreparedLocked(e deltaEntry, sk *pq.Sketch, journaled boo
 	id := uint32(ix.n + ix.frozenEntries + len(ix.delta))
 	e.id = id
 	var lsn int64
-	if journaled && ix.journal != nil {
+	if journaled {
 		// Write-ahead: if the record cannot be WRITTEN, the insert is not
 		// acknowledged and memory is untouched. The journal heals (or
 		// poisons itself) so the failed bytes can never precede a later
 		// record; the id is not burned — the next insert reuses it, and by
 		// then either the journal healed (the failed record is gone) or it
-		// is poisoned (no later record can follow the garbage). The journal
-		// gets the private clone, not the caller's slice: under FsyncNever
-		// it retains the vector until a batched flush, and the delta never
-		// mutates it.
+		// is poisoned (no later record can follow the garbage).
 		l, err := ix.journal.Append(wal.Record{Type: wal.TypeInsert, ID: id, Vec: e.v})
 		if err != nil {
 			return 0, 0, fmt.Errorf("core: insert: %w", err)
@@ -196,7 +189,8 @@ func (ix *Index) Delete(id uint32) bool {
 // deleted. Journaling follows the same write-ahead and group-commit
 // discipline as Insert: the record write and the in-memory tombstone are
 // sequenced under the exclusive lock, the fsync wait happens after it is
-// released. On a journal WRITE failure the delete is NOT applied; on a
+// released, and (true, nil) means the tombstone survives a crash. On a
+// journal WRITE failure the delete is NOT applied; on a
 // group-FSYNC failure it is applied in memory but NOT acknowledged
 // (false, ErrJournalPoisoned-wrapped error) — like an un-acked update, a
 // crash may or may not recover it and a later Save persists it.
@@ -210,22 +204,16 @@ func (ix *Index) DeleteChecked(id uint32) (bool, error) {
 		ix.mu.Unlock()
 		return false, nil
 	}
-	var lsn int64
-	if ix.journal != nil {
-		l, err := ix.journal.Append(wal.Record{Type: wal.TypeDelete, ID: id})
-		if err != nil {
-			ix.mu.Unlock()
-			return false, fmt.Errorf("core: delete: %w", err)
-		}
-		lsn = l
+	j := ix.journal
+	lsn, err := j.Append(wal.Record{Type: wal.TypeDelete, ID: id})
+	if err != nil {
+		ix.mu.Unlock()
+		return false, fmt.Errorf("core: delete: %w", err)
 	}
 	ix.tombs = ix.tombs.add(id)
-	j := ix.journal
 	ix.mu.Unlock()
-	if lsn > 0 {
-		if err := j.WaitDurable(lsn); err != nil {
-			return false, fmt.Errorf("core: delete: %w", err)
-		}
+	if err := j.WaitDurable(lsn); err != nil {
+		return false, fmt.Errorf("core: delete: %w", err)
 	}
 	return true, nil
 }
@@ -426,21 +414,15 @@ func (ix *Index) Compact(ctx context.Context, dir string, persist func(next *Ind
 			// on-disk state names the new generation, so the swap must
 			// proceed; surface the error with the valid remap and let the
 			// caller's next Save retry the fsync. Until that Save, a crash
-			// could still recover the OLD generation — so under
-			// FsyncAlways BOTH journals are poisoned: the old one first
-			// (any updater still parked in its WaitDurable is refused
-			// rather than acknowledged against a pointer that may not
-			// survive a crash), then the new one after the swap, so
-			// updates fail loudly instead of acknowledging a durability
-			// promise the pointer cannot back yet. (FsyncNever acks never
-			// promise crash durability, so they keep flowing.)
-			if ix.journal != nil && ix.opts.Fsync == FsyncAlways {
-				ix.journal.Poison(fmt.Errorf("generation pointer not durable: %w", err))
-			}
+			// could still recover the OLD generation — so BOTH journals are
+			// poisoned: the old one first (any updater still parked in its
+			// WaitDurable is refused rather than acknowledged against a
+			// pointer that may not survive a crash), then the new one after
+			// the swap, so updates fail loudly instead of acknowledging a
+			// durability promise the pointer cannot back yet.
+			ix.journal.Poison(fmt.Errorf("generation pointer not durable: %w", err))
 			ix.swapLocked(next)
-			if ix.journal != nil && ix.opts.Fsync == FsyncAlways {
-				ix.journal.Poison(fmt.Errorf("generation pointer not durable: %w", err))
-			}
+			ix.journal.Poison(fmt.Errorf("generation pointer not durable: %w", err))
 			return remap, err
 		}
 		// Durable handover complete: every record in the OLD journal is
@@ -448,9 +430,7 @@ func (ix *Index) Compact(ctx context.Context, dir string, persist func(next *Ind
 		// and the fold above took all of them in). Seal it so any updater
 		// still waiting on its group fsync is acknowledged from the
 		// metadata's durability instead of racing the Close in swapLocked.
-		if ix.journal != nil {
-			ix.journal.SealDurable()
-		}
+		ix.journal.SealDurable()
 	}
 
 	ix.swapLocked(next)
@@ -484,7 +464,5 @@ func (ix *Index) swapLocked(next *Index) {
 	// drain, and a close failure loses nothing (surfacing it would
 	// misreport the swap, which already happened, as a failed compaction).
 	oldRef.release()
-	if oldJournal != nil {
-		oldJournal.Close()
-	}
+	oldJournal.Close()
 }

@@ -18,16 +18,17 @@ import (
 	"testing"
 
 	"promips/internal/dataset"
+	"promips/internal/fsutil"
 	"promips/internal/vec"
 )
 
-// benchInsertIndex builds a journal-less index (FsyncDisabled isolates
-// lock contention from fsync latency) with freezing on, so the benchmark
-// crosses freeze boundaries like a real insert stream.
+// benchInsertIndex builds an index whose journal never fsyncs (fsutil.NoSync
+// isolates lock contention from fsync latency) with freezing on, so the
+// benchmark crosses freeze boundaries like a real insert stream.
 func benchInsertIndex(b *testing.B, d int) (*Index, [][]float32) {
 	r := rand.New(rand.NewSource(1234))
 	data := randData(r, 2000, d)
-	ix := buildIndex(b, data, Options{Seed: 5, M: 6, Fsync: FsyncDisabled, SegmentEntries: 1024})
+	ix := buildIndex(b, data, Options{Seed: 5, M: 6, SegmentEntries: 1024}.WithFS(fsutil.NoSync))
 	return ix, randData(r, 4096, d)
 }
 
@@ -82,7 +83,8 @@ func BenchmarkInsertContended(b *testing.B) {
 // BenchmarkSearchBacklog is search latency against the un-compacted
 // backlog: one shard of the e2e benchmark's mixed-updates shape (Netflix
 // generator, d=300, resident pool, default SegmentEntries so 12,288 entries
-// are three frozen segments), member queries, k=10. dots/query counts the
+// are three frozen segments; the backlog is inserted through fsutil.NoSync
+// so setup does not pay 12,288 fsyncs), member queries, k=10. dots/query counts the
 // full d-dimensional inner products one query takes — verified disk
 // candidates plus backlog entries scanMem did not prune — and is a pure
 // function of the inputs, so it repeats exactly where ns/op does not.
@@ -94,7 +96,7 @@ func BenchmarkSearchBacklog(b *testing.B) {
 	queries := all[:64]
 	for _, backlog := range []int{0, 4096, 12288} {
 		b.Run(fmt.Sprint(backlog), func(b *testing.B) {
-			ix := buildIndex(b, all[:n], Options{Seed: 5, M: 6, PoolSize: 8192, Fsync: FsyncDisabled})
+			ix := buildIndex(b, all[:n], Options{Seed: 5, M: 6, PoolSize: 8192}.WithFS(fsutil.NoSync))
 			for _, v := range all[n : n+backlog] {
 				if _, err := ix.Insert(v); err != nil {
 					b.Fatal(err)

@@ -265,3 +265,28 @@ func (ff *faultFile) Truncate(size int64) error {
 }
 
 func (ff *faultFile) Close() error { return ff.f.Close() }
+
+// NoSync is the real filesystem with every fsync — File.Sync and SyncDir —
+// made a no-op. Benchmarks that time the CPU side of an update path build
+// through it so the disk's flush latency does not swamp what they measure.
+// It makes nothing durable: a test seam, never a way to run an index.
+var NoSync FS = noSyncFS{}
+
+type noSyncFS struct{ osFS }
+
+func (noSyncFS) Create(path string) (File, error) { return noSyncOpen(OS.Create(path)) }
+
+func (noSyncFS) OpenAppend(path string) (File, error) { return noSyncOpen(OS.OpenAppend(path)) }
+
+func (noSyncFS) SyncDir(string) error { return nil }
+
+func noSyncOpen(f File, err error) (File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
+type noSyncFile struct{ File }
+
+func (noSyncFile) Sync() error { return nil }

@@ -28,17 +28,13 @@
 //
 // # Sync policy
 //
-// SyncAlways makes every record durable before it is acknowledged: Append
-// writes the record and returns its LSN, and WaitDurable(lsn) blocks until
-// an fsync covering that LSN has completed. The fsyncs are group-committed:
-// whichever waiter finds no fsync in flight becomes the leader and issues
-// one fsync covering every record written so far, then wakes all waiters
-// whose LSN it covered — so N updates racing through the ack path pay ~2
-// fsyncs between them, not N. SyncNever keeps acknowledged records in
-// memory and writes them out batched at Close (a Save discards them
-// instead — the persisted delta covers them): updates are durable after a
-// clean shutdown, and a crash recovers the last Save — the contract
-// promips.FsyncNever documents.
+// Every record is durable before it is acknowledged: Append writes the
+// record and returns its LSN, and WaitDurable(lsn) blocks until an fsync
+// covering that LSN has completed. The fsyncs are group-committed: whichever
+// waiter finds no fsync in flight becomes the leader and issues one fsync
+// covering every record written so far, then wakes all waiters whose LSN it
+// covered — so N updates racing through the ack path pay ~2 fsyncs between
+// them, not N.
 package wal
 
 import (
@@ -69,11 +65,6 @@ const (
 	// page-size constraint), small enough that a torn or hostile length
 	// field cannot force a huge allocation.
 	maxPayload = 1 << 24
-	// syncNeverFlushBytes is the SyncNever batching threshold: once the
-	// pending records would encode to this many bytes they are written out
-	// (unsynced) and their memory is released, bounding the journal's heap
-	// footprint at the threshold instead of the total acked update volume.
-	syncNeverFlushBytes = 1 << 20
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -96,16 +87,6 @@ type Record struct {
 	Vec  []float32
 }
 
-// SyncMode selects the append durability policy.
-type SyncMode int
-
-const (
-	// SyncAlways fsyncs the log after every appended record.
-	SyncAlways SyncMode = iota
-	// SyncNever buffers appends in memory and leaves writeback to the OS.
-	SyncNever
-)
-
 // Journal is an open update journal positioned for appending.
 //
 // Synchronization contract: the file-mutating methods — Append, Reset,
@@ -116,28 +97,12 @@ const (
 // already paid for. WaitDurable, SealDurable, Poison and Len are safe
 // concurrently with anything — WaitDurable in particular is DESIGNED to
 // run outside the caller's lock, so the group fsync never blocks readers.
-//
-// In SyncNever mode Append neither encodes nor writes: it retains the
-// Record (the caller guarantees Vec is immutable — core hands the journal
-// its private delta clone, so the refs add no meaningful memory on top of
-// the delta itself) and the encode+checksum+write happen batched at Close.
-// That IS the SyncNever durability contract — acknowledged updates survive
-// a clean shutdown, a crash recovers the last Save — and it makes the
-// acknowledgement cost a slice append, with the deferred work landing in
-// the one place SyncNever is obliged to do I/O. A Reset (Save persisted
-// the delta) discards the pending records without ever writing them.
 type Journal struct {
-	fsys fsutil.FS
-	path string
-	mode SyncMode
 	f    fsutil.File
 	size int64 // bytes durably part of the log (header + whole records written)
 
-	count atomic.Int64 // records in the journal, pending ones included
-
-	pending      []Record // SyncNever: acknowledged records awaiting encode+write
-	pendingBytes int64    // encoded size of pending (flush threshold accounting)
-	enc          []byte   // reusable encode scratch
+	count atomic.Int64 // records in the journal
+	enc   []byte       // reusable encode scratch
 
 	// Group-commit sequencer state, guarded by gmu. LSNs are 1-based record
 	// sequence numbers, monotone over the journal's whole life — Reset
@@ -152,17 +117,17 @@ type Journal struct {
 }
 
 // newJournal wires the sequencer's condition variable.
-func newJournal(fsys fsutil.FS, path string, mode SyncMode, f fsutil.File, size int64) *Journal {
-	j := &Journal{fsys: fsys, path: path, mode: mode, f: f, size: size}
+func newJournal(f fsutil.File, size int64) *Journal {
+	j := &Journal{f: f, size: size}
 	j.gcond.L = &j.gmu
 	return j
 }
 
 // Create starts a fresh, empty journal at path, truncating any previous
 // file there (Build writes into directories that may hold a stale log).
-// Under SyncAlways the header and the directory entry are made durable
-// before Create returns.
-func Create(fsys fsutil.FS, path string, mode SyncMode) (*Journal, error) {
+// The header and the directory entry are made durable before Create
+// returns.
+func Create(fsys fsutil.FS, path string) (*Journal, error) {
 	f, err := fsys.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create: %w", err)
@@ -171,17 +136,15 @@ func Create(fsys fsutil.FS, path string, mode SyncMode) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: write header: %w", err)
 	}
-	if mode == SyncAlways {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: sync header: %w", err)
-		}
-		if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: %w", err)
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: sync header: %w", err)
 	}
-	return newJournal(fsys, path, mode, f, headerLen), nil
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	return newJournal(f, headerLen), nil
 }
 
 // Open loads the journal at path, decodes its records, clean-truncates any
@@ -190,11 +153,11 @@ func Create(fsys fsutil.FS, path string, mode SyncMode) (*Journal, error) {
 // (or one whose header write was itself torn) is treated as an empty
 // journal and recreated. On-disk states no crash can produce surface as
 // errs.ErrCorruptIndex.
-func Open(fsys fsutil.FS, path string, mode SyncMode) (*Journal, []Record, int64, error) {
+func Open(fsys fsutil.FS, path string) (*Journal, []Record, int64, error) {
 	b, err := fsys.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			j, cerr := Create(fsys, path, mode)
+			j, cerr := Create(fsys, path)
 			return j, nil, 0, cerr
 		}
 		return nil, nil, 0, fmt.Errorf("wal: read: %w", err)
@@ -206,7 +169,7 @@ func Open(fsys fsutil.FS, path string, mode SyncMode) (*Journal, []Record, int64
 	if validLen < headerLen {
 		// Torn header: no record was ever acknowledged from this file.
 		// Start over.
-		j, cerr := Create(fsys, path, mode)
+		j, cerr := Create(fsys, path)
 		return j, nil, int64(len(b)) - validLen, cerr
 	}
 	f, err := fsys.OpenAppend(path)
@@ -219,14 +182,12 @@ func Open(fsys fsutil.FS, path string, mode SyncMode) (*Journal, []Record, int64
 			f.Close()
 			return nil, nil, 0, fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
-		if mode == SyncAlways {
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return nil, nil, 0, fmt.Errorf("wal: sync truncated tail: %w", err)
-			}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, nil, 0, fmt.Errorf("wal: sync truncated tail: %w", err)
 		}
 	}
-	j := newJournal(fsys, path, mode, f, validLen)
+	j := newJournal(f, validLen)
 	j.count.Store(int64(len(recs)))
 	// Replayed records are on disk and (post-truncate) synced: durable.
 	j.written, j.durable = int64(len(recs)), int64(len(recs))
@@ -374,19 +335,15 @@ func appendRecord(dst []byte, r Record) []byte {
 	return dst
 }
 
-// Append sequences one record into the log and returns its LSN. Under
-// SyncAlways the record is WRITTEN but not yet durable: the caller must
-// acknowledge the update only after WaitDurable(lsn) returns nil — the
-// split is what lets core release its index lock between the write and the
-// fsync. Under SyncNever the record is retained for the next batched flush
-// (r.Vec must stay immutable until then — see the type comment) and the
-// returned LSN is 0: WaitDurable(0) is a no-op, matching the policy's
-// no-crash-durability contract. On a write failure the journal heals
-// itself by truncating back to the last good size — the caller's memory
-// state is untouched and the failed bytes can never precede a later
-// record; if even the heal fails, the journal is poisoned (every later
-// Append returns ErrJournalPoisoned wrapping the original failure) until a
-// Reset succeeds.
+// Append sequences one record into the log and returns its LSN. The record
+// is WRITTEN but not yet durable: the caller must acknowledge the update
+// only after WaitDurable(lsn) returns nil — the split is what lets core
+// release its index lock between the write and the fsync. On a write
+// failure the journal heals itself by truncating back to the last good size
+// — the caller's memory state is untouched and the failed bytes can never
+// precede a later record; if even the heal fails, the journal is poisoned
+// (every later Append returns ErrJournalPoisoned wrapping the original
+// failure) until a Reset succeeds.
 func (j *Journal) Append(r Record) (int64, error) {
 	j.gmu.Lock()
 	if j.bad != nil {
@@ -395,22 +352,6 @@ func (j *Journal) Append(r Record) (int64, error) {
 		return 0, err
 	}
 	j.gmu.Unlock()
-	if j.mode == SyncNever {
-		j.pending = append(j.pending, r)
-		j.count.Add(1)
-		j.pendingBytes += int64(recHdrLen + 5 + 4*len(r.Vec))
-		// Flush the batch once it reaches the byte threshold so a long-lived
-		// write-heavy journal does not retain every acknowledged Record (and
-		// its vector clone) until Close/Reset. No fsync — the SyncNever
-		// durability contract is unchanged (clean shutdown, not crash) — but
-		// the written records drop their heap refs here. A flush failure
-		// poisons the journal (the records stay acknowledged and pending,
-		// exactly like a failed Close-flush); the NEXT Append surfaces it.
-		if j.pendingBytes >= syncNeverFlushBytes {
-			j.flush()
-		}
-		return 0, nil
-	}
 	j.enc = appendRecord(j.enc[:0], r)
 	if err := j.write(j.enc, "append"); err != nil {
 		return 0, err
@@ -432,11 +373,8 @@ func (j *Journal) Append(r Record) (int64, error) {
 // completed fsync did not cover elects the next leader — so any burst of
 // concurrent appenders is drained by at most two fsyncs. Safe for
 // concurrent use and intended to be called WITHOUT the caller's index
-// lock. WaitDurable(0) and SyncNever-mode calls return nil immediately.
+// lock.
 func (j *Journal) WaitDurable(lsn int64) error {
-	if lsn <= 0 || j.mode == SyncNever {
-		return nil
-	}
 	j.gmu.Lock()
 	defer j.gmu.Unlock()
 	for {
@@ -515,28 +453,8 @@ func (j *Journal) write(enc []byte, what string) error {
 	return fmt.Errorf("wal: %s: %w", what, err)
 }
 
-// flush encodes and writes the pending SyncNever records. On failure they
-// are kept (still acknowledged in memory) and the journal is poisoned
-// until the next successful Reset discards them as persisted-elsewhere.
-func (j *Journal) flush() error {
-	if len(j.pending) == 0 {
-		return nil
-	}
-	j.enc = j.enc[:0]
-	for _, r := range j.pending {
-		j.enc = appendRecord(j.enc, r)
-	}
-	if err := j.write(j.enc, "flush"); err != nil {
-		j.Poison(err)
-		return err
-	}
-	j.pending = j.pending[:0]
-	j.pendingBytes = 0
-	return nil
-}
-
 // Len returns the number of records currently in the journal (replayed at
-// Open plus appended since, minus Resets; pending records included). Len
+// Open plus appended since, minus Resets). Len
 // is safe to call concurrently with any other method.
 func (j *Journal) Len() int { return int(j.count.Load()) }
 
@@ -601,17 +519,13 @@ func (j *Journal) Reset() error {
 	}
 	j.gcond.Broadcast()
 	j.gmu.Unlock()
-	j.pending = j.pending[:0]
-	j.pendingBytes = 0
 	if err := j.f.Truncate(headerLen); err != nil {
 		j.Poison(err)
 		return fmt.Errorf("wal: reset: %w", err)
 	}
-	if j.mode == SyncAlways {
-		if err := j.f.Sync(); err != nil {
-			j.Poison(err)
-			return fmt.Errorf("wal: reset sync: %w", err)
-		}
+	if err := j.f.Sync(); err != nil {
+		j.Poison(err)
+		return fmt.Errorf("wal: reset sync: %w", err)
 	}
 	j.size = headerLen
 	j.count.Store(0)
@@ -621,14 +535,7 @@ func (j *Journal) Reset() error {
 	return nil
 }
 
-// Close flushes pending records (best effort — the flush error is
-// returned, but the file is closed regardless) and releases the file. It
-// deliberately does NOT truncate: the journal must survive Close so a
-// crash-after-close (or a process that never Saves) still replays.
-func (j *Journal) Close() error {
-	err := j.flush()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// Close releases the file. It deliberately does NOT truncate: the journal
+// must survive Close so a crash-after-close (or a process that never Saves)
+// still replays.
+func (j *Journal) Close() error { return j.f.Close() }

@@ -53,42 +53,40 @@ func recordsEqual(t *testing.T, got, want []Record) {
 }
 
 func TestRoundTrip(t *testing.T) {
-	for _, mode := range []SyncMode{SyncAlways, SyncNever} {
-		path := filepath.Join(t.TempDir(), "wal.log")
-		j, err := Create(fsutil.OS, path, mode)
-		if err != nil {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	j, err := Create(fsutil.OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mkRecords()
+	for _, r := range want {
+		if err := logRecord(j, r); err != nil {
 			t.Fatal(err)
 		}
-		want := mkRecords()
-		for _, r := range want {
-			if err := logRecord(j, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if j.Len() != len(want) {
-			t.Fatalf("Len = %d", j.Len())
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		j2, got, torn, err := Open(fsutil.OS, path, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer j2.Close()
-		if torn != 0 {
-			t.Fatalf("torn = %d", torn)
-		}
-		recordsEqual(t, got, want)
-		if j2.Len() != len(want) {
-			t.Fatalf("reopened Len = %d", j2.Len())
-		}
+	}
+	if j.Len() != len(want) {
+		t.Fatalf("Len = %d", j.Len())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, got, torn, err := Open(fsutil.OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if torn != 0 {
+		t.Fatalf("torn = %d", torn)
+	}
+	recordsEqual(t, got, want)
+	if j2.Len() != len(want) {
+		t.Fatalf("reopened Len = %d", j2.Len())
 	}
 }
 
 func TestOpenMissingCreates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	j, recs, torn, err := Open(fsutil.OS, path, SyncAlways)
+	j, recs, torn, err := Open(fsutil.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +104,7 @@ func TestOpenMissingCreates(t *testing.T) {
 // survived and truncate the rest, never erroring.
 func TestTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	j, err := Create(fsutil.OS, path, SyncAlways)
+	j, err := Create(fsutil.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +129,7 @@ func TestTornTailTruncated(t *testing.T) {
 		if err := os.WriteFile(p, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j2, got, torn, err := Open(fsutil.OS, p, SyncAlways)
+		j2, got, torn, err := Open(fsutil.OS, p)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -158,7 +156,7 @@ func TestTornTailTruncated(t *testing.T) {
 			t.Fatalf("cut=%d: append after truncation: %v", cut, err)
 		}
 		j2.Close()
-		_, got2, _, err := Open(fsutil.OS, p, SyncAlways)
+		_, got2, _, err := Open(fsutil.OS, p)
 		if err != nil {
 			t.Fatalf("cut=%d reopen: %v", cut, err)
 		}
@@ -180,7 +178,7 @@ func TestBadMagicIsCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, []byte("NOTAWAL0records"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, err := Open(fsutil.OS, path, SyncAlways)
+	_, _, _, err := Open(fsutil.OS, path)
 	if !errors.Is(err, errs.ErrCorruptIndex) {
 		t.Fatalf("err = %v, want ErrCorruptIndex", err)
 	}
@@ -199,7 +197,7 @@ func TestValidCRCBadPayloadIsCorrupt(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	j, err := Create(fsutil.OS, path, SyncAlways)
+	j, err := Create(fsutil.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +216,7 @@ func TestReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	_, recs, torn, err := Open(fsutil.OS, path, SyncAlways)
+	_, recs, torn, err := Open(fsutil.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +226,11 @@ func TestReset(t *testing.T) {
 }
 
 // TestSyncPolicy pins the policy's observable contract through the fault
-// injector's op counters: a SEQUENTIAL SyncAlways caller pays one fsync
-// per acknowledged record (group commit only amortizes overlapping
-// waiters), SyncNever issues none (and no write either, while buffered).
+// injector's op counters: a SEQUENTIAL caller pays one fsync per
+// acknowledged record (group commit only amortizes overlapping waiters).
 func TestSyncPolicy(t *testing.T) {
-	dir := t.TempDir()
 	ffs := &fsutil.FaultFS{}
-	j, err := Create(ffs, filepath.Join(dir, "wal.log"), SyncAlways)
+	j, err := Create(ffs, filepath.Join(t.TempDir(), "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,38 +241,9 @@ func TestSyncPolicy(t *testing.T) {
 		}
 	}
 	if got := ffs.Count(fsutil.OpSync) - base; got != 3 {
-		t.Fatalf("SyncAlways issued %d fsyncs for 3 appends", got)
+		t.Fatalf("%d fsyncs for 3 sequential appends", got)
 	}
 	j.Close()
-
-	ffs2 := &fsutil.FaultFS{}
-	j2, err := Create(ffs2, filepath.Join(dir, "wal2.log"), SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w0, s0 := ffs2.Count(fsutil.OpWrite), ffs2.Count(fsutil.OpSync)
-	for i := 0; i < 3; i++ {
-		if err := logRecord(j2, Record{Type: TypeDelete, ID: uint32(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w := ffs2.Count(fsutil.OpWrite) - w0; w != 0 {
-		t.Fatalf("SyncNever wrote %d times while buffering", w)
-	}
-	if s := ffs2.Count(fsutil.OpSync) - s0; s != 0 {
-		t.Fatalf("SyncNever issued %d fsyncs", s)
-	}
-	// Close flushes the buffer so a clean shutdown keeps the records.
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, recs, _, err := Open(fsutil.OS, filepath.Join(dir, "wal2.log"), SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("records after buffered close = %d", len(recs))
-	}
 }
 
 // TestAppendFailureHealsOrPoisons: a torn append must either be cut back
@@ -288,7 +255,7 @@ func TestAppendFailureHealsOrPoisons(t *testing.T) {
 	// group fsync lives in WaitDurable. Fail the first append's write
 	// (op 5), crash mode off so the healing truncate (op 6) succeeds.
 	ffs := &fsutil.FaultFS{FailAt: 5}
-	j, err := Create(ffs, filepath.Join(dir, "wal.log"), SyncAlways)
+	j, err := Create(ffs, filepath.Join(dir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +267,7 @@ func TestAppendFailureHealsOrPoisons(t *testing.T) {
 		t.Fatalf("append after heal: %v", err)
 	}
 	j.Close()
-	_, recs, torn, err := Open(fsutil.OS, filepath.Join(dir, "wal.log"), SyncAlways)
+	_, recs, torn, err := Open(fsutil.OS, filepath.Join(dir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +277,7 @@ func TestAppendFailureHealsOrPoisons(t *testing.T) {
 
 	// Now fail the write AND the healing truncate: the journal must poison.
 	ffs2 := &fsutil.FaultFS{FailAt: 5, Crash: true}
-	j2, err := Create(ffs2, filepath.Join(dir, "wal2.log"), SyncAlways)
+	j2, err := Create(ffs2, filepath.Join(dir, "wal2.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +298,7 @@ func TestAppendFailureHealsOrPoisons(t *testing.T) {
 func TestGroupCommitCoalesces(t *testing.T) {
 	const n = 8
 	ffs := &fsutil.FaultFS{}
-	j, err := Create(ffs, filepath.Join(t.TempDir(), "wal.log"), SyncAlways)
+	j, err := Create(ffs, filepath.Join(t.TempDir(), "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +358,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 // persisted metadata rather than this journal's file.
 func TestSealDurable(t *testing.T) {
 	ffs := &fsutil.FaultFS{}
-	j, err := Create(ffs, filepath.Join(t.TempDir(), "wal.log"), SyncAlways)
+	j, err := Create(ffs, filepath.Join(t.TempDir(), "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +468,7 @@ func FuzzDecode(f *testing.F) {
 // lag computation depends on the two walking the bytes identically.
 func TestCountRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	j, err := Create(fsutil.OS, path, SyncAlways)
+	j, err := Create(fsutil.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

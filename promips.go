@@ -43,15 +43,13 @@
 //
 // Acknowledged updates survive crashes, not just Saves: every Insert and
 // Delete appends a checksummed record to a write-ahead journal (wal.log in
-// the active generation) before it returns, under the fsync policy of
-// Options.Fsync — FsyncAlways (default: each acknowledgement is fsynced,
-// surviving any crash), FsyncNever (buffered; surviving a clean Close), or
-// FsyncDisabled (no journal; the pre-Save state is what a crash recovers).
-// Open replays the journal on top of the last Save and reports the result
-// via Recovery; Save and Compact empty the journal once the delta is
-// durable in the metadata. Crash consistency at every write/rename/fsync
-// boundary is exercised by a deterministic fault-injection matrix; see
-// DESIGN.md, "Durability & recovery".
+// the active generation) and returns only once an fsync covers it.
+// Concurrent updaters share their fsyncs (group commit). Open replays the
+// journal on top of the last Save and reports the result via Recovery; Save
+// and Compact empty the journal once the delta is durable in the metadata.
+// Crash consistency at every write/rename/fsync boundary is exercised by a
+// deterministic fault-injection matrix; see DESIGN.md, "Durability &
+// recovery".
 //
 // # Per-query options
 //
@@ -114,16 +112,9 @@ type Options struct {
 	// SegmentEntries sets how many inserts accumulate in the mutable
 	// in-memory delta before it freezes into an immutable, searchable
 	// in-memory segment (see DESIGN.md, "Update segments & snapshot
-	// reads"). 0 selects the default (4096); a negative value disables
-	// segmenting (the delta grows until Compact, as before). Persisted with
-	// the index, so Open keeps the build-time value.
+	// reads"). A value ≤ 0 selects the default (4096). Persisted with the
+	// index, so Open keeps the build-time value.
 	SegmentEntries int
-
-	// Fsync selects the write-ahead journal's durability policy for
-	// Insert/Delete acknowledgements (see FsyncPolicy; the zero value is
-	// FsyncAlways). The policy is persisted with the index, so Open keeps
-	// the one the index was built with.
-	Fsync FsyncPolicy
 
 	// fs is the filesystem seam persistence writes through; nil means the
 	// real filesystem. Unexported: it exists for the deterministic
@@ -142,24 +133,6 @@ func (o Options) WithFS(fsys fsutil.FS) Options {
 	o.fs = fsys
 	return o
 }
-
-// FsyncPolicy selects how the update journal acknowledges Insert/Delete;
-// see the Durability section of the package documentation.
-type FsyncPolicy = core.FsyncPolicy
-
-const (
-	// FsyncAlways (the default) fsyncs the journal before every update is
-	// acknowledged: an acknowledged update survives any crash.
-	FsyncAlways = core.FsyncAlways
-	// FsyncNever journals updates without fsync (buffered in memory,
-	// written out on Close): acknowledged updates survive a clean
-	// shutdown, and a crash may lose the unwritten tail — but never
-	// corrupts the index.
-	FsyncNever = core.FsyncNever
-	// FsyncDisabled turns the journal off entirely: updates are durable
-	// only from the next successful Save.
-	FsyncDisabled = core.FsyncDisabled
-)
 
 // Result is one returned point: its id (position in the Build slice) and
 // exact inner product with the query.
@@ -279,7 +252,6 @@ func Build(data [][]float32, opts Options) (*Index, error) {
 		C: opts.C, P: opts.P, M: opts.M,
 		PageSize: opts.PageSize, PoolSize: opts.PoolSize,
 		Seed:           opts.Seed,
-		Fsync:          opts.Fsync,
 		SegmentEntries: opts.SegmentEntries,
 	}.WithFS(fsys)
 	inner, err := core.Build(context.Background(), data, dir, coreOpts)
@@ -294,8 +266,7 @@ func Build(data [][]float32, opts Options) (*Index, error) {
 
 // Open loads an index previously persisted to dir with Save, replaying
 // the write-ahead journal on top of the persisted state: updates that were
-// acknowledged under the index's fsync policy but not yet folded into a
-// Save are recovered (Recovery reports how many). The returned index
+// acknowledged but not yet folded into a Save are recovered (Recovery reports how many). The returned index
 // serves queries immediately and supports the full lifecycle — updates,
 // Save, Compact. State that claims to be an index but cannot be loaded —
 // an undecodable metadata or page file, an invalid CURRENT, a journal
@@ -449,10 +420,9 @@ func (ix *Index) ApplyWALChunk(b []byte, cont bool) (WALApply, error) {
 // frequently-updated workload (§I of the paper) the lightweight index is
 // designed for.
 //
-// Durability: the insert is appended to the write-ahead journal — under
-// the index's Options.Fsync policy — before it is acknowledged, so a
-// successful return means the point survives a crash (FsyncAlways) or a
-// clean Close (FsyncNever) even without a Save. Inserting a vector of the
+// Durability: the insert is appended to the write-ahead journal and fsynced
+// before it is acknowledged, so a successful return means the point
+// survives a crash even without a Save. Inserting a vector of the
 // wrong dimensionality returns ErrDimMismatch; inserting into a closed
 // index returns ErrClosed; a journal write failure returns the I/O error
 // and the insert is not applied.
@@ -468,13 +438,13 @@ func (ix *Index) Delete(id uint32) bool { return ix.inner.Delete(id) }
 // errors: (false, ErrClosed) on a closed index, (false, err) when the
 // tombstone could not be journaled (the delete is then not applied), and
 // (false, nil) only when the id was genuinely absent or already deleted.
-// Deletes are journaled and replayed exactly like inserts.
+// Deletes are journaled, fsynced and replayed exactly like inserts: a
+// successful return survives a crash.
 func (ix *Index) DeleteChecked(id uint32) (bool, error) { return ix.inner.DeleteChecked(id) }
 
 // JournalLen returns the number of update records sitting in the
 // write-ahead journal — those a crash-recovery Open would decode. Save and
-// Compact fold them into the persisted metadata and empty the journal; 0
-// also when the journal is disabled (FsyncDisabled).
+// Compact fold them into the persisted metadata and empty the journal.
 func (ix *Index) JournalLen() int { return ix.inner.JournalLen() }
 
 // JournalPoisoned reports whether the write-ahead journal is refusing
@@ -562,7 +532,7 @@ func (ix *Index) Save() error {
 // narrow exception: if the pointer flip became visible but could not be
 // made durable (a directory fsync failed after the rename — a drive-level
 // failure), the swap completes and the VALID remap is returned with the
-// error. In that corner, FsyncAlways updates fail until a Save completes
+// error. In that corner, updates fail until a Save completes
 // the handover — an acknowledgement whose crash durability the pointer
 // cannot back yet is refused, not faked — so the caller's recovery is:
 // apply the remap, Save, resume updating.
@@ -668,7 +638,6 @@ func (ix *Index) Options() Options {
 		C:   o.C, P: o.P, M: o.M,
 		PageSize: o.PageSize, PoolSize: o.PoolSize,
 		Seed:           o.Seed,
-		Fsync:          o.Fsync,
 		SegmentEntries: o.SegmentEntries,
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"promips"
 )
 
 // TestOpenParentBuiltIndex is the compatibility proof for dropping
@@ -69,34 +71,31 @@ func TestOpenParentBuiltIndex(t *testing.T) {
 	}
 }
 
-// TestOpenParentBuiltSegFiles is the compatibility proof for deleting the
-// seg-file flusher. testdata/parent_segfiles is a one-shard directory
-// written by the last commit that had one (a411128): shard.Build + Save
-// over n=64, d=8 vectors of rand.New(rand.NewSource(24)) NormFloat64 draws
-// with promips.Options{PageSize: 512, Seed: 24, SegmentEntries: 4}, then ten
-// inserts and two deletes (base id 7, inserted id 66) acknowledged under
-// FsyncAlways and never Saved — so beside a meta that predates them lie
-// seg-000000.seg and seg-000001.seg (the two frozen windows) and a wal.log
-// holding all twelve records. testdata/parent_segfiles.json records what
-// that commit, which replays the seg files and then the journal, answered on
-// reopening the directory: the live count, and the top 5 of the next three
-// vectors of the stream. This tree reads only the meta and the journal; it
-// must answer bit-identically and sweep the seg files.
-func TestOpenParentBuiltSegFiles(t *testing.T) {
-	raw, err := os.ReadFile("testdata/parent_segfiles.json")
+// parentAnswers is what a parent commit recorded on reopening one of its
+// fixture directories: the live count, the journal records replayed, and the
+// top 5 of three query vectors.
+type parentAnswers struct {
+	LiveCount int `json:"live_count"`
+	Replayed  int `json:"replayed"`
+	Answers   []struct {
+		Query []float32 `json:"query"`
+		Top   []struct {
+			ID     uint32 `json:"id"`
+			IPBits uint64 `json:"ip_bits"`
+		} `json:"top"`
+	} `json:"answers"`
+}
+
+// loadParentFixture reads testdata/<name>.json and copies testdata/<name>
+// into a temporary directory (Open writes to the journal, so tests work on a
+// copy). It returns the recorded answers and the copy's path.
+func loadParentFixture(t *testing.T, name string) (parentAnswers, string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want struct {
-		LiveCount int `json:"live_count"`
-		Answers   []struct {
-			Query []float32 `json:"query"`
-			Top   []struct {
-				ID     uint32 `json:"id"`
-				IPBits uint64 `json:"ip_bits"`
-			} `json:"top"`
-		} `json:"answers"`
-	}
+	var want parentAnswers
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
@@ -104,21 +103,16 @@ func TestOpenParentBuiltSegFiles(t *testing.T) {
 		t.Fatalf("fixture records %d queries, want 3", len(want.Answers))
 	}
 	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS("testdata/parent_segfiles")); err != nil {
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", name))); err != nil {
 		t.Fatal(err)
 	}
-	segPattern := filepath.Join(dir, "shard-000", "seg-*.seg")
-	if segs, _ := filepath.Glob(segPattern); len(segs) < 2 {
-		t.Fatalf("fixture holds %d seg files, want at least 2", len(segs))
-	}
-	ix, err := Open(dir)
-	if err != nil {
-		t.Fatalf("open seg-bearing parent directory: %v", err)
-	}
-	defer ix.Close()
-	if rec := ix.Recovery(); rec.Replayed != 12 || rec.Skipped != 0 {
-		t.Errorf("recovery %+v, want the journal's 12 records replayed and none skipped", rec)
-	}
+	return want, dir
+}
+
+// checkParentAnswers asserts ix holds the recorded live count and answers the
+// recorded queries bit-identically.
+func checkParentAnswers(t *testing.T, ix *Index, want parentAnswers) {
+	t.Helper()
 	if got := ix.LiveCount(); got != want.LiveCount {
 		t.Errorf("live count %d, parent recovered %d", got, want.LiveCount)
 	}
@@ -137,7 +131,95 @@ func TestOpenParentBuiltSegFiles(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOpenParentBuiltSegFiles is the compatibility proof for deleting the
+// seg-file flusher. testdata/parent_segfiles is a one-shard directory
+// written by the last commit that had one (a411128): shard.Build + Save
+// over n=64, d=8 vectors of rand.New(rand.NewSource(24)) NormFloat64 draws
+// with promips.Options{PageSize: 512, Seed: 24, SegmentEntries: 4}, then ten
+// inserts and two deletes (base id 7, inserted id 66) acknowledged and never
+// Saved — so beside a meta that predates them lie seg-000000.seg and
+// seg-000001.seg (the two frozen windows) and a wal.log holding all twelve
+// records. testdata/parent_segfiles.json records what that commit, which
+// replays the seg files and then the journal, answered on reopening the
+// directory: the live count, and the top 5 of the next three vectors of the
+// stream. This tree reads only the meta and the journal; it must answer
+// bit-identically and sweep the seg files.
+func TestOpenParentBuiltSegFiles(t *testing.T) {
+	want, dir := loadParentFixture(t, "parent_segfiles")
+	segPattern := filepath.Join(dir, "shard-000", "seg-*.seg")
+	if segs, _ := filepath.Glob(segPattern); len(segs) < 2 {
+		t.Fatalf("fixture holds %d seg files, want at least 2", len(segs))
+	}
+	ix, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open seg-bearing parent directory: %v", err)
+	}
+	defer ix.Close()
+	if rec := ix.Recovery(); rec.Replayed != 12 || rec.Skipped != 0 {
+		t.Errorf("recovery %+v, want the journal's 12 records replayed and none skipped", rec)
+	}
+	checkParentAnswers(t, ix, want)
 	if segs, _ := filepath.Glob(segPattern); len(segs) != 0 {
 		t.Errorf("seg files survive the open: %v", segs)
+	}
+}
+
+// TestOpenParentBuiltFsyncPolicies is the compatibility proof for retiring
+// the two weaker fsync policies: a directory saved under either opens as
+// one whose every acknowledgement is fsynced. Both fixtures are one-shard
+// directories over n=64, d=8 NormFloat64 draws, PageSize 512, written by
+// the last commit that had the policies (f2d87af); the JSON beside each
+// records that commit's reopen: live count, records replayed, and the top 5
+// of the next three vectors of the stream.
+//
+//   - parent_fsyncnever (stream and Seed 25, FsyncNever): Save, then six
+//     inserts and two deletes (base id 7, inserted id 66) without a Save,
+//     then a clean Close, which wrote the eight records to wal.log. They
+//     replay like any journal's.
+//   - parent_fsyncdisabled: first built with the default policy (stream and
+//     Seed 26), which journaled three inserts and a delete of base id 5 and
+//     closed without a Save; then rebuilt in place with FsyncDisabled
+//     (stream and Seed 27), Saved, given two inserts and closed. That policy
+//     never truncated the wal.log it found, so the log still holds the first
+//     build's four records, which belong to another index: replaying them
+//     would append ids 64–66 and tombstone id 5. Open must discard the log
+//     and reopen exactly the saved state.
+//
+// Either way one insert after the reopen must survive a Close and an Open.
+func TestOpenParentBuiltFsyncPolicies(t *testing.T) {
+	for _, tc := range []struct{ name string }{
+		{"parent_fsyncnever"},
+		{"parent_fsyncdisabled"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, dir := loadParentFixture(t, tc.name)
+			ix, err := Open(dir)
+			if err != nil {
+				t.Fatalf("open parent directory: %v", err)
+			}
+			if rec := ix.Recovery(); rec != (promips.RecoveryStats{Replayed: want.Replayed}) {
+				t.Errorf("recovery %+v, want %d records replayed and nothing else", rec, want.Replayed)
+			}
+			checkParentAnswers(t, ix, want)
+			if _, err := ix.Insert(want.Answers[0].Query); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(dir)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer re.Close()
+			if got := re.LiveCount(); got != want.LiveCount+1 {
+				t.Errorf("live count %d after an acknowledged insert and a reopen, want %d", got, want.LiveCount+1)
+			}
+			if rec := re.Recovery(); rec.Replayed != want.Replayed+1 {
+				t.Errorf("reopen recovery %+v, want %d records replayed", rec, want.Replayed+1)
+			}
+		})
 	}
 }

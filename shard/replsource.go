@@ -162,7 +162,8 @@ func (d *dirSource) TailWAL(s int, off int64) (WALChunk, error) {
 }
 
 // readWAL reads a shard generation's journal; a missing file is an empty
-// journal (never-journaled generations, FsyncDisabled).
+// journal. Every open index has a wal.log, but a generation written by an
+// older version may lack one until the primary next opens it.
 func (d *dirSource) readWAL(shardDir, gen string) ([]byte, error) {
 	b, err := d.fs.ReadFile(filepath.Join(shardDir, filepath.FromSlash(gen), "wal.log"))
 	if err != nil && !os.IsNotExist(err) {

@@ -35,11 +35,10 @@ func TestMixedWorkloadStress(t *testing.T) {
 	const dim = 16
 	data := randData(r, 200, dim)
 	// A small freeze threshold makes the insert stream cross many
-	// freeze boundaries; FsyncNever keeps the journal on (replay
-	// correctness stays covered) without an fsync per insert dominating.
+	// freeze boundaries.
 	ix, err := Build(data, Options{
 		Dir: t.TempDir(), Seed: 7, M: 4,
-		SegmentEntries: 32, Fsync: FsyncNever,
+		SegmentEntries: 32,
 	})
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -52,6 +51,11 @@ func TestMixedWorkloadStress(t *testing.T) {
 	const (
 		inserts   = 1500
 		searchers = 4
+		// updaters share the insert stream. With the searchers saturating
+		// the CPUs, an updater back from its fsync waits a scheduling
+		// quantum for a processor, so a lone sequential updater would take
+		// a minute; concurrent ones share each group fsync and its wait.
+		updaters = 32
 	)
 	queries := randData(r, 32, dim)
 
@@ -88,12 +92,27 @@ func TestMixedWorkloadStress(t *testing.T) {
 
 	ir := rand.New(rand.NewSource(9))
 	points := randData(ir, inserts, dim)
-	for _, p := range points {
-		if _, err := ix.Insert(p); err != nil {
-			stop.Store(true)
-			wg.Wait()
-			t.Fatalf("insert: %v", err)
-		}
+	var (
+		uwg       sync.WaitGroup
+		insertErr atomic.Pointer[error]
+	)
+	for u := 0; u < updaters; u++ {
+		uwg.Add(1)
+		go func(u int) {
+			defer uwg.Done()
+			for i := u; i < inserts; i += updaters {
+				if _, err := ix.Insert(points[i]); err != nil {
+					insertErr.CompareAndSwap(nil, &err)
+					return
+				}
+			}
+		}(u)
+	}
+	uwg.Wait()
+	if ep := insertErr.Load(); ep != nil {
+		stop.Store(true)
+		wg.Wait()
+		t.Fatalf("insert: %v", *ep)
 	}
 	// Let the pipeline drain a little so at least one background
 	// compaction observes the frozen segments.
