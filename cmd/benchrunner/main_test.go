@@ -65,7 +65,7 @@ func TestFiguresDispatch(t *testing.T) {
 		fig          string
 		want, absent []string
 	}{
-		{"7", []string{"== Fig 7: Page Access — Netflix =="}, []string{"Fig 4", "Fig 6", "Fig 8", "Ablation"}},
+		{"7", []string{"== Fig 7: Page Access — Netflix (ProMIPS pages exclude the in-memory ring directory) =="}, []string{"Fig 4", "Fig 6", "Fig 8", "Ablation"}},
 		{"ablations", []string{"Ablation: Quick-Probe", "Ablation: new partition pattern", "Ablation: projected dimension"}, []string{"Fig "}},
 	} {
 		code, stdout, stderr := runArgs("-fig", tc.fig, "-dataset", "Netflix", "-n", "300", "-queries", "3", "-ks", "10")

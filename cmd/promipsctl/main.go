@@ -133,8 +133,8 @@ func runBuild(args []string) error {
 	fmt.Printf("built index over n=%d d=%d points in %v\n", ix.Len(), ix.Dim(), time.Since(start).Round(time.Millisecond))
 	fmt.Printf("shards: %d\n", ix.Shards())
 	fmt.Printf("projected dimension m=%d\n", ix.M())
-	fmt.Printf("index size: %.2f MB (btree %.2f, projected %.2f, quick-probe %.2f, norms %.2f)\n",
-		float64(sz.Total())/(1<<20), float64(sz.BTree)/(1<<20), float64(sz.Projected)/(1<<20),
+	fmt.Printf("index size: %.2f MB (ring directory %.2f, projected %.2f, quick-probe %.2f, norms %.2f)\n",
+		float64(sz.Total())/(1<<20), float64(sz.RingDir)/(1<<20), float64(sz.Projected)/(1<<20),
 		float64(sz.QuickProbe)/(1<<20), float64(sz.Norms)/(1<<20))
 	return nil
 }
@@ -237,7 +237,7 @@ func runStats(args []string) error {
 	fmt.Printf("shards: %d  per-shard journal: %v\n", ix.Shards(), ix.JournalLens())
 	fmt.Printf("c: %.2f  p: %.2f  page size: %d\n", o.C, o.P, o.PageSize)
 	fmt.Printf("index size: %.2f MB\n", float64(sz.Total())/(1<<20))
-	fmt.Printf("  btree:       %10d bytes\n", sz.BTree)
+	fmt.Printf("  ring directory: %7d bytes\n", sz.RingDir)
 	fmt.Printf("  projected:   %10d bytes\n", sz.Projected)
 	fmt.Printf("  quick-probe: %10d bytes\n", sz.QuickProbe)
 	fmt.Printf("  norms:       %10d bytes\n", sz.Norms)

@@ -541,7 +541,7 @@ func (ix *Index) Options() Options { return ix.opts }
 
 // SizeBreakdown itemizes the index's storage footprint in bytes.
 type SizeBreakdown struct {
-	BTree      int64 // the single B+-tree (the index proper)
+	RingDir    int64 // the encoded ring directory (the index proper)
 	Projected  int64 // projected points on disk
 	QuickProbe int64 // sign codes, 1-norms, per-group minima
 	Norms      int64 // per-point ‖o‖² kept for Condition A
@@ -551,7 +551,7 @@ type SizeBreakdown struct {
 // Total returns the summed index size. Following the paper's Fig. 4(a),
 // the original data file is not part of the index.
 func (s SizeBreakdown) Total() int64 {
-	return s.BTree + s.Projected + s.QuickProbe + s.Norms + s.Sketch
+	return s.RingDir + s.Projected + s.QuickProbe + s.Norms + s.Sketch
 }
 
 // Sizes reports the on-disk/in-memory footprint of each index component.
@@ -563,7 +563,7 @@ func (ix *Index) Sizes() SizeBreakdown {
 		sketch = ix.sketch.Bytes()
 	}
 	return SizeBreakdown{
-		BTree:      ix.idist.IndexSizeBytes(),
+		RingDir:    ix.idist.RingDirBytes(),
 		Projected:  ix.idist.DataSizeBytes(),
 		QuickProbe: int64(ix.n)*4 + int64(len(ix.groups))*20,
 		Norms:      int64(ix.n) * 16,
@@ -572,10 +572,10 @@ func (ix *Index) Sizes() SizeBreakdown {
 }
 
 // CacheStats aggregates the buffer-pool counters of every pager the index
-// reads through (the iDistance B+-tree and data files and the
-// original-vector store) — the I/O engine's whole-run diagnostics. Unlike
-// SearchStats, these are shared counters: concurrent queries all add to
-// them, and Sub of two snapshots brackets a measured interval.
+// reads through (the iDistance data file and the original-vector store) —
+// the I/O engine's whole-run diagnostics. Unlike SearchStats, these are
+// shared counters: concurrent queries all add to them, and Sub of two
+// snapshots brackets a measured interval.
 func (ix *Index) CacheStats() pager.Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

@@ -326,10 +326,10 @@ func TestSizesBreakdown(t *testing.T) {
 	data := randData(r, 400, 12)
 	ix := buildIndex(t, data, Options{Seed: 26, M: 5})
 	s := ix.Sizes()
-	if s.BTree <= 0 || s.Projected <= 0 || s.QuickProbe <= 0 || s.Norms <= 0 || s.Sketch <= 0 {
+	if s.RingDir <= 0 || s.Projected <= 0 || s.QuickProbe <= 0 || s.Norms <= 0 || s.Sketch <= 0 {
 		t.Fatalf("size breakdown has empty components: %+v", s)
 	}
-	if s.Total() != s.BTree+s.Projected+s.QuickProbe+s.Norms+s.Sketch {
+	if s.Total() != s.RingDir+s.Projected+s.QuickProbe+s.Norms+s.Sketch {
 		t.Fatal("Total() inconsistent")
 	}
 }

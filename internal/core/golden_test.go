@@ -78,7 +78,14 @@ func capture(t *testing.T, res []Result, st SearchStats) goldenQuery {
 // B+-tree bottom-up: the leaves are packed full instead of left half-empty by
 // Insert's splits (31 → 21 tree pages at n = 17,770, m = 6), so every query
 // touches 6–7 fewer tree pages; the diff is page_accesses lines only, each
-// lower, with results, candidates, radii and terminations untouched.
+// lower, with results, candidates, radii and terminations untouched. It was
+// regenerated once more when the B+-tree was replaced by the in-memory ring
+// directory persisted in idist.meta: the tree's nodes had been decoded into
+// memory at Open since the bulk loader, and a query only recorded its node
+// visits as page accesses. Page Access now counts the pages a query reads —
+// projected data and store — and no index-node pages, a stated departure
+// from the paper, whose index is a disk-resident tree. Every page_accesses
+// line is exactly 14 lower; nothing else moved.
 // Regenerate (only when an intentional semantic change occurs) with:
 // go test ./internal/core -run TestSearchGolden -update-golden
 func TestSearchGolden(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 )
 
 // coreMeta is the gob-serialized in-memory state of an Index. The page
-// files (iDistance data + B+-tree, original vectors) stay on disk. The
+// files (iDistance data, original vectors) stay on disk. The
 // update state rides along — Delta holds inserted-but-uncompacted points
 // with their assigned ids, Deleted the tombstones — so a saved index
 // reopens with exactly the results it answered before Save.
@@ -168,6 +168,13 @@ func (ix *Index) Save(dir string) error {
 	// promips.meta here) durable.
 	if err := fsutil.SyncDir(fsys, dir); err != nil {
 		return fmt.Errorf("core: %w", err)
+	}
+	// idist.meta now holds the ring directory, so the B+-tree file an older
+	// version kept it in is never read again: remove it, best-effort (a file
+	// left behind is harmless; the next Save tries again).
+	tree := filepath.Join(dir, "idist.btree")
+	if _, err := os.Stat(tree); err == nil {
+		_ = fsys.Remove(tree)
 	}
 	// The journaled updates are durable in the meta now; empty the journal.
 	// A failure here leaves a stale-but-harmless journal (replay skips

@@ -4,26 +4,28 @@
 //  1. the projected space is divided into kp k-means partitions with
 //     reference points O₁..O_kp;
 //  2. each partition is sliced into rings of width ε around its reference
-//     point; a point's B+-tree key is I(p) = ⌊i·C + dis(p,Oi)/ε⌋;
+//     point; a point's ring key is I(p) = ⌊i·C + dis(p,Oi)/ε⌋;
 //  3. the points of each ring are further clustered into ksp
 //     sub-partitions (pivot + radius), stored contiguously on disk pages,
 //     so a range query can skip whole sub-partitions whose sphere does not
 //     intersect the query sphere and read the surviving ones sequentially.
 //
-// The only index structure is a single B+-tree mapping ring keys to the
-// ring's sub-partition directory — the "lightweight index" the paper
-// contrasts with multi-table LSH.
+// The only index structure is the ring directory: the rings sorted by key,
+// each with its sub-partition directory — the "lightweight index" the paper
+// contrasts with multi-table LSH. The paper keeps it in a disk-resident
+// B+-tree; here it is a few hundred entries, persisted in idist.meta and
+// held in memory, so a query's Page Access count covers the projected-data
+// pages (and, above this package, the store pages) but no index-node pages —
+// a stated departure from the paper's accounting.
 package idistance
 
 import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"path/filepath"
 	"sort"
 
-	"promips/internal/btree"
 	"promips/internal/errs"
 	"promips/internal/kmeans"
 	"promips/internal/pager"
@@ -72,6 +74,13 @@ type subPartition struct {
 	numPoints int
 }
 
+// ring is one entry of the ring directory: a ring key and the non-empty
+// sub-partitions of the ring's points, in disk order.
+type ring struct {
+	key  int64
+	subs []subPartition
+}
+
 // Index is a built iDistance index over n m-dimensional points.
 type Index struct {
 	cfg     Config
@@ -80,11 +89,9 @@ type Index struct {
 	radii   []float64
 	epsilon float64
 	stride  int64 // C in I(p) = ⌊i·C + dis(p,Oi)/ε⌋
-	maxDist float64
 
-	data *pager.Pager
-	btPg *pager.Pager
-	tree *btree.Tree
+	data  *pager.Pager
+	rings []ring // ascending by key
 
 	entriesPerPage int
 	locPage        []int64 // id -> data page holding its projected entry
@@ -101,9 +108,9 @@ type Candidate struct {
 
 // Build constructs the index over the projected points in dir. Point i's id
 // is uint32(i). ctx is tested after the first-stage clustering and before
-// every ring; once it is done Build closes its page files and returns
+// every ring; once it is done Build abandons its page file and returns
 // ctx.Err().
-func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (_ *Index, err error) {
+func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (*Index, error) {
 	cfg.normalize()
 	n := len(projected)
 	if n == 0 {
@@ -165,40 +172,25 @@ func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (
 	if err != nil {
 		return nil, err
 	}
-	btW, err := pager.Create(filepath.Join(dir, "idist.btree"), cfg.PageSize)
-	if err != nil {
-		dataW.Close()
-		return nil, err
-	}
+	// A file still being written is abandoned on every exit (Close does
+	// nothing once Finish has run).
+	defer dataW.Close()
 	idx := &Index{
 		cfg: cfg, m: m, n: n,
 		centers: res.Centroids, radii: res.Radii,
 		epsilon: eps, stride: stride,
+		rings:          make([]ring, len(keys)),
 		entriesPerPage: cfg.PageSize / entrySize,
 		locPage:        make([]int64, n),
 		locSlot:        make([]int32, n),
 		layout:         make([]uint32, 0, n),
 	}
-	for i := range idx.locPage {
-		idx.locPage[i] = -1
-	}
-	// Every exit passes here: a file still being written is abandoned (Close
-	// does nothing once Finish has run), and a failed build also closes
-	// whichever pools it had already opened.
-	defer func() {
-		dataW.Close()
-		btW.Close()
-		if err != nil {
-			idx.Close()
-		}
-	}()
 
-	// Stage 2: per-ring ksp-means, contiguous page layout, B+-tree entry.
-	// One ring writer spans all rings: each ring continues on the page the
-	// previous one ended on, so the file carries no per-ring alignment
-	// slack.
+	// Stage 2: per-ring ksp-means, contiguous page layout, ring directory
+	// entry. One ring writer spans all rings: each ring continues on the
+	// page the previous one ended on, so the file carries no per-ring
+	// alignment slack.
 	rw := &ringWriter{idx: idx, w: dataW, page: make([]byte, cfg.PageSize), cur: -1}
-	dirs := make([][]byte, len(keys)) // dirs[i] is ring keys[i]'s B+-tree value
 	for ki, key := range keys {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -209,54 +201,34 @@ func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (
 			pts[j] = projected[id]
 		}
 		sres := kmeans.Run(pts, kmeans.Config{K: cfg.Ksp, Seed: cfg.Seed + key})
-		subs := make([]subPartition, len(sres.Centroids))
-		for s := range subs {
-			subs[s] = subPartition{center: sres.Centroids[s], radius: sres.Radii[s]}
-		}
 		// Collect member ids per sub-partition in stable order.
-		members := make([][]uint32, len(subs))
+		members := make([][]uint32, len(sres.Centroids))
 		for j, id := range ids {
 			s := sres.Assign[j]
 			members[s] = append(members[s], id)
 		}
-		// Pack the ring's sub-partitions back to back; record each
-		// sub-partition's (page, slot) start.
-		for s := range subs {
-			if len(members[s]) == 0 {
+		// Pack the ring's non-empty sub-partitions back to back, recording
+		// each one's (page, slot) start.
+		rg := ring{key: key}
+		for s, ms := range members {
+			if len(ms) == 0 {
 				continue
 			}
-			page, slot, err := rw.writeSub(members[s], projected)
+			page, slot, err := rw.writeSub(ms, projected)
 			if err != nil {
 				return nil, err
 			}
-			subs[s].startPage = page
-			subs[s].startSlot = slot
-			subs[s].numPoints = len(members[s])
+			rg.subs = append(rg.subs, subPartition{center: sres.Centroids[s], radius: sres.Radii[s],
+				startPage: page, startSlot: slot, numPoints: len(ms)})
 		}
 		if err := rw.flush(); err != nil {
 			return nil, err
 		}
-		dirs[ki] = encodeSubs(subs, m)
-	}
-	if err := btree.Build(btW, keys, dirs); err != nil {
-		return nil, err
+		idx.rings[ki] = rg
 	}
 
-	// The farthest point of any partition bounds every meaningful radius.
-	for p := range res.Radii {
-		if res.Radii[p] > idx.maxDist {
-			idx.maxDist = res.Radii[p]
-		}
-	}
-	// Both files are durable before anything reads them.
-	opts := pager.Options{PageSize: cfg.PageSize, PoolSize: cfg.PoolSize}
-	if idx.data, err = dataW.Finish(opts); err != nil {
-		return nil, err
-	}
-	if idx.btPg, err = btW.Finish(opts); err != nil {
-		return nil, err
-	}
-	if idx.tree, err = btree.Open(idx.btPg); err != nil {
+	// The data file is durable before anything reads it.
+	if idx.data, err = dataW.Finish(pager.Options{PageSize: cfg.PageSize, PoolSize: cfg.PoolSize}); err != nil {
 		return nil, err
 	}
 	return idx, nil
@@ -308,20 +280,8 @@ func (rw *ringWriter) flush() error {
 	return rw.w.Write(rw.cur, rw.page)
 }
 
-// Close releases the underlying page files (a failed Build may have opened
-// only some of them).
-func (idx *Index) Close() error {
-	var err error
-	for _, pg := range []*pager.Pager{idx.data, idx.btPg} {
-		if pg == nil {
-			continue
-		}
-		if e := pg.Close(); err == nil {
-			err = e
-		}
-	}
-	return err
-}
+// Close releases the projected-data page file.
+func (idx *Index) Close() error { return idx.data.Close() }
 
 // M returns the projected dimensionality.
 func (idx *Index) M() int { return idx.m }
@@ -337,20 +297,27 @@ func (idx *Index) Epsilon() float64 { return idx.epsilon }
 // that verification I/O is sequential, as §VI prescribes.
 func (idx *Index) Layout() []uint32 { return idx.layout }
 
-// IndexSizeBytes returns the on-disk size of the B+-tree (the index proper).
-func (idx *Index) IndexSizeBytes() int64 { return idx.btPg.SizeBytes() }
+// RingDirBytes returns the encoded size of the ring directory (the index
+// proper): every ring's key and sub-partition directory.
+func (idx *Index) RingDirBytes() int64 {
+	var n int64
+	for _, rg := range idx.rings {
+		n += 8 + 4 + int64(len(rg.subs)*subSize(idx.m))
+	}
+	return n
+}
 
 // DataSizeBytes returns the on-disk size of the projected-point pages.
 func (idx *Index) DataSizeBytes() int64 { return idx.data.SizeBytes() }
 
 // Pagers returns the pagers touched by searches, for I/O accounting.
-func (idx *Index) Pagers() []*pager.Pager { return []*pager.Pager{idx.data, idx.btPg} }
+func (idx *Index) Pagers() []*pager.Pager { return []*pager.Pager{idx.data} }
 
 // Projected reads one point's projected vector from disk (the single fetch
 // Quick-Probe performs to turn the located point into a search radius). The
 // page read is recorded in io (nil discards the accounting).
 func (idx *Index) Projected(id uint32, dst []float32, io *pager.IOStats) ([]float32, error) {
-	if int(id) >= idx.n || idx.locPage[id] < 0 {
+	if int(id) >= idx.n {
 		return nil, fmt.Errorf("idistance: id %d not indexed", id)
 	}
 	page, err := idx.data.Read(idx.locPage[id], io)
@@ -361,63 +328,4 @@ func (idx *Index) Projected(id uint32, dst []float32, io *pager.IOStats) ([]floa
 	entrySize := 4 + vec.EncodedSize(idx.m)
 	off := int(idx.locSlot[id]) * entrySize
 	return vec.Decode(page.Bytes()[off+4:], idx.m, dst), nil
-}
-
-// encodeSubs serializes a ring's sub-partition directory:
-// count uint32, then per sub-partition: startPage int64, startSlot uint32,
-// numPoints uint32, radius float64, center m×float32.
-func encodeSubs(subs []subPartition, m int) []byte {
-	live := 0
-	for _, s := range subs {
-		if s.numPoints > 0 {
-			live++
-		}
-	}
-	buf := make([]byte, 4+live*(8+4+4+8+vec.EncodedSize(m)))
-	binary.LittleEndian.PutUint32(buf, uint32(live))
-	off := 4
-	for _, s := range subs {
-		if s.numPoints == 0 {
-			continue
-		}
-		binary.LittleEndian.PutUint64(buf[off:], uint64(s.startPage))
-		binary.LittleEndian.PutUint32(buf[off+8:], uint32(s.startSlot))
-		binary.LittleEndian.PutUint32(buf[off+12:], uint32(s.numPoints))
-		binary.LittleEndian.PutUint64(buf[off+16:], math.Float64bits(s.radius))
-		off += 24
-		off += vec.Encode(buf[off:], s.center)
-	}
-	return buf
-}
-
-// decodeSubsInto parses a ring's sub-partition directory into sc.subs,
-// reusing its storage. Each center is aliased straight into the B+-tree
-// value bytes when the host allows the zero-copy view (the value buffers
-// are freshly allocated per node read and never mutated, so the alias is a
-// stable read-only snapshot); otherwise it is decoded into a fresh slice —
-// never into reused storage, which could alias a previous ring's view. The
-// returned slice is valid until the next decodeSubsInto call on sc.
-func decodeSubsInto(buf []byte, m int, sc *scanScratch) []subPartition {
-	count := int(vec.U32(buf))
-	subs := sc.subs
-	if cap(subs) < count {
-		subs = make([]subPartition, count)
-	}
-	subs = subs[:count]
-	off := 4
-	for i := 0; i < count; i++ {
-		subs[i].startPage = int64(vec.U64(buf[off:]))
-		subs[i].startSlot = int(vec.U32(buf[off+8:]))
-		subs[i].numPoints = int(vec.U32(buf[off+12:]))
-		subs[i].radius = math.Float64frombits(vec.U64(buf[off+16:]))
-		off += 24
-		if v, ok := vec.F32View(buf[off:], m); ok {
-			subs[i].center = v
-		} else {
-			subs[i].center = vec.Decode(buf[off:], m, nil)
-		}
-		off += vec.EncodedSize(m)
-	}
-	sc.subs = subs
-	return subs
 }

@@ -3,6 +3,8 @@ package idistance
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -292,8 +294,7 @@ func TestPageAccessAccounting(t *testing.T) {
 	if small <= 0 || large <= small {
 		t.Fatalf("page accesses should grow with radius: small=%d large=%d", small, large)
 	}
-	total := idx.data.NumPages() + idx.btPg.NumPages()
-	if large > total {
+	if total := idx.data.NumPages(); large > total {
 		t.Fatalf("page misses %d exceed total pages %d", large, total)
 	}
 }
@@ -328,6 +329,84 @@ func TestPropertyRangeSearchComplete(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRingsInSubRange: the ring walk returns exactly the rings whose keys
+// lie in the range, in key order, and nothing for a range in a gap, past the
+// last key or with lo > hi.
+func TestRingsInSubRange(t *testing.T) {
+	idx := &Index{}
+	for k := int64(0); k < 200; k += 2 {
+		idx.rings = append(idx.rings, ring{key: k})
+	}
+	keysIn := func(lo, hi int64) []int64 {
+		var keys []int64
+		for _, rg := range idx.ringsIn(lo, hi) {
+			keys = append(keys, rg.key)
+		}
+		return keys
+	}
+	if got := keysIn(10, 20); !slices.Equal(got, []int64{10, 12, 14, 16, 18, 20}) {
+		t.Fatalf("sub-range walk = %v", got)
+	}
+	if got := keysIn(-100, 1<<40); len(got) != len(idx.rings) || got[0] != 0 || got[len(got)-1] != 198 {
+		t.Fatalf("full-range walk visited %d rings, want %d", len(got), len(idx.rings))
+	}
+	if got := keysIn(198, 198); !slices.Equal(got, []int64{198}) {
+		t.Fatalf("point walk of the last key = %v", got)
+	}
+	for _, r := range [][2]int64{{11, 11}, {199, 300}, {50, 40}} {
+		if got := keysIn(r[0], r[1]); len(got) != 0 {
+			t.Fatalf("walk of [%d, %d] should visit nothing, got %v", r[0], r[1], got)
+		}
+	}
+}
+
+// Property: a ring directory over any sorted key set, with directories of
+// any size, persists as a meta's RingKeys and RingDirs and decodes back to
+// exactly the rings it was written from; the ring walk over any key range
+// returns exactly the model's rings inside it.
+func TestPropertyRingDirectoryModelEquivalence(t *testing.T) {
+	const dataPages = 1 << 20
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		m := &meta{M: 1 + r.Intn(8), Stride: int64(1 + r.Intn(60)), EntriesPerPage: 1 + r.Intn(40)}
+		m.Centers = make([][]float32, 1+r.Intn(6))
+		maxKey := int64(len(m.Centers))*m.Stride - 1
+		var model []ring
+		for key := int64(0); key <= maxKey; key++ {
+			if r.Intn(3) != 0 && (key < maxKey || len(model) > 0) {
+				continue
+			}
+			rg := ring{key: key}
+			for s := 1 + r.Intn(12); s > 0; s-- {
+				sub := subPartition{center: randPoints(r, 1, m.M, 10)[0], radius: r.Float64() * 10,
+					startPage: r.Int63n(dataPages / 2), startSlot: r.Intn(m.EntriesPerPage), numPoints: 1 + r.Intn(200)}
+				m.N += sub.numPoints
+				rg.subs = append(rg.subs, sub)
+			}
+			m.RingKeys, m.RingDirs = append(m.RingKeys, key), appendSubs(m.RingDirs, rg.subs, m.M)
+			model = append(model, rg)
+		}
+		m = decodeMetaBytes(t, encodeMeta(t, m))
+		rings, err := m.ringDirectory(m.RingKeys, m.splitDirs(), dataPages)
+		if err != nil || !reflect.DeepEqual(rings, model) {
+			return false
+		}
+		idx := &Index{rings: rings}
+		lo, hi := r.Int63n(maxKey+20)-10, r.Int63n(maxKey+20)-10
+		var want []ring
+		for _, rg := range model {
+			if lo <= rg.key && rg.key <= hi {
+				want = append(want, rg)
+			}
+		}
+		got := idx.ringsIn(lo, hi)
+		return len(got) == len(want) && (len(want) == 0 || reflect.DeepEqual(got, want))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,19 +1,27 @@
 package idistance
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 
-	"promips/internal/btree"
 	"promips/internal/errs"
 	"promips/internal/fsutil"
 	"promips/internal/pager"
+	"promips/internal/vec"
 )
 
-// meta is the gob-serialized in-memory state of an Index; the bulk data
-// (projected entries, B+-tree nodes) already lives in the page files.
+// meta is the gob-serialized in-memory state of an Index; the projected
+// entries live in idist.data. RingKeys holds the ring directory's keys and
+// RingDirs their sub-partition directories back to back, each in the
+// appendSubs format (one []byte rather than a [][]byte: a new gob type would
+// renumber the gob type ids promips.meta is written with). A meta saved
+// before the directory moved here has neither: its rings are in the legacy
+// tree file beside it (legacy.go).
 type meta struct {
 	Cfg            Config
 	M, N           int
@@ -21,14 +29,15 @@ type meta struct {
 	Radii          []float64
 	Epsilon        float64
 	Stride         int64
-	MaxDist        float64
 	EntriesPerPage int
 	LocPage        []int64
 	LocSlot        []int32
 	Layout         []uint32
+	RingKeys       []int64
+	RingDirs       []byte
 }
 
-// Save persists the index metadata next to its page files in dir. The meta
+// Save persists the index metadata next to its page file in dir. The meta
 // file is written to a temp name and renamed over, so a crash mid-Save
 // never truncates a previously saved (and possibly still referenced) meta
 // file. Directory-entry durability is the caller's concern (core.Save
@@ -41,9 +50,13 @@ func (idx *Index) SaveFS(fsys fsutil.FS, dir string) error {
 	m := meta{
 		Cfg: idx.cfg, M: idx.m, N: idx.n,
 		Centers: idx.centers, Radii: idx.radii,
-		Epsilon: idx.epsilon, Stride: idx.stride, MaxDist: idx.maxDist,
+		Epsilon: idx.epsilon, Stride: idx.stride,
 		EntriesPerPage: idx.entriesPerPage,
 		LocPage:        idx.locPage, LocSlot: idx.locSlot, Layout: idx.layout,
+		RingKeys: make([]int64, len(idx.rings)),
+	}
+	for i, rg := range idx.rings {
+		m.RingKeys[i], m.RingDirs = rg.key, appendSubs(m.RingDirs, rg.subs, idx.m)
 	}
 	err := fsutil.WriteAtomic(fsys, filepath.Join(dir, "idist.meta"), func(f fsutil.File) error {
 		return gob.NewEncoder(f).Encode(&m)
@@ -54,39 +67,189 @@ func (idx *Index) SaveFS(fsys fsutil.FS, dir string) error {
 	return nil
 }
 
-// Open loads an index previously built in dir (Build followed by Save).
+// Open loads an index previously built in dir (Build followed by Save). The
+// meta and the ring directory are checked once, here, for everything a
+// search or a Projected fetch later indexes by; a violation is
+// errs.ErrCorruptIndex.
 func Open(dir string) (*Index, error) {
 	f, err := os.Open(filepath.Join(dir, "idist.meta"))
 	if err != nil {
 		return nil, fmt.Errorf("idistance: open meta: %w", err)
 	}
-	defer f.Close()
-	var m meta
-	if err := gob.NewDecoder(f).Decode(&m); err != nil {
-		return nil, fmt.Errorf("idistance: decode meta: %v: %w", err, errs.ErrCorruptIndex)
-	}
-	opts := pager.Options{PageSize: m.Cfg.PageSize, PoolSize: m.Cfg.PoolSize}
-	data, err := pager.Open(filepath.Join(dir, "idist.data"), opts)
+	m, err := decodeMeta(f)
+	f.Close()
 	if err != nil {
 		return nil, err
 	}
-	btPg, err := pager.Open(filepath.Join(dir, "idist.btree"), opts)
+	data, err := pager.Open(filepath.Join(dir, "idist.data"), pager.Options{PageSize: m.Cfg.PageSize, PoolSize: m.Cfg.PoolSize})
 	if err != nil {
-		data.Close()
 		return nil, err
 	}
-	tree, err := btree.Open(btPg)
+	rings, err := m.loadRings(dir, data.NumPages())
 	if err != nil {
 		data.Close()
-		btPg.Close()
 		return nil, err
 	}
 	return &Index{
 		cfg: m.Cfg, m: m.M, n: m.N,
 		centers: m.Centers, radii: m.Radii,
-		epsilon: m.Epsilon, stride: m.Stride, maxDist: m.MaxDist,
-		data: data, btPg: btPg, tree: tree,
+		epsilon: m.Epsilon, stride: m.Stride,
+		data: data, rings: rings,
 		entriesPerPage: m.EntriesPerPage,
 		locPage:        m.LocPage, locSlot: m.LocSlot, layout: m.Layout,
 	}, nil
+}
+
+func corrupt(format string, a ...any) error {
+	return fmt.Errorf("idistance: "+format+": %w", append(a, errs.ErrCorruptIndex)...)
+}
+
+// decodeMeta decodes an idist.meta stream. Gob fills a well-typed struct
+// from arbitrary bytes, so nothing in it is trusted before loadRings.
+func decodeMeta(r io.Reader) (*meta, error) {
+	var m meta
+	if err := gob.NewDecoder(r).Decode(&m); err != nil {
+		return nil, corrupt("decode meta: %v", err)
+	}
+	return &m, nil
+}
+
+// loadRings validates m against a data file of dataPages pages and returns
+// its ring directory: from the meta, or — every index has a ring, so an
+// empty RingKeys means the meta predates the directory's move into it —
+// from the legacy tree file in dir.
+func (m *meta) loadRings(dir string, dataPages int64) ([]ring, error) {
+	if err := m.validate(dataPages); err != nil {
+		return nil, err
+	}
+	if len(m.RingKeys) > 0 {
+		return m.ringDirectory(m.RingKeys, m.splitDirs(), dataPages)
+	}
+	keys, dirs, err := readLegacyTree(dir, m.Cfg.PageSize)
+	if err != nil {
+		return nil, err
+	}
+	return m.ringDirectory(keys, dirs, dataPages)
+}
+
+// splitDirs cuts RingDirs after each directory its count says is complete;
+// a short tail is left for decodeSubs to reject.
+func (m *meta) splitDirs() [][]byte {
+	var dirs [][]byte
+	for b := m.RingDirs; len(b) > 0; {
+		n := int64(len(b))
+		if n >= 4 {
+			n = min(n, 4+int64(binary.LittleEndian.Uint32(b))*int64(subSize(m.M)))
+		}
+		dirs, b = append(dirs, b[:n]), b[n:]
+	}
+	return dirs
+}
+
+// ringDirectory decodes the rings keys[i] → dirs[i] of a validated m: keys
+// ascending inside the partitions, every directory well-formed, and the
+// sub-partition point counts summing to n.
+func (m *meta) ringDirectory(keys []int64, dirs [][]byte, dataPages int64) ([]ring, error) {
+	if len(keys) != len(dirs) {
+		return nil, corrupt("%d ring keys for %d ring directories", len(keys), len(dirs))
+	}
+	rings := make([]ring, len(keys))
+	points := 0
+	for i, key := range keys {
+		if key < 0 || key/m.Stride >= int64(len(m.Centers)) || (i > 0 && key <= keys[i-1]) {
+			return nil, corrupt("ring key %d at %d: keys must ascend within %d partitions of stride %d", key, i, len(m.Centers), m.Stride)
+		}
+		subs, err := m.decodeSubs(key, dirs[i], dataPages)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range subs {
+			points += s.numPoints
+		}
+		rings[i] = ring{key: key, subs: subs}
+	}
+	if points != m.N {
+		return nil, corrupt("ring directory holds %d points, want n=%d", points, m.N)
+	}
+	return rings, nil
+}
+
+// validate checks the shape of the per-point and per-partition state: the
+// arrays sized to n and m, the page geometry the entries were packed with,
+// and every point's location inside the data file.
+func (m *meta) validate(dataPages int64) error {
+	if m.N < 1 || m.M < 1 || len(m.LocPage) != m.N || len(m.LocSlot) != m.N || len(m.Layout) != m.N {
+		return corrupt("n=%d m=%d with %d/%d/%d page/slot/layout entries", m.N, m.M, len(m.LocPage), len(m.LocSlot), len(m.Layout))
+	}
+	if len(m.Centers) < 1 || len(m.Radii) != len(m.Centers) {
+		return corrupt("%d partition centers with %d radii", len(m.Centers), len(m.Radii))
+	}
+	for p, c := range m.Centers {
+		if len(c) != m.M {
+			return corrupt("partition %d center of dim %d, want m=%d", p, len(c), m.M)
+		}
+	}
+	if m.EntriesPerPage < 1 || m.EntriesPerPage != m.Cfg.PageSize/(4+vec.EncodedSize(m.M)) {
+		return corrupt("%d entries per %d-byte page at m=%d", m.EntriesPerPage, m.Cfg.PageSize, m.M)
+	}
+	if m.Stride < 1 || !(m.Epsilon > 0 && m.Epsilon <= math.MaxFloat64) {
+		return corrupt("stride %d, ring width %v", m.Stride, m.Epsilon)
+	}
+	for id := range m.N {
+		if m.LocPage[id] < 0 || m.LocPage[id] >= dataPages || m.LocSlot[id] < 0 || int(m.LocSlot[id]) >= m.EntriesPerPage || int(m.Layout[id]) >= m.N {
+			return corrupt("point %d at page %d slot %d (layout %d) outside %d pages of %d entries",
+				id, m.LocPage[id], m.LocSlot[id], m.Layout[id], dataPages, m.EntriesPerPage)
+		}
+	}
+	return nil
+}
+
+// subSize is the encoded size of one sub-partition of dimension m.
+func subSize(m int) int { return 24 + vec.EncodedSize(m) }
+
+// appendSubs appends a ring's serialized sub-partition directory to dst:
+// count uint32, then per sub-partition: startPage int64, startSlot uint32,
+// numPoints uint32, radius float64, center m×float32.
+func appendSubs(dst []byte, subs []subPartition, m int) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, uint32(len(subs)))
+	for _, s := range subs {
+		dst = le.AppendUint64(dst, uint64(s.startPage))
+		dst = le.AppendUint32(dst, uint32(s.startSlot))
+		dst = le.AppendUint32(dst, uint32(s.numPoints))
+		dst = le.AppendUint64(dst, math.Float64bits(s.radius))
+		dst = vec.AppendF32LE(dst, s.center)
+	}
+	return dst
+}
+
+// decodeSubs parses ring key's appendSubs bytes, checking that the length
+// matches the count, and that every sub-partition holds at least one point,
+// starts inside a page, has its page run inside a data file of dataPages
+// pages and has a finite, non-negative radius.
+func (m *meta) decodeSubs(key int64, buf []byte, dataPages int64) ([]subPartition, error) {
+	size := subSize(m.M)
+	if len(buf) < 4 || int64(len(buf)) != 4+int64(binary.LittleEndian.Uint32(buf))*int64(size) {
+		return nil, corrupt("ring %d: %d-byte sub-partition directory", key, len(buf))
+	}
+	subs := make([]subPartition, (len(buf)-4)/size)
+	epp := int64(m.EntriesPerPage)
+	for i := range subs {
+		b := buf[4+i*size:]
+		s := subPartition{
+			startPage: int64(binary.LittleEndian.Uint64(b)),
+			startSlot: int(binary.LittleEndian.Uint32(b[8:])),
+			numPoints: int(binary.LittleEndian.Uint32(b[12:])),
+			radius:    math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+			center:    vec.Decode(b[24:], m.M, nil),
+		}
+		pages := (int64(s.startSlot) + int64(s.numPoints) + epp - 1) / epp
+		if s.numPoints < 1 || int64(s.startSlot) >= epp || s.startPage < 0 || s.startPage > dataPages-pages ||
+			!(s.radius >= 0 && s.radius <= math.MaxFloat64) {
+			return nil, corrupt("ring %d sub-partition %d: %d points at page %d slot %d, radius %v, in %d pages of %d entries",
+				key, i, s.numPoints, s.startPage, s.startSlot, s.radius, dataPages, epp)
+		}
+		subs[i] = s
+	}
+	return subs, nil
 }

@@ -1,11 +1,16 @@
 package idistance
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"promips/internal/errs"
@@ -22,6 +27,9 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 	if err := idx.Save(dir); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "idist.btree")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Build wrote a B+-tree file (stat: %v)", err)
 	}
 	q := randPoints(r, 1, 6, 10)[0]
 	want, err := idx.RangeSearch(context.Background(), q, 8, nil)
@@ -70,19 +78,95 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRingDirectoryReopen: the ring directory a Save writes into idist.meta
+// opens back to exactly the built rings on every reopen, and a Save of a
+// reopened index writes the same meta bytes.
+func TestRingDirectoryReopen(t *testing.T) {
+	dir := t.TempDir()
+	idx, err := Build(context.Background(), randPoints(rand.New(rand.NewSource(36)), 900, 6, 10), dir,
+		Config{Kp: 4, Nkey: 15, Ksp: 12, Seed: 37, PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	if err := idx.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(filepath.Join(dir, "idist.meta"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		re, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(re.rings, idx.rings) {
+			re.Close()
+			t.Fatalf("pass %d: reopened ring directory differs from the built one", pass)
+		}
+		again := t.TempDir()
+		err = re.Save(again)
+		re.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err := os.ReadFile(filepath.Join(again, "idist.meta")); err != nil || !bytes.Equal(b, saved) {
+			t.Fatalf("pass %d: re-saved meta differs from the saved one (%v)", pass, err)
+		}
+	}
+}
+
 func TestOpenMissingMeta(t *testing.T) {
 	if _, err := Open(t.TempDir()); err == nil {
 		t.Fatal("expected error opening empty dir")
 	}
 }
 
-// TestOpenCorruptTree is the shown bug: one damaged length byte in the first
-// leaf entry of a saved idist.btree (page 1, offset 16+9+3) used to panic
-// Open with a slice bound of 2130706561; it is ErrCorruptIndex, and the page
-// files Open had opened are closed again.
-func TestOpenCorruptTree(t *testing.T) {
+// decodeMetaBytes decodes the idist.meta bytes b.
+func decodeMetaBytes(t testing.TB, b []byte) *meta {
+	t.Helper()
+	m, err := decodeMeta(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// encodeMeta gob-encodes m the way Save does.
+func encodeMeta(t testing.TB, m *meta) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// refuseOpen asserts Open(dir) is ErrCorruptIndex and leaves no descriptor
+// open.
+func refuseOpen(t *testing.T, name, dir string) {
+	t.Helper()
+	fds := leaktest.OpenFDs(t)
+	if re, err := Open(dir); !errors.Is(err, errs.ErrCorruptIndex) {
+		if err == nil {
+			re.Close()
+		}
+		t.Errorf("%s: Open returned %v, want ErrCorruptIndex", name, err)
+	}
+	if got := leaktest.OpenFDs(t); got != fds {
+		t.Errorf("%s: %d open fds after the refused Open, %d before", name, got, fds)
+	}
+}
+
+// TestOpenCorruptMeta: every value of idist.meta a search or a Projected
+// fetch indexes by is checked at Open. The first case is the shown bug: a
+// LocPage cut to 10 entries for n = 900 used to open, and Projected(500)
+// panicked with an index out of range.
+func TestOpenCorruptMeta(t *testing.T) {
 	dir := t.TempDir()
-	idx, err := Build(context.Background(), randPoints(rand.New(rand.NewSource(32)), 900, 6, 10), dir, Config{Seed: 33})
+	idx, err := Build(context.Background(), randPoints(rand.New(rand.NewSource(30)), 900, 6, 10), dir,
+		Config{Kp: 4, Nkey: 15, Ksp: 6, Seed: 31, PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,50 +174,95 @@ func TestOpenCorruptTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx.Close()
-	path := filepath.Join(dir, "idist.btree")
-	file, err := os.ReadFile(path)
+	metaPath := filepath.Join(dir, "idist.meta")
+	saved, err := os.ReadFile(metaPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	file[4096+16+9+3] = 0x7f
-	if err := os.WriteFile(path, file, 0o644); err != nil {
+	last := len(decodeMetaBytes(t, saved).RingKeys) - 1
+	for _, tc := range []struct {
+		name   string
+		damage func(m *meta)
+	}{
+		{"LocPage cut to 10 entries", func(m *meta) { m.LocPage = m.LocPage[:10] }},
+		{"LocSlot one short", func(m *meta) { m.LocSlot = m.LocSlot[1:] }},
+		{"layout id past n", func(m *meta) { m.Layout[3] = uint32(m.N) }},
+		{"n one past the ring directory", func(m *meta) {
+			m.N++
+			m.LocPage, m.LocSlot, m.Layout = append(m.LocPage, 0), append(m.LocSlot, 0), append(m.Layout, 0)
+		}},
+		{"no partitions", func(m *meta) { m.Centers, m.Radii = nil, nil }},
+		{"radii one short", func(m *meta) { m.Radii = m.Radii[1:] }},
+		{"center of the wrong dim", func(m *meta) { m.Centers[1] = m.Centers[1][1:] }},
+		{"entries per page off by one", func(m *meta) { m.EntriesPerPage++ }},
+		{"page size zero", func(m *meta) { m.Cfg.PageSize = 0 }},
+		{"zero stride", func(m *meta) { m.Stride = 0 }},
+		{"NaN ring width", func(m *meta) { m.Epsilon = math.NaN() }},
+		{"infinite ring width", func(m *meta) { m.Epsilon = math.Inf(1) }},
+		{"point past the data file", func(m *meta) { m.LocPage[5] = 1 << 40 }},
+		{"slot past the page", func(m *meta) { m.LocSlot[5] = int32(m.EntriesPerPage) }},
+		{"ring keys descending", func(m *meta) { m.RingKeys[0], m.RingKeys[1] = m.RingKeys[1], m.RingKeys[0] }},
+		{"negative ring key", func(m *meta) { m.RingKeys[0] = -1 }},
+		{"ring key past the partitions", func(m *meta) { m.RingKeys[last] = int64(len(m.Centers)) * m.Stride }},
+		{"one key past the directories", func(m *meta) { m.RingKeys = append(m.RingKeys, m.RingKeys[last]+1) }},
+		{"directories one byte short", func(m *meta) { m.RingDirs = m.RingDirs[:len(m.RingDirs)-1] }},
+		{"directories one byte long", func(m *meta) { m.RingDirs = append(m.RingDirs, 0) }},
+		{"first directory counts 1000", func(m *meta) { binary.LittleEndian.PutUint32(m.RingDirs, 1000) }},
+	} {
+		m := decodeMetaBytes(t, saved)
+		tc.damage(m)
+		if err := os.WriteFile(metaPath, encodeMeta(t, m), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refuseOpen(t, tc.name, dir)
+	}
+	if err := os.WriteFile(metaPath, saved, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fds := leaktest.OpenFDs(t)
-	if re, err := Open(dir); !errors.Is(err, errs.ErrCorruptIndex) {
-		if err == nil {
-			re.Close()
-		}
-		t.Fatalf("Open over a damaged tree returned %v, want ErrCorruptIndex", err)
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("undamaged meta: %v", err)
 	}
-	if got := leaktest.OpenFDs(t); got != fds {
-		t.Fatalf("%d open fds after the refused Open, %d before", got, fds)
+	re.Close()
+}
+
+// TestOpenCorruptTree: a damaged legacy idist.btree — its leaf chain, its
+// overflow chains, or a ring directory inside a well-formed tree — is
+// ErrCorruptIndex at Open, and the page file Open had opened is closed
+// again. Two cases are shown bugs: one damaged length byte in a leaf entry
+// used to panic Open with a slice bound of 2130706561, and a sub-partition
+// count raised from 1 to 1000 with the value length left intact used to
+// open and panic the first query with an index out of range.
+func TestOpenCorruptTree(t *testing.T) {
+	file, cases := legacyCorruptions(t)
+	dir := copyLegacyFixture(t)
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("undamaged tree: %v", err)
+	}
+	re.Close()
+	for _, tc := range cases {
+		if err := os.WriteFile(filepath.Join(dir, "idist.btree"), tc.damage(bytes.Clone(file)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refuseOpen(t, tc.name, dir)
 	}
 }
 
-// TestBuildFailureClosesFiles: whichever step of Build fails — creating the
-// second file, or the tree build after every ring has been written — no
-// descriptor outlives it.
+// TestBuildFailureClosesFiles: a Build that cannot create its page file
+// leaves no descriptor open.
 func TestBuildFailureClosesFiles(t *testing.T) {
 	pts := randPoints(rand.New(rand.NewSource(34)), 300, 6, 10)
-	for name, tc := range map[string]struct {
-		cfg     Config
-		prepare func(dir string) error
-	}{
-		"idist.btree cannot be created": {Config{Seed: 35}, func(dir string) error { return os.Mkdir(filepath.Join(dir, "idist.btree"), 0o755) }},
-		"pages too small for a tree":    {Config{Seed: 35, PageSize: 32}, func(string) error { return nil }},
-	} {
-		dir := t.TempDir()
-		if err := tc.prepare(dir); err != nil {
-			t.Fatal(err)
-		}
-		fds := leaktest.OpenFDs(t)
-		if idx, err := Build(context.Background(), pts, dir, tc.cfg); err == nil {
-			idx.Close()
-			t.Fatalf("%s: Build succeeded", name)
-		}
-		if got := leaktest.OpenFDs(t); got != fds {
-			t.Fatalf("%s: %d open fds after the failed build, %d before", name, got, fds)
-		}
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "idist.data"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	fds := leaktest.OpenFDs(t)
+	if idx, err := Build(context.Background(), pts, dir, Config{Seed: 35}); err == nil {
+		idx.Close()
+		t.Fatal("idist.data cannot be created: Build succeeded")
+	}
+	if got := leaktest.OpenFDs(t); got != fds {
+		t.Fatalf("%d open fds after the failed build, %d before", got, fds)
 	}
 }

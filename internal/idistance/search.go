@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"math"
+	"sort"
 	"sync"
 
 	"promips/internal/pager"
@@ -23,23 +24,18 @@ func CompareCandidates(a, b Candidate) int {
 	return cmp.Compare(a.ID, b.ID)
 }
 
-// scanScratch is the per-query scratch of the scan path: the decoded
-// sub-partition directory of the ring being visited and the page views of
+// scanScratch is the per-query scratch of the scan path: the page views of
 // the sub-partition run being scanned. Pooled so a steady query load
 // allocates nothing here.
 type scanScratch struct {
-	subs  []subPartition
 	pages []pager.Page
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
 func (sc *scanScratch) release() {
-	// Drop the aliased center views and the (released) page handles before
-	// pooling so the scratch does not retain B+-tree value buffers or page
-	// frames across queries.
-	subs := sc.subs[:cap(sc.subs)]
-	clear(subs)
+	// Drop the (released) page handles before pooling so the scratch does
+	// not retain page frames across queries.
 	clear(sc.pages[:cap(sc.pages)])
 	scanScratchPool.Put(sc)
 }
@@ -50,26 +46,23 @@ func (sc *scanScratch) release() {
 // range search. visit returning false stops the scan early.
 //
 // Filtering follows §VI: partitions whose sphere does not intersect the
-// query sphere are skipped via the B+-tree key range; within a surviving
-// ring, a sub-partition is read only when its (pivot, radius) sphere
-// intersects the query sphere and is not entirely inside the rLo ball.
+// query sphere are skipped, and within one the rings outside the query
+// sphere's ring-key range are never visited; within a surviving ring, a
+// sub-partition is read only when its (pivot, radius) sphere intersects the
+// query sphere and is not entirely inside the rLo ball.
 //
 // Cancellation is checked between sub-partition scans (one sub-partition is
 // at most a few pages of sequential I/O, so a cancelled query stops within
 // that bound); the scan then returns ctx.Err().
 //
-// Page reads (B+-tree nodes and projected-point pages) are recorded in io,
-// the caller's per-query accumulator; nil discards the accounting.
+// Projected-point page reads are recorded in io, the caller's per-query
+// accumulator; nil discards the accounting. The ring directory is in memory
+// and costs no page access.
 func (idx *Index) Search(ctx context.Context, q []float32, rLo, rHi float64, io *pager.IOStats, visit func(Candidate) bool) error {
 	entrySize := 4 + vec.EncodedSize(idx.m)
 	sc := scanScratchPool.Get().(*scanScratch)
 	defer sc.release()
-	stop := false
-	var scanErr error
 	for p, center := range idx.centers {
-		if stop {
-			return scanErr
-		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -86,13 +79,10 @@ func (idx *Index) Search(ctx context.Context, q []float32, rLo, rHi float64, io 
 		if !math.IsInf(hiRing, 1) && hiRing < float64(idx.stride-1) {
 			ringHi = int64(hiRing)
 		}
-		loKey := int64(p)*idx.stride + ringLo
-		hiKey := int64(p)*idx.stride + ringHi
-		err := idx.tree.Scan(loKey, hiKey, io, func(key int64, val []byte) bool {
-			for _, sub := range decodeSubsInto(val, idx.m, sc) {
+		for _, rg := range idx.ringsIn(int64(p)*idx.stride+ringLo, int64(p)*idx.stride+ringHi) {
+			for _, sub := range rg.subs {
 				if err := ctx.Err(); err != nil {
-					scanErr, stop = err, true
-					return false
+					return err
 				}
 				ds := vec.L2Dist(q, sub.center)
 				if ds-sub.radius > rHi {
@@ -101,23 +91,20 @@ func (idx *Index) Search(ctx context.Context, q []float32, rLo, rHi float64, io 
 				if rLo >= 0 && ds+sub.radius <= rLo {
 					continue // sphere entirely inside the excluded ball
 				}
-				more, err := idx.scanSub(sub, q, rLo, rHi, entrySize, sc, io, visit)
-				if err != nil {
-					scanErr, stop = err, true
-					return false
-				}
-				if !more {
-					stop = true
-					return false
+				if more, err := idx.scanSub(sub, q, rLo, rHi, entrySize, sc, io, visit); err != nil || !more {
+					return err
 				}
 			}
-			return true
-		})
-		if err != nil {
-			return err
 		}
 	}
-	return scanErr
+	return nil
+}
+
+// ringsIn returns the rings whose keys lie in [loKey, hiKey], ascending.
+func (idx *Index) ringsIn(loKey, hiKey int64) []ring {
+	lo := sort.Search(len(idx.rings), func(i int) bool { return idx.rings[i].key >= loKey })
+	hi := sort.Search(len(idx.rings), func(i int) bool { return idx.rings[i].key > hiKey })
+	return idx.rings[lo:max(lo, hi)]
 }
 
 // scanSub reads a sub-partition's short sequential page run in one

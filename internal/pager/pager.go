@@ -2,11 +2,11 @@
 // puts its pages straight into it, Finish makes the file durable and hands it
 // to a Pager — a read-only, sharded CLOCK buffer pool with page-access
 // accounting — and nothing writes the file again. Every disk-resident
-// structure in this repository (the iDistance B+-tree, the original-vector
-// store, QALSH's hash tables, Range-LSH's sequential partitions, PQ's
-// inverted lists) is built through a Writer and read through a Pager, so the
-// paper's "Page Access" metric is measured identically for every method: one
-// logical access per page touched.
+// structure in this repository (the iDistance projected-data pages, the
+// original-vector store, QALSH's hash tables, Range-LSH's sequential
+// partitions, PQ's inverted lists) is built through a Writer and read
+// through a Pager, so the paper's "Page Access" metric is measured
+// identically for every method: one logical access per page touched.
 //
 // Concurrency. A Pager is safe for concurrent use (a Writer belongs to the
 // one goroutine building the file). The buffer pool is split
@@ -147,7 +147,7 @@ func (s *IOStats) record(pager uint64, page int64) {
 	}
 	s.Reads++
 	// Repeat reads of the page just touched are the common duplicate shape
-	// (sequential scans re-entering a boundary page, B+-tree descents), and
+	// (sequential scans re-entering a boundary page), and
 	// skipping them keeps the log near the distinct-page count.
 	if n := len(s.seen); n > 0 && s.seen[n-1] == (ioKey{pager, page}) {
 		return
@@ -585,16 +585,6 @@ func (p *Pager) ReadDirect(first int64, buf []byte, io *IOStats) error {
 		return fmt.Errorf("pager: read pages [%d,%d): %w", first, first+int64(n), err)
 	}
 	return nil
-}
-
-// RecordRead accounts a logical read of page id that was served by a cache
-// layered above the pager (e.g. the B+-tree's decoded-node cache), so the
-// paper's Page Access metric stays identical whether or not the cache is in
-// play. The buffer pool is not touched.
-func (p *Pager) RecordRead(id int64, io *IOStats) {
-	p.accesses.Add(1)
-	p.hits.Add(1)
-	io.record(p.id, id)
 }
 
 // frames fills dst with entries a miss may read into: recycled ones from the

@@ -7,12 +7,12 @@
 // Given a dataset D of n points and a query q in R^d, a c-AMIP search
 // returns a point o with ⟨o,q⟩ ≥ c·⟨o*,q⟩, where o* is the exact MIP point.
 // ProMIPS projects points to m dimensions with 2-stable random projections,
-// indexes the projections in a disk-resident iDistance structure backed by
-// a single B+-tree, and terminates its range search through two derived
-// conditions that guarantee the c-AMIP answer with any requested
-// probability p. The Quick-Probe procedure determines the search range up
-// front from m-bit sign codes and data norms, avoiding an incremental NN
-// scan.
+// indexes the projections in a disk-resident iDistance structure whose
+// only index is a small in-memory ring directory (the paper's single
+// B+-tree), and terminates its range search through two derived conditions
+// that guarantee the c-AMIP answer with any requested probability p. The
+// Quick-Probe procedure determines the search range up front from m-bit
+// sign codes and data norms, avoiding an incremental NN scan.
 //
 // # Quick start
 //
@@ -154,10 +154,10 @@ type DegradedStats = core.DegradedStats
 type SizeBreakdown = core.SizeBreakdown
 
 // CacheStats aggregates the I/O engine's buffer-pool counters across every
-// page file the index reads through (the iDistance B+-tree and projected
-// data, and the original-vector store). These are whole-index, whole-run
-// counters — concurrent queries all add to them — so two snapshots bracket
-// a measured interval; per-query accounting lives in SearchStats instead.
+// page file the index reads through (the iDistance projected data and the
+// original-vector store). These are whole-index, whole-run counters —
+// concurrent queries all add to them — so two snapshots bracket a measured
+// interval; per-query accounting lives in SearchStats instead.
 type CacheStats struct {
 	// Accesses is the number of logical page reads.
 	Accesses int64

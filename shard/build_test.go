@@ -76,7 +76,7 @@ func TestBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	wantSums, wantAnswers := build(1)
 	for _, name := range []string{"SHARDS", "shard-000/CURRENT", "shard-000/promips.meta", "shard-000/idist.data",
-		"shard-000/idist.btree", "shard-000/idist.meta", "shard-000/orig.data", "shard-001/promips.meta", "shard-001/orig.data"} {
+		"shard-000/idist.meta", "shard-000/orig.data", "shard-001/promips.meta", "shard-001/orig.data"} {
 		if _, ok := wantSums[filepath.FromSlash(name)]; !ok {
 			t.Fatalf("saved directory has no %s (files: %d)", name, len(wantSums))
 		}

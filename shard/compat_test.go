@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,46 +13,47 @@ import (
 	"promips"
 )
 
-// TestOpenParentBuiltIndex is the compatibility proof for dropping
-// Options.MissLatency from both gob metas. testdata/parent_built is a
-// one-shard directory written by the commit before the field was removed:
-// shard.Build + Save over n=64, d=8 vectors of rand.New(rand.NewSource(23))
-// NormFloat64 draws, with promips.Options{PageSize: 512, Seed: 23,
-// MissLatency: time.Millisecond} — non-zero, so promips.meta and idist.meta
-// carry a value, not only a type descriptor, for a field the receiving
-// structs no longer have. testdata/parent_built.json records what that
-// commit answered for the next three vectors of the same stream at k=5.
-// This tree must open the directory and answer bit-identically, page
-// accesses included.
-func TestOpenParentBuiltIndex(t *testing.T) {
+// builtAnswer is one query of testdata/parent_built.json: the top 5 the
+// parent answered, the page accesses it counted, and how many of those were
+// visits to B+-tree nodes.
+type builtAnswer struct {
+	Query []float32 `json:"query"`
+	Top   []struct {
+		ID     uint32 `json:"id"`
+		IPBits uint64 `json:"ip_bits"`
+	} `json:"top"`
+	PageAccesses int64 `json:"page_accesses"`
+	TreePages    int64 `json:"tree_pages"`
+}
+
+// loadParentBuilt reads testdata/parent_built.json and copies
+// testdata/parent_built into a temporary directory (Open appends to the
+// journal, so tests work on a copy).
+func loadParentBuilt(t *testing.T) ([]builtAnswer, string) {
+	t.Helper()
 	raw, err := os.ReadFile("testdata/parent_built.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var answers []struct {
-		Query []float32 `json:"query"`
-		Top   []struct {
-			ID     uint32 `json:"id"`
-			IPBits uint64 `json:"ip_bits"`
-		} `json:"top"`
-		PageAccesses int64 `json:"page_accesses"`
-	}
+	var answers []builtAnswer
 	if err := json.Unmarshal(raw, &answers); err != nil {
 		t.Fatal(err)
 	}
 	if len(answers) != 3 {
 		t.Fatalf("fixture records %d queries, want 3", len(answers))
 	}
-	// Open appends to the journal, so work on a copy.
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS("testdata/parent_built")); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Open(dir)
-	if err != nil {
-		t.Fatalf("open parent-built directory: %v", err)
-	}
-	defer ix.Close()
+	return answers, dir
+}
+
+// checkBuiltAnswers asserts ix answers the recorded queries bit-identically,
+// with the recorded page accesses less the B+-tree node visits: the ring
+// directory is held in memory and costs no page access.
+func checkBuiltAnswers(t *testing.T, ix *Index, answers []builtAnswer) {
+	t.Helper()
 	for qi, a := range answers {
 		res, st, err := ix.Search(context.Background(), a.Query, len(a.Top))
 		if err != nil {
@@ -65,10 +68,72 @@ func TestOpenParentBuiltIndex(t *testing.T) {
 					qi, i, res[i].ID, math.Float64bits(res[i].IP), want.ID, want.IPBits)
 			}
 		}
-		if st.PageAccesses != a.PageAccesses {
-			t.Errorf("query %d: %d page accesses, parent counted %d", qi, st.PageAccesses, a.PageAccesses)
+		if want := a.PageAccesses - a.TreePages; st.PageAccesses != want {
+			t.Errorf("query %d: %d page accesses, want the parent's %d less %d tree pages", qi, st.PageAccesses, a.PageAccesses, a.TreePages)
 		}
 	}
+}
+
+// TestOpenParentBuiltIndex is the compatibility proof for dropping
+// Options.MissLatency from both gob metas and for moving the ring directory
+// out of the B+-tree. testdata/parent_built is a one-shard directory written
+// by the commit before the field was removed: shard.Build + Save over n=64,
+// d=8 vectors of rand.New(rand.NewSource(23)) NormFloat64 draws, with
+// promips.Options{PageSize: 512, Seed: 23, MissLatency: time.Millisecond} —
+// non-zero, so promips.meta and idist.meta carry a value, not only a type
+// descriptor, for a field the receiving structs no longer have. Its ring
+// directory is in idist.btree. testdata/parent_built.json records what that
+// commit answered for the next three vectors of the same stream at k=5, and
+// tree_pages how many of each query's page accesses were B+-tree nodes
+// (measured at 3681998, the last commit with the tree, by dropping the
+// tree's accounting). This tree must open the directory and answer
+// bit-identically, with exactly the tree pages fewer page accesses.
+func TestOpenParentBuiltIndex(t *testing.T) {
+	answers, dir := loadParentBuilt(t)
+	ix, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open parent-built directory: %v", err)
+	}
+	defer ix.Close()
+	checkBuiltAnswers(t, ix, answers)
+}
+
+// TestLegacyTreeConvertsOnSave: a Save of a directory whose ring directory
+// is in idist.btree writes it into idist.meta and removes the tree file;
+// the reopened index answers identically and never reads the tree again.
+func TestLegacyTreeConvertsOnSave(t *testing.T) {
+	answers, dir := loadParentBuilt(t)
+	tree := filepath.Join(dir, "shard-000", "idist.btree")
+	ix, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tree); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("idist.btree survives the Save (stat: %v)", err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after Save: %v", err)
+	}
+	checkBuiltAnswers(t, re, answers)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tree, bytes.Repeat([]byte{0x5A}, 1024), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err = Open(dir)
+	if err != nil {
+		t.Fatalf("reopen beside a garbage idist.btree: %v", err)
+	}
+	defer re.Close()
+	checkBuiltAnswers(t, re, answers)
 }
 
 // parentAnswers is what a parent commit recorded on reopening one of its

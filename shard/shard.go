@@ -386,7 +386,7 @@ func (ix *Index) Sizes() promips.SizeBreakdown {
 	var sz promips.SizeBreakdown
 	for _, c := range ix.children {
 		s := c.Sizes()
-		sz.BTree += s.BTree
+		sz.RingDir += s.RingDir
 		sz.Projected += s.Projected
 		sz.QuickProbe += s.QuickProbe
 		sz.Norms += s.Norms
