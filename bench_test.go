@@ -367,28 +367,29 @@ func BenchmarkFig11ImpactP(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentThroughput measures QPS of one shared index served by
-// a 1/2/4/8-worker pool through SearchBatch — the concurrent serving path
-// (per-query I/O accounting, shared buffer pool, read-locked index).
+// BenchmarkConcurrentThroughput measures QPS of one shared index served
+// through SearchBatch at GOMAXPROCS 1/2/4/8 — the batch pool's size — on
+// the concurrent serving path (per-query I/O accounting, shared buffer
+// pool, read-locked index).
 func BenchmarkConcurrentThroughput(b *testing.B) {
 	env, _ := sharedEnv(b)
-	dir := b.TempDir()
-	ix, err := core.Build(context.Background(), env.Data, dir, core.Options{M: 6, Seed: 7})
+	ix, err := promips.Build(env.Data, promips.Options{Dir: b.TempDir(), M: 6, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer ix.Close()
 	// Warm the buffer pool so every worker count runs against the same
 	// cache state.
-	if _, _, err := ix.SearchBatch(context.Background(), env.Queries, 10, 1, core.SearchParams{}); err != nil {
+	if _, _, err := ix.SearchBatch(context.Background(), env.Queries, 10); err != nil {
 		b.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 4, 8} {
-		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
+		b.Run("procs="+strconv.Itoa(w), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 			queries := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ix.SearchBatch(context.Background(), env.Queries, 10, w, core.SearchParams{}); err != nil {
+				if _, _, err := ix.SearchBatch(context.Background(), env.Queries, 10); err != nil {
 					b.Fatal(err)
 				}
 				queries += len(env.Queries)

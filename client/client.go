@@ -49,13 +49,14 @@ type SearchResponse struct {
 	Stats   promips.SearchStats `json:"stats"`
 }
 
-// BatchRequest runs one query per vector over the server's worker pool.
+// BatchRequest runs one query per vector over the server's worker pool,
+// which has one worker per CPU of the server and no per-request size (a
+// "workers" field from older clients is ignored).
 type BatchRequest struct {
 	Vectors   [][]float32 `json:"vectors"`
 	K         int         `json:"k"`
 	C         float64     `json:"c,omitempty"`
 	P         float64     `json:"p,omitempty"`
-	Workers   int         `json:"workers,omitempty"`
 	TimeoutMs int64       `json:"timeout_ms,omitempty"`
 }
 

@@ -322,23 +322,38 @@ func writeBadRequest(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, client.ErrorBody{Error: "bad request: " + err.Error(), Code: client.CodeBadRequest})
 }
 
-func searchOpts(c, p float64, workers int) []promips.SearchOption {
+// searchOpts is the request check both search handlers share: it refuses
+// a k or a (c, p) override no index accepts, so the client gets 400
+// bad_request instead of the 500 the index's plain error would map to, and
+// turns the overrides into options (0 keeps the index default).
+func searchOpts(k int, c, p float64) ([]promips.SearchOption, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("k must be positive, got %d", k)
+	}
 	var opts []promips.SearchOption
 	if c != 0 {
+		if !(c > 0 && c < 1) {
+			return nil, fmt.Errorf("c must be in (0,1), got %v", c)
+		}
 		opts = append(opts, promips.WithC(c))
 	}
 	if p != 0 {
+		if !(p > 0 && p < 1) {
+			return nil, fmt.Errorf("p must be in (0,1), got %v", p)
+		}
 		opts = append(opts, promips.WithP(p))
 	}
-	if workers > 0 {
-		opts = append(opts, promips.WithWorkers(workers))
-	}
-	return opts
+	return opts, nil
 }
 
 func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req client.SearchRequest
 	if err := decode(r, &req); err != nil {
+		writeBadRequest(w, err)
+		return
+	}
+	opts, err := searchOpts(req.K, req.C, req.P)
+	if err != nil {
 		writeBadRequest(w, err)
 		return
 	}
@@ -349,7 +364,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer s.searchGate.Leave()
 	ctx, cancel := s.reqCtx(r, req.TimeoutMs)
 	defer cancel()
-	res, stats, err := s.cur().Search(ctx, req.Vector, req.K, searchOpts(req.C, req.P, 0)...)
+	res, stats, err := s.cur().Search(ctx, req.Vector, req.K, opts...)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -363,6 +378,11 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, err)
 		return
 	}
+	opts, err := searchOpts(req.K, req.C, req.P)
+	if err != nil {
+		writeBadRequest(w, err)
+		return
+	}
 	if !s.searchGate.TryEnter() {
 		writeQueueFull(w, "search")
 		return
@@ -370,7 +390,7 @@ func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.searchGate.Leave()
 	ctx, cancel := s.reqCtx(r, req.TimeoutMs)
 	defer cancel()
-	res, stats, err := s.cur().SearchBatch(ctx, req.Vectors, req.K, searchOpts(req.C, req.P, req.Workers)...)
+	res, stats, err := s.cur().SearchBatch(ctx, req.Vectors, req.K, opts...)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -78,7 +78,7 @@ func TestRoundTrips(t *testing.T) {
 		t.Fatalf("freshly inserted id %d missing from its own top-5", id)
 	}
 
-	batch, err := c.SearchBatch(ctx, client.BatchRequest{Vectors: testVecs(r, 6, 8), K: 3, Workers: 3})
+	batch, err := c.SearchBatch(ctx, client.BatchRequest{Vectors: testVecs(r, 6, 8), K: 3})
 	if err != nil {
 		t.Fatalf("searchbatch: %v", err)
 	}
@@ -131,24 +131,41 @@ func TestErrorMapping(t *testing.T) {
 	}
 
 	// One JSON value per body: anything but whitespace after it is refused
-	// before the request reaches the index.
+	// before the request reaches the index. So is a k or a (c, p) override
+	// no index accepts, on both search endpoints. An old client's "workers"
+	// field is ignored.
 	const okBody = `{"vector":[1,2,3,4,5,6,7,8],"k":1}`
-	for body, want := range map[string]int{
-		okBody + " \n\t":    http.StatusOK,
-		`{"k":1}{"k":2}`:    http.StatusBadRequest,
-		`{"k":1} x`:         http.StatusBadRequest,
-		okBody + `{"k":2}`:  http.StatusBadRequest,
-		okBody + "\n" + `]`: http.StatusBadRequest,
+	const vecs = `"vectors":[[1,2,3,4,5,6,7,8],[8,7,6,5,4,3,2,1]]`
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/search", okBody + " \n\t", http.StatusOK},
+		{"/v1/search", `{"k":1}{"k":2}`, http.StatusBadRequest},
+		{"/v1/search", `{"k":1} x`, http.StatusBadRequest},
+		{"/v1/search", okBody + `{"k":2}`, http.StatusBadRequest},
+		{"/v1/search", okBody + "\n" + `]`, http.StatusBadRequest},
+		{"/v1/search", `{"vector":[1,2,3,4,5,6,7,8],"k":0}`, http.StatusBadRequest},
+		{"/v1/search", `{"vector":[1,2,3,4,5,6,7,8],"k":-1}`, http.StatusBadRequest},
+		{"/v1/search", `{"vector":[1,2,3,4,5,6,7,8],"k":1,"c":1.5}`, http.StatusBadRequest},
+		{"/v1/search", `{"vector":[1,2,3,4,5,6,7,8],"k":1,"c":1}`, http.StatusBadRequest},
+		{"/v1/search", `{"vector":[1,2,3,4,5,6,7,8],"k":1,"p":-0.2}`, http.StatusBadRequest},
+		{"/v1/search", `{"vector":[1,2,3,4,5,6,7,8],"k":1,"c":0.8,"p":0.7}`, http.StatusOK},
+		{"/v1/searchbatch", `{` + vecs + `,"k":2}`, http.StatusOK},
+		{"/v1/searchbatch", `{` + vecs + `,"k":2,"workers":3}`, http.StatusOK},
+		{"/v1/searchbatch", `{` + vecs + `,"k":0}`, http.StatusBadRequest},
+		{"/v1/searchbatch", `{` + vecs + `,"k":2,"p":1}`, http.StatusBadRequest},
+		{"/v1/searchbatch", `{` + vecs + `,"k":2,"c":-1}`, http.StatusBadRequest},
 	} {
-		resp, err := http.Post(url+"/v1/search", "application/json", strings.NewReader(body))
+		resp, err := http.Post(url+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var eb client.ErrorBody
 		json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
-		if resp.StatusCode != want || (want == http.StatusBadRequest && eb.Code != client.CodeBadRequest) {
-			t.Errorf("body %q = %d/%q, want %d", body, resp.StatusCode, eb.Code, want)
+		if resp.StatusCode != tc.want || (tc.want == http.StatusBadRequest && eb.Code != client.CodeBadRequest) {
+			t.Errorf("%s body %q = %d/%q, want %d", tc.path, tc.body, resp.StatusCode, eb.Code, tc.want)
 		}
 	}
 }

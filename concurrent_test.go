@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -90,8 +91,9 @@ func TestConcurrentSearchMatchesSequential(t *testing.T) {
 }
 
 // TestSearchBatchMatchesSequential is the acceptance criterion: SearchBatch
-// over 8 workers returns byte-identical results to sequential Search, with
-// correct per-query stats at every position.
+// on 1, 2, 4 and 8 workers (its pool is GOMAXPROCS-sized) returns
+// byte-identical results to sequential Search, with correct per-query stats
+// at every position.
 func TestSearchBatchMatchesSequential(t *testing.T) {
 	ix, queries := buildShared(t, 1500)
 	const k = 10
@@ -106,24 +108,19 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		wantRes[i], wantStats[i] = res, st
 	}
 
-	gotRes, gotStats, err := ix.SearchBatch(context.Background(), queries, k, WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotRes, wantRes) {
-		t.Fatal("SearchBatch results differ from sequential Search")
-	}
-	if !reflect.DeepEqual(gotStats, wantStats) {
-		t.Fatal("SearchBatch stats differ from sequential Search")
-	}
-
-	// Default worker count must agree too.
-	gotRes2, _, err := ix.SearchBatch(context.Background(), queries, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotRes2, wantRes) {
-		t.Fatal("SearchBatch with default workers differs from sequential Search")
+	for _, procs := range []int{1, 2, 4, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		gotRes, gotStats, err := ix.SearchBatch(context.Background(), queries, k)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Fatalf("GOMAXPROCS=%d: SearchBatch results differ from sequential Search", procs)
+		}
+		if !reflect.DeepEqual(gotStats, wantStats) {
+			t.Fatalf("GOMAXPROCS=%d: SearchBatch stats differ from sequential Search", procs)
+		}
 	}
 }
 
@@ -133,6 +130,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 // baseline exactly. Run under -race (CI does) this catches any unsynchronized
 // state the filter path might grow.
 func TestSearchBatchFilterConcurrent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	ix, queries := buildShared(t, 1500)
 	const k = 10
 	filter := func(id uint32) bool { return id%3 != 0 }
@@ -146,7 +144,7 @@ func TestSearchBatchFilterConcurrent(t *testing.T) {
 		wantRes[i] = res
 	}
 
-	gotRes, _, err := ix.SearchBatch(context.Background(), queries, k, WithFilter(filter), WithWorkers(8))
+	gotRes, _, err := ix.SearchBatch(context.Background(), queries, k, WithFilter(filter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +161,12 @@ func TestSearchBatchFilterConcurrent(t *testing.T) {
 }
 
 func TestSearchBatchPropagatesError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ix, queries := buildShared(t, 400)
 	bad := make([][]float32, len(queries))
 	copy(bad, queries)
 	bad[len(bad)/2] = []float32{1, 2, 3} // wrong dimensionality
-	if _, _, err := ix.SearchBatch(context.Background(), bad, 5, WithWorkers(4)); !errors.Is(err, ErrDimMismatch) {
+	if _, _, err := ix.SearchBatch(context.Background(), bad, 5); !errors.Is(err, ErrDimMismatch) {
 		t.Fatalf("batch with a mis-dimensioned query returned %v, want ErrDimMismatch", err)
 	}
 	if res, _, err := ix.SearchBatch(context.Background(), nil, 5); err != nil || res != nil {

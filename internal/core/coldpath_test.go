@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"promips/internal/dataset"
+	"promips/internal/par"
 )
 
 // TestRunawayBudgetFollowsResidency builds one dataset twice — with the
@@ -79,7 +80,7 @@ func TestRunawayBudgetFollowsResidency(t *testing.T) {
 }
 
 // TestNoPinLeakAfterQueries is the pin contract's leak invariant: whatever
-// a query does — Search, SearchIncremental, Exact, SearchBatch, a filtered
+// a query does — Search, SearchIncremental, Exact, a batch, a filtered
 // query, a runaway one that ends in the scan, one cancelled in its ordered
 // pass and one cancelled in its scan — every page it pinned is released by
 // the time it returns, on every pager of the index.
@@ -117,10 +118,16 @@ func TestNoPinLeakAfterQueries(t *testing.T) {
 		}
 		pinned("filtered Search")
 	}
-	if _, _, err := ix.SearchBatch(ctx, data[8:40], 10, 4, SearchParams{}); err != nil {
+	// A batch, as promips.SearchBatch runs one: concurrent queries on the pool.
+	batch := data[8:40]
+	err := par.Do(ctx, len(batch), func(i int) error {
+		_, _, err := ix.SearchContext(ctx, batch[i], 10, SearchParams{})
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	pinned("SearchBatch")
+	pinned("batch")
 	_, st, err := ix.Search(outside[0], 10)
 	if err != nil || st.TerminatedBy != "scan" {
 		t.Fatalf("out-of-sample query: %v, terminated by %q; want the runaway scan", err, st.TerminatedBy)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestDoRunsEveryTaskOnce(t *testing.T) {
@@ -13,7 +14,7 @@ func TestDoRunsEveryTaskOnce(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, n := range []int{0, 1, 3, 100} {
 			ran := make([]atomic.Int32, n)
-			if err := Do(context.Background(), n, func(i int) { ran[i].Add(1) }); err != nil {
+			if err := Do(context.Background(), n, func(i int) error { ran[i].Add(1); return nil }); err != nil {
 				t.Fatal(err)
 			}
 			for i := range ran {
@@ -30,7 +31,7 @@ func TestDoRunsEveryTaskOnce(t *testing.T) {
 func TestDoSingleWorkerOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var order []int
-	if err := Do(context.Background(), 5, func(i int) { order = append(order, i) }); err != nil {
+	if err := Do(context.Background(), 5, func(i int) error { order = append(order, i); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	for i, got := range order {
@@ -63,25 +64,66 @@ func TestRangeCoversEveryIndexOnce(t *testing.T) {
 }
 
 // A done context stops Do between tasks: every worker finishes the task it
-// is on and starts no other.
+// is on and starts at most the one it had already claimed. Only tasks that
+// start after cancel has returned count: while it runs, the context is not
+// done yet and other workers may start any number.
 func TestDoStopsWhenContextDone(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var ran atomic.Int32
-	err := Do(ctx, 10000, func(i int) {
+	var ran, after atomic.Int32
+	var cancelled atomic.Bool
+	err := Do(ctx, 10000, func(i int) error {
+		if cancelled.Load() {
+			after.Add(1)
+		}
 		if ran.Add(1) == 10 {
 			cancel()
+			cancelled.Store(true)
 		}
+		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Do returned %v", err)
 	}
-	if got := ran.Load(); got > 10+4 {
-		t.Fatalf("%d tasks ran after the context was cancelled at the tenth", got-10)
+	if got := after.Load(); got > 4 {
+		t.Fatalf("%d tasks started after the context was cancelled at the tenth", got)
 	}
 	cancel()
-	if err := Do(ctx, 3, func(int) { t.Error("task ran under a done context") }); !errors.Is(err, context.Canceled) {
+	if err := Do(ctx, 3, func(int) error { t.Error("task ran under a done context"); return nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Do returned %v", err)
+	}
+}
+
+// A task's error stops Do like a done context and is what Do returns: once
+// the failing task has returned, each worker starts at most the one task it
+// may already have claimed.
+func TestDoStopsAtFirstError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		var failed atomic.Bool
+		var after atomic.Int32
+		err := Do(context.Background(), 10000, func(i int) error {
+			if failed.Load() {
+				after.Add(1)
+				// Slow enough that no worker fits a second task into the
+				// instants between the failing task's return and Do seeing it.
+				time.Sleep(time.Millisecond)
+				return nil
+			}
+			if i == 10 {
+				failed.Store(true)
+				return boom
+			}
+			return nil
+		})
+		runtime.GOMAXPROCS(prev)
+		if !errors.Is(err, boom) {
+			t.Fatalf("procs=%d: Do returned %v, want the task's error", procs, err)
+		}
+		if got := after.Load(); got > int32(procs) {
+			t.Fatalf("procs=%d: %d tasks started after the failing one", procs, got)
+		}
 	}
 }

@@ -111,7 +111,7 @@ func BuildSketch(ctx context.Context, data [][]float32, cfg SketchConfig) (*Sket
 		stride = n / cfg.TrainSample
 	}
 
-	err := par.Do(ctx, cfg.Subspaces, func(sub int) {
+	err := par.Do(ctx, cfg.Subspaces, func(sub int) error {
 		lo := sub * subDim
 		sample := make([][]float32, 0, n/stride+1)
 		for i := 0; i < n; i += stride {
@@ -123,6 +123,7 @@ func BuildSketch(ctx context.Context, data [][]float32, cfg SketchConfig) (*Sket
 			copy(book[ci*subDim:], cent)
 		}
 		s.codebooks[sub] = book
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -289,6 +289,7 @@ func TestCompactUnderConcurrentReaders(t *testing.T) {
 // and demands context.Canceled back with every worker drained (no goroutine
 // leak).
 func TestSearchBatchCancellation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	r := rand.New(rand.NewSource(211))
 	data := randData(r, 800, 12)
 	ix, err := Build(data, Options{Dir: t.TempDir(), Seed: 212, M: 5})
@@ -307,14 +308,12 @@ func TestSearchBatchCancellation(t *testing.T) {
 	var fired atomic.Bool
 	// The filter runs once per candidate inside the first queries' scans:
 	// cancelling from it guarantees the batch is genuinely mid-flight.
-	_, _, err = ix.SearchBatch(ctx, queries, 5,
-		WithWorkers(4),
-		WithFilter(func(id uint32) bool {
-			if fired.CompareAndSwap(false, true) {
-				cancel()
-			}
-			return true
-		}))
+	_, _, err = ix.SearchBatch(ctx, queries, 5, WithFilter(func(id uint32) bool {
+		if fired.CompareAndSwap(false, true) {
+			cancel()
+		}
+		return true
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch returned %v, want context.Canceled", err)
 	}

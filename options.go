@@ -15,7 +15,6 @@ type SearchOption func(*searchConfig)
 // searchConfig is the resolved option set for one Search/SearchBatch call.
 type searchConfig struct {
 	params       core.SearchParams
-	workers      int
 	shardTimeout time.Duration
 	requireAll   bool
 }
@@ -58,12 +57,6 @@ func WithFilter(f func(id uint32) bool) SearchOption {
 	return func(cfg *searchConfig) { cfg.params.Filter = f }
 }
 
-// WithWorkers sets the worker-pool size for SearchBatch (n <= 0 means one
-// worker per available CPU). Single-query Search ignores it.
-func WithWorkers(n int) SearchOption {
-	return func(cfg *searchConfig) { cfg.workers = n }
-}
-
 // WithShardTimeout bounds each shard's portion of a fanned-out search
 // (promips/shard): a shard that has not answered within d is treated as
 // failed — isolated and reported through SearchStats.Degraded in the
@@ -89,15 +82,13 @@ func WithRequireAllShards() SearchOption {
 // opaque functional options amount to for one call. A fan-out layer
 // (promips/shard) needs it to re-derive per-child options: split the
 // guarantee probability across shards, rewrap the filter for each child's
-// local id space, and size its own worker pool. Zero values mean "index
-// default", exactly as the options themselves do.
+// local id space, and bound or gate each shard's part of the query. Zero
+// values mean "index default", exactly as the options themselves do.
 type ResolvedOptions struct {
 	// C and P are the per-query guarantee overrides (0 = index default).
 	C, P float64
 	// Filter is the id predicate, or nil.
 	Filter func(id uint32) bool
-	// Workers is the requested batch worker-pool size (0 = default).
-	Workers int
 	// ShardTimeout is the per-shard deadline of a fanned-out search
 	// (0 = none).
 	ShardTimeout time.Duration
@@ -113,7 +104,6 @@ func ResolveSearchOptions(opts ...SearchOption) ResolvedOptions {
 	return ResolvedOptions{
 		C: cfg.params.C, P: cfg.params.P,
 		Filter:           cfg.params.Filter,
-		Workers:          cfg.workers,
 		ShardTimeout:     cfg.shardTimeout,
 		RequireAllShards: cfg.requireAll,
 	}

@@ -55,10 +55,11 @@
 //
 // Search, SearchIncremental and SearchBatch accept functional options:
 // WithC and WithP re-derive the paper's two termination conditions with
-// query-local guarantees, WithFilter restricts the search to ids a
-// predicate accepts, and WithWorkers sizes SearchBatch's pool. All queries
-// take a context and stop between iDistance sub-partition scans (and, for
-// batches, between queries) once it is cancelled.
+// query-local guarantees, and WithFilter restricts the search to ids a
+// predicate accepts. SearchBatch runs on the GOMAXPROCS-sized pool Build
+// uses; nothing sizes it per call. All queries take a context and stop
+// between iDistance sub-partition scans (and, for batches, between
+// queries) once it is cancelled.
 package promips
 
 import (
@@ -74,6 +75,7 @@ import (
 
 	"promips/internal/core"
 	"promips/internal/fsutil"
+	"promips/internal/par"
 )
 
 // Options configures Build. The zero value reproduces the paper's default
@@ -338,15 +340,30 @@ func (ix *Index) Search(ctx context.Context, q []float32, k int, opts ...SearchO
 }
 
 // SearchBatch answers many queries concurrently against the shared index
-// with a bounded worker pool (WithWorkers sizes it; the default is one
-// worker per available CPU, at most one per query). Results and stats are
-// positionally aligned with queries, and each query's answer is identical
-// to what a sequential Search with the same options would return. The
-// first query error cancels the remaining work and is returned; cancelling
-// ctx stops the batch between queries with ctx.Err().
+// on the worker pool Build uses: runtime.GOMAXPROCS(0) workers, at most one
+// per query. Results and stats are positionally aligned with queries, and
+// each query's answer is identical to what a sequential Search with the
+// same options would return: workers share the read lock and the buffer
+// pool but account their I/O privately. The first query error stops the
+// remaining work and is returned; cancelling ctx stops the batch between
+// queries with ctx.Err().
 func (ix *Index) SearchBatch(ctx context.Context, queries [][]float32, k int, opts ...SearchOption) ([][]Result, []SearchStats, error) {
-	cfg := resolveOptions(opts)
-	return ix.inner.SearchBatch(ctx, queries, k, cfg.workers, cfg.params)
+	if len(queries) == 0 {
+		return nil, nil, nil
+	}
+	params := resolveOptions(opts).params
+	results := make([][]Result, len(queries))
+	stats := make([]SearchStats, len(queries))
+	err := par.Do(ctx, len(queries), func(i int) (err error) {
+		if results[i], stats[i], err = ix.inner.SearchContext(ctx, queries[i], k, params); err != nil {
+			return fmt.Errorf("promips: batch query %d: %w", i, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return results, stats, nil
 }
 
 // SearchIncremental answers the same query with the paper's Algorithm 1

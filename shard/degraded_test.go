@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -156,11 +157,12 @@ func TestSearchBatchDegradesPerQuery(t *testing.T) {
 	primary := buildPrimary(t, data, 2)
 	queries := randData(r, 3, 8)
 
-	// One worker keeps the claim order (and so shard 1's op stream) equal
-	// to the query order: its 2nd op is query index 1.
+	// At GOMAXPROCS 1 the pool runs the queries in order on the caller, so
+	// shard 1's op stream follows the query order: its 2nd op is query 1.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	primary.SetFaults(&Faults{Shard: 1, FailAt: 2})
 	defer primary.SetFaults(nil)
-	_, sts, err := primary.SearchBatch(context.Background(), queries, 5, promips.WithWorkers(1))
+	_, sts, err := primary.SearchBatch(context.Background(), queries, 5)
 	if err != nil {
 		t.Fatalf("batch with one faulted query: %v", err)
 	}

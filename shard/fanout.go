@@ -4,13 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"promips"
+	"promips/internal/par"
 )
 
 // Fan-out query execution over K child indexes, and the shardSet read
@@ -69,47 +68,20 @@ func fanSearch(ctx context.Context, children []*promips.Index, flt *Faults, q []
 	if err != nil {
 		return nil, promips.SearchStats{}, err
 	}
-	type shardOut struct {
-		res   []promips.Result
-		st    promips.SearchStats
-		empty bool
-		err   error
-	}
-	outs := make([]shardOut, len(children))
-	var wg sync.WaitGroup
-	for s, child := range children {
-		wg.Add(1)
-		go func(s int, child *promips.Index) {
-			defer wg.Done()
-			cctx := ctx
-			if resolved.ShardTimeout > 0 {
-				var cancel context.CancelFunc
-				cctx, cancel = context.WithTimeout(ctx, resolved.ShardTimeout)
-				defer cancel()
+	outs := fanOut(ctx, children, func(ctx context.Context, s int, child *promips.Index) ([]promips.Result, promips.SearchStats, error) {
+		if resolved.ShardTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, resolved.ShardTimeout)
+			defer cancel()
+		}
+		if flt != nil {
+			if err := flt.enter(ctx, s); err != nil {
+				return nil, promips.SearchStats{}, err
 			}
-			if flt != nil {
-				if err := flt.enter(cctx, s); err != nil {
-					outs[s] = shardOut{err: fmt.Errorf("shard %d: %w", s, err)}
-					return
-				}
-			}
-			res, st, err := child.Search(cctx, q, k, childOpts(s)...)
-			if errors.Is(err, promips.ErrEmptyIndex) {
-				// A shard whose points are all deleted contributes nothing;
-				// the composed index is only empty if every shard is.
-				outs[s] = shardOut{empty: true}
-				return
-			}
-			if err != nil {
-				err = fmt.Errorf("shard %d: %w", s, err)
-			}
-			outs[s] = shardOut{res: remapResults(res, len(children), s), st: st, err: err}
-		}(s, child)
-	}
-	wg.Wait()
-	return mergeOuts(ctx, k, p, resolved.RequireAllShards, outs, func(o shardOut) ([]promips.Result, promips.SearchStats, bool, error) {
-		return o.res, o.st, o.empty, o.err
+		}
+		return child.Search(ctx, q, k, childOpts(s)...)
 	})
+	return mergeOuts(ctx, k, p, resolved.RequireAllShards, outs)
 }
 
 // fanExact runs the ground-truth scan against every child in parallel and
@@ -119,87 +91,73 @@ func fanSearch(ctx context.Context, children []*promips.Index, flt *Faults, q []
 // points tie bit-for-bit on the inner product. Exact is always
 // all-or-nothing: a partial ground truth is worse than none.
 func fanExact(ctx context.Context, children []*promips.Index, q []float32, k int) ([]promips.Result, error) {
-	type shardOut struct {
-		res   []promips.Result
-		empty bool
-		err   error
-	}
+	outs := fanOut(ctx, children, func(ctx context.Context, _ int, child *promips.Index) ([]promips.Result, promips.SearchStats, error) {
+		res, err := child.Exact(ctx, q, k)
+		return res, promips.SearchStats{}, err
+	})
+	res, _, err := mergeOuts(ctx, k, 0, true, outs)
+	return res, err
+}
+
+// shardOut is one child's part of a fanned-out query.
+type shardOut struct {
+	res   []promips.Result // global ids
+	st    promips.SearchStats
+	empty bool // every point of the shard is deleted
+	err   error
+}
+
+// fanOut runs call against every child at once, one goroutine per shard,
+// and returns the outputs in shard order: a shard whose points are all
+// deleted is empty (it contributes nothing; the composed index is only
+// empty if every shard is), any other error is wrapped with the shard's
+// number, and result ids are remapped into the global id space. The
+// goroutines are not bounded by GOMAXPROCS: a degraded fan-out and
+// WithShardTimeout need every shard in flight at once, so a slow shard
+// never holds back the others' start.
+func fanOut(ctx context.Context, children []*promips.Index, call func(ctx context.Context, s int, child *promips.Index) ([]promips.Result, promips.SearchStats, error)) []shardOut {
 	outs := make([]shardOut, len(children))
 	var wg sync.WaitGroup
 	for s, child := range children {
 		wg.Add(1)
-		go func(s int, child *promips.Index) {
-			defer wg.Done()
-			res, err := child.Exact(ctx, q, k)
-			if errors.Is(err, promips.ErrEmptyIndex) {
-				outs[s] = shardOut{empty: true}
-				return
-			}
-			outs[s] = shardOut{res: remapResults(res, len(children), s), err: err}
-		}(s, child)
-	}
-	wg.Wait()
-	res, _, err := mergeOuts(ctx, k, 0, true, outs, func(o shardOut) ([]promips.Result, promips.SearchStats, bool, error) {
-		return o.res, promips.SearchStats{}, o.empty, o.err
-	})
-	return res, err
-}
-
-// fanBatch answers many queries with a bounded worker pool; each claimed
-// query fans out across all children, so the in-flight I/O concurrency is
-// workers × K — the overlap that buys sharded batch throughput on
-// disk-bound workloads. Per-query answers are identical to sequential
-// fanSearch calls — including per-query degradation, each query's
-// SearchStats.Degraded reporting its own shard losses; the first
-// query-fatal error cancels the remaining work.
-func fanBatch(ctx context.Context, children []*promips.Index, flt *Faults, queries [][]float32, k int, opts []promips.SearchOption) ([][]promips.Result, []promips.SearchStats, error) {
-	n := len(queries)
-	if n == 0 {
-		return nil, nil, nil
-	}
-	workers := promips.ResolveSearchOptions(opts...).Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	results := make([][]promips.Result, n)
-	stats := make([]promips.SearchStats, n)
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !failed.Load() {
-				if err := ctx.Err(); err != nil {
-					failed.Store(true)
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				res, st, err := fanSearch(ctx, children, flt, queries[i], k, opts)
-				if err != nil {
-					failed.Store(true)
-					errOnce.Do(func() { firstErr = fmt.Errorf("shard: batch query %d: %w", i, err) })
-					return
-				}
-				results[i], stats[i] = res, st
+			res, st, err := call(ctx, s, child)
+			switch {
+			case errors.Is(err, promips.ErrEmptyIndex):
+				outs[s] = shardOut{empty: true}
+			case err != nil:
+				outs[s] = shardOut{err: fmt.Errorf("shard %d: %w", s, err)}
+			default:
+				outs[s] = shardOut{res: remapResults(res, len(children), s), st: st}
 			}
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
+	return outs
+}
+
+// fanBatch answers many queries on the worker pool (internal/par); each
+// claimed query fans out across all children, so the in-flight I/O
+// concurrency is GOMAXPROCS × K — the overlap that buys sharded batch
+// throughput on disk-bound workloads. Per-query answers are identical to
+// sequential fanSearch calls — including per-query degradation, each
+// query's SearchStats.Degraded reporting its own shard losses; the first
+// query-fatal error stops the remaining work.
+func fanBatch(ctx context.Context, children []*promips.Index, flt *Faults, queries [][]float32, k int, opts []promips.SearchOption) ([][]promips.Result, []promips.SearchStats, error) {
+	if len(queries) == 0 {
+		return nil, nil, nil
+	}
+	results := make([][]promips.Result, len(queries))
+	stats := make([]promips.SearchStats, len(queries))
+	err := par.Do(ctx, len(queries), func(i int) (err error) {
+		if results[i], stats[i], err = fanSearch(ctx, children, flt, queries[i], k, opts); err != nil {
+			return fmt.Errorf("shard: batch query %d: %w", i, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return results, stats, nil
 }
@@ -260,7 +218,7 @@ func remapResults(res []promips.Result, k, s int) []promips.Result {
 // p is the effective global guarantee probability the fan-out was asked
 // for; the degraded report's AchievedP = 1 − A·(1−p)/K is the union bound
 // re-taken over only the A shards that answered.
-func mergeOuts[T any](ctx context.Context, k int, p float64, strict bool, outs []T, view func(T) ([]promips.Result, promips.SearchStats, bool, error)) ([]promips.Result, promips.SearchStats, error) {
+func mergeOuts(ctx context.Context, k int, p float64, strict bool, outs []shardOut) ([]promips.Result, promips.SearchStats, error) {
 	var (
 		lists    [][]promips.Result
 		sts      []promips.SearchStats
@@ -269,23 +227,22 @@ func mergeOuts[T any](ctx context.Context, k int, p float64, strict bool, outs [
 		allEmpty = true
 	)
 	for s, o := range outs {
-		res, st, empty, err := view(o)
-		if err != nil {
+		if o.err != nil {
 			if strict {
-				return nil, promips.SearchStats{}, err
+				return nil, promips.SearchStats{}, o.err
 			}
 			if firstErr == nil {
-				firstErr = err
+				firstErr = o.err
 			}
 			failed = append(failed, s)
 			continue
 		}
-		if empty {
+		if o.empty {
 			continue
 		}
 		allEmpty = false
-		lists = append(lists, res)
-		sts = append(sts, st)
+		lists = append(lists, o.res)
+		sts = append(sts, o.st)
 	}
 	if len(failed) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -407,10 +364,10 @@ func (ss *shardSet) Search(ctx context.Context, q []float32, k int, opts ...prom
 	return fanSearch(ctx, ss.children, ss.getFaults(), q, k, opts)
 }
 
-// SearchBatch answers many queries with a bounded worker pool (WithWorkers
-// sizes it); each in-flight query fans out across all K shards, so disk
-// I/O overlaps workers×K ways. Answers are identical to sequential Search
-// calls.
+// SearchBatch answers many queries on the GOMAXPROCS-sized worker pool
+// Build uses; each in-flight query fans out across all K shards, so disk
+// I/O overlaps GOMAXPROCS×K ways. Answers are identical to sequential
+// Search calls.
 func (ss *shardSet) SearchBatch(ctx context.Context, queries [][]float32, k int, opts ...promips.SearchOption) ([][]promips.Result, []promips.SearchStats, error) {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()

@@ -131,9 +131,7 @@ func Build(data [][]float32, opts Options) (*Index, error) {
 	// those all lie above the failed one.
 	children := make([]*promips.Index, k)
 	errs := make([]error, k)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	par.Do(ctx, k, func(s int) {
+	par.Do(context.Background(), k, func(s int) error {
 		childDir := filepath.Join(dir, shardDirName(s))
 		if errs[s] = os.MkdirAll(childDir, 0o755); errs[s] == nil {
 			childOpts := opts.Index
@@ -141,9 +139,7 @@ func Build(data [][]float32, opts Options) (*Index, error) {
 			childOpts.Seed += int64(s)
 			children[s], errs[s] = promips.Build(parts[s], childOpts.WithFS(fsys))
 		}
-		if errs[s] != nil {
-			cancel()
-		}
+		return errs[s]
 	})
 	for s, err := range errs {
 		if err == nil {

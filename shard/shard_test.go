@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"promips"
@@ -200,7 +201,8 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	batch, batchSt, err := ix.SearchBatch(context.Background(), queries, 5, promips.WithWorkers(3))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	batch, batchSt, err := ix.SearchBatch(context.Background(), queries, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
