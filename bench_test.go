@@ -84,8 +84,12 @@ var (
 
 // searchBenchEnv builds a ProMIPS-only environment for the hot-path
 // benchmarks (the four-method sharedEnv is much slower to set up) and warms
-// the buffer pool so the timed loops measure the steady state. The index is
-// built directly through internal/core (this test package lives inside the
+// the buffer pool so the timed loops measure the steady state. The pool is
+// sized to hold the store, as e2ebench's warm-small sizes it: the 1,024-page
+// default cannot hold the ~1,340-page vector file of the default n = 4,000,
+// and queries against it would pay preads and get the non-resident runaway
+// budget; 8,192 pages hold up to about 24,000 points. The index is built
+// directly through internal/core (this test package lives inside the
 // module), keeping the public bench API free of internal types.
 func searchBenchEnv(b *testing.B) (*bench.Env, *core.Index) {
 	b.Helper()
@@ -101,7 +105,7 @@ func searchBenchEnv(b *testing.B) (*bench.Env, *core.Index) {
 			searchErr = err
 			return
 		}
-		searchIx, searchErr = core.Build(context.Background(), searchEnv.Data, dir, core.Options{M: 6, Seed: 1})
+		searchIx, searchErr = core.Build(context.Background(), searchEnv.Data, dir, core.Options{M: 6, Seed: 1, PoolSize: 8192})
 		if searchErr != nil {
 			return
 		}

@@ -24,7 +24,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -237,9 +239,14 @@ type Index struct {
 	// use its estimated inner products to decide verification ORDER only
 	// (every result stays exactly verified), so a nil sketch — an index
 	// saved before sketches existed — just disables pre-ranking.
+	//
+	// The sketch's rows and norm2Sq are in LAYOUT order (idist.Layout()),
+	// the order the candidate loops walk them in, indexed by
+	// idistance.Candidate.Pos; Save writes them by id, as they always were
+	// persisted, and Build and Open permute them once.
 	sketch *pq.Sketch
 
-	norm2Sq []float64 // per id, ‖o‖²
+	norm2Sq []float64 // per layout position, ‖o‖²
 	norm1   []float64 // per id, ‖o‖₁
 	codes   []uint32  // per id, sign code of P(o)
 	groups  []group
@@ -362,10 +369,14 @@ func Build(ctx context.Context, data [][]float32, dir string, opts Options) (*In
 	if err != nil {
 		return nil, err
 	}
-	// The reductions over points, in index order: ‖oM‖², and each sign-code
-	// group's smallest 1-norm (the first point wins a tie).
+	// The reductions over points, in index order: the finite-vector rule
+	// (read off the norms), ‖oM‖², and each sign-code group's smallest 1-norm
+	// (the first point wins a tie).
 	byCode := make(map[uint32]*group)
 	for i, code := range ix.codes {
+		if !finite(ix.norm2Sq[i]) {
+			return nil, fmt.Errorf("core: point %d: %w", i, errNonFinite)
+		}
 		if ix.norm2Sq[i] > ix.maxNorm2Sq {
 			ix.maxNorm2Sq = ix.norm2Sq[i]
 		}
@@ -411,6 +422,9 @@ func Build(ctx context.Context, data [][]float32, dir string, opts Options) (*In
 		return nil, skErr
 	}
 	ix.idist, ix.orig = idx, st
+	// The candidate loops read ‖o‖² and the sketch rows by layout position.
+	vec.PermuteRows(ix.norm2Sq, 1, idx.Layout())
+	ix.sketch.Permute(idx.Layout())
 
 	// Stage 3: a fresh update journal. Build may target a directory that
 	// held an older index, so any stale wal.log is truncated, not replayed.
@@ -588,6 +602,21 @@ func (ix *Index) CacheStats() pager.Stats {
 	}
 	return total
 }
+
+// errNonFinite refuses a vector with a NaN or infinite component. Build,
+// Insert and every query entry point apply the rule: a NaN query would
+// reach iDistance's float→int ring conversion (undefined for NaN), a NaN
+// point would make every query that reaches it offer NaN, and the exact
+// prunes bound inner products by norms, which a non-finite component leaves
+// meaningless.
+var errNonFinite = errors.New("a component is NaN or infinite; vectors must be finite")
+
+// finite reports whether the vector whose squared norm (vec.Norm2Sq) is
+// normSq has only finite components: a NaN component makes the norm NaN and
+// an infinite one +Inf, while float32 components squared and summed in
+// float64 cannot overflow, so one norm is the whole test — and Build and
+// Insert compute it anyway.
+func finite(normSq float64) bool { return normSq <= math.MaxFloat64 }
 
 // conditionA evaluates the deterministic termination test (Formula 1):
 // ‖oM‖² + ‖q‖² − 2⟨oi,q⟩/c ≤ 0. The approximation ratio c is query-local:

@@ -47,6 +47,11 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(context.Background(), [][]float32{{1, 2}, {1}}, t.TempDir(), Options{}); err == nil {
 		t.Fatal("expected error for ragged dataset")
 	}
+	for _, bad := range nonFinite {
+		if _, err := Build(context.Background(), [][]float32{{1, 2}, {3, bad}}, t.TempDir(), Options{}); err == nil {
+			t.Fatalf("expected error for a point with a %v component", bad)
+		}
+	}
 	data := [][]float32{{1, 2}, {3, 4}}
 	if _, err := Build(context.Background(), data, t.TempDir(), Options{C: 1.5}); err == nil {
 		t.Fatal("expected error for c >= 1")
@@ -72,6 +77,16 @@ func TestBuildDefaults(t *testing.T) {
 	}
 }
 
+// nonFinite are the component values every vector entry point rejects.
+var nonFinite = []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+
+// withComponent returns a copy of v with component i set to x.
+func withComponent(v []float32, i int, x float32) []float32 {
+	w := vec.Clone(v)
+	w[i] = x
+	return w
+}
+
 func TestSearchArgumentErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	data := randData(r, 100, 8)
@@ -81,6 +96,11 @@ func TestSearchArgumentErrors(t *testing.T) {
 	}
 	if _, _, err := ix.Search(make([]float32, 8), 0); err == nil {
 		t.Fatal("expected error for k=0")
+	}
+	for _, bad := range nonFinite {
+		if _, _, err := ix.Search(withComponent(data[0], 3, bad), 1); err == nil {
+			t.Fatalf("expected error for a query with a %v component", bad)
+		}
 	}
 }
 

@@ -43,11 +43,11 @@ func (s *query) referenceRun() error {
 			return candSkipped, nil
 		}
 		if ipK, full := top.kth(); full {
-			if ipK >= 0 && sn.norm2Sq[cand.ID]*s.normQSq <= ipK*ipK {
+			if ipK >= 0 && sn.norm2Sq[cand.Pos]*s.normQSq <= ipK*ipK {
 				st.NormPruned++
 				return candPruned, nil
 			}
-			if sketchLUT != nil && sn.sketch.Bound(cand.ID, sketchLUT, s.normQ) <= ipK {
+			if sketchLUT != nil && sn.sketch.Bound(cand.Pos, sketchLUT, s.normQ) <= ipK {
 				st.NormPruned++
 				return candPruned, nil
 			}
@@ -55,7 +55,7 @@ func (s *query) referenceRun() error {
 		if st.Candidates >= sn.runawayBudget() {
 			return candSkipped, errRunaway
 		}
-		ip, err := sc.reader.Dot(cand.ID, s.q, s.io)
+		ip, err := sc.reader.DotAt(int(cand.Pos), s.q, s.io)
 		if err != nil {
 			return candSkipped, err
 		}
@@ -78,7 +78,7 @@ func (s *query) referenceRun() error {
 		return ""
 	}
 
-	if sc.cands, err = sn.idist.CollectRangeAppend(s.ctx, sc.pq, r, s.io, sc.cands); err != nil {
+	if sc.cands, err = sn.idist.Search(s.ctx, sc.pq, -1, r, s.io, sc.cands[:0]); err != nil {
 		return err
 	}
 	var preranked []uint32
@@ -136,11 +136,7 @@ func (s *query) referenceRun() error {
 		rExt = math.Sqrt(s.chi * denom)
 	}
 	st.ExtendedRadius = rExt
-	var extCands []idistance.Candidate
-	err = sn.idist.Search(s.ctx, sc.pq, r, rExt, s.io, func(cand idistance.Candidate) bool {
-		extCands = append(extCands, cand)
-		return true
-	})
+	extCands, err := sn.idist.Search(s.ctx, sc.pq, r, rExt, s.io, nil)
 	if err != nil {
 		return err
 	}

@@ -15,6 +15,7 @@ import (
 	"promips/internal/pq"
 	"promips/internal/randproj"
 	"promips/internal/store"
+	"promips/internal/vec"
 	"promips/internal/wal"
 )
 
@@ -22,7 +23,9 @@ import (
 // files (iDistance data, original vectors) stay on disk. The
 // update state rides along — Delta holds inserted-but-uncompacted points
 // with their assigned ids, Deleted the tombstones — so a saved index
-// reopens with exactly the results it answered before Save.
+// reopens with exactly the results it answered before Save. Every per-point
+// array here, the sketch's rows included, is indexed by id, whatever order
+// the Index holds it in.
 type coreMeta struct {
 	Opts       Options
 	N, D, M    int
@@ -124,16 +127,18 @@ func (ix *Index) Save(dir string) error {
 	if err := ix.idist.SaveFS(fsys, dir); err != nil {
 		return err
 	}
+	// ‖o‖² and the sketch rows are held in layout order and persisted by id.
+	layout := ix.idist.Layout()
 	m := coreMeta{
 		Opts: ix.opts, N: ix.n, D: ix.d, M: ix.m,
 		Projector: ix.proj.Encode(),
-		Norm2Sq:   ix.norm2Sq, Norm1: ix.norm1, Codes: ix.codes,
+		Norm2Sq:   vec.UnpermuteRows(ix.norm2Sq, 1, layout), Norm1: ix.norm1, Codes: ix.codes,
 		MaxNorm2Sq: ix.maxNorm2Sq,
 	}
 	m.Opts.fs = nil // the seam is per-process, never persisted
 	m.Opts.Fsync = 0
 	if ix.sketch != nil {
-		sk, err := ix.sketch.Marshal()
+		sk, err := ix.sketch.Marshal(layout)
 		if err != nil {
 			return err
 		}
@@ -213,6 +218,11 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	if idist.Len() != m.N {
+		idist.Close()
+		return nil, fmt.Errorf("core: meta of %d points over an iDistance index of %d: %w", m.N, idist.Len(), errs.ErrCorruptIndex)
+	}
+	vec.PermuteRows(m.Norm2Sq, 1, idist.Layout()) // read by layout position
 	orig, err := store.Open(filepath.Join(dir, "orig.data"),
 		pager.Options{PageSize: m.Opts.PageSize, PoolSize: m.Opts.PoolSize})
 	if err != nil {
@@ -246,6 +256,7 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 			return nil, fmt.Errorf("core: meta: sketch of %d points, dim %d, %d subspaces over n=%d d=%d: %w",
 				sk.Len(), sk.Dim(), sk.Subspaces(), m.N, m.D, errs.ErrCorruptIndex)
 		}
+		sk.Permute(idist.Layout())
 		ix.sketch = sk
 	}
 	ix.groups = make([]group, len(m.Groups))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -9,6 +10,7 @@ import (
 
 	"promips/internal/dataset"
 	"promips/internal/idistance"
+	"promips/internal/vec"
 )
 
 // insertionSelect is the pre-ranking window selection as it was before the
@@ -43,8 +45,9 @@ func insertionSelect(cands []idistance.Candidate, estimate func(i int) float64, 
 // binary-search insertion — on random estimates drawn from a few values (so
 // most comparisons are ties broken by id) at a window of one, of the
 // default 48 and wider than the candidate set, and through selectPrerank on
-// a real sketch over duplicated points, where the cached estimates must
-// match too.
+// a real sketch over duplicated points, where the cached estimates (four
+// rows per pass) must equal one Estimate of the candidate's layout row, and
+// that row must hold the encoding of the candidate's own vector.
 func TestPrerankSelectionMatchesInsertion(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -74,19 +77,32 @@ func TestPrerankSelectionMatchesInsertion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sn.release()
+	posOf := make([]uint32, n)
+	for pos, id := range sn.idist.Layout() {
+		posOf[id] = uint32(pos)
+	}
+	codes := make([]byte, sn.sketch.Subspaces())
 	for qi := 0; qi < 12; qi++ {
 		k := []int{1, 10, 25, 400}[qi%4]
+		q := data[qi*37]
 		sc := getScratch(sn)
 		sc.cands = sc.cands[:0]
-		for _, id := range rng.Perm(n)[:300+qi*70] {
-			sc.cands = append(sc.cands, idistance.Candidate{ID: uint32(id)})
+		for _, id := range rng.Perm(n)[:300+qi*70+qi%4] {
+			sc.cands = append(sc.cands, idistance.Candidate{ID: uint32(id), Pos: posOf[id]})
 		}
-		sc.lut = sn.sketch.NewLUT(data[qi*37], sc.lut)
+		sc.lut = sn.sketch.NewLUT(q, sc.lut)
 		w := min(max(4*k, prerankMinWindow), len(sc.cands))
-		want, wantEsts := insertionSelect(sc.cands, func(i int) float64 { return sn.sketch.Estimate(sc.cands[i].ID, sc.lut) }, w)
+		want, wantEsts := insertionSelect(sc.cands, func(i int) float64 { return sn.sketch.Estimate(sc.cands[i].Pos, sc.lut) }, w)
 		got := slices.Clone(sc.selectPrerank(sn.sketch, k))
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(sc.ests, wantEsts) {
 			t.Fatalf("query %d, k=%d: selectPrerank differs from the insertion oracle", qi, k)
+		}
+		normQ := math.Sqrt(vec.Norm2Sq(q))
+		for _, c := range sc.cands[:20] {
+			resid := sn.sketch.Encode(data[c.ID], codes)
+			if got, want := sn.sketch.Bound(c.Pos, sc.lut, normQ), sn.sketch.BoundCodes(codes, resid, sc.lut, normQ); got != want {
+				t.Fatalf("query %d: row %d bounds %v, the encoding of point %d %v", qi, c.Pos, got, c.ID, want)
+			}
 		}
 		putScratch(sc)
 	}

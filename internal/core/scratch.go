@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -73,9 +74,11 @@ const prerankMinWindow = 48
 // selectPrerank fills sc.prerank with the candidates of sc.cands holding
 // the largest sketch-estimated inner products (window max(4k,
 // prerankMinWindow)), best first, and sc.ests with every candidate's
-// estimate — each code row is walked once per query, here. sc.lut must
-// already hold the query's lookup table. The selection is deterministic:
-// ties in the estimate break on the smaller id.
+// estimate — each code row is walked once per query, here, four rows per
+// pass; the candidates arrive in layout order, so the rows are visited in
+// ascending memory order. sc.lut must already hold the query's lookup table.
+// The selection is deterministic: ties in the estimate break on the smaller
+// id.
 func (sc *queryScratch) selectPrerank(sk *pq.Sketch, k int) []prerankCand {
 	w := 4 * k
 	if w < prerankMinWindow {
@@ -84,9 +87,15 @@ func (sc *queryScratch) selectPrerank(sk *pq.Sketch, k int) []prerankCand {
 	if w > len(sc.cands) {
 		w = len(sc.cands)
 	}
-	ests := sc.ests[:0]
-	for _, cand := range sc.cands {
-		ests = append(ests, sk.Estimate(cand.ID, sc.lut))
+	cands := sc.cands
+	ests := slices.Grow(sc.ests[:0], len(cands))[:len(cands)]
+	i := 0
+	for ; i+4 <= len(cands); i += 4 {
+		c := cands[i : i+4 : i+4]
+		ests[i], ests[i+1], ests[i+2], ests[i+3] = sk.Estimate4(c[0].Pos, c[1].Pos, c[2].Pos, c[3].Pos, sc.lut)
+	}
+	for ; i < len(cands); i++ {
+		ests[i] = sk.Estimate(cands[i].Pos, sc.lut)
 	}
 	sc.ests = ests
 	sc.prerank = bestByEstimate(sc.prerank[:0], sc.cands, ests, w)

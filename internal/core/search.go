@@ -149,6 +149,9 @@ func (sn *snapshot) beginSearch(q []float32, k int, params SearchParams) (c, p f
 	if len(q) != sn.d {
 		return 0, 0, 0, fmt.Errorf("core: %w: query dim %d, want %d", errs.ErrDimMismatch, len(q), sn.d)
 	}
+	if !finite(vec.Norm2Sq(q)) {
+		return 0, 0, 0, fmt.Errorf("core: query: %w", errNonFinite)
+	}
 	if k <= 0 {
 		return 0, 0, 0, fmt.Errorf("core: k must be positive, got %d", k)
 	}
@@ -282,7 +285,7 @@ func (s *query) run() error {
 		return err
 	}
 	// Candidates are collected unsorted, in disk order.
-	if sc.cands, err = sn.idist.CollectRangeAppend(s.ctx, sc.pq, r, s.io, sc.cands); err != nil {
+	if sc.cands, err = sn.idist.Search(s.ctx, sc.pq, -1, r, s.io, sc.cands[:0]); err != nil {
 		return err
 	}
 	if err := s.prerank(memLUT != nil); err != nil {
@@ -318,19 +321,13 @@ func (s *query) run() error {
 		rExt = math.Sqrt(s.chi * sn.conditionBDenominator(s.c, s.normQSq, ipK))
 	}
 	s.st.ExtendedRadius = rExt
-	extCands := sc.extCands[:0]
-	err = sn.idist.Search(s.ctx, sc.pq, r, rExt, s.io, func(cand idistance.Candidate) bool {
-		extCands = append(extCands, cand)
-		return true
-	})
-	sc.extCands = extCands
-	if err != nil {
+	if sc.extCands, err = sn.idist.Search(s.ctx, sc.pq, r, rExt, s.io, sc.extCands[:0]); err != nil {
 		return err
 	}
 	// Extension candidates lie in (r, r'] — disjoint from the range pass, so
 	// nothing seen so far can share their frontier and no estimate is cached.
 	sc.seen = sc.seen[:0]
-	if reason, err = s.orderedPass(extCands, nil, nil); err != nil {
+	if reason, err = s.orderedPass(sc.extCands, nil, nil); err != nil {
 		return err
 	}
 	if reason == "" {
@@ -391,7 +388,7 @@ func (s *query) prerank(lutBuilt bool) error {
 		if !s.admits(pc.cand.ID) {
 			continue
 		}
-		verified, err := s.verify(pc.cand)
+		verified, err := s.verify(pc.cand, &pc.est)
 		if err != nil {
 			return err
 		}
@@ -424,44 +421,47 @@ func (s *query) admits(id uint32) bool {
 // ⟨omax^k,q⟩ peaks after the pre-ranked window, disqualifying most of the
 // remaining candidates from memory alone. Both tests are monotone in
 // ⟨omax^k,q⟩: a candidate dismissed once stays dismissed as the top-k fills.
-func (s *query) dismissed(id uint32, est *float64) bool {
+// ‖o‖² and the sketch row are read at the candidate's layout position.
+func (s *query) dismissed(cand idistance.Candidate, est *float64) bool {
 	ipK, full := s.top.kth()
 	if !full {
 		return false
 	}
-	if ipK >= 0 && s.sn.norm2Sq[id]*s.normQSq <= ipK*ipK {
+	if ipK >= 0 && s.sn.norm2Sq[cand.Pos]*s.normQSq <= ipK*ipK {
 		return true
 	}
 	if s.sketchLUT == nil {
 		return false
 	}
 	if est == nil {
-		return s.sn.sketch.Bound(id, s.sketchLUT, s.normQ) <= ipK
+		return s.sn.sketch.Bound(cand.Pos, s.sketchLUT, s.normQ) <= ipK
 	}
-	return s.sn.sketch.BoundEstimate(id, *est, s.normQ) <= ipK
+	return s.sn.sketch.BoundEstimate(cand.Pos, *est, s.normQ) <= ipK
 }
 
 // verify handles one admitted candidate at its turn: dismissed from memory
 // (counted in NormPruned) or exactly verified — its inner product computed
-// straight from its store page (zero-copy, page-local via the scratch
-// reader) and offered to the top-k. Either way the candidate is SEEN: it is
-// exactly (if one-sidedly) bounded, which is all the termination argument
-// needs of a point inside the distance frontier.
-func (s *query) verify(cand idistance.Candidate) (verified bool, err error) {
+// straight from its store page, read at the candidate's layout position
+// (zero-copy, page-local via the scratch reader), and offered to the top-k.
+// Either way the candidate is SEEN: it is exactly (if one-sidedly) bounded,
+// which is all the termination argument needs of a point inside the
+// distance frontier. est is the candidate's cached sketch estimate, nil when
+// none was computed.
+func (s *query) verify(cand idistance.Candidate, est *float64) (verified bool, err error) {
 	if s.verifies&255 == 0 {
 		if err := s.ctx.Err(); err != nil {
 			return false, err
 		}
 	}
 	s.verifies++
-	if s.dismissed(cand.ID, nil) {
+	if s.dismissed(cand, est) {
 		s.st.NormPruned++
 		return false, nil
 	}
 	if s.st.Candidates >= s.budget {
 		return false, errRunaway
 	}
-	ip, err := s.sc.reader.Dot(cand.ID, s.q, s.io)
+	ip, err := s.sc.reader.DotAt(int(cand.Pos), s.q, s.io)
 	if err != nil {
 		return false, err
 	}
@@ -552,7 +552,7 @@ func (s *query) orderedPass(cands []idistance.Candidate, window []int32, ests []
 		if len(ests) > 0 {
 			est = &ests[i]
 		}
-		if s.dismissed(cand.ID, est) {
+		if s.dismissed(cand, est) {
 			sc.seen = append(sc.seen, cand)
 		} else {
 			survivors = append(survivors, cand)
@@ -585,7 +585,7 @@ func (s *query) orderedPass(cands []idistance.Candidate, window []int32, ests []
 			countReached(cand)
 			return "", nil
 		}
-		if _, err := s.verify(cand); err != nil {
+		if _, err := s.verify(cand, nil); err != nil {
 			countReached(cand) // a runaway query reports its stats too
 			return "", err
 		}
@@ -743,10 +743,10 @@ func (sn *snapshot) searchIncremental(ctx context.Context, q []float32, k int, p
 		// The same exact Cauchy-Schwarz prune as the main path: a candidate
 		// whose norm cannot beat the current k-th inner product is counted
 		// seen without touching its store page.
-		if ipK, full := top.kth(); full && ipK >= 0 && sn.norm2Sq[cand.ID]*normQSq <= ipK*ipK {
+		if ipK, full := top.kth(); full && ipK >= 0 && sn.norm2Sq[cand.Pos]*normQSq <= ipK*ipK {
 			st.NormPruned++
 		} else {
-			ip, err := sc.reader.Dot(cand.ID, q, io)
+			ip, err := sc.reader.DotAt(int(cand.Pos), q, io)
 			if err != nil {
 				return nil, st, err
 			}

@@ -72,3 +72,45 @@ func BenchmarkSearchCold(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSearchWarm measures Search on a resident index — the e2ebench
+// warm-small shape: Netflix generator, n=17,770, d=300, a PoolSize of 8,192
+// pages that holds both page files, m=6, the default c=0.9 and p=0.5, k=10
+// and 256 member queries. Collection, pre-ranking and the verification
+// passes are all in-memory work here, so ns/op is their cost. Beside it the
+// benchmark reports two counts that repeat exactly: exact-dots/query, the
+// verifications (each one exact inner product over a store page), and
+// store-reads/query, the read calls against the vector file (0: the store
+// is resident).
+//
+//	go test ./internal/core -run NONE -bench SearchWarm -benchtime 2048x
+func BenchmarkSearchWarm(b *testing.B) {
+	const n, k = 17770, 10
+	data := dataset.Netflix().Generate(n, 20210419)
+	ix := buildIndex(b, data, Options{Seed: 20210419, M: 6, C: 0.9, P: 0.5, PoolSize: 8192})
+	queries := make([][]float32, 256)
+	for i := range queries {
+		queries[i] = data[i*(n/len(queries))]
+	}
+	// One untimed pass warms the pools and tallies the count.
+	verified := 0
+	for _, q := range queries {
+		_, st, err := ix.Search(q, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		verified += st.Candidates
+	}
+	before := ix.orig.Pager().Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ix.Search(queries[i%len(queries)], k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reads := ix.orig.Pager().Stats().Sub(before).FileReads
+	b.ReportMetric(float64(verified)/float64(len(queries)), "exact-dots/query")
+	b.ReportMetric(float64(reads)/float64(b.N), "store-reads/query")
+}

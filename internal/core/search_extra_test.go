@@ -117,6 +117,11 @@ func TestSearchIncrementalErrors(t *testing.T) {
 	if _, _, err := ix.SearchIncremental(make([]float32, 8), -1); err == nil {
 		t.Fatal("expected k error")
 	}
+	for _, bad := range nonFinite {
+		if _, _, err := ix.SearchIncremental(withComponent(make([]float32, 8), 0, bad), 1); err == nil {
+			t.Fatalf("expected error for a query with a %v component", bad)
+		}
+	}
 }
 
 func TestExactDimMismatch(t *testing.T) {
@@ -124,5 +129,10 @@ func TestExactDimMismatch(t *testing.T) {
 	ix := buildIndex(t, randData(r, 50, 8), Options{Seed: 82, M: 4})
 	if _, err := ix.Exact(context.Background(), make([]float32, 3), 1); err == nil {
 		t.Fatal("expected dim mismatch error")
+	}
+	for _, bad := range nonFinite {
+		if _, err := ix.Exact(context.Background(), withComponent(make([]float32, 8), 7, bad), 1); err == nil {
+			t.Fatalf("expected error for a query with a %v component", bad)
+		}
 	}
 }

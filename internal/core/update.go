@@ -110,6 +110,9 @@ func (ix *Index) Insert(v []float32) (uint32, error) {
 	sk := ix.sketch
 	ix.mu.RUnlock()
 	e := newDeltaEntry(sk, 0, vec.Clone(v))
+	if !finite(e.ip2) {
+		return 0, fmt.Errorf("core: insert: %w", errNonFinite)
+	}
 	ix.mu.Lock()
 	id, lsn, err := ix.insertPreparedLocked(e, sk, true)
 	j := ix.journal

@@ -44,6 +44,14 @@ func TestInsertDimMismatch(t *testing.T) {
 	if _, err := ix.Insert(make([]float32, 7)); err == nil {
 		t.Fatal("expected dim mismatch error")
 	}
+	for _, bad := range nonFinite {
+		if _, err := ix.Insert(withComponent(make([]float32, 8), 2, bad)); err == nil {
+			t.Fatalf("expected error for an insert with a %v component", bad)
+		}
+	}
+	if ix.DeltaCount() != 0 || ix.JournalLen() != 0 {
+		t.Fatalf("refused inserts left %d delta entries and %d journal records", ix.DeltaCount(), ix.JournalLen())
+	}
 }
 
 func TestDeleteExcludesFromResults(t *testing.T) {

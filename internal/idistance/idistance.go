@@ -66,11 +66,16 @@ func (c *Config) normalize() {
 // packing keeps the data file at its information-theoretic page count,
 // which the Page Access metric rewards directly: a ring-aligned layout was
 // measured at 5× the pages for the same entries.
+//
+// startPos is the layout position of the first entry: the sub-partitions
+// hold the layout back to back in directory order, so it is the running
+// count of the points before it — derived by Build and Open, never persisted.
 type subPartition struct {
 	center    []float32
 	radius    float64
 	startPage int64
 	startSlot int
+	startPos  int
 	numPoints int
 }
 
@@ -100,9 +105,13 @@ type Index struct {
 }
 
 // Candidate is a point reported by a range or incremental search, with its
-// Euclidean distance to the query in the projected space.
+// Euclidean distance to the query in the projected space. Pos is the
+// point's layout position (Layout()[Pos] == ID): its row in every array the
+// layers above keep in layout order, and its slot in the vector store. It
+// sits in what would otherwise be padding, so a Candidate is 16 bytes.
 type Candidate struct {
 	ID   uint32
+	Pos  uint32
 	Dist float64
 }
 
@@ -214,12 +223,13 @@ func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (
 			if len(ms) == 0 {
 				continue
 			}
+			pos := len(idx.layout)
 			page, slot, err := rw.writeSub(ms, projected)
 			if err != nil {
 				return nil, err
 			}
 			rg.subs = append(rg.subs, subPartition{center: sres.Centroids[s], radius: sres.Radii[s],
-				startPage: page, startSlot: slot, numPoints: len(ms)})
+				startPage: page, startSlot: slot, startPos: pos, numPoints: len(ms)})
 		}
 		if err := rw.flush(); err != nil {
 			return nil, err

@@ -95,15 +95,20 @@ func TestAnnulusSearchExcludesInnerBall(t *testing.T) {
 	q := randPoints(r, 1, 5, 10)[0]
 	rLo, rHi := 8.0, 16.0
 	seen := make(map[uint32]bool)
-	err := idx.Search(context.Background(), q, rLo, rHi, nil, func(c Candidate) bool {
+	// Search appends: what out already holds stays in front.
+	prefix := []Candidate{{ID: 1 << 30}}
+	got, err := idx.Search(context.Background(), q, rLo, rHi, nil, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != prefix[0] {
+		t.Fatalf("Search overwrote the slice it appends to: %v", got[0])
+	}
+	for _, c := range got[1:] {
 		if c.Dist <= rLo || c.Dist > rHi {
 			t.Fatalf("candidate %d at %.3f outside annulus (%v,%v]", c.ID, c.Dist, rLo, rHi)
 		}
 		seen[c.ID] = true
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	for i, p := range pts {
 		d := vec.L2Dist(p, q)
@@ -113,17 +118,83 @@ func TestAnnulusSearchExcludesInnerBall(t *testing.T) {
 	}
 }
 
-func TestSearchEarlyStop(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	pts := randPoints(r, 500, 4, 5)
-	idx := buildTestIndex(t, pts, Config{Seed: 7, PageSize: 512})
-	count := 0
-	idx.Search(context.Background(), pts[0], -1, 1e9, nil, func(c Candidate) bool {
-		count++
-		return count < 10
-	})
-	if count != 10 {
-		t.Fatalf("early stop visited %d, want 10", count)
+// TestCandidatePositions: every candidate a search reports carries its
+// layout position — Layout()[Pos] == ID — and its distance bit for bit as
+// one L2Dist of the point's projected vector; a range search, an annulus
+// (the compensation pass's shape) and an Iterator walk see positions
+// ascending within one Search. Checked on a fresh build, on its reopened
+// copy and on the legacy fixture, whose sub-partition positions Open
+// derives from a directory read out of the old tree file.
+func TestCandidatePositions(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	pts := randPoints(r, 2500, 6, 10)
+	dir := t.TempDir()
+	fresh, err := Build(context.Background(), pts, dir, Config{Seed: 23, PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	legacy, err := Open(copyLegacyFixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer legacy.Close()
+	legacyPts := randPoints(rand.New(rand.NewSource(40)), 300, 4, 10)
+
+	for _, tc := range []struct {
+		name string
+		idx  *Index
+		pts  [][]float32
+	}{{"fresh", fresh, pts}, {"reopened", reopened, pts}, {"legacy", legacy, legacyPts}} {
+		layout := tc.idx.Layout()
+		check := func(what string, cands []Candidate, ascending bool) {
+			t.Helper()
+			for i, c := range cands {
+				if int(c.Pos) >= len(layout) || layout[c.Pos] != c.ID {
+					t.Fatalf("%s %s: candidate %d at position %d, layout holds %v there", tc.name, what, c.ID, c.Pos, layout[min(int(c.Pos), len(layout)-1)])
+				}
+				if ascending && i > 0 && c.Pos <= cands[i-1].Pos {
+					t.Fatalf("%s %s: positions %d then %d", tc.name, what, cands[i-1].Pos, c.Pos)
+				}
+			}
+		}
+		m := len(tc.pts[0])
+		for trial := 0; trial < 8; trial++ {
+			q := randPoints(r, 1, m, 10)[0]
+			rad := 3 + r.Float64()*12
+			ranged, err := tc.idx.Search(context.Background(), q, -1, rad, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("range", ranged, true)
+			for _, c := range ranged {
+				if d := vec.L2Dist(tc.pts[c.ID], q); d != c.Dist {
+					t.Fatalf("%s: candidate %d at %v, L2Dist %v", tc.name, c.ID, c.Dist, d)
+				}
+			}
+			annulus, err := tc.idx.Search(context.Background(), q, rad, 2*rad, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("annulus", annulus, true)
+			it := tc.idx.NewIterator(context.Background(), q, nil)
+			var walked []Candidate
+			for c, ok := it.Next(); ok; c, ok = it.Next() {
+				walked = append(walked, c)
+			}
+			if it.Err() != nil || len(walked) != len(tc.pts) {
+				t.Fatalf("%s: iterator yielded %d of %d points (%v)", tc.name, len(walked), len(tc.pts), it.Err())
+			}
+			check("iterator", walked, false)
+		}
 	}
 }
 
@@ -383,7 +454,7 @@ func TestPropertyRingDirectoryModelEquivalence(t *testing.T) {
 			rg := ring{key: key}
 			for s := 1 + r.Intn(12); s > 0; s-- {
 				sub := subPartition{center: randPoints(r, 1, m.M, 10)[0], radius: r.Float64() * 10,
-					startPage: r.Int63n(dataPages / 2), startSlot: r.Intn(m.EntriesPerPage), numPoints: 1 + r.Intn(200)}
+					startPage: r.Int63n(dataPages / 2), startSlot: r.Intn(m.EntriesPerPage), startPos: m.N, numPoints: 1 + r.Intn(200)}
 				m.N += sub.numPoints
 				rg.subs = append(rg.subs, sub)
 			}

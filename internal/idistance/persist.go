@@ -148,7 +148,10 @@ func (m *meta) splitDirs() [][]byte {
 
 // ringDirectory decodes the rings keys[i] → dirs[i] of a validated m: keys
 // ascending inside the partitions, every directory well-formed, and the
-// sub-partition point counts summing to n.
+// sub-partition point counts summing to n. Each sub-partition's startPos is
+// the running count, the same layout positions Build assigned — for a
+// directory read from a legacy tree too, whose leaf chain yields the rings in
+// the key order Build laid them out in.
 func (m *meta) ringDirectory(keys []int64, dirs [][]byte, dataPages int64) ([]ring, error) {
 	if len(keys) != len(dirs) {
 		return nil, corrupt("%d ring keys for %d ring directories", len(keys), len(dirs))
@@ -163,8 +166,9 @@ func (m *meta) ringDirectory(keys []int64, dirs [][]byte, dataPages int64) ([]ri
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range subs {
-			points += s.numPoints
+		for j := range subs {
+			subs[j].startPos = points
+			points += subs[j].numPoints
 		}
 		rings[i] = ring{key: key, subs: subs}
 	}
@@ -195,11 +199,16 @@ func (m *meta) validate(dataPages int64) error {
 	if m.Stride < 1 || !(m.Epsilon > 0 && m.Epsilon <= math.MaxFloat64) {
 		return corrupt("stride %d, ring width %v", m.Stride, m.Epsilon)
 	}
+	// The layers above permute their per-point arrays by the layout, so it
+	// must be a permutation, not merely in range.
+	placed := make([]bool, m.N)
 	for id := range m.N {
-		if m.LocPage[id] < 0 || m.LocPage[id] >= dataPages || m.LocSlot[id] < 0 || int(m.LocSlot[id]) >= m.EntriesPerPage || int(m.Layout[id]) >= m.N {
-			return corrupt("point %d at page %d slot %d (layout %d) outside %d pages of %d entries",
+		if m.LocPage[id] < 0 || m.LocPage[id] >= dataPages || m.LocSlot[id] < 0 || int(m.LocSlot[id]) >= m.EntriesPerPage ||
+			int(m.Layout[id]) >= m.N || placed[m.Layout[id]] {
+			return corrupt("point %d at page %d slot %d (layout %d) outside %d pages of %d entries, or placed twice",
 				id, m.LocPage[id], m.LocSlot[id], m.Layout[id], dataPages, m.EntriesPerPage)
 		}
+		placed[m.Layout[id]] = true
 	}
 	return nil
 }

@@ -25,10 +25,11 @@ func CompareCandidates(a, b Candidate) int {
 }
 
 // scanScratch is the per-query scratch of the scan path: the page views of
-// the sub-partition run being scanned. Pooled so a steady query load
-// allocates nothing here.
+// the sub-partition run being scanned and the squared distances of one
+// page's entries. Pooled so a steady query load allocates nothing here.
 type scanScratch struct {
 	pages []pager.Page
+	dist  []float64
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -40,10 +41,12 @@ func (sc *scanScratch) release() {
 	scanScratchPool.Put(sc)
 }
 
-// Search visits every indexed point whose projected distance d to q
-// satisfies rLo < d ≤ rHi, in disk order (sub-partition by sub-partition;
-// callers sort when they need distance order). Pass rLo < 0 for a plain
-// range search. visit returning false stops the scan early.
+// Search appends to out every indexed point whose projected distance d to q
+// satisfies rLo < d ≤ rHi, in disk order (sub-partition by sub-partition,
+// so Pos ascends; callers sort when they need distance order) and returns
+// the extended slice. Pass rLo < 0 for a plain range search. The range
+// collection of a query, its compensation annulus and every round of the
+// Iterator are this one loop.
 //
 // Filtering follows §VI: partitions whose sphere does not intersect the
 // query sphere are skipped, and within one the rings outside the query
@@ -53,18 +56,24 @@ func (sc *scanScratch) release() {
 //
 // Cancellation is checked between sub-partition scans (one sub-partition is
 // at most a few pages of sequential I/O, so a cancelled query stops within
-// that bound); the scan then returns ctx.Err().
+// that bound); the scan then returns ctx.Err(). On any error the returned
+// slice keeps out's storage but its contents are partial: a truncated
+// candidate set would silently void the probability guarantee, so callers
+// must not use it.
 //
 // Projected-point page reads are recorded in io, the caller's per-query
 // accumulator; nil discards the accounting. The ring directory is in memory
 // and costs no page access.
-func (idx *Index) Search(ctx context.Context, q []float32, rLo, rHi float64, io *pager.IOStats, visit func(Candidate) bool) error {
-	entrySize := 4 + vec.EncodedSize(idx.m)
+func (idx *Index) Search(ctx context.Context, q []float32, rLo, rHi float64, io *pager.IOStats, out []Candidate) ([]Candidate, error) {
 	sc := scanScratchPool.Get().(*scanScratch)
 	defer sc.release()
+	if cap(sc.dist) < idx.entriesPerPage {
+		sc.dist = make([]float64, idx.entriesPerPage)
+	}
+	band := scanBand{rLo: rLo, rHi: rHi, hiSq: max(rHi*rHi*(1+0x1p-40), 0x1p-1022)}
 	for p, center := range idx.centers {
 		if err := ctx.Err(); err != nil {
-			return err
+			return out, err
 		}
 		dc := vec.L2Dist(q, center)
 		if dc-rHi > idx.radii[p] {
@@ -82,7 +91,7 @@ func (idx *Index) Search(ctx context.Context, q []float32, rLo, rHi float64, io 
 		for _, rg := range idx.ringsIn(int64(p)*idx.stride+ringLo, int64(p)*idx.stride+ringHi) {
 			for _, sub := range rg.subs {
 				if err := ctx.Err(); err != nil {
-					return err
+					return out, err
 				}
 				ds := vec.L2Dist(q, sub.center)
 				if ds-sub.radius > rHi {
@@ -91,13 +100,37 @@ func (idx *Index) Search(ctx context.Context, q []float32, rLo, rHi float64, io 
 				if rLo >= 0 && ds+sub.radius <= rLo {
 					continue // sphere entirely inside the excluded ball
 				}
-				if more, err := idx.scanSub(sub, q, rLo, rHi, entrySize, sc, io, visit); err != nil || !more {
-					return err
+				var err error
+				if out, err = idx.scanSub(sub, q, band, sc, io, out); err != nil {
+					return out, err
 				}
 			}
 		}
 	}
-	return nil
+	return out, nil
+}
+
+// scanBand is the distance test of one Search: rLo < d ≤ rHi. hiSq bounds
+// the squared distances whose root is worth taking: for x > rHi²·(1+2⁻⁴⁰)
+// the float64 square root exceeds rHi whatever the rounding of rHi² and of
+// the product (each at most 2⁻⁵³ relative), so the entry fails the test and
+// is dropped on x alone. The floor of hiSq at the smallest normal float64
+// keeps that true when rHi² would underflow; rHi = +Inf gives hiSq = +Inf,
+// and a NaN fails both forms of the test.
+type scanBand struct {
+	rLo, rHi, hiSq float64
+}
+
+// appendIn appends the entry (id, pos) at squared distance x when its
+// distance falls in the band.
+func (b scanBand) appendIn(out []Candidate, id, pos uint32, x float64) []Candidate {
+	if x > b.hiSq {
+		return out
+	}
+	if d := math.Sqrt(x); d <= b.rHi && (b.rLo < 0 || d > b.rLo) {
+		out = append(out, Candidate{ID: id, Pos: pos, Dist: d})
+	}
+	return out
 }
 
 // ringsIn returns the rings whose keys lie in [loKey, hiKey], ascending.
@@ -108,76 +141,55 @@ func (idx *Index) ringsIn(loKey, hiKey int64) []ring {
 }
 
 // scanSub reads a sub-partition's short sequential page run in one
-// readahead round trip and reports matching points. The first entry sits at
-// (startPage, startSlot); later entries continue across page boundaries.
-// The whole run is fetched with a single pager.ReadRun — cached pages come
-// from the pool, the missing remainder costs one contiguous file read under
-// one shard lock instead of a pager round trip per page — and distances are
-// computed by the fused zero-copy kernel straight from the page bytes (no
-// per-entry decode buffer exists on this path). The run stays pinned while
-// it is scored and is released on every exit. It returns more=false when
-// visit stops the scan, and a non-nil error when the run read fails (the
-// caller must not treat that as a clean early stop: a truncated candidate
-// set would silently void the probability guarantee).
-func (idx *Index) scanSub(sub subPartition, q []float32, rLo, rHi float64, entrySize int, sc *scanScratch, io *pager.IOStats, visit func(Candidate) bool) (more bool, err error) {
+// readahead round trip and appends its entries inside the band to out. The
+// first entry sits at (startPage, startSlot) and layout position startPos;
+// later entries continue across page boundaries and positions. The whole
+// run is fetched with a single pager.ReadRun — cached pages come from the
+// pool, the missing remainder costs one contiguous file read under one
+// shard lock instead of a pager round trip per page. Each page's share of
+// the run is scored straight from the page bytes by vec.L2DistSqRows, four
+// entries per pass over one view of the page (no per-entry decode buffer
+// exists on this path; each distance is bit-identical to scoring its entry
+// alone), then filtered into out. The run stays pinned while it is scored
+// and is released on every exit.
+func (idx *Index) scanSub(sub subPartition, q []float32, band scanBand, sc *scanScratch, io *pager.IOStats, out []Candidate) ([]Candidate, error) {
 	nPages := (sub.startSlot + sub.numPoints + idx.entriesPerPage - 1) / idx.entriesPerPage
+	var err error
 	sc.pages, err = idx.data.ReadRun(sub.startPage, nPages, sc.pages[:0], io)
 	if err != nil {
-		return false, err
+		return out, err
 	}
 	defer pager.ReleaseAll(sc.pages)
+	entrySize := 4 + vec.EncodedSize(idx.m)
+	pos := uint32(sub.startPos)
 	remaining := sub.numPoints
 	slot := sub.startSlot
 	for _, pg := range sc.pages {
-		page := pg.Bytes()
-		for ; slot < idx.entriesPerPage && remaining > 0; slot++ {
-			off := slot * entrySize
-			id := vec.U32(page[off:])
-			d := math.Sqrt(vec.L2DistSqBytes(page[off+4:], q))
-			remaining--
-			if d <= rHi && (rLo < 0 || d > rLo) {
-				if !visit(Candidate{ID: id, Dist: d}) {
-					return false, nil
-				}
-			}
+		run := pg.Bytes()[slot*entrySize:]
+		dist := sc.dist[:min(idx.entriesPerPage-slot, remaining)]
+		vec.L2DistSqRows(run[4:], entrySize, q, dist)
+		for i, x := range dist {
+			out = band.appendIn(out, vec.U32(run[i*entrySize:]), pos+uint32(i), x)
 		}
+		pos += uint32(len(dist))
+		remaining -= len(dist)
 		slot = 0
 	}
-	return true, nil
+	return out, nil
 }
 
 // RangeSearch collects every point within distance r of q, sorted by
 // ascending projected distance — the order MIP-Search-II consumes
-// candidates in. Page reads are recorded in io.
+// candidates in. Page reads are recorded in io. The query path calls Search
+// instead and streams the unsorted result through a CandidateStream, which
+// yields ascending order lazily and skips the sorting work for candidates
+// it never consumes.
 func (idx *Index) RangeSearch(ctx context.Context, q []float32, r float64, io *pager.IOStats) ([]Candidate, error) {
-	return idx.RangeSearchAppend(ctx, q, r, io, nil)
-}
-
-// RangeSearchAppend is RangeSearch accumulating into out's storage (out is
-// truncated first), so a per-query scratch slice makes the candidate
-// collection allocation-free in the steady state.
-func (idx *Index) RangeSearchAppend(ctx context.Context, q []float32, r float64, io *pager.IOStats, out []Candidate) ([]Candidate, error) {
-	out, err := idx.CollectRangeAppend(ctx, q, r, io, out)
+	out, err := idx.Search(ctx, q, -1, r, io, nil)
 	if err != nil {
 		return nil, err
 	}
 	SortCandidates(out)
-	return out, nil
-}
-
-// CollectRangeAppend gathers every point within distance r of q into out's
-// storage in disk order, without sorting. The hot path streams the result
-// through a CandidateStream, which yields ascending order lazily and skips
-// the sorting work for candidates the caller never consumes.
-func (idx *Index) CollectRangeAppend(ctx context.Context, q []float32, r float64, io *pager.IOStats, out []Candidate) ([]Candidate, error) {
-	out = out[:0]
-	err := idx.Search(ctx, q, -1, r, io, func(c Candidate) bool {
-		out = append(out, c)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
@@ -232,15 +244,10 @@ func (it *Iterator) Next() (Candidate, bool) {
 		}
 		// Grow the annulus geometrically when rounds come back empty, so a
 		// query far from all partitions doesn't crawl ε by ε.
-		it.buf = it.buf[:0]
 		it.pos = 0
-		err := it.idx.Search(it.ctx, it.q, lo, hi, it.io, func(c Candidate) bool {
-			it.buf = append(it.buf, c)
-			return true
-		})
-		if err != nil {
-			it.lastErr = err
-			it.done = true
+		var err error
+		if it.buf, err = it.idx.Search(it.ctx, it.q, lo, hi, it.io, it.buf[:0]); err != nil {
+			it.buf, it.lastErr, it.done = it.buf[:0], err, true
 			return Candidate{}, false
 		}
 		SortCandidates(it.buf)

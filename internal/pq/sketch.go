@@ -34,7 +34,7 @@ type Sketch struct {
 	subDim    int // ceil(d / subspaces); the last chunk is zero-padded
 	centroids int
 	codebooks [][]float32 // [subspaces][centroids*subDim], row-major
-	codes     []byte      // [n][subspaces], row-major
+	codes     []byte      // [n][subspaces], row-major; row i is data[i] until Permute
 	// resid[i] = sqrt(Σ_sub ‖chunk_sub(o_i) − codeword‖²): the point's total
 	// quantization residual. By Cauchy-Schwarz (per subspace, then across
 	// subspaces), |⟨o,q⟩ − Estimate(o,q)| ≤ resid[o]·‖q‖, making Bound an
@@ -82,7 +82,8 @@ const encodeGrain = 512
 
 // BuildSketch trains the per-subspace codebooks on (a sample of) data and
 // encodes every point. Point i's codes row is i, matching the ids the
-// ProMIPS core assigns at Build. The subspaces train, and then the points
+// ProMIPS core assigns at Build (which then moves the rows into layout
+// order with Permute). The subspaces train, and then the points
 // encode, as tasks of the build worker pool (internal/par): each subspace
 // draws from its own seed and each point writes its own codes row, so the
 // sketch is the same at every worker count. A done ctx stops the build
@@ -281,15 +282,31 @@ func (s *Sketch) NewLUT(q []float32, dst []float64) []float64 {
 	return dst
 }
 
-// Estimate returns the sketch's estimated ⟨o_id, q⟩ from a table NewLUT
-// built for q.
-func (s *Sketch) Estimate(id uint32, lut []float64) float64 {
-	return s.estimateCodes(s.row(id), lut)
+// Estimate returns the sketch's estimated ⟨o,q⟩ for the point in row r,
+// from a table NewLUT built for q.
+func (s *Sketch) Estimate(r uint32, lut []float64) float64 {
+	return s.estimateCodes(s.row(r), lut)
 }
 
-// row returns point id's codes.
-func (s *Sketch) row(id uint32) []byte {
-	return s.codes[int(id)*s.subspaces : (int(id)+1)*s.subspaces]
+// Estimate4 returns the estimates of four rows, each == Estimate of its row:
+// the same table walk, with four independent add chains instead of one.
+// Pre-ranking estimates every collected candidate through it.
+func (s *Sketch) Estimate4(r0, r1, r2, r3 uint32, lut []float64) (e0, e1, e2, e3 float64) {
+	c0, c1, c2, c3 := s.row(r0), s.row(r1), s.row(r2), s.row(r3)
+	c1, c2, c3 = c1[:len(c0)], c2[:len(c0)], c3[:len(c0)]
+	for sub, code := range c0 {
+		base := sub * s.centroids
+		e0 += lut[base+int(code)]
+		e1 += lut[base+int(c1[sub])]
+		e2 += lut[base+int(c2[sub])]
+		e3 += lut[base+int(c3[sub])]
+	}
+	return
+}
+
+// row returns the codes of row r.
+func (s *Sketch) row(r uint32) []byte {
+	return s.codes[int(r)*s.subspaces : (int(r)+1)*s.subspaces]
 }
 
 func (s *Sketch) estimateCodes(codes []byte, lut []float64) float64 {
@@ -300,21 +317,31 @@ func (s *Sketch) estimateCodes(codes []byte, lut []float64) float64 {
 	return acc
 }
 
-// Bound returns an EXACT upper bound on ⟨o_id, q⟩: the sketch estimate plus
-// the point's quantization residual times ‖q‖ (normQ), pushed outward by
-// widen. A candidate whose Bound cannot beat the current
+// Bound returns an EXACT upper bound on ⟨o,q⟩ for the point in row r: the
+// sketch estimate plus the point's quantization residual times ‖q‖ (normQ),
+// pushed outward by widen. A candidate whose Bound cannot beat the current
 // k-th inner product provably cannot enter the top-k, so its disk
 // verification can be skipped with no probability spent.
-func (s *Sketch) Bound(id uint32, lut []float64, normQ float64) float64 {
-	return s.BoundEstimate(id, s.Estimate(id, lut), normQ)
+func (s *Sketch) Bound(r uint32, lut []float64, normQ float64) float64 {
+	return s.BoundEstimate(r, s.Estimate(r, lut), normQ)
 }
 
 // BoundEstimate is Bound for a caller that already holds est =
-// Estimate(id, lut) — the search path computes every collected candidate's
+// Estimate(r, lut) — the search path computes every collected candidate's
 // estimate once, to pre-rank, and bounds from that instead of walking the
 // codes again. The result is bit-identical to Bound.
-func (s *Sketch) BoundEstimate(id uint32, est, normQ float64) float64 {
-	return widen(est + float64(s.resid[id])*normQ)
+func (s *Sketch) BoundEstimate(r uint32, est, normQ float64) float64 {
+	return widen(est + float64(s.resid[r])*normQ)
+}
+
+// Permute reorders the sketch's rows in place so that row r afterwards
+// holds the point row order[r] held — BuildSketch encodes data[i] in row i,
+// and the ProMIPS core reorders the rows into the iDistance layout, the
+// order its candidate loops walk them in. order must be a permutation of
+// the rows.
+func (s *Sketch) Permute(order []uint32) {
+	vec.PermuteRows(s.codes, s.subspaces, order)
+	vec.PermuteRows(s.resid, 1, order)
 }
 
 // BoundCodes is Bound for a vector held outside the sketch: codes and resid
@@ -348,12 +375,19 @@ type sketchMeta struct {
 }
 
 // Marshal serializes the sketch for persistence alongside the index meta.
-func (s *Sketch) Marshal() ([]byte, error) {
+// The rows are written in the order they had before Permute(order): row r
+// is persisted as row order[r]. A nil order writes them as they are.
+func (s *Sketch) Marshal(order []uint32) ([]byte, error) {
+	codes, resid := s.codes, s.resid
+	if order != nil {
+		codes = vec.UnpermuteRows(codes, s.subspaces, order)
+		resid = vec.UnpermuteRows(resid, 1, order)
+	}
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(sketchMeta{
 		D: s.d, N: s.n,
 		Subspaces: s.subspaces, SubDim: s.subDim, Centroids: s.centroids,
-		Codebooks: s.codebooks, Codes: s.codes, Resid: s.resid,
+		Codebooks: s.codebooks, Codes: codes, Resid: resid,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pq: marshal sketch: %w", err)
@@ -361,7 +395,8 @@ func (s *Sketch) Marshal() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalSketch reverses Marshal.
+// UnmarshalSketch reverses Marshal(nil); a caller that marshaled with an
+// order applies Permute(order) to the result.
 func UnmarshalSketch(b []byte) (*Sketch, error) {
 	var m sketchMeta
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {

@@ -1,6 +1,7 @@
 package pq
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -90,7 +91,7 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := s.Marshal()
+	blob, err := s.Marshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +116,57 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSketchPermuteAndEstimate4: after Permute(order) row r answers for the
+// point row order[r] held, Marshal(order) writes the bytes the unpermuted
+// sketch's Marshal(nil) writes — the persisted row order does not move —
+// and Estimate4 of any four rows is == Estimate of each.
+func TestSketchPermuteAndEstimate4(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	data := randVecs(r, 157, 37)
+	build := func() *Sketch {
+		s, err := BuildSketch(context.Background(), data, SketchConfig{Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	byID, permuted := build(), build()
+	order := make([]uint32, len(data))
+	for i, id := range r.Perm(len(data)) {
+		order[i] = uint32(id)
+	}
+	permuted.Permute(order)
+	q := data[11]
+	lut := byID.NewLUT(q, nil)
+	normQ := vec.Norm2(q)
+	for row, id := range order {
+		if permuted.Estimate(uint32(row), lut) != byID.Estimate(id, lut) || permuted.Bound(uint32(row), lut, normQ) != byID.Bound(id, lut, normQ) {
+			t.Fatalf("row %d does not answer for point %d after Permute", row, id)
+		}
+	}
+	want, err := byID.Marshal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := permuted.Marshal(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("Marshal(order) of the permuted sketch differs from Marshal(nil) of the unpermuted one")
+	}
+	for trial := 0; trial < 200; trial++ {
+		rows := [4]uint32{uint32(r.Intn(len(data))), uint32(r.Intn(len(data))), uint32(r.Intn(len(data))), uint32(r.Intn(len(data)))}
+		var est [4]float64
+		est[0], est[1], est[2], est[3] = permuted.Estimate4(rows[0], rows[1], rows[2], rows[3], lut)
+		for i, row := range rows {
+			if want := permuted.Estimate(row, lut); math.Float64bits(est[i]) != math.Float64bits(want) {
+				t.Fatalf("Estimate4 row %d = %v, Estimate %v", row, est[i], want)
+			}
+		}
+	}
+}
+
 func TestUnmarshalSketchRejectsGarbage(t *testing.T) {
 	if _, err := UnmarshalSketch([]byte("not a gob")); err == nil {
 		t.Fatal("expected error for garbage blob")
@@ -128,7 +180,7 @@ func TestUnmarshalSketchRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.codes = s.codes[:len(s.codes)-1]
-	blob, err := s.Marshal()
+	blob, err := s.Marshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,17 +80,11 @@ func (r *Reader) entry(posn int, io *pager.IOStats) ([]byte, error) {
 	return page.Bytes()[off:], nil
 }
 
-// Dot returns ⟨o,q⟩ for the stored vector with the given id, computed
-// straight from the page bytes (zero-copy on little-endian hosts, fused
-// decode otherwise) — the verification kernel of the query hot path.
-func (r *Reader) Dot(id uint32, q []float32, io *pager.IOStats) (float64, error) {
-	if int(id) >= r.s.n {
-		return 0, fmt.Errorf("store: id %d out of range [0,%d)", id, r.s.n)
-	}
-	return r.DotAt(int(r.s.pos[id]), q, io)
-}
-
-// DotAt is Dot by layout position.
+// DotAt returns ⟨o,q⟩ for the stored vector at layout position posn,
+// computed straight from the page bytes (zero-copy on little-endian hosts,
+// fused decode otherwise) — the verification kernel of the query hot path.
+// The query path addresses the store by position: its candidates carry
+// their layout position, so no id → position lookup is needed.
 func (r *Reader) DotAt(posn int, q []float32, io *pager.IOStats) (float64, error) {
 	if len(q) != r.s.dim {
 		return 0, fmt.Errorf("store: query dim %d, want %d", len(q), r.s.dim)
@@ -100,17 +94,4 @@ func (r *Reader) DotAt(posn int, q []float32, io *pager.IOStats) (float64, error
 		return 0, err
 	}
 	return vec.DotBytes(entry, q), nil
-}
-
-// Vector reads the vector with the given id into dst (reused when large
-// enough), like Store.Vector but through the pinned window.
-func (r *Reader) Vector(id uint32, dst []float32, io *pager.IOStats) ([]float32, error) {
-	if int(id) >= r.s.n {
-		return nil, fmt.Errorf("store: id %d out of range [0,%d)", id, r.s.n)
-	}
-	entry, err := r.entry(int(r.s.pos[id]), io)
-	if err != nil {
-		return nil, err
-	}
-	return vec.Decode(entry, r.s.dim, dst), nil
 }

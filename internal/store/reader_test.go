@@ -40,7 +40,7 @@ func buildReaderStore(t *testing.T, n, dim, pageSize int) (*Store, [][]float32) 
 }
 
 // TestReaderDotMatchesVector asserts the fused page-local verification path
-// is bit-identical to the decode-then-Dot path for every id, in layout
+// is bit-identical to the decode-then-Dot path for every position, in layout
 // order (the order the hot path uses) and in random order (window misses).
 func TestReaderDotMatchesVector(t *testing.T) {
 	st, data := buildReaderStore(t, 200, 17, 256) // small pages → several vectors/page, many pages
@@ -48,23 +48,23 @@ func TestReaderDotMatchesVector(t *testing.T) {
 
 	rd := st.NewReader()
 	var io, io2 pager.IOStats
-	for id := 0; id < len(data); id++ {
-		got, err := rd.Dot(uint32(id), q, &io)
+	for pos := range data {
+		got, err := rd.DotAt(pos, q, &io)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := st.Vector(uint32(id), nil, &io2)
+		v, err := st.VectorAt(pos, nil, &io2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := vec.Dot(v, q)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("id %d: Reader.Dot=%x want %x", id, math.Float64bits(got), math.Float64bits(want))
+			t.Fatalf("position %d: Reader.DotAt=%x want %x", pos, math.Float64bits(got), math.Float64bits(want))
 		}
 	}
 	// The window must not change the distinct-page accounting.
 	if io.Pages() != io2.Pages() {
-		t.Fatalf("Reader touched %d distinct pages, Vector path %d", io.Pages(), io2.Pages())
+		t.Fatalf("Reader touched %d distinct pages, VectorAt path %d", io.Pages(), io2.Pages())
 	}
 	// …but it must eliminate the per-candidate pager round trips: layout
 	// order revisits each page perPage times through the memo.
@@ -75,39 +75,33 @@ func TestReaderDotMatchesVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rd2 := st.NewReader()
 	for trial := 0; trial < 500; trial++ {
-		id := uint32(rng.Intn(len(data)))
-		got, err := rd2.Dot(id, q, nil)
+		pos := rng.Intn(len(data))
+		got, err := rd2.DotAt(pos, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _ := st.Vector(id, nil, nil)
+		v, _ := st.VectorAt(pos, nil, nil)
 		if math.Float64bits(got) != math.Float64bits(vec.Dot(v, q)) {
-			t.Fatalf("random id %d mismatch", id)
+			t.Fatalf("random position %d mismatch", pos)
 		}
 	}
 }
 
-func TestReaderVectorAndReset(t *testing.T) {
+// TestReaderReset: a Reset reader still serves, and out-of-range positions
+// and mis-dimensioned queries are errors.
+func TestReaderReset(t *testing.T) {
 	st, data := buildReaderStore(t, 50, 9, 128)
 	rd := st.NewReader()
-	var buf []float32
-	for id := range data {
-		v, err := rd.Vector(uint32(id), buf, nil)
-		if err != nil {
+	for pos := range data {
+		if _, err := rd.DotAt(pos, data[pos], nil); err != nil {
 			t.Fatal(err)
-		}
-		buf = v
-		for j := range v {
-			if v[j] != data[id][j] {
-				t.Fatalf("id %d coord %d: %v != %v", id, j, v[j], data[id][j])
-			}
 		}
 	}
 	rd.Reset(st)
-	if _, err := rd.Dot(0, data[0], nil); err != nil {
+	if _, err := rd.DotAt(0, data[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.Dot(uint32(len(data)), data[0], nil); err == nil {
+	if _, err := rd.DotAt(len(data), data[0], nil); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 	if _, err := rd.DotAt(-1, data[0], nil); err == nil {

@@ -81,19 +81,22 @@ func U32(buf []byte) uint32 { return binary.LittleEndian.Uint32(buf) }
 func U64(buf []byte) uint64 { return binary.LittleEndian.Uint64(buf) }
 
 // dotKernel is the shared inner-product loop: single float64 accumulator in
-// ascending index order (the bit-exactness contract), 4-way unrolled.
-// Callers guarantee len(b) <= len(a).
+// ascending index order (the bit-exactness contract), 4-way unrolled over
+// fixed-length windows so the loop carries no bounds checks. Callers
+// guarantee len(b) <= len(a).
 func dotKernel(a, b []float32) float64 {
 	var s float64
-	i, n := 0, len(b)
-	for ; i+4 <= n; i += 4 {
-		s += float64(a[i]) * float64(b[i])
-		s += float64(a[i+1]) * float64(b[i+1])
-		s += float64(a[i+2]) * float64(b[i+2])
-		s += float64(a[i+3]) * float64(b[i+3])
+	a = a[:len(b)]
+	for len(b) >= 4 {
+		x, y := a[:4:4], b[:4:4]
+		s += float64(x[0]) * float64(y[0])
+		s += float64(x[1]) * float64(y[1])
+		s += float64(x[2]) * float64(y[2])
+		s += float64(x[3]) * float64(y[3])
+		a, b = a[4:], b[4:]
 	}
-	for ; i < n; i++ {
-		s += float64(a[i]) * float64(b[i])
+	for i, y := range b {
+		s += float64(a[i]) * float64(y)
 	}
 	return s
 }
@@ -233,4 +236,38 @@ func l2DistSqBytesPortable(buf []byte, b []float32) float64 {
 // L2DistBytes returns ‖o−b‖₂ for the encoded vector at the start of buf.
 func L2DistBytes(buf []byte, b []float32) float64 {
 	return math.Sqrt(L2DistSqBytes(buf, b))
+}
+
+// L2DistSqRows sets dst[i] = L2DistSqBytes(buf[i*stride:], b) for every i,
+// each bit-identical to that call: len(dst) encoded rows stride bytes apart
+// — iDistance's page entries, an id then the coordinates — scored four per
+// pass of L2DistSq4 over one view of the whole run, so the page scan pays
+// no per-row view or call. A run that cannot be aliased (big-endian host,
+// unaligned bytes, a stride that is not a whole number of floats) is scored
+// row by row.
+func L2DistSqRows(buf []byte, stride int, b []float32, dst []float64) {
+	n, m := len(dst), len(b)
+	if n == 0 {
+		return
+	}
+	var words []float32
+	ok := false
+	if stride%4 == 0 {
+		words, ok = F32View(buf, (n-1)*stride/4+m)
+	}
+	if !ok {
+		for i := range dst {
+			dst[i] = L2DistSqBytes(buf[i*stride:], b)
+		}
+		return
+	}
+	w := stride / 4
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		o := i * w
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = L2DistSq4(words[o:o+m], words[o+w:o+w+m], words[o+2*w:o+2*w+m], words[o+3*w:o+3*w+m], b)
+	}
+	for ; i < n; i++ {
+		dst[i] = l2Kernel(words[i*w:i*w+m], b)
+	}
 }

@@ -178,6 +178,48 @@ func TestL2DistSq4BitIdentical(t *testing.T) {
 	L2DistSq4(make([]float32, 4), make([]float32, 4), make([]float32, 3), make([]float32, 4), make([]float32, 4))
 }
 
+// TestL2DistSqRows: every distance of a strided run — iDistance's page
+// entries, a 4-byte id then the coordinates — is L2DistSqBytes of its row
+// bit for bit, for run lengths around the four-row pass (empty, tails of
+// every residue, a full page), on aligned and unaligned runs, on strides
+// that are not a whole number of floats (the per-row fallback) and on
+// adversarial payloads.
+func TestL2DistSqRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for _, m := range []int{1, 3, 6, 19} {
+		for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 146} {
+			for trial := range 4 {
+				stride := 4 + EncodedSize(m)
+				if trial == 3 {
+					stride += 2 // not a whole number of floats
+				}
+				gen := randVec
+				if trial%2 == 1 {
+					gen = advVec
+				}
+				pad := 0
+				if trial == 2 {
+					pad = 1
+				}
+				buf := make([]byte, pad+rows*stride)[pad:]
+				for i := range rows {
+					Encode(buf[i*stride+4:], gen(rng, m))
+				}
+				q := gen(rng, m)
+				dst := make([]float64, rows)
+				if rows > 0 {
+					L2DistSqRows(buf[4:], stride, q, dst)
+				}
+				for i, got := range dst {
+					if want := L2DistSqBytes(buf[i*stride+4:], q); !bitsEqual(got, want) {
+						t.Fatalf("m=%d rows=%d trial=%d row %d: L2DistSqRows %v, L2DistSqBytes %v", m, rows, trial, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzL2DistSq4 cross-checks the four-row kernel against L2DistSq on
 // fuzzer-chosen bytes: the input is cut into five equal vectors, four rows
 // and the shared operand.

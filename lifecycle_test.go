@@ -120,6 +120,17 @@ func TestInsertDimMismatch(t *testing.T) {
 	if _, _, err := ix.Search(context.Background(), make([]float32, 3), 1); !errors.Is(err, ErrDimMismatch) {
 		t.Fatalf("Search with dim 3 returned %v, want ErrDimMismatch", err)
 	}
+	// Non-finite components are refused at the same boundary.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		v := make([]float32, 8)
+		v[5] = float32(bad)
+		if _, err := ix.Insert(v); err == nil {
+			t.Fatalf("Insert with a %v component succeeded", bad)
+		}
+		if _, _, err := ix.Search(context.Background(), v, 1); err == nil {
+			t.Fatalf("Search with a %v component succeeded", bad)
+		}
+	}
 }
 
 // TestCompactPublic exercises the generation-directory protocol end to end:
