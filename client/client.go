@@ -202,6 +202,7 @@ type ErrorBody struct {
 // client maps them back (see APIError.Is).
 const (
 	CodeBadRequest      = "bad_request"      // 400: malformed JSON, missing fields
+	CodeTooLarge        = "too_large"        // 413: the request body exceeds the server's 64 MiB limit
 	CodeDimMismatch     = "dim_mismatch"     // 400: vector dimensionality does not match the index
 	CodeEmptyIndex      = "empty_index"      // 422: the index has no live points
 	CodeQueueFull       = "queue_full"       // 429: admission queue overflow; retry after backoff

@@ -305,17 +305,38 @@ func writeQueueFull(w http.ResponseWriter, what string) {
 	})
 }
 
+// maxBodyBytes caps a request body.
+const maxBodyBytes = 64 << 20
+
 // decode parses the JSON body into v, rejecting trailing garbage: after
-// the one value only whitespace may follow.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
+// the one value only whitespace may follow. A body longer than maxBodyBytes
+// is refused whole — wherever the excess starts — with the
+// *http.MaxBytesError writeDecodeErr answers 413 to.
+func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
 	if _, err := dec.Token(); err != io.EOF {
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			return err
+		}
 		return errors.New("trailing data after the JSON body")
 	}
 	return nil
+}
+
+// writeDecodeErr answers a request whose body decode refused: 413
+// too_large for a body over maxBodyBytes, 400 bad_request otherwise.
+func writeDecodeErr(w http.ResponseWriter, err error) {
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, client.ErrorBody{
+			Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
+			Code:  client.CodeTooLarge,
+		})
+		return
+	}
+	writeBadRequest(w, err)
 }
 
 func writeBadRequest(w http.ResponseWriter, err error) {
@@ -348,8 +369,8 @@ func searchOpts(k int, c, p float64) ([]promips.SearchOption, error) {
 
 func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req client.SearchRequest
-	if err := decode(r, &req); err != nil {
-		writeBadRequest(w, err)
+	if err := decode(w, r, &req); err != nil {
+		writeDecodeErr(w, err)
 		return
 	}
 	opts, err := searchOpts(req.K, req.C, req.P)
@@ -374,8 +395,8 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var req client.BatchRequest
-	if err := decode(r, &req); err != nil {
-		writeBadRequest(w, err)
+	if err := decode(w, r, &req); err != nil {
+		writeDecodeErr(w, err)
 		return
 	}
 	opts, err := searchOpts(req.K, req.C, req.P)
@@ -420,8 +441,8 @@ func (s *server) withIdempotency(w http.ResponseWriter, r *http.Request, fn func
 
 func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req client.InsertRequest
-	if err := decode(r, &req); err != nil {
-		writeBadRequest(w, err)
+	if err := decode(w, r, &req); err != nil {
+		writeDecodeErr(w, err)
 		return
 	}
 	s.withIdempotency(w, r, func(w http.ResponseWriter) {
@@ -449,8 +470,8 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req client.DeleteRequest
-	if err := decode(r, &req); err != nil {
-		writeBadRequest(w, err)
+	if err := decode(w, r, &req); err != nil {
+		writeDecodeErr(w, err)
 		return
 	}
 	s.withIdempotency(w, r, func(w http.ResponseWriter) {

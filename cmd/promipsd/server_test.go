@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -166,6 +167,60 @@ func TestErrorMapping(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.want || (tc.want == http.StatusBadRequest && eb.Code != client.CodeBadRequest) {
 			t.Errorf("%s body %q = %d/%q, want %d", tc.path, tc.body, resp.StatusCode, eb.Code, tc.want)
+		}
+	}
+}
+
+// repeatReader yields pat over and over, n bytes in all: a request body of
+// any length without holding it in memory.
+type repeatReader struct {
+	pat []byte
+	off int
+	n   int64
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	if r.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > r.n {
+		p = p[:r.n]
+	}
+	for i := range p {
+		p[i] = r.pat[r.off]
+		r.off = (r.off + 1) % len(r.pat)
+	}
+	r.n -= int64(len(p))
+	return len(p), nil
+}
+
+// TestOversizedBody: a body over the 64 MiB limit is refused with 413
+// too_large whole — one that is valid JSON but for its length (it used to
+// be cut at the limit and refused as malformed), and one whose trailing
+// garbage starts past the limit (it used to be accepted).
+func TestOversizedBody(t *testing.T) {
+	ix, _, _ := newTestServer(t, serverConfig{searchSlots: 4, updateSlots: 4})
+	h := newServer(ix, serverConfig{searchSlots: 4, updateSlots: 4})
+	const okBody = `{"vector":[1,2,3,4,5,6,7,8],"k":1}`
+	long := int64(maxBodyBytes) + 1024
+	for _, tc := range []struct {
+		name, path string
+		body       io.Reader
+		want       int
+	}{
+		{"at the limit", "/v1/search", io.MultiReader(strings.NewReader(okBody),
+			&repeatReader{pat: []byte(" "), n: maxBodyBytes - int64(len(okBody))}), http.StatusOK},
+		{"valid JSON past the limit", "/v1/search", io.MultiReader(strings.NewReader(`{"k":1,"vector":[1,2,3,4,5,6,7,8],"pad":[`),
+			&repeatReader{pat: []byte("0,"), n: long}, strings.NewReader(`0]}`)), http.StatusRequestEntityTooLarge},
+		{"garbage past the limit", "/v1/insert", io.MultiReader(strings.NewReader(`{"vector":[1,2,3,4,5,6,7,8]}`),
+			&repeatReader{pat: []byte(" "), n: long}, strings.NewReader("x")), http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, tc.body))
+		var eb client.ErrorBody
+		json.NewDecoder(rec.Body).Decode(&eb)
+		if rec.Code != tc.want || (tc.want == http.StatusRequestEntityTooLarge && eb.Code != client.CodeTooLarge) {
+			t.Errorf("%s, %s: %d/%q, want %d", tc.name, tc.path, rec.Code, eb.Code, tc.want)
 		}
 	}
 }

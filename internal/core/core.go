@@ -155,13 +155,23 @@ type Result struct {
 
 // SearchStats reports the work one query performed.
 type SearchStats struct {
-	// Candidates is the number of points verified by exact inner product.
+	// Candidates is the number of points verified by exact inner product —
+	// the verification sequence of the paper's algorithm, whichever copy of
+	// a point settled its verification: one the int8 screen proved unable to
+	// enter the top-k (its inner product is then never computed, nor its
+	// store page read; DESIGN.md, "Int8 screen") counts like one read from
+	// the store.
 	Candidates int
-	// PageAccesses counts the distinct disk pages touched across the
-	// iDistance pagers and the vector store — the paper's Page Access
-	// metric. It is accumulated in a per-query pager.IOStats, so the count
-	// is exact and deterministic even when many queries share the index
-	// concurrently (no shared counters are reset or read).
+	// PageAccesses counts the distinct disk pages the query's verification
+	// sequence and range search touch across the iDistance pagers and the
+	// vector store — the paper's Page Access metric. A verification the int8
+	// screen settles counts its store page like a read one, so the metric
+	// describes the algorithm's footprint, not the bytes this process read
+	// (on a resident store every access is a pool hit anyway;
+	// Index.CacheStats counts the physical work). It is accumulated in a
+	// per-query pager.IOStats, so the count is exact and deterministic even
+	// when many queries share the index concurrently (no shared counters are
+	// reset or read).
 	PageAccesses int64
 	// Preranked is how many of the verified candidates were verified during
 	// the PQ-sketch pre-ranking pass (0 when pre-ranking is off or the
@@ -245,6 +255,11 @@ type Index struct {
 	// idistance.Candidate.Pos; Save writes them by id, as they always were
 	// persisted, and Build and Open permute them once.
 	sketch *pq.Sketch
+
+	// screen is the int8 copy of the store verify screens candidates with
+	// (screen.go): derived at Build and Open when the store's buffer pool
+	// holds the whole store, nil otherwise, never persisted.
+	screen *screenRows
 
 	norm2Sq []float64 // per layout position, ‖o‖²
 	norm1   []float64 // per id, ‖o‖₁
@@ -422,9 +437,16 @@ func Build(ctx context.Context, data [][]float32, dir string, opts Options) (*In
 		return nil, skErr
 	}
 	ix.idist, ix.orig = idx, st
-	// The candidate loops read ‖o‖² and the sketch rows by layout position.
+	// The candidate loops read ‖o‖², the sketch rows and the screen's rows by
+	// layout position.
 	vec.PermuteRows(ix.norm2Sq, 1, idx.Layout())
 	ix.sketch.Permute(idx.Layout())
+	if st.Pager().Resident() {
+		if ix.screen, err = screenFromData(ctx, data, idx.Layout()); err != nil {
+			closeDisk()
+			return nil, err
+		}
+	}
 
 	// Stage 3: a fresh update journal. Build may target a directory that
 	// held an older index, so any stale wal.log is truncated, not replayed.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -241,6 +242,12 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 	ix.ref = newGenRef(idist, orig)
 	closeAll := func() {
 		ix.ref.release()
+	}
+	if orig.Pager().Resident() {
+		if ix.screen, err = screenFromStore(context.Background(), orig); err != nil {
+			closeAll()
+			return nil, err
+		}
 	}
 	if len(m.Sketch) > 0 {
 		sk, err := pq.UnmarshalSketch(m.Sketch)

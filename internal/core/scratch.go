@@ -9,6 +9,7 @@ import (
 	"promips/internal/pager"
 	"promips/internal/pq"
 	"promips/internal/store"
+	"promips/internal/vec"
 )
 
 // queryScratch is the per-query working memory of the search hot path. One
@@ -50,9 +51,10 @@ type queryScratch struct {
 	// the ordered pass set aside (see query.orderedPass).
 	seen []idistance.Candidate
 
-	top     topK         // its results slice is the pooled backing
-	reader  store.Reader // page-local verification cursor
-	scanBuf []byte       // the sequential scan's read buffer (nil until a query needs it)
+	top     topK           // its results slice is the pooled backing
+	reader  store.Reader   // page-local verification cursor
+	zq      vec.Int16Query // the query as the int8 screen reads it
+	scanBuf []byte         // the sequential scan's read buffer (nil until a query needs it)
 }
 
 // prerankCand is one pre-ranking window entry: a range-search candidate, its

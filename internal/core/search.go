@@ -225,6 +225,10 @@ type query struct {
 	// set-aside pass of orderedPass exists to keep small. Diagnostic: read by
 	// BenchmarkSearchCold and the differential test only.
 	ordered int
+	// screened counts the verifications the int8 screen settled without
+	// reading the store. Diagnostic like ordered: read by the search
+	// benchmarks and the screen's tests only.
+	screened int
 }
 
 // newQuery binds sc's query state to one search. The state lives in the
@@ -274,6 +278,9 @@ func (s *query) run() error {
 	r, err := s.probeRadius()
 	if err != nil {
 		return err
+	}
+	if sn.screen != nil {
+		sc.zq.Quantize(s.q) // the query as the int8 screen reads it
 	}
 	// Recently inserted points (frozen segments and the mutable delta) are
 	// evaluated exactly up front (no disk I/O); their inner products can
@@ -447,6 +454,13 @@ func (s *query) dismissed(cand idistance.Candidate, est *float64) bool {
 // which is all the termination argument needs of a point inside the
 // distance frontier. est is the candidate's cached sketch estimate, nil when
 // none was computed.
+//
+// A verification the int8 screen settles (query.screen) reads no store
+// page: the screen proves the inner product it would compute cannot enter
+// the top-k, so offering it would change nothing. It is a verification all
+// the same — counted in Candidates and by the runaway budget, its page noted
+// in the query's accounting (store.NoteAt) — so results and every
+// SearchStats field are those of reading the row.
 func (s *query) verify(cand idistance.Candidate, est *float64) (verified bool, err error) {
 	if s.verifies&255 == 0 {
 		if err := s.ctx.Err(); err != nil {
@@ -460,6 +474,12 @@ func (s *query) verify(cand idistance.Candidate, est *float64) (verified bool, e
 	}
 	if s.st.Candidates >= s.budget {
 		return false, errRunaway
+	}
+	if s.screen(cand) {
+		s.sn.orig.NoteAt(int(cand.Pos), s.io)
+		s.st.Candidates++
+		s.screened++
+		return true, nil
 	}
 	ip, err := s.sc.reader.DotAt(int(cand.Pos), s.q, s.io)
 	if err != nil {

@@ -12,10 +12,12 @@ import (
 // 1024-page pool against an 8,334-page vector file), k=10, with member
 // queries and with out-of-sample ones (dataset.Spec.Queries), which prune
 // nothing and end in the sequential scan. Beside ns/op, B/op and allocs/op it
-// reports three counts that repeat exactly at a fixed -benchtime Nx:
+// reports counts that repeat exactly at a fixed -benchtime Nx:
 // ordered/query, the candidates handed to the lazy sort; scans/query, the
-// share of queries that ended in the sequential scan; and store-reads/query,
-// the read calls issued against the vector file.
+// share of queries that ended in the sequential scan; screened/query and
+// exact-dots/query (see BenchmarkSearchWarm; the pool cannot hold this
+// store, so nothing is screened); and store-reads/query, the read calls
+// issued against the vector file.
 //
 //	go test ./internal/core -run NONE -bench SearchCold -benchtime 256x
 func BenchmarkSearchCold(b *testing.B) {
@@ -36,26 +38,7 @@ func BenchmarkSearchCold(b *testing.B) {
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
-			ctx := context.Background()
-			sn, err := ix.snapshot()
-			if err != nil {
-				b.Fatal(err)
-			}
-			ordered, scans := 0, 0
-			for _, q := range arm.queries {
-				sc := getScratch(sn)
-				s := sn.newQuery(ctx, sc, q, k, sn.optC, sn.optP, SearchParams{})
-				_, st, err := s.finish(s.run())
-				ordered += s.ordered
-				if st.TerminatedBy == "scan" {
-					scans++
-				}
-				putScratch(sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			sn.release()
+			tl := tallySearches(b, ix, arm.queries, k)
 			before := ix.orig.Pager().Stats()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -66,11 +49,47 @@ func BenchmarkSearchCold(b *testing.B) {
 			}
 			b.StopTimer()
 			reads := ix.orig.Pager().Stats().Sub(before).FileReads
-			b.ReportMetric(float64(ordered)/float64(len(arm.queries)), "ordered/query")
-			b.ReportMetric(float64(scans)/float64(len(arm.queries)), "scans/query")
+			perQuery := func(c int) float64 { return float64(c) / float64(len(arm.queries)) }
+			b.ReportMetric(perQuery(tl.ordered), "ordered/query")
+			b.ReportMetric(perQuery(tl.scans), "scans/query")
+			b.ReportMetric(perQuery(tl.screened), "screened/query")
+			b.ReportMetric(perQuery(tl.candidates-tl.screened), "exact-dots/query")
 			b.ReportMetric(float64(reads)/float64(b.N), "store-reads/query")
 		})
 	}
+}
+
+// searchTally sums what a set of queries did, diagnostics included.
+type searchTally struct {
+	candidates, screened, ordered, scans int
+}
+
+// tallySearches answers every query once through the query struct, so the
+// diagnostic counts can be read, and sums them.
+func tallySearches(b *testing.B, ix *Index, queries [][]float32, k int) searchTally {
+	ctx := context.Background()
+	sn, err := ix.snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sn.release()
+	var tl searchTally
+	for _, q := range queries {
+		sc := getScratch(sn)
+		s := sn.newQuery(ctx, sc, q, k, sn.optC, sn.optP, SearchParams{})
+		_, st, err := s.finish(s.run())
+		tl.candidates += st.Candidates
+		tl.screened += s.screened
+		tl.ordered += s.ordered
+		if st.TerminatedBy == "scan" {
+			tl.scans++
+		}
+		putScratch(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	return tl
 }
 
 // BenchmarkSearchWarm measures Search on a resident index — the e2ebench
@@ -78,10 +97,11 @@ func BenchmarkSearchCold(b *testing.B) {
 // pages that holds both page files, m=6, the default c=0.9 and p=0.5, k=10
 // and 256 member queries. Collection, pre-ranking and the verification
 // passes are all in-memory work here, so ns/op is their cost. Beside it the
-// benchmark reports two counts that repeat exactly: exact-dots/query, the
-// verifications (each one exact inner product over a store page), and
-// store-reads/query, the read calls against the vector file (0: the store
-// is resident).
+// benchmark reports counts that repeat exactly: candidates/query, the
+// verifications (SearchStats.Candidates); screened/query, those the int8
+// screen settled from its copy of the rows; exact-dots/query, the rest —
+// each one exact inner product over a store page; and store-reads/query,
+// the read calls against the vector file (0: the store is resident).
 //
 //	go test ./internal/core -run NONE -bench SearchWarm -benchtime 2048x
 func BenchmarkSearchWarm(b *testing.B) {
@@ -92,15 +112,8 @@ func BenchmarkSearchWarm(b *testing.B) {
 	for i := range queries {
 		queries[i] = data[i*(n/len(queries))]
 	}
-	// One untimed pass warms the pools and tallies the count.
-	verified := 0
-	for _, q := range queries {
-		_, st, err := ix.Search(q, k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		verified += st.Candidates
-	}
+	// One untimed pass warms the pools and tallies the counts.
+	tl := tallySearches(b, ix, queries, k)
 	before := ix.orig.Pager().Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -111,6 +124,9 @@ func BenchmarkSearchWarm(b *testing.B) {
 	}
 	b.StopTimer()
 	reads := ix.orig.Pager().Stats().Sub(before).FileReads
-	b.ReportMetric(float64(verified)/float64(len(queries)), "exact-dots/query")
+	perQuery := func(c int) float64 { return float64(c) / float64(len(queries)) }
+	b.ReportMetric(perQuery(tl.candidates), "candidates/query")
+	b.ReportMetric(perQuery(tl.screened), "screened/query")
+	b.ReportMetric(perQuery(tl.candidates-tl.screened), "exact-dots/query")
 	b.ReportMetric(float64(reads)/float64(b.N), "store-reads/query")
 }

@@ -147,6 +147,7 @@ type snapshot struct {
 	idist  *idistance.Index
 	orig   *store.Store
 	sketch *pq.Sketch
+	screen *screenRows
 
 	norm2Sq []float64
 	norm1   []float64
@@ -167,6 +168,10 @@ type snapshot struct {
 	// tests: it is the reference side of their prune-on/prune-off
 	// differential.
 	noMemPrune bool
+	// noScreen makes verify read every verified candidate from the store.
+	// Never set outside tests: it is the reference side of their
+	// screen-on/screen-off differential.
+	noScreen bool
 }
 
 // snapshot captures the current queryable state under a short read lock
@@ -178,7 +183,7 @@ func (ix *Index) snapshot() (*snapshot, error) {
 		return nil, errs.ErrClosed
 	}
 	sn := &snapshot{
-		ref: ix.ref, proj: ix.proj, idist: ix.idist, orig: ix.orig, sketch: ix.sketch,
+		ref: ix.ref, proj: ix.proj, idist: ix.idist, orig: ix.orig, sketch: ix.sketch, screen: ix.screen,
 		norm2Sq: ix.norm2Sq, norm1: ix.norm1, codes: ix.codes, groups: ix.groups,
 		n: ix.n, d: ix.d, m: ix.m,
 		maxNorm2Sq: ix.maxNorm2Sq,

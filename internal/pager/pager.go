@@ -146,6 +146,14 @@ func (s *IOStats) record(pager uint64, page int64) {
 		return
 	}
 	s.Reads++
+	s.note(pager, page)
+}
+
+// note adds the page to the distinct-page log without counting a read.
+func (s *IOStats) note(pager uint64, page int64) {
+	if s == nil {
+		return
+	}
 	// Repeat reads of the page just touched are the common duplicate shape
 	// (sequential scans re-entering a boundary page), and
 	// skipping them keeps the log near the distinct-page count.
@@ -422,6 +430,14 @@ func (p *Pager) Read(id int64, io *IOStats) (Page, error) {
 	sh.mu.RUnlock()
 	return p.readMiss(sh, id)
 }
+
+// Note records page id in io as a page the caller's work touches — counted
+// by io.Pages like a Read of it — without reading, pinning or counting
+// anything: io.Reads and the shared counters stay as they were. A query that
+// settles a verification from an in-memory copy of the page's contents notes
+// the page, so its Page Access count is the verification sequence's
+// footprint whichever copy answered.
+func (p *Pager) Note(id int64, io *IOStats) { io.note(p.id, id) }
 
 // readMiss loads a page into a free frame with no lock held — misses in
 // different (or even the same) shard overlap — then installs it under the

@@ -3,8 +3,10 @@ package store
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"promips/internal/pager"
+	"promips/internal/par"
 	"promips/internal/vec"
 )
 
@@ -34,56 +36,32 @@ func (s *Store) ScanDot(ctx context.Context, q []float32, buf []byte, io *pager.
 	if len(q) != s.dim {
 		return buf, fmt.Errorf("store: query dim %d, want %d", len(q), s.dim)
 	}
-	pageSize := s.pg.PageSize()
-	chunkPages := max(1, scanChunkBytes/pageSize)
-	resident := s.pg.Resident()
-	if !resident && cap(buf) < chunkPages*pageSize {
-		buf = make([]byte, chunkPages*pageSize)
-	}
-	rowSize := vec.EncodedSize(s.dim)
-	dataPages := (s.n + s.perPage - 1) / s.perPage
-	pages := make([][]byte, 0, chunkPages) // the chunk in hand: pool pages, or buf cut up
-	var run []pager.Page                   // the pool pages' pins, released once the chunk is scored
-	var rows [4][]byte                     // kept rows awaiting one Dot4Bytes, and their positions
+	pooled := s.pg.Resident()
+	chunk := make([][]byte, 0, s.chunkRows())
+	var run []pager.Page // the pool pages' pins, released once the chunk is scored
+	var rows [4][]byte   // kept rows awaiting one Dot4Bytes, and their positions
 	var at [4]int
-	for page := 0; page < dataPages; page += chunkPages {
+	for c := range s.chunks() {
 		if err := ctx.Err(); err != nil {
 			return buf, err
 		}
-		first, n := s.firstData+int64(page), min(chunkPages, dataPages-page)
 		var err error
-		pages = pages[:0]
-		if resident {
-			run, err = s.pg.ReadRun(first, n, run[:0], io)
-			for _, pg := range run {
-				pages = append(pages, pg.Bytes())
-			}
-		} else {
-			chunk := buf[:n*pageSize]
-			err = s.pg.ReadDirect(first, chunk, io)
-			for ; len(chunk) > 0; chunk = chunk[pageSize:] {
-				pages = append(pages, chunk[:pageSize])
-			}
-		}
-		if err != nil {
+		if buf, chunk, run, err = s.readChunk(c, pooled, buf, io, chunk, run); err != nil {
 			return buf, err
 		}
-		nb := 0
-		pos := page * s.perPage
-		for _, data := range pages {
-			for slot := 0; slot < s.perPage && pos < s.n; slot, pos = slot+1, pos+1 {
-				if !keep(pos) {
-					continue
-				}
-				rows[nb], at[nb] = data[slot*rowSize:], pos
-				if nb++; nb == len(rows) {
-					ip0, ip1, ip2, ip3 := vec.Dot4Bytes(rows[0], rows[1], rows[2], rows[3], q)
-					emit(at[0], ip0)
-					emit(at[1], ip1)
-					emit(at[2], ip2)
-					emit(at[3], ip3)
-					nb = 0
-				}
+		first, nb := c*s.chunkRows(), 0
+		for i, row := range chunk {
+			if !keep(first + i) {
+				continue
+			}
+			rows[nb], at[nb] = row, first+i
+			if nb++; nb == len(rows) {
+				ip0, ip1, ip2, ip3 := vec.Dot4Bytes(rows[0], rows[1], rows[2], rows[3], q)
+				emit(at[0], ip0)
+				emit(at[1], ip1)
+				emit(at[2], ip2)
+				emit(at[3], ip3)
+				nb = 0
 			}
 		}
 		// The next read overwrites buf, or the chunk's pages are released:
@@ -94,4 +72,88 @@ func (s *Store) ScanDot(ctx context.Context, q []float32, buf []byte, io *pager.
 		pager.ReleaseAll(run)
 	}
 	return buf, nil
+}
+
+// ScanRows is ScanDot's walk without the scoring, on the worker pool
+// (internal/par): it calls visit(first, rows) once for every chunk of the
+// store, rows[i] holding the encoded vector at layout position first+i,
+// valid until visit returns. The chunks are visited concurrently, in no
+// fixed order; each is read straight from the file into a buffer of its
+// task's own, whatever the pool's size — the pool is neither read nor
+// filled — and its reads are recorded in the pager's shared counters only.
+// ctx is checked before every chunk.
+func (s *Store) ScanRows(ctx context.Context, visit func(first int, rows [][]byte)) error {
+	bufs := sync.Pool{New: func() any { return new(chunkBuf) }}
+	return par.Do(ctx, s.chunks(), func(c int) error {
+		cb := bufs.Get().(*chunkBuf)
+		defer bufs.Put(cb)
+		var err error
+		if cb.buf, cb.rows, _, err = s.readChunk(c, false, cb.buf, nil, cb.rows, nil); err != nil {
+			return err
+		}
+		visit(c*s.chunkRows(), cb.rows)
+		return nil
+	})
+}
+
+// chunkBuf is one ScanRows task's read buffer and row list.
+type chunkBuf struct {
+	buf  []byte
+	rows [][]byte
+}
+
+// A walk of the store — ScanDot's, ScanRows' — reads it in chunks of
+// scanChunkBytes, chunk c holding the rows from position c·chunkRows on.
+
+// chunkPages is how many data pages one chunk spans.
+func (s *Store) chunkPages() int { return max(1, scanChunkBytes/s.pg.PageSize()) }
+
+// chunkRows is how many rows one chunk of a walk holds, the last excepted.
+func (s *Store) chunkRows() int { return s.chunkPages() * s.perPage }
+
+// chunks is how many chunks a walk of the store reads.
+func (s *Store) chunks() int {
+	dataPages := (s.n + s.perPage - 1) / s.perPage
+	return (dataPages + s.chunkPages() - 1) / s.chunkPages()
+}
+
+// readChunk reads chunk c of a walk and sets rows to its rows (reusing the
+// slice). pooled reads the pages through the buffer pool and returns their
+// pins in run (reused likewise; the caller releases them); otherwise the
+// pages are read straight into buf, grown when too small and returned for
+// reuse. On error nothing stays pinned.
+func (s *Store) readChunk(c int, pooled bool, buf []byte, io *pager.IOStats, rows [][]byte, run []pager.Page) ([]byte, [][]byte, []pager.Page, error) {
+	pageSize, chunkPages := s.pg.PageSize(), s.chunkPages()
+	page := c * chunkPages
+	dataPages := (s.n + s.perPage - 1) / s.perPage
+	first, n := s.firstData+int64(page), min(chunkPages, dataPages-page)
+	rows, run = rows[:0], run[:0]
+	addRows := func(pos int, data []byte) {
+		rowSize := vec.EncodedSize(s.dim)
+		for slot := 0; slot < s.perPage && pos+slot < s.n; slot++ {
+			rows = append(rows, data[slot*rowSize:(slot+1)*rowSize])
+		}
+	}
+	pos := page * s.perPage
+	if pooled {
+		var err error
+		if run, err = s.pg.ReadRun(first, n, run, io); err != nil {
+			return buf, rows, run[:0], err
+		}
+		for i, pg := range run {
+			addRows(pos+i*s.perPage, pg.Bytes())
+		}
+		return buf, rows, run, nil
+	}
+	if cap(buf) < chunkPages*pageSize {
+		buf = make([]byte, chunkPages*pageSize)
+	}
+	chunk := buf[:n*pageSize]
+	if err := s.pg.ReadDirect(first, chunk, io); err != nil {
+		return buf, rows, run, err
+	}
+	for i := 0; i < n; i++ {
+		addRows(pos+i*s.perPage, chunk[i*pageSize:])
+	}
+	return buf, rows, run, nil
 }

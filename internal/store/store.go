@@ -246,5 +246,11 @@ func (s *Store) VectorAt(posn int, dst []float32, io *pager.IOStats) ([]float32,
 	return vec.Decode(page.Bytes()[off:], s.dim, dst), nil
 }
 
+// NoteAt records the page of layout position posn in io (pager.Note): the
+// page is counted among the query's accesses, and nothing is read.
+func (s *Store) NoteAt(posn int, io *pager.IOStats) {
+	s.pg.Note(s.firstData+int64(posn/s.perPage), io)
+}
+
 // Close closes the file.
 func (s *Store) Close() error { return s.pg.Close() }
