@@ -68,7 +68,9 @@
 // Admission is bounded: at most -searchq searches and -updateq updates run
 // at once; excess requests get 429 + Retry-After instead of queuing without
 // limit. Every request runs under a deadline (-timeout, shortened by the
-// request's timeout_ms). On SIGINT/SIGTERM the listener drains in-flight
+// request's timeout_ms); -timeout also bounds how long a request may take
+// to arrive and, twelve times over, how long a keep-alive connection may
+// sit idle. On SIGINT/SIGTERM the listener drains in-flight
 // requests (for up to 10s), then the index is Saved — folding the journal
 // into the metadata so the next open replays nothing — and closed. A
 // follower skips the Save (its directory is a cache of the primary's
@@ -97,6 +99,22 @@ import (
 // failover fencing argument: no pull the follower has given up on can
 // still reach the primary after this much quarantine).
 const replRequestTimeout = 5 * time.Second
+
+// newHTTPServer returns the listener's server for handler h. Every
+// connection is bounded in time by the per-request deadline: a request —
+// headers and body — must arrive within timeout, and a keep-alive
+// connection idle for twelve of them (a minute at the default) is closed,
+// so a client that trickles a body or parks a connection holds its
+// goroutine for a bounded time.
+func newHTTPServer(addr string, h http.Handler, timeout time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       timeout,
+		IdleTimeout:       12 * timeout,
+	}
+}
 
 // drainGrace is how long shutdown waits for in-flight requests.
 const drainGrace = 10 * time.Second
@@ -285,11 +303,7 @@ func run(cfg runConfig) error {
 		sup := newSupervisor(f, h, cfg.poll, urlOrEmpty(cfg.follow), cfg.autoPromote, cfg.lease, cfg.suspect)
 		go sup.run(pollCtx)
 	}
-	srv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := newHTTPServer(cfg.addr, h, cfg.timeout)
 
 	serveErr := make(chan error, 1)
 	go func() {

@@ -6,12 +6,14 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"promips"
 	"promips/client"
@@ -222,6 +224,51 @@ func TestOversizedBody(t *testing.T) {
 		if rec.Code != tc.want || (tc.want == http.StatusRequestEntityTooLarge && eb.Code != client.CodeTooLarge) {
 			t.Errorf("%s, %s: %d/%q, want %d", tc.name, tc.path, rec.Code, eb.Code, tc.want)
 		}
+	}
+}
+
+// TestSlowBodyClosed: a client that trickles a request body slower than
+// the request deadline allows gets its connection closed once -timeout has
+// passed, instead of holding the handler's goroutine for as long as it
+// keeps trickling (here 1,000 bytes at one per 20 ms).
+func TestSlowBodyClosed(t *testing.T) {
+	ix, _, _ := newTestServer(t, serverConfig{searchSlots: 4, updateSlots: 4})
+	const timeout = 200 * time.Millisecond
+	hs := httptest.NewUnstartedServer(nil)
+	hs.Config = newHTTPServer("", newServer(ix, serverConfig{searchSlots: 4, updateSlots: 4, requestTimeout: timeout}), timeout)
+	hs.Start()
+	t.Cleanup(hs.Close)
+
+	conn, err := net.Dial("tcp", hs.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/search HTTP/1.1\r\nHost: promipsd\r\nContent-Type: application/json\r\nContent-Length: 1000\r\n\r\n{"); err != nil {
+		t.Fatal(err)
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+			if _, err := io.WriteString(conn, " "); err != nil {
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+
+	// Reading to EOF ends when the server closes the connection; a read
+	// deadline far past -timeout turns a connection held open into an error.
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection still open after %v: %v", time.Since(start).Round(time.Millisecond), err)
 	}
 }
 

@@ -432,6 +432,41 @@ func TestIOStatsSpansPagers(t *testing.T) {
 	}
 }
 
+// TestIOStatsReusesSets runs one accumulator through queries over one to
+// nine pagers, as the pooled query scratch does across shards and index
+// generations: every query's Pages and Reads must be its own, whichever sets
+// earlier queries left behind, and Note must count with Read.
+func TestIOStatsReusesSets(t *testing.T) {
+	pagers := make([]*Pager, 9)
+	for i := range pagers {
+		pagers[i] = newTestPager(t, Options{PageSize: 64}, 200)
+	}
+	rng := rand.New(rand.NewSource(4))
+	var io IOStats
+	for q := 0; q < 50; q++ {
+		io.Reset()
+		// One to all of the pagers, in a random order, with repeats.
+		touched := make(map[[2]int64]bool)
+		reads := int64(0)
+		for range rng.Intn(40) {
+			pi := rng.Intn(1 + q%len(pagers))
+			id := int64(rng.Intn(200))
+			if rng.Intn(4) == 0 {
+				pagers[pi].Note(id, &io)
+			} else {
+				if _, err := readCopy(pagers[pi], id, &io); err != nil {
+					t.Fatal(err)
+				}
+				reads++
+			}
+			touched[[2]int64{int64(pi), id}] = true
+		}
+		if io.Pages() != int64(len(touched)) || io.Reads != reads {
+			t.Fatalf("query %d: Pages=%d Reads=%d, want %d/%d", q, io.Pages(), io.Reads, len(touched), reads)
+		}
+	}
+}
+
 func TestNilIOStatsDiscards(t *testing.T) {
 	var io *IOStats
 	io.record(1, 2) // must not panic

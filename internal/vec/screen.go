@@ -141,12 +141,21 @@ func (z *Int16Query) Bound(codes []int8, scale, resid float32, normO float64) fl
 	return t1 + t2 + t3 + t4 + boundSlack*(math.Abs(t1)+t2+t3+t4)
 }
 
-// DotInt8Int16 returns Σ aᵢbᵢ exactly. A product is below 2²², so eight of
-// them sum exactly in int32; the blocks of eight sum in int64, which no
-// page-sized row can overflow (a whole row summed in int32 overflows from
-// about 520 dimensions at full-scale codes, in each of four int32 lanes from
-// about 2,080). It panics when b is shorter than a.
+// DotInt8Int16 returns Σ aᵢbᵢ exactly. It panics when b is shorter than a.
+// dotInt8Blocks scores the leading multiple of eight dimensions (with SSE2
+// on amd64), dotInt8Tail the rest.
 func DotInt8Int16(a []int8, b []int16) int64 {
+	b = b[:len(a)]
+	n8 := len(a) &^ 7
+	return dotInt8Blocks(a[:n8], b[:n8]) + dotInt8Tail(a[n8:], b[n8:])
+}
+
+// dotInt8Tail is DotInt8Int16's portable loop, and the reference
+// dotInt8Blocks is held to. A product is at most 2²² in magnitude
+// ((−128)·(−32768) = 2²²), so eight of them sum exactly in int32; the blocks
+// of eight sum in int64, which no page-sized row can overflow (a whole row
+// summed in int32 overflows from about 520 dimensions at full-scale codes).
+func dotInt8Tail(a []int8, b []int16) int64 {
 	n := len(a)
 	b = b[:n]
 	var s int64

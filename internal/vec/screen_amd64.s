@@ -87,3 +87,53 @@ fold:
 	MAXSS   X2, X0
 	MOVSS   X0, ret+24(FP)
 	RET
+
+// func dotInt8Blocks(a []int8, b []int16) int64
+TEXT ·dotInt8Blocks(SB), NOSPLIT, $0-56
+	MOVQ  a_base+0(FP), SI
+	MOVQ  a_len+8(FP), CX
+	MOVQ  b_base+24(FP), DI
+	XORQ  AX, AX                   // the int64 total
+	SHRQ  $3, CX                   // blocks of eight
+	JZ    dotdone
+
+// A lane gains at most 2·(−128)·(−32768) = 2²³ per block and
+// 255·2²³ < 2³¹, so the lanes are flushed to AX every 255 blocks or fewer.
+// PMADDWD overflows only when all four of a lane's inputs are −32768, and
+// half of them are sign-extended int8s.
+flush:
+	MOVQ  $255, DX                 // blocks before the lanes are flushed
+	CMPQ  CX, DX
+	CMOVQLT CX, DX
+	SUBQ  DX, CX
+	PXOR  X0, X0                   // four int32 lanes
+
+dotloop:
+	MOVQ      (SI), X1             // eight int8 codes
+	PUNPCKLBW X1, X1
+	PSRAW     $8, X1               // sign-extended to int16
+	MOVOU     (DI), X2             // eight int16 codes
+	PMADDWL   X2, X1               // a₂ᵢb₂ᵢ + a₂ᵢ₊₁b₂ᵢ₊₁ per lane
+	PADDL     X1, X0
+	ADDQ      $8, SI
+	ADDQ      $16, DI
+	DECQ      DX
+	JNZ       dotloop
+
+	MOVQ    X0, BX                 // lanes 0 and 1
+	MOVLQSX BX, R8
+	SARQ    $32, BX
+	ADDQ    R8, AX
+	ADDQ    BX, AX
+	PSHUFD  $0xee, X0, X0          // lanes 2 and 3
+	MOVQ    X0, BX
+	MOVLQSX BX, R8
+	SARQ    $32, BX
+	ADDQ    R8, AX
+	ADDQ    BX, AX
+	TESTQ   CX, CX
+	JNZ     flush
+
+dotdone:
+	MOVQ  AX, ret+48(FP)
+	RET

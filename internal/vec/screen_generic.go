@@ -10,3 +10,5 @@ func quantizeBlocks(dst []int8, o []float32, inv, s float64) float64 {
 }
 
 func maxAbsBlocks(o []float32) float32 { return maxAbsTail(o, 0) }
+
+func dotInt8Blocks(a []int8, b []int16) int64 { return dotInt8Tail(a, b) }

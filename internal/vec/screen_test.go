@@ -124,86 +124,121 @@ func TestScreenBoundIsTight(t *testing.T) {
 	}
 }
 
+// refDotInt8Int16 is Σ aᵢbᵢ in int64, one product at a time.
+func refDotInt8Int16(a []int8, b []int16) int64 {
+	var s int64
+	for i := range a {
+		s += int64(a[i]) * int64(b[i])
+	}
+	return s
+}
+
+// TestDotInt8Int16 holds the kernel and the portable loop to the int64 sum
+// over the full int8×int16 range: full-scale products of either sign, which
+// PMADDWD's int32 lanes carry the longest before a flush, alternating signs,
+// lengths around the 255-block flush interval and slices that start off any
+// 16-byte boundary.
 func TestDotInt8Int16(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{0, 1, 3, 4, 7, 300, 16384} {
-		a, b := make([]int8, n), make([]int16, n+2) // b may be longer
-		var want int64
-		for i := range a {
-			a[i], b[i] = int8(rng.Intn(255)-127), int16(rng.Intn(65535)-32767)
-			want += int64(a[i]) * int64(b[i])
-		}
+	check := func(name string, a []int8, b []int16) {
+		t.Helper()
+		want := refDotInt8Int16(a, b)
 		if got := DotInt8Int16(a, b); got != want {
-			t.Fatalf("n=%d: DotInt8Int16=%d want %d", n, got, want)
+			t.Fatalf("%s, n=%d: DotInt8Int16=%d want %d", name, len(a), got, want)
+		}
+		if got := dotInt8Tail(a, b); got != want {
+			t.Fatalf("%s, n=%d: dotInt8Tail=%d want %d", name, len(a), got, want)
+		}
+	}
+	// Each corner is a repeated pair of codes; alternate flips a's sign on
+	// every other dimension.
+	corners := []struct {
+		name      string
+		x         int8
+		y         int16
+		alternate bool
+	}{
+		{"every product (-128)·(-32768)", -128, -32768, false},
+		{"every product 127·(-32768)", 127, -32768, false},
+		{"every product (-128)·32767", -128, 32767, false},
+		{"alternating signs", -128, -32768, true},
+	}
+	rng := rand.New(rand.NewSource(5))
+	flush := 8 * 255
+	for _, n := range []int{0, 1, 3, 4, 7, 8, 9, 15, 16, 300, flush - 8, flush - 1, flush, flush + 1, flush + 8, 2048, 16384} {
+		a, b := make([]int8, n), make([]int16, n+2) // b may be longer
+		for i := range a {
+			a[i], b[i] = int8(rng.Intn(256)-128), int16(rng.Intn(65536)-32768)
+		}
+		check("random", a, b)
+		for off := 1; off < 16 && off < n; off += 5 {
+			check("a off 16-byte alignment", a[off:], b[:n])
+			check("b off 16-byte alignment", a[:n-off], b[off:n])
+			check("both off 16-byte alignment", a[off:], b[off:n])
+		}
+		for _, c := range corners {
+			for i := range a {
+				a[i], b[i] = c.x, c.y
+				if c.alternate && i%2 == 1 {
+					a[i] = -c.x - 1 // int8's range is asymmetric: 128 does not exist
+				}
+			}
+			check(c.name, a, b)
 		}
 	}
 }
 
-// TestQuantizeBlocks holds the block loops to the portable ones: the same
-// maximum, the same codes, and a residual sum that differs only by its
-// summation order.
-func TestQuantizeBlocks(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{0, 4, 8, 300, 5408} {
-		for _, scale := range []float64{1e-30, 1, 1e30} {
-			o := gaussVec(rng, n, scale)
-			if n > 0 {
-				o[rng.Intn(n)] *= 1e3 // one dominant component
-				o[rng.Intn(n)] = 0
-			}
-			if got, want := maxAbsBlocks(o), maxAbsTail(o, 0); got != want {
-				t.Fatalf("n=%d: maxAbsBlocks %v, want %v", n, got, want)
-			}
-			s := float32(float64(maxAbsTail(o, 0)) / 127)
-			if s < 0x1p-126 {
-				continue
-			}
-			got, want := make([]int8, n), make([]int8, n)
-			gs := quantizeBlocks(got, o, 1/float64(s), float64(s))
-			ws := quantizeTail(want, o, 1/float64(s), float64(s))
-			if string(unsafeBytes(got)) != string(unsafeBytes(want)) {
-				t.Fatalf("n=%d scale %g: codes differ", n, scale)
-			}
-			if math.Abs(gs-ws) > 1e-12*ws {
-				t.Fatalf("n=%d scale %g: residual sum %v, want %v", n, scale, gs, ws)
-			}
+// FuzzDotInt8Int16: for arbitrary codes at arbitrary offsets the kernel
+// returns what the portable loop does.
+func FuzzDotInt8Int16(f *testing.F) {
+	f.Add([]byte{0x80, 0x80, 0x00, 0x80, 0x7f, 0x01, 0xff, 0xff, 0x00}, uint8(0))
+	f.Add(make([]byte, 3*8*255+5), uint8(0x35))
+	f.Fuzz(func(t *testing.T, raw []byte, off uint8) {
+		// off's nibbles start a and b that many elements into their
+		// allocations, off any 16-byte boundary.
+		n, oa, ob := len(raw)/3, int(off&15), int(off>>4)
+		a, b := make([]int8, oa+n)[oa:], make([]int16, ob+n)[ob:]
+		for i := range a {
+			a[i] = int8(raw[i])
+			b[i] = int16(uint16(raw[n+2*i]) | uint16(raw[n+2*i+1])<<8)
 		}
-	}
-}
-
-func unsafeBytes(c []int8) []byte {
-	b := make([]byte, len(c))
-	for i, x := range c {
-		b[i] = byte(x)
-	}
-	return b
-}
-
-// FuzzScreenBound: for arbitrary finite o and q the bound is at least the
-// float64 DotBytes returns, bit for bit.
-func FuzzScreenBound(f *testing.F) {
-	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 128, 63, 0, 0, 0, 192})
-	f.Add([]byte{1, 0, 0, 0, 0, 36, 116, 73, 255, 255, 127, 127, 1, 0, 0, 128})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		n := len(raw) / 8
-		o, q := Decode(raw, n, nil), Decode(raw[4*n:], n, nil)
-		if math.IsInf(Norm2Sq(o)+Norm2Sq(q), 0) || math.IsNaN(Norm2Sq(o)+Norm2Sq(q)) {
-			t.Skip("the index refuses non-finite vectors")
+		if got, want := DotInt8Int16(a, b), dotInt8Tail(a, b); got != want {
+			t.Fatalf("n=%d: DotInt8Int16=%d, portable loop %d", n, got, want)
 		}
-		checkBound(t, "fuzz", o, q)
 	})
 }
 
+// BenchmarkDotInt8Int16 scores 300-dimension rows at both ends of the
+// memory hierarchy: one row that stays in L1, and the rows of a
+// warm-small-sized index (17,770 × 300 codes, 5.3 MB) read at random
+// positions, the cache-missing shape a query's screen sees.
 func BenchmarkDotInt8Int16(b *testing.B) {
+	const d, n = 300, 17770
 	rng := rand.New(rand.NewSource(2))
-	a, q := make([]int8, 300), make([]int16, 300)
-	for i := range a {
-		a[i], q[i] = int8(rng.Intn(255)-127), int16(rng.Intn(65535)-32767)
+	rows, q := make([]int8, n*d), make([]int16, d)
+	for i := range rows {
+		rows[i] = int8(rng.Intn(255) - 127)
+	}
+	for i := range q {
+		q[i] = int16(rng.Intn(65535) - 32767)
 	}
 	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink += DotInt8Int16(a, q)
-	}
+	b.Run("l1", func(b *testing.B) {
+		for b.Loop() {
+			sink += DotInt8Int16(rows[:d], q)
+		}
+	})
+	b.Run("random-of-17770", func(b *testing.B) {
+		pos := make([]int, 4096)
+		for i := range pos {
+			pos[i] = rng.Intn(n) * d
+		}
+		i := 0
+		for b.Loop() {
+			p := pos[i&(len(pos)-1)]
+			sink += DotInt8Int16(rows[p:p+d], q)
+			i++
+		}
+	})
 	_ = sink
 }
 
