@@ -187,6 +187,61 @@ func TestDotInt8Int16(t *testing.T) {
 	}
 }
 
+// TestQuantizeBlocks holds the block loops to the portable ones: the same
+// maximum, the same codes, and a residual sum that differs only by its
+// summation order.
+func TestQuantizeBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 4, 8, 300, 5408} {
+		for _, scale := range []float64{1e-30, 1, 1e30} {
+			o := gaussVec(rng, n, scale)
+			if n > 0 {
+				o[rng.Intn(n)] *= 1e3 // one dominant component
+				o[rng.Intn(n)] = 0
+			}
+			if got, want := maxAbsBlocks(o), maxAbsTail(o, 0); got != want {
+				t.Fatalf("n=%d: maxAbsBlocks %v, want %v", n, got, want)
+			}
+			s := float32(float64(maxAbsTail(o, 0)) / 127)
+			if s < 0x1p-126 {
+				continue
+			}
+			got, want := make([]int8, n), make([]int8, n)
+			gs := quantizeBlocks(got, o, 1/float64(s), float64(s))
+			ws := quantizeTail(want, o, 1/float64(s), float64(s))
+			if string(unsafeBytes(got)) != string(unsafeBytes(want)) {
+				t.Fatalf("n=%d scale %g: codes differ", n, scale)
+			}
+			if math.Abs(gs-ws) > 1e-12*ws {
+				t.Fatalf("n=%d scale %g: residual sum %v, want %v", n, scale, gs, ws)
+			}
+		}
+	}
+}
+
+func unsafeBytes(c []int8) []byte {
+	b := make([]byte, len(c))
+	for i, x := range c {
+		b[i] = byte(x)
+	}
+	return b
+}
+
+// FuzzScreenBound: for arbitrary finite o and q the bound is at least the
+// float64 DotBytes returns, bit for bit.
+func FuzzScreenBound(f *testing.F) {
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 128, 63, 0, 0, 0, 192})
+	f.Add([]byte{1, 0, 0, 0, 0, 36, 116, 73, 255, 255, 127, 127, 1, 0, 0, 128})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		n := len(raw) / 8
+		o, q := Decode(raw, n, nil), Decode(raw[4*n:], n, nil)
+		if math.IsInf(Norm2Sq(o)+Norm2Sq(q), 0) || math.IsNaN(Norm2Sq(o)+Norm2Sq(q)) {
+			t.Skip("the index refuses non-finite vectors")
+		}
+		checkBound(t, "fuzz", o, q)
+	})
+}
+
 // FuzzDotInt8Int16: for arbitrary codes at arbitrary offsets the kernel
 // returns what the portable loop does.
 func FuzzDotInt8Int16(f *testing.F) {
