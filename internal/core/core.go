@@ -640,17 +640,11 @@ var errNonFinite = errors.New("a component is NaN or infinite; vectors must be f
 // Insert compute it anyway.
 func finite(normSq float64) bool { return normSq <= math.MaxFloat64 }
 
-// conditionA evaluates the deterministic termination test (Formula 1):
-// ‖oM‖² + ‖q‖² − 2⟨oi,q⟩/c ≤ 0. The approximation ratio c is query-local:
-// per-query overrides recompute the condition without touching the index.
-// Defined on the snapshot: a query must test against the one consistent
-// ‖oM‖² its view was captured with.
-func (sn *snapshot) conditionA(c, normQSq, ipK float64) bool {
-	return sn.maxNorm2Sq+normQSq-2*ipK/c <= 0
-}
-
 // conditionBDenominator is ‖oM‖² + ‖q‖² − 2⟨omax,q⟩/c, the denominator of
-// Formula 2. Non-positive values mean Condition A already holds.
+// Formula 2. Non-positive values are Condition A (Formula 1). The
+// approximation ratio c is query-local: per-query overrides recompute the
+// conditions without touching the index. Defined on the snapshot: a query
+// must test against the one consistent ‖oM‖² its view was captured with.
 func (sn *snapshot) conditionBDenominator(c, normQSq, ipK float64) float64 {
 	return sn.maxNorm2Sq + normQSq - 2*ipK/c
 }

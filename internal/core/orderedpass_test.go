@@ -20,16 +20,17 @@ import (
 // collected candidate and walk them all, bounding each with a fresh walk of
 // its sketch codes. It is the oracle orderedPass is held to — same results,
 // same stats, bit for bit — and shares with run only what that change did
-// not touch (Quick-Probe, the collection, the window selection) plus the
-// runaway rule, so queries that end in the sequential scan compare too.
+// not touch (the prologue, Quick-Probe, the collection, the window
+// selection) plus the runaway rule, so queries that end in the sequential
+// scan compare too.
 func (s *query) referenceRun() error {
 	sn, sc, top, st := s.sn, s.sc, s.top, &s.st
-	r, err := s.probeRadius()
+	memLUT, err := s.begin()
 	if err != nil {
 		return err
 	}
-	memLUT := sn.memLUT(s.q, &sc.lut)
-	if st.NormPruned, err = sn.scanMem(s.ctx, s.q, s.normQSq, memLUT, top, &s.params); err != nil {
+	r, err := s.probeRadius()
+	if err != nil {
 		return err
 	}
 	const (
@@ -224,11 +225,35 @@ func (tl *orderedPassTally) differential(sn *snapshot, q []float32, k int, param
 	return ranged, nil
 }
 
-// TestOrderedPassMatchesSortEverything is the differential oracle of the
-// prune-before-order pass: on every shape of index and query the pass
-// branches on, the answer and every SearchStats field equal those of
-// sorting and walking all collected candidates.
-func TestOrderedPassMatchesSortEverything(t *testing.T) {
+// diffView is one index view the query-path differentials answer queries
+// on.
+type diffView struct {
+	name    string
+	ix      *Index
+	queries [][]float32
+	mutate  func(*snapshot) // test-only edits of the captured view
+}
+
+// snapshot captures the view, applies its edits and releases it when the
+// test ends (before the index's Close, which waits for it).
+func (v diffView) snapshot(t *testing.T) *snapshot {
+	t.Helper()
+	sn, err := v.ix.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sn.release)
+	if v.mutate != nil {
+		v.mutate(sn)
+	}
+	return sn
+}
+
+// differentialViews builds every shape of index and query the query passes
+// branch on — a plain index, the same index without a sketch, tombstones,
+// an update backlog, tied projected distances, gaussian data — and the
+// per-query parameter sets the differentials sweep on each.
+func differentialViews(t *testing.T) ([]diffView, map[string]SearchParams) {
 	const n = 1500
 	netflix := dataset.Netflix().Generate(n+400, 21)
 	// Duplicated points project identically: ties in projected distance,
@@ -239,19 +264,13 @@ func TestOrderedPassMatchesSortEverything(t *testing.T) {
 	}
 	gauss := randData(rand.New(rand.NewSource(5)), 900, 24)
 
-	type view struct {
-		name    string
-		ix      *Index
-		queries [][]float32
-		mutate  func(*snapshot) // test-only edits of the captured view
-	}
 	plain := buildIndex(t, netflix[:n], Options{Seed: 3, M: 6})
 	backlog, backlogData := backlogIndex(t, t.TempDir())
 	deleted := buildIndex(t, netflix[:n], Options{Seed: 9, M: 6})
 	for id := uint32(0); id < n; id += 3 {
 		deleted.Delete(id)
 	}
-	views := []view{
+	views := []diffView{
 		{name: "netflix", ix: plain, queries: netflix},
 		{name: "pre-sketch index", ix: plain, queries: netflix, mutate: func(sn *snapshot) { sn.sketch = nil }},
 		{name: "tombstones", ix: deleted, queries: netflix},
@@ -266,16 +285,18 @@ func TestOrderedPassMatchesSortEverything(t *testing.T) {
 		"filter":    {Filter: func(id uint32) bool { return id%4 != 1 }},
 		"noprerank": {NoPrerank: true},
 	}
+	return views, paramSets
+}
+
+// TestOrderedPassMatchesSortEverything is the differential oracle of the
+// prune-before-order pass: on every shape of index and query the pass
+// branches on, the answer and every SearchStats field equal those of
+// sorting and walking all collected candidates.
+func TestOrderedPassMatchesSortEverything(t *testing.T) {
+	views, paramSets := differentialViews(t)
 	var total orderedPassTally
 	for _, v := range views {
-		sn, err := v.ix.snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sn.release()
-		if v.mutate != nil {
-			v.mutate(sn)
-		}
+		sn := v.snapshot(t)
 		var tl orderedPassTally
 		// The query with the smallest range pass, to ask it for more than
 		// that pass collects.

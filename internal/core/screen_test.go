@@ -3,19 +3,18 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 
 	"promips/internal/dataset"
 )
 
-// screenAnswer runs one query against sn through the query struct and
-// returns its answer and how many verifications the screen settled.
-func screenAnswer(sn *snapshot, q []float32, k int, params SearchParams) ([]Result, SearchStats, int, error) {
+// screenAnswer runs one query against sn through the query struct, driven
+// by run (Search's Algorithm 3) or runIncremental (Algorithm 1), and returns
+// its answer and how many verifications the screen settled.
+func screenAnswer(sn *snapshot, drive func(*query) error, q []float32, k int, params SearchParams) ([]Result, SearchStats, int, error) {
 	c, p, k, err := sn.beginSearch(q, k, params)
 	if err != nil {
 		return nil, SearchStats{}, 0, err
@@ -23,20 +22,20 @@ func screenAnswer(sn *snapshot, q []float32, k int, params SearchParams) ([]Resu
 	sc := getScratch(sn)
 	defer putScratch(sc)
 	s := sn.newQuery(context.Background(), sc, q, k, c, p, params)
-	res, st, err := s.finish(s.run())
+	res, st, err := s.finish(drive(s))
 	return res, st, s.screened, err
 }
 
 // screenDifferential answers q on sn with the screen and on its twin without
 // it, and requires the same results and the same stats, every field.
-func screenDifferential(sn *snapshot, q []float32, k int, params SearchParams) error {
+func screenDifferential(sn *snapshot, drive func(*query) error, q []float32, k int, params SearchParams) error {
 	ref := *sn
 	ref.noScreen = true
-	got, gotSt, screened, err := screenAnswer(sn, q, k, params)
+	got, gotSt, screened, err := screenAnswer(sn, drive, q, k, params)
 	if err != nil {
 		return err
 	}
-	want, wantSt, refScreened, err := screenAnswer(&ref, q, k, params)
+	want, wantSt, refScreened, err := screenAnswer(&ref, drive, q, k, params)
 	if err != nil {
 		return fmt.Errorf("reference: %w", err)
 	}
@@ -61,43 +60,16 @@ func screenDifferential(sn *snapshot, q []float32, k int, params SearchParams) e
 // a sketch — a query answers with the same results and the same
 // SearchStats, PageAccesses and the runaway budget's verdict included,
 // whether the int8 screen settles verifications or every one reads the
-// store; and on the views with a sketch the screen settles most of the
-// verifications of the serving shape. (Without one most of these queries
-// end in the sequential scan, where the screen does not run.)
+// store, through Search's driver and through Algorithm 1's; and the screen
+// settles most of the verifications of the serving shape — under Search on
+// the views with a sketch (without one most of these queries end in the
+// sequential scan, where the screen does not run), under Algorithm 1, which
+// has no such scan, on every view.
 func TestScreenIsInvisible(t *testing.T) {
-	const n = 1500
-	netflix := dataset.Netflix().Generate(n+400, 21)
-	tied := slices.Clone(netflix[:n])
-	for i := 0; i < n; i += 5 {
-		tied[i] = tied[(i+1)%n]
-	}
-	gauss := randData(rand.New(rand.NewSource(5)), 900, 24)
-
-	plain := buildIndex(t, netflix[:n], Options{Seed: 3, M: 6})
-	backlog, backlogData := backlogIndex(t, t.TempDir())
-	deleted := buildIndex(t, netflix[:n], Options{Seed: 9, M: 6})
-	for id := uint32(0); id < n; id += 3 {
-		deleted.Delete(id)
-	}
-	views := []struct {
-		name    string
-		ix      *Index
-		queries [][]float32
-		mutate  func(*snapshot)
-	}{
-		{"netflix", plain, netflix, nil},
-		{"pre-sketch index", plain, netflix, func(sn *snapshot) { sn.sketch = nil }},
-		{"tombstones", deleted, netflix, nil},
-		{"backlog", backlog, backlogData, nil},
-		{"ties", buildIndex(t, tied, Options{Seed: 4, M: 6}), tied, nil},
-		{"gaussian", buildIndex(t, gauss, Options{Seed: 6, M: 5}), gauss, nil},
-	}
-	paramSets := map[string]SearchParams{
-		"defaults":  {},
-		"c.8 p.7":   {C: 0.8, P: 0.7},
-		"c.95 p.9":  {C: 0.95, P: 0.9},
-		"filter":    {Filter: func(id uint32) bool { return id%4 != 1 }},
-		"noprerank": {NoPrerank: true},
+	views, paramSets := differentialViews(t)
+	drivers := map[string]func(*query) error{
+		"search":      (*query).run,
+		"incremental": (*query).runIncremental,
 	}
 	// Under the race detector the differential is there for the derivation
 	// on the worker pool; a quarter of the queries cover it.
@@ -106,39 +78,36 @@ func TestScreenIsInvisible(t *testing.T) {
 		perSet, member = 6, 12
 	}
 	for _, v := range views {
-		sn, err := v.ix.snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sn.release() // before the index's Close, which waits for it
+		sn := v.snapshot(t)
 		if sn.screen == nil {
 			t.Fatalf("%s: a resident index has no screen rows", v.name)
 		}
-		if v.mutate != nil {
-			v.mutate(sn)
-		}
-		for pname, params := range paramSets {
-			for qi := 0; qi < perSet; qi++ {
-				q := v.queries[(qi*67)%len(v.queries)]
-				k := []int{1, 10, 25, 150}[qi%4]
-				if err := screenDifferential(sn, q, k, params); err != nil {
-					t.Fatalf("%s, %s, query %d, k=%d: %v", v.name, pname, qi, k, err)
+		for dname, drive := range drivers {
+			for pname, params := range paramSets {
+				for qi := 0; qi < perSet; qi++ {
+					q := v.queries[(qi*67)%len(v.queries)]
+					k := []int{1, 10, 25, 150}[qi%4]
+					if err := screenDifferential(sn, drive, q, k, params); err != nil {
+						t.Fatalf("%s, %s, %s, query %d, k=%d: %v", v.name, dname, pname, qi, k, err)
+					}
 				}
 			}
 		}
 		// Member queries at k=10 and the defaults: the serving shape.
-		var screened, verified int
-		for _, q := range v.queries[:member] {
-			_, st, s, err := screenAnswer(sn, q, 10, SearchParams{})
-			if err != nil {
-				t.Fatal(err)
+		for dname, drive := range drivers {
+			var screened, verified int
+			for _, q := range v.queries[:member] {
+				_, st, s, err := screenAnswer(sn, drive, q, 10, SearchParams{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				screened += s
+				verified += st.Candidates
 			}
-			screened += s
-			verified += st.Candidates
-		}
-		t.Logf("%-16s k=10 member queries: %d of %d verifications screened", v.name, screened, verified)
-		if sn.sketch != nil && screened*2 < verified {
-			t.Errorf("%s: the screen settled only %d of %d verifications", v.name, screened, verified)
+			t.Logf("%-16s %-11s k=10 member queries: %d of %d verifications screened", v.name, dname, screened, verified)
+			if (sn.sketch != nil || dname == "incremental") && screened*2 < verified {
+				t.Errorf("%s, %s: the screen settled only %d of %d verifications", v.name, dname, screened, verified)
+			}
 		}
 	}
 }

@@ -275,20 +275,12 @@ func (s *query) finish(err error) ([]Result, SearchStats, error) {
 // computed — no extra disk reads, one threshold comparison per point.
 func (s *query) run() error {
 	sn, sc := s.sn, s.sc
-	r, err := s.probeRadius()
+	memLUT, err := s.begin()
 	if err != nil {
 		return err
 	}
-	if sn.screen != nil {
-		sc.zq.Quantize(s.q) // the query as the int8 screen reads it
-	}
-	// Recently inserted points (frozen segments and the mutable delta) are
-	// evaluated exactly up front (no disk I/O); their inner products can
-	// only tighten the conditions below. The query's sketch lookup table is
-	// built here when that scan can prune with it, and at most once: the
-	// pre-ranking pass reuses it.
-	memLUT := sn.memLUT(s.q, &sc.lut)
-	if s.st.NormPruned, err = sn.scanMem(s.ctx, s.q, s.normQSq, memLUT, s.top, &s.params); err != nil {
+	r, err := s.probeRadius()
+	if err != nil {
 		return err
 	}
 	// Candidates are collected unsorted, in disk order.
@@ -344,14 +336,32 @@ func (s *query) run() error {
 	return nil
 }
 
-// probeRadius projects the query, runs Quick-Probe (Algorithm 2) and returns
-// the estimated range: the located point's projected distance (fetching its
-// projected vector costs one page access, the only projected-point read
-// Quick-Probe needs).
-func (s *query) probeRadius() (float64, error) {
+// begin is the prologue of both query drivers, run and runIncremental: it
+// projects the query, derives χ = Ψm⁻¹(p), quantizes the query for the int8
+// screen and evaluates the recently inserted points (frozen segments and
+// the mutable delta) exactly, with no disk I/O — their inner products can
+// only tighten the termination conditions. The query's sketch lookup table
+// is built here when that scan can prune with it, and returned so the
+// pre-ranking pass reuses it; nil when it was not built.
+func (s *query) begin() ([]float64, error) {
 	sn, sc := s.sn, s.sc
 	sc.pq = sn.proj.ProjectInto(s.q, sc.pq)
 	s.chi = stats.ChiSquareInvCDF(sn.m, s.p)
+	if sn.screen != nil {
+		sc.zq.Quantize(s.q) // the query as the int8 screen reads it
+	}
+	memLUT := sn.memLUT(s.q, &sc.lut)
+	var err error
+	s.st.NormPruned, err = sn.scanMem(s.ctx, s.q, s.normQSq, memLUT, s.top, &s.params)
+	return memLUT, err
+}
+
+// probeRadius runs Quick-Probe (Algorithm 2) on the projected query and
+// returns the estimated range: the located point's projected distance
+// (fetching its projected vector costs one page access, the only
+// projected-point read Quick-Probe needs).
+func (s *query) probeRadius() (float64, error) {
+	sn, sc := s.sn, s.sc
 	probeID := sn.quickProbe(sc.pq, vec.Norm1(s.q), s.c, s.chi, &s.st, sc)
 	var err error
 	if sc.probePt, err = sn.idist.Projected(probeID, sc.probePt, s.io); err != nil {
@@ -716,8 +726,9 @@ func (ix *Index) SearchIncremental(q []float32, k int) ([]Result, SearchStats, e
 // Conditions A and B on every returned point. It is kept for the ablation
 // study of Quick-Probe's benefit; the results carry the same probability
 // guarantee and honor the same per-query overrides and cancellation points
-// as SearchContext. Like SearchContext, it runs against a call-time
-// snapshot and is safe for concurrent use.
+// as SearchContext, whose verification pass it runs (see runIncremental),
+// but it never ends in the sequential scan. Like SearchContext, it runs
+// against a call-time snapshot and is safe for concurrent use.
 func (ix *Index) SearchIncrementalContext(ctx context.Context, q []float32, k int, params SearchParams) ([]Result, SearchStats, error) {
 	sn, err := ix.snapshot()
 	if err != nil {
@@ -734,61 +745,40 @@ func (sn *snapshot) searchIncremental(ctx context.Context, q []float32, k int, p
 	}
 	sc := getScratch(sn)
 	defer putScratch(sc)
-	io := &sc.io
-	var st SearchStats
+	s := sn.newQuery(ctx, sc, q, k, c, p, params)
+	return s.finish(s.runIncremental())
+}
 
-	sc.pq = sn.proj.ProjectInto(q, sc.pq)
-	normQSq := vec.Norm2Sq(q)
-	top := &sc.top
-	top.reset(k)
-	memLUT := sn.memLUT(q, &sc.lut)
-	st.NormPruned, err = sn.scanMem(ctx, q, normQSq, memLUT, top, &params)
+// runIncremental is MIP-Search-I (Algorithm 1): the ordered pass over the
+// expanding annuli of the incremental NN search. Each band is consumed in
+// ascending projected distance, so every point is verified (or pruned) and
+// tested against Conditions A and B in the order the NN walk returns it;
+// the band's seen set starts empty because nothing outside it lies in its
+// distance range. The paper's walk has no ski-rental: it runs until a
+// condition holds or the index is exhausted, so the runaway budget is
+// lifted.
+func (s *query) runIncremental() error {
+	sc := s.sc
+	s.budget = math.MaxInt
+	if _, err := s.begin(); err != nil {
+		return err
+	}
+	reason := ""
+	var err error
+	sc.cands, err = s.sn.idist.WalkAnnuli(s.ctx, sc.pq, s.io, sc.cands, func(band []idistance.Candidate) (bool, error) {
+		sc.seen = sc.seen[:0]
+		var err error
+		reason, err = s.orderedPass(band, nil, nil)
+		return reason != "", err
+	})
 	if err != nil {
-		return nil, st, err
+		return err
 	}
-
-	it := sn.idist.NewIterator(ctx, sc.pq, io)
-	for {
-		cand, ok := it.Next()
-		if !ok {
-			if err := it.Err(); err != nil {
-				return nil, st, err
-			}
-			st.TerminatedBy = "exhausted"
-			break
-		}
-		if !sn.live(cand.ID) || !params.accepts(cand.ID) {
-			continue
-		}
-		// The same exact Cauchy-Schwarz prune as the main path: a candidate
-		// whose norm cannot beat the current k-th inner product is counted
-		// seen without touching its store page.
-		if ipK, full := top.kth(); full && ipK >= 0 && sn.norm2Sq[cand.Pos]*normQSq <= ipK*ipK {
-			st.NormPruned++
-		} else {
-			ip, err := sc.reader.DotAt(int(cand.Pos), q, io)
-			if err != nil {
-				return nil, st, err
-			}
-			st.Candidates++
-			top.offer(cand.ID, ip)
-		}
-		ipK, full := top.kth()
-		if !full {
-			continue
-		}
-		if sn.conditionA(c, normQSq, ipK) {
-			st.TerminatedBy = "A"
-			break
-		}
-		denom := sn.conditionBDenominator(c, normQSq, ipK)
-		if denom > 0 && stats.ChiSquareCDF(sn.m, cand.Dist*cand.Dist/denom) >= p {
-			st.TerminatedBy = "B"
-			break
-		}
+	if reason == "" {
+		reason = "exhausted"
 	}
-	st.PageAccesses = io.Pages()
-	return sc.takeResults(), st, nil
+	s.st.TerminatedBy = reason
+	return nil
 }
 
 // Exact scans the whole dataset and returns the true top-k MIP points. It

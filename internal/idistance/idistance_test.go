@@ -24,6 +24,18 @@ func randPoints(r *rand.Rand, n, m int, scale float64) [][]float32 {
 	return pts
 }
 
+// walkAnnuli runs the incremental NN walk over the whole index the way
+// Algorithm 1 consumes it: each band sorted, then appended.
+func walkAnnuli(idx *Index, q []float32) ([]Candidate, error) {
+	var walked []Candidate
+	_, err := idx.WalkAnnuli(context.Background(), q, nil, nil, func(band []Candidate) (bool, error) {
+		SortCandidates(band)
+		walked = append(walked, band...)
+		return false, nil
+	})
+	return walked, err
+}
+
 func buildTestIndex(t testing.TB, pts [][]float32, cfg Config) *Index {
 	t.Helper()
 	idx, err := Build(context.Background(), pts, t.TempDir(), cfg)
@@ -121,7 +133,7 @@ func TestAnnulusSearchExcludesInnerBall(t *testing.T) {
 // TestCandidatePositions: every candidate a search reports carries its
 // layout position — Layout()[Pos] == ID — and its distance bit for bit as
 // one L2Dist of the point's projected vector; a range search, an annulus
-// (the compensation pass's shape) and an Iterator walk see positions
+// (the compensation pass's shape) and the annulus walk see positions
 // ascending within one Search. Checked on a fresh build, on its reopened
 // copy and on the legacy fixture, whose sub-partition positions Open
 // derives from a directory read out of the old tree file.
@@ -185,13 +197,9 @@ func TestCandidatePositions(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("annulus", annulus, true)
-			it := tc.idx.NewIterator(context.Background(), q, nil)
-			var walked []Candidate
-			for c, ok := it.Next(); ok; c, ok = it.Next() {
-				walked = append(walked, c)
-			}
-			if it.Err() != nil || len(walked) != len(tc.pts) {
-				t.Fatalf("%s: iterator yielded %d of %d points (%v)", tc.name, len(walked), len(tc.pts), it.Err())
+			walked, err := walkAnnuli(tc.idx, q)
+			if err != nil || len(walked) != len(tc.pts) {
+				t.Fatalf("%s: iterator yielded %d of %d points (%v)", tc.name, len(walked), len(tc.pts), err)
 			}
 			check("iterator", walked, false)
 		}
@@ -203,22 +211,18 @@ func TestIteratorReturnsAscendingOrder(t *testing.T) {
 	pts := randPoints(r, 1500, 6, 10)
 	idx := buildTestIndex(t, pts, Config{Seed: 9, PageSize: 512})
 	q := randPoints(r, 1, 6, 10)[0]
-	it := idx.NewIterator(context.Background(), q, nil)
+	walked, err := walkAnnuli(idx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var dists []float64
 	seen := make(map[uint32]bool)
-	for {
-		c, ok := it.Next()
-		if !ok {
-			break
-		}
+	for _, c := range walked {
 		if seen[c.ID] {
 			t.Fatalf("iterator yielded %d twice", c.ID)
 		}
 		seen[c.ID] = true
 		dists = append(dists, c.Dist)
-	}
-	if it.Err() != nil {
-		t.Fatal(it.Err())
 	}
 	if len(dists) != len(pts) {
 		t.Fatalf("iterator yielded %d of %d points", len(dists), len(pts))
@@ -244,12 +248,15 @@ func TestIteratorMatchesExactNNOrder(t *testing.T) {
 	}
 	sort.Slice(exact, func(i, j int) bool { return exact[i].d < exact[j].d })
 
-	it := idx.NewIterator(context.Background(), q, nil)
+	walked, err := walkAnnuli(idx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k := 0; k < 50; k++ {
-		c, ok := it.Next()
-		if !ok {
+		if k >= len(walked) {
 			t.Fatalf("iterator exhausted at %d", k)
 		}
+		c := walked[k]
 		// Compare distances, not ids (ties may reorder).
 		if diff := c.Dist - exact[k].d; diff > 1e-6 || diff < -1e-6 {
 			t.Fatalf("NN %d: iterator dist %.6f, exact %.6f", k, c.Dist, exact[k].d)
@@ -262,12 +269,14 @@ func TestIteratorFindsExactDuplicateOfQuery(t *testing.T) {
 	pts := randPoints(r, 300, 4, 5)
 	q := vec.Clone(pts[42])
 	idx := buildTestIndex(t, pts, Config{Seed: 13, PageSize: 512})
-	it := idx.NewIterator(context.Background(), q, nil)
-	c, ok := it.Next()
-	if !ok {
+	walked, err := walkAnnuli(idx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(walked) == 0 {
 		t.Fatal("iterator empty")
 	}
-	if c.Dist > 1e-6 {
+	if c := walked[0]; c.Dist > 1e-6 {
 		t.Fatalf("first NN at distance %v, want 0 (duplicate of query)", c.Dist)
 	}
 }

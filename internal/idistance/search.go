@@ -45,8 +45,8 @@ func (sc *scanScratch) release() {
 // satisfies rLo < d ≤ rHi, in disk order (sub-partition by sub-partition,
 // so Pos ascends; callers sort when they need distance order) and returns
 // the extended slice. Pass rLo < 0 for a plain range search. The range
-// collection of a query, its compensation annulus and every round of the
-// Iterator are this one loop.
+// collection of a query, its compensation annulus and every band of
+// WalkAnnuli are this one loop.
 //
 // Filtering follows §VI: partitions whose sphere does not intersect the
 // query sphere are skipped, and within one the rings outside the query
@@ -193,76 +193,37 @@ func (idx *Index) RangeSearch(ctx context.Context, q []float32, r float64, io *p
 	return out, nil
 }
 
-// Iterator yields indexed points in ascending projected distance from a
-// query — the incremental NN search of Algorithm 1 (MIP-Search-I). It
-// expands the search radius ring by ring, buffering and sorting each
-// annulus.
-type Iterator struct {
-	idx     *Index
-	ctx     context.Context
-	io      *pager.IOStats
-	q       []float32
-	r       float64
-	step    float64
-	maxR    float64
-	buf     []Candidate
-	pos     int
-	done    bool
-	lastErr error
-}
-
-// NewIterator starts an incremental NN scan from q, recording page reads
-// in io. The annulus width defaults to the ring width ε (each expansion
-// round touches at most one new ring per partition). The context is held
-// for the iterator's lifetime — an iterator is one query's scan — and
-// cancellation surfaces through Err after Next returns false.
-func (idx *Index) NewIterator(ctx context.Context, q []float32, io *pager.IOStats) *Iterator {
+// WalkAnnuli is the incremental NN search of Algorithm 1 (MIP-Search-I)
+// as a schedule of Searches: it collects the expanding annuli around q into
+// buf (reused band to band) and hands each band to visit, unsorted, until
+// visit reports stop or the walk has covered every partition. The first
+// band is the closed ball [0, ε]; each later band (lo, hi] starts where the
+// previous one ended, and its width doubles after an empty band, so a query
+// far from all partitions does not crawl ε by ε. The band that reaches past
+// max over partitions of ‖q−Oᵢ‖+rᵢ is the last. Every indexed point falls in
+// exactly one band, so a visitor that consumes each band in ascending
+// distance sees the whole index in ascending projected distance. Page reads
+// are recorded in io; an error from Search or visit ends the walk and is
+// returned with buf's storage.
+func (idx *Index) WalkAnnuli(ctx context.Context, q []float32, io *pager.IOStats, buf []Candidate, visit func(band []Candidate) (stop bool, err error)) ([]Candidate, error) {
 	maxR := 0.0
 	for p, c := range idx.centers {
-		if d := vec.L2Dist(q, c) + idx.radii[p]; d > maxR {
-			maxR = d
-		}
+		maxR = max(maxR, vec.L2Dist(q, c)+idx.radii[p])
 	}
 	step := idx.epsilon
 	if step <= 0 {
 		step = 1
 	}
-	return &Iterator{idx: idx, ctx: ctx, io: io, q: q, step: step, maxR: maxR}
-}
-
-// Next returns the next nearest point, or ok=false when the index is
-// exhausted (or a read failed; see Err).
-func (it *Iterator) Next() (Candidate, bool) {
-	for it.pos >= len(it.buf) {
-		if it.done {
-			return Candidate{}, false
-		}
-		lo := it.r
-		hi := it.r + it.step
-		if lo == 0 {
-			lo = -1 // first annulus is the closed ball [0, step]
-		}
-		// Grow the annulus geometrically when rounds come back empty, so a
-		// query far from all partitions doesn't crawl ε by ε.
-		it.pos = 0
+	for lo, hi := -1.0, step; ; lo, hi = hi, hi+step {
 		var err error
-		if it.buf, err = it.idx.Search(it.ctx, it.q, lo, hi, it.io, it.buf[:0]); err != nil {
-			it.buf, it.lastErr, it.done = it.buf[:0], err, true
-			return Candidate{}, false
+		if buf, err = idx.Search(ctx, q, lo, hi, io, buf[:0]); err != nil {
+			return buf, err
 		}
-		SortCandidates(it.buf)
-		it.r = hi
-		if hi > it.maxR {
-			it.done = true
+		if stop, err := visit(buf); stop || err != nil || hi > maxR {
+			return buf, err
 		}
-		if len(it.buf) == 0 {
-			it.step *= 2
+		if len(buf) == 0 {
+			step *= 2
 		}
 	}
-	c := it.buf[it.pos]
-	it.pos++
-	return c, true
 }
-
-// Err reports a read error that terminated the iteration, if any.
-func (it *Iterator) Err() error { return it.lastErr }

@@ -6,14 +6,10 @@ import (
 )
 
 // SortCandidates sorts by the CompareCandidates order (ascending distance,
-// id tie-break). Candidate ordering is a measurable slice of the query hot
-// path — every range search sorts hundreds-to-thousands of candidates — so
-// this is a specialized quicksort whose comparisons inline, instead of the
-// generic slices.SortFunc machinery paying an indirect comparator call per
-// comparison. The result is identical: the order is a strict total order,
-// so every correct comparison sort produces the same permutation.
+// id tie-break). The order is a strict total order, so every correct
+// comparison sort produces the same permutation.
 func SortCandidates(s []Candidate) {
-	quickCand(s, 2*bits.Len(uint(len(s))))
+	slices.SortFunc(s, CompareCandidates)
 }
 
 func candLess(a, b Candidate) bool {
@@ -67,30 +63,6 @@ func insertionCand(s []Candidate) {
 		}
 		s[j+1] = v
 	}
-}
-
-// quickCand is a median-of-three Hoare quicksort with an insertion-sort
-// cutoff, recursing on the smaller half to bound stack depth. If pathological
-// pivots exhaust the depth budget it falls back to the stdlib sort, keeping
-// the O(n log n) worst case.
-func quickCand(s []Candidate, depth int) {
-	for len(s) > sortCutoff {
-		if depth == 0 {
-			slices.SortFunc(s, CompareCandidates)
-			return
-		}
-		depth--
-		m := partitionCand(s)
-		// Recurse into the smaller side, loop on the larger.
-		if m <= len(s)-m {
-			quickCand(s[:m], depth)
-			s = s[m:]
-		} else {
-			quickCand(s[m:], depth)
-			s = s[:m]
-		}
-	}
-	insertionCand(s)
 }
 
 // CandidateStream yields the elements of a candidate slice in

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestSortCandidates cross-checks the specialized quicksort against the
-// stdlib on adversarial shapes: the order is strictly total (distance, then
-// id), so the two must agree element-for-element.
+// TestSortCandidates cross-checks SortCandidates against the stdlib on
+// adversarial shapes: the order is strictly total (distance, then id), so
+// the two must agree element-for-element.
 func TestSortCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	gen := func(n int, mode int) []Candidate {

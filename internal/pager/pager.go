@@ -456,16 +456,11 @@ func (p *Pager) Read(id int64, io *IOStats) (Page, error) {
 	}
 	p.accesses.Add(1)
 	io.record(p.id, id)
-	sh := p.shard(id)
-	sh.mu.RLock()
-	if e, ok := sh.pool[id]; ok {
-		pg := e.pin()
-		sh.mu.RUnlock()
-		p.hits.Add(1)
-		return pg, nil
+	var out [1]Page
+	if err := p.readChunk(id, id+1, out[:]); err != nil {
+		return Page{}, err
 	}
-	sh.mu.RUnlock()
-	return p.readMiss(sh, id)
+	return out[0], nil
 }
 
 // Note records page id in io as a page the caller's work touches — counted
@@ -475,22 +470,6 @@ func (p *Pager) Read(id int64, io *IOStats) (Page, error) {
 // the page, so its Page Access count is the verification sequence's
 // footprint whichever copy answered.
 func (p *Pager) Note(id int64, io *IOStats) { io.note(p.id, id) }
-
-// readMiss loads a page into a free frame with no lock held — misses in
-// different (or even the same) shard overlap — then installs it under the
-// shard's exclusive lock.
-func (p *Pager) readMiss(sh *shard, id int64) (Page, error) {
-	p.misses.Add(1)
-	var fr [1]*poolEntry
-	sh.frames(p, fr[:])
-	if _, err := p.readAt(fr[0].data, id); err != nil {
-		sh.recycle(fr[:])
-		return Page{}, fmt.Errorf("pager: read page %d: %w", id, err)
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.install(p, id, fr[0]), nil
-}
 
 // readAt fills buf from the file starting at page first: every read the
 // pager issues goes through here, so FileReads counts them all.
@@ -540,7 +519,8 @@ func (p *Pager) ReadRun(first int64, n int, dst []Page, io *IOStats) ([]Page, er
 // readChunk fills out with pages [start, end) of one shard block. The fast
 // path (everything cached) finishes under the shared lock; otherwise the
 // missing pages are read from the file in contiguous spans into free frames
-// without any lock and installed under the exclusive lock, as in readMiss.
+// without any lock — misses in different (or even the same) shard overlap —
+// and installed under the exclusive lock.
 func (p *Pager) readChunk(start, end int64, out []Page) error {
 	sh := p.shard(start)
 	missing := 0
