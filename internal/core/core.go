@@ -139,12 +139,12 @@ func (o *Options) normalize() error {
 // group is one Quick-Probe bucket: the points sharing an m-bit sign code.
 // Only the member with the smallest 1-norm matters at query time (it
 // maximizes LB²/(c·(‖o‖₁+‖q‖₁)²) within the group), so that is all we keep
-// in memory; the paper likewise stores per-group sorted 1-norms.
+// in memory (16 bytes a group); the paper likewise stores per-group sorted
+// 1-norms.
 type group struct {
-	code     uint32
 	minNorm1 float64
+	code     uint32
 	minID    uint32
-	count    int
 }
 
 // Result is one returned point with its exact inner product to the query.
@@ -262,8 +262,6 @@ type Index struct {
 	screen *screenRows
 
 	norm2Sq []float64 // per layout position, ‖o‖²
-	norm1   []float64 // per id, ‖o‖₁
-	codes   []uint32  // per id, sign code of P(o)
 	groups  []group
 
 	// mu guards the mutable query-visible state: the delta and segment
@@ -363,22 +361,20 @@ func Build(ctx context.Context, data [][]float32, dir string, opts Options) (*In
 		return nil, fmt.Errorf("core: m=%d exceeds %d", m, randproj.MaxM)
 	}
 
-	// Stage 1, per point on the pool: 2-stable projections, and the norms
-	// and sign codes Quick-Probe and Condition A read.
+	// Stage 1, per point on the pool: 2-stable projections, ‖o‖² for
+	// Condition A, and the 1-norms and sign codes the Quick-Probe groups are
+	// formed from (needed only here).
 	proj := randproj.New(d, m, opts.Seed)
-	ix := &Index{
-		opts: opts, n: n, d: d, m: m, proj: proj,
-		norm2Sq: make([]float64, n),
-		norm1:   make([]float64, n),
-		codes:   make([]uint32, n),
-	}
+	ix := &Index{opts: opts, n: n, d: d, m: m, proj: proj, norm2Sq: make([]float64, n)}
 	projected := make([][]float32, n)
+	norm1 := make([]float64, n)
+	codes := make([]uint32, n)
 	err := par.Range(ctx, n, buildGrain, func(lo, hi int) {
 		copy(projected[lo:hi], proj.ProjectAll(data[lo:hi]))
 		for i := lo; i < hi; i++ {
 			ix.norm2Sq[i] = vec.Norm2Sq(data[i])
-			ix.norm1[i] = vec.Norm1(data[i])
-			ix.codes[i] = randproj.Code(projected[i])
+			norm1[i] = vec.Norm1(data[i])
+			codes[i] = randproj.Code(projected[i])
 		}
 	})
 	if err != nil {
@@ -388,21 +384,17 @@ func Build(ctx context.Context, data [][]float32, dir string, opts Options) (*In
 	// (read off the norms), ‖oM‖², and each sign-code group's smallest 1-norm
 	// (the first point wins a tie).
 	byCode := make(map[uint32]*group)
-	for i, code := range ix.codes {
+	for i, code := range codes {
 		if !finite(ix.norm2Sq[i]) {
 			return nil, fmt.Errorf("core: point %d: %w", i, errNonFinite)
 		}
 		if ix.norm2Sq[i] > ix.maxNorm2Sq {
 			ix.maxNorm2Sq = ix.norm2Sq[i]
 		}
-		g, ok := byCode[code]
-		if !ok {
-			byCode[code] = &group{code: code, minNorm1: ix.norm1[i], minID: uint32(i), count: 1}
-			continue
-		}
-		g.count++
-		if ix.norm1[i] < g.minNorm1 {
-			g.minNorm1, g.minID = ix.norm1[i], uint32(i)
+		if g, ok := byCode[code]; !ok {
+			byCode[code] = &group{code: code, minNorm1: norm1[i], minID: uint32(i)}
+		} else if norm1[i] < g.minNorm1 {
+			g.minNorm1, g.minID = norm1[i], uint32(i)
 		}
 	}
 	ix.groups = make([]group, 0, len(byCode))
@@ -579,7 +571,7 @@ func (ix *Index) Options() Options { return ix.opts }
 type SizeBreakdown struct {
 	RingDir    int64 // the encoded ring directory (the index proper)
 	Projected  int64 // projected points on disk
-	QuickProbe int64 // sign codes, 1-norms, per-group minima
+	QuickProbe int64 // per sign-code group: code, smallest 1-norm, its id
 	Norms      int64 // per-point ‖o‖² kept for Condition A
 	Sketch     int64 // in-memory PQ codes + codebooks for pre-ranking
 }
@@ -601,8 +593,8 @@ func (ix *Index) Sizes() SizeBreakdown {
 	return SizeBreakdown{
 		RingDir:    ix.idist.RingDirBytes(),
 		Projected:  ix.idist.DataSizeBytes(),
-		QuickProbe: int64(ix.n)*4 + int64(len(ix.groups))*20,
-		Norms:      int64(ix.n) * 16,
+		QuickProbe: int64(len(ix.groups)) * 16,
+		Norms:      int64(ix.n) * 8,
 		Sketch:     sketch,
 	}
 }

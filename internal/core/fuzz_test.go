@@ -41,10 +41,12 @@ func realMetaBytes(tb testing.TB) []byte {
 	return b
 }
 
-// legacyOptions and legacyCoreMeta mirror what promips.meta carried while
-// Options still had the retired persisted values: the same exported fields,
-// by name, plus the benchmark-only MissLatency, and Fsync as the policy enum
-// it was (0 fsync-always, 1 fsync-never, 2 no journal).
+// legacyOptions, legacyGroupMeta and legacyCoreMeta mirror what promips.meta
+// carried while it still held retired persisted values: the same exported
+// fields, by name, plus the benchmark-only MissLatency, Fsync as the policy
+// enum it was (0 fsync-always, 1 fsync-never, 2 no journal), the per-point
+// 1-norms and sign codes Quick-Probe's groups are built from, and each
+// group's member count.
 type legacyOptions struct {
 	C, P           float64
 	M              int
@@ -58,6 +60,13 @@ type legacyOptions struct {
 	SegmentEntries int
 }
 
+type legacyGroupMeta struct {
+	Code     uint32
+	MinNorm1 float64
+	MinID    uint32
+	Count    int
+}
+
 type legacyCoreMeta struct {
 	Opts       legacyOptions
 	N, D, M    int
@@ -66,21 +75,21 @@ type legacyCoreMeta struct {
 	Norm1      []float64
 	Codes      []uint32
 	MaxNorm2Sq float64
-	Groups     []groupMeta
+	Groups     []legacyGroupMeta
 	Delta      []deltaMeta
 	Deleted    []uint32
 	Sketch     []byte
 }
 
 // legacyMetaBytes re-encodes a real meta the way the old type wrote it,
-// with set applied to its options.
-func legacyMetaBytes(tb testing.TB, real []byte, set func(*legacyOptions)) []byte {
+// with set applied to it.
+func legacyMetaBytes(tb testing.TB, real []byte, set func(*legacyCoreMeta)) []byte {
 	tb.Helper()
 	var old legacyCoreMeta
 	if err := gob.NewDecoder(bytes.NewReader(real)).Decode(&old); err != nil {
 		tb.Fatal(err)
 	}
-	set(&old.Opts)
+	set(&old)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
 		tb.Fatal(err)
@@ -89,18 +98,25 @@ func legacyMetaBytes(tb testing.TB, real []byte, set func(*legacyOptions)) []byt
 }
 
 // retiredValues are the persisted values older versions wrote that this one
-// no longer has as options, each with what it decodes to.
+// no longer has, each with what it decodes to.
 var retiredValues = []struct {
 	name      string
-	set       func(*legacyOptions)
+	set       func(*legacyCoreMeta)
 	wantFsync int // Options.Fsync after decoding
 }{
 	// Gob skips a stream field the receiver lacks: the value is dropped.
-	{"MissLatency", func(o *legacyOptions) { o.MissLatency = 50 * time.Millisecond }, 0},
+	{"MissLatency", func(m *legacyCoreMeta) { m.Opts.MissLatency = 50 * time.Millisecond }, 0},
 	// The buffered policy: read, and then ignored — Open replays wal.log.
-	{"Fsync=1", func(o *legacyOptions) { o.Fsync = 1 }, 1},
+	{"Fsync=1", func(m *legacyCoreMeta) { m.Opts.Fsync = 1 }, 1},
 	// The no-journal policy: read, so Open can discard a stale wal.log.
-	{"Fsync=2", func(o *legacyOptions) { o.Fsync = 2 }, retiredNoJournal},
+	{"Fsync=2", func(m *legacyCoreMeta) { m.Opts.Fsync = 2 }, retiredNoJournal},
+	// Build-time Quick-Probe state: dropped like MissLatency.
+	{"Norm1, Codes and group counts", func(m *legacyCoreMeta) {
+		m.Norm1, m.Codes = make([]float64, m.N), make([]uint32, m.N)
+		for i := range m.Groups {
+			m.Groups[i].Count = 1
+		}
+	}, 0},
 }
 
 // TestDecodeMetaRetiredValues: a meta carrying a retired persisted value
@@ -156,9 +172,8 @@ func FuzzCoreMetaDecode(f *testing.F) {
 			return
 		}
 		// Validation passed: the invariants the search path relies on hold.
-		if len(m.Norm2Sq) != m.N || len(m.Norm1) != m.N || len(m.Codes) != m.N {
-			t.Fatalf("validated meta with inconsistent arrays: n=%d %d/%d/%d",
-				m.N, len(m.Norm2Sq), len(m.Norm1), len(m.Codes))
+		if len(m.Norm2Sq) != m.N {
+			t.Fatalf("validated meta with %d norms for n=%d", len(m.Norm2Sq), m.N)
 		}
 		for i, e := range m.Delta {
 			if int(e.ID) != m.N+i || len(e.V) != m.D {

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"promips/internal/dataset"
+	"promips/internal/randproj"
+	"promips/internal/vec"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/search_golden.json from the current implementation")
@@ -89,16 +91,82 @@ func capture(t *testing.T, res []Result, st SearchStats) goldenQuery {
 // Regenerate (only when an intentional semantic change occurs) with:
 // go test ./internal/core -run TestSearchGolden -update-golden
 func TestSearchGolden(t *testing.T) {
-	data := dataset.Netflix().Generate(1500, 11)
-	ix, err := Build(context.Background(), data, t.TempDir(), Options{M: 6, Seed: 3})
+	ix, err := Build(context.Background(), goldenData(), t.TempDir(), Options{M: 6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
+	got := goldenRun(t, ix)
 
-	queries := data[:8]
+	path := filepath.Join("testdata", "search_golden.json")
+	if *updateGolden {
+		buf, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	checkGolden(t, got)
+}
+
+// TestSearchGoldenLegacyMeta: the golden index saved with a promips.meta as
+// older versions wrote it — carrying every point's 1-norm and sign code and
+// each Quick-Probe group's member count, none of which a query reads — opens
+// and answers the golden queries identically.
+func TestSearchGoldenLegacyMeta(t *testing.T) {
+	data, dir := goldenData(), t.TempDir()
+	ix, err := Build(context.Background(), data, dir, Options{M: 6, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm1, codes, count := make([]float64, len(data)), make([]uint32, len(data)), make(map[uint32]int)
+	for i, p := range ix.proj.ProjectAll(data) {
+		norm1[i], codes[i] = vec.Norm1(data[i]), randproj.Code(p)
+		count[codes[i]]++
+	}
+	err = ix.Save(dir)
+	ix.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "promips.meta")
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := legacyMetaBytes(t, saved, func(m *legacyCoreMeta) {
+		m.Norm1, m.Codes = norm1, codes
+		for i := range m.Groups {
+			m.Groups[i].Count = count[m.Groups[i].Code]
+		}
+	})
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	checkGolden(t, goldenRun(t, re))
+}
+
+// goldenData is the golden index's data; its first 8 points are the queries.
+func goldenData() [][]float32 { return dataset.Netflix().Generate(1500, 11) }
+
+// goldenRun answers the golden queries — the first 8 points — on ix three
+// ways: Search, Search under (c, p) = (0.8, 0.7) and SearchIncremental.
+func goldenRun(t *testing.T, ix *Index) goldenFile {
+	t.Helper()
 	var got goldenFile
-	for _, q := range queries {
+	for _, q := range goldenData()[:8] {
 		res, st, err := ix.Search(q, 10)
 		if err != nil {
 			t.Fatal(err)
@@ -117,23 +185,13 @@ func TestSearchGolden(t *testing.T) {
 		}
 		got.Incremental = append(got.Incremental, capture(t, res, st))
 	}
+	return got
+}
 
-	path := filepath.Join("testdata", "search_golden.json")
-	if *updateGolden {
-		buf, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	buf, err := os.ReadFile(path)
+// checkGolden compares got with testdata/search_golden.json.
+func checkGolden(t *testing.T, got goldenFile) {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join("testdata", "search_golden.json"))
 	if err != nil {
 		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
 	}

@@ -32,8 +32,6 @@ type coreMeta struct {
 	N, D, M    int
 	Projector  []byte
 	Norm2Sq    []float64
-	Norm1      []float64
-	Codes      []uint32
 	MaxNorm2Sq float64
 	Groups     []groupMeta
 	Delta      []deltaMeta
@@ -47,7 +45,6 @@ type groupMeta struct {
 	Code     uint32
 	MinNorm1 float64
 	MinID    uint32
-	Count    int
 }
 
 type deltaMeta struct {
@@ -83,13 +80,12 @@ func (m *coreMeta) validate() error {
 	if m.N < 1 || m.D < 1 || m.M < 1 || m.M > randproj.MaxM {
 		return corrupt("implausible shape n=%d d=%d m=%d", m.N, m.D, m.M)
 	}
-	if len(m.Norm2Sq) != m.N || len(m.Norm1) != m.N || len(m.Codes) != m.N {
-		return corrupt("per-point arrays sized %d/%d/%d, want n=%d",
-			len(m.Norm2Sq), len(m.Norm1), len(m.Codes), m.N)
+	if len(m.Norm2Sq) != m.N {
+		return corrupt("%d norms, want n=%d", len(m.Norm2Sq), m.N)
 	}
 	for i, g := range m.Groups {
-		if int(g.MinID) >= m.N || g.Count < 1 {
-			return corrupt("group %d (code %d) minID=%d count=%d over n=%d", i, g.Code, g.MinID, g.Count, m.N)
+		if int(g.MinID) >= m.N {
+			return corrupt("group %d (code %d) minID=%d over n=%d", i, g.Code, g.MinID, m.N)
 		}
 	}
 	for i, e := range m.Delta {
@@ -132,8 +128,8 @@ func (ix *Index) Save(dir string) error {
 	layout := ix.idist.Layout()
 	m := coreMeta{
 		Opts: ix.opts, N: ix.n, D: ix.d, M: ix.m,
-		Projector: ix.proj.Encode(),
-		Norm2Sq:   vec.UnpermuteRows(ix.norm2Sq, 1, layout), Norm1: ix.norm1, Codes: ix.codes,
+		Projector:  ix.proj.Encode(),
+		Norm2Sq:    vec.UnpermuteRows(ix.norm2Sq, 1, layout),
 		MaxNorm2Sq: ix.maxNorm2Sq,
 	}
 	m.Opts.fs = nil // the seam is per-process, never persisted
@@ -147,7 +143,7 @@ func (ix *Index) Save(dir string) error {
 	}
 	m.Groups = make([]groupMeta, len(ix.groups))
 	for i, g := range ix.groups {
-		m.Groups[i] = groupMeta{Code: g.code, MinNorm1: g.minNorm1, MinID: g.minID, Count: g.count}
+		m.Groups[i] = groupMeta{Code: g.code, MinNorm1: g.minNorm1, MinID: g.minID}
 	}
 	// Frozen segments and the mutable delta fold into one dense Delta list
 	// (segments hold the older ids, so segments-then-delta preserves the
@@ -233,9 +229,8 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 	ix := &Index{
 		opts: m.Opts, n: m.N, d: m.D, m: m.M,
 		proj: proj, idist: idist, orig: orig,
-		norm2Sq: m.Norm2Sq, norm1: m.Norm1, codes: m.Codes,
-		maxNorm2Sq: m.MaxNorm2Sq,
-		tombs:      &tombSet{},
+		norm2Sq: m.Norm2Sq, maxNorm2Sq: m.MaxNorm2Sq,
+		tombs: &tombSet{},
 	}
 	ix.opts.fs = fsys
 	ix.segLimit = ix.opts.segmentEntries()
@@ -268,7 +263,7 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 	}
 	ix.groups = make([]group, len(m.Groups))
 	for i, g := range m.Groups {
-		ix.groups[i] = group{code: g.Code, minNorm1: g.MinNorm1, minID: g.MinID, count: g.Count}
+		ix.groups[i] = group{code: g.Code, minNorm1: g.MinNorm1, minID: g.MinID}
 	}
 	if len(m.Delta) > 0 {
 		ix.delta = make([]deltaEntry, 0, len(m.Delta))

@@ -364,7 +364,7 @@ func (s *query) probeRadius() (float64, error) {
 	sn, sc := s.sn, s.sc
 	probeID := sn.quickProbe(sc.pq, vec.Norm1(s.q), s.c, s.chi, &s.st, sc)
 	var err error
-	if sc.probePt, err = sn.idist.Projected(probeID, sc.probePt, s.io); err != nil {
+	if sc.probePt, err = sn.idist.Projected(sn.orig.Pos(probeID), sc.probePt, s.io); err != nil {
 		return 0, err
 	}
 	r := vec.L2Dist(sc.probePt, sc.pq)

@@ -150,8 +150,6 @@ type snapshot struct {
 	screen *screenRows
 
 	norm2Sq []float64
-	norm1   []float64
-	codes   []uint32
 	groups  []group
 
 	n, d, m    int
@@ -184,7 +182,7 @@ func (ix *Index) snapshot() (*snapshot, error) {
 	}
 	sn := &snapshot{
 		ref: ix.ref, proj: ix.proj, idist: ix.idist, orig: ix.orig, sketch: ix.sketch, screen: ix.screen,
-		norm2Sq: ix.norm2Sq, norm1: ix.norm1, codes: ix.codes, groups: ix.groups,
+		norm2Sq: ix.norm2Sq, groups: ix.groups,
 		n: ix.n, d: ix.d, m: ix.m,
 		maxNorm2Sq: ix.maxNorm2Sq,
 		optC:       ix.opts.C, optP: ix.opts.P,

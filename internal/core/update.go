@@ -449,7 +449,7 @@ func (ix *Index) swapLocked(next *Index) {
 	ix.idist, ix.orig = next.idist, next.orig
 	ix.ref = next.ref
 	ix.sketch, ix.screen = next.sketch, next.screen
-	ix.norm2Sq, ix.norm1, ix.codes, ix.groups = next.norm2Sq, next.norm1, next.codes, next.groups
+	ix.norm2Sq, ix.groups = next.norm2Sq, next.groups
 	ix.maxNorm2Sq = next.maxNorm2Sq
 	ix.delta, ix.tombs = next.delta, next.tombs
 	ix.segs, ix.frozenEntries = next.segs, next.frozenEntries

@@ -61,20 +61,18 @@ func (c *Config) normalize() {
 
 // subPartition is one sphere of points stored contiguously on data pages.
 // Sub-partitions — and the rings containing them — are packed back to back
-// with no alignment slack (neighbouring sub-partitions share boundary
-// pages), so startSlot locates the first entry within its page. Dense
-// packing keeps the data file at its information-theoretic page count,
-// which the Page Access metric rewards directly: a ring-aligned layout was
-// measured at 5× the pages for the same entries.
+// in directory order with no alignment slack (neighbouring sub-partitions
+// share boundary pages), so the entry at layout position pos sits on page
+// pos/entriesPerPage at slot pos%entriesPerPage. Dense packing keeps the
+// data file at its information-theoretic page count, which the Page Access
+// metric rewards directly: a ring-aligned layout was measured at 5× the
+// pages for the same entries.
 //
-// startPos is the layout position of the first entry: the sub-partitions
-// hold the layout back to back in directory order, so it is the running
-// count of the points before it — derived by Build and Open, never persisted.
+// startPos is the layout position of the first entry: the running count of
+// the points in the sub-partitions before it, derived by Build and Open.
 type subPartition struct {
 	center    []float32
 	radius    float64
-	startPage int64
-	startSlot int
 	startPos  int
 	numPoints int
 }
@@ -99,9 +97,7 @@ type Index struct {
 	rings []ring // ascending by key
 
 	entriesPerPage int
-	locPage        []int64 // id -> data page holding its projected entry
-	locSlot        []int32 // id -> slot within that page
-	layout         []uint32
+	layout         []uint32 // layout position -> id
 }
 
 // Candidate is a point reported by a range or incremental search, with its
@@ -190,8 +186,6 @@ func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (
 		epsilon: eps, stride: stride,
 		rings:          make([]ring, len(keys)),
 		entriesPerPage: cfg.PageSize / entrySize,
-		locPage:        make([]int64, n),
-		locSlot:        make([]int32, n),
 		layout:         make([]uint32, 0, n),
 	}
 
@@ -216,20 +210,18 @@ func Build(ctx context.Context, projected [][]float32, dir string, cfg Config) (
 			s := sres.Assign[j]
 			members[s] = append(members[s], id)
 		}
-		// Pack the ring's non-empty sub-partitions back to back, recording
-		// each one's (page, slot) start.
+		// Pack the ring's non-empty sub-partitions back to back.
 		rg := ring{key: key}
 		for s, ms := range members {
 			if len(ms) == 0 {
 				continue
 			}
 			pos := len(idx.layout)
-			page, slot, err := rw.writeSub(ms, projected)
-			if err != nil {
+			if err := rw.writeSub(ms, projected); err != nil {
 				return nil, err
 			}
 			rg.subs = append(rg.subs, subPartition{center: sres.Centroids[s], radius: sres.Radii[s],
-				startPage: page, startSlot: slot, startPos: pos, numPoints: len(ms)})
+				startPos: pos, numPoints: len(ms)})
 		}
 		if err := rw.flush(); err != nil {
 			return nil, err
@@ -253,32 +245,25 @@ type ringWriter struct {
 	slot int
 }
 
-// writeSub appends one sub-partition's entries and returns the (page, slot)
-// of its first entry.
-func (rw *ringWriter) writeSub(ids []uint32, projected [][]float32) (int64, int, error) {
+// writeSub appends one sub-partition's entries at the next layout positions.
+func (rw *ringWriter) writeSub(ids []uint32, projected [][]float32) error {
 	idx := rw.idx
 	entrySize := 4 + vec.EncodedSize(idx.m)
-	firstPage, firstSlot := int64(-1), 0
 	for _, id := range ids {
 		if rw.cur < 0 || rw.slot == idx.entriesPerPage {
 			if err := rw.flush(); err != nil {
-				return 0, 0, err
+				return err
 			}
 			rw.cur, rw.slot = rw.w.Alloc(), 0
 			clear(rw.page)
 		}
-		if firstPage < 0 {
-			firstPage, firstSlot = rw.cur, rw.slot
-		}
 		off := rw.slot * entrySize
 		binary.LittleEndian.PutUint32(rw.page[off:], id)
 		vec.Encode(rw.page[off+4:], projected[id])
-		idx.locPage[id] = rw.cur
-		idx.locSlot[id] = int32(rw.slot)
 		idx.layout = append(idx.layout, id)
 		rw.slot++
 	}
-	return firstPage, firstSlot, nil
+	return nil
 }
 
 // flush writes the current partially filled page, keeping it current so
@@ -323,19 +308,18 @@ func (idx *Index) DataSizeBytes() int64 { return idx.data.SizeBytes() }
 // Pagers returns the pagers touched by searches, for I/O accounting.
 func (idx *Index) Pagers() []*pager.Pager { return []*pager.Pager{idx.data} }
 
-// Projected reads one point's projected vector from disk (the single fetch
-// Quick-Probe performs to turn the located point into a search radius). The
-// page read is recorded in io (nil discards the accounting).
-func (idx *Index) Projected(id uint32, dst []float32, io *pager.IOStats) ([]float32, error) {
-	if int(id) >= idx.n {
-		return nil, fmt.Errorf("idistance: id %d not indexed", id)
+// Projected reads the projected vector at layout position pos from disk (the
+// single fetch Quick-Probe performs to turn the located point into a search
+// radius). The page read is recorded in io (nil discards the accounting).
+func (idx *Index) Projected(pos int, dst []float32, io *pager.IOStats) ([]float32, error) {
+	if pos < 0 || pos >= idx.n {
+		return nil, fmt.Errorf("idistance: layout position %d outside %d points", pos, idx.n)
 	}
-	page, err := idx.data.Read(idx.locPage[id], io)
+	page, err := idx.data.Read(int64(pos/idx.entriesPerPage), io)
 	if err != nil {
 		return nil, err
 	}
 	defer page.Release()
-	entrySize := 4 + vec.EncodedSize(idx.m)
-	off := int(idx.locSlot[id]) * entrySize
+	off := pos % idx.entriesPerPage * (4 + vec.EncodedSize(idx.m))
 	return vec.Decode(page.Bytes()[off+4:], idx.m, dst), nil
 }

@@ -46,6 +46,17 @@ func buildTestIndex(t testing.TB, pts [][]float32, cfg Config) *Index {
 	return idx
 }
 
+// rangeSearch collects every point within distance r of q, sorted by
+// ascending projected distance.
+func rangeSearch(idx *Index, q []float32, r float64) ([]Candidate, error) {
+	out, err := idx.Search(context.Background(), q, -1, r, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	SortCandidates(out)
+	return out, nil
+}
+
 // bruteRange returns ids within radius r of q, by linear scan.
 func bruteRange(pts [][]float32, q []float32, r float64) map[uint32]float64 {
 	out := make(map[uint32]float64)
@@ -78,7 +89,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 		q := randPoints(r, 1, 6, 10)[0]
 		radius := 2 + r.Float64()*20
 		want := bruteRange(pts, q, radius)
-		got, err := idx.RangeSearch(context.Background(), q, radius, nil)
+		got, err := rangeSearch(idx, q, radius)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +106,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 			}
 		}
 		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Dist < got[j].Dist }) {
-			t.Fatal("RangeSearch results not sorted")
+			t.Fatal("range search results not sorted")
 		}
 	}
 }
@@ -285,19 +296,19 @@ func TestProjectedFetch(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	pts := randPoints(r, 400, 6, 10)
 	idx := buildTestIndex(t, pts, Config{Seed: 15, PageSize: 512})
-	for _, id := range []uint32{0, 7, 399} {
-		got, err := idx.Projected(id, nil, nil)
+	for _, pos := range []int{0, 7, 399} {
+		got, err := idx.Projected(pos, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range got {
-			if got[j] != pts[id][j] {
-				t.Fatalf("Projected(%d) differs at %d", id, j)
-			}
+		if want := pts[idx.Layout()[pos]]; !slices.Equal(got, want) {
+			t.Fatalf("Projected(%d) = %v, want point %d = %v", pos, got, idx.Layout()[pos], want)
 		}
 	}
-	if _, err := idx.Projected(400, nil, nil); err == nil {
-		t.Fatal("expected error for out-of-range id")
+	for _, pos := range []int{-1, 400} {
+		if _, err := idx.Projected(pos, nil, nil); err == nil {
+			t.Fatalf("Projected(%d) of 400 points: no error", pos)
+		}
 	}
 }
 
@@ -321,12 +332,12 @@ func TestLayoutIsPermutation(t *testing.T) {
 func TestSinglePointIndex(t *testing.T) {
 	pts := [][]float32{{1, 2, 3}}
 	idx := buildTestIndex(t, pts, Config{Seed: 18, PageSize: 512})
-	got, err := idx.RangeSearch(context.Background(), []float32{1, 2, 3}, 0.5, nil)
+	got, err := rangeSearch(idx, []float32{1, 2, 3}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].ID != 0 {
-		t.Fatalf("RangeSearch on singleton = %v", got)
+		t.Fatalf("range search on singleton = %v", got)
 	}
 }
 
@@ -336,7 +347,7 @@ func TestIdenticalPoints(t *testing.T) {
 		pts[i] = []float32{7, 7}
 	}
 	idx := buildTestIndex(t, pts, Config{Seed: 19, PageSize: 512})
-	got, err := idx.RangeSearch(context.Background(), []float32{7, 7}, 0.1, nil)
+	got, err := rangeSearch(idx, []float32{7, 7}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +365,7 @@ func TestPageAccessAccounting(t *testing.T) {
 		pg.DropPool()
 		pg.ResetStats()
 	}
-	if _, err := idx.RangeSearch(context.Background(), q, 5, nil); err != nil {
+	if _, err := rangeSearch(idx, q, 5); err != nil {
 		t.Fatal(err)
 	}
 	var small, large int64
@@ -365,7 +376,7 @@ func TestPageAccessAccounting(t *testing.T) {
 		pg.DropPool()
 		pg.ResetStats()
 	}
-	if _, err := idx.RangeSearch(context.Background(), q, 30, nil); err != nil {
+	if _, err := rangeSearch(idx, q, 30); err != nil {
 		t.Fatal(err)
 	}
 	for _, pg := range idx.Pagers() {
@@ -397,7 +408,7 @@ func TestPropertyRangeSearchComplete(t *testing.T) {
 		q := randPoints(r, 1, m, 5)[0]
 		radius := r.Float64() * 15
 		want := bruteRange(pts, q, radius)
-		got, err := idx.RangeSearch(context.Background(), q, radius, nil)
+		got, err := rangeSearch(idx, q, radius)
 		if err != nil || len(got) != len(want) {
 			return false
 		}
@@ -445,7 +456,8 @@ func TestRingsInSubRange(t *testing.T) {
 }
 
 // Property: a ring directory over any sorted key set, with directories of
-// any size, persists as a meta's RingKeys and RingDirs and decodes back to
+// any size and each sub-partition at its layout position (the layout Build
+// writes), persists as a meta's RingKeys and RingDirs and decodes back to
 // exactly the rings it was written from; the ring walk over any key range
 // returns exactly the model's rings inside it.
 func TestPropertyRingDirectoryModelEquivalence(t *testing.T) {
@@ -463,11 +475,11 @@ func TestPropertyRingDirectoryModelEquivalence(t *testing.T) {
 			rg := ring{key: key}
 			for s := 1 + r.Intn(12); s > 0; s-- {
 				sub := subPartition{center: randPoints(r, 1, m.M, 10)[0], radius: r.Float64() * 10,
-					startPage: r.Int63n(dataPages / 2), startSlot: r.Intn(m.EntriesPerPage), startPos: m.N, numPoints: 1 + r.Intn(200)}
+					startPos: m.N, numPoints: 1 + r.Intn(200)}
 				m.N += sub.numPoints
 				rg.subs = append(rg.subs, sub)
 			}
-			m.RingKeys, m.RingDirs = append(m.RingKeys, key), appendSubs(m.RingDirs, rg.subs, m.M)
+			m.RingKeys, m.RingDirs = append(m.RingKeys, key), appendSubs(m.RingDirs, rg.subs, m.M, m.EntriesPerPage)
 			model = append(model, rg)
 		}
 		m = decodeMetaBytes(t, encodeMeta(t, m))

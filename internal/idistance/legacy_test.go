@@ -3,7 +3,6 @@ package idistance
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -180,7 +179,7 @@ func TestOpenLegacyIndex(t *testing.T) {
 		q := randPoints(r, 1, 4, 10)[0]
 		radius := 2 + r.Float64()*15
 		want := bruteRange(pts, q, radius)
-		got, err := legacy.RangeSearch(context.Background(), q, radius, nil)
+		got, err := rangeSearch(legacy, q, radius)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,10 +192,10 @@ func TestOpenLegacyIndex(t *testing.T) {
 			}
 		}
 	}
-	for id, p := range pts {
-		got, err := legacy.Projected(uint32(id), nil, nil)
-		if err != nil || !slices.Equal(got, p) {
-			t.Fatalf("Projected(%d) = %v, %v; want %v", id, got, err, p)
+	for pos, id := range legacy.Layout() {
+		got, err := legacy.Projected(pos, nil, nil)
+		if err != nil || !slices.Equal(got, pts[id]) {
+			t.Fatalf("Projected(%d) = %v, %v; want point %d = %v", pos, got, err, id, pts[id])
 		}
 	}
 
@@ -298,8 +297,8 @@ func FuzzLegacyRingDirs(f *testing.F) {
 // beside the fixture's data and tree files: decoding, validation and the
 // ring directory — from the meta, or from the tree when the meta has none —
 // fail only with ErrCorruptIndex, never a panic. Seeds: the fixture's legacy
-// meta, the meta a Save converts it to, and that meta with LocPage cut to 10
-// entries (which Open used to accept).
+// meta, the meta a Save converts it to, and that meta with a sub-partition
+// one slot off its layout position (which Open used to accept).
 func FuzzIdistMetaDecode(f *testing.F) {
 	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy", "idist.meta"))
 	if err != nil {
@@ -322,7 +321,7 @@ func FuzzIdistMetaDecode(f *testing.F) {
 	}
 	f.Add(converted)
 	m := decodeMetaBytes(f, converted)
-	m.LocPage = m.LocPage[:10]
+	misplaceFirstSub(m)
 	f.Add(encodeMeta(f, m))
 	pages := legacyDataPages(f)
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -30,8 +30,6 @@ type meta struct {
 	Epsilon        float64
 	Stride         int64
 	EntriesPerPage int
-	LocPage        []int64
-	LocSlot        []int32
 	Layout         []uint32
 	RingKeys       []int64
 	RingDirs       []byte
@@ -51,12 +49,11 @@ func (idx *Index) SaveFS(fsys fsutil.FS, dir string) error {
 		Cfg: idx.cfg, M: idx.m, N: idx.n,
 		Centers: idx.centers, Radii: idx.radii,
 		Epsilon: idx.epsilon, Stride: idx.stride,
-		EntriesPerPage: idx.entriesPerPage,
-		LocPage:        idx.locPage, LocSlot: idx.locSlot, Layout: idx.layout,
+		EntriesPerPage: idx.entriesPerPage, Layout: idx.layout,
 		RingKeys: make([]int64, len(idx.rings)),
 	}
 	for i, rg := range idx.rings {
-		m.RingKeys[i], m.RingDirs = rg.key, appendSubs(m.RingDirs, rg.subs, idx.m)
+		m.RingKeys[i], m.RingDirs = rg.key, appendSubs(m.RingDirs, rg.subs, idx.m, idx.entriesPerPage)
 	}
 	err := fsutil.WriteAtomic(fsys, filepath.Join(dir, "idist.meta"), func(f fsutil.File) error {
 		return gob.NewEncoder(f).Encode(&m)
@@ -95,8 +92,7 @@ func Open(dir string) (*Index, error) {
 		centers: m.Centers, radii: m.Radii,
 		epsilon: m.Epsilon, stride: m.Stride,
 		data: data, rings: rings,
-		entriesPerPage: m.EntriesPerPage,
-		locPage:        m.LocPage, locSlot: m.LocSlot, layout: m.Layout,
+		entriesPerPage: m.EntriesPerPage, layout: m.Layout,
 	}, nil
 }
 
@@ -119,7 +115,7 @@ func decodeMeta(r io.Reader) (*meta, error) {
 // empty RingKeys means the meta predates the directory's move into it —
 // from the legacy tree file in dir.
 func (m *meta) loadRings(dir string, dataPages int64) ([]ring, error) {
-	if err := m.validate(dataPages); err != nil {
+	if err := m.validate(); err != nil {
 		return nil, err
 	}
 	if len(m.RingKeys) > 0 {
@@ -148,10 +144,10 @@ func (m *meta) splitDirs() [][]byte {
 
 // ringDirectory decodes the rings keys[i] → dirs[i] of a validated m: keys
 // ascending inside the partitions, every directory well-formed, and the
-// sub-partition point counts summing to n. Each sub-partition's startPos is
-// the running count, the same layout positions Build assigned — for a
-// directory read from a legacy tree too, whose leaf chain yields the rings in
-// the key order Build laid them out in.
+// sub-partitions holding the layout positions 0..n−1 back to back. Each
+// sub-partition's startPos is the running count, the same layout positions
+// Build assigned — for a directory read from a legacy tree too, whose leaf
+// chain yields the rings in the key order Build laid them out in.
 func (m *meta) ringDirectory(keys []int64, dirs [][]byte, dataPages int64) ([]ring, error) {
 	if len(keys) != len(dirs) {
 		return nil, corrupt("%d ring keys for %d ring directories", len(keys), len(dirs))
@@ -162,13 +158,12 @@ func (m *meta) ringDirectory(keys []int64, dirs [][]byte, dataPages int64) ([]ri
 		if key < 0 || key/m.Stride >= int64(len(m.Centers)) || (i > 0 && key <= keys[i-1]) {
 			return nil, corrupt("ring key %d at %d: keys must ascend within %d partitions of stride %d", key, i, len(m.Centers), m.Stride)
 		}
-		subs, err := m.decodeSubs(key, dirs[i], dataPages)
+		subs, err := m.decodeSubs(key, dirs[i], points, dataPages)
 		if err != nil {
 			return nil, err
 		}
-		for j := range subs {
-			subs[j].startPos = points
-			points += subs[j].numPoints
+		for _, s := range subs {
+			points += s.numPoints
 		}
 		rings[i] = ring{key: key, subs: subs}
 	}
@@ -180,10 +175,10 @@ func (m *meta) ringDirectory(keys []int64, dirs [][]byte, dataPages int64) ([]ri
 
 // validate checks the shape of the per-point and per-partition state: the
 // arrays sized to n and m, the page geometry the entries were packed with,
-// and every point's location inside the data file.
-func (m *meta) validate(dataPages int64) error {
-	if m.N < 1 || m.M < 1 || len(m.LocPage) != m.N || len(m.LocSlot) != m.N || len(m.Layout) != m.N {
-		return corrupt("n=%d m=%d with %d/%d/%d page/slot/layout entries", m.N, m.M, len(m.LocPage), len(m.LocSlot), len(m.Layout))
+// and the layout a permutation of the ids.
+func (m *meta) validate() error {
+	if m.N < 1 || m.M < 1 || len(m.Layout) != m.N {
+		return corrupt("n=%d m=%d with %d layout entries", m.N, m.M, len(m.Layout))
 	}
 	if len(m.Centers) < 1 || len(m.Radii) != len(m.Centers) {
 		return corrupt("%d partition centers with %d radii", len(m.Centers), len(m.Radii))
@@ -202,13 +197,11 @@ func (m *meta) validate(dataPages int64) error {
 	// The layers above permute their per-point arrays by the layout, so it
 	// must be a permutation, not merely in range.
 	placed := make([]bool, m.N)
-	for id := range m.N {
-		if m.LocPage[id] < 0 || m.LocPage[id] >= dataPages || m.LocSlot[id] < 0 || int(m.LocSlot[id]) >= m.EntriesPerPage ||
-			int(m.Layout[id]) >= m.N || placed[m.Layout[id]] {
-			return corrupt("point %d at page %d slot %d (layout %d) outside %d pages of %d entries, or placed twice",
-				id, m.LocPage[id], m.LocSlot[id], m.Layout[id], dataPages, m.EntriesPerPage)
+	for pos, id := range m.Layout {
+		if int(id) >= m.N || placed[id] {
+			return corrupt("layout position %d holds id %d: outside n=%d, or placed twice", pos, id, m.N)
 		}
-		placed[m.Layout[id]] = true
+		placed[id] = true
 	}
 	return nil
 }
@@ -217,14 +210,15 @@ func (m *meta) validate(dataPages int64) error {
 func subSize(m int) int { return 24 + vec.EncodedSize(m) }
 
 // appendSubs appends a ring's serialized sub-partition directory to dst:
-// count uint32, then per sub-partition: startPage int64, startSlot uint32,
-// numPoints uint32, radius float64, center m×float32.
-func appendSubs(dst []byte, subs []subPartition, m int) []byte {
+// count uint32, then per sub-partition: start page int64, start slot uint32,
+// numPoints uint32, radius float64, center m×float32. The start page and
+// slot are those of startPos on pages of epp entries.
+func appendSubs(dst []byte, subs []subPartition, m, epp int) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, uint32(len(subs)))
 	for _, s := range subs {
-		dst = le.AppendUint64(dst, uint64(s.startPage))
-		dst = le.AppendUint32(dst, uint32(s.startSlot))
+		dst = le.AppendUint64(dst, uint64(s.startPos/epp))
+		dst = le.AppendUint32(dst, uint32(s.startPos%epp))
 		dst = le.AppendUint32(dst, uint32(s.numPoints))
 		dst = le.AppendUint64(dst, math.Float64bits(s.radius))
 		dst = vec.AppendF32LE(dst, s.center)
@@ -232,33 +226,31 @@ func appendSubs(dst []byte, subs []subPartition, m int) []byte {
 	return dst
 }
 
-// decodeSubs parses ring key's appendSubs bytes, checking that the length
-// matches the count, and that every sub-partition holds at least one point,
-// starts inside a page, has its page run inside a data file of dataPages
-// pages and has a finite, non-negative radius.
-func (m *meta) decodeSubs(key int64, buf []byte, dataPages int64) ([]subPartition, error) {
+// decodeSubs parses ring key's appendSubs bytes, whose first sub-partition
+// starts at layout position pos, checking that the length matches the count,
+// and that every sub-partition holds at least one point, is stored at the
+// page and slot of its layout position, ends inside the n points and a data
+// file of dataPages pages and has a finite, non-negative radius.
+func (m *meta) decodeSubs(key int64, buf []byte, pos int, dataPages int64) ([]subPartition, error) {
+	le := binary.LittleEndian
 	size := subSize(m.M)
-	if len(buf) < 4 || int64(len(buf)) != 4+int64(binary.LittleEndian.Uint32(buf))*int64(size) {
+	if len(buf) < 4 || int64(len(buf)) != 4+int64(le.Uint32(buf))*int64(size) {
 		return nil, corrupt("ring %d: %d-byte sub-partition directory", key, len(buf))
 	}
 	subs := make([]subPartition, (len(buf)-4)/size)
 	epp := int64(m.EntriesPerPage)
 	for i := range subs {
 		b := buf[4+i*size:]
-		s := subPartition{
-			startPage: int64(binary.LittleEndian.Uint64(b)),
-			startSlot: int(binary.LittleEndian.Uint32(b[8:])),
-			numPoints: int(binary.LittleEndian.Uint32(b[12:])),
-			radius:    math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
-			center:    vec.Decode(b[24:], m.M, nil),
+		page, slot, count := le.Uint64(b), int64(le.Uint32(b[8:])), int64(le.Uint32(b[12:]))
+		end := int64(pos) + count
+		radius := math.Float64frombits(le.Uint64(b[16:]))
+		if page != uint64(int64(pos)/epp) || slot != int64(pos)%epp || count < 1 || end > int64(m.N) || (end+epp-1)/epp > dataPages ||
+			!(radius >= 0 && radius <= math.MaxFloat64) {
+			return nil, corrupt("ring %d sub-partition %d at layout position %d: %d points at page %d slot %d, radius %v, in %d pages of %d entries for n=%d",
+				key, i, pos, count, page, slot, radius, dataPages, epp, m.N)
 		}
-		pages := (int64(s.startSlot) + int64(s.numPoints) + epp - 1) / epp
-		if s.numPoints < 1 || int64(s.startSlot) >= epp || s.startPage < 0 || s.startPage > dataPages-pages ||
-			!(s.radius >= 0 && s.radius <= math.MaxFloat64) {
-			return nil, corrupt("ring %d sub-partition %d: %d points at page %d slot %d, radius %v, in %d pages of %d entries",
-				key, i, s.numPoints, s.startPage, s.startSlot, s.radius, dataPages, epp)
-		}
-		subs[i] = s
+		subs[i] = subPartition{center: vec.Decode(b[24:], m.M, nil), radius: radius, startPos: pos, numPoints: int(count)}
+		pos = int(end)
 	}
 	return subs, nil
 }

@@ -32,7 +32,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		t.Fatalf("Build wrote a B+-tree file (stat: %v)", err)
 	}
 	q := randPoints(r, 1, 6, 10)[0]
-	want, err := idx.RangeSearch(context.Background(), q, 8, nil)
+	want, err := rangeSearch(idx, q, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if re.Len() != 900 || re.M() != 6 {
 		t.Fatalf("reloaded dims = (%d,%d)", re.Len(), re.M())
 	}
-	got, err := re.RangeSearch(context.Background(), q, 8, nil)
+	got, err := rangeSearch(re, q, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +160,9 @@ func refuseOpen(t *testing.T, name, dir string) {
 }
 
 // TestOpenCorruptMeta: every value of idist.meta a search or a Projected
-// fetch indexes by is checked at Open. The first case is the shown bug: a
-// LocPage cut to 10 entries for n = 900 used to open, and Projected(500)
-// panicked with an index out of range.
+// fetch indexes by is checked at Open. The first case is a shown bug: a
+// sub-partition stored one slot off its layout position used to open, and
+// its scan handed out candidates whose Pos named another point's vector.
 func TestOpenCorruptMeta(t *testing.T) {
 	dir := t.TempDir()
 	idx, err := Build(context.Background(), randPoints(rand.New(rand.NewSource(30)), 900, 6, 10), dir,
@@ -184,13 +184,11 @@ func TestOpenCorruptMeta(t *testing.T) {
 		name   string
 		damage func(m *meta)
 	}{
-		{"LocPage cut to 10 entries", func(m *meta) { m.LocPage = m.LocPage[:10] }},
-		{"LocSlot one short", func(m *meta) { m.LocSlot = m.LocSlot[1:] }},
+		{"sub-partition off its layout position", misplaceFirstSub},
+		{"layout cut to 10 entries", func(m *meta) { m.Layout = m.Layout[:10] }},
 		{"layout id past n", func(m *meta) { m.Layout[3] = uint32(m.N) }},
-		{"n one past the ring directory", func(m *meta) {
-			m.N++
-			m.LocPage, m.LocSlot, m.Layout = append(m.LocPage, 0), append(m.LocSlot, 0), append(m.Layout, 0)
-		}},
+		{"layout id placed twice", func(m *meta) { m.Layout[3] = m.Layout[4] }},
+		{"n one past the ring directory", func(m *meta) { m.N, m.Layout = m.N+1, append(m.Layout, uint32(m.N)) }},
 		{"no partitions", func(m *meta) { m.Centers, m.Radii = nil, nil }},
 		{"radii one short", func(m *meta) { m.Radii = m.Radii[1:] }},
 		{"center of the wrong dim", func(m *meta) { m.Centers[1] = m.Centers[1][1:] }},
@@ -199,8 +197,6 @@ func TestOpenCorruptMeta(t *testing.T) {
 		{"zero stride", func(m *meta) { m.Stride = 0 }},
 		{"NaN ring width", func(m *meta) { m.Epsilon = math.NaN() }},
 		{"infinite ring width", func(m *meta) { m.Epsilon = math.Inf(1) }},
-		{"point past the data file", func(m *meta) { m.LocPage[5] = 1 << 40 }},
-		{"slot past the page", func(m *meta) { m.LocSlot[5] = int32(m.EntriesPerPage) }},
 		{"ring keys descending", func(m *meta) { m.RingKeys[0], m.RingKeys[1] = m.RingKeys[1], m.RingKeys[0] }},
 		{"negative ring key", func(m *meta) { m.RingKeys[0] = -1 }},
 		{"ring key past the partitions", func(m *meta) { m.RingKeys[last] = int64(len(m.Centers)) * m.Stride }},
@@ -224,6 +220,17 @@ func TestOpenCorruptMeta(t *testing.T) {
 		t.Fatalf("undamaged meta: %v", err)
 	}
 	re.Close()
+	// The undamaged meta over a data file one page short: the last
+	// sub-partition's page run is past its end.
+	dataPath := filepath.Join(dir, "idist.data")
+	fi, err := os.Stat(dataPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(dataPath, fi.Size()-512); err != nil {
+		t.Fatal(err)
+	}
+	refuseOpen(t, "data file one page short", dir)
 }
 
 // TestOpenCorruptTree: a damaged legacy idist.btree — its leaf chain, its
@@ -247,6 +254,13 @@ func TestOpenCorruptTree(t *testing.T) {
 		}
 		refuseOpen(t, tc.name, dir)
 	}
+}
+
+// misplaceFirstSub moves the first sub-partition of m's first ring directory
+// one slot past its layout position.
+func misplaceFirstSub(m *meta) {
+	slot := m.RingDirs[4+8:]
+	binary.LittleEndian.PutUint32(slot, binary.LittleEndian.Uint32(slot)+1)
 }
 
 // TestBuildFailureClosesFiles: a Build that cannot create its page file

@@ -142,20 +142,22 @@ func (idx *Index) ringsIn(loKey, hiKey int64) []ring {
 
 // scanSub reads a sub-partition's short sequential page run in one
 // readahead round trip and appends its entries inside the band to out. The
-// first entry sits at (startPage, startSlot) and layout position startPos;
-// later entries continue across page boundaries and positions. The whole
-// run is fetched with a single pager.ReadRun — cached pages come from the
-// pool, the missing remainder costs one contiguous file read under one
-// shard lock instead of a pager round trip per page. Each page's share of
+// first entry sits at layout position startPos — page
+// startPos/entriesPerPage, slot startPos%entriesPerPage — and later entries
+// continue across page boundaries and positions. The whole run is fetched
+// with a single pager.ReadRun — cached pages come from the pool, the missing
+// remainder costs one contiguous file read under one shard lock instead of a
+// pager round trip per page. Each page's share of
 // the run is scored straight from the page bytes by vec.L2DistSqRows, four
 // entries per pass over one view of the page (no per-entry decode buffer
 // exists on this path; each distance is bit-identical to scoring its entry
 // alone), then filtered into out. The run stays pinned while it is scored
 // and is released on every exit.
 func (idx *Index) scanSub(sub subPartition, q []float32, band scanBand, sc *scanScratch, io *pager.IOStats, out []Candidate) ([]Candidate, error) {
-	nPages := (sub.startSlot + sub.numPoints + idx.entriesPerPage - 1) / idx.entriesPerPage
+	slot := sub.startPos % idx.entriesPerPage
+	nPages := (slot + sub.numPoints + idx.entriesPerPage - 1) / idx.entriesPerPage
 	var err error
-	sc.pages, err = idx.data.ReadRun(sub.startPage, nPages, sc.pages[:0], io)
+	sc.pages, err = idx.data.ReadRun(int64(sub.startPos/idx.entriesPerPage), nPages, sc.pages[:0], io)
 	if err != nil {
 		return out, err
 	}
@@ -163,7 +165,6 @@ func (idx *Index) scanSub(sub subPartition, q []float32, band scanBand, sc *scan
 	entrySize := 4 + vec.EncodedSize(idx.m)
 	pos := uint32(sub.startPos)
 	remaining := sub.numPoints
-	slot := sub.startSlot
 	for _, pg := range sc.pages {
 		run := pg.Bytes()[slot*entrySize:]
 		dist := sc.dist[:min(idx.entriesPerPage-slot, remaining)]
@@ -175,21 +176,6 @@ func (idx *Index) scanSub(sub subPartition, q []float32, band scanBand, sc *scan
 		remaining -= len(dist)
 		slot = 0
 	}
-	return out, nil
-}
-
-// RangeSearch collects every point within distance r of q, sorted by
-// ascending projected distance — the order MIP-Search-II consumes
-// candidates in. Page reads are recorded in io. The query path calls Search
-// instead and streams the unsorted result through a CandidateStream, which
-// yields ascending order lazily and skips the sorting work for candidates
-// it never consumes.
-func (idx *Index) RangeSearch(ctx context.Context, q []float32, r float64, io *pager.IOStats) ([]Candidate, error) {
-	out, err := idx.Search(ctx, q, -1, r, io, nil)
-	if err != nil {
-		return nil, err
-	}
-	SortCandidates(out)
 	return out, nil
 }
 

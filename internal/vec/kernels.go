@@ -77,9 +77,6 @@ func AppendF32LE(dst []byte, v []float32) []byte {
 // loops, kept here so the scan paths carry no per-element binary.* decoding.
 func U32(buf []byte) uint32 { return binary.LittleEndian.Uint32(buf) }
 
-// U64 reads a little-endian uint64 (directory metadata in the scan paths).
-func U64(buf []byte) uint64 { return binary.LittleEndian.Uint64(buf) }
-
 // dotKernel is the shared inner-product loop: single float64 accumulator in
 // ascending index order (the bit-exactness contract), 4-way unrolled over
 // fixed-length windows so the loop carries no bounds checks. Callers
@@ -231,11 +228,6 @@ func l2DistSqBytesPortable(buf []byte, b []float32) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// L2DistBytes returns ‖o−b‖₂ for the encoded vector at the start of buf.
-func L2DistBytes(buf []byte, b []float32) float64 {
-	return math.Sqrt(L2DistSqBytes(buf, b))
 }
 
 // L2DistSqRows sets dst[i] = L2DistSqBytes(buf[i*stride:], b) for every i,

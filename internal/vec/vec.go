@@ -139,23 +139,3 @@ func Decode(buf []byte, dim int, dst []float32) []float32 {
 	}
 	return dst
 }
-
-// MaxNormIndex returns the index of the vector with the largest 2-norm and
-// that norm's square. It is used to find oM, the maximum-norm point that
-// anchors Condition A. It returns (-1, 0) for an empty set.
-func MaxNormIndex(data [][]float32) (int, float64) {
-	best, bestSq := -1, 0.0
-	for i, v := range data {
-		if s := Norm2Sq(v); best == -1 || s > bestSq {
-			best, bestSq = i, s
-		}
-	}
-	return best, bestSq
-}
-
-// IPToDistSq converts an inner product into a squared Euclidean distance via
-// dis²(o,q) = ‖o‖² + ‖q‖² − 2⟨o,q⟩, the identity that lets ProMIPS reuse a
-// Euclidean projection argument for inner products.
-func IPToDistSq(normOSq, normQSq, ip float64) float64 {
-	return normOSq + normQSq - 2*ip
-}

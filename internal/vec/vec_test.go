@@ -128,17 +128,6 @@ func TestDecodeReusesBuffer(t *testing.T) {
 	}
 }
 
-func TestMaxNormIndex(t *testing.T) {
-	data := [][]float32{{1, 0}, {3, 4}, {0, 2}}
-	i, sq := MaxNormIndex(data)
-	if i != 1 || sq != 25 {
-		t.Fatalf("MaxNormIndex = (%d, %v), want (1, 25)", i, sq)
-	}
-	if i, _ := MaxNormIndex(nil); i != -1 {
-		t.Fatalf("MaxNormIndex(nil) = %d, want -1", i)
-	}
-}
-
 // Property: Cauchy-Schwarz |⟨a,b⟩| ≤ ‖a‖‖b‖.
 func TestPropertyCauchySchwarz(t *testing.T) {
 	f := func(seed int64) bool {
@@ -159,22 +148,6 @@ func TestPropertyTriangleInequality(t *testing.T) {
 		d := 1 + r.Intn(64)
 		a, b, c := randVec(r, d), randVec(r, d), randVec(r, d)
 		return L2Dist(a, c) <= L2Dist(a, b)+L2Dist(b, c)+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the inner-product/distance identity dis² = ‖o‖²+‖q‖²−2⟨o,q⟩
-// that ProMIPS' searching conditions rely on (paper §IV, Lemma 2).
-func TestPropertyIPDistanceIdentity(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := 1 + r.Intn(64)
-		o, q := randVec(r, d), randVec(r, d)
-		lhs := L2DistSq(o, q)
-		rhs := IPToDistSq(Norm2Sq(o), Norm2Sq(q), Dot(o, q))
-		return math.Abs(lhs-rhs) <= 1e-6*(1+math.Abs(lhs))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
