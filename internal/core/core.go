@@ -144,7 +144,26 @@ func (o *Options) normalize() error {
 type group struct {
 	minNorm1 float64
 	code     uint32
-	minID    uint32
+	minPos   uint32 // the member's layout position
+}
+
+// locateGroups returns the groups gm describes, each member located by one
+// pass over layout (position → id); the ids are not kept.
+func locateGroups(gm []groupMeta, layout []uint32) []group {
+	pos := make(map[uint32]uint32, len(gm))
+	for _, g := range gm {
+		pos[g.MinID] = 0
+	}
+	for p, id := range layout {
+		if _, ok := pos[id]; ok {
+			pos[id] = uint32(p)
+		}
+	}
+	groups := make([]group, len(gm))
+	for i, g := range gm {
+		groups[i] = group{code: g.Code, minNorm1: g.MinNorm1, minPos: pos[g.MinID]}
+	}
+	return groups
 }
 
 // Result is one returned point with its exact inner product to the query.
@@ -383,7 +402,7 @@ func Build(ctx context.Context, data [][]float32, dir string, opts Options) (*In
 	// The reductions over points, in index order: the finite-vector rule
 	// (read off the norms), ‖oM‖², and each sign-code group's smallest 1-norm
 	// (the first point wins a tie).
-	byCode := make(map[uint32]*group)
+	byCode := make(map[uint32]*groupMeta)
 	for i, code := range codes {
 		if !finite(ix.norm2Sq[i]) {
 			return nil, fmt.Errorf("core: point %d: %w", i, errNonFinite)
@@ -392,16 +411,16 @@ func Build(ctx context.Context, data [][]float32, dir string, opts Options) (*In
 			ix.maxNorm2Sq = ix.norm2Sq[i]
 		}
 		if g, ok := byCode[code]; !ok {
-			byCode[code] = &group{code: code, minNorm1: norm1[i], minID: uint32(i)}
-		} else if norm1[i] < g.minNorm1 {
-			g.minNorm1, g.minID = norm1[i], uint32(i)
+			byCode[code] = &groupMeta{Code: code, MinNorm1: norm1[i], MinID: uint32(i)}
+		} else if norm1[i] < g.MinNorm1 {
+			g.MinNorm1, g.MinID = norm1[i], uint32(i)
 		}
 	}
-	ix.groups = make([]group, 0, len(byCode))
+	groups := make([]groupMeta, 0, len(byCode))
 	for _, g := range byCode {
-		ix.groups = append(ix.groups, *g)
+		groups = append(groups, *g)
 	}
-	sort.Slice(ix.groups, func(i, j int) bool { return ix.groups[i].code < ix.groups[j].code })
+	sort.Slice(groups, func(i, j int) bool { return groups[i].Code < groups[j].Code })
 
 	// Stage 2, two halves side by side. The PQ sketch — codes over the
 	// original vectors, kept in memory to pre-rank candidate verification
@@ -433,6 +452,7 @@ func Build(ctx context.Context, data [][]float32, dir string, opts Options) (*In
 	// layout position.
 	vec.PermuteRows(ix.norm2Sq, 1, idx.Layout())
 	ix.sketch.Permute(idx.Layout())
+	ix.groups = locateGroups(groups, idx.Layout())
 	if st.Pager().Resident() {
 		if ix.screen, err = screenFromData(ctx, data, idx.Layout()); err != nil {
 			closeDisk()
@@ -491,7 +511,7 @@ func writeStore(ctx context.Context, data [][]float32, layout []uint32, dir stri
 				return nil, err
 			}
 		}
-		if err = w.Append(id, data[id]); err != nil {
+		if err = w.Append(data[id]); err != nil {
 			return nil, err
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"math/rand"
@@ -209,6 +210,57 @@ func TestOpenCorruptMeta(t *testing.T) {
 		}
 		if _, err := Open(dir); !errors.Is(err, errs.ErrCorruptIndex) {
 			t.Fatalf("truncated meta (%d bytes): err = %v, want ErrCorruptIndex", cut, err)
+		}
+	}
+}
+
+// TestOpenCorruptStoreHeader: an orig.data header that does not describe
+// the file, or that disagrees with promips.meta's shape, fails Open with
+// ErrCorruptIndex — never a panic at Open or at the first Search. The index
+// is 600 points of dim 100 on 4 KiB pages, 10 vectors to a page; dim 101
+// gives the same 10, so only the meta can refuse it.
+func TestOpenCorruptStoreHeader(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	data := randData(r, 600, 100)
+	dir := t.TempDir()
+	ix, err := Build(context.Background(), data, dir, Options{Seed: 24, M: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	ix.Close()
+	path := filepath.Join(dir, "orig.data")
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		field string
+		off   int
+		v     uint32
+	}{
+		{"perPage", 12, 0},
+		{"perPage", 12, 1000},
+		{"n", 8, 10},
+		{"n", 8, 601},
+		{"dim", 4, 0},
+		{"dim", 4, 101},
+	} {
+		b := bytes.Clone(orig)
+		binary.LittleEndian.PutUint32(b[c.off:], c.v)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(dir)
+		if err == nil {
+			_, _, serr := re.Search(data[0], 10)
+			re.Close()
+			t.Fatalf("%s = %d: Open succeeded (Search: %v)", c.field, c.v, serr)
+		}
+		if !errors.Is(err, errs.ErrCorruptIndex) {
+			t.Fatalf("%s = %d: err = %v, want ErrCorruptIndex", c.field, c.v, err)
 		}
 	}
 }

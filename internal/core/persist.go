@@ -143,7 +143,7 @@ func (ix *Index) Save(dir string) error {
 	}
 	m.Groups = make([]groupMeta, len(ix.groups))
 	for i, g := range ix.groups {
-		m.Groups[i] = groupMeta{Code: g.code, MinNorm1: g.minNorm1, MinID: g.minID}
+		m.Groups[i] = groupMeta{Code: g.code, MinNorm1: g.minNorm1, MinID: layout[g.minPos]}
 	}
 	// Frozen segments and the mutable delta fold into one dense Delta list
 	// (segments hold the older ids, so segments-then-delta preserves the
@@ -226,6 +226,12 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 		idist.Close()
 		return nil, err
 	}
+	if orig.Dim() != m.D || orig.Len() != m.N {
+		idist.Close()
+		orig.Close()
+		return nil, fmt.Errorf("core: meta of %d points, dim %d, over a vector store of %d, dim %d: %w",
+			m.N, m.D, orig.Len(), orig.Dim(), errs.ErrCorruptIndex)
+	}
 	ix := &Index{
 		opts: m.Opts, n: m.N, d: m.D, m: m.M,
 		proj: proj, idist: idist, orig: orig,
@@ -261,10 +267,7 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 		sk.Permute(idist.Layout())
 		ix.sketch = sk
 	}
-	ix.groups = make([]group, len(m.Groups))
-	for i, g := range m.Groups {
-		ix.groups[i] = group{code: g.Code, minNorm1: g.MinNorm1, minID: g.MinID}
-	}
+	ix.groups = locateGroups(m.Groups, idist.Layout())
 	if len(m.Delta) > 0 {
 		ix.delta = make([]deltaEntry, 0, len(m.Delta))
 		for _, e := range m.Delta {

@@ -362,9 +362,9 @@ func (s *query) begin() ([]float64, error) {
 // projected-point read Quick-Probe needs).
 func (s *query) probeRadius() (float64, error) {
 	sn, sc := s.sn, s.sc
-	probeID := sn.quickProbe(sc.pq, vec.Norm1(s.q), s.c, s.chi, &s.st, sc)
+	probePos := sn.quickProbe(sc.pq, vec.Norm1(s.q), s.c, s.chi, &s.st, sc)
 	var err error
-	if sc.probePt, err = sn.idist.Projected(sn.orig.Pos(probeID), sc.probePt, s.io); err != nil {
+	if sc.probePt, err = sn.idist.Projected(probePos, sc.probePt, s.io); err != nil {
 		return 0, err
 	}
 	r := vec.L2Dist(sc.probePt, sc.pq)
@@ -672,12 +672,12 @@ func (s *query) scanAll() error {
 // quickProbe implements Algorithm 2: rank the sign-code groups by their
 // Theorem-3 lower bound, return the first group whose cheapest member
 // passes Test A — Ψm(LB²/(c·(‖o‖₁+‖q‖₁)²)) ≥ p — or, failing that, the
-// member with the largest recorded test value. c and threshold = Ψm⁻¹(p)
-// are derived from the query's effective (c, p), so per-query overrides
-// steer the probe as well. The ranking lives in the query scratch; ties in
-// the lower bound break on group index so the probe is deterministic under
-// any sorting algorithm.
-func (sn *snapshot) quickProbe(pq []float32, norm1Q, c, threshold float64, st *SearchStats, sc *queryScratch) uint32 {
+// member with the largest recorded test value; the member is returned by
+// its layout position. c and threshold = Ψm⁻¹(p) are derived from the
+// query's effective (c, p), so per-query overrides steer the probe as well.
+// The ranking lives in the query scratch; ties in the lower bound break on
+// group index so the probe is deterministic under any sorting algorithm.
+func (sn *snapshot) quickProbe(pq []float32, norm1Q, c, threshold float64, st *SearchStats, sc *queryScratch) int {
 	codeQ := randproj.Code(pq)
 	order := sc.order[:0]
 	for i, g := range sn.groups {
@@ -695,24 +695,24 @@ func (sn *snapshot) quickProbe(pq []float32, norm1Q, c, threshold float64, st *S
 	})
 
 	bestVal := -1.0
-	bestID := sn.groups[order[0].gi].minID
+	bestPos := sn.groups[order[0].gi].minPos
 	for _, rk := range order {
 		st.GroupsProbed++
 		g := sn.groups[rk.gi]
 		ub := randproj.DistUpperBound(g.minNorm1, norm1Q)
 		if ub <= 0 {
 			// Query and point are both the origin: any range works.
-			return g.minID
+			return int(g.minPos)
 		}
 		val := rk.lb * rk.lb / (c * ub * ub)
 		if val >= threshold { // equivalent to Ψm(val) ≥ p, cheaper than the CDF
-			return g.minID
+			return int(g.minPos)
 		}
 		if val > bestVal {
-			bestVal, bestID = val, g.minID
+			bestVal, bestPos = val, g.minPos
 		}
 	}
-	return bestID
+	return int(bestPos)
 }
 
 // SearchIncremental runs Algorithm 1 (MIP-Search-I) with the index

@@ -58,9 +58,10 @@ func (c *Config) normalize() {
 
 // partition is one norm interval with its QALSH index.
 type partition struct {
-	ids     []uint32 // global ids, descending norm
-	maxNorm float64  // λ_j
-	idx     *qalsh.Index
+	ids      []uint32 // global ids, descending norm
+	firstPos int      // store position of ids[0]; ids[i] is at firstPos+i
+	maxNorm  float64  // λ_j
+	idx      *qalsh.Index
 }
 
 // Index is a built H2-ALSH index implementing mips.Method.
@@ -125,7 +126,7 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 	}
 	for _, g := range groups {
 		for _, id := range g {
-			if err := w.Append(id, data[id]); err != nil {
+			if err := w.Append(data[id]); err != nil {
 				return nil, err
 			}
 		}
@@ -136,11 +137,14 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 	}
 	ix.orig = st
 
+	firstPos := 0
 	for j, g := range groups {
 		lambda := norms[g[0]]
+		part := partition{ids: g, firstPos: firstPos, maxNorm: lambda}
+		firstPos += len(g)
 		if lambda == 0 {
 			// Pure-zero partition: no index needed; any point has IP 0.
-			ix.parts = append(ix.parts, partition{ids: g, maxNorm: 0})
+			ix.parts = append(ix.parts, part)
 			continue
 		}
 		transformed := make([][]float32, len(g))
@@ -178,7 +182,8 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		ix.parts = append(ix.parts, partition{ids: g, maxNorm: lambda, idx: qidx})
+		part.idx = qidx
+		ix.parts = append(ix.parts, part)
 	}
 	return ix, nil
 }
@@ -260,7 +265,7 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 		lambda := p.maxNorm
 		verify := func(lid uint32) (float64, error) {
 			gid := p.ids[lid]
-			o, err := ix.orig.Vector(gid, buf, nil)
+			o, err := ix.orig.VectorAt(p.firstPos+int(lid), buf, nil)
 			if err != nil {
 				return 0, err
 			}

@@ -104,6 +104,7 @@ type cellMeta struct {
 	rotStart  int64 // first page of the rotation matrix
 	listStart int64 // first page of the inverted list
 	count     int   // points in the cell
+	origStart int   // store position of the cell's first point
 }
 
 // Index is a built PQ index implementing mips.Method.
@@ -306,8 +307,11 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 		members[c] = append(members[c], uint32(i))
 	}
 	page := make([]byte, cfg.PageSize)
+	origStart := 0
 	for c := 0; c < cells; c++ {
 		ix.cells[c].count = len(members[c])
+		ix.cells[c].origStart = origStart
+		origStart += len(members[c])
 		if len(members[c]) == 0 {
 			ix.cells[c].listStart = -1
 			continue
@@ -360,7 +364,7 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 		}
 		for c := 0; c < cells; c++ {
 			for _, id := range members[c] {
-				if err := w.Append(id, data[id]); err != nil {
+				if err := w.Append(data[id]); err != nil {
 					ix.Close()
 					return nil, err
 				}
@@ -536,18 +540,19 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 	}
 	type scored struct {
 		id  uint32
+		pos int // store position, read by the rerank
 		dSq float64
 	}
 	var best []scored
 	worst := math.Inf(1)
-	offer := func(id uint32, dSq float64) {
-		if len(best) == short && dSq >= worst {
+	offer := func(e scored) {
+		if len(best) == short && e.dSq >= worst {
 			return
 		}
-		pos := sort.Search(len(best), func(i int) bool { return best[i].dSq > dSq })
+		at := sort.Search(len(best), func(i int) bool { return best[i].dSq > e.dSq })
 		best = append(best, scored{})
-		copy(best[pos+1:], best[pos:])
-		best[pos] = scored{id: id, dSq: dSq}
+		copy(best[at+1:], best[at:])
+		best[at] = e
 		if len(best) > short {
 			best = best[:short]
 		}
@@ -597,7 +602,7 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 					dSq += lut[s][page[off+4+s]]
 				}
 				qs.Candidates++
-				offer(id, dSq)
+				offer(scored{id: id, pos: meta.origStart + meta.count - remaining + e, dSq: dSq})
 			}
 			pg.Release()
 			remaining -= inPage
@@ -610,7 +615,7 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 		buf := make([]float32, ix.d)
 		top := mips.NewTopK(k)
 		for _, b := range best {
-			o, err := ix.orig.Vector(b.id, buf, nil)
+			o, err := ix.orig.VectorAt(b.pos, buf, nil)
 			if err != nil {
 				return nil, qs, err
 			}

@@ -85,7 +85,7 @@ type Index struct {
 	hyper   [][]float32 // CodeLength × (d+1) SimHash hyperplanes
 	buckets []bucket
 	orig    *store.Store
-	posToID []uint32 // lazy inverse of the store's id→pos table
+	order   []uint32 // store position → global id
 }
 
 var _ mips.Method = (*Index)(nil)
@@ -162,7 +162,7 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 	}
 	var buckets []bucket
 	for pos, id := range order {
-		if err := w.Append(id, data[id]); err != nil {
+		if err := w.Append(data[id]); err != nil {
 			return nil, err
 		}
 		s, c := subOf[id], codes[id]
@@ -175,7 +175,7 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{cfg: cfg, d: d, n: n, subMax: subMax, hyper: hyper, buckets: buckets, orig: st}, nil
+	return &Index{cfg: cfg, d: d, n: n, subMax: subMax, hyper: hyper, buckets: buckets, orig: st, order: order}, nil
 }
 
 // simpleLSHTransform writes [o/u ; sqrt(1−‖o‖²/u²)] into dst (len d+1).
@@ -300,26 +300,12 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 				return nil, qs, err
 			}
 			qs.Candidates++
-			// Recover the global id through the layout table.
-			id := ix.idAt(pos)
-			top.Offer(id, vec.Dot(o, q))
+			top.Offer(ix.order[pos], vec.Dot(o, q))
 		}
 	}
 
 	qs.PageAccesses = pg.Stats().Misses
 	return append([]mips.Result(nil), top.Results()...), qs, nil
-}
-
-// idAt maps a layout position back to the global id. The store keeps the
-// id→pos table; we invert it lazily once.
-func (ix *Index) idAt(pos int) uint32 {
-	if ix.posToID == nil {
-		ix.posToID = make([]uint32, ix.n)
-		for id := 0; id < ix.n; id++ {
-			ix.posToID[ix.orig.Pos(uint32(id))] = uint32(id)
-		}
-	}
-	return ix.posToID[pos]
 }
 
 // Close releases the page file.

@@ -75,7 +75,7 @@ func TestSubMaxDescending(t *testing.T) {
 	// membership through the buckets.
 	for _, b := range ix.buckets {
 		for pos := b.startPos; pos < b.startPos+b.count; pos++ {
-			id := ix.idAt(pos)
+			id := ix.order[pos]
 			if vec.Norm2(data[id]) > ix.subMax[b.sub]+1e-6 {
 				t.Fatalf("point %d exceeds its sub-dataset max norm", id)
 			}

@@ -83,8 +83,6 @@ func (r *Reader) entry(posn int, io *pager.IOStats) ([]byte, error) {
 // DotAt returns ⟨o,q⟩ for the stored vector at layout position posn,
 // computed straight from the page bytes (zero-copy on little-endian hosts,
 // fused decode otherwise) — the verification kernel of the query hot path.
-// The query path addresses the store by position: its candidates carry
-// their layout position, so no id → position lookup is needed.
 func (r *Reader) DotAt(posn int, q []float32, io *pager.IOStats) (float64, error) {
 	if len(q) != r.s.dim {
 		return 0, fmt.Errorf("store: query dim %d, want %d", len(q), r.s.dim)

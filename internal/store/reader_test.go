@@ -26,8 +26,8 @@ func buildReaderStore(t *testing.T, n, dim, pageSize int) (*Store, [][]float32) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range data {
-		if err := w.Append(uint32(i), v); err != nil {
+	for _, v := range data {
+		if err := w.Append(v); err != nil {
 			t.Fatal(err)
 		}
 	}

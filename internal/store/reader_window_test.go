@@ -82,7 +82,7 @@ func TestReaderRePinAfterEviction(t *testing.T) {
 			v[j] = float32(i*dim + j)
 		}
 		rngData[i] = v
-		if err := w.Append(uint32(i), v); err != nil {
+		if err := w.Append(v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func TestReaderAcrossShardedPool(t *testing.T) {
 			v[j] = float32((i + 1) * (j + 2) % 97)
 		}
 		data[i] = v
-		if err := w.Append(uint32(i), v); err != nil {
+		if err := w.Append(v); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,9 +18,9 @@ import (
 // chunk — two reads, the second one partial, the last page partly filled.
 const scanN, scanDim, scanPageSize = 2003, 27, 1024
 
-// smallPoolStore writes data (position i holds id n-1-i, so ids ≠ positions)
-// behind a 16-page pool — a file far larger than its pool, which ScanDot
-// reads around — and returns it as Finalize left it, and its path.
+// smallPoolStore writes data (position i holds data[i]) behind a 16-page
+// pool — a file far larger than its pool, which ScanDot reads around — and
+// returns it as Finalize left it, and its path.
 func smallPoolStore(t *testing.T, data [][]float32) (*Store, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "small.data")
@@ -28,8 +28,8 @@ func smallPoolStore(t *testing.T, data [][]float32) (*Store, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range data {
-		if err := w.Append(uint32(len(data)-1-i), v); err != nil {
+	for _, v := range data {
+		if err := w.Append(v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func TestReaderPinStress(t *testing.T) {
 		for j := range data[i] {
 			data[i][j] = float32(i*dim + j)
 		}
-		if err := w.Append(uint32(i), data[i]); err != nil {
+		if err := w.Append(data[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

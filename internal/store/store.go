@@ -1,16 +1,19 @@
 // Package store provides a disk-resident vector store: fixed-dimension
-// float32 vectors identified by uint32 ids, laid out in a caller-chosen
-// order so that points of the same iDistance sub-partition (or the same
-// LSH norm-partition) sit on adjacent pages. Candidate verification — the
-// dominant I/O of every MIPS method in the paper — reads original vectors
-// through this store, so its page accesses are accounted by the shared
-// pager.
+// float32 vectors laid out in a caller-chosen order so that points of the
+// same iDistance sub-partition (or the same LSH norm-partition) sit on
+// adjacent pages, and addressed by that layout position alone — the caller
+// keeps the order, so the store holds no id of its own. Candidate
+// verification — the dominant I/O of every MIPS method in the paper — reads
+// original vectors through this store, so its page accesses are accounted
+// by the shared pager.
 //
 // File layout (page-aligned):
 //
-//	page 0:            header (magic, dim, n, perPage)
-//	pages 1..T:        id → position table (uint32 per id)
-//	pages T+1..:       vector data, perPage vectors per page
+//	page 0:            header (magic "PVS2", dim, n, perPage)
+//	pages 1..:         vector data, perPage vectors per page
+//
+// A "PVS1" file, the earlier format, has ⌈n/(PageSize/4)⌉ pages of an
+// id → position table between its header and its data; Open skips them.
 package store
 
 import (
@@ -22,17 +25,19 @@ import (
 	"promips/internal/vec"
 )
 
-const storeMagic = uint32(0x50565331) // "PVS1"
+const (
+	storeMagic  = uint32(0x50565332) // "PVS2"
+	legacyMagic = uint32(0x50565331) // "PVS1": an id → position table precedes the data
+	headerBytes = 16
+)
 
-// Store reads vectors by id or by layout position.
+// Store reads vectors by layout position.
 type Store struct {
 	pg        *pager.Pager
 	dim       int
 	n         int
 	perPage   int
-	tablePgs  int
-	pos       []uint32 // id -> layout position (kept in memory, persisted in table pages)
-	firstData int64
+	firstData int64 // page of position 0: 1, or past a PVS1 file's table
 }
 
 // Writer builds a Store by appending vectors in layout order.
@@ -65,34 +70,19 @@ func Create(path string, dim, n int, opts pager.Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	idsPerPage := opts.PageSize / 4
-	tablePgs := (n + idsPerPage - 1) / idsPerPage
-	// Header + table pages, written by Finalize.
-	for i := 0; i < 1+tablePgs; i++ {
-		pw.Alloc()
-	}
-	st := &Store{
-		dim:       dim,
-		n:         n,
-		perPage:   perPage,
-		tablePgs:  tablePgs,
-		pos:       make([]uint32, n),
-		firstData: int64(1 + tablePgs),
-	}
+	pw.Alloc() // the header, written by Finalize
+	st := &Store{dim: dim, n: n, perPage: perPage, firstData: 1}
 	return &Writer{st: st, pw: pw, opts: opts, page: make([]byte, opts.PageSize), cur: -1}, nil
 }
 
-// Append writes the vector for id at the next layout position.
-func (w *Writer) Append(id uint32, v []float32) error {
+// Append writes v at the next layout position.
+func (w *Writer) Append(v []float32) error {
 	st := w.st
 	if w.next >= st.n {
 		return fmt.Errorf("store: appended more than the declared %d vectors", st.n)
 	}
 	if len(v) != st.dim {
 		return fmt.Errorf("store: vector dim %d, want %d", len(v), st.dim)
-	}
-	if int(id) >= st.n {
-		return fmt.Errorf("store: id %d out of range [0,%d)", id, st.n)
 	}
 	slot := w.next % st.perPage
 	if slot == 0 {
@@ -103,7 +93,6 @@ func (w *Writer) Append(id uint32, v []float32) error {
 		clear(w.page)
 	}
 	vec.Encode(w.page[slot*vec.EncodedSize(st.dim):], v)
-	st.pos[id] = uint32(w.next)
 	w.next++
 	return nil
 }
@@ -119,8 +108,8 @@ func (w *Writer) flush() error {
 	return w.pw.Write(w.cur, w.page)
 }
 
-// Finalize writes the header and the id→position table and returns the
-// readable Store. The Writer must have appended exactly n vectors.
+// Finalize writes the header and returns the readable Store. The Writer
+// must have appended exactly n vectors.
 func (w *Writer) Finalize() (*Store, error) {
 	st := w.st
 	if w.next != st.n {
@@ -137,21 +126,6 @@ func (w *Writer) Finalize() (*Store, error) {
 	if err := w.pw.Write(0, header); err != nil {
 		return nil, err
 	}
-	idsPerPage := len(w.page) / 4
-	buf := w.page
-	for p := 0; p < st.tablePgs; p++ {
-		clear(buf)
-		for s := 0; s < idsPerPage; s++ {
-			id := p*idsPerPage + s
-			if id >= st.n {
-				break
-			}
-			binary.LittleEndian.PutUint32(buf[s*4:], st.pos[id])
-		}
-		if err := w.pw.Write(int64(1+p), buf); err != nil {
-			return nil, err
-		}
-	}
 	var err error
 	if st.pg, err = w.pw.Finish(w.opts); err != nil {
 		return nil, err
@@ -159,50 +133,58 @@ func (w *Writer) Finalize() (*Store, error) {
 	return st, nil
 }
 
-// Open loads an existing store file.
+// Open loads an existing store file. A header that does not describe a
+// store this file holds — a dimension of zero, a row count per page other
+// than the one the dimension gives, fewer data pages than n needs — is
+// ErrCorruptIndex, so no read of a position in [0, Len) can fail on it.
 func Open(path string, opts pager.Options) (*Store, error) {
 	pg, err := pager.Open(path, opts)
 	if err != nil {
 		return nil, err
 	}
-	hp, err := pg.Read(0, nil)
+	st, err := readHeader(pg)
 	if err != nil {
 		pg.Close()
 		return nil, err
 	}
+	return st, nil
+}
+
+// readHeader decodes and checks page 0 of pg. The page arithmetic is int64:
+// the header's fields are uint32 and a 32-bit int cannot hold every one.
+func readHeader(pg *pager.Pager) (*Store, error) {
+	hp, err := pg.Read(0, nil)
+	if err != nil {
+		return nil, err
+	}
 	defer hp.Release()
 	header := hp.Bytes()
-	if binary.LittleEndian.Uint32(header) != storeMagic {
-		pg.Close()
+	if len(header) < headerBytes {
+		return nil, fmt.Errorf("store: %d-byte page holds no header: %w", len(header), errs.ErrCorruptIndex)
+	}
+	magic := binary.LittleEndian.Uint32(header)
+	dim := int64(binary.LittleEndian.Uint32(header[4:]))
+	n := int64(binary.LittleEndian.Uint32(header[8:]))
+	perPage := int64(binary.LittleEndian.Uint32(header[12:]))
+	pageSize := int64(pg.PageSize())
+	firstData := int64(1)
+	switch magic {
+	case storeMagic:
+	case legacyMagic:
+		// The table is the inverse of a layout its index records itself, so
+		// it is never read.
+		idsPerPage := pageSize / 4
+		firstData += (n + idsPerPage - 1) / idsPerPage
+	default:
 		return nil, fmt.Errorf("store: bad magic: %w", errs.ErrCorruptIndex)
 	}
-	dim := int(binary.LittleEndian.Uint32(header[4:]))
-	n := int(binary.LittleEndian.Uint32(header[8:]))
-	perPage := int(binary.LittleEndian.Uint32(header[12:]))
-	idsPerPage := pg.PageSize() / 4
-	tablePgs := (n + idsPerPage - 1) / idsPerPage
-	st := &Store{
-		pg: pg, dim: dim, n: n, perPage: perPage,
-		tablePgs: tablePgs, pos: make([]uint32, n),
-		firstData: int64(1 + tablePgs),
+	if dim < 1 || dim > pageSize || perPage < 1 || perPage != pageSize/int64(vec.EncodedSize(int(dim))) {
+		return nil, fmt.Errorf("store: header dim=%d perPage=%d over %d-byte pages: %w", dim, perPage, pageSize, errs.ErrCorruptIndex)
 	}
-	for p := 0; p < tablePgs; p++ {
-		tp, err := pg.Read(int64(1+p), nil)
-		if err != nil {
-			pg.Close()
-			return nil, err
-		}
-		buf := tp.Bytes()
-		for s := 0; s < idsPerPage; s++ {
-			id := p*idsPerPage + s
-			if id >= n {
-				break
-			}
-			st.pos[id] = binary.LittleEndian.Uint32(buf[s*4:])
-		}
-		tp.Release()
+	if need := firstData + (n+perPage-1)/perPage; need > pg.NumPages() {
+		return nil, fmt.Errorf("store: %d vectors need %d pages, file has %d: %w", n, need, pg.NumPages(), errs.ErrCorruptIndex)
 	}
-	return st, nil
+	return &Store{pg: pg, dim: int(dim), n: int(n), perPage: int(perPage), firstData: firstData}, nil
 }
 
 // Dim returns the vector dimensionality.
@@ -217,21 +199,9 @@ func (s *Store) Pager() *pager.Pager { return s.pg }
 // SizeBytes returns the on-disk size of the store file.
 func (s *Store) SizeBytes() int64 { return s.pg.SizeBytes() }
 
-// Pos returns the layout position of id.
-func (s *Store) Pos(id uint32) int { return int(s.pos[id]) }
-
-// Vector reads the vector for id (one page access; pages shared by nearby
-// positions hit the buffer pool). dst is reused when large enough. The page
-// read is recorded in io (nil discards the accounting).
-func (s *Store) Vector(id uint32, dst []float32, io *pager.IOStats) ([]float32, error) {
-	if int(id) >= s.n {
-		return nil, fmt.Errorf("store: id %d out of range [0,%d)", id, s.n)
-	}
-	return s.VectorAt(int(s.pos[id]), dst, io)
-}
-
-// VectorAt reads the vector at a layout position, recording the page read
-// in io.
+// VectorAt reads the vector at a layout position (one page access; pages
+// shared by nearby positions hit the buffer pool). dst is reused when large
+// enough. The page read is recorded in io (nil discards the accounting).
 func (s *Store) VectorAt(posn int, dst []float32, io *pager.IOStats) ([]float32, error) {
 	if posn < 0 || posn >= s.n {
 		return nil, fmt.Errorf("store: position %d out of range [0,%d)", posn, s.n)

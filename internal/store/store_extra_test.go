@@ -1,11 +1,14 @@
 package store
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"promips/internal/errs"
 	"promips/internal/pager"
 )
 
@@ -22,6 +25,65 @@ func TestOpenErrors(t *testing.T) {
 	if _, err := Open(path, pager.Options{PageSize: 256}); err == nil {
 		t.Fatal("expected bad-magic error")
 	}
+
+	// Headers that do not describe the file they head: each must be refused
+	// as corrupt, never left to fail (or panic) at the first read. The store
+	// holds 20 vectors of dim 3 on 64-byte pages, 5 to a page.
+	r := rand.New(rand.NewSource(12))
+	vecs := make([][]float32, 20)
+	order := make([]uint32, len(vecs))
+	for i := range vecs {
+		vecs[i], order[i] = randVec(r, 3), uint32(i)
+	}
+	good := filepath.Join(dir, "good.db")
+	writeStoreFile(t, good, 3, 64, order, vecs)
+	legacy := filepath.Join(dir, "legacy.db")
+	writeLegacyStore(t, legacy, 3, 64, order, vecs)
+	for _, c := range []struct {
+		name string
+		file string
+		off  int
+		v    uint32
+	}{
+		{"dim 0", good, 4, 0},
+		{"dim over the page", good, 4, 17},
+		{"dim 2^31", good, 4, 1 << 31},
+		{"perPage 0", good, 12, 0},
+		{"perPage 1000", good, 12, 1000},
+		{"perPage off by one", good, 12, 4},
+		{"n past the data pages", good, 8, 21},
+		{"n 2^32-1", good, 8, 1<<32 - 1},
+		{"legacy n past the data pages", legacy, 8, 21},
+		{"legacy perPage 0", legacy, 12, 0},
+	} {
+		path := patchHeader(t, c.file, c.off, c.v)
+		if st, err := Open(path, pager.Options{PageSize: 64}); !errors.Is(err, errs.ErrCorruptIndex) {
+			if err == nil {
+				st.Close()
+			}
+			t.Errorf("%s: err = %v, want ErrCorruptIndex", c.name, err)
+		}
+	}
+	// A page too small to hold the header.
+	if _, err := Open(good, pager.Options{PageSize: 8}); !errors.Is(err, errs.ErrCorruptIndex) {
+		t.Errorf("8-byte pages: err = %v, want ErrCorruptIndex", err)
+	}
+}
+
+// patchHeader writes a copy of the store file at path with the header's
+// uint32 at off set to v, and returns the copy's path.
+func patchHeader(t *testing.T, path string, off int, v uint32) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[off:], v)
+	out := filepath.Join(t.TempDir(), "patched.db")
+	if err := os.WriteFile(out, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestCreateInvalidArgs(t *testing.T) {
@@ -39,56 +101,12 @@ func TestVectorDstReuse(t *testing.T) {
 	vecs := [][]float32{randVec(r, 6), randVec(r, 6)}
 	st := buildStore(t, 6, 2, 256, []uint32{0, 1}, vecs)
 	dst := make([]float32, 16)
-	got, err := st.Vector(0, dst, nil)
+	got, err := st.VectorAt(0, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &got[0] != &dst[0] {
-		t.Fatal("Vector did not reuse the provided buffer")
-	}
-}
-
-// Table spanning multiple pages: with 64B pages, 16 ids per table page,
-// 100 ids need 7 table pages.
-func TestMultiPageIDTable(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	const n, dim = 100, 4
-	vecs := make([][]float32, n)
-	order := make([]uint32, n)
-	for i, p := range r.Perm(n) {
-		vecs[i] = randVec(r, dim)
-		order[i] = uint32(p)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "v.db")
-	w, err := Create(path, dim, n, pager.Options{PageSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range order {
-		if err := w.Append(id, vecs[id]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := w.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-
-	st2, err := Open(path, pager.Options{PageSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	for id := uint32(0); id < n; id++ {
-		got, err := st2.Vector(id, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != vecs[id][0] {
-			t.Fatalf("vector %d wrong after multi-page table reopen", id)
-		}
+		t.Fatal("VectorAt did not reuse the provided buffer")
 	}
 }
 
@@ -101,7 +119,7 @@ func TestSizeBytesMatchesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Append(0, vecs[0])
+	w.Append(vecs[0])
 	st, err := w.Finalize()
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package store
 import (
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"promips/internal/pager"
@@ -23,7 +24,7 @@ func buildStore(t *testing.T, dim, n, pageSize int, order []uint32, vecs [][]flo
 		t.Fatal(err)
 	}
 	for _, id := range order {
-		if err := w.Append(id, vecs[id]); err != nil {
+		if err := w.Append(vecs[id]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,6 +34,23 @@ func buildStore(t *testing.T, dim, n, pageSize int, order []uint32, vecs [][]flo
 	}
 	t.Cleanup(func() { st.Close() })
 	return st
+}
+
+// checkLayout asserts that position pos of st holds vecs[order[pos]].
+func checkLayout(t *testing.T, st *Store, order []uint32, vecs [][]float32) {
+	t.Helper()
+	if st.Len() != len(order) {
+		t.Fatalf("Len = %d, want %d", st.Len(), len(order))
+	}
+	for pos, id := range order {
+		got, err := st.VectorAt(pos, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, vecs[id]) {
+			t.Fatalf("position %d does not hold vector %d", pos, id)
+		}
+	}
 }
 
 func TestRoundTripSequentialOrder(t *testing.T) {
@@ -45,17 +63,7 @@ func TestRoundTripSequentialOrder(t *testing.T) {
 		order[i] = uint32(i)
 	}
 	st := buildStore(t, dim, n, 512, order, vecs)
-	for id := uint32(0); id < n; id++ {
-		got, err := st.Vector(id, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range got {
-			if got[j] != vecs[id][j] {
-				t.Fatalf("vector %d coordinate %d differs", id, j)
-			}
-		}
-	}
+	checkLayout(t, st, order, vecs)
 }
 
 func TestRoundTripShuffledLayout(t *testing.T) {
@@ -71,20 +79,7 @@ func TestRoundTripShuffledLayout(t *testing.T) {
 	}
 	st := buildStore(t, dim, n, 256, order, vecs)
 	// Layout positions must match the append order.
-	for layout, id := range order {
-		if st.Pos(id) != layout {
-			t.Fatalf("Pos(%d) = %d, want %d", id, st.Pos(id), layout)
-		}
-	}
-	for id := uint32(0); id < n; id++ {
-		got, err := st.Vector(id, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != vecs[id][0] {
-			t.Fatalf("vector %d mismatched after shuffled layout", id)
-		}
-	}
+	checkLayout(t, st, order, vecs)
 }
 
 func TestVectorTooLargeForPage(t *testing.T) {
@@ -99,18 +94,15 @@ func TestAppendErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(0, []float32{1, 2}); err == nil {
+	if err := w.Append([]float32{1, 2}); err == nil {
 		t.Fatal("expected dim mismatch error")
 	}
-	if err := w.Append(9, []float32{1, 2, 3, 4}); err == nil {
-		t.Fatal("expected id out of range error")
-	}
-	w.Append(0, []float32{1, 2, 3, 4})
+	w.Append([]float32{1, 2, 3, 4})
 	if _, err := w.Finalize(); err == nil {
 		t.Fatal("expected error: finalize before all vectors appended")
 	}
-	w.Append(1, []float32{5, 6, 7, 8})
-	if err := w.Append(1, []float32{5, 6, 7, 8}); err == nil {
+	w.Append([]float32{5, 6, 7, 8})
+	if err := w.Append([]float32{5, 6, 7, 8}); err == nil {
 		t.Fatal("expected error appending beyond n")
 	}
 }
@@ -125,10 +117,11 @@ func TestPersistenceReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := r.Perm(n)
-	for _, p := range order {
+	order := make([]uint32, n)
+	for i, p := range r.Perm(n) {
+		order[i] = uint32(p)
 		vecs[p] = randVec(r, dim)
-		if err := w.Append(uint32(p), vecs[p]); err != nil {
+		if err := w.Append(vecs[p]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,17 +141,7 @@ func TestPersistenceReopen(t *testing.T) {
 	if st2.Dim() != dim || st2.Len() != n {
 		t.Fatalf("reopened dims = (%d,%d)", st2.Dim(), st2.Len())
 	}
-	for id := uint32(0); id < n; id++ {
-		got, err := st2.Vector(id, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range got {
-			if got[j] != vecs[id][j] {
-				t.Fatalf("vector %d differs after reopen", id)
-			}
-		}
-	}
+	checkLayout(t, st2, order, vecs)
 }
 
 func TestPageLocalityOfAdjacentPositions(t *testing.T) {
@@ -189,8 +172,8 @@ func TestOutOfRangeReads(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	vecs := [][]float32{randVec(r, 4)}
 	st := buildStore(t, 4, 1, 256, []uint32{0}, vecs)
-	if _, err := st.Vector(1, nil, nil); err == nil {
-		t.Fatal("expected error for id out of range")
+	if _, err := st.VectorAt(1, nil, nil); err == nil {
+		t.Fatal("expected error for position out of range")
 	}
 	if _, err := st.VectorAt(-1, nil, nil); err == nil {
 		t.Fatal("expected error for negative position")
