@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -107,10 +108,16 @@ func (sc *queryScratch) selectPrerank(sk *pq.Sketch, k int) []prerankCand {
 // bestByEstimate appends to sel (empty) the w ≥ 1 candidates with the
 // largest estimates, ordered by (estimate desc, id asc), as an insertion
 // into a window kept in that order. Nearly every candidate of a query loses
-// to the window's current last entry once the window is full, so that one
-// comparison comes before the binary search for the insertion point.
+// to the window's current last entry once the window is full, so one float
+// compare against that entry's estimate (floor) rejects it before its id is
+// read; only a tie goes on to outranks, and only a winner to the binary
+// search for its insertion point.
 func bestByEstimate(sel []prerankCand, cands []idistance.Candidate, ests []float64, w int) []prerankCand {
+	floor := math.Inf(-1) // sel[w-1].est once the window is full
 	for i, est := range ests {
+		if est < floor {
+			continue
+		}
 		id := cands[i].ID
 		if len(sel) == w && !outranks(est, id, sel[w-1]) {
 			continue
@@ -121,6 +128,9 @@ func bestByEstimate(sel []prerankCand, cands []idistance.Candidate, ests []float
 		}
 		copy(sel[pos+1:], sel[pos:])
 		sel[pos] = prerankCand{cand: cands[i], idx: int32(i), est: est}
+		if len(sel) == w {
+			floor = sel[w-1].est
+		}
 	}
 	return sel
 }

@@ -553,50 +553,24 @@ func (s *query) conditionsAtRadius(r float64) string {
 // estimates, both empty for a pass without pre-ranking.
 //
 // Only candidates that can still win are ordered. One linear pass first
-// drops the points the query does not admit and sets aside, as seen, every
-// candidate the current ⟨omax^k,q⟩ already dismisses; the survivors alone
-// go through the lazy stream and are re-tested against the live ⟨omax^k,q⟩
-// at their turn. Because dismissal is monotone, a candidate dismissed here
-// is one the full ordered walk would have dismissed at its turn, so the
-// verified sequence, the top-k and every page read are those of ordering
-// everything. A set-aside candidate still advances the frontier at its own
-// distance, but at a fixed top-k the conditions are monotone in distance:
-// between two survivors they can only fire if they fire at the later one's
-// distance. Only then does one scan of the seen set look for the earliest
-// seen candidate in the gap at which the full walk would have stopped.
-// NormPruned counts the set-aside candidates the full walk would have
-// reached, i.e. those ordered no later than where the pass ends.
+// (setAside) drops the points the query does not admit and sets aside, as
+// seen, every candidate the current ⟨omax^k,q⟩ already dismisses; the
+// survivors alone go through the lazy stream and are re-tested against the
+// live ⟨omax^k,q⟩ at their turn. Because dismissal is monotone, a candidate
+// dismissed here is one the full ordered walk would have dismissed at its
+// turn, so the verified sequence, the top-k and every page read are those of
+// ordering everything. A set-aside candidate still advances the frontier at
+// its own distance, but at a fixed top-k the conditions are monotone in
+// distance: between two survivors they can only fire if they fire at the
+// later one's distance. Only then does one scan of the seen set look for the
+// earliest seen candidate in the gap at which the full walk would have
+// stopped. NormPruned counts the set-aside candidates the full walk would
+// have reached, i.e. those ordered no later than where the pass ends.
 func (s *query) orderedPass(cands []idistance.Candidate, window []int32, ests []float64) (string, error) {
 	sc := s.sc
 	fromWindow := len(sc.seen) // counted by the pre-ranking pass already
-	survivors := cands[:0]
-	for i, cand := range cands {
-		if len(window) > 0 && window[0] == int32(i) {
-			window = window[1:]
-			continue
-		}
-		if !s.admits(cand.ID) {
-			continue
-		}
-		var est *float64
-		if len(ests) > 0 {
-			est = &ests[i]
-		}
-		if s.dismissed(cand, est) {
-			sc.seen = append(sc.seen, cand)
-		} else {
-			survivors = append(survivors, cand)
-		}
-	}
+	survivors := s.setAside(cands, window, ests)
 	s.ordered += len(survivors)
-	setAside := sc.seen[fromWindow:]
-	countReached := func(end idistance.Candidate) {
-		for _, c := range setAside {
-			if idistance.CompareCandidates(c, end) <= 0 {
-				s.st.NormPruned++
-			}
-		}
-	}
 
 	sc.stream.Init(survivors)
 	prev := idistance.Candidate{Dist: math.Inf(-1)}
@@ -605,45 +579,129 @@ func (s *query) orderedPass(cands []idistance.Candidate, window []int32, ests []
 		if !more {
 			cand = idistance.Candidate{Dist: math.Inf(1), ID: math.MaxUint32}
 		}
+		reached := -1 // set-aside candidates ordered before cand, once a scan has counted them
 		if !more || s.conditions(cand.Dist) != "" {
-			if at, reason := s.firstStop(prev, cand); reason != "" {
-				countReached(at)
+			reason, n := s.firstStop(prev, cand, fromWindow)
+			if reason != "" || !more {
+				s.st.NormPruned += n
 				return reason, nil
 			}
+			reached = n
 		}
-		if !more {
-			countReached(cand)
-			return "", nil
+		_, err := s.verify(cand, nil)
+		reason := ""
+		if err == nil {
+			reason = s.conditions(cand.Dist)
 		}
-		if _, err := s.verify(cand, nil); err != nil {
-			countReached(cand) // a runaway query reports its stats too
-			return "", err
-		}
-		if reason := s.conditions(cand.Dist); reason != "" {
-			countReached(cand)
-			return reason, nil
+		if err != nil || reason != "" { // a runaway query reports its stats too
+			if reached < 0 {
+				reached = reachedBy(sc.seen[fromWindow:], cand)
+			}
+			s.st.NormPruned += reached
+			return reason, err
 		}
 		prev = cand
 	}
 }
 
+// setAside is orderedPass's linear pass: it returns the survivors, in
+// cands' backing array, and appends the dismissed candidates to sc.seen.
+// Nothing is offered to the top-k here, so ⟨omax^k,q⟩ stays fixed for the
+// whole pass: the loop reads it, the norms and the sketch once and applies
+// dismissed's test to each candidate with them. Admission is tested only
+// where something can fail it, a tombstone or a filter. Each candidate is
+// written to both outputs and only the index of the one it belongs to
+// advances, so the loop does not branch on the verdict, which varies from
+// candidate to candidate.
+func (s *query) setAside(cands []idistance.Candidate, window []int32, ests []float64) []idistance.Candidate {
+	sn, seen := s.sn, s.sc.seen
+	filtered := s.params.Filter != nil || len(sn.tombFrozen)+len(sn.tombRecent) > 0
+	ipK, full := s.top.kth()
+	normsPrune, ipKSq := full && ipK >= 0, ipK*ipK
+	sketchPrune := full && s.sketchLUT != nil
+	normQSq, normQ, norm2Sq, sk, lut := s.normQSq, s.normQ, sn.norm2Sq, sn.sketch, s.sketchLUT
+	seen = slices.Grow(seen, len(cands))
+	aside := seen[len(seen) : len(seen)+len(cands)]
+	na, nv := 0, 0 // set aside, survivors
+	for i, cand := range cands {
+		if len(window) > 0 && window[0] == int32(i) {
+			window = window[1:]
+			continue
+		}
+		if filtered && !s.admits(cand.ID) {
+			continue
+		}
+		out := 0
+		if normsPrune && norm2Sq[cand.Pos]*normQSq <= ipKSq {
+			out = 1
+		}
+		if sketchPrune {
+			if len(ests) > 0 {
+				if sk.BoundEstimate(cand.Pos, ests[i], normQ) <= ipK {
+					out = 1
+				}
+			} else if out == 0 && sk.Bound(cand.Pos, lut, normQ) <= ipK {
+				out = 1
+			}
+		}
+		aside[na] = cand
+		cands[nv] = cand // nv ≤ i: only read candidates are overwritten
+		na += out
+		nv += 1 - out
+	}
+	s.sc.seen = seen[:len(seen)+na]
+	return cands[:nv]
+}
+
+// reachedBy counts the candidates of setAside ordered no later than end
+// (idistance.CompareCandidates(c, end) ≤ 0).
+func reachedBy(setAside []idistance.Candidate, end idistance.Candidate) int {
+	n := 0
+	for _, c := range setAside {
+		if c.Dist < end.Dist || c.Dist == end.Dist && c.ID <= end.ID {
+			n++
+		}
+	}
+	return n
+}
+
 // firstStop finds the earliest seen candidate strictly between two
 // consecutive survivors at whose distance the conditions hold for the
 // current top-k — where a walk over every candidate would have stopped —
-// and the condition; reason is "" when there is none.
-func (s *query) firstStop(after, before idistance.Candidate) (at idistance.Candidate, reason string) {
+// and returns its condition, "" when there is none. The same scan counts
+// the set-aside candidates (sc.seen[fromWindow:]) that walk reaches: those
+// ordered no later than the stop, or than before when there is none. A
+// candidate in the gap that is no stop (Dist² < from ≤ stop.Dist²) lies
+// nearer than the stop, and every other one in the gap is the stop or
+// follows it, so the count needs no second scan. (The range search drops
+// NaN distances and the end sentinel follows every stored candidate, so
+// the candidate order is strict and total here.) Float compares settle
+// nearly every candidate; CompareCandidates breaks the distance ties.
+func (s *query) firstStop(after, before idistance.Candidate, fromWindow int) (reason string, reached int) {
 	cond, from := s.stopFrom()
-	if cond == "" {
-		return at, ""
-	}
-	for _, c := range s.sc.seen {
-		if c.Dist*c.Dist >= from && idistance.CompareCandidates(after, c) < 0 &&
-			idistance.CompareCandidates(c, before) < 0 &&
-			(reason == "" || idistance.CompareCandidates(c, at) < 0) {
-			at, reason = c, cond
+	var at idistance.Candidate
+	atAside := false
+	for i, c := range s.sc.seen {
+		aside := i >= fromWindow
+		switch {
+		case c.Dist > before.Dist: // past the gap
+		case c.Dist < after.Dist || idistance.CompareCandidates(after, c) >= 0: // ahead of the gap
+			if aside {
+				reached++
+			}
+		case idistance.CompareCandidates(c, before) >= 0: // past the gap
+		case cond == "" || !(c.Dist*c.Dist >= from): // in the gap, no stop
+			if aside {
+				reached++
+			}
+		case reason == "" || idistance.CompareCandidates(c, at) < 0:
+			at, atAside, reason = c, aside, cond
 		}
 	}
-	return at, reason
+	if atAside {
+		reached++
+	}
+	return reason, reached
 }
 
 // scanAll replaces whatever the top-k holds with the EXACT top-k over the

@@ -13,11 +13,12 @@ import (
 // queries and with out-of-sample ones (dataset.Spec.Queries), which prune
 // nothing and end in the sequential scan. Beside ns/op, B/op and allocs/op it
 // reports counts that repeat exactly at a fixed -benchtime Nx:
-// ordered/query, the candidates handed to the lazy sort; scans/query, the
-// share of queries that ended in the sequential scan; screened/query and
-// exact-dots/query (see BenchmarkSearchWarm; the pool cannot hold this
-// store, so nothing is screened); and store-reads/query, the read calls
-// issued against the vector file.
+// ordered/query, the candidates handed to the lazy sort; norm-pruned/query,
+// the candidates dismissed from memory (SearchStats.NormPruned);
+// scans/query, the share of queries that ended in the sequential scan;
+// screened/query and exact-dots/query (see BenchmarkSearchWarm; the pool
+// cannot hold this store, so nothing is screened); and store-reads/query,
+// the read calls issued against the vector file.
 //
 //	go test ./internal/core -run NONE -bench SearchCold -benchtime 256x
 func BenchmarkSearchCold(b *testing.B) {
@@ -51,6 +52,7 @@ func BenchmarkSearchCold(b *testing.B) {
 			reads := ix.orig.Pager().Stats().Sub(before).FileReads
 			perQuery := func(c int) float64 { return float64(c) / float64(len(arm.queries)) }
 			b.ReportMetric(perQuery(tl.ordered), "ordered/query")
+			b.ReportMetric(perQuery(tl.normPruned), "norm-pruned/query")
 			b.ReportMetric(perQuery(tl.scans), "scans/query")
 			b.ReportMetric(perQuery(tl.screened), "screened/query")
 			b.ReportMetric(perQuery(tl.candidates-tl.screened), "exact-dots/query")
@@ -61,7 +63,7 @@ func BenchmarkSearchCold(b *testing.B) {
 
 // searchTally sums what a set of queries did, diagnostics included.
 type searchTally struct {
-	candidates, screened, ordered, scans int
+	candidates, screened, ordered, normPruned, scans int
 }
 
 // tallySearches answers every query once through the query struct, so the
@@ -81,6 +83,7 @@ func tallySearches(b *testing.B, ix *Index, queries [][]float32, k int) searchTa
 		tl.candidates += st.Candidates
 		tl.screened += s.screened
 		tl.ordered += s.ordered
+		tl.normPruned += st.NormPruned
 		if st.TerminatedBy == "scan" {
 			tl.scans++
 		}
@@ -100,8 +103,9 @@ func tallySearches(b *testing.B, ix *Index, queries [][]float32, k int) searchTa
 // benchmark reports counts that repeat exactly: candidates/query, the
 // verifications (SearchStats.Candidates); screened/query, those the int8
 // screen settled from its copy of the rows; exact-dots/query, the rest —
-// each one exact inner product over a store page; and store-reads/query,
-// the read calls against the vector file (0: the store is resident).
+// each one exact inner product over a store page; ordered/query and
+// norm-pruned/query (see BenchmarkSearchCold); and store-reads/query, the
+// read calls against the vector file (0: the store is resident).
 //
 //	go test ./internal/core -run NONE -bench SearchWarm -benchtime 2048x
 func BenchmarkSearchWarm(b *testing.B) {
@@ -128,5 +132,7 @@ func BenchmarkSearchWarm(b *testing.B) {
 	b.ReportMetric(perQuery(tl.candidates), "candidates/query")
 	b.ReportMetric(perQuery(tl.screened), "screened/query")
 	b.ReportMetric(perQuery(tl.candidates-tl.screened), "exact-dots/query")
+	b.ReportMetric(perQuery(tl.ordered), "ordered/query")
+	b.ReportMetric(perQuery(tl.normPruned), "norm-pruned/query")
 	b.ReportMetric(float64(reads)/float64(b.N), "store-reads/query")
 }
