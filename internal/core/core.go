@@ -215,7 +215,8 @@ type SearchStats struct {
 	// termination condition that held), "exhausted" (the compensation range
 	// was consumed whole), or "scan" — the query spent its verification
 	// budget (a quarter of the stored points when the store's buffer pool
-	// holds the store, a twelfth when it does not), so it finished with one
+	// holds the store, a twelfth when it does not), or its pre-ranking pass
+	// showed that it would (the planned scan), so it finished with one
 	// sequential scan of the vector store and the results are the EXACT
 	// top-k among live, filter-accepted points.
 	TerminatedBy string

@@ -21,8 +21,8 @@ import (
 // its sketch codes. It is the oracle orderedPass is held to — same results,
 // same stats, bit for bit — and shares with run only what that change did
 // not touch (the prologue, Quick-Probe, the collection, the window
-// selection) plus the runaway rule, so queries that end in the sequential
-// scan compare too.
+// selection) plus the runaway rule and the planned scan's decision
+// (plansScan), so queries that end in the sequential scan compare too.
 func (s *query) referenceRun() error {
 	sn, sc, top, st := s.sn, s.sc, s.top, &s.st
 	memLUT, err := s.begin()
@@ -105,6 +105,25 @@ func (s *query) referenceRun() error {
 			st.TerminatedBy = "A"
 			return nil
 		}
+		// The planned scan, fed what the set-aside pass would hand it: the
+		// admitted candidates outside the window that the post-pre-ranking
+		// ⟨omax^k,q⟩ does not dismiss, and how many it does.
+		var survivors []idistance.Candidate
+		dismissed := 0
+		for _, cand := range sc.cands {
+			if _, found := slices.BinarySearch(preranked, cand.ID); found || !sn.live(cand.ID) || !s.params.accepts(cand.ID) {
+				continue
+			}
+			if ipK, full := top.kth(); full && (ipK >= 0 && sn.norm2Sq[cand.Pos]*s.normQSq <= ipK*ipK ||
+				sn.sketch.Bound(cand.Pos, sketchLUT, s.normQ) <= ipK) {
+				dismissed++
+				continue
+			}
+			survivors = append(survivors, cand)
+		}
+		if s.plansScan(survivors, dismissed) {
+			return errRunaway
+		}
 	}
 	idistance.SortCandidates(sc.cands)
 	for _, cand := range sc.cands {
@@ -164,6 +183,7 @@ type orderedPassTally struct {
 	queries, collected, ordered int
 	by                          map[string]int // TerminatedBy → queries
 	extended                    int            // queries that ran the compensation pass
+	planned                     int            // queries plansScan sent to the sequential scan
 	kCovers                     int            // queries whose range pass collected at most k
 }
 
@@ -176,12 +196,13 @@ func (tl *orderedPassTally) differential(sn *snapshot, q []float32, k int, param
 		return 0, err
 	}
 	var collected, ordered int
+	var planned bool
 	answer := func(run func(*query) error) ([]Result, SearchStats, error) {
 		sc := getScratch(sn)
 		defer putScratch(sc)
 		s := sn.newQuery(context.Background(), sc, q, k, c, p, params)
 		res, st, err := s.finish(run(s))
-		collected, ordered, ranged = len(sc.cands), s.ordered, len(sc.cands)
+		collected, ordered, ranged, planned = len(sc.cands), s.ordered, len(sc.cands), s.planned
 		if st.ExtendedRadius != 0 {
 			collected += len(sc.extCands)
 		}
@@ -214,6 +235,9 @@ func (tl *orderedPassTally) differential(sn *snapshot, q []float32, k int, param
 	tl.by[gotSt.TerminatedBy]++
 	if gotSt.ExtendedRadius != 0 {
 		tl.extended++
+	}
+	if planned {
+		tl.planned++
 	}
 	if ranged <= k {
 		tl.kCovers++
@@ -322,10 +346,11 @@ func TestOrderedPassMatchesSortEverything(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%-16s %d queries, terminated %v, %d extended, %d with k ≥ collected, ordered %d of %d collected",
-			v.name, tl.queries, tl.by, tl.extended, tl.kCovers, tl.ordered, tl.collected)
+		t.Logf("%-16s %d queries, terminated %v, %d extended, %d planned, %d with k ≥ collected, ordered %d of %d collected",
+			v.name, tl.queries, tl.by, tl.extended, tl.planned, tl.kCovers, tl.ordered, tl.collected)
 		total.queries += tl.queries
 		total.extended += tl.extended
+		total.planned += tl.planned
 		total.kCovers += tl.kCovers
 		total.ordered += tl.ordered
 		total.collected += tl.collected
@@ -346,11 +371,61 @@ func TestOrderedPassMatchesSortEverything(t *testing.T) {
 	if total.extended == 0 {
 		t.Error("no query ran the compensation pass")
 	}
+	if total.planned == 0 || total.planned == total.by["scan"] {
+		t.Errorf("%d of %d scanning queries planned: the cases reach only one of the two ways into the scan", total.planned, total.by["scan"])
+	}
 	if total.kCovers == 0 {
 		t.Error("no query had k ≥ the candidates its range pass collected")
 	}
 	if total.ordered*2 > total.collected {
 		t.Errorf("ordered %d of %d collected candidates: the set-aside pass dismisses too little", total.ordered, total.collected)
+	}
+}
+
+// TestFirstStopOnTheFrontier: a seen candidate exactly on Condition B's
+// frontier, dis² == Ψm⁻¹(p)·denom, is where the walk over every candidate
+// stops — Ψm(dis²/denom) ≥ p holds there with equality — and one a float
+// below it is not. The case is built rather than drawn: the k-th inner
+// product is stepped until the frontier has an exact float square root.
+func TestFirstStopOnTheFrontier(t *testing.T) {
+	data := dataset.Netflix().Generate(200, 41)
+	ix := buildIndex(t, data, Options{Seed: 2, M: 6})
+	sn, err := ix.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.release()
+	sc := getScratch(sn)
+	defer putScratch(sc)
+	s := sn.newQuery(context.Background(), sc, data[0], 1, 0.9, 0.5, SearchParams{})
+	s.chi = stats.ChiSquareInvCDF(sn.m, s.p)
+	var dist, from float64
+	for ipK, steps := 0.1, 0; ; ipK, steps = math.Nextafter(ipK, 1), steps+1 {
+		if steps == 1000 {
+			t.Fatal("no frontier with an exact square root in 1000 steps of the k-th")
+		}
+		s.top.reset(1)
+		s.top.offer(7, ipK)
+		var cond string
+		if cond, from = s.stopFrom(); cond != "B" {
+			t.Fatalf("k-th %v: condition %q, want B", ipK, cond)
+		}
+		if dist = math.Sqrt(from); dist*dist == from {
+			break
+		}
+	}
+	below := math.Nextafter(dist, 0)
+	sc.seen = append(sc.seen[:0],
+		idistance.Candidate{Dist: dist, ID: 3},  // on the frontier: the stop
+		idistance.Candidate{Dist: below, ID: 5}, // inside it: reached, no stop
+	)
+	after := idistance.Candidate{Dist: math.Inf(-1)}
+	before := idistance.Candidate{Dist: 2 * dist, ID: 9}
+	if s.conditions(dist) != "B" || s.conditions(below) != "" {
+		t.Fatalf("conditions at the frontier %q and below it %q, want B and none", s.conditions(dist), s.conditions(below))
+	}
+	if reason, reached := s.firstStop(after, before, 0); reason != "B" || reached != 2 {
+		t.Fatalf("firstStop with a seen candidate on the frontier (dis² = %v = χ·denom): %q after %d, want B after 2", dist*dist, reason, reached)
 	}
 }
 

@@ -52,6 +52,9 @@ type queryScratch struct {
 	// the ordered pass set aside (see query.orderedPass).
 	seen []idistance.Candidate
 
+	// kth is kthWith's min-heap: the planned scan's selection.
+	kth []float64
+
 	top     topK           // its results slice is the pooled backing
 	reader  store.Reader   // page-local verification cursor
 	zq      vec.Int16Query // the query as the int8 screen reads it
@@ -90,19 +93,24 @@ func (sc *queryScratch) selectPrerank(sk *pq.Sketch, k int) []prerankCand {
 	if w > len(sc.cands) {
 		w = len(sc.cands)
 	}
-	cands := sc.cands
-	ests := slices.Grow(sc.ests[:0], len(cands))[:len(cands)]
+	sc.ests = estimates(sk, sc.cands, sc.lut, sc.ests)
+	sc.prerank = bestByEstimate(sc.prerank[:0], sc.cands, sc.ests, w)
+	return sc.prerank
+}
+
+// estimates sets dst (reused when large enough) to the sketch estimate of
+// every candidate of cands under lut, four rows per pass, and returns it.
+func estimates(sk *pq.Sketch, cands []idistance.Candidate, lut []float64, dst []float64) []float64 {
+	ests := slices.Grow(dst[:0], len(cands))[:len(cands)]
 	i := 0
 	for ; i+4 <= len(cands); i += 4 {
 		c := cands[i : i+4 : i+4]
-		ests[i], ests[i+1], ests[i+2], ests[i+3] = sk.Estimate4(c[0].Pos, c[1].Pos, c[2].Pos, c[3].Pos, sc.lut)
+		ests[i], ests[i+1], ests[i+2], ests[i+3] = sk.Estimate4(c[0].Pos, c[1].Pos, c[2].Pos, c[3].Pos, lut)
 	}
 	for ; i < len(cands); i++ {
-		ests[i] = sk.Estimate(cands[i].Pos, sc.lut)
+		ests[i] = sk.Estimate(cands[i].Pos, lut)
 	}
-	sc.ests = ests
-	sc.prerank = bestByEstimate(sc.prerank[:0], sc.cands, ests, w)
-	return sc.prerank
+	return ests
 }
 
 // bestByEstimate appends to sel (empty) the w ≥ 1 candidates with the
@@ -139,6 +147,40 @@ func bestByEstimate(sel []prerankCand, cands []idistance.Candidate, ests []float
 // strictly before pc in the pre-ranking order.
 func outranks(est float64, id uint32, pc prerankCand) bool {
 	return est > pc.est || (est == pc.est && id < pc.cand.ID)
+}
+
+// kthWith returns the len(top)-th largest value among the inner products of
+// top (the full top-k) and ests. It keeps the largest len(top) seen so far
+// in a min-heap in sc.kth, whose root is the answer.
+func (sc *queryScratch) kthWith(top []Result, ests []float64) float64 {
+	h := sc.kth[:0]
+	for _, r := range top {
+		h = append(h, r.IP)
+	}
+	sc.kth = h
+	// top is sorted best first, so h, reversed, is a min-heap.
+	slices.Reverse(h)
+	for _, e := range ests {
+		if e <= h[0] {
+			continue
+		}
+		h[0] = e
+		for i := 0; ; { // sift the new root down
+			m, l, r := i, 2*i+1, 2*i+2
+			if l < len(h) && h[l] < h[m] {
+				m = l
+			}
+			if r < len(h) && h[r] < h[m] {
+				m = r
+			}
+			if m == i {
+				break
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	return h[0]
 }
 
 // rankedGroup is one Quick-Probe ranking entry: a sign-code group and its

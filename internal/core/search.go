@@ -194,8 +194,9 @@ func (sn *snapshot) runawayBudget() int {
 	return sn.n/share + 1
 }
 
-// errRunaway is verify's signal that the query spent its runawayBudget;
-// search answers it with scanAll. It never leaves this file.
+// errRunaway is verify's signal that the query spent its runawayBudget,
+// and orderedPass's that plansScan expects it to; search answers it with
+// scanAll. It never leaves this file.
 var errRunaway = errors.New("core: verification budget exceeded")
 
 // query is one Search's working state: the inputs, the per-query constants
@@ -229,6 +230,10 @@ type query struct {
 	// reading the store. Diagnostic like ordered: read by the search
 	// benchmarks and the screen's tests only.
 	screened int
+	// planned reports that plansScan sent the query to the sequential scan.
+	// Diagnostic like ordered: read by BenchmarkSearchCold and the
+	// differential test only.
+	planned bool
 }
 
 // newQuery binds sc's query state to one search. The state lives in the
@@ -565,11 +570,18 @@ func (s *query) conditionsAtRadius(r float64) string {
 // later one's distance. Only then does one scan of the seen set look for the
 // earliest seen candidate in the gap at which the full walk would have
 // stopped. NormPruned counts the set-aside candidates the full walk would
-// have reached, i.e. those ordered no later than where the pass ends.
+// have reached, i.e. those ordered no later than where the pass ends. A
+// pass with cached estimates (the range pass after pre-ranking) asks
+// plansScan first and, when it expects the query to run away, ends at once
+// with errRunaway, before anything is ordered or counted.
 func (s *query) orderedPass(cands []idistance.Candidate, window []int32, ests []float64) (string, error) {
 	sc := s.sc
 	fromWindow := len(sc.seen) // counted by the pre-ranking pass already
 	survivors := s.setAside(cands, window, ests)
+	if len(ests) > 0 && s.plansScan(survivors, len(sc.seen)-fromWindow) {
+		s.planned = true
+		return "", errRunaway
+	}
 	s.ordered += len(survivors)
 
 	sc.stream.Init(survivors)
@@ -651,6 +663,61 @@ func (s *query) setAside(cands []idistance.Candidate, window []int32, ests []flo
 	}
 	s.sc.seen = seen[:len(seen)+na]
 	return cands[:nv]
+}
+
+// planGate is the planned scan's gate: a query is planned only while the
+// set-aside pass dismisses less than 1/planGate of the admitted candidates
+// it tests. A member query's pre-ranked top-k dismisses most of them (0.52
+// to 0.94 of them on a cold-large shard); an out-of-sample query's, none.
+const planGate = 8
+
+// plansScan is the planned scan (DESIGN.md "Planned scan"): it reports
+// whether the range pass should end in the sequential scan at once, because
+// the query would only spend its runaway budget first. It runs once per
+// query, right after the range pass's set-aside pass, when the pre-ranked
+// window's exact inner products have raised ⟨omax^k,q⟩ as far as the
+// pre-ranking pass can. survivors are that pass's survivors and dismissed
+// how many admitted candidates it set aside. Two tests must both hold:
+//   - the gate: the set-aside pass dismissed less than 1/planGate of the
+//     admitted candidates outside the window;
+//   - the count: with ipHat the k-th largest of the top-k's inner products
+//     and the survivors' sketch estimates — where the sketch expects
+//     ⟨omax^k,q⟩ to end — the survivors inside Condition B's frontier at
+//     ipHat that neither exact prune dismisses at ipHat, added to the
+//     verifications made so far, reach the budget.
+//
+// The answer cannot change: a planned query is answered by scanAll, which
+// is exact, as a runaway one is. The rule reads only state the query holds,
+// so it is deterministic, and a query the gate stops pays one comparison.
+// One that passes it has its survivors' estimates recomputed into sc.ests
+// (the set-aside pass keeps no map from a survivor to its cached one), which
+// is cheap next to the scan it is about to be sent to.
+func (s *query) plansScan(survivors []idistance.Candidate, dismissed int) bool {
+	if planGate*dismissed >= dismissed+len(survivors) || s.st.Candidates+len(survivors) < s.budget {
+		return false
+	}
+	if _, full := s.top.kth(); !full {
+		return false
+	}
+	sc, sk := s.sc, s.sn.sketch
+	sc.ests = estimates(sk, survivors, sc.lut, sc.ests)
+	ipHat := sc.kthWith(s.top.results, sc.ests)
+	denom := s.sn.conditionBDenominator(s.c, s.normQSq, ipHat)
+	if denom <= 0 {
+		return false
+	}
+	from, normQ, normQSq, norm2Sq := s.chi*denom, s.normQ, s.normQSq, s.sn.norm2Sq
+	verifies := s.st.Candidates
+	for i, c := range survivors {
+		if c.Dist*c.Dist >= from || ipHat >= 0 && norm2Sq[c.Pos]*normQSq <= ipHat*ipHat ||
+			sk.BoundEstimate(c.Pos, sc.ests[i], normQ) <= ipHat {
+			continue
+		}
+		if verifies++; verifies >= s.budget {
+			return true
+		}
+	}
+	return false
 }
 
 // reachedBy counts the candidates of setAside ordered no later than end

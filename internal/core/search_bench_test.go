@@ -16,6 +16,8 @@ import (
 // ordered/query, the candidates handed to the lazy sort; norm-pruned/query,
 // the candidates dismissed from memory (SearchStats.NormPruned);
 // scans/query, the share of queries that ended in the sequential scan;
+// planned/query, the share the planned scan sent there straight after the
+// set-aside pass (query.plansScan);
 // screened/query and exact-dots/query (see BenchmarkSearchWarm; the pool
 // cannot hold this store, so nothing is screened); and store-reads/query,
 // the read calls issued against the vector file.
@@ -54,6 +56,7 @@ func BenchmarkSearchCold(b *testing.B) {
 			b.ReportMetric(perQuery(tl.ordered), "ordered/query")
 			b.ReportMetric(perQuery(tl.normPruned), "norm-pruned/query")
 			b.ReportMetric(perQuery(tl.scans), "scans/query")
+			b.ReportMetric(perQuery(tl.planned), "planned/query")
 			b.ReportMetric(perQuery(tl.screened), "screened/query")
 			b.ReportMetric(perQuery(tl.candidates-tl.screened), "exact-dots/query")
 			b.ReportMetric(float64(reads)/float64(b.N), "store-reads/query")
@@ -63,7 +66,7 @@ func BenchmarkSearchCold(b *testing.B) {
 
 // searchTally sums what a set of queries did, diagnostics included.
 type searchTally struct {
-	candidates, screened, ordered, normPruned, scans int
+	candidates, screened, ordered, normPruned, scans, planned int
 }
 
 // tallySearches answers every query once through the query struct, so the
@@ -86,6 +89,9 @@ func tallySearches(b *testing.B, ix *Index, queries [][]float32, k int) searchTa
 		tl.normPruned += st.NormPruned
 		if st.TerminatedBy == "scan" {
 			tl.scans++
+		}
+		if s.planned {
+			tl.planned++
 		}
 		putScratch(sc)
 		if err != nil {

@@ -230,20 +230,18 @@ func (sn *snapshot) memLUT(q []float32, buf *[]float64) []float64 {
 // delta and segments under one lock acquisition, so they belong to the same
 // generation — see deltaEntry). topK.offer ignores such an entry anyway, so
 // the accumulator after the scan is bit-identical to evaluating everything.
-// Survivors are scored four rows at a time (vec.Dot4); the k-th inner
-// product a prune reads may therefore lag up to three offers behind, which
-// only makes the test more conservative.
+// Survivors are offered four at a time, so the k-th inner product a prune
+// reads may lag up to three offers behind, which only makes the test more
+// conservative; they are scored eight at a time (memBatch), which moves
+// neither the prunes nor the offers.
 //
 // ctx is checked at the start of every segment and every 256 entries within
 // one, so a backlog scan is a cancellation point like the disk scans.
 func (sn *snapshot) scanMem(ctx context.Context, q []float32, normQSq float64, lut []float64, top *topK, params *SearchParams) (pruned int, err error) {
-	normQ := math.Sqrt(normQSq)
-	var codeLen int
+	b := memBatch{sn: sn, q: q, lut: lut, normQSq: normQSq, normQ: math.Sqrt(normQSq), top: top}
 	if lut != nil {
-		codeLen = sn.sketch.Subspaces()
+		b.codeLen = sn.sketch.Subspaces()
 	}
-	var batch [4]*deltaEntry
-	nb := 0
 	for si := 0; si <= len(sn.segs); si++ { // the segments, oldest first, then the delta
 		entries := sn.delta
 		if si < len(sn.segs) {
@@ -259,30 +257,84 @@ func (sn *snapshot) scanMem(ctx context.Context, q []float32, normQSq float64, l
 			if !sn.live(e.id) || (params != nil && !params.accepts(e.id)) {
 				continue
 			}
-			if lut != nil {
-				if ipK, full := top.kth(); full {
-					if (ipK >= 0 && e.ip2*normQSq <= ipK*ipK) ||
-						sn.sketch.BoundCodes(e.codes[:codeLen], e.resid, lut, normQ) <= ipK {
-						pruned++
-						continue
-					}
-				}
+			if b.prunable(e) {
+				pruned++
+				continue
 			}
-			batch[nb] = e
-			if nb++; nb == len(batch) {
-				ip0, ip1, ip2, ip3 := vec.Dot4(batch[0].v, batch[1].v, batch[2].v, batch[3].v, q)
-				top.offer(batch[0].id, ip0)
-				top.offer(batch[1].id, ip1)
-				top.offer(batch[2].id, ip2)
-				top.offer(batch[3].id, ip3)
-				nb = 0
+			b.rows[b.nr], b.rowEntries[b.nr] = e.v, e
+			if b.nr++; b.nr == len(b.rows) {
+				pruned += b.score()
 			}
 		}
 	}
-	for _, e := range batch[:nb] {
-		top.offer(e.id, vec.Dot(e.v, q))
+	pruned += b.score()
+	for h, e := range b.held[:b.nh] {
+		top.offer(e.id, b.heldIPs[h])
 	}
 	return pruned, nil
+}
+
+// memBatch is scanMem's survivor queue. Rows are scored eight at a time
+// (vec.Dot8) and offered four at a time, in scan order. A queued entry was
+// tested against the k-th as it stood when it was queued; when an offer
+// comes between that test and its turn, it is tested again at its turn.
+// The entries the scan pruned in between need no second test: a prune is
+// monotone in the k-th, which only rises, so they fail it at the raised
+// k-th too. pruned and the offers are thus those of testing every entry
+// against the offers made before it, four at a time.
+type memBatch struct {
+	sn             *snapshot
+	q              []float32
+	lut            []float64 // nil: nothing is prunable
+	normQSq, normQ float64
+	codeLen        int
+	top            *topK
+
+	rows       [8][]float32 // survivors awaiting their inner products
+	rowEntries [8]*deltaEntry
+	nr         int
+	held       [4]*deltaEntry // scored survivors awaiting their offer
+	heldIPs    [4]float64
+	nh         int
+}
+
+// prunable applies the two exact bounds to e against the current k-th.
+func (b *memBatch) prunable(e *deltaEntry) bool {
+	if b.lut == nil {
+		return false
+	}
+	ipK, full := b.top.kth()
+	return full && ((ipK >= 0 && e.ip2*b.normQSq <= ipK*ipK) ||
+		b.sn.sketch.BoundCodes(e.codes[:b.codeLen], e.resid, b.lut, b.normQ) <= ipK)
+}
+
+// score computes the queued rows' inner products and moves them, in order,
+// to the held four, offering each full four; it returns how many it pruned.
+func (b *memBatch) score() (pruned int) {
+	var ips [8]float64
+	if b.nr == len(b.rows) {
+		vec.Dot8(&b.rows, b.q, &ips)
+	} else {
+		for j, row := range b.rows[:b.nr] {
+			ips[j] = vec.Dot(row, b.q)
+		}
+	}
+	offered := false
+	for j, e := range b.rowEntries[:b.nr] {
+		if offered && b.prunable(e) {
+			pruned++
+			continue
+		}
+		b.held[b.nh], b.heldIPs[b.nh] = e, ips[j]
+		if b.nh++; b.nh == len(b.held) {
+			for h, e := range b.held {
+				b.top.offer(e.id, b.heldIPs[h])
+			}
+			b.nh, offered = 0, true
+		}
+	}
+	b.nr = 0
+	return pruned
 }
 
 // maybeFreezeLocked freezes the mutable delta into a segment when it has

@@ -19,7 +19,7 @@ const scanChunkBytes = 128 << 10
 // ScanDot is the sequential scorer: one walk of the whole store in layout
 // order, calling emit(pos, ⟨o_pos,q⟩) — ascending pos — for every position
 // keep accepts. Each inner product is bit-identical to Reader.DotAt of that
-// position (four rows per pass of vec.Dot4Bytes).
+// position (eight rows per pass of vec.Dot8Bytes).
 //
 // When the file is larger than the buffer pool the walk reads it in
 // scanChunkBytes pieces straight into buf (grown when too small and returned
@@ -39,8 +39,9 @@ func (s *Store) ScanDot(ctx context.Context, q []float32, buf []byte, io *pager.
 	pooled := s.pg.Resident()
 	chunk := make([][]byte, 0, s.chunkRows())
 	var run []pager.Page // the pool pages' pins, released once the chunk is scored
-	var rows [4][]byte   // kept rows awaiting one Dot4Bytes, and their positions
-	var at [4]int
+	var rows [8][]byte   // kept rows awaiting one Dot8Bytes, and their positions
+	var at [8]int
+	var ips [8]float64
 	for c := range s.chunks() {
 		if err := ctx.Err(); err != nil {
 			return buf, err
@@ -56,11 +57,10 @@ func (s *Store) ScanDot(ctx context.Context, q []float32, buf []byte, io *pager.
 			}
 			rows[nb], at[nb] = row, first+i
 			if nb++; nb == len(rows) {
-				ip0, ip1, ip2, ip3 := vec.Dot4Bytes(rows[0], rows[1], rows[2], rows[3], q)
-				emit(at[0], ip0)
-				emit(at[1], ip1)
-				emit(at[2], ip2)
-				emit(at[3], ip3)
+				vec.Dot8Bytes(&rows, q, &ips)
+				for j, ip := range ips {
+					emit(at[j], ip)
+				}
 				nb = 0
 			}
 		}

@@ -103,8 +103,8 @@ func dotKernel(a, b []float32) float64 {
 // previous one — and the bit-exactness contract forbids splitting that sum.
 // Scoring four ROWS in one loop gives the CPU four independent add chains
 // instead, with no sum reassociated: each row keeps its own accumulator in
-// ascending index order. Linear scans (the un-compacted update entries,
-// Exact's layout walk) use it; it panics on a dimension mismatch like Dot.
+// ascending index order. The random projection's rows use it; the linear
+// scans use Dot8. It panics on a dimension mismatch like Dot.
 func Dot4(a0, a1, a2, a3, b []float32) (s0, s1, s2, s3 float64) {
 	n := len(b)
 	if len(a0) != n || len(a1) != n || len(a2) != n || len(a3) != n {
@@ -120,20 +120,69 @@ func Dot4(a0, a1, a2, a3, b []float32) (s0, s1, s2, s3 float64) {
 	return
 }
 
-// Dot4Bytes is Dot4 over four encoded vectors (each the len(b)-dimensional
+// Dot8 sets dst[r] = Dot(rows[r], q) for each of the eight rows, bit for
+// bit: Dot4's independent chains, eight of them. The linear scans (the
+// store's sequential scorer, the un-compacted update entries) use it. On
+// amd64 with AVX2, whole blocks of four dimensions run in dot8Blocks, one
+// row per vector lane. Widening a float32 to float64 is exact, and so is
+// the product of two widened float32s (24+24 significant bits fit in 53,
+// and no product of finite float32s overflows or goes subnormal in
+// float64), so each lane's VMULPD then VADDPD rounds exactly where
+// dotKernel's s += a·b does; no FMA is used, and with an exact product one
+// would round the same anyway. A dimension tail past the last whole block —
+// or every dimension, without AVX2 — continues each row's chain here, in
+// ascending order. It panics on a dimension mismatch like Dot.
+func Dot8(rows *[8][]float32, q []float32, dst *[8]float64) {
+	n := len(q)
+	for _, r := range rows {
+		if len(r) != n {
+			panic(fmt.Sprintf("vec: Dot8 dimension mismatch %d != %d", len(r), n))
+		}
+	}
+	var s [8]float64
+	i := 0
+	if useAVX2 && n >= 4 {
+		i = n &^ 3
+		var p [8]*float32
+		for r, row := range rows {
+			p[r] = &row[0]
+		}
+		dot8Blocks(&p, &q[0], i, &s)
+	}
+	a0, a1, a2, a3, a4, a5, a6, a7 := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n], rows[4][:n], rows[5][:n], rows[6][:n], rows[7][:n]
+	s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+	for ; i < n; i++ {
+		f := float64(q[i])
+		s0 += float64(a0[i]) * f
+		s1 += float64(a1[i]) * f
+		s2 += float64(a2[i]) * f
+		s3 += float64(a3[i]) * f
+		s4 += float64(a4[i]) * f
+		s5 += float64(a5[i]) * f
+		s6 += float64(a6[i]) * f
+		s7 += float64(a7[i]) * f
+	}
+	*dst = [8]float64{s0, s1, s2, s3, s4, s5, s6, s7}
+}
+
+// Dot8Bytes is Dot8 over eight encoded vectors (each the len(q)-dimensional
 // vector at the start of its buffer), each result bit-identical to DotBytes
 // of that buffer; like it, it panics on a buffer shorter than the vector.
 // When any buffer cannot be aliased (big-endian host, unaligned bytes) all
-// four take the DotBytes path.
-func Dot4Bytes(buf0, buf1, buf2, buf3 []byte, b []float32) (s0, s1, s2, s3 float64) {
-	v0, ok0 := F32View(buf0, len(b))
-	v1, ok1 := F32View(buf1, len(b))
-	v2, ok2 := F32View(buf2, len(b))
-	v3, ok3 := F32View(buf3, len(b))
-	if ok0 && ok1 && ok2 && ok3 {
-		return Dot4(v0, v1, v2, v3, b)
+// eight take the DotBytes path.
+func Dot8Bytes(bufs *[8][]byte, q []float32, dst *[8]float64) {
+	var rows [8][]float32
+	for r, buf := range bufs {
+		v, ok := F32View(buf, len(q))
+		if !ok {
+			for r, buf := range bufs {
+				dst[r] = DotBytes(buf, q)
+			}
+			return
+		}
+		rows[r] = v
 	}
-	return DotBytes(buf0, b), DotBytes(buf1, b), DotBytes(buf2, b), DotBytes(buf3, b)
+	Dot8(&rows, q, dst)
 }
 
 // l2Kernel is the shared squared-distance loop; same contract as dotKernel.

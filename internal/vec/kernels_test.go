@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -107,8 +108,7 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 // TestDot4BitIdentical pins the row-interleaved kernel to Dot: four rows
 // scored in one loop must each equal their own Dot bit for bit, on lengths
 // around Dot's 4-way unroll (tails, d not divisible by 4, empty) and on
-// adversarial payloads — and Dot4Bytes over their encodings, aliased or
-// (one row unaligned) on the DotBytes fallback, must agree too.
+// adversarial payloads.
 func TestDot4BitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 299, 300, 301} {
@@ -121,17 +121,9 @@ func TestDot4BitIdentical(t *testing.T) {
 			q := gen(rng, n)
 			var got [4]float64
 			got[0], got[1], got[2], got[3] = Dot4(rows[0], rows[1], rows[2], rows[3], q)
-			var fused [4]float64
-			pad := trial % 4 // 0: every row 4-byte aligned; else row 0 is not
-			fused[0], fused[1], fused[2], fused[3] = Dot4Bytes(
-				encodeAt(rows[0], pad), encodeAt(rows[1], 0), encodeAt(rows[2], 0), encodeAt(rows[3], 0), q)
 			for r, row := range rows {
-				want := Dot(row, q)
-				if !bitsEqual(got[r], want) {
+				if want := Dot(row, q); !bitsEqual(got[r], want) {
 					t.Fatalf("n=%d trial=%d row %d: Dot4 %v != Dot %v", n, trial, r, got[r], want)
-				}
-				if !bitsEqual(fused[r], want) {
-					t.Fatalf("n=%d trial=%d row %d pad=%d: Dot4Bytes %v != Dot %v", n, trial, r, pad, fused[r], want)
 				}
 			}
 		}
@@ -142,6 +134,147 @@ func TestDot4BitIdentical(t *testing.T) {
 		}
 	}()
 	Dot4(make([]float32, 3), make([]float32, 4), make([]float32, 4), make([]float32, 4), make([]float32, 4))
+}
+
+// dot8Paths runs f once on the portable loop and, when the host has AVX2,
+// once more on the vector blocks, naming the path it runs.
+func dot8Paths(f func(path string)) {
+	defer func(avx2 bool) { useAVX2 = avx2 }(useAVX2)
+	paths := []bool{false}
+	if useAVX2 {
+		paths = append(paths, true)
+	}
+	for _, avx2 := range paths {
+		useAVX2 = avx2
+		path := "portable"
+		if avx2 {
+			path = "avx2"
+		}
+		f(path)
+	}
+}
+
+// checkDot8 scores rows against q with Dot8 and with Dot8Bytes over their
+// encodings (row 0 pad bytes off a float boundary, so pad > 0 takes the
+// DotBytes path) and holds every row's result to its own Dot bit for bit.
+func checkDot8(t testing.TB, name string, rows [8][]float32, q []float32, pad int) {
+	t.Helper()
+	var got, fused [8]float64
+	Dot8(&rows, q, &got)
+	var bufs [8][]byte
+	for r, row := range rows {
+		bufs[r] = encodeAt(row, pad*btoi(r == 0))
+	}
+	Dot8Bytes(&bufs, q, &fused)
+	for r, row := range rows {
+		want := Dot(row, q)
+		if !bitsEqual(got[r], want) {
+			t.Fatalf("%s n=%d row %d: Dot8 %x != Dot %x", name, len(q), r, math.Float64bits(got[r]), math.Float64bits(want))
+		}
+		if !bitsEqual(fused[r], want) {
+			t.Fatalf("%s n=%d row %d pad=%d: Dot8Bytes %x != Dot %x", name, len(q), r, pad, math.Float64bits(fused[r]), math.Float64bits(want))
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// dot8Extremes are the components whose products test the claim that
+// widening and multiplying are exact: float32 subnormals (their products
+// are far below float32's range but normal in float64), the largest finite
+// float32s (products near 10⁷⁷), tiny normals and both zeros.
+var dot8Extremes = []float32{
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+	math.Float32frombits(0x007fffff), -math.Float32frombits(0x00400001), // subnormals
+	math.MaxFloat32, -math.MaxFloat32, 3.1e38, -1.7e38, // huge
+	1.2e-38, -3.5e-38, 1e-30, // tiny
+	0, float32(math.Copysign(0, -1)),
+}
+
+// TestDot8BitIdentical holds each of the eight rows to its own Dot, on both
+// paths, for every dimension 0–40 (empty, every residue of the four-wide
+// block, tails after whole blocks) and 300, on gaussian components, on the
+// extremes alone and on gaussian rows salted with them.
+func TestDot8BitIdentical(t *testing.T) {
+	dot8Paths(func(path string) {
+		t.Logf("path %s", path)
+		rng := rand.New(rand.NewSource(80))
+		extreme := func(n int) []float32 {
+			v := make([]float32, n)
+			for i := range v {
+				v[i] = dot8Extremes[rng.Intn(len(dot8Extremes))]
+			}
+			return v
+		}
+		salted := func(n int) []float32 {
+			v := randVec(rng, n)
+			for i := range v {
+				if rng.Intn(3) == 0 {
+					v[i] = dot8Extremes[rng.Intn(len(dot8Extremes))]
+				}
+			}
+			return v
+		}
+		gens := map[string]func(int) []float32{
+			"gaussian": func(n int) []float32 { return randVec(rng, n) },
+			"extremes": extreme,
+			"salted":   salted,
+		}
+		dims := []int{300}
+		for n := 0; n <= 40; n++ {
+			dims = append(dims, n)
+		}
+		for gname, gen := range gens {
+			for _, n := range dims {
+				for trial := 0; trial < 8; trial++ {
+					var rows [8][]float32
+					for r := range rows {
+						rows[r] = gen(n)
+					}
+					checkDot8(t, path+"/"+gname, rows, gen(n), trial%4)
+				}
+			}
+		}
+	})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Dot8 accepted a short row")
+		}
+	}()
+	var rows [8][]float32
+	for r := range rows {
+		rows[r] = make([]float32, 8)
+	}
+	rows[5] = rows[5][:7]
+	Dot8(&rows, make([]float32, 8), new([8]float64))
+}
+
+// FuzzDot8 cross-checks the eight-row kernel against Dot on both paths on
+// fuzzer-chosen bytes: the input is cut into nine equal vectors, eight rows
+// and the query, so every float32 bit pattern can reach every lane.
+func FuzzDot8(f *testing.F) {
+	f.Add(make([]byte, 36))
+	seed := make([]byte, 9*4*7)
+	for i, x := range dot8Extremes {
+		for j := i; j < len(seed)/4; j += len(dot8Extremes) {
+			binary.LittleEndian.PutUint32(seed[4*j:], math.Float32bits(x))
+		}
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		n := len(raw) / 36
+		var rows [8][]float32
+		for r := range rows {
+			rows[r] = Decode(raw[4*n*r:], n, nil)
+		}
+		q := Decode(raw[4*n*8:], n, nil)
+		dot8Paths(func(path string) { checkDot8(t, path, rows, q, 0) })
+	})
 }
 
 // TestL2DistSq4BitIdentical pins the four-row distance kernel to L2DistSq
@@ -321,8 +454,8 @@ func BenchmarkDotBytesFused(b *testing.B) {
 
 var sinkDot float64
 
-// BenchmarkDot4Rows300 and BenchmarkDotRows300 score the same 4,096 rows
-// against one query; ns/op is per ROW in both.
+// BenchmarkDotRows300, BenchmarkDot4Rows300 and BenchmarkDot8Rows300 score
+// the same 4,096 rows against one query; ns/op is per ROW in all three.
 func BenchmarkDotRows300(b *testing.B) {
 	rows, q := benchRows(4096, 300)
 	b.ResetTimer()
@@ -338,6 +471,17 @@ func BenchmarkDot4Rows300(b *testing.B) {
 		j := i % len(rows)
 		s0, s1, s2, s3 := Dot4(rows[j], rows[j+1], rows[j+2], rows[j+3], q)
 		sinkDot += s0 + s1 + s2 + s3
+	}
+}
+
+func BenchmarkDot8Rows300(b *testing.B) {
+	rows, q := benchRows(4096, 300)
+	var dst [8]float64
+	b.ResetTimer()
+	for i := 0; i+8 <= b.N; i += 8 {
+		j := i % len(rows)
+		Dot8((*[8][]float32)(rows[j:j+8]), q, &dst)
+		sinkDot += dst[0]
 	}
 }
 
