@@ -429,6 +429,65 @@ func TestFirstStopOnTheFrontier(t *testing.T) {
 	}
 }
 
+// TestPlansScanGateAtItsBoundary: the planned scan's gate passes a query
+// only while its set-aside pass dismisses strictly less than 1/planGate of
+// the admitted candidates outside the window. orderedPass is run on built
+// inputs: dismissed candidates carry an estimate far below the k-th inner
+// product, so the pass sets aside exactly those, and the budget is the
+// survivor count, so the count test passes whenever the gate does. With
+// dismissed·planGate == dismissed + survivors the query is not planned;
+// one survivor more and it is, one fewer and it is not.
+func TestPlansScanGateAtItsBoundary(t *testing.T) {
+	data := dataset.Netflix().Generate(200, 43)
+	ix := buildIndex(t, data, Options{Seed: 2, M: 6})
+	sn, err := ix.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.release()
+	sc := getScratch(sn)
+	defer putScratch(sc)
+	const dismissed = 3
+	boundary := (planGate - 1) * dismissed // survivors at the gate's boundary
+	for _, tc := range []struct {
+		survivors int
+		planned   bool
+	}{{boundary - 1, false}, {boundary, false}, {boundary + 1, true}} {
+		// k exceeds the survivors, so the k-th of the top-k's inner products
+		// and the survivors' estimates (the count's ipHat) is the top-k's
+		// floor, far below every survivor's bound.
+		k := tc.survivors + 1
+		s := sn.newQuery(context.Background(), sc, data[0], k, 0.9, 0.5, SearchParams{})
+		if _, err := s.begin(); err != nil {
+			t.Fatal(err)
+		}
+		s.budget = tc.survivors
+		sc.lut = sn.sketch.NewLUT(s.q, sc.lut)
+		s.sketchLUT = sc.lut
+		for i := range k {
+			s.top.offer(uint32(1000+i), -1e9)
+		}
+		sc.seen = sc.seen[:0]
+		var cands []idistance.Candidate
+		var ests []float64
+		for pos := range dismissed + tc.survivors {
+			est := 0.0
+			if pos < dismissed {
+				est = -1e12
+			}
+			cands = append(cands, idistance.Candidate{ID: uint32(pos), Pos: uint32(pos), Dist: float64(pos + 1)})
+			ests = append(ests, est)
+		}
+		if _, err := s.orderedPass(cands, nil, ests); err != nil && err != errRunaway {
+			t.Fatal(err)
+		}
+		if s.planned != tc.planned {
+			t.Errorf("%d dismissed, %d survivors (planGate·dismissed %d, admitted %d): planned %v, want %v",
+				dismissed, tc.survivors, planGate*dismissed, dismissed+tc.survivors, s.planned, tc.planned)
+		}
+	}
+}
+
 // TestVerificationPassCancellation: the verification passes are a
 // cancellation point. The context is cancelled from inside the ordered pass
 // (by the filter, which that pass consults for every collected candidate);

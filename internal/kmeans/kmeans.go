@@ -61,12 +61,13 @@ func Run(data [][]float32, cfg Config) Result {
 	for i := range assign {
 		assign[i] = -1
 	}
+	closest := make([]int, len(data))
 	iters := 0
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		iters = iter + 1
 		changed := 0
-		for i, p := range data {
-			best := nearest(p, cents)
+		nearestEach(data, cents, closest)
+		for i, best := range closest {
 			if assign[i] != best {
 				assign[i] = best
 				changed++
@@ -90,47 +91,42 @@ func Run(data [][]float32, cfg Config) Result {
 	return Result{Centroids: cents, Assign: assign, Radii: radii, Sizes: sizes, Iterations: iters}
 }
 
-// nearest returns the index of the centroid closest to p, the first one on
-// ties. Centroids are scored four per pass (vec.L2DistSq4: one add chain per
-// centroid instead of one in all) and compared in index order, so the
-// distances and the first-strictly-smaller winner are those of a one-by-one
-// vec.L2DistSq(p, cent) loop (the kernel takes the difference the other way
-// round; its square is the same float).
-func nearest(p []float32, cents [][]float32) int {
-	best, bestD := 0, math.Inf(1)
-	c := 0
-	for ; c+4 <= len(cents); c += 4 {
-		d0, d1, d2, d3 := vec.L2DistSq4(cents[c], cents[c+1], cents[c+2], cents[c+3], p)
-		if d0 < bestD {
-			best, bestD = c, d0
+// nearestEach sets best[i] to the index of the centroid closest to
+// points[i], the first one on ties, for every i. Points are taken
+// nearestChunk at a time, and each centroid scores a chunk in one
+// vec.L2DistSqEach call; every point compares its distances in centroid
+// order, so they and its first-strictly-smaller winner are those of a
+// one-by-one vec.L2DistSq(p, cent) loop.
+func nearestEach(points, cents [][]float32, best []int) {
+	var dist, bestD [nearestChunk]float64
+	for lo := 0; lo < len(points); lo += nearestChunk {
+		chunk := points[lo:min(lo+nearestChunk, len(points))]
+		b, bd, d := best[lo:lo+len(chunk)], bestD[:len(chunk)], dist[:len(chunk)]
+		for i := range b {
+			b[i], bd[i] = 0, math.Inf(1)
 		}
-		if d1 < bestD {
-			best, bestD = c+1, d1
-		}
-		if d2 < bestD {
-			best, bestD = c+2, d2
-		}
-		if d3 < bestD {
-			best, bestD = c+3, d3
-		}
-	}
-	for ; c < len(cents); c++ {
-		if d := vec.L2DistSq(cents[c], p); d < bestD {
-			best, bestD = c, d
+		for c, cent := range cents {
+			vec.L2DistSqEach(chunk, cent, d)
+			for i, dd := range d {
+				if dd < bd[i] {
+					b[i], bd[i] = c, dd
+				}
+			}
 		}
 	}
-	return best
 }
+
+// nearestChunk is how many points nearestEach scores per kernel call: their
+// distances live in stack arrays of this length.
+const nearestChunk = 128
 
 // seedPlusPlus chooses k initial centroids with k-means++ (D² sampling).
 func seedPlusPlus(data [][]float32, k int, r *rand.Rand) [][]float32 {
 	cents := make([][]float32, 0, k)
 	first := data[r.Intn(len(data))]
 	cents = append(cents, vec.Clone(first))
-	dist := make([]float64, len(data))
-	for i, p := range data {
-		dist[i] = vec.L2DistSq(p, cents[0])
-	}
+	dist, next := make([]float64, len(data)), make([]float64, len(data))
+	vec.L2DistSqEach(data, cents[0], dist)
 	for len(cents) < k {
 		var total float64
 		for _, d := range dist {
@@ -154,8 +150,9 @@ func seedPlusPlus(data [][]float32, k int, r *rand.Rand) [][]float32 {
 		}
 		c := vec.Clone(data[chosen])
 		cents = append(cents, c)
-		for i, p := range data {
-			if d := vec.L2DistSq(p, c); d < dist[i] {
+		vec.L2DistSqEach(data, c, next)
+		for i, d := range next {
+			if d < dist[i] {
 				dist[i] = d
 			}
 		}

@@ -215,3 +215,54 @@ func TestNearestMatchesOneByOne(t *testing.T) {
 		}
 	}
 }
+
+// nearest is nearestEach for one point, the form TestNearestMatchesOneByOne
+// holds to the one-by-one loop.
+func nearest(p []float32, cents [][]float32) int {
+	var best [1]int
+	nearestEach([][]float32{p}, cents, best[:])
+	return best[0]
+}
+
+// TestNearestEachMatchesOneByOne holds the batched assignment step to the
+// one-by-one loop for point counts on both sides of the kernel's group of
+// four and of nearestChunk, centroid counts 1–11, and duplicated centroids
+// and points so that ties occur.
+func TestNearestEachMatchesOneByOne(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	draw := func() []float32 {
+		return []float32{float32(r.Intn(5)), float32(r.NormFloat64()), float32(r.NormFloat64())}
+	}
+	for k := 1; k <= 11; k++ {
+		for _, n := range []int{0, 1, 3, 4, 5, nearestChunk - 1, nearestChunk, nearestChunk + 5, 3*nearestChunk + 2} {
+			cents := make([][]float32, k)
+			for c := range cents {
+				if c > 0 && r.Intn(3) == 0 {
+					cents[c] = cents[r.Intn(c)]
+					continue
+				}
+				cents[c] = draw()
+			}
+			points := make([][]float32, n)
+			for i := range points {
+				points[i] = draw()
+				if r.Intn(2) == 0 {
+					points[i] = cents[r.Intn(k)]
+				}
+			}
+			best := make([]int, n)
+			nearestEach(points, cents, best)
+			for i, p := range points {
+				want, wantD := 0, vec.L2DistSq(p, cents[0])
+				for c, cent := range cents {
+					if d := vec.L2DistSq(p, cent); d < wantD {
+						want, wantD = c, d
+					}
+				}
+				if best[i] != want {
+					t.Fatalf("k=%d n=%d point %d: nearestEach=%d, one-by-one loop says %d", k, n, i, best[i], want)
+				}
+			}
+		}
+	}
+}

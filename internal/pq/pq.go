@@ -288,11 +288,12 @@ func Build(data [][]float32, dir string, cfg Config) (*Index, error) {
 		res := kmeans.Run(sample, kmeans.Config{K: cfg.Centroids, Seed: cfg.Seed + int64(s) + 7, MaxIter: cfg.MaxIter})
 		ix.codebooks[s] = res.Centroids
 		// Encode every point against this codebook.
+		dist := make([]float64, len(res.Centroids))
 		for i := 0; i < n; i++ {
-			sub := rotres[i][lo : lo+subDim]
+			vec.L2DistSqEach(res.Centroids, rotres[i][lo:lo+subDim], dist)
 			best, bestD := 0, math.Inf(1)
-			for ci, cent := range res.Centroids {
-				if dd := vec.L2DistSq(sub, cent); dd < bestD {
+			for ci, dd := range dist {
+				if dd < bestD {
 					best, bestD = ci, dd
 				}
 			}
@@ -578,10 +579,7 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 		}
 		for s := 0; s < ix.cfg.Subspaces; s++ {
 			lo := s * ix.subDim
-			sub := rq[lo : lo+ix.subDim]
-			for ci, cent := range ix.codebooks[s] {
-				lut[s][ci] = vec.L2DistSq(sub, cent)
-			}
+			vec.L2DistSqEach(ix.codebooks[s], rq[lo:lo+ix.subDim], lut[s])
 		}
 		remaining := meta.count
 		for pid := meta.listStart; remaining > 0; pid++ {

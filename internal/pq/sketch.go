@@ -168,7 +168,8 @@ func BuildSketch(ctx context.Context, data [][]float32, cfg SketchConfig) (*Sket
 // BuildSketch encodes the dataset through this same function.
 func (s *Sketch) Encode(v []float32, codes []byte) float32 {
 	var residSq float64
-	var pad []float32 // the ragged last chunk, zero-padded to subDim
+	var pad []float32     // the ragged last chunk, zero-padded to subDim
+	var dist [256]float64 // a one-byte code addresses at most 256 codewords
 	sd := s.subDim
 	for sub := 0; sub < s.subspaces; sub++ {
 		lo := sub * sd
@@ -179,30 +180,14 @@ func (s *Sketch) Encode(v []float32, codes []byte) float32 {
 			pad = subChunk(v, lo, sd, pad)
 			c = pad
 		}
-		// Codewords are scored four per pass (vec.L2DistSq4) and compared in
-		// index order: the distances and the winner — codeword 0 until one
-		// is strictly smaller — are those of a one-by-one vec.L2DistSq loop.
-		book := s.codebooks[sub]
-		best, bestD := 0, float64(0)
-		ci := 0
-		for ; ci+4 <= s.centroids; ci += 4 {
-			rows := book[ci*sd : (ci+4)*sd]
-			d0, d1, d2, d3 := vec.L2DistSq4(rows[:sd], rows[sd:2*sd], rows[2*sd:3*sd], rows[3*sd:], c)
-			if ci == 0 || d0 < bestD {
-				best, bestD = ci, d0
-			}
-			if d1 < bestD {
-				best, bestD = ci+1, d1
-			}
-			if d2 < bestD {
-				best, bestD = ci+2, d2
-			}
-			if d3 < bestD {
-				best, bestD = ci+3, d3
-			}
-		}
-		for ; ci < s.centroids; ci++ {
-			if dd := vec.L2DistSq(book[ci*sd:(ci+1)*sd], c); ci == 0 || dd < bestD {
+		// The codebook is scored in one call and the distances compared in
+		// index order: they and the winner — codeword 0 until one is
+		// strictly closer — are those of a one-by-one vec.L2DistSq loop.
+		d := dist[:s.centroids]
+		vec.L2DistSqSlab(s.codebooks[sub], sd, c, d)
+		best, bestD := 0, d[0]
+		for ci, dd := range d {
+			if dd < bestD {
 				best, bestD = ci, dd
 			}
 		}
@@ -268,15 +253,21 @@ func (s *Sketch) NewLUT(q []float32, dst []float64) []float64 {
 			}
 			continue
 		}
+		// Eight codewords per vec.Dot8 pass, the rest one by one: each entry
+		// is vec.Dot of the codeword's first len(chunk) floats and the chunk.
 		chunk := q[lo:hi]
-		book := s.codebooks[sub]
-		for c := 0; c < s.centroids; c++ {
-			row := book[c*s.subDim : c*s.subDim+len(chunk)]
-			var acc float64
-			for j, v := range chunk {
-				acc += float64(row[j]) * float64(v)
+		book, out := s.codebooks[sub], dst[sub*s.centroids:(sub+1)*s.centroids]
+		row := func(c int) []float32 { return book[c*s.subDim : c*s.subDim+len(chunk)] }
+		c := 0
+		for ; c+8 <= s.centroids; c += 8 {
+			var rows [8][]float32
+			for r := range rows {
+				rows[r] = row(c + r)
 			}
-			dst[sub*s.centroids+c] = acc
+			vec.Dot8(&rows, chunk, (*[8]float64)(out[c:c+8]))
+		}
+		for ; c < s.centroids; c++ {
+			out[c] = vec.Dot(row(c), chunk)
 		}
 	}
 	return dst
@@ -402,7 +393,7 @@ func UnmarshalSketch(b []byte) (*Sketch, error) {
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {
 		return nil, fmt.Errorf("pq: unmarshal sketch: %w", err)
 	}
-	if m.N <= 0 || m.Subspaces <= 0 || m.Centroids <= 0 || m.SubDim <= 0 ||
+	if m.N <= 0 || m.Subspaces <= 0 || m.Centroids <= 0 || m.Centroids > 256 || m.SubDim <= 0 ||
 		len(m.Codes) != m.N*m.Subspaces || len(m.Codebooks) != m.Subspaces ||
 		len(m.Resid) != m.N {
 		return nil, fmt.Errorf("pq: unmarshal sketch: inconsistent geometry")

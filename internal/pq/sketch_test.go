@@ -187,6 +187,18 @@ func TestUnmarshalSketchRejectsGarbage(t *testing.T) {
 	if _, err := UnmarshalSketch(blob); err == nil {
 		t.Fatal("expected error for inconsistent code length")
 	}
+	// More codewords than a one-byte code can address.
+	s.codes = s.codes[:cap(s.codes)]
+	s.centroids = 257
+	for sub := range s.codebooks {
+		s.codebooks[sub] = make([]float32, s.centroids*s.subDim)
+	}
+	if blob, err = s.Marshal(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalSketch(blob); err == nil {
+		t.Fatal("expected error for 257 codewords per codebook")
+	}
 }
 
 // TestSketchLowDim covers d < default subspaces (each subspace one
@@ -312,5 +324,23 @@ func TestEncodeMatchesOneByOne(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+var sinkResid float32
+
+// BenchmarkEncode300 quantizes d=300 vectors against a default sketch (16
+// subspaces of 19 dimensions, 16 codewords each) — the per-point work of
+// Build's encode pass and of every Insert; ns/op is per vector.
+func BenchmarkEncode300(b *testing.B) {
+	data := randVecs(rand.New(rand.NewSource(300)), 2048, 300)
+	s, err := BuildSketch(context.Background(), data, SketchConfig{Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	codes := make([]byte, s.Subspaces())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkResid += s.Encode(data[i%len(data)], codes)
 	}
 }

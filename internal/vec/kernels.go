@@ -206,17 +206,83 @@ func l2Kernel(a, b []float32) float64 {
 	return s
 }
 
-// L2DistSq4 returns ‖a0−b‖₂² … ‖a3−b‖₂², each ==-identical to
-// L2DistSq(ai, b): Dot4's trick for the squared distance — four rows, four
-// independent accumulators, each in ascending index order. The nearest-
-// centroid loops of index construction (kmeans.Run's assignment step,
-// pq.Sketch.Encode) score four centroids per pass through it; it panics on a
-// dimension mismatch like L2DistSq.
-func L2DistSq4(a0, a1, a2, a3, b []float32) (s0, s1, s2, s3 float64) {
-	n := len(b)
-	if len(a0) != n || len(a1) != n || len(a2) != n || len(a3) != n {
-		panic(fmt.Sprintf("vec: L2DistSq4 dimension mismatch %d/%d/%d/%d != %d", len(a0), len(a1), len(a2), len(a3), n))
+// L2DistSqSlab sets dst[i] = L2DistSq(rows[i*stride:i*stride+len(b)], b)
+// for every i, bit for bit: len(dst) rows stride ≥ len(b) floats apart in
+// one slab — a codebook's codewords, a page run's coordinates — scored in
+// one call. On amd64 with AVX2 every row runs in l2Blocks, four rows per
+// group, one row per vector lane, the last group padded with copies of the
+// last row. Widening a float32 to float64 is exact, and the lane's VSUBPD,
+// VMULPD and VADDPD are the IEEE double operations Go compiles
+// float64(a)-float64(b), d*d and s += to (Go never fuses them on amd64), in
+// ascending dimension order, so each lane rounds exactly where l2Kernel
+// does. Without AVX2 the rows run four at a time through l2Chains4. It
+// panics on a stride shorter than a row or a slab too short for the last
+// row.
+func L2DistSqSlab(rows []float32, stride int, b []float32, dst []float64) {
+	n, m := len(dst), len(b)
+	if n == 0 {
+		return
 	}
+	if stride < m || len(rows) < (n-1)*stride+m {
+		panic(fmt.Sprintf("vec: L2DistSqSlab of %d rows of %d floats, %d apart, over %d floats", n, m, stride, len(rows)))
+	}
+	l2Rows(unsafe.Pointer(unsafe.SliceData(rows)), 4*stride, func(i int) []float32 { return rows[i*stride : i*stride+m] }, b, dst)
+}
+
+// L2DistSqEach sets dst[i] = L2DistSq(rows[i], b) for every i, bit for bit:
+// L2DistSqSlab over rows that lie anywhere (the points of a k-means sample,
+// a centroid list), scored in one call. It panics on a dimension mismatch
+// like L2DistSq.
+func L2DistSqEach(rows [][]float32, b []float32, dst []float64) {
+	if len(rows) != len(dst) {
+		panic(fmt.Sprintf("vec: L2DistSqEach of %d rows into %d distances", len(rows), len(dst)))
+	}
+	for _, r := range rows {
+		if len(r) != len(b) {
+			panic(fmt.Sprintf("vec: L2DistSqEach dimension mismatch %d != %d", len(r), len(b)))
+		}
+	}
+	l2Rows(unsafe.Pointer(unsafe.SliceData(rows)), 0, func(i int) []float32 { return rows[i] }, b, dst)
+}
+
+// l2Rows is the squared-distance kernel behind L2DistSqSlab and
+// L2DistSqEach: len(dst) rows, row i both row(i) and what l2Blocks
+// finds from base and stride (a byte stride, or 0 for slice headers).
+func l2Rows(base unsafe.Pointer, stride int, row func(int) []float32, b []float32, dst []float64) {
+	n, m := len(dst), len(b)
+	if !useAVX2 || m == 0 {
+		i := 0
+		for ; i+4 <= n; i += 4 {
+			dst[i], dst[i+1], dst[i+2], dst[i+3] = l2Chains4(row(i), row(i+1), row(i+2), row(i+3), b)
+		}
+		for ; i < n; i++ {
+			dst[i] = l2Kernel(row(i), b)
+		}
+		return
+	}
+	whole := n &^ 3
+	if whole > 0 {
+		l2Blocks(base, stride, whole, &b[0], m, &dst[0])
+	}
+	if whole < n {
+		// One more group for the last one to three rows, padded with copies
+		// of the last row.
+		var group [4][]float32
+		for r := range group {
+			group[r] = row(min(whole+r, n-1))
+		}
+		var s [4]float64
+		l2Blocks(unsafe.Pointer(&group), 0, 4, &b[0], m, &s[0])
+		copy(dst[whole:], s[:])
+	}
+}
+
+// l2Chains4 returns ‖a0−b‖₂² … ‖a3−b‖₂², each ==-identical to l2Kernel(ai,
+// b): four rows, four independent accumulators, each in ascending index
+// order. Every ai is len(b) long.
+func l2Chains4(a0, a1, a2, a3, b []float32) (s0, s1, s2, s3 float64) {
+	n := len(b)
+	a0, a1, a2, a3 = a0[:n], a1[:n], a2[:n], a3[:n]
 	for i, q := range b {
 		f := float64(q)
 		d0 := float64(a0[i]) - f
@@ -281,11 +347,11 @@ func l2DistSqBytesPortable(buf []byte, b []float32) float64 {
 
 // L2DistSqRows sets dst[i] = L2DistSqBytes(buf[i*stride:], b) for every i,
 // each bit-identical to that call: len(dst) encoded rows stride bytes apart
-// — iDistance's page entries, an id then the coordinates — scored four per
-// pass of L2DistSq4 over one view of the whole run, so the page scan pays
-// no per-row view or call. A run that cannot be aliased (big-endian host,
-// unaligned bytes, a stride that is not a whole number of floats) is scored
-// row by row.
+// — iDistance's page entries, an id then the coordinates — scored by
+// L2DistSqSlab over one view of the whole run, so the page scan pays one
+// call per run. A run that cannot be aliased (big-endian host, unaligned
+// bytes, a stride that is not a whole number of floats) is scored row by
+// row.
 func L2DistSqRows(buf []byte, stride int, b []float32, dst []float64) {
 	n, m := len(dst), len(b)
 	if n == 0 {
@@ -302,13 +368,5 @@ func L2DistSqRows(buf []byte, stride int, b []float32, dst []float64) {
 		}
 		return
 	}
-	w := stride / 4
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		o := i * w
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = L2DistSq4(words[o:o+m], words[o+w:o+w+m], words[o+2*w:o+2*w+m], words[o+3*w:o+3*w+m], b)
-	}
-	for ; i < n; i++ {
-		dst[i] = l2Kernel(words[i*w:i*w+m], b)
-	}
+	L2DistSqSlab(words, stride/4, b, dst)
 }

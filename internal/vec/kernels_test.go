@@ -277,35 +277,128 @@ func FuzzDot8(f *testing.F) {
 	})
 }
 
-// TestL2DistSq4BitIdentical pins the four-row distance kernel to L2DistSq
-// the way TestDot4BitIdentical pins Dot4: every length 0–67 (empty, every
-// residue of L2DistSq's 4-way unroll, longer runs), plain and adversarial
-// payloads, each row's result equal to its own L2DistSq bit for bit.
-func TestL2DistSq4BitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	for n := 0; n <= 67; n++ {
-		for trial := 0; trial < 20; trial++ {
-			gen := randVec
-			if trial%2 == 1 {
-				gen = advVec
-			}
-			rows := [4][]float32{gen(rng, n), gen(rng, n), gen(rng, n), gen(rng, n)}
-			q := gen(rng, n)
-			var got [4]float64
-			got[0], got[1], got[2], got[3] = L2DistSq4(rows[0], rows[1], rows[2], rows[3], q)
-			for r, row := range rows {
-				if want := L2DistSq(row, q); !bitsEqual(got[r], want) {
-					t.Fatalf("n=%d trial=%d row %d: L2DistSq4 %v != L2DistSq %v", n, trial, r, got[r], want)
-				}
+// l2Extremes are dot8Extremes plus the infinities: a difference or a sum
+// that overflows float64 needs an infinite component (the square of the
+// largest float32 difference is below 10⁷⁸), and ∞−∞ is NaN.
+var l2Extremes = append([]float32{float32(math.Inf(1)), float32(math.Inf(-1))}, dot8Extremes...)
+
+// l2RowsLayouts lays rows out the ways the squared-distance kernel is fed
+// and scores them against q through the matching entry point: iDistance's
+// page entries (L2DistSqRows over a 4-byte id then the coordinates, aligned
+// and one byte off, and a stride that is not a whole number of floats), a
+// codebook (L2DistSqSlab, rows back to back), a slab with a gap between
+// rows, and scattered rows (L2DistSqEach).
+var l2RowsLayouts = map[string]func(rows [][]float32, q []float32, dst []float64){
+	"idistance": func(rows [][]float32, q []float32, dst []float64) { l2RowsEncoded(rows, q, dst, 0, 0) },
+	"unaligned": func(rows [][]float32, q []float32, dst []float64) { l2RowsEncoded(rows, q, dst, 1, 0) },
+	"oddstride": func(rows [][]float32, q []float32, dst []float64) { l2RowsEncoded(rows, q, dst, 0, 2) },
+	"codebook":  func(rows [][]float32, q []float32, dst []float64) { l2RowsSlab(rows, q, dst, 0) },
+	"gapped":    func(rows [][]float32, q []float32, dst []float64) { l2RowsSlab(rows, q, dst, 3) },
+	"each":      func(rows [][]float32, q []float32, dst []float64) { L2DistSqEach(rows, q, dst) },
+}
+
+// l2RowsEncoded encodes rows as iDistance page entries, pad bytes into the
+// buffer and extra bytes past the entry size apart, and scores the run.
+func l2RowsEncoded(rows [][]float32, q []float32, dst []float64, pad, extra int) {
+	stride := 4 + EncodedSize(len(q)) + extra
+	buf := make([]byte, pad+len(rows)*stride)[pad:]
+	for i, row := range rows {
+		Encode(buf[i*stride+4:], row)
+	}
+	L2DistSqRows(buf[min(4, len(buf)):], stride, q, dst)
+}
+
+// l2RowsSlab copies rows into one slab, gap floats between them, and scores
+// it. The slab ends at the last row's last float.
+func l2RowsSlab(rows [][]float32, q []float32, dst []float64, gap int) {
+	stride := len(q) + gap
+	slab := make([]float32, max(0, len(rows)*stride-gap))
+	for i, row := range rows {
+		copy(slab[i*stride:], row)
+	}
+	L2DistSqSlab(slab, stride, q, dst)
+}
+
+// checkL2Rows scores rows against q in every layout and holds each row to
+// its own L2DistSq bit for bit.
+func checkL2Rows(t testing.TB, name string, rows [][]float32, q []float32) {
+	t.Helper()
+	dst := make([]float64, len(rows))
+	for layout, score := range l2RowsLayouts {
+		clear(dst)
+		score(rows, q, dst)
+		for i, row := range rows {
+			if want := L2DistSq(row, q); !bitsEqual(dst[i], want) {
+				t.Fatalf("%s/%s m=%d rows=%d row %d: %x != L2DistSq %x", name, layout, len(q), len(rows), i, math.Float64bits(dst[i]), math.Float64bits(want))
 			}
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("L2DistSq4 accepted a short row")
+}
+
+// TestL2RowsBitIdentical holds every row of the squared-distance kernel to
+// its own L2DistSq, on both paths, in every layout it is fed (l2RowsLayouts),
+// for every dimension 0–40 (every residue of the four-, two- and
+// one-dimension blocks) and 300, for 0–9 rows (every residue of the group of
+// four), a 146-entry page and 256 rows, on gaussian components, on the
+// extremes alone (subnormal, huge, infinite, tiny, ±0), on gaussian rows
+// salted with them and on adversarial payloads (NaN, any bit pattern).
+func TestL2RowsBitIdentical(t *testing.T) {
+	dot8Paths(func(path string) {
+		rng := rand.New(rand.NewSource(81))
+		extreme := func(n int) []float32 {
+			v := make([]float32, n)
+			for i := range v {
+				v[i] = l2Extremes[rng.Intn(len(l2Extremes))]
+			}
+			return v
 		}
-	}()
-	L2DistSq4(make([]float32, 4), make([]float32, 4), make([]float32, 3), make([]float32, 4), make([]float32, 4))
+		salted := func(n int) []float32 {
+			v := randVec(rng, n)
+			for i := range v {
+				if rng.Intn(3) == 0 {
+					v[i] = l2Extremes[rng.Intn(len(l2Extremes))]
+				}
+			}
+			return v
+		}
+		gens := map[string]func(int) []float32{
+			"gaussian":    func(n int) []float32 { return randVec(rng, n) },
+			"extremes":    extreme,
+			"salted":      salted,
+			"adversarial": func(n int) []float32 { return advVec(rng, n) },
+		}
+		dims := []int{300}
+		for m := 0; m <= 40; m++ {
+			dims = append(dims, m)
+		}
+		for gname, gen := range gens {
+			for _, m := range dims {
+				for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 146, 256} {
+					rows := make([][]float32, n)
+					for i := range rows {
+						rows[i] = gen(m)
+					}
+					checkL2Rows(t, path+"/"+gname, rows, gen(m))
+				}
+			}
+		}
+	})
+	for name, short := range map[string]func(){
+		"L2DistSqSlab":            func() { L2DistSqSlab(make([]float32, 9), 4, make([]float32, 2), make([]float64, 3)) },
+		"L2DistSqSlab overlapped": func() { L2DistSqSlab(make([]float32, 9), 1, make([]float32, 2), make([]float64, 3)) },
+		"L2DistSqEach": func() {
+			L2DistSqEach([][]float32{make([]float32, 2), make([]float32, 1)}, make([]float32, 2), make([]float64, 2))
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s accepted a short or overlapped row", name)
+				}
+			}()
+			short()
+		}()
+	}
 }
 
 // TestL2DistSqRows: every distance of a strided run — iDistance's page
@@ -350,25 +443,31 @@ func TestL2DistSqRows(t *testing.T) {
 	}
 }
 
-// FuzzL2DistSq4 cross-checks the four-row kernel against L2DistSq on
-// fuzzer-chosen bytes: the input is cut into five equal vectors, four rows
-// and the shared operand.
-func FuzzL2DistSq4(f *testing.F) {
-	f.Add(make([]byte, 20))
-	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 128, 127, 0, 0, 128, 255, 255, 255, 255, 127, 1, 0, 0, 0, 0, 0, 0, 128, 9, 9, 9, 9, 0, 0, 64, 64, 0, 0, 160, 64})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		n := len(raw) / 20
-		var v [5][]float32
-		for i := range v {
-			v[i] = Decode(raw[4*n*i:], n, nil)
+// FuzzL2Rows cross-checks the squared-distance kernel against L2DistSq on
+// both paths and in every layout on fuzzer-chosen bytes: the first byte
+// picks the number of rows (0–15), and the rest is cut into that many rows
+// and the query, so every float32 bit pattern can reach every lane.
+func FuzzL2Rows(f *testing.F) {
+	f.Add([]byte{5}, []byte{})
+	seed := make([]byte, 6*4*7)
+	for i, x := range l2Extremes {
+		for j := i; j < len(seed)/4; j += len(l2Extremes) {
+			binary.LittleEndian.PutUint32(seed[4*j:], math.Float32bits(x))
 		}
-		var got [4]float64
-		got[0], got[1], got[2], got[3] = L2DistSq4(v[0], v[1], v[2], v[3], v[4])
-		for r := range got {
-			if want := L2DistSq(v[r], v[4]); !bitsEqual(got[r], want) {
-				t.Fatalf("n=%d row %d: L2DistSq4=%x want %x", n, r, math.Float64bits(got[r]), math.Float64bits(want))
-			}
+	}
+	f.Add([]byte{5}, seed)
+	f.Fuzz(func(t *testing.T, count, raw []byte) {
+		n := 0
+		if len(count) > 0 {
+			n = int(count[0] % 16)
 		}
+		m := len(raw) / (4 * (n + 1))
+		rows := make([][]float32, n)
+		for i := range rows {
+			rows[i] = Decode(raw[4*m*i:], m, nil)
+		}
+		q := Decode(raw[4*m*n:], m, nil)
+		dot8Paths(func(path string) { checkL2Rows(t, path, rows, q) })
 	})
 }
 
@@ -485,7 +584,7 @@ func BenchmarkDot8Rows300(b *testing.B) {
 	}
 }
 
-// BenchmarkL2DistSqRows19 and BenchmarkL2DistSq4Rows19 score the same rows
+// BenchmarkL2DistSqRows19 and BenchmarkL2DistSqSlab19 score the same rows
 // against one chunk at the PQ sketch's subspace width (d=300 over 16
 // subspaces), where index construction spends most of its time; ns/op is
 // per ROW in both.
@@ -497,13 +596,36 @@ func BenchmarkL2DistSqRows19(b *testing.B) {
 	}
 }
 
-func BenchmarkL2DistSq4Rows19(b *testing.B) {
+func BenchmarkL2DistSqSlab19(b *testing.B) {
 	rows, q := benchRows(4096, 19)
+	slab := make([]float32, 0, len(rows)*len(q))
+	for _, row := range rows {
+		slab = append(slab, row...)
+	}
+	dst := make([]float64, 16) // one codebook
 	b.ResetTimer()
-	for i := 0; i+4 <= b.N; i += 4 {
+	for i := 0; i < b.N; i += len(dst) {
 		j := i % len(rows)
-		s0, s1, s2, s3 := L2DistSq4(rows[j], rows[j+1], rows[j+2], rows[j+3], q)
-		sinkDot += s0 + s1 + s2 + s3
+		L2DistSqSlab(slab[j*len(q):], len(q), q, dst)
+		sinkDot += dst[0]
+	}
+}
+
+// BenchmarkL2DistSqRowsPage6 scores one 4 KiB iDistance page at m = 6 —
+// 146 entries of an id and six coordinates — the way a query's collection
+// does; ns/op is per ROW.
+func BenchmarkL2DistSqRowsPage6(b *testing.B) {
+	const m, stride = 6, 4 + 4*6
+	rows, q := benchRows(4096/stride, m)
+	page := make([]byte, 4096)
+	for i, row := range rows {
+		Encode(page[i*stride+4:], row)
+	}
+	dst := make([]float64, len(rows))
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(dst) {
+		L2DistSqRows(page[4:], stride, q, dst)
+		sinkDot += dst[0]
 	}
 }
 
