@@ -36,7 +36,7 @@ func (s *query) referenceNNWalk() error {
 		if ipK, full := top.kth(); full && ipK >= 0 && sn.norm2Sq[cand.Pos]*s.normQSq <= ipK*ipK {
 			st.NormPruned++
 		} else {
-			ip, err := sc.reader.DotAt(int(cand.Pos), s.q, s.io)
+			ip, err := s.sn.orig.DotAt(int(cand.Pos), s.q, s.io)
 			if err != nil {
 				return err
 			}
@@ -72,7 +72,7 @@ func incrementalDifferential(sn *snapshot, q []float32, k int, params SearchPara
 		return "", err
 	}
 	answer := func(drive func(*query) error) ([]Result, SearchStats, error) {
-		sc := getScratch(sn)
+		sc := getScratch()
 		defer putScratch(sc)
 		return sn.newQuery(context.Background(), sc, q, k, c, p, params).finish(drive(&sc.query))
 	}

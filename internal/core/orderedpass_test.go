@@ -56,7 +56,7 @@ func (s *query) referenceRun() error {
 		if st.Candidates >= sn.runawayBudget() {
 			return candSkipped, errRunaway
 		}
-		ip, err := sc.reader.DotAt(int(cand.Pos), s.q, s.io)
+		ip, err := s.sn.orig.DotAt(int(cand.Pos), s.q, s.io)
 		if err != nil {
 			return candSkipped, err
 		}
@@ -198,7 +198,7 @@ func (tl *orderedPassTally) differential(sn *snapshot, q []float32, k int, param
 	var collected, ordered int
 	var planned bool
 	answer := func(run func(*query) error) ([]Result, SearchStats, error) {
-		sc := getScratch(sn)
+		sc := getScratch()
 		defer putScratch(sc)
 		s := sn.newQuery(context.Background(), sc, q, k, c, p, params)
 		res, st, err := s.finish(run(s))
@@ -395,7 +395,7 @@ func TestFirstStopOnTheFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sn.release()
-	sc := getScratch(sn)
+	sc := getScratch()
 	defer putScratch(sc)
 	s := sn.newQuery(context.Background(), sc, data[0], 1, 0.9, 0.5, SearchParams{})
 	s.chi = stats.ChiSquareInvCDF(sn.m, s.p)
@@ -445,7 +445,7 @@ func TestPlansScanGateAtItsBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sn.release()
-	sc := getScratch(sn)
+	sc := getScratch()
 	defer putScratch(sc)
 	const dismissed = 3
 	boundary := (planGate - 1) * dismissed // survivors at the gate's boundary

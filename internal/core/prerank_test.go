@@ -85,7 +85,7 @@ func TestPrerankSelectionMatchesInsertion(t *testing.T) {
 	for qi := 0; qi < 12; qi++ {
 		k := []int{1, 10, 25, 400}[qi%4]
 		q := data[qi*37]
-		sc := getScratch(sn)
+		sc := getScratch()
 		sc.cands = sc.cands[:0]
 		for _, id := range rng.Perm(n)[:300+qi*70+qi%4] {
 			sc.cands = append(sc.cands, idistance.Candidate{ID: uint32(id), Pos: posOf[id]})

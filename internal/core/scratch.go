@@ -9,19 +9,17 @@ import (
 	"promips/internal/idistance"
 	"promips/internal/pager"
 	"promips/internal/pq"
-	"promips/internal/store"
 	"promips/internal/vec"
 )
 
 // queryScratch is the per-query working memory of the search hot path. One
 // query needs a projected-query buffer, Quick-Probe's group ranking, the
 // candidate collections of the range search and its extension, the top-k
-// accumulator's backing array, the per-query I/O accounting (with its
-// distinct-page set) and the store's page-local verification cursor. All of
-// it lives here and is recycled through a sync.Pool, so a steady query load
-// allocates almost nothing per Search: only the result slice handed to the
-// caller (scratch memory must never escape into a return value — the next
-// query would overwrite it).
+// accumulator's backing array and the per-query I/O accounting (with its
+// distinct-page set). All of it lives here and is recycled through a
+// sync.Pool, so a steady query load allocates almost nothing per Search:
+// only the result slice handed to the caller (scratch memory must never
+// escape into a return value — the next query would overwrite it).
 //
 // A scratch belongs to exactly one query for its duration. SearchBatch
 // workers each draw their own from the pool, so concurrent queries never
@@ -56,7 +54,6 @@ type queryScratch struct {
 	kth []float64
 
 	top     topK           // its results slice is the pooled backing
-	reader  store.Reader   // page-local verification cursor
 	zq      vec.Int16Query // the query as the int8 screen reads it
 	scanBuf []byte         // the sequential scan's read buffer (nil until a query needs it)
 }
@@ -192,23 +189,17 @@ type rankedGroup struct {
 
 var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
-// getScratch draws a scratch from the pool and binds it to this query:
-// accounting cleared, verification cursor rebound to the snapshot's store
-// generation (Compact may have swapped the index's since the scratch was
-// last used; the snapshot pins the one this query reads).
-func getScratch(sn *snapshot) *queryScratch {
+// getScratch draws a scratch from the pool with its accounting cleared.
+func getScratch() *queryScratch {
 	sc := queryScratchPool.Get().(*queryScratch)
 	sc.io.Reset()
-	sc.reader.Reset(sn.orig)
 	return sc
 }
 
-// putScratch returns sc to the pool. The pinned verification pages and the
-// query state are released first so an idle pool does not hold page
-// snapshots, a retired store generation or a caller's query, context and
-// filter alive.
+// putScratch returns sc to the pool. The query state is cleared first so an
+// idle pool does not hold a snapshot, a retired store generation or a
+// caller's query, context and filter alive.
 func putScratch(sc *queryScratch) {
-	sc.reader.Reset(nil)
 	sc.query = query{}
 	queryScratchPool.Put(sc)
 }

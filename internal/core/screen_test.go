@@ -19,7 +19,7 @@ func screenAnswer(sn *snapshot, drive func(*query) error, q []float32, k int, pa
 	if err != nil {
 		return nil, SearchStats{}, 0, err
 	}
-	sc := getScratch(sn)
+	sc := getScratch()
 	defer putScratch(sc)
 	s := sn.newQuery(context.Background(), sc, q, k, c, p, params)
 	res, st, err := s.finish(drive(s))

@@ -77,8 +77,8 @@ type SearchParams struct {
 	Filter func(id uint32) bool
 	// NoPrerank disables the PQ-sketch verification pre-ranking and restores
 	// the pure ascending-projected-distance order (the pre-sketch behavior).
-	// Benchmarks use it to measure the pre-ranking effect; results satisfy
-	// the same (c, p) guarantee either way.
+	// Only core's tests set it, to check the search without pre-ranking;
+	// results satisfy the same (c, p) guarantee either way.
 	NoPrerank bool
 }
 
@@ -253,7 +253,7 @@ func (sn *snapshot) search(ctx context.Context, q []float32, k int, params Searc
 	if err != nil {
 		return nil, SearchStats{}, err
 	}
-	sc := getScratch(sn)
+	sc := getScratch()
 	defer putScratch(sc)
 	s := sn.newQuery(ctx, sc, q, k, c, p, params)
 	return s.finish(s.run())
@@ -464,7 +464,7 @@ func (s *query) dismissed(cand idistance.Candidate, est *float64) bool {
 // verify handles one admitted candidate at its turn: dismissed from memory
 // (counted in NormPruned) or exactly verified — its inner product computed
 // straight from its store page, read at the candidate's layout position
-// (zero-copy, page-local via the scratch reader), and offered to the top-k.
+// through the buffer pool (store.DotAt, zero-copy), and offered to the top-k.
 // Either way the candidate is SEEN: it is exactly (if one-sidedly) bounded,
 // which is all the termination argument needs of a point inside the
 // distance frontier. est is the candidate's cached sketch estimate, nil when
@@ -496,7 +496,7 @@ func (s *query) verify(cand idistance.Candidate, est *float64) (verified bool, e
 		s.screened++
 		return true, nil
 	}
-	ip, err := s.sc.reader.DotAt(int(cand.Pos), s.q, s.io)
+	ip, err := s.sn.orig.DotAt(int(cand.Pos), s.q, s.io)
 	if err != nil {
 		return false, err
 	}
@@ -868,7 +868,7 @@ func (sn *snapshot) searchIncremental(ctx context.Context, q []float32, k int, p
 	if err != nil {
 		return nil, SearchStats{}, err
 	}
-	sc := getScratch(sn)
+	sc := getScratch()
 	defer putScratch(sc)
 	s := sn.newQuery(ctx, sc, q, k, c, p, params)
 	return s.finish(s.runIncremental())
@@ -934,7 +934,7 @@ func (sn *snapshot) exact(ctx context.Context, q []float32, k int) ([]Result, er
 	if err != nil {
 		return nil, err
 	}
-	sc := getScratch(sn)
+	sc := getScratch()
 	defer putScratch(sc)
 	s := sn.newQuery(ctx, sc, q, k, 0, 0, SearchParams{})
 	s.io = nil

@@ -80,7 +80,7 @@ func tallySearches(b *testing.B, ix *Index, queries [][]float32, k int) searchTa
 	defer sn.release()
 	var tl searchTally
 	for _, q := range queries {
-		sc := getScratch(sn)
+		sc := getScratch()
 		s := sn.newQuery(ctx, sc, q, k, sn.optC, sn.optP, SearchParams{})
 		_, st, err := s.finish(s.run())
 		tl.candidates += st.Candidates

@@ -230,10 +230,9 @@ func (sn *snapshot) memLUT(q []float32, buf *[]float64) []float64 {
 // delta and segments under one lock acquisition, so they belong to the same
 // generation — see deltaEntry). topK.offer ignores such an entry anyway, so
 // the accumulator after the scan is bit-identical to evaluating everything.
-// Survivors are offered four at a time, so the k-th inner product a prune
-// reads may lag up to three offers behind, which only makes the test more
-// conservative; they are scored eight at a time (memBatch), which moves
-// neither the prunes nor the offers.
+// Survivors are scored and offered eight at a time (memBatch), so the k-th
+// inner product a prune reads may lag up to seven offers behind, which only
+// makes the test more conservative.
 //
 // ctx is checked at the start of every segment and every 256 entries within
 // one, so a backlog scan is a cancellation point like the disk scans.
@@ -261,27 +260,19 @@ func (sn *snapshot) scanMem(ctx context.Context, q []float32, normQSq float64, l
 				pruned++
 				continue
 			}
-			b.rows[b.nr], b.rowEntries[b.nr] = e.v, e
+			b.rows[b.nr], b.ids[b.nr] = e.v, e.id
 			if b.nr++; b.nr == len(b.rows) {
-				pruned += b.score()
+				b.score()
 			}
 		}
 	}
-	pruned += b.score()
-	for h, e := range b.held[:b.nh] {
-		top.offer(e.id, b.heldIPs[h])
-	}
+	b.score()
 	return pruned, nil
 }
 
 // memBatch is scanMem's survivor queue. Rows are scored eight at a time
-// (vec.Dot8) and offered four at a time, in scan order. A queued entry was
-// tested against the k-th as it stood when it was queued; when an offer
-// comes between that test and its turn, it is tested again at its turn.
-// The entries the scan pruned in between need no second test: a prune is
-// monotone in the k-th, which only rises, so they fail it at the raised
-// k-th too. pruned and the offers are thus those of testing every entry
-// against the offers made before it, four at a time.
+// (vec.Dot8) and offered together, in scan order, before the next entry is
+// tested.
 type memBatch struct {
 	sn             *snapshot
 	q              []float32
@@ -290,12 +281,9 @@ type memBatch struct {
 	codeLen        int
 	top            *topK
 
-	rows       [8][]float32 // survivors awaiting their inner products
-	rowEntries [8]*deltaEntry
-	nr         int
-	held       [4]*deltaEntry // scored survivors awaiting their offer
-	heldIPs    [4]float64
-	nh         int
+	rows [8][]float32 // survivors awaiting their inner products
+	ids  [8]uint32
+	nr   int
 }
 
 // prunable applies the two exact bounds to e against the current k-th.
@@ -308,9 +296,8 @@ func (b *memBatch) prunable(e *deltaEntry) bool {
 		b.sn.sketch.BoundCodes(e.codes[:b.codeLen], e.resid, b.lut, b.normQ) <= ipK)
 }
 
-// score computes the queued rows' inner products and moves them, in order,
-// to the held four, offering each full four; it returns how many it pruned.
-func (b *memBatch) score() (pruned int) {
+// score computes the queued rows' inner products and offers them in order.
+func (b *memBatch) score() {
 	var ips [8]float64
 	if b.nr == len(b.rows) {
 		vec.Dot8(&b.rows, b.q, &ips)
@@ -319,22 +306,10 @@ func (b *memBatch) score() (pruned int) {
 			ips[j] = vec.Dot(row, b.q)
 		}
 	}
-	offered := false
-	for j, e := range b.rowEntries[:b.nr] {
-		if offered && b.prunable(e) {
-			pruned++
-			continue
-		}
-		b.held[b.nh], b.heldIPs[b.nh] = e, ips[j]
-		if b.nh++; b.nh == len(b.held) {
-			for h, e := range b.held {
-				b.top.offer(e.id, b.heldIPs[h])
-			}
-			b.nh, offered = 0, true
-		}
+	for j, id := range b.ids[:b.nr] {
+		b.top.offer(id, ips[j])
 	}
 	b.nr = 0
-	return pruned
 }
 
 // maybeFreezeLocked freezes the mutable delta into a segment when it has

@@ -246,14 +246,6 @@ func (ix *Index) NextID() uint32 {
 	return uint32(ix.n + ix.frozenEntries + len(ix.delta))
 }
 
-// DeltaCount returns the number of points awaiting compaction — the
-// mutable delta plus every frozen segment.
-func (ix *Index) DeltaCount() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.frozenEntries + len(ix.delta)
-}
-
 // Compact rebuilds the index into dir — folding the segments and delta in
 // and dropping tombstoned points — and swaps the new generation into ix
 // in place. Ids are reassigned densely (0..Len-1); remap[newID] gives the

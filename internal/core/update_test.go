@@ -8,8 +8,24 @@ import (
 	"testing"
 
 	"promips/internal/errs"
-	"promips/internal/vec"
 )
+
+// scaled returns s·a as a new vector.
+func scaled(a []float32, s float64) []float32 {
+	out := make([]float32, len(a))
+	for i, v := range a {
+		out[i] = float32(float64(v) * s)
+	}
+	return out
+}
+
+// deltaCount returns the number of points awaiting compaction — the
+// mutable delta plus every frozen segment.
+func deltaCount(ix *Index) int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.frozenEntries + len(ix.delta)
+}
 
 func TestInsertVisibleImmediately(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
@@ -18,7 +34,7 @@ func TestInsertVisibleImmediately(t *testing.T) {
 
 	q := randData(r, 1, 12)[0]
 	// Insert a point that dominates every inner product with q.
-	big := vec.Scale(q, 10)
+	big := scaled(q, 10)
 	id, err := ix.Insert(big)
 	if err != nil {
 		t.Fatal(err)
@@ -33,8 +49,8 @@ func TestInsertVisibleImmediately(t *testing.T) {
 	if res[0].ID != id {
 		t.Fatalf("dominant inserted point not returned: got %d", res[0].ID)
 	}
-	if ix.LiveCount() != 501 || ix.DeltaCount() != 1 {
-		t.Fatalf("counts = %d live, %d delta", ix.LiveCount(), ix.DeltaCount())
+	if ix.LiveCount() != 501 || deltaCount(ix) != 1 {
+		t.Fatalf("counts = %d live, %d delta", ix.LiveCount(), deltaCount(ix))
 	}
 }
 
@@ -49,8 +65,8 @@ func TestInsertDimMismatch(t *testing.T) {
 			t.Fatalf("expected error for an insert with a %v component", bad)
 		}
 	}
-	if ix.DeltaCount() != 0 || ix.JournalLen() != 0 {
-		t.Fatalf("refused inserts left %d delta entries and %d journal records", ix.DeltaCount(), ix.JournalLen())
+	if deltaCount(ix) != 0 || ix.JournalLen() != 0 {
+		t.Fatalf("refused inserts left %d delta entries and %d journal records", deltaCount(ix), ix.JournalLen())
 	}
 }
 
@@ -99,7 +115,7 @@ func TestDeleteInsertedPoint(t *testing.T) {
 	data := randData(r, 200, 8)
 	ix := buildIndex(t, data, Options{Seed: 48, M: 4})
 	q := randData(r, 1, 8)[0]
-	id, _ := ix.Insert(vec.Scale(q, 10))
+	id, _ := ix.Insert(scaled(q, 10))
 	if !ix.Delete(id) {
 		t.Fatal("delete of delta point failed")
 	}
@@ -154,7 +170,7 @@ func TestCompact(t *testing.T) {
 
 	ix.Delete(5)
 	ix.Delete(7)
-	insID, _ := ix.Insert(vec.Scale(q, 8))
+	insID, _ := ix.Insert(scaled(q, 8))
 
 	before, err := ix.Exact(context.Background(), q, 3)
 	if err != nil {
@@ -171,8 +187,8 @@ func TestCompact(t *testing.T) {
 	if len(oldIDs) != 299 {
 		t.Fatalf("old-id mapping has %d entries", len(oldIDs))
 	}
-	if ix.DeltaCount() != 0 {
-		t.Fatalf("delta not folded: %d entries remain", ix.DeltaCount())
+	if deltaCount(ix) != 0 {
+		t.Fatalf("delta not folded: %d entries remain", deltaCount(ix))
 	}
 	// The dominant inserted point must survive compaction under some new id.
 	after, err := ix.Exact(context.Background(), q, 3)
@@ -210,7 +226,7 @@ func TestCompactThenUpdate(t *testing.T) {
 	if got := ix.LiveCount(); got != 199 {
 		t.Fatalf("live after compact = %d", got)
 	}
-	id, err := ix.Insert(vec.Scale(q, 12))
+	id, err := ix.Insert(scaled(q, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +245,8 @@ func TestCompactThenUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(remap) != 200 || ix.DeltaCount() != 0 {
-		t.Fatalf("second compact: remap=%d delta=%d", len(remap), ix.DeltaCount())
+	if len(remap) != 200 || deltaCount(ix) != 0 {
+		t.Fatalf("second compact: remap=%d delta=%d", len(remap), deltaCount(ix))
 	}
 }
 

@@ -200,13 +200,3 @@ func farthestPoint(data [][]float32, assign []int, cents [][]float32, r *rand.Ra
 	}
 	return best
 }
-
-// Inertia returns the total within-cluster sum of squared distances, the
-// objective Lloyd's algorithm descends.
-func Inertia(data [][]float32, res Result) float64 {
-	var s float64
-	for i, p := range data {
-		s += vec.L2DistSq(p, res.Centroids[res.Assign[i]])
-	}
-	return s
-}

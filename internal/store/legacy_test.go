@@ -66,7 +66,7 @@ func writeLegacyStore(tb testing.TB, path string, dim, pageSize int, order []uin
 // checkLegacyMatches writes n random vectors in a shuffled layout as a
 // PVS1 file and as a current store, and asserts that the two hold the same
 // data pages byte for byte and read back the same at every position through
-// VectorAt, Reader.DotAt and ScanDot, opened behind a pool of poolSize
+// VectorAt, DotAt and ScanDot, opened behind a pool of poolSize
 // pages (0: the default).
 func checkLegacyMatches(t *testing.T, dim, n, pageSize, poolSize int) {
 	t.Helper()
@@ -111,7 +111,6 @@ func checkLegacyMatches(t *testing.T, dim, n, pageSize, poolSize int) {
 		if st.Dim() != dim || st.Len() != n {
 			t.Fatalf("store %d: shape (%d,%d), want (%d,%d)", i, st.Dim(), st.Len(), dim, n)
 		}
-		rd := st.NewReader()
 		dots := make([]float64, n)
 		for pos := range dots {
 			v, err := st.VectorAt(pos, nil, nil)
@@ -121,11 +120,13 @@ func checkLegacyMatches(t *testing.T, dim, n, pageSize, poolSize int) {
 			if !slices.Equal(v, vecs[order[pos]]) {
 				t.Fatalf("store %d: VectorAt(%d) does not hold vector %d", i, pos, order[pos])
 			}
-			if dots[pos], err = rd.DotAt(pos, q, nil); err != nil {
+			if dots[pos], err = st.DotAt(pos, q, nil); err != nil {
 				t.Fatal(err)
 			}
+			if pins := st.Pager().Pinned(); pins != 0 {
+				t.Fatalf("store %d position %d: %d pins held after DotAt", i, pos, pins)
+			}
 		}
-		rd.Reset(st)
 		scanned := scanAll(t, st, q, nil, func(int) bool { return true })
 		for pos := range dots {
 			if math.Float64bits(scanned[pos]) != math.Float64bits(dots[pos]) {
@@ -160,7 +161,7 @@ func TestLegacyStoreReadsAsCurrent(t *testing.T) {
 }
 
 // FuzzStoreOpen: a store file of arbitrary bytes is either refused by Open
-// or reads every position in [0, Len) through VectorAt, Reader.DotAt and
+// or reads every position in [0, Len) through VectorAt, DotAt and
 // ScanDot without an error or a panic.
 func FuzzStoreOpen(f *testing.F) {
 	const pageSize = 64
@@ -208,14 +209,15 @@ func FuzzStoreOpen(f *testing.F) {
 		for i := range q {
 			q[i] = 1
 		}
-		rd := st.NewReader()
-		defer rd.Reset(st)
 		for pos := 0; pos < st.Len(); pos++ {
 			if _, err := st.VectorAt(pos, nil, nil); err != nil {
 				t.Fatalf("VectorAt(%d) of %d: %v", pos, st.Len(), err)
 			}
-			if _, err := rd.DotAt(pos, q, nil); err != nil {
+			if _, err := st.DotAt(pos, q, nil); err != nil {
 				t.Fatalf("DotAt(%d) of %d: %v", pos, st.Len(), err)
+			}
+			if pins := st.Pager().Pinned(); pins != 0 {
+				t.Fatalf("DotAt(%d): %d pins held", pos, pins)
 			}
 		}
 		emitted := 0

@@ -16,9 +16,30 @@ import (
 // while they are scored.
 const scanChunkBytes = 128 << 10
 
+// DotAt returns ⟨o,q⟩ for the stored vector at layout position posn,
+// computed straight from its page's bytes (vec.DotBytes: zero-copy on
+// little-endian hosts, fused decode otherwise) — the verification kernel of
+// the query hot path. The page is read through the buffer pool and released
+// before DotAt returns, so no pin outlives the call.
+func (s *Store) DotAt(posn int, q []float32, io *pager.IOStats) (float64, error) {
+	if len(q) != s.dim {
+		return 0, fmt.Errorf("store: query dim %d, want %d", len(q), s.dim)
+	}
+	if posn < 0 || posn >= s.n {
+		return 0, fmt.Errorf("store: position %d out of range [0,%d)", posn, s.n)
+	}
+	page, err := s.pg.Read(s.firstData+int64(posn/s.perPage), io)
+	if err != nil {
+		return 0, err
+	}
+	defer page.Release()
+	off := (posn % s.perPage) * vec.EncodedSize(s.dim)
+	return vec.DotBytes(page.Bytes()[off:], q), nil
+}
+
 // ScanDot is the sequential scorer: one walk of the whole store in layout
 // order, calling emit(pos, ⟨o_pos,q⟩) — ascending pos — for every position
-// keep accepts. Each inner product is bit-identical to Reader.DotAt of that
+// keep accepts. Each inner product is bit-identical to DotAt of that
 // position (eight rows per pass of vec.Dot8Bytes).
 //
 // When the file is larger than the buffer pool the walk reads it in

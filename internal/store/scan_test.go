@@ -3,15 +3,11 @@ package store
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
-	"math/rand"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"promips/internal/pager"
-	"promips/internal/vec"
 )
 
 // Scan-test geometry: 9 vectors per 1 KiB page, 223 data pages, 128 pages per
@@ -64,25 +60,27 @@ func scanAll(t *testing.T, st *Store, q []float32, io *pager.IOStats, keep func(
 }
 
 // TestScanDotMatchesDotAt: the sequential scorer emits — for every kept
-// position, in ascending order — an inner product bit-identical to the pooled
-// Reader.DotAt, and accounts every data page as one access, on both of its
+// position, in ascending order — an inner product bit-identical to DotAt,
+// and accounts every data page as one access, on both of its
 // page sources: through the pool when the file fits in it, and around the
 // pool (every page a miss, one file read per chunk, nothing installed or
 // evicted) when it does not — there on the store Finalize returned and on
 // the same file reopened.
 func TestScanDotMatchesDotAt(t *testing.T) {
-	resident, data := buildReaderStore(t, scanN, scanDim, scanPageSize) // default pool: 1024 pages
+	resident, data := buildRandomStore(t, scanN, scanDim, scanPageSize) // default pool: 1024 pages
 	finalized, path := smallPoolStore(t, data)
 	q := data[11]
 
 	check := func(name string, st *Store, bypass bool) {
 		t.Helper()
-		rd := st.NewReader()
 		want := make([]float64, scanN)
 		for pos := range want {
 			var err error
-			if want[pos], err = rd.DotAt(pos, q, nil); err != nil {
+			if want[pos], err = st.DotAt(pos, q, nil); err != nil {
 				t.Fatal(err)
+			}
+			if n := st.Pager().Pinned(); n != 0 {
+				t.Fatalf("%s position %d: %d pins held after DotAt", name, pos, n)
 			}
 		}
 		before := st.Pager().Stats()
@@ -117,14 +115,9 @@ func TestScanDotMatchesDotAt(t *testing.T) {
 				t.Fatalf("%s position %d (filtered scan): %x, want %x", name, pos, math.Float64bits(odd[pos]), math.Float64bits(want[pos]))
 			}
 		}
-		// The scans released every chunk they pinned: only the Reader's
-		// window is held, until its Reset.
-		if got := st.Pager().Pinned(); got > readerWindow {
-			t.Fatalf("%s: %d pins held after the scans", name, got)
-		}
-		rd.Reset(nil)
+		// The scans released every chunk they pinned.
 		if got := st.Pager().Pinned(); got != 0 {
-			t.Fatalf("%s: %d pins held after the Reader's Reset", name, got)
+			t.Fatalf("%s: %d pins held after the scans", name, got)
 		}
 	}
 	check("resident", resident, false)
@@ -144,7 +137,7 @@ func TestScanDotMatchesDotAt(t *testing.T) {
 // between chunks. (The pool bypass needs no refusal of its own: a Store only
 // exists over a finished file.)
 func TestScanDotRefusals(t *testing.T) {
-	_, data := buildReaderStore(t, scanN, scanDim, scanPageSize)
+	_, data := buildRandomStore(t, scanN, scanDim, scanPageSize)
 	st, _ := smallPoolStore(t, data)
 	nop := func(int, float64) {}
 	all := func(int) bool { return true }
@@ -171,7 +164,7 @@ func TestScanDotRefusals(t *testing.T) {
 // TestScanDotCancelReleasesPins: a scan through the pool that is cancelled
 // mid-walk leaves no page of its last chunk pinned.
 func TestScanDotCancelReleasesPins(t *testing.T) {
-	st, data := buildReaderStore(t, scanN, scanDim, scanPageSize)
+	st, data := buildRandomStore(t, scanN, scanDim, scanPageSize)
 	if !st.Pager().Resident() {
 		t.Fatal("the default pool should hold the scan store")
 	}
@@ -188,73 +181,5 @@ func TestScanDotCancelReleasesPins(t *testing.T) {
 	}
 	if got := st.Pager().Pinned(); got != 0 {
 		t.Fatalf("%d pins held after the cancelled scan", got)
-	}
-}
-
-// TestReaderPinStress runs Readers on many goroutines over a one-stripe pool
-// smaller than the file and than their windows together, so frames are
-// recycled around every pinned window and installs regularly meet an
-// all-pinned stripe. Every inner product must stay bit-exact — a window page
-// recycled under its Reader would score another page's bytes — and after
-// the Readers' Resets nothing is pinned.
-func TestReaderPinStress(t *testing.T) {
-	const dim, pageSize, n = 8, 128, 400 // 100 data pages, 4 vectors each
-	path := filepath.Join(t.TempDir(), "s.data")
-	w, err := Create(path, dim, n, pager.Options{PageSize: pageSize, PoolSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([][]float32, n)
-	for i := range data {
-		data[i] = make([]float32, dim)
-		for j := range data[i] {
-			data[i][j] = float32(i*dim + j)
-		}
-		if err := w.Append(data[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := w.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if st.Pager().Shards() != 1 {
-		t.Fatalf("want one stripe, got %d", st.Pager().Shards())
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 6)
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rd := st.NewReader()
-			defer rd.Reset(nil)
-			rng := rand.New(rand.NewSource(int64(g)))
-			q := data[g]
-			for i := 0; i < 3000; i++ {
-				pos := rng.Intn(n)
-				if i%3 == 0 { // revisit the window's pages too
-					pos = (pos % 16) + g*16
-				}
-				got, err := rd.DotAt(pos, q, nil)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if want := vec.Dot(data[pos], q); math.Float64bits(got) != math.Float64bits(want) {
-					errs <- fmt.Errorf("goroutine %d: position %d scored %v, want %v", g, pos, got, want)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if got := st.Pager().Pinned(); got != 0 {
-		t.Fatalf("%d pins held after every Reader was Reset", got)
 	}
 }

@@ -55,15 +55,6 @@ func L2DistSq(a, b []float32) float64 {
 // L2Dist returns the Euclidean distance ‖a−b‖₂.
 func L2Dist(a, b []float32) float64 { return math.Sqrt(L2DistSq(a, b)) }
 
-// Scale returns s·a as a new vector.
-func Scale(a []float32, s float64) []float32 {
-	out := make([]float32, len(a))
-	for i, v := range a {
-		out[i] = float32(float64(v) * s)
-	}
-	return out
-}
-
 // Sub returns a−b as a new vector.
 func Sub(a, b []float32) []float32 {
 	if len(a) != len(b) {
@@ -86,16 +77,6 @@ func Add(a, b []float32) []float32 {
 		out[i] = a[i] + b[i]
 	}
 	return out
-}
-
-// AddInPlace accumulates b into a.
-func AddInPlace(a, b []float32) {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: AddInPlace dimension mismatch %d != %d", len(a), len(b)))
-	}
-	for i := range a {
-		a[i] += b[i]
-	}
 }
 
 // Clone returns a copy of a.

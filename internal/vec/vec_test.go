@@ -65,9 +65,6 @@ func TestL2Dist(t *testing.T) {
 func TestScaleSubAdd(t *testing.T) {
 	a := []float32{1, 2}
 	b := []float32{3, 5}
-	if got := Scale(a, 2); got[0] != 2 || got[1] != 4 {
-		t.Fatalf("Scale = %v", got)
-	}
 	if got := Sub(b, a); got[0] != 2 || got[1] != 3 {
 		t.Fatalf("Sub = %v", got)
 	}
@@ -75,10 +72,7 @@ func TestScaleSubAdd(t *testing.T) {
 		t.Fatalf("Add = %v", got)
 	}
 	c := Clone(a)
-	AddInPlace(c, b)
-	if c[0] != 4 || c[1] != 7 {
-		t.Fatalf("AddInPlace = %v", c)
-	}
+	c[0] = 9
 	if a[0] != 1 {
 		t.Fatal("Clone aliased its input")
 	}
