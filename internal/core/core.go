@@ -63,7 +63,10 @@ type Options struct {
 	// PageSize is the disk page size in bytes (default 4096; the paper
 	// uses 65536 for the 5408-dimensional P53 dataset).
 	PageSize int
-	// PoolSize is the buffer-pool capacity in pages per page file.
+	// PoolSize is the buffer-pool capacity in pages per page file. A pool
+	// that cannot hold the vector store is bypassed by the store's reads
+	// (store.DotAt, ScanDot) and lowers the runaway budget from n/4 to n/12;
+	// the int8 screen rows exist whatever its size.
 	PoolSize int
 	// Seed makes projections and clustering deterministic.
 	Seed int64
@@ -276,11 +279,6 @@ type Index struct {
 	// persisted, and Build and Open permute them once.
 	sketch *pq.Sketch
 
-	// screen is the int8 copy of the store verify screens candidates with
-	// (screen.go): derived at Build and Open when the store's buffer pool
-	// holds the whole store, nil otherwise, never persisted.
-	screen *screenRows
-
 	norm2Sq []float64 // per layout position, ‖o‖²
 	groups  []group
 
@@ -296,9 +294,12 @@ type Index struct {
 	maxNorm2Sq float64 // ‖oM‖² (monotone: never lowered by deletes)
 
 	// ref is the current generation's refcounted file handles (idist +
-	// orig). The Index owns the initial reference; snapshots take one
-	// each; retiring the generation (Compact swap, Close) releases the
-	// Index's — the files close when the last snapshot drains.
+	// orig) and the int8 copy of the store verify screens candidates with
+	// (ref.screen, screen.go: derived at Build and Open whatever the pool
+	// size, never persisted). The Index owns the initial reference;
+	// snapshots take one each; retiring the generation (Compact swap,
+	// Close) releases the Index's — the files close and the rows are
+	// freed when the last snapshot drains.
 	ref *genRef
 
 	// Update state (see update.go and segment.go): the mutable delta,
@@ -435,88 +436,94 @@ func Build(ctx context.Context, data [][]float32, dir string, opts Options) (*In
 		defer close(sketchDone)
 		ix.sketch, skErr = pq.BuildSketch(ctx, data, pq.SketchConfig{Seed: opts.Seed})
 	}()
-	idx, st, err := buildDisk(ctx, data, projected, dir, opts)
+	idx, st, rows, err := buildDisk(ctx, data, projected, dir, opts)
 	<-sketchDone
 	if err != nil {
 		return nil, err
 	}
-	closeDisk := func() {
-		idx.Close()
-		st.Close()
-	}
+	ix.idist, ix.orig = idx, st
+	ix.ref = newGenRef(idx, st) // releasing it closes the disk half
+	ix.ref.screen = rows        // and frees the rows
 	if skErr != nil {
-		closeDisk()
+		ix.ref.release()
 		return nil, skErr
 	}
-	ix.idist, ix.orig = idx, st
 	// The candidate loops read ‖o‖², the sketch rows and the screen's rows by
 	// layout position.
 	vec.PermuteRows(ix.norm2Sq, 1, idx.Layout())
 	ix.sketch.Permute(idx.Layout())
 	ix.groups = locateGroups(groups, idx.Layout())
-	if st.Pager().Resident() {
-		if ix.screen, err = screenFromData(ctx, data, idx.Layout()); err != nil {
-			closeDisk()
-			return nil, err
-		}
-	}
 
 	// Stage 3: a fresh update journal. Build may target a directory that
 	// held an older index, so any stale wal.log is truncated, not replayed.
 	j, err := wal.Create(opts.fsys(), filepath.Join(dir, "wal.log"))
 	if err != nil {
-		closeDisk()
+		ix.ref.release()
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	ix.journal = j
 	ix.segLimit = opts.segmentEntries()
 	ix.tombs = &tombSet{}
-	ix.ref = newGenRef(idx, st)
 	return ix, nil
 }
 
 // buildDisk writes the disk half of an index: the iDistance index over the
 // projected points, then the original vectors in its sub-partition order so
-// that verification reads are sequential. On failure, cancellation included,
-// it closes the page files it created.
-func buildDisk(ctx context.Context, data, projected [][]float32, dir string, opts Options) (*idistance.Index, *store.Store, error) {
+// that verification reads are sequential, and returns the int8 screen rows
+// writeStore derived on the way. On failure, cancellation included, it
+// closes the page files it created.
+func buildDisk(ctx context.Context, data, projected [][]float32, dir string, opts Options) (*idistance.Index, *store.Store, *screenRows, error) {
 	idx, err := idistance.Build(ctx, projected, dir, idistance.Config{
 		Kp: opts.Kp, Nkey: opts.Nkey, Ksp: opts.Ksp, Epsilon: opts.Epsilon,
 		Seed: opts.Seed, PageSize: opts.PageSize, PoolSize: opts.PoolSize,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	st, err := writeStore(ctx, data, idx.Layout(), dir, opts)
+	st, rows, err := writeStore(ctx, data, idx.Layout(), dir, opts)
 	if err != nil {
 		idx.Close()
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return idx, st, nil
+	return idx, st, rows, nil
 }
 
-// writeStore writes data to dir's vector store in layout order.
-func writeStore(ctx context.Context, data [][]float32, layout []uint32, dir string, opts Options) (st *store.Store, err error) {
+// writeStore writes data to dir's vector store in layout order, and
+// quantizes each vector into the screen rows while it is in cache: the walk
+// in layout order reads the points in an order unrelated to where they lie
+// in memory, and a second such walk on the worker pool cost more CPU than
+// quantizing here does.
+func writeStore(ctx context.Context, data [][]float32, layout []uint32, dir string, opts Options) (*store.Store, *screenRows, error) {
 	w, err := store.Create(dir+"/orig.data", len(data[0]), len(data), pager.Options{PageSize: opts.PageSize, PoolSize: opts.PoolSize})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer func() {
-		if err != nil {
-			w.Close()
-		}
-	}()
+	rows, err := newScreenRows(len(layout), len(data[0]))
+	if err != nil {
+		w.Close()
+		return nil, nil, err
+	}
+	fail := func(err error) (*store.Store, *screenRows, error) {
+		w.Close()
+		rows.free()
+		return nil, nil, err
+	}
 	for pos, id := range layout {
 		if pos%buildGrain == 0 {
-			if err = ctx.Err(); err != nil {
-				return nil, err
+			if err := ctx.Err(); err != nil {
+				return fail(err)
 			}
 		}
-		if err = w.Append(data[id]); err != nil {
-			return nil, err
+		if err := w.Append(data[id]); err != nil {
+			return fail(err)
 		}
+		rows.set(pos, data[id])
 	}
-	return w.Finalize()
+	st, err := w.Finalize()
+	if err != nil {
+		return fail(err)
+	}
+	return st, rows, nil
 }
 
 // Close releases the index's page files. Further operations return

@@ -36,7 +36,7 @@ func (s *query) referenceNNWalk() error {
 		if ipK, full := top.kth(); full && ipK >= 0 && sn.norm2Sq[cand.Pos]*s.normQSq <= ipK*ipK {
 			st.NormPruned++
 		} else {
-			ip, err := s.sn.orig.DotAt(int(cand.Pos), s.q, s.io)
+			ip, _, err := s.sn.orig.DotAt(int(cand.Pos), s.q, nil, s.io)
 			if err != nil {
 				return err
 			}

@@ -56,7 +56,7 @@ func (s *query) referenceRun() error {
 		if st.Candidates >= sn.runawayBudget() {
 			return candSkipped, errRunaway
 		}
-		ip, err := s.sn.orig.DotAt(int(cand.Pos), s.q, s.io)
+		ip, _, err := s.sn.orig.DotAt(int(cand.Pos), s.q, nil, s.io)
 		if err != nil {
 			return candSkipped, err
 		}
@@ -274,9 +274,9 @@ func (v diffView) snapshot(t *testing.T) *snapshot {
 }
 
 // differentialViews builds every shape of index and query the query passes
-// branch on — a plain index, the same index without a sketch, tombstones,
-// an update backlog, tied projected distances, gaussian data — and the
-// per-query parameter sets the differentials sweep on each.
+// branch on — a plain index, a cold store, the same index without a sketch,
+// tombstones, an update backlog, tied projected distances, gaussian data —
+// and the per-query parameter sets the differentials sweep on each.
 func differentialViews(t *testing.T) ([]diffView, map[string]SearchParams) {
 	const n = 1500
 	netflix := dataset.Netflix().Generate(n+400, 21)
@@ -296,6 +296,13 @@ func differentialViews(t *testing.T) ([]diffView, map[string]SearchParams) {
 	}
 	views := []diffView{
 		{name: "netflix", ix: plain, queries: netflix},
+		// The store is 63 times its 8-page pool: verification reads around the
+		// pool, and the runaway budget is n/12, which most of these queries
+		// spend without the sketch. TestColdScreenWithSketch keeps it: there
+		// 20 of the first 50 member queries still spend the budget, and the
+		// scan they end in is not screened.
+		{name: "cold store", ix: buildIndex(t, netflix[:n], Options{Seed: 3, M: 6, PoolSize: 8}), queries: netflix,
+			mutate: func(sn *snapshot) { sn.sketch = nil }},
 		{name: "pre-sketch index", ix: plain, queries: netflix, mutate: func(sn *snapshot) { sn.sketch = nil }},
 		{name: "tombstones", ix: deleted, queries: netflix},
 		{name: "backlog", ix: backlog, queries: backlogData},

@@ -244,11 +244,9 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 	closeAll := func() {
 		ix.ref.release()
 	}
-	if orig.Pager().Resident() {
-		if ix.screen, err = screenFromStore(context.Background(), orig); err != nil {
-			closeAll()
-			return nil, err
-		}
+	if ix.ref.screen, err = screenFromStore(context.Background(), orig); err != nil {
+		closeAll()
+		return nil, err
 	}
 	if len(m.Sketch) > 0 {
 		sk, err := pq.UnmarshalSketch(m.Sketch)

@@ -5,23 +5,24 @@ import (
 	"math"
 
 	"promips/internal/idistance"
-	"promips/internal/par"
 	"promips/internal/store"
 	"promips/internal/vec"
 )
 
 // screenRows is the int8 copy of the vector store that verify screens
 // candidates with: one row of codes per layout position (vec.QuantizeInt8),
-// its scale and its residual bound — n·d + 8·n bytes. An index holds one
-// exactly when its store's buffer pool holds the whole store: there a
-// verification is a pool hit whose cost is the memory its row occupies, and
-// the copy reads a quarter of it. A cold store's verification is an I/O the
-// screen could save too, but the copy would then be the largest thing in
-// memory, so a cold index has none. The rows are derived at Build and at
-// Open and never persisted (DESIGN.md, "Int8 screen").
+// its scale and its residual bound — n·d + 8·n bytes. Every index holds one,
+// whatever its pool size: on a resident store a screened verification saves
+// the memory its row occupies, on a cold one a file read. The rows are
+// derived at Build (writeStore, as each point is written) and at Open
+// (screenFromStore) and never persisted, and the codes live off the Go heap
+// (mapCodes), so the garbage collector neither scans them nor counts them
+// toward its heap goal. They belong to their generation: its genRef frees
+// them with its files, after the last snapshot that reads them is released
+// (DESIGN.md, "Int8 screen").
 type screenRows struct {
 	d      int
-	codes  []int8        // row pos at codes[pos*d:(pos+1)*d]
+	codes  []int8        // row pos at codes[pos*d:(pos+1)*d]; from mapCodes
 	scales []screenScale // per layout position
 }
 
@@ -29,8 +30,31 @@ type screenRows struct {
 // screen reads them from one cache line.
 type screenScale struct{ scale, resid float32 }
 
-func newScreenRows(n, d int) *screenRows {
-	return &screenRows{d: d, codes: make([]int8, n*d), scales: make([]screenScale, n)}
+// screenRowsHook, when set, is told of every row set mapped (+1) and of
+// every one freed (-1): the lifetime tests count the live ones with it. It
+// is set before any index exists and never changed.
+var screenRowsHook func(delta int)
+
+func newScreenRows(n, d int) (*screenRows, error) {
+	codes, err := mapCodes(n * d)
+	if err != nil {
+		return nil, err
+	}
+	if screenRowsHook != nil {
+		screenRowsHook(1)
+	}
+	return &screenRows{d: d, codes: codes, scales: make([]screenScale, n)}, nil
+}
+
+// free returns the codes to the operating system. Nothing may read the rows
+// afterwards: genRef.release calls it once its last reference is gone.
+func (r *screenRows) free() error {
+	err := unmapCodes(r.codes)
+	r.codes, r.scales = nil, nil
+	if screenRowsHook != nil {
+		screenRowsHook(-1)
+	}
+	return err
 }
 
 // set quantizes the vector at layout position pos.
@@ -47,27 +71,15 @@ func (r *screenRows) bound(pos int, z *vec.Int16Query, normOSq float64) float64 
 	return z.Bound(r.codes[pos*r.d:(pos+1)*r.d], sc.scale, sc.resid, math.Sqrt(normOSq))
 }
 
-// screenFromData derives the rows at Build, from the in-memory points in the
-// order the store was written in, on the build pool.
-func screenFromData(ctx context.Context, data [][]float32, layout []uint32) (*screenRows, error) {
-	r := newScreenRows(len(layout), len(data[0]))
-	err := par.Range(ctx, len(layout), buildGrain, func(lo, hi int) {
-		for pos := lo; pos < hi; pos++ {
-			r.set(pos, data[layout[pos]])
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // screenFromStore derives the rows at Open, in one walk of the store that
 // bypasses its buffer pool (store.ScanRows): each chunk is read and its rows
 // quantized by one task of the worker pool.
 func screenFromStore(ctx context.Context, st *store.Store) (*screenRows, error) {
-	r := newScreenRows(st.Len(), st.Dim())
-	err := st.ScanRows(ctx, func(first int, rows [][]byte) {
+	r, err := newScreenRows(st.Len(), st.Dim())
+	if err != nil {
+		return nil, err
+	}
+	err = st.ScanRows(ctx, func(first int, rows [][]byte) {
 		var buf []float32
 		for i, row := range rows {
 			o, ok := vec.F32View(row, r.d)
@@ -79,6 +91,7 @@ func screenFromStore(ctx context.Context, st *store.Store) (*screenRows, error) 
 		}
 	})
 	if err != nil {
+		r.free()
 		return nil, err
 	}
 	return r, nil

@@ -6,10 +6,21 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"promips/internal/dataset"
+	"promips/internal/leaktest"
 )
+
+// liveScreenRows counts the row sets mapped and not yet freed, across every
+// index of the test binary.
+var liveScreenRows atomic.Int64
+
+func init() { screenRowsHook = func(delta int) { liveScreenRows.Add(int64(delta)) } }
 
 // screenAnswer runs one query against sn through the query struct, driven
 // by run (Search's Algorithm 3) or runIncremental (Algorithm 1), and returns
@@ -112,46 +123,54 @@ func TestScreenIsInvisible(t *testing.T) {
 	}
 }
 
-// TestScreenRowsFollowResidency: the rows exist exactly when the store's
-// pool holds the store — after Build, after Open (derived from the store
-// file, equal to Build's), after Compact, and after an Open of a directory
-// written by an older version — and are nil on an 8-page pool, at Build and
-// at Open.
-func TestScreenRowsFollowResidency(t *testing.T) {
+// TestEveryIndexHasScreenRows: every index has its rows, n·d codes and n
+// scales, whatever its pool size — on the default pool, which holds this
+// store, and on an 8-page pool, which does not — after Build, after Open
+// (derived from the store file, equal to Build's), after Compact, and after
+// an Open of a directory written by an older version.
+func TestEveryIndexHasScreenRows(t *testing.T) {
 	const n = 1500
 	data := dataset.Netflix().Generate(n, 17)
-	dir := t.TempDir()
-	ix, err := Build(context.Background(), data, dir, Options{Seed: 3, M: 6})
-	if err != nil {
-		t.Fatal(err)
+	hasRows := func(t *testing.T, when string, ix *Index) *screenRows {
+		t.Helper()
+		r := ix.ref.screen
+		if r == nil || len(r.codes) != ix.n*ix.d || len(r.scales) != ix.n {
+			t.Fatalf("%s: screen rows %v over %d points", when, r != nil, ix.n)
+		}
+		return r
 	}
-	defer func() { ix.Close() }()
-	if ix.screen == nil || len(ix.screen.codes) != n*ix.d || len(ix.screen.scales) != n {
-		t.Fatalf("Build on a resident store: screen %v", ix.screen != nil)
-	}
-	if err := ix.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opened.screen == nil {
-		t.Fatal("Open of a resident store has no screen rows")
-	}
-	if !reflect.DeepEqual(opened.screen, ix.screen) {
-		t.Fatal("the rows Open derived from the store differ from the rows Build derived from the data")
-	}
-	opened.Close()
+	for _, pool := range []int{0, 8} {
+		t.Run(fmt.Sprintf("pool=%d", pool), func(t *testing.T) {
+			dir := t.TempDir()
+			ix, err := Build(context.Background(), data, dir, Options{Seed: 3, M: 6, PoolSize: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { ix.Close() }()
+			if resident := ix.orig.Pager().Resident(); resident != (pool == 0) {
+				t.Fatalf("pool %d: resident %v", pool, resident)
+			}
+			built := hasRows(t, "Build", ix)
+			if err := ix.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			opened, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(hasRows(t, "Open", opened), built) {
+				t.Fatal("the rows Open derived from the store differ from the rows Build derived from the data")
+			}
+			opened.Close()
 
-	for id := uint32(0); id < n; id += 7 {
-		ix.Delete(id)
-	}
-	if _, err := ix.Compact(context.Background(), filepath.Join(dir, "gen-1"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if ix.screen == nil || len(ix.screen.scales) != ix.n {
-		t.Fatalf("Compact: screen %v over %d points", ix.screen != nil, ix.n)
+			for id := uint32(0); id < n; id += 7 {
+				ix.Delete(id)
+			}
+			if _, err := ix.Compact(context.Background(), filepath.Join(dir, "gen-1"), nil); err != nil {
+				t.Fatal(err)
+			}
+			hasRows(t, "Compact", ix)
+		})
 	}
 
 	parent := t.TempDir()
@@ -162,28 +181,215 @@ func TestScreenRowsFollowResidency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.screen == nil || len(old.screen.scales) != old.n {
-		t.Fatalf("Open of an older directory: screen %v over %d points", old.screen != nil, old.n)
-	}
-	old.Close()
+	defer old.Close()
+	hasRows(t, "Open of an older directory", old)
+}
 
-	coldDir := t.TempDir()
-	cold, err := Build(context.Background(), data, coldDir, Options{Seed: 3, M: 6, PoolSize: 8})
-	if err != nil {
-		t.Fatal(err)
+// TestScreenRowsLifetime: the rows live exactly as long as their
+// generation's last reader, on a resident and on a cold store. A search
+// holding a snapshot answers bit-identically — results and SearchStats,
+// with the screen settling verifications — across a Compact that retires
+// its generation and across a Close that waits for it; the retired
+// generation's rows stay mapped until that snapshot is released and are
+// freed when it is; and once the index is closed the count of live row sets
+// is back where it started.
+func TestScreenRowsLifetime(t *testing.T) {
+	const n = 1500
+	data := dataset.Netflix().Generate(n, 23)
+	queries := data[:16]
+	type answer struct {
+		res []Result
+		st  SearchStats
 	}
-	if cold.orig.Pager().Resident() || cold.screen != nil {
-		t.Fatalf("8-page pool: resident %v, screen %v", cold.orig.Pager().Resident(), cold.screen != nil)
+	answers := func(t *testing.T, sn *snapshot) []answer {
+		t.Helper()
+		out, screened := make([]answer, len(queries)), 0
+		for i, q := range queries {
+			res, st, s, err := screenAnswer(sn, (*query).run, q, 10, SearchParams{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i], screened = answer{res, st}, screened+s
+		}
+		if screened == 0 {
+			t.Fatal("the screen settled no verification")
+		}
+		return out
 	}
-	if err := cold.Save(coldDir); err != nil {
-		t.Fatal(err)
+	live := func(t *testing.T, when string, want int64) {
+		t.Helper()
+		if got := liveScreenRows.Load(); got != want {
+			t.Fatalf("%s: %d live row sets, want %d", when, got, want)
+		}
 	}
-	cold.Close()
-	if cold, err = Open(coldDir); err != nil {
-		t.Fatal(err)
+	for _, pool := range []int{0, 8} {
+		t.Run(fmt.Sprintf("pool=%d", pool), func(t *testing.T) {
+			start := liveScreenRows.Load()
+			dir := t.TempDir()
+			ix, err := Build(context.Background(), data, dir, Options{Seed: 3, M: 6, PoolSize: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live(t, "after Build", start+1)
+
+			// Across Compact.
+			sn, err := ix.snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := answers(t, sn)
+			retired := sn.screen
+			for id := uint32(0); id < n; id += 5 {
+				ix.Delete(id)
+			}
+			if _, err := ix.Compact(context.Background(), filepath.Join(dir, "gen-1"), nil); err != nil {
+				t.Fatal(err)
+			}
+			if ix.ref.screen == retired {
+				t.Fatal("Compact kept the retired generation's rows")
+			}
+			live(t, "after Compact, the retired generation's snapshot held", start+2)
+			if !reflect.DeepEqual(answers(t, sn), want) {
+				t.Fatal("a snapshot held across Compact answers differently")
+			}
+			if retired.codes == nil {
+				t.Fatal("the retired generation's rows were freed under its snapshot")
+			}
+			sn.release()
+			live(t, "after the retired generation's last snapshot", start+1)
+			if retired.codes != nil {
+				t.Fatal("the retired generation's rows outlived its last snapshot")
+			}
+
+			// Across Close, which waits for the snapshot.
+			if sn, err = ix.snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			want = answers(t, sn)
+			closed := make(chan error, 1)
+			go func() { closed <- ix.Close() }()
+			for sn.ref.refs.Load() != 1 { // Close has released the Index's reference
+				runtime.Gosched()
+			}
+			if !reflect.DeepEqual(answers(t, sn), want) {
+				t.Fatal("a snapshot held across Close answers differently")
+			}
+			select {
+			case err := <-closed:
+				t.Fatalf("Close returned (%v) under a held snapshot", err)
+			default:
+			}
+			live(t, "while Close waits", start+1)
+			sn.release()
+			if err := <-closed; err != nil {
+				t.Fatal(err)
+			}
+			live(t, "after Close", start)
+		})
 	}
-	defer cold.Close()
-	if cold.screen != nil {
-		t.Fatal("Open on an 8-page pool derived screen rows")
+}
+
+// TestWriteStoreFailureFreesScreenRows fails writeStore at each of its
+// failure points after the rows are mapped — a cancellation at its second
+// context check, a vector Append refuses, a Finalize short of the declared
+// count — and requires the error back, no panic, and the rows and the page
+// file it opened released.
+func TestWriteStoreFailureFreesScreenRows(t *testing.T) {
+	const n, d = 2*buildGrain + 50, 8
+	data := make([][]float32, n)
+	for i := range data {
+		data[i] = make([]float32, d)
+		for j := range data[i] {
+			data[i][j] = float32(i*d + j)
+		}
+	}
+	layout := make([]uint32, n)
+	for i := range layout {
+		layout[i] = uint32(i)
+	}
+	short := slices.Clone(data)
+	short[buildGrain+7] = short[buildGrain+7][:d-1]
+	cases := []struct {
+		name   string
+		ctx    context.Context
+		data   [][]float32
+		layout []uint32
+		want   string
+	}{
+		{"cancelled", newCheckedCtx(2), data, layout, context.Canceled.Error()},
+		{"append", context.Background(), short, layout, "vector dim 7"},
+		{"finalize", context.Background(), data, layout[:n-1], "appended 2097 of 2098"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fds, start := leaktest.OpenFDs(t), liveScreenRows.Load()
+			st, rows, err := writeStore(c.ctx, c.data, c.layout, t.TempDir(), Options{PageSize: 4096})
+			if err == nil || !strings.Contains(err.Error(), c.want) || st != nil || rows != nil {
+				t.Fatalf("writeStore returned store %v, rows %v, err %v; want no store or rows and an error containing %q", st != nil, rows != nil, err, c.want)
+			}
+			if got := liveScreenRows.Load(); got != start {
+				t.Fatalf("%d live row sets after the failure, %d before", got, start)
+			}
+			if got := leaktest.OpenFDs(t); got != fds {
+				t.Fatalf("%d open fds after the failure, %d before", got, fds)
+			}
+		})
+	}
+}
+
+// TestColdScreenWithSketch: the screen-on/screen-off differential of
+// TestScreenIsInvisible on a cold store that keeps its sketch — the shape of
+// a serving shard, whose store is many times its pool. Its queries
+// pre-rank, and member and out-of-sample queries alike spend the n/12
+// runaway budget; every answer and every SearchStats field must be those of
+// reading each row. (The cold
+// view of differentialViews drops the sketch: with it, the unscreened scans
+// that a fifth of its member queries end in outweigh what the screen
+// settles, which TestScreenIsInvisible's serving-shape check counts.)
+func TestColdScreenWithSketch(t *testing.T) {
+	const n = 1500
+	data := dataset.Netflix().Generate(n+400, 21)
+	ix := buildIndex(t, data[:n], Options{Seed: 3, M: 6, PoolSize: 8})
+	if ix.orig.Pager().Resident() || ix.sketch == nil {
+		t.Fatal("want a cold store with a sketch")
+	}
+	sn := diffView{ix: ix}.snapshot(t)
+	drivers := map[string]func(*query) error{
+		"search":      (*query).run,
+		"incremental": (*query).runIncremental,
+	}
+	paramSets := map[string]SearchParams{
+		"defaults":  {},
+		"c.95 p.9":  {C: 0.95, P: 0.9},
+		"filter":    {Filter: func(id uint32) bool { return id%4 != 1 }},
+		"noprerank": {NoPrerank: true},
+	}
+	perSet := 24
+	if raceEnabled {
+		perSet = 6
+	}
+	var scans, screened int
+	for dname, drive := range drivers {
+		for pname, params := range paramSets {
+			for qi := 0; qi < perSet; qi++ {
+				q := data[(qi*79)%len(data)] // the last few out of sample
+				k := []int{1, 10, 25, 150}[qi%4]
+				if err := screenDifferential(sn, drive, q, k, params); err != nil {
+					t.Fatalf("%s, %s, query %d, k=%d: %v", dname, pname, qi, k, err)
+				}
+				_, st, s, err := screenAnswer(sn, drive, q, k, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.TerminatedBy == "scan" {
+					scans++
+				}
+				screened += s
+			}
+		}
+	}
+	t.Logf("%d queries ended in the scan, %d verifications screened", scans, screened)
+	if scans == 0 || screened == 0 {
+		t.Errorf("the cases reach %d scans and %d screened verifications; want both", scans, screened)
 	}
 }

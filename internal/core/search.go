@@ -175,7 +175,9 @@ func (sn *snapshot) beginSearch(q []float32, k int, params SearchParams) (c, p f
 // serves it and more when a device does, and the rent stops at n/12. Either
 // way the random reads wasted before the switch are bounded by a small
 // multiple of the price of the scan itself (DESIGN.md, "Ski-rental scan",
-// derives both shares from measured costs).
+// derives both shares from measured costs, which are those of a
+// verification that reads its row: since every index screens, most read
+// none, and the shares stay until one priced rule replaces them).
 const (
 	residentScanShare = 4
 	coldScanShare     = 12
@@ -464,14 +466,16 @@ func (s *query) dismissed(cand idistance.Candidate, est *float64) bool {
 // verify handles one admitted candidate at its turn: dismissed from memory
 // (counted in NormPruned) or exactly verified — its inner product computed
 // straight from its store page, read at the candidate's layout position
-// through the buffer pool (store.DotAt, zero-copy), and offered to the top-k.
+// (store.DotAt: through the buffer pool on a resident store, straight from
+// the file into the scratch's readBuf on a cold one), and offered to the
+// top-k.
 // Either way the candidate is SEEN: it is exactly (if one-sidedly) bounded,
 // which is all the termination argument needs of a point inside the
 // distance frontier. est is the candidate's cached sketch estimate, nil when
 // none was computed.
 //
-// A verification the int8 screen settles (query.screen) reads no store
-// page: the screen proves the inner product it would compute cannot enter
+// A verification the int8 screen settles (query.screen), on any index,
+// reads no store page: the screen proves the inner product it would compute cannot enter
 // the top-k, so offering it would change nothing. It is a verification all
 // the same — counted in Candidates and by the runaway budget, its page noted
 // in the query's accounting (store.NoteAt) — so results and every
@@ -496,7 +500,8 @@ func (s *query) verify(cand idistance.Candidate, est *float64) (verified bool, e
 		s.screened++
 		return true, nil
 	}
-	ip, err := s.sn.orig.DotAt(int(cand.Pos), s.q, s.io)
+	ip, buf, err := s.sn.orig.DotAt(int(cand.Pos), s.q, s.sc.readBuf, s.io)
+	s.sc.readBuf = buf
 	if err != nil {
 		return false, err
 	}
@@ -790,7 +795,7 @@ func (s *query) scanAll() error {
 		s.top.offer(layout[pos], ip)
 	}
 	var err error
-	sc.scanBuf, err = sn.orig.ScanDot(s.ctx, s.q, sc.scanBuf, s.io, keep, emit)
+	sc.readBuf, err = sn.orig.ScanDot(s.ctx, s.q, sc.readBuf, s.io, keep, emit)
 	return err
 }
 
@@ -916,7 +921,8 @@ func (s *query) runIncremental() error {
 // approximate paths have. It is scanAll, the walk a runaway Search finishes
 // with: un-compacted entries through the exactly-pruned scanMem (a pruned
 // entry provably cannot be in the top-k), stored vectors through the
-// store's pool-bypassing sequential scorer.
+// store's sequential scorer (store.ScanDot: through the buffer pool on a
+// resident store, around it on a cold one).
 func (ix *Index) Exact(ctx context.Context, q []float32, k int) ([]Result, error) {
 	sn, err := ix.snapshot()
 	if err != nil {

@@ -18,9 +18,10 @@ import (
 // scans/query, the share of queries that ended in the sequential scan;
 // planned/query, the share the planned scan sent there straight after the
 // set-aside pass (query.plansScan);
-// screened/query and exact-dots/query (see BenchmarkSearchWarm; the pool
-// cannot hold this store, so nothing is screened); and store-reads/query,
-// the read calls issued against the vector file.
+// screened/query and exact-dots/query (see BenchmarkSearchWarm: this cold
+// store is screened like a resident one); and store-reads/query, the read
+// calls issued against the vector file — about one per exact dot, as a
+// cold store's DotAt reads around the pool.
 //
 //	go test ./internal/core -run NONE -bench SearchCold -benchtime 256x
 func BenchmarkSearchCold(b *testing.B) {

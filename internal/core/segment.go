@@ -94,16 +94,21 @@ func (t *tombSet) each(fn func(id uint32)) {
 	}
 }
 
-// genRef refcounts one disk generation's page-file handles. The Index
-// holds the initial reference; every snapshot acquires one more. The
-// files close exactly when the count reaches zero — after the Index has
-// retired the generation (Compact swap or Close) AND the last in-flight
-// snapshot released — so a lock-free search can never read a closed page
-// file, and Close keeps its "blocks until in-flight queries finish"
-// semantics by waiting on done.
+// genRef refcounts one generation's page-file handles and the int8 screen
+// rows derived from them. The Index holds the initial reference; every
+// snapshot acquires one more. The files close and the rows are freed
+// exactly when the count reaches zero — after the Index has retired the
+// generation (Compact swap or Close) AND the last in-flight snapshot
+// released — so a lock-free search can never read a closed page file or
+// unmapped rows, and Close keeps its "blocks until in-flight queries
+// finish" semantics by waiting on done.
 type genRef struct {
-	idist    *idistance.Index
-	orig     *store.Store
+	idist *idistance.Index
+	orig  *store.Store
+	// screen is the generation's int8 copy of orig (screen.go): set by
+	// Build and Open once derived, read by queries through their snapshot
+	// only.
+	screen   *screenRows
 	refs     atomic.Int64
 	closeErr error
 	done     chan struct{}
@@ -117,10 +122,10 @@ func newGenRef(idist *idistance.Index, orig *store.Store) *genRef {
 
 func (g *genRef) acquire() { g.refs.Add(1) }
 
-// release drops one reference, closing the files on the last one. The
-// initial (Index-owned) reference is released under the exclusive lock,
-// and acquire only runs under the read lock on a non-retired generation,
-// so the count can never resurrect from zero.
+// release drops one reference, closing the files and freeing the rows on the
+// last one. The initial (Index-owned) reference is released under the
+// exclusive lock, and acquire only runs under the read lock on a
+// non-retired generation, so the count can never resurrect from zero.
 func (g *genRef) release() {
 	if g.refs.Add(-1) != 0 {
 		return
@@ -128,6 +133,11 @@ func (g *genRef) release() {
 	err := g.idist.Close()
 	if err2 := g.orig.Close(); err == nil {
 		err = err2
+	}
+	if g.screen != nil {
+		if err2 := g.screen.free(); err == nil {
+			err = err2
+		}
 	}
 	g.closeErr = err
 	close(g.done)
@@ -181,7 +191,7 @@ func (ix *Index) snapshot() (*snapshot, error) {
 		return nil, errs.ErrClosed
 	}
 	sn := &snapshot{
-		ref: ix.ref, proj: ix.proj, idist: ix.idist, orig: ix.orig, sketch: ix.sketch, screen: ix.screen,
+		ref: ix.ref, proj: ix.proj, idist: ix.idist, orig: ix.orig, sketch: ix.sketch, screen: ix.ref.screen,
 		norm2Sq: ix.norm2Sq, groups: ix.groups,
 		n: ix.n, d: ix.d, m: ix.m,
 		maxNorm2Sq: ix.maxNorm2Sq,

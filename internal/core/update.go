@@ -440,7 +440,7 @@ func (ix *Index) swapLocked(next *Index) {
 	ix.proj = next.proj
 	ix.idist, ix.orig = next.idist, next.orig
 	ix.ref = next.ref
-	ix.sketch, ix.screen = next.sketch, next.screen
+	ix.sketch = next.sketch
 	ix.norm2Sq, ix.groups = next.norm2Sq, next.groups
 	ix.maxNorm2Sq = next.maxNorm2Sq
 	ix.delta, ix.tombs = next.delta, next.tombs

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -52,7 +53,7 @@ func writeOrdered(t *testing.T, data [][]float32, opts pager.Options) *Store {
 // ⟨want,q⟩, or on a pin left behind.
 func dotAt(t *testing.T, st *Store, posn int, q, want []float32, io *pager.IOStats) {
 	t.Helper()
-	got, err := st.DotAt(posn, q, io)
+	got, _, err := st.DotAt(posn, q, nil, io)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestDotAtRefusals(t *testing.T) {
 		pos int
 		q   []float32
 	}{{len(data), data[0]}, {-1, data[0]}, {0, data[0][:3]}} {
-		if _, err := st.DotAt(c.pos, c.q, nil); err == nil {
+		if _, _, err := st.DotAt(c.pos, c.q, nil, nil); err == nil {
 			t.Fatalf("DotAt(%d) with a %d-dim query: no error", c.pos, len(c.q))
 		}
 		if n := st.Pager().Pinned(); n != 0 {
@@ -107,12 +108,17 @@ func TestDotAtRefusals(t *testing.T) {
 	}
 }
 
-// TestDotAtAfterEviction reads pages through a pool smaller than the
-// touched set, churns the pool until every frame has been recycled, and
-// reads them again: DotAt holds no pin, so the churn evicts them, and they
-// are re-read correctly from the file.
+// TestDotAtAfterEviction: DotAt reads by the store's rule on both sides of
+// it. On a resident store its pages come through the pool: read, dropped
+// (every frame back on the free list) and read again, they are re-read
+// correctly into recycled frames, one miss per page, the other positions of
+// a page hitting it. On a cold store — an 8-page pool under 64 data pages,
+// churned by VectorAt until every frame has been recycled — DotAt reads
+// around the pool: every call is one access, one miss and one file read,
+// it holds no pin, and it installs and evicts nothing, so a VectorAt of the
+// same pages afterwards still misses.
 func TestDotAtAfterEviction(t *testing.T) {
-	const dim, pageSize, n = 8, 128, 256 // 64 data pages of 4 vectors, far beyond the pool below
+	const dim, pageSize, n = 8, 128, 256 // 64 data pages of 4 vectors
 	data := make([][]float32, n)
 	for i := range data {
 		data[i] = make([]float32, dim)
@@ -120,25 +126,60 @@ func TestDotAtAfterEviction(t *testing.T) {
 			data[i][j] = float32(i*dim + j)
 		}
 	}
-	st := writeOrdered(t, data, pager.Options{PageSize: pageSize, PoolSize: 8})
 	q := data[0]
 	const touched = 4 // pages
-	for posn := 0; posn < touched*4; posn++ {
-		dotAt(t, st, posn, q, data[posn], nil)
-	}
-	for posn := n - 1; posn >= n-128; posn-- {
-		if _, err := st.VectorAt(posn, nil, nil); err != nil {
-			t.Fatal(err)
+	t.Run("resident", func(t *testing.T) {
+		st := writeOrdered(t, data, pager.Options{PageSize: pageSize, PoolSize: 128})
+		pg := st.Pager()
+		if !pg.Resident() {
+			t.Fatal("a 128-page pool should hold the store")
 		}
-	}
-	pg := st.Pager()
-	before := pg.Stats()
-	for posn := 0; posn < touched*4; posn++ {
-		dotAt(t, st, posn, q, data[posn], nil)
-	}
-	if d := pg.Stats().Sub(before); d.Misses != touched {
-		t.Fatalf("re-reading %d evicted pages missed %d times", touched, d.Misses)
-	}
+		for posn := 0; posn < touched*4; posn++ {
+			dotAt(t, st, posn, q, data[posn], nil)
+		}
+		pg.DropPool()
+		before := pg.Stats()
+		for posn := 0; posn < touched*4; posn++ {
+			dotAt(t, st, posn, q, data[posn], nil)
+		}
+		want := pager.Stats{Accesses: touched * 4, Hits: touched * 3, Misses: touched, FileReads: touched}
+		if d := pg.Stats().Sub(before); d != want {
+			t.Fatalf("re-reading %d dropped pages recorded %+v, want %+v", touched, d, want)
+		}
+	})
+	t.Run("cold", func(t *testing.T) {
+		st := writeOrdered(t, data, pager.Options{PageSize: pageSize, PoolSize: 8})
+		pg := st.Pager()
+		if pg.Resident() {
+			t.Fatal("an 8-page pool should not hold the store")
+		}
+		for posn := n - 1; posn >= n-128; posn-- {
+			if _, err := st.VectorAt(posn, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := pg.Stats()
+		var io pager.IOStats
+		for posn := 0; posn < touched*4; posn++ {
+			dotAt(t, st, posn, q, data[posn], &io)
+		}
+		want := pager.Stats{Accesses: touched * 4, Misses: touched * 4, FileReads: touched * 4}
+		if d := pg.Stats().Sub(before); d != want {
+			t.Fatalf("%d DotAt calls on a cold store recorded %+v, want %+v", touched*4, d, want)
+		}
+		if io.Reads != touched*4 || io.Pages() != touched {
+			t.Fatalf("IOStats saw %d reads of %d pages, want %d of %d", io.Reads, io.Pages(), touched*4, touched)
+		}
+		before = pg.Stats()
+		for posn := 0; posn < touched*4; posn += 4 {
+			if _, err := st.VectorAt(posn, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d := pg.Stats().Sub(before); d.Misses != touched {
+			t.Fatalf("VectorAt of the %d pages DotAt read missed %d times: DotAt installed them", touched, d.Misses)
+		}
+	})
 }
 
 // TestDotAtAcrossShardedPool interleaves two walks, one from each end, over
@@ -164,11 +205,13 @@ func TestDotAtAcrossShardedPool(t *testing.T) {
 	}
 }
 
-// TestDotAtPinStress runs DotAt on many goroutines over a one-stripe pool
-// smaller than the file, so frames are recycled between the reads of
-// concurrent goroutines. Every inner product must stay bit-exact — a page
-// recycled while pinned would score another page's bytes — and afterwards
-// nothing is pinned.
+// TestDotAtPinStress runs DotAt and VectorAt on many goroutines over a
+// one-stripe pool smaller than the file. VectorAt reads through the pool, so
+// frames are recycled between the reads of concurrent goroutines; DotAt, on
+// this cold store, reads around it into each goroutine's own page buffer.
+// Every inner product and vector must stay bit-exact — a page recycled
+// while pinned would score another page's bytes — and afterwards nothing is
+// pinned.
 func TestDotAtPinStress(t *testing.T) {
 	const dim, pageSize, n = 8, 128, 400 // 100 data pages, 4 vectors each
 	data := make([][]float32, n)
@@ -190,12 +233,26 @@ func TestDotAtPinStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			q := data[g]
+			var buf []byte // its DotAt's page buffer
 			for i := 0; i < 3000; i++ {
 				pos := rng.Intn(n)
 				if i%3 == 0 { // revisit a few pages of its own too
 					pos = (pos % 16) + g*16
 				}
-				got, err := st.DotAt(pos, q, nil)
+				if i%2 == 1 {
+					v, err := st.VectorAt(pos, nil, nil)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !slices.Equal(v, data[pos]) {
+						errs <- fmt.Errorf("goroutine %d: VectorAt(%d) = %v, want %v", g, pos, v, data[pos])
+						return
+					}
+					continue
+				}
+				got, b, err := st.DotAt(pos, q, buf, nil)
+				buf = b
 				if err != nil {
 					errs <- err
 					return

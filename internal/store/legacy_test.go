@@ -120,7 +120,7 @@ func checkLegacyMatches(t *testing.T, dim, n, pageSize, poolSize int) {
 			if !slices.Equal(v, vecs[order[pos]]) {
 				t.Fatalf("store %d: VectorAt(%d) does not hold vector %d", i, pos, order[pos])
 			}
-			if dots[pos], err = st.DotAt(pos, q, nil); err != nil {
+			if dots[pos], _, err = st.DotAt(pos, q, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			if pins := st.Pager().Pinned(); pins != 0 {
@@ -213,7 +213,7 @@ func FuzzStoreOpen(f *testing.F) {
 			if _, err := st.VectorAt(pos, nil, nil); err != nil {
 				t.Fatalf("VectorAt(%d) of %d: %v", pos, st.Len(), err)
 			}
-			if _, err := st.DotAt(pos, q, nil); err != nil {
+			if _, _, err := st.DotAt(pos, q, nil, nil); err != nil {
 				t.Fatalf("DotAt(%d) of %d: %v", pos, st.Len(), err)
 			}
 			if pins := st.Pager().Pinned(); pins != 0 {

@@ -76,7 +76,7 @@ func TestScanDotMatchesDotAt(t *testing.T) {
 		want := make([]float64, scanN)
 		for pos := range want {
 			var err error
-			if want[pos], err = st.DotAt(pos, q, nil); err != nil {
+			if want[pos], _, err = st.DotAt(pos, q, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			if n := st.Pager().Pinned(); n != 0 {

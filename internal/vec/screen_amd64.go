@@ -5,8 +5,9 @@ package vec
 // detected at run time). len(o) must be a multiple of four. quantizeBlocks
 // computes every code and residual with the float64 operations of
 // quantizeTail, two components per instruction, so the codes are the same;
-// only the residual sum is taken in another order. maxAbsBlocks returns
-// max |oᵢ|, or 0 for no components.
+// only the residual sum is taken in another order. It reads each code off
+// the rounding itself, the low dword of x·(1/s) + roundMagic. maxAbsBlocks
+// returns max |oᵢ|, or 0 for no components.
 //
 // dotInt8Blocks is DotInt8Int16 over whole blocks of eight dimensions:
 // PMADDWD sums each pair of int8×int16 products into one of four int32

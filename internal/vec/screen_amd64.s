@@ -18,33 +18,29 @@ TEXT ·quantizeBlocks(SB), NOSPLIT, $0-72
 	JZ    done
 
 loop:
-	MOVUPS   (SI), X5
-	CVTPS2PD X5, X6                // o0, o1
-	MOVHLPS  X5, X5
-	CVTPS2PD X5, X7                // o2, o3
+	CVTPS2PD (SI), X6              // o0, o1
+	CVTPS2PD 8(SI), X7             // o2, o3
 	MOVAPD   X6, X8
 	MULPD    X0, X8
-	ADDPD    X1, X8
-	SUBPD    X1, X8                // c0, c1
+	ADDPD    X1, X8                // m0, m1: the codes in their low dwords
+	MOVAPD   X8, X10
+	SUBPD    X1, X10               // c0, c1
 	MOVAPD   X7, X9
 	MULPD    X0, X9
-	ADDPD    X1, X9
-	SUBPD    X1, X9                // c2, c3
-	MOVAPD   X8, X10
+	ADDPD    X1, X9                // m2, m3
+	MOVAPD   X9, X11
+	SUBPD    X1, X11               // c2, c3
 	MULPD    X2, X10
 	SUBPD    X10, X6               // r0, r1
-	MOVAPD   X9, X11
 	MULPD    X2, X11
 	SUBPD    X11, X7               // r2, r3
 	MULPD    X6, X6
 	ADDPD    X6, X3
 	MULPD    X7, X7
 	ADDPD    X7, X4
-	CVTTPD2PL  X8, X8              // the codes are whole numbers in [-127, 127]:
-	CVTTPD2PL  X9, X9              // converted, then packed to bytes, exactly
-	PUNPCKLQDQ X9, X8
-	PACKSSLW   X8, X8
-	PACKSSWB   X8, X8
+	SHUFPS   $0x88, X9, X8         // c0 c1 c2 c3
+	PACKSSLW X8, X8
+	PACKSSWB X8, X8
 	MOVQ     X8, AX
 	MOVL     AX, (DI)
 	ADDQ     $16, SI

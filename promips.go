@@ -100,12 +100,16 @@ type Options struct {
 	// fit in one page: use larger pages for very high dimensions, as the
 	// paper does for P53 (64KB).
 	PageSize int
-	// PoolSize is the per-file buffer pool capacity in pages. A pool too
-	// small to hold the vector store makes random verifications dearer, so
-	// a query switches to its exact sequential scan sooner (TerminatedBy
-	// "scan"): PoolSize can turn an approximate answer into an exact one,
-	// never the other way, and an answer that is not a scan at one PoolSize
-	// is the same at every larger one.
+	// PoolSize is the per-file buffer pool capacity in pages (default
+	// 1024). A pool too small to hold the vector store is not used for its
+	// reads at all: its verifications and scans read the file directly, and
+	// the in-memory int8 copy of the store, which every index has whatever
+	// its PoolSize, settles most verifications without a read. Such a store
+	// makes the verifications that do read dearer, so a query switches to
+	// its exact sequential scan sooner (TerminatedBy "scan"): PoolSize can
+	// turn an approximate answer into an exact one, never the other way,
+	// and an answer that is not a scan at one PoolSize is the same at every
+	// larger one.
 	PoolSize int
 
 	// Seed fixes all randomness (projections, clustering).
