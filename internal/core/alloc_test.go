@@ -49,10 +49,11 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestColdSearchAllocs is TestSearchSteadyStateAllocs on a buffer pool
-// smaller than the vector store, where most verifications miss: a miss reads
-// into the frame of the page it evicts, so a cold Search allocates no more
-// than a warm one (before frames were recycled, every miss allocated its
-// page buffer and entry: 90 allocations per query here).
+// smaller than the vector store, where every verification that reads its
+// row misses: a miss reads around the pool into the query scratch's one-page
+// readBuf, reused from query to query, so a cold Search allocates no more
+// than a warm one (when every miss allocated its page buffer and pool entry,
+// that was 90 allocations per query here).
 func TestColdSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful without it")

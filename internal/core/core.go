@@ -65,7 +65,7 @@ type Options struct {
 	PageSize int
 	// PoolSize is the buffer-pool capacity in pages per page file. A pool
 	// that cannot hold the vector store is bypassed by the store's reads
-	// (store.DotAt, ScanDot) and lowers the runaway budget from n/4 to n/12;
+	// (store.DotAt, ScanRows) and lowers the runaway budget from n/4 to n/12;
 	// the int8 screen rows exist whatever its size.
 	PoolSize int
 	// Seed makes projections and clustering deterministic.

@@ -293,20 +293,63 @@ func TestSearchDeterministic(t *testing.T) {
 	}
 }
 
+// TestExactMatchesBruteForce: Exact returns the brute-force top-k over the
+// live points — the same inner products bit for bit (vec.Dot), and the same
+// ids wherever brute force has no tie at a rank — on a resident store and on
+// a cold one (an 8-page pool, a 32-page store), at k = 1, 10 and 150, with a
+// tombstoned point among the best. Its scan settles most rows with the int8
+// screen, which must skip only rows that cannot enter the top-k: 200 near
+// copies of one point, and a query beside it, put a crowd of rows within a
+// hair of the k-th.
 func TestExactMatchesBruteForce(t *testing.T) {
+	const n, d = 2000, 16
 	r := rand.New(rand.NewSource(21))
-	data := randData(r, 500, 10)
-	ix := buildIndex(t, data, Options{Seed: 22, M: 4})
-	for trial := 0; trial < 5; trial++ {
-		q := randData(r, 1, 10)[0]
-		got, err := ix.Exact(context.Background(), q, 10)
-		if err != nil {
-			t.Fatal(err)
+	data := randData(r, n, d)
+	for i := n - 200; i < n; i++ {
+		for j := range data[i] {
+			data[i][j] = data[0][j] * (1 + 1e-4*float32(r.NormFloat64()))
 		}
-		want := bruteTopK(data, q, 10)
-		for i := range want {
-			if math.Abs(got[i].IP-want[i].IP) > 1e-9 {
-				t.Fatalf("Exact[%d].IP = %v, want %v", i, got[i].IP, want[i].IP)
+	}
+	queries := randData(r, 5, d)
+	for j := range queries[4] {
+		queries[4][j] = data[0][j] + 0.01*float32(r.NormFloat64())
+	}
+	// The best point of the first query is deleted.
+	dead := bruteTopK(data, queries[0], 1)[0].ID
+	for _, pool := range []int{0, 8} {
+		ix := buildIndex(t, data, Options{Seed: 22, M: 4, PoolSize: pool})
+		if resident := ix.orig.Pager().Resident(); resident != (pool == 0) {
+			t.Fatalf("pool %d: resident %v", pool, resident)
+		}
+		if !ix.Delete(dead) {
+			t.Fatalf("Delete(%d) found no point", dead)
+		}
+		for qi, q := range queries {
+			// Every live point by inner product, best first.
+			all := newTopK(n - 1)
+			for id, o := range data {
+				if uint32(id) != dead {
+					all.offer(uint32(id), vec.Dot(o, q))
+				}
+			}
+			for _, k := range []int{1, 10, 150} {
+				got, err := ix.Exact(context.Background(), q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != k {
+					t.Fatalf("pool %d query %d k=%d: %d results", pool, qi, k, len(got))
+				}
+				for i, res := range got {
+					want := all.results[i]
+					if math.Float64bits(res.IP) != math.Float64bits(want.IP) {
+						t.Fatalf("pool %d query %d k=%d: Exact[%d].IP = %v, want %v", pool, qi, k, i, res.IP, want.IP)
+					}
+					tied := i > 0 && all.results[i-1].IP == want.IP || all.results[i+1].IP == want.IP
+					if !tied && res.ID != want.ID {
+						t.Fatalf("pool %d query %d k=%d: Exact[%d].ID = %d, want %d", pool, qi, k, i, res.ID, want.ID)
+					}
+				}
 			}
 		}
 	}

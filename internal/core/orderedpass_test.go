@@ -297,12 +297,8 @@ func differentialViews(t *testing.T) ([]diffView, map[string]SearchParams) {
 	views := []diffView{
 		{name: "netflix", ix: plain, queries: netflix},
 		// The store is 63 times its 8-page pool: verification reads around the
-		// pool, and the runaway budget is n/12, which most of these queries
-		// spend without the sketch. TestColdScreenWithSketch keeps it: there
-		// 20 of the first 50 member queries still spend the budget, and the
-		// scan they end in is not screened.
-		{name: "cold store", ix: buildIndex(t, netflix[:n], Options{Seed: 3, M: 6, PoolSize: 8}), queries: netflix,
-			mutate: func(sn *snapshot) { sn.sketch = nil }},
+		// pool, and the runaway budget is n/12.
+		{name: "cold store", ix: buildIndex(t, netflix[:n], Options{Seed: 3, M: 6, PoolSize: 8}), queries: netflix},
 		{name: "pre-sketch index", ix: plain, queries: netflix, mutate: func(sn *snapshot) { sn.sketch = nil }},
 		{name: "tombstones", ix: deleted, queries: netflix},
 		{name: "backlog", ix: backlog, queries: backlogData},

@@ -55,7 +55,7 @@ type queryScratch struct {
 
 	top     topK           // its results slice is the pooled backing
 	zq      vec.Int16Query // the query as the int8 screen reads it
-	readBuf []byte         // a cold store's read buffer, DotAt's and the sequential scan's (nil until a query needs it)
+	readBuf []byte         // a cold store's one-page read buffer, for DotAt (nil until a query needs it)
 }
 
 // prerankCand is one pre-ranking window entry: a range-search candidate, its

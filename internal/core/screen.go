@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"promips/internal/idistance"
 	"promips/internal/store"
 	"promips/internal/vec"
 )
@@ -97,19 +96,18 @@ func screenFromStore(ctx context.Context, st *store.Store) (*screenRows, error) 
 	return r, nil
 }
 
-// screen reports whether the int8 copy of cand's row proves that verifying
-// it cannot change the top-k: its bound on the inner product verification
-// would compute, against the query run quantized into sc.zq, is at most
-// ⟨omax^k,q⟩, which offer ignores at equality. It never screens without a
-// full top-k, nor on a view without rows or with the screen switched off.
-func (s *query) screen(cand idistance.Candidate) bool {
-	rows := s.sn.screen
-	if rows == nil || s.sn.noScreen {
+// screen reports whether the int8 copy of the row at layout position pos
+// proves that verifying it cannot change the top-k: its bound on the inner
+// product verification would compute, against the query newQuery quantized
+// into sc.zq, is at most ⟨omax^k,q⟩, which offer ignores at equality. It
+// never screens without a full top-k, nor with the screen switched off.
+func (s *query) screen(pos uint32) bool {
+	if s.sn.noScreen {
 		return false
 	}
 	ipK, full := s.top.kth()
 	if !full {
 		return false
 	}
-	return rows.bound(int(cand.Pos), &s.sc.zq, s.sn.norm2Sq[cand.Pos]) <= ipK
+	return s.sn.screen.bound(int(pos), &s.sc.zq, s.sn.norm2Sq[pos]) <= ipK
 }

@@ -72,10 +72,9 @@ func screenDifferential(sn *snapshot, drive func(*query) error, q []float32, k i
 // SearchStats, PageAccesses and the runaway budget's verdict included,
 // whether the int8 screen settles verifications or every one reads the
 // store, through Search's driver and through Algorithm 1's; and the screen
-// settles most of the verifications of the serving shape — under Search on
-// the views with a sketch (without one most of these queries end in the
-// sequential scan, where the screen does not run), under Algorithm 1, which
-// has no such scan, on every view.
+// settles most of the verifications of the serving shape on every view,
+// under both drivers — the sequential scan that a runaway query ends in
+// included.
 func TestScreenIsInvisible(t *testing.T) {
 	views, paramSets := differentialViews(t)
 	drivers := map[string]func(*query) error{
@@ -116,7 +115,7 @@ func TestScreenIsInvisible(t *testing.T) {
 				verified += st.Candidates
 			}
 			t.Logf("%-16s %-11s k=10 member queries: %d of %d verifications screened", v.name, dname, screened, verified)
-			if (sn.sketch != nil || dname == "incremental") && screened*2 < verified {
+			if screened*2 < verified {
 				t.Errorf("%s, %s: the screen settled only %d of %d verifications", v.name, dname, screened, verified)
 			}
 		}
@@ -339,13 +338,11 @@ func TestWriteStoreFailureFreesScreenRows(t *testing.T) {
 
 // TestColdScreenWithSketch: the screen-on/screen-off differential of
 // TestScreenIsInvisible on a cold store that keeps its sketch — the shape of
-// a serving shard, whose store is many times its pool. Its queries
-// pre-rank, and member and out-of-sample queries alike spend the n/12
-// runaway budget; every answer and every SearchStats field must be those of
-// reading each row. (The cold
-// view of differentialViews drops the sketch: with it, the unscreened scans
-// that a fifth of its member queries end in outweigh what the screen
-// settles, which TestScreenIsInvisible's serving-shape check counts.)
+// a serving shard, whose store is many times its pool — over its own query
+// sample, the last few out of sample. Its queries pre-rank, and member and
+// out-of-sample queries alike spend the n/12 runaway budget; every answer
+// and every SearchStats field must be those of reading each row, and the
+// cases must reach both the sequential scan and screened verifications.
 func TestColdScreenWithSketch(t *testing.T) {
 	const n = 1500
 	data := dataset.Netflix().Generate(n+400, 21)

@@ -176,8 +176,9 @@ func (sn *snapshot) beginSearch(q []float32, k int, params SearchParams) (c, p f
 // way the random reads wasted before the switch are bounded by a small
 // multiple of the price of the scan itself (DESIGN.md, "Ski-rental scan",
 // derives both shares from measured costs, which are those of a
-// verification that reads its row: since every index screens, most read
-// none, and the shares stay until one priced rule replaces them).
+// verification that reads its row and of a scan that scores every row in
+// float: since every verification and every scan is screened, most read
+// no row, and the shares stay until one priced rule replaces them).
 const (
 	residentScanShare = 4
 	coldScanShare     = 12
@@ -238,8 +239,11 @@ type query struct {
 	planned bool
 }
 
-// newQuery binds sc's query state to one search. The state lives in the
-// pooled scratch (putScratch clears it), so a query allocates nothing for it.
+// newQuery binds sc's query state to one search and quantizes the query
+// into sc.zq for the int8 screen, which every path that scores a stored row
+// — Search's verification, the sequential scan, Exact — settles it with.
+// The state lives in the pooled scratch (putScratch clears it), so a query
+// allocates nothing for it.
 func (sn *snapshot) newQuery(ctx context.Context, sc *queryScratch, q []float32, k int, c, p float64, params SearchParams) *query {
 	s := &sc.query
 	*s = query{ctx: ctx, sn: sn, sc: sc, q: q, params: params, k: k, c: c, p: p, top: &sc.top, io: &sc.io,
@@ -247,6 +251,7 @@ func (sn *snapshot) newQuery(ctx context.Context, sc *queryScratch, q []float32,
 	s.normQSq = vec.Norm2Sq(q)
 	s.normQ = math.Sqrt(s.normQSq)
 	s.top.reset(k)
+	sc.zq.Quantize(q)
 	return s
 }
 
@@ -344,19 +349,16 @@ func (s *query) run() error {
 }
 
 // begin is the prologue of both query drivers, run and runIncremental: it
-// projects the query, derives χ = Ψm⁻¹(p), quantizes the query for the int8
-// screen and evaluates the recently inserted points (frozen segments and
-// the mutable delta) exactly, with no disk I/O — their inner products can
-// only tighten the termination conditions. The query's sketch lookup table
-// is built here when that scan can prune with it, and returned so the
-// pre-ranking pass reuses it; nil when it was not built.
+// projects the query, derives χ = Ψm⁻¹(p) and evaluates the recently
+// inserted points (frozen segments and the mutable delta) exactly, with no
+// disk I/O — their inner products can only tighten the termination
+// conditions. The query's sketch lookup table is built here when that scan
+// can prune with it, and returned so the pre-ranking pass reuses it; nil
+// when it was not built.
 func (s *query) begin() ([]float64, error) {
 	sn, sc := s.sn, s.sc
 	sc.pq = sn.proj.ProjectInto(s.q, sc.pq)
 	s.chi = stats.ChiSquareInvCDF(sn.m, s.p)
-	if sn.screen != nil {
-		sc.zq.Quantize(s.q) // the query as the int8 screen reads it
-	}
 	memLUT := sn.memLUT(s.q, &sc.lut)
 	var err error
 	s.st.NormPruned, err = sn.scanMem(s.ctx, s.q, s.normQSq, memLUT, s.top, &s.params)
@@ -464,22 +466,11 @@ func (s *query) dismissed(cand idistance.Candidate, est *float64) bool {
 }
 
 // verify handles one admitted candidate at its turn: dismissed from memory
-// (counted in NormPruned) or exactly verified — its inner product computed
-// straight from its store page, read at the candidate's layout position
-// (store.DotAt: through the buffer pool on a resident store, straight from
-// the file into the scratch's readBuf on a cold one), and offered to the
-// top-k.
-// Either way the candidate is SEEN: it is exactly (if one-sidedly) bounded,
-// which is all the termination argument needs of a point inside the
-// distance frontier. est is the candidate's cached sketch estimate, nil when
-// none was computed.
-//
-// A verification the int8 screen settles (query.screen), on any index,
-// reads no store page: the screen proves the inner product it would compute cannot enter
-// the top-k, so offering it would change nothing. It is a verification all
-// the same — counted in Candidates and by the runaway budget, its page noted
-// in the query's accounting (store.NoteAt) — so results and every
-// SearchStats field are those of reading the row.
+// (counted in NormPruned) or settled (query.settle). Either way the
+// candidate is SEEN: it is exactly (if one-sidedly) bounded, which is all
+// the termination argument needs of a point inside the distance frontier.
+// est is the candidate's cached sketch estimate, nil when none was
+// computed.
 func (s *query) verify(cand idistance.Candidate, est *float64) (verified bool, err error) {
 	if s.verifies&255 == 0 {
 		if err := s.ctx.Err(); err != nil {
@@ -494,20 +485,35 @@ func (s *query) verify(cand idistance.Candidate, est *float64) (verified bool, e
 	if s.st.Candidates >= s.budget {
 		return false, errRunaway
 	}
-	if s.screen(cand) {
-		s.sn.orig.NoteAt(int(cand.Pos), s.io)
-		s.st.Candidates++
+	return true, s.settle(cand.Pos, cand.ID)
+}
+
+// settle verifies the stored row at layout position pos, of point id, that
+// no prune dismissed — the one way a stored row is scored, for verify and
+// for the sequential scan alike. The int8 screen settles it when it can
+// (query.screen): the screen proves that the inner product verification
+// would compute cannot enter the top-k, so offering it would change
+// nothing, and no store page is read. Otherwise its inner product is
+// computed straight from its store page (store.DotAt: through the buffer
+// pool on a resident store, straight from the file into the scratch's
+// readBuf on a cold one) and offered to the top-k. Either way it is a
+// verification — counted in Candidates, its page noted in the query's
+// accounting (store.NoteAt when screened) — so results and every
+// SearchStats field are those of reading the row.
+func (s *query) settle(pos, id uint32) error {
+	if s.screen(pos) {
+		s.sn.orig.NoteAt(int(pos), s.io)
 		s.screened++
-		return true, nil
-	}
-	ip, buf, err := s.sn.orig.DotAt(int(cand.Pos), s.q, s.sc.readBuf, s.io)
-	s.sc.readBuf = buf
-	if err != nil {
-		return false, err
+	} else {
+		ip, buf, err := s.sn.orig.DotAt(int(pos), s.q, s.sc.readBuf, s.io)
+		s.sc.readBuf = buf
+		if err != nil {
+			return err
+		}
+		s.top.offer(id, ip)
 	}
 	s.st.Candidates++
-	s.top.offer(cand.ID, ip)
-	return true, nil
+	return nil
 }
 
 // stopFrom evaluates the termination tests against the current top-k: the
@@ -778,9 +784,12 @@ func (s *query) firstStop(after, before idistance.Candidate, fromWindow int) (re
 
 // scanAll replaces whatever the top-k holds with the EXACT top-k over the
 // view's live, admitted points: the un-compacted entries through scanMem,
-// then every stored vector through the store's sequential scorer. It is how
-// a runaway query finishes — an exact answer satisfies any (c, p) with
-// probability 1 — and it is all of Exact.
+// then every stored row, in layout order, settled as verify settles a
+// candidate (query.settle) — most by the int8 screen once the top-k is
+// full. Every data page is noted in the query's accounting: an admitted
+// row's by settle, the others' here. It is how a runaway query finishes —
+// an exact answer satisfies any (c, p) with probability 1 — and it is all
+// of Exact. ctx is checked every 256 rows.
 func (s *query) scanAll() error {
 	sn, sc := s.sn, s.sc
 	s.top.reset(s.k)
@@ -788,15 +797,21 @@ func (s *query) scanAll() error {
 	if _, err := sn.scanMem(s.ctx, s.q, s.normQSq, sn.memLUT(s.q, &sc.lut), s.top, &s.params); err != nil {
 		return err
 	}
-	layout := sn.idist.Layout() // the store is written in this order
-	keep := func(pos int) bool { return s.admits(layout[pos]) }
-	emit := func(pos int, ip float64) {
-		s.st.Candidates++
-		s.top.offer(layout[pos], ip)
+	for pos, id := range sn.idist.Layout() { // the store is written in this order
+		if pos&255 == 0 {
+			if err := s.ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if !s.admits(id) {
+			sn.orig.NoteAt(pos, s.io)
+			continue
+		}
+		if err := s.settle(uint32(pos), id); err != nil {
+			return err
+		}
 	}
-	var err error
-	sc.readBuf, err = sn.orig.ScanDot(s.ctx, s.q, sc.readBuf, s.io, keep, emit)
-	return err
+	return nil
 }
 
 // quickProbe implements Algorithm 2: rank the sign-code groups by their
@@ -915,14 +930,14 @@ func (s *query) runIncremental() error {
 // is the ground truth used by the overall-ratio and recall metrics and by
 // tests of the probability guarantee. Like the approximate paths it runs
 // against a call-time snapshot, so it is safe for concurrent use and never
-// blocks updates. Cancelling ctx stops the scan between store reads and
+// blocks updates. Cancelling ctx stops the scan within 256 rows and
 // returns ctx.Err() — the scan is linear in the dataset, so a fanned-out
 // exact merge (promips/shard) needs the same cancellation point the
 // approximate paths have. It is scanAll, the walk a runaway Search finishes
 // with: un-compacted entries through the exactly-pruned scanMem (a pruned
-// entry provably cannot be in the top-k), stored vectors through the
-// store's sequential scorer (store.ScanDot: through the buffer pool on a
-// resident store, around it on a cold one).
+// entry provably cannot be in the top-k), stored rows as verify settles a
+// candidate — most by the int8 screen, which skips only a row that provably
+// cannot enter the top-k, the rest by store.DotAt.
 func (ix *Index) Exact(ctx context.Context, q []float32, k int) ([]Result, error) {
 	sn, err := ix.snapshot()
 	if err != nil {

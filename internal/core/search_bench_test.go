@@ -143,3 +143,69 @@ func BenchmarkSearchWarm(b *testing.B) {
 	b.ReportMetric(perQuery(tl.normPruned), "norm-pruned/query")
 	b.ReportMetric(float64(reads)/float64(b.N), "store-reads/query")
 }
+
+// BenchmarkExact measures Exact — the sequential scan alone, which a
+// runaway or planned Search also ends in — on 64 out-of-sample queries
+// (dataset.Spec.Queries), k=10, in two arms: resident, the warm-small shape
+// of BenchmarkSearchWarm (n=17,770 behind an 8,192-page pool), and cold,
+// the cold-large shard shape of BenchmarkSearchCold (n=25,000 behind the
+// default 1,024-page pool). Beside ns/op it reports exact-dots/query, the
+// rows whose inner product the scan computed from the store — the rest the
+// int8 screen settled — which repeats exactly.
+//
+//	go test ./internal/core -run NONE -bench Exact -benchtime 64x
+func BenchmarkExact(b *testing.B) {
+	const k = 10
+	spec := dataset.Netflix()
+	queries := spec.Queries(64, 20210419)
+	arms := []struct {
+		name string
+		n    int
+		opts Options
+	}{
+		{"resident", 17770, Options{Seed: 20210419, M: 6, C: 0.9, P: 0.5, PoolSize: 8192}},
+		{"cold", 25000, Options{Seed: 20210419, M: 6}},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			ix := buildIndex(b, spec.Generate(arm.n, 20210419), arm.opts)
+			if ix.orig.Pager().Resident() != (arm.name == "resident") {
+				b.Fatalf("%s arm: resident %v", arm.name, ix.orig.Pager().Resident())
+			}
+			dots := tallyExact(b, ix, queries, k)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.Exact(ctx, queries[i%len(queries)], k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(dots)/float64(len(queries)), "exact-dots/query")
+		})
+	}
+}
+
+// tallyExact answers every query once as Exact does, through the query
+// struct, and returns how many rows' inner products the scans computed.
+func tallyExact(b *testing.B, ix *Index, queries [][]float32, k int) int {
+	sn, err := ix.snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sn.release()
+	dots := 0
+	for _, q := range queries {
+		sc := getScratch()
+		s := sn.newQuery(context.Background(), sc, q, k, 0, 0, SearchParams{})
+		s.io = nil
+		err := s.scanAll()
+		dots += s.st.Candidates - s.screened
+		putScratch(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	return dots
+}

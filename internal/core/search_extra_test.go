@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"promips/internal/dataset"
 	"promips/internal/vec"
 )
 
@@ -134,5 +137,123 @@ func TestExactDimMismatch(t *testing.T) {
 		if _, err := ix.Exact(context.Background(), withComponent(make([]float32, 8), 7, bad), 1); err == nil {
 			t.Fatalf("expected error for a query with a %v component", bad)
 		}
+	}
+}
+
+// TestScanCancelledWithin256Rows: the sequential scan checks its context
+// every 256 rows, on a resident store and on a cold one. A Search that ends
+// in the scan, cancelled by its filter while the scan admits a chosen row,
+// returns context.Canceled having admitted fewer than 256 rows after it.
+// Exact, whose scan is the same loop, checks its context once on entry and
+// once per 256 rows, and returns context.Canceled when a cancel lands on
+// any of the scan's checks. Neither leaves a store page pinned.
+func TestScanCancelledWithin256Rows(t *testing.T) {
+	const n, k = 1500, 10
+	spec := dataset.Netflix()
+	data := spec.Generate(n, 31)
+	for _, pool := range []int{0, 8} {
+		t.Run(fmt.Sprintf("pool=%d", pool), func(t *testing.T) {
+			ix := buildIndex(t, data, Options{Seed: 3, M: 6, PoolSize: pool})
+			pinned := func(when string) {
+				t.Helper()
+				if got := ix.orig.Pager().Pinned(); got != 0 {
+					t.Fatalf("%s: %d store pages pinned", when, got)
+				}
+			}
+			// An out-of-sample query that ends in the scan, and how many filter
+			// calls precede the scan's: the scan calls it once per row.
+			var q []float32
+			before := 0
+			for _, cand := range spec.Queries(16, 31) {
+				calls := 0
+				_, st, err := ix.SearchContext(context.Background(), cand, k, SearchParams{Filter: func(uint32) bool { calls++; return true }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.TerminatedBy == "scan" {
+					q, before = cand, calls-n
+					break
+				}
+			}
+			if q == nil {
+				t.Fatal("no query ended in the scan")
+			}
+			for _, row := range []int{0, 1, 255, 256, 1000} {
+				ctx, cancel := context.WithCancel(context.Background())
+				calls, after := 0, 0
+				filter := func(uint32) bool {
+					switch calls++; {
+					case calls == before+row+1:
+						cancel()
+					case calls > before+row+1:
+						after++
+					}
+					return true
+				}
+				_, _, err := ix.SearchContext(ctx, q, k, SearchParams{Filter: filter})
+				cancel()
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled at row %d of the scan: %v, want context.Canceled", row, err)
+				}
+				if after >= 256 {
+					t.Fatalf("cancelled at row %d of the scan: %d rows admitted after it", row, after)
+				}
+				pinned(fmt.Sprintf("search cancelled at row %d", row))
+			}
+
+			counting := newCheckedCtx(0)
+			if _, err := ix.Exact(counting, q, k); err != nil {
+				t.Fatal(err)
+			}
+			checks := counting.calls.Load()
+			if want := int64(1 + (n+255)/256); checks != want {
+				t.Fatalf("Exact checked its context %d times over %d rows, want %d", checks, n, want)
+			}
+			for at := int64(2); at <= checks; at++ {
+				if _, err := ix.Exact(newCheckedCtx(at), q, k); !errors.Is(err, context.Canceled) {
+					t.Fatalf("Exact cancelled at its check %d: %v, want context.Canceled", at, err)
+				}
+				pinned(fmt.Sprintf("Exact cancelled at its check %d", at))
+			}
+		})
+	}
+}
+
+// TestScanAccountsEveryRow: the sequential scan keeps the accounting of
+// reading every row, however few rows it reads. Every admitted row counts
+// in Candidates, screened or not, and every data page of the store is
+// noted, the pages whose rows the query does not admit (tombstoned or
+// filtered) included — on a resident store and on a cold one.
+func TestScanAccountsEveryRow(t *testing.T) {
+	const n = 1500
+	data := dataset.Netflix().Generate(n, 37)
+	for _, pool := range []int{0, 8} {
+		ix := buildIndex(t, data, Options{Seed: 3, M: 6, PoolSize: pool})
+		for id := uint32(0); id < n; id += 5 {
+			ix.Delete(id)
+		}
+		sn, err := ix.snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := SearchParams{Filter: func(id uint32) bool { return id%7 == 0 }}
+		admitted := 0
+		for id := uint32(0); id < n; id++ {
+			if sn.live(id) && params.accepts(id) {
+				admitted++
+			}
+		}
+		sc := getScratch()
+		s := sn.newQuery(context.Background(), sc, data[1], 10, sn.optC, sn.optP, params)
+		if err := s.scanAll(); err != nil {
+			t.Fatal(err)
+		}
+		dataPages := ix.orig.Pager().NumPages() - 1 // page 0 is the header
+		if s.st.Candidates != admitted || sc.io.Pages() != dataPages || s.screened == 0 {
+			t.Errorf("pool %d: the scan counted %d candidates (%d screened) and %d pages; want %d admitted rows and %d data pages",
+				pool, s.st.Candidates, s.screened, sc.io.Pages(), admitted, dataPages)
+		}
+		putScratch(sc)
+		sn.release()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"promips/internal/pager"
@@ -66,7 +67,7 @@ func writeLegacyStore(tb testing.TB, path string, dim, pageSize int, order []uin
 // checkLegacyMatches writes n random vectors in a shuffled layout as a
 // PVS1 file and as a current store, and asserts that the two hold the same
 // data pages byte for byte and read back the same at every position through
-// VectorAt, DotAt and ScanDot, opened behind a pool of poolSize
+// VectorAt, DotAt and ScanRows, opened behind a pool of poolSize
 // pages (0: the default).
 func checkLegacyMatches(t *testing.T, dim, n, pageSize, poolSize int) {
 	t.Helper()
@@ -127,10 +128,10 @@ func checkLegacyMatches(t *testing.T, dim, n, pageSize, poolSize int) {
 				t.Fatalf("store %d position %d: %d pins held after DotAt", i, pos, pins)
 			}
 		}
-		scanned := scanAll(t, st, q, nil, func(int) bool { return true })
+		walked := walkDots(t, st, q)
 		for pos := range dots {
-			if math.Float64bits(scanned[pos]) != math.Float64bits(dots[pos]) {
-				t.Fatalf("store %d: ScanDot(%d) = %v, DotAt %v", i, pos, scanned[pos], dots[pos])
+			if math.Float64bits(walked[pos]) != math.Float64bits(dots[pos]) {
+				t.Fatalf("store %d: ScanRows' row %d scores %v, DotAt %v", i, pos, walked[pos], dots[pos])
 			}
 		}
 		if i == 0 {
@@ -149,7 +150,7 @@ func TestMultiPageIDTable(t *testing.T) {
 
 // TestLegacyStoreReadsAsCurrent: a PVS1 store reads back like a current
 // store of the same layout, with no vectors, through the pool, and around a
-// pool far smaller than the file (ScanDot's direct reads).
+// pool far smaller than the file (DotAt's direct reads).
 func TestLegacyStoreReadsAsCurrent(t *testing.T) {
 	for _, c := range []struct{ dim, n, pageSize, poolSize int }{
 		{4, 0, 256, 0},
@@ -162,7 +163,7 @@ func TestLegacyStoreReadsAsCurrent(t *testing.T) {
 
 // FuzzStoreOpen: a store file of arbitrary bytes is either refused by Open
 // or reads every position in [0, Len) through VectorAt, DotAt and
-// ScanDot without an error or a panic.
+// ScanRows without an error or a panic.
 func FuzzStoreOpen(f *testing.F) {
 	const pageSize = 64
 	r := rand.New(rand.NewSource(14))
@@ -220,11 +221,15 @@ func FuzzStoreOpen(f *testing.F) {
 				t.Fatalf("DotAt(%d): %d pins held", pos, pins)
 			}
 		}
-		emitted := 0
-		_, err = st.ScanDot(context.Background(), q, nil, nil,
-			func(int) bool { return true }, func(int, float64) { emitted++ })
-		if err != nil || emitted != st.Len() {
-			t.Fatalf("ScanDot emitted %d of %d: %v", emitted, st.Len(), err)
+		var walked atomic.Int64
+		err = st.ScanRows(context.Background(), func(_ int, rows [][]byte) {
+			for _, row := range rows {
+				vec.DotBytes(row, q)
+			}
+			walked.Add(int64(len(rows)))
+		})
+		if err != nil || walked.Load() != int64(st.Len()) {
+			t.Fatalf("ScanRows visited %d of %d: %v", walked.Load(), st.Len(), err)
 		}
 	})
 }

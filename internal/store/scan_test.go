@@ -4,10 +4,15 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"promips/internal/pager"
+	"promips/internal/vec"
 )
 
 // Scan-test geometry: 9 vectors per 1 KiB page, 223 data pages, 128 pages per
@@ -15,7 +20,7 @@ import (
 const scanN, scanDim, scanPageSize = 2003, 27, 1024
 
 // smallPoolStore writes data (position i holds data[i]) behind a 16-page
-// pool — a file far larger than its pool, which ScanDot reads around — and
+// pool — a file far larger than its pool — and
 // returns it as Finalize left it, and its path.
 func smallPoolStore(t *testing.T, data [][]float32) (*Store, string) {
 	t.Helper()
@@ -37,91 +42,79 @@ func smallPoolStore(t *testing.T, data [][]float32) (*Store, string) {
 	return st, path
 }
 
-// scanAll runs ScanDot over every position and returns the emitted inner
-// products by position (NaN where nothing was emitted).
-func scanAll(t *testing.T, st *Store, q []float32, io *pager.IOStats, keep func(int) bool) []float64 {
+// walkDots runs ScanRows over st and returns DotBytes of every row against
+// q by position, requiring every position to be visited exactly once.
+func walkDots(t *testing.T, st *Store, q []float32) []float64 {
 	t.Helper()
-	ips := make([]float64, st.Len())
-	for i := range ips {
-		ips[i] = math.NaN()
-	}
-	last := -1
-	_, err := st.ScanDot(context.Background(), q, nil, io, keep, func(pos int, ip float64) {
-		if pos <= last {
-			t.Fatalf("emitted position %d after %d", pos, last)
+	ips, visits := make([]float64, st.Len()), make([]int, st.Len())
+	var mu sync.Mutex
+	err := st.ScanRows(context.Background(), func(first int, rows [][]byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		for i, row := range rows {
+			ips[first+i] = vec.DotBytes(row, q)
+			visits[first+i]++
 		}
-		last = pos
-		ips[pos] = ip
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for pos, n := range visits {
+		if n != 1 {
+			t.Fatalf("position %d visited %d times", pos, n)
+		}
+	}
 	return ips
 }
 
-// TestScanDotMatchesDotAt: the sequential scorer emits — for every kept
-// position, in ascending order — an inner product bit-identical to DotAt,
-// and accounts every data page as one access, on both of its
-// page sources: through the pool when the file fits in it, and around the
-// pool (every page a miss, one file read per chunk, nothing installed or
-// evicted) when it does not — there on the store Finalize returned and on
-// the same file reopened.
-func TestScanDotMatchesDotAt(t *testing.T) {
+// TestScanRowsMatchesDotAt: the walk visits every position once, its rows
+// score bit-identically to DotAt, and it reads around the pool whatever the
+// pool's size — one miss per data page, one file read per chunk, nothing
+// installed, evicted or left pinned — on a store its pool holds, on one far
+// larger than its pool as Finalize returned it, and on that file reopened.
+func TestScanRowsMatchesDotAt(t *testing.T) {
 	resident, data := buildRandomStore(t, scanN, scanDim, scanPageSize) // default pool: 1024 pages
 	finalized, path := smallPoolStore(t, data)
 	q := data[11]
 
-	check := func(name string, st *Store, bypass bool) {
+	check := func(name string, st *Store) {
 		t.Helper()
-		want := make([]float64, scanN)
-		for pos := range want {
-			var err error
-			if want[pos], _, err = st.DotAt(pos, q, nil, nil); err != nil {
+		before := st.Pager().Stats()
+		got := walkDots(t, st, q)
+		dataPages := int64((scanN + st.perPage - 1) / st.perPage)
+		want := pager.Stats{Accesses: dataPages, Misses: dataPages,
+			FileReads: (dataPages*scanPageSize + scanChunkBytes - 1) / scanChunkBytes}
+		if delta := st.Pager().Stats().Sub(before); delta != want {
+			t.Fatalf("%s: walk of %d data pages recorded %+v, want %+v", name, dataPages, delta, want)
+		}
+		if n := st.Pager().Pinned(); n != 0 {
+			t.Fatalf("%s: %d pins held after the walk", name, n)
+		}
+		// Nothing was installed: every data page, the last ones first, is a
+		// miss when read through the pool now.
+		before = st.Pager().Stats()
+		for pid := st.firstData + dataPages - 1; pid >= st.firstData; pid-- {
+			page, err := st.Pager().Read(pid, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if n := st.Pager().Pinned(); n != 0 {
-				t.Fatalf("%s position %d: %d pins held after DotAt", name, pos, n)
+			page.Release()
+		}
+		if hits := st.Pager().Stats().Sub(before).Hits; hits != 0 {
+			t.Fatalf("%s: %d pages the walk read were in the pool", name, hits)
+		}
+		for pos := range got {
+			want, _, err := st.DotAt(pos, q, nil, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		before := st.Pager().Stats()
-		var io pager.IOStats
-		got := scanAll(t, st, q, &io, func(int) bool { return true })
-		for pos := range want {
-			if math.Float64bits(got[pos]) != math.Float64bits(want[pos]) {
-				t.Fatalf("%s position %d: ScanDot %x, DotAt %x", name, pos, math.Float64bits(got[pos]), math.Float64bits(want[pos]))
+			if math.Float64bits(got[pos]) != math.Float64bits(want) {
+				t.Fatalf("%s position %d: walked row %x, DotAt %x", name, pos, math.Float64bits(got[pos]), math.Float64bits(want))
 			}
-		}
-		dataPages := int64((scanN + st.perPage - 1) / st.perPage)
-		if io.Pages() != dataPages || io.Reads != dataPages {
-			t.Fatalf("%s: IOStats saw %d pages in %d reads, want %d", name, io.Pages(), io.Reads, dataPages)
-		}
-		delta := st.Pager().Stats().Sub(before)
-		wantDelta := pager.Stats{Accesses: dataPages, Hits: dataPages} // the DotAt loop left every page resident
-		if bypass {
-			wantDelta = pager.Stats{Accesses: dataPages, Misses: dataPages,
-				FileReads: (dataPages*scanPageSize + scanChunkBytes - 1) / scanChunkBytes}
-		}
-		if delta != wantDelta {
-			t.Fatalf("%s: scan of %d data pages recorded %+v, want %+v", name, dataPages, delta, wantDelta)
-		}
-
-		// keep filters positions; the rest are neither scored nor emitted.
-		odd := scanAll(t, st, q, nil, func(pos int) bool { return pos%2 == 1 })
-		for pos := range want {
-			if pos%2 == 0 && !math.IsNaN(odd[pos]) {
-				t.Fatalf("%s: emitted rejected position %d", name, pos)
-			}
-			if pos%2 == 1 && math.Float64bits(odd[pos]) != math.Float64bits(want[pos]) {
-				t.Fatalf("%s position %d (filtered scan): %x, want %x", name, pos, math.Float64bits(odd[pos]), math.Float64bits(want[pos]))
-			}
-		}
-		// The scans released every chunk they pinned.
-		if got := st.Pager().Pinned(); got != 0 {
-			t.Fatalf("%s: %d pins held after the scans", name, got)
 		}
 	}
-	check("resident", resident, false)
-	check("finalized", finalized, true)
+	check("resident", resident)
+	check("finalized", finalized)
 	if err := finalized.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,56 +123,36 @@ func TestScanDotMatchesDotAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer opened.Close()
-	check("opened", opened, true)
+	check("opened", opened)
 }
 
-// TestScanDotRefusals: a wrong-dimension query and a context cancelled
-// between chunks. (The pool bypass needs no refusal of its own: a Store only
-// exists over a finished file.)
-func TestScanDotRefusals(t *testing.T) {
-	_, data := buildRandomStore(t, scanN, scanDim, scanPageSize)
+// TestScanRowsCancel: a context cancelled mid-walk stops it and returns
+// context.Canceled. Every worker of the pool finishes at most the chunk it
+// holds, so a walk of more chunks than there are workers, cancelled in its
+// first visit, visits no more than a chunk per worker. (The pool bypass
+// needs no refusal of its own: a Store only exists over a finished file.)
+func TestScanRowsCancel(t *testing.T) {
+	workers := runtime.GOMAXPROCS(0)
+	chunkRows := scanChunkBytes / scanPageSize * (scanPageSize / (4 * scanDim))
+	rng := rand.New(rand.NewSource(3))
+	data := make([][]float32, (workers+1)*chunkRows+5)
+	for i := range data {
+		data[i] = randVec(rng, scanDim)
+	}
 	st, _ := smallPoolStore(t, data)
-	nop := func(int, float64) {}
-	all := func(int) bool { return true }
-	if _, err := st.ScanDot(context.Background(), data[0][:5], nil, nil, all, nop); err == nil {
-		t.Fatal("ScanDot accepted a short query")
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	visited := 0
-	_, err := st.ScanDot(ctx, data[0], nil, nil, func(int) bool {
-		if visited++; visited == 10 {
-			cancel()
-		}
-		return true
-	}, nop)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
-	}
-	if chunkRows := scanChunkBytes / scanPageSize * st.perPage; visited > chunkRows {
-		t.Fatalf("scan visited %d positions after a cancel at 10; one chunk holds %d", visited, chunkRows)
-	}
-}
-
-// TestScanDotCancelReleasesPins: a scan through the pool that is cancelled
-// mid-walk leaves no page of its last chunk pinned.
-func TestScanDotCancelReleasesPins(t *testing.T) {
-	st, data := buildRandomStore(t, scanN, scanDim, scanPageSize)
-	if !st.Pager().Resident() {
-		t.Fatal("the default pool should hold the scan store")
+	if st.chunkRows() != chunkRows {
+		t.Fatalf("chunk of %d rows, want %d", st.chunkRows(), chunkRows)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	visited := 0
-	_, err := st.ScanDot(ctx, data[0], nil, nil, func(int) bool {
-		if visited++; visited == 10 {
-			cancel()
-		}
-		return true
-	}, func(int, float64) {})
+	var visited atomic.Int64
+	err := st.ScanRows(ctx, func(first int, rows [][]byte) {
+		visited.Add(int64(len(rows)))
+		cancel()
+	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled walk returned %v, want context.Canceled", err)
 	}
-	if got := st.Pager().Pinned(); got != 0 {
-		t.Fatalf("%d pins held after the cancelled scan", got)
+	if got := visited.Load(); got > int64(workers*chunkRows) {
+		t.Fatalf("walk visited %d positions after a cancel in its first chunk; %d workers hold %d rows", got, workers, workers*chunkRows)
 	}
 }

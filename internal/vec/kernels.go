@@ -121,8 +121,8 @@ func Dot4(a0, a1, a2, a3, b []float32) (s0, s1, s2, s3 float64) {
 }
 
 // Dot8 sets dst[r] = Dot(rows[r], q) for each of the eight rows, bit for
-// bit: Dot4's independent chains, eight of them. The linear scans (the
-// store's sequential scorer, the un-compacted update entries) use it. On
+// bit: Dot4's independent chains, eight of them. The scan of the
+// un-compacted update entries and the sketch's lookup tables use it. On
 // amd64 with AVX2, whole blocks of four dimensions run in dot8Blocks, one
 // row per vector lane. Widening a float32 to float64 is exact, and so is
 // the product of two widened float32s (24+24 significant bits fit in 53,
@@ -163,26 +163,6 @@ func Dot8(rows *[8][]float32, q []float32, dst *[8]float64) {
 		s7 += float64(a7[i]) * f
 	}
 	*dst = [8]float64{s0, s1, s2, s3, s4, s5, s6, s7}
-}
-
-// Dot8Bytes is Dot8 over eight encoded vectors (each the len(q)-dimensional
-// vector at the start of its buffer), each result bit-identical to DotBytes
-// of that buffer; like it, it panics on a buffer shorter than the vector.
-// When any buffer cannot be aliased (big-endian host, unaligned bytes) all
-// eight take the DotBytes path.
-func Dot8Bytes(bufs *[8][]byte, q []float32, dst *[8]float64) {
-	var rows [8][]float32
-	for r, buf := range bufs {
-		v, ok := F32View(buf, len(q))
-		if !ok {
-			for r, buf := range bufs {
-				dst[r] = DotBytes(buf, q)
-			}
-			return
-		}
-		rows[r] = v
-	}
-	Dot8(&rows, q, dst)
 }
 
 // l2Kernel is the shared squared-distance loop; same contract as dotKernel.

@@ -154,34 +154,17 @@ func dot8Paths(f func(path string)) {
 	}
 }
 
-// checkDot8 scores rows against q with Dot8 and with Dot8Bytes over their
-// encodings (row 0 pad bytes off a float boundary, so pad > 0 takes the
-// DotBytes path) and holds every row's result to its own Dot bit for bit.
-func checkDot8(t testing.TB, name string, rows [8][]float32, q []float32, pad int) {
+// checkDot8 scores rows against q with Dot8 and holds every row's result
+// to its own Dot bit for bit.
+func checkDot8(t testing.TB, name string, rows [8][]float32, q []float32) {
 	t.Helper()
-	var got, fused [8]float64
+	var got [8]float64
 	Dot8(&rows, q, &got)
-	var bufs [8][]byte
 	for r, row := range rows {
-		bufs[r] = encodeAt(row, pad*btoi(r == 0))
-	}
-	Dot8Bytes(&bufs, q, &fused)
-	for r, row := range rows {
-		want := Dot(row, q)
-		if !bitsEqual(got[r], want) {
+		if want := Dot(row, q); !bitsEqual(got[r], want) {
 			t.Fatalf("%s n=%d row %d: Dot8 %x != Dot %x", name, len(q), r, math.Float64bits(got[r]), math.Float64bits(want))
 		}
-		if !bitsEqual(fused[r], want) {
-			t.Fatalf("%s n=%d row %d pad=%d: Dot8Bytes %x != Dot %x", name, len(q), r, pad, math.Float64bits(fused[r]), math.Float64bits(want))
-		}
 	}
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // dot8Extremes are the components whose products test the claim that
@@ -236,7 +219,7 @@ func TestDot8BitIdentical(t *testing.T) {
 					for r := range rows {
 						rows[r] = gen(n)
 					}
-					checkDot8(t, path+"/"+gname, rows, gen(n), trial%4)
+					checkDot8(t, path+"/"+gname, rows, gen(n))
 				}
 			}
 		}
@@ -273,7 +256,7 @@ func FuzzDot8(f *testing.F) {
 			rows[r] = Decode(raw[4*n*r:], n, nil)
 		}
 		q := Decode(raw[4*n*8:], n, nil)
-		dot8Paths(func(path string) { checkDot8(t, path, rows, q, 0) })
+		dot8Paths(func(path string) { checkDot8(t, path, rows, q) })
 	})
 }
 
