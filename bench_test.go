@@ -84,11 +84,11 @@ var (
 
 // searchBenchEnv builds a ProMIPS-only environment for the hot-path
 // benchmarks (the four-method sharedEnv is much slower to set up) and warms
-// the buffer pool so the timed loops measure the steady state. The pool is
-// sized to hold the store, as e2ebench's warm-small sizes it: the 1,024-page
-// default cannot hold the ~1,340-page vector file of the default n = 4,000,
-// and queries against it would pay preads and get the non-resident runaway
-// budget; 8,192 pages hold up to about 24,000 points. The index is built
+// the index so the timed loops measure the steady state. The pool is sized
+// to hold the store in memory, as e2ebench's warm-small sizes it: the
+// 1,024-page default cannot hold the ~1,340-page vector file of the default
+// n = 4,000, and queries against it would pay preads and get the
+// non-resident runaway budget; 8,192 pages hold up to about 24,000 points. The index is built
 // directly through internal/core (this test package lives inside the
 // module), keeping the public bench API free of internal types.
 func searchBenchEnv(b *testing.B) (*bench.Env, *core.Index) {
@@ -382,8 +382,8 @@ func BenchmarkConcurrentThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer ix.Close()
-	// Warm the buffer pool so every worker count runs against the same
-	// cache state.
+	// Warm the index (the query scratch pool, the CPU caches) so every
+	// worker count runs against the same state.
 	if _, _, err := ix.SearchBatch(context.Background(), env.Queries, 10); err != nil {
 		b.Fatal(err)
 	}

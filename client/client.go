@@ -101,7 +101,7 @@ type StatsResponse struct {
 	Dim        int                   `json:"dim"`         // vector dimensionality
 	M          int                   `json:"m"`           // projected dimensionality
 	JournalLen int                   `json:"journal_len"` // acknowledged updates a crash-recovery would replay (summed over shards)
-	Cache      promips.CacheStats    `json:"cache"`       // whole-run buffer-pool counters (summed over shards)
+	Cache      promips.CacheStats    `json:"cache"`       // whole-run page-read counters (summed over shards)
 	Recovery   promips.RecoveryStats `json:"recovery"`    // what the journal replay at startup recovered (summed over shards)
 
 	// Shards is the shard count K (1 for a default promipsctl build).

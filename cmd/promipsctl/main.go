@@ -262,8 +262,8 @@ func runStats(args []string) error {
 		fmt.Printf("exercised cache with %d queries\n", n)
 	}
 	cs := ix.CacheStats()
-	fmt.Printf("buffer pool: %d accesses, %d hits (%.1f%%), %d misses, %d evictions\n",
-		cs.Accesses, cs.Hits, cs.HitRatio()*100, cs.Misses, cs.Evictions)
+	fmt.Printf("page reads: %d accesses, %d from memory (%.1f%%), %d from disk\n",
+		cs.Accesses, cs.Hits, cs.HitRatio()*100, cs.Misses)
 	printUpdates(ix)
 	printJournal(ix)
 	return nil

@@ -65,7 +65,7 @@ func TestColdSearchAllocs(t *testing.T) {
 	}
 	defer ix.Close()
 	if ix.orig.Pager().Resident() {
-		t.Fatalf("a %d-page pool holds the %d-page store", ix.orig.Pager().PoolPages(), ix.orig.Pager().NumPages())
+		t.Fatalf("a %d-page pool holds the %d-page store", ix.opts.PoolSize, ix.orig.Pager().NumPages())
 	}
 
 	queries := data[:16]

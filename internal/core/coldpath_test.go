@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 
 	"promips/internal/dataset"
-	"promips/internal/par"
 )
 
 // TestRunawayBudgetFollowsResidency builds one dataset twice — with the
@@ -76,85 +74,5 @@ func TestRunawayBudgetFollowsResidency(t *testing.T) {
 	t.Logf("%d queries: %d answered identically, %d scanned only on the small pool, %d on both", len(queries), same, coldOnly, both)
 	if same == 0 || coldOnly == 0 || both == 0 {
 		t.Fatal("the queries must reach all three cases")
-	}
-}
-
-// TestNoPinLeakAfterQueries is the pin contract's leak invariant: whatever
-// a query does — Search, SearchIncremental, Exact, a batch, a filtered
-// query, a runaway one that ends in the scan, one cancelled in its ordered
-// pass and one cancelled in its scan — every page it pinned is released by
-// the time it returns, on every pager of the index.
-func TestNoPinLeakAfterQueries(t *testing.T) {
-	spec := dataset.Netflix()
-	data := spec.Generate(1500, 43)
-	ix := buildIndex(t, data, Options{Seed: 4, M: 6, PoolSize: 32})
-	outside := spec.Queries(4, 43)
-	pinned := func(what string) {
-		t.Helper()
-		n := ix.orig.Pager().Pinned()
-		for _, pg := range ix.idist.Pagers() {
-			n += pg.Pinned()
-		}
-		if n != 0 {
-			t.Fatalf("%s: %d pages still pinned", what, n)
-		}
-	}
-	ctx := context.Background()
-	for _, q := range data[:8] {
-		if _, _, err := ix.Search(q, 10); err != nil {
-			t.Fatal(err)
-		}
-		pinned("Search")
-		if _, _, err := ix.SearchIncremental(q, 10); err != nil {
-			t.Fatal(err)
-		}
-		pinned("SearchIncremental")
-		if _, err := ix.Exact(ctx, q, 10); err != nil {
-			t.Fatal(err)
-		}
-		pinned("Exact")
-		if _, _, err := ix.SearchContext(ctx, q, 10, SearchParams{Filter: func(id uint32) bool { return id%3 != 0 }}); err != nil {
-			t.Fatal(err)
-		}
-		pinned("filtered Search")
-	}
-	// A batch, as promips.SearchBatch runs one: concurrent queries on the pool.
-	batch := data[8:40]
-	err := par.Do(ctx, len(batch), func(i int) error {
-		_, _, err := ix.SearchContext(ctx, batch[i], 10, SearchParams{})
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned("batch")
-	_, st, err := ix.Search(outside[0], 10)
-	if err != nil || st.TerminatedBy != "scan" {
-		t.Fatalf("out-of-sample query: %v, terminated by %q; want the runaway scan", err, st.TerminatedBy)
-	}
-	pinned("runaway Search")
-
-	// Cancelled from the filter, which the verification passes consult per
-	// candidate and the scan per stored point: after 100 calls, inside the
-	// ordered pass, and 50 calls into the scan the query ends in.
-	calls := 0
-	count := func(uint32) bool { calls++; return true }
-	if _, st, err := ix.SearchContext(ctx, outside[1], 10, SearchParams{NoPrerank: true, Filter: count}); err != nil || st.TerminatedBy != "scan" {
-		t.Fatalf("out-of-sample query: %v, terminated by %q; want the runaway scan", err, st.TerminatedBy)
-	}
-	for _, after := range []int{100, calls - len(data) + 50} {
-		cctx, cancel := context.WithCancel(ctx)
-		calls = 0
-		_, _, err := ix.SearchContext(cctx, outside[1], 10, SearchParams{NoPrerank: true, Filter: func(uint32) bool {
-			if calls++; calls == after {
-				cancel()
-			}
-			return true
-		}})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("query cancelled after %d filter calls returned %v", after, err)
-		}
-		pinned("cancelled Search")
 	}
 }

@@ -63,10 +63,12 @@ type Options struct {
 	// PageSize is the disk page size in bytes (default 4096; the paper
 	// uses 65536 for the 5408-dimensional P53 dataset).
 	PageSize int
-	// PoolSize is the buffer-pool capacity in pages per page file. A pool
-	// that cannot hold the vector store is bypassed by the store's reads
-	// (store.DotAt, ScanRows) and lowers the runaway budget from n/4 to n/12;
-	// the int8 screen rows exist whatever its size.
+	// PoolSize is the memory budget in pages per page file: a file of at
+	// most this many pages keeps each page in memory from its first read
+	// on, a larger one is read from disk on every access
+	// (pager.Options.PoolSize). A vector store
+	// read from disk lowers the runaway budget from n/4 to n/12; the int8
+	// screen rows exist whatever its size.
 	PoolSize int
 	// Seed makes projections and clustering deterministic.
 	Seed int64
@@ -189,7 +191,7 @@ type SearchStats struct {
 	// vector store — the paper's Page Access metric. A verification the int8
 	// screen settles counts its store page like a read one, so the metric
 	// describes the algorithm's footprint, not the bytes this process read
-	// (on a resident store every access is a pool hit anyway;
+	// (on a resident store every access is a memory read anyway;
 	// Index.CacheStats counts the physical work). It is accumulated in a
 	// per-query pager.IOStats, so the count is exact and deterministic even
 	// when many queries share the index concurrently (no shared counters are
@@ -217,8 +219,8 @@ type SearchStats struct {
 	// TerminatedBy records what ended the search: "A" or "B" (the
 	// termination condition that held), "exhausted" (the compensation range
 	// was consumed whole), or "scan" — the query spent its verification
-	// budget (a quarter of the stored points when the store's buffer pool
-	// holds the store, a twelfth when it does not), or its pre-ranking pass
+	// budget (a quarter of the stored points when the store is resident, a
+	// twelfth when it is read from disk), or its pre-ranking pass
 	// showed that it would (the planned scan), so it finished with one
 	// sequential scan of the vector store and the results are the EXACT
 	// top-k among live, filter-accepted points.
@@ -627,7 +629,7 @@ func (ix *Index) Sizes() SizeBreakdown {
 	}
 }
 
-// CacheStats aggregates the buffer-pool counters of every pager the index
+// CacheStats aggregates the page-read counters of every pager the index
 // reads through (the iDistance data file and the original-vector store) —
 // the I/O engine's whole-run diagnostics. Unlike SearchStats, these are
 // shared counters: concurrent queries all add to them, and Sub of two

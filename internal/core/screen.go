@@ -70,9 +70,9 @@ func (r *screenRows) bound(pos int, z *vec.Int16Query, normOSq float64) float64 
 	return z.Bound(r.codes[pos*r.d:(pos+1)*r.d], sc.scale, sc.resid, math.Sqrt(normOSq))
 }
 
-// screenFromStore derives the rows at Open, in one walk of the store that
-// bypasses its buffer pool (store.ScanRows): each chunk is read and its rows
-// quantized by one task of the worker pool.
+// screenFromStore derives the rows at Open, in one walk of the store
+// (store.ScanRows): each chunk is read and its rows quantized by one task
+// of the worker pool.
 func screenFromStore(ctx context.Context, st *store.Store) (*screenRows, error) {
 	r, err := newScreenRows(st.Len(), st.Dim())
 	if err != nil {

@@ -168,10 +168,10 @@ func (sn *snapshot) beginSearch(q []float32, k int, params SearchParams) (c, p f
 // 1/share of the disk-resident points one random read at a time is an exact
 // scan in disguise, and finishing with ONE sequential walk of the vector
 // store is cheaper than continuing. The price of a random verification
-// depends on where its page lives, so the share does too: when the pool
-// holds the store a verification is a pool hit, worth about 3.5 scanned
-// vectors, and the rent runs to n/4; when it cannot, nearly every
-// verification is a miss, worth 5–7 scanned vectors when the page cache
+// depends on where its page lives, so the share does too: when the store
+// is resident a verification is mostly a memory read, worth about 3.5
+// scanned vectors, and the rent runs to n/4; when it is not, every
+// verification is a file read, worth 5–7 scanned vectors when the page cache
 // serves it and more when a device does, and the rent stops at n/12. Either
 // way the random reads wasted before the switch are bounded by a small
 // multiple of the price of the scan itself (DESIGN.md, "Ski-rental scan",
@@ -494,9 +494,9 @@ func (s *query) verify(cand idistance.Candidate, est *float64) (verified bool, e
 // (query.screen): the screen proves that the inner product verification
 // would compute cannot enter the top-k, so offering it would change
 // nothing, and no store page is read. Otherwise its inner product is
-// computed straight from its store page (store.DotAt: through the buffer
-// pool on a resident store, straight from the file into the scratch's
-// readBuf on a cold one) and offered to the top-k. Either way it is a
+// computed straight from its store page (store.DotAt: a resident store's
+// kept page, or straight from the file into the scratch's readBuf) and
+// offered to the top-k. Either way it is a
 // verification — counted in Candidates, its page noted in the query's
 // accounting (store.NoteAt when screened) — so results and every
 // SearchStats field are those of reading the row.

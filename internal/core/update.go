@@ -287,21 +287,29 @@ func (ix *Index) Compact(ctx context.Context, dir string, persist func(next *Ind
 		ix.mu.RUnlock()
 		return nil, errs.ErrClosed
 	}
-	liveData := make([][]float32, 0, ix.liveCountLocked())
+	// The live stored rows keep their layout order: slot[pos] is the row's
+	// index in liveData, or -1 when it is deleted, and one walk of the store
+	// fills every slot.
+	slot := make([]int32, ix.n)
 	oldIDs := make([]uint32, 0, ix.liveCountLocked())
-	buf := make([]float32, ix.d)
-	for pos := 0; pos < ix.n; pos++ {
-		id := ix.idist.Layout()[pos]
-		if !ix.liveLocked(id) {
-			continue
+	for pos, id := range ix.idist.Layout() {
+		slot[pos] = -1
+		if ix.liveLocked(id) {
+			slot[pos] = int32(len(oldIDs))
+			oldIDs = append(oldIDs, id)
 		}
-		o, err := ix.orig.VectorAt(pos, buf, nil)
-		if err != nil {
-			ix.mu.RUnlock()
-			return nil, err
+	}
+	liveData := make([][]float32, len(oldIDs), ix.liveCountLocked())
+	err := ix.orig.ScanRows(ctx, func(first int, rows [][]byte) {
+		for i, row := range rows {
+			if s := slot[first+i]; s >= 0 {
+				liveData[s] = vec.Decode(row, ix.d, nil)
+			}
 		}
-		liveData = append(liveData, vec.Clone(o))
-		oldIDs = append(oldIDs, id)
+	})
+	if err != nil {
+		ix.mu.RUnlock()
+		return nil, err
 	}
 	snapEntries := func(entries []deltaEntry) {
 		for _, e := range entries {

@@ -206,16 +206,6 @@ func (ix *Index) IndexSizeBytes() int64 {
 	return total
 }
 
-func (ix *Index) pagers() []*pager.Pager {
-	out := []*pager.Pager{ix.orig.Pager()}
-	for _, p := range ix.parts {
-		if p.idx != nil {
-			out = append(out, p.idx.Pager())
-		}
-	}
-	return out
-}
-
 // Search implements mips.Method: probe partitions in descending max norm,
 // converting each partition's c-ANN search back to inner products.
 func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, error) {
@@ -228,10 +218,7 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 	if k > ix.n {
 		k = ix.n
 	}
-	for _, pg := range ix.pagers() {
-		pg.DropPool()
-		pg.ResetStats()
-	}
+	var io pager.IOStats
 	var qs mips.QueryStats
 
 	normQ := vec.Norm2(q)
@@ -265,7 +252,7 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 		lambda := p.maxNorm
 		verify := func(lid uint32) (float64, error) {
 			gid := p.ids[lid]
-			o, err := ix.orig.VectorAt(p.firstPos+int(lid), buf, nil)
+			o, err := ix.orig.VectorAt(p.firstPos+int(lid), buf, &io)
 			if err != nil {
 				return 0, err
 			}
@@ -278,14 +265,12 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 			}
 			return math.Sqrt(dSq), nil
 		}
-		if _, err := p.idx.Search(qt, k, verify); err != nil {
+		if _, err := p.idx.Search(qt, k, &io, verify); err != nil {
 			return nil, qs, err
 		}
 	}
 
-	for _, pg := range ix.pagers() {
-		qs.PageAccesses += pg.Stats().Misses
-	}
+	qs.PageAccesses = io.Pages()
 	return append([]mips.Result(nil), top.Results()...), qs, nil
 }
 

@@ -308,18 +308,20 @@ func (idx *Index) DataSizeBytes() int64 { return idx.data.SizeBytes() }
 // Pagers returns the pagers touched by searches, for I/O accounting.
 func (idx *Index) Pagers() []*pager.Pager { return []*pager.Pager{idx.data} }
 
-// Projected reads the projected vector at layout position pos from disk (the
-// single fetch Quick-Probe performs to turn the located point into a search
-// radius). The page read is recorded in io (nil discards the accounting).
+// Projected reads the projected vector at layout position pos from its data
+// page (the single fetch Quick-Probe performs to turn the located point into
+// a search radius). The page read is recorded in io (nil discards the
+// accounting).
 func (idx *Index) Projected(pos int, dst []float32, io *pager.IOStats) ([]float32, error) {
 	if pos < 0 || pos >= idx.n {
 		return nil, fmt.Errorf("idistance: layout position %d outside %d points", pos, idx.n)
 	}
-	page, err := idx.data.Read(int64(pos/idx.entriesPerPage), io)
-	if err != nil {
+	sc := scanScratchPool.Get().(*scanScratch)
+	defer sc.release()
+	var err error
+	if sc.pages, sc.buf, err = idx.data.Read(int64(pos/idx.entriesPerPage), 1, sc.pages[:0], sc.buf, io); err != nil {
 		return nil, err
 	}
-	defer page.Release()
 	off := pos % idx.entriesPerPage * (4 + vec.EncodedSize(idx.m))
-	return vec.Decode(page.Bytes()[off+4:], idx.m, dst), nil
+	return vec.Decode(sc.pages[0][off+4:], idx.m, dst), nil
 }

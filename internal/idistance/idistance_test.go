@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"promips/internal/pager"
 	"promips/internal/vec"
 )
 
@@ -361,32 +362,18 @@ func TestPageAccessAccounting(t *testing.T) {
 	pts := randPoints(r, 3000, 6, 10)
 	idx := buildTestIndex(t, pts, Config{Seed: 21, PageSize: 512, PoolSize: 4096})
 	q := randPoints(r, 1, 6, 10)[0]
-	for _, pg := range idx.Pagers() {
-		pg.DropPool()
-		pg.ResetStats()
-	}
-	if _, err := rangeSearch(idx, q, 5); err != nil {
+	var small, large pager.IOStats
+	if _, err := idx.Search(context.Background(), q, -1, 5, &small, nil); err != nil {
 		t.Fatal(err)
 	}
-	var small, large int64
-	for _, pg := range idx.Pagers() {
-		small += pg.Stats().Misses
-	}
-	for _, pg := range idx.Pagers() {
-		pg.DropPool()
-		pg.ResetStats()
-	}
-	if _, err := rangeSearch(idx, q, 30); err != nil {
+	if _, err := idx.Search(context.Background(), q, -1, 30, &large, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, pg := range idx.Pagers() {
-		large += pg.Stats().Misses
+	if small.Pages() <= 0 || large.Pages() <= small.Pages() {
+		t.Fatalf("page accesses should grow with radius: small=%d large=%d", small.Pages(), large.Pages())
 	}
-	if small <= 0 || large <= small {
-		t.Fatalf("page accesses should grow with radius: small=%d large=%d", small, large)
-	}
-	if total := idx.data.NumPages(); large > total {
-		t.Fatalf("page misses %d exceed total pages %d", large, total)
+	if total := idx.data.NumPages(); large.Pages() > total {
+		t.Fatalf("page accesses %d exceed total pages %d", large.Pages(), total)
 	}
 }
 

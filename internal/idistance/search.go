@@ -24,19 +24,21 @@ func CompareCandidates(a, b Candidate) int {
 	return cmp.Compare(a.ID, b.ID)
 }
 
-// scanScratch is the per-query scratch of the scan path: the page views of
-// the sub-partition run being scanned and the squared distances of one
-// page's entries. Pooled so a steady query load allocates nothing here.
+// scanScratch is the per-query scratch of the scan path: the pages of the
+// sub-partition run being scanned, the read buffer of a data file read from
+// disk and the squared distances of one page's entries. Pooled so a steady
+// query load allocates nothing here.
 type scanScratch struct {
-	pages []pager.Page
+	pages [][]byte
+	buf   []byte
 	dist  []float64
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
 func (sc *scanScratch) release() {
-	// Drop the (released) page handles before pooling so the scratch does
-	// not retain page frames across queries.
+	// Drop the page views before pooling so the scratch does not keep a
+	// retired generation's pages alive.
 	clear(sc.pages[:cap(sc.pages)])
 	scanScratchPool.Put(sc)
 }
@@ -140,33 +142,29 @@ func (idx *Index) ringsIn(loKey, hiKey int64) []ring {
 	return idx.rings[lo:max(lo, hi)]
 }
 
-// scanSub reads a sub-partition's short sequential page run in one
-// readahead round trip and appends its entries inside the band to out. The
-// first entry sits at layout position startPos — page
-// startPos/entriesPerPage, slot startPos%entriesPerPage — and later entries
-// continue across page boundaries and positions. The whole run is fetched
-// with a single pager.ReadRun — cached pages come from the pool, the missing
-// remainder costs one contiguous file read under one shard lock instead of a
-// pager round trip per page. Each page's share of
-// the run is scored straight from the page bytes by vec.L2DistSqRows, four
-// entries per pass over one view of the page (no per-entry decode buffer
-// exists on this path; each distance is bit-identical to scoring its entry
-// alone), then filtered into out. The run stays pinned while it is scored
-// and is released on every exit.
+// scanSub reads a sub-partition's short sequential page run and appends its
+// entries inside the band to out. The first entry sits at layout position
+// startPos — page startPos/entriesPerPage, slot startPos%entriesPerPage —
+// and later entries continue across page boundaries and positions. The
+// whole run is one pager.Read: the pages a resident file keeps, or one
+// contiguous file read into sc.buf. Each page's share of the run is scored
+// straight from its bytes by vec.L2DistSqRows, four entries per pass over
+// one view of the page (no per-entry decode buffer exists on this path;
+// each distance is bit-identical to scoring its entry alone), then filtered
+// into out.
 func (idx *Index) scanSub(sub subPartition, q []float32, band scanBand, sc *scanScratch, io *pager.IOStats, out []Candidate) ([]Candidate, error) {
 	slot := sub.startPos % idx.entriesPerPage
 	nPages := (slot + sub.numPoints + idx.entriesPerPage - 1) / idx.entriesPerPage
 	var err error
-	sc.pages, err = idx.data.ReadRun(int64(sub.startPos/idx.entriesPerPage), nPages, sc.pages[:0], io)
+	sc.pages, sc.buf, err = idx.data.Read(int64(sub.startPos/idx.entriesPerPage), nPages, sc.pages[:0], sc.buf, io)
 	if err != nil {
 		return out, err
 	}
-	defer pager.ReleaseAll(sc.pages)
 	entrySize := 4 + vec.EncodedSize(idx.m)
 	pos := uint32(sub.startPos)
 	remaining := sub.numPoints
-	for _, pg := range sc.pages {
-		run := pg.Bytes()[slot*entrySize:]
+	for _, page := range sc.pages {
+		run := page[slot*entrySize:]
 		dist := sc.dist[:min(idx.entriesPerPage-slot, remaining)]
 		vec.L2DistSqRows(run[4:], entrySize, q, dist)
 		for i, x := range dist {

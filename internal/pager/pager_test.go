@@ -46,34 +46,30 @@ func randomPages(r *rand.Rand, n, pageSize int) [][]byte {
 	return pages
 }
 
-// readCopy reads page id and returns a copy of its bytes, releasing the pin
-// before it returns.
+// readCopy reads page id and returns a copy of its bytes.
 func readCopy(p *Pager, id int64, io *IOStats) ([]byte, error) {
-	pg, err := p.Read(id, io)
+	pages, _, err := p.Read(id, 1, nil, nil, io)
 	if err != nil {
 		return nil, err
 	}
-	defer pg.Release()
-	return bytes.Clone(pg.Bytes()), nil
+	return bytes.Clone(pages[0]), nil
 }
 
-// runCopy is readCopy for a ReadRun.
+// runCopy reads the n pages from first on and returns a copy of each.
 func runCopy(p *Pager, first int64, n int, io *IOStats) ([][]byte, error) {
-	run, err := p.ReadRun(first, n, nil, io)
+	pages, _, err := p.Read(first, n, nil, nil, io)
 	if err != nil {
 		return nil, err
 	}
-	defer ReleaseAll(run)
-	out := make([][]byte, len(run))
-	for i, pg := range run {
-		out[i] = bytes.Clone(pg.Bytes())
+	out := make([][]byte, n)
+	for i, pg := range pages {
+		out[i] = bytes.Clone(pg)
 	}
 	return out, nil
 }
 
-// newTestPager returns a cold pool over a finished file of n pages, each
-// stamped with its id in byte 0. Cleanup requires every pin to have been
-// released.
+// newTestPager returns a Pager over a finished file of n pages, each stamped
+// with its id in byte 0: resident when n is at most opts.PoolSize.
 func newTestPager(t testing.TB, opts Options, n int) *Pager {
 	t.Helper()
 	opts.normalize()
@@ -86,18 +82,13 @@ func newTestPager(t testing.TB, opts Options, n int) *Pager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		if n := p.Pinned(); n != 0 {
-			t.Errorf("%d pins still held at the end of the test", n)
-		}
-		p.Close()
-	})
+	t.Cleanup(func() { p.Close() })
 	return p
 }
 
 // TestAllocReadWriteRoundTrip: pages written in a random order read back
-// through the pool, and the Writer's deferred Close after Finish leaves the
-// pool's descriptor alone.
+// from a file read from disk, and the Writer's deferred Close after Finish
+// leaves the Pager's descriptor alone.
 func TestAllocReadWriteRoundTrip(t *testing.T) {
 	pages := randomPages(rand.New(rand.NewSource(1)), 9, 128)
 	w := writeFile(t, filepath.Join(t.TempDir(), "pages.db"), 128, pages, nil)
@@ -110,7 +101,7 @@ func TestAllocReadWriteRoundTrip(t *testing.T) {
 		t.Fatalf("Close after Finish: %v", err)
 	}
 	if p.PageSize() != 128 || p.NumPages() != 9 {
-		t.Fatalf("pool of %d pages of %d bytes, want 9 of 128", p.NumPages(), p.PageSize())
+		t.Fatalf("file of %d pages of %d bytes, want 9 of 128", p.NumPages(), p.PageSize())
 	}
 	for id, want := range pages {
 		got, err := readCopy(p, int64(id), nil)
@@ -207,10 +198,29 @@ func TestReadOutOfRange(t *testing.T) {
 	}
 }
 
+// TestWriteWrongSize: a write is a whole number of pages, all allocated.
 func TestWriteWrongSize(t *testing.T) {
 	w := writeFile(t, filepath.Join(t.TempDir(), "w.db"), 64, nil, nil)
 	if err := w.Write(w.Alloc(), make([]byte, 63)); err == nil {
 		t.Fatal("expected error for short write")
+	}
+	if err := w.Write(0, make([]byte, 65)); err == nil {
+		t.Fatal("expected error for a write of a page and a byte")
+	}
+	if err := w.Write(0, make([]byte, 128)); !errors.Is(err, ErrPageOutOfRange) {
+		t.Fatalf("writing two pages over one allocated returned %v", err)
+	}
+	w.Alloc()
+	if err := w.Write(0, bytes.Repeat([]byte{7}, 128)); err != nil {
+		t.Fatalf("writing two allocated pages: %v", err)
+	}
+	p, err := w.Finish(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if pages, err := runCopy(p, 0, 2, nil); err != nil || pages[0][63] != 7 || pages[1][0] != 7 {
+		t.Fatalf("two-page write read back %v, %v", pages, err)
 	}
 }
 
@@ -256,30 +266,39 @@ func TestOpenRejectsBadLength(t *testing.T) {
 	}
 }
 
+// TestStatsCounting: every page read is an access. A file read from disk
+// reads every run from the file, a miss per page and one file read per Read;
+// a resident file reads a run from the file until it keeps every page of it,
+// and serves it from memory (a hit per page) afterwards. ReadDirect reads
+// from the file whatever the residency, and keeps nothing.
 func TestStatsCounting(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64, PoolSize: 4}, 10)
-	for id := int64(0); id < 10; id++ {
-		if _, err := readCopy(p, id, nil); err != nil {
+	resident := newTestPager(t, Options{PageSize: 64, PoolSize: 10}, 10)
+	disk := newTestPager(t, Options{PageSize: 64, PoolSize: 9}, 10)
+	if !resident.Resident() || disk.Resident() {
+		t.Fatalf("resident %v, disk %v; want true, false", resident.Resident(), disk.Resident())
+	}
+	for _, p := range []*Pager{resident, disk} {
+		if _, err := p.ReadDirect(0, 10, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for id := int64(0); id < 10; id++ {
+				if _, err := readCopy(p, id, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := runCopy(p, 2, 5, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := p.Stats()
-	if s.Accesses != 10 {
-		t.Fatalf("Accesses = %d, want 10", s.Accesses)
+	// The direct read is 10 misses in one file read on both; the first pass
+	// over the resident file is 10 misses, the second and the run 15 hits.
+	if s := resident.Stats(); s != (Stats{Accesses: 35, Hits: 15, Misses: 20, FileReads: 11}) {
+		t.Fatalf("resident: %+v", s)
 	}
-	if s.Misses != 10 {
-		t.Fatalf("Misses = %d, want 10 (cold pool of size 4)", s.Misses)
-	}
-	// Re-reading the last 4 pages hits the pool: accesses grow, misses don't.
-	for id := int64(6); id < 10; id++ {
-		readCopy(p, id, nil)
-	}
-	s2 := p.Stats()
-	if s2.Accesses != 14 {
-		t.Fatalf("Accesses = %d, want 14", s2.Accesses)
-	}
-	if s2.Misses != 10 {
-		t.Fatalf("Misses = %d, want 10 (hits in pool)", s2.Misses)
+	if s := disk.Stats(); s != (Stats{Accesses: 35, Misses: 35, FileReads: 22}) {
+		t.Fatalf("disk: %+v", s)
 	}
 }
 
@@ -292,63 +311,51 @@ func TestStatsSub(t *testing.T) {
 	}
 }
 
-// TestLRUEvictionPreservesData: a pool of two pages over sixteen evicts
-// constantly, and dropping a page never costs its content.
-func TestLRUEvictionPreservesData(t *testing.T) {
-	want := randomPages(rand.New(rand.NewSource(8)), 16, 64)
-	p, err := writeFile(t, filepath.Join(t.TempDir(), "pages.db"), 64, want, nil).Finish(Options{PoolSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	for pass := 0; pass < 2; pass++ {
-		for i, data := range want {
-			got, err := readCopy(p, int64(i), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("pass %d: page %d corrupted by eviction", pass, i)
-			}
-		}
-	}
-	if s := p.Stats(); s.Evictions != 30 {
-		t.Fatalf("%d evictions, want 30 (32 misses into a pool of 2)", s.Evictions)
-	}
-}
-
+// TestConcurrentReaders: goroutines reading one file at once — resident,
+// where they race to keep each page, and read from disk — each read every
+// page's own bytes.
 func TestConcurrentReaders(t *testing.T) {
-	p := newTestPager(t, Options{PageSize: 64, PoolSize: 8}, 32)
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				id := int64((i*7 + g) % 32)
-				got, err := readCopy(p, id, nil)
-				if err != nil {
-					errs <- err
-					return
+	for _, pool := range []int{32, 8} {
+		p := newTestPager(t, Options{PageSize: 64, PoolSize: pool}, 32)
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var pages [][]byte
+				var buf []byte
+				for i := 0; i < 200; i++ {
+					id := int64((i*7 + g) % 32)
+					n := 1 + (i+g)%3
+					if id+int64(n) > 32 {
+						n = 1
+					}
+					var err error
+					if pages, buf, err = p.Read(id, n, pages[:0], buf, nil); err != nil {
+						errs <- err
+						return
+					}
+					for j, page := range pages {
+						if page[0] != byte(id+int64(j)) {
+							errs <- fmt.Errorf("pool %d goroutine %d: page %d corrupted: got[0]=%d", pool, g, id+int64(j), page[0])
+							return
+						}
+					}
 				}
-				if got[0] != byte(id) {
-					errs <- fmt.Errorf("goroutine %d: page %d corrupted: got[0]=%d, want %d", g, id, got[0], id)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("concurrent read failed: %v", err)
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("concurrent read failed: %v", err)
+		}
 	}
 }
 
 // Property: whatever order the pages were written in — rewrites of a page
-// included, the last one winning — and whatever the pool size, the pool reads
-// back exactly what the Writer was given.
+// included, the last one winning — and whatever the pool size, resident or
+// read from disk, the Pager reads back exactly what the Writer was given.
 func TestPropertyPoolTransparency(t *testing.T) {
 	f := func(seed int64, poolSize uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -516,65 +523,170 @@ func TestConcurrentPerQueryAccounting(t *testing.T) {
 	}
 }
 
-// TestReadDirect: the pool-bypassing read returns, for every page, the bytes
-// Read returns — on the pool Finish handed out and on the file reopened —
-// with one file read however many pages it spans, every page accounted as an
-// access and a miss, and the pool untouched.
+// TestReadDirect: ReadDirect fills the caller's buffer — grown when too
+// small, reused when not — with one file read however many pages it spans,
+// every page accounted as an access and a miss, whatever the residency; it
+// keeps nothing, so a Read of the same pages from a resident file still
+// misses. Both return the bytes written, on the Pager Finish handed out and
+// on the file reopened.
 func TestReadDirect(t *testing.T) {
-	const pageSize, pages, pool = 128, 40, 8
+	const pageSize, pages = 128, 40
 	path := filepath.Join(t.TempDir(), "pages.db")
 	content := make([][]byte, pages)
 	for id := range content {
 		content[id] = bytes.Repeat([]byte{byte(id + 1)}, pageSize)
 	}
-	p, err := writeFile(t, path, pageSize, content, nil).Finish(Options{PoolSize: pool})
+	p, err := writeFile(t, path, pageSize, content, nil).Finish(Options{PoolSize: pages})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, pages*pageSize)
 
 	check := func(name string, p *Pager) {
 		t.Helper()
 		before := p.Stats()
 		var io IOStats
-		if err := p.ReadDirect(0, buf, &io); err != nil {
+		run, err := p.ReadDirect(0, pages, make([]byte, pageSize), &io)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		delta := p.Stats().Sub(before)
-		if delta.Accesses != pages || delta.Misses != pages || delta.FileReads != 1 || delta.Hits != 0 || delta.Evictions != 0 {
+		if delta := p.Stats().Sub(before); delta != (Stats{Accesses: pages, Misses: pages, FileReads: 1}) {
 			t.Fatalf("%s: direct read of %d pages recorded %+v", name, pages, delta)
 		}
 		if io.Pages() != pages || io.Reads != pages {
 			t.Fatalf("%s: IOStats saw %d pages in %d reads, want %d", name, io.Pages(), io.Reads, pages)
 		}
-		for id := int64(0); id < pages; id++ {
-			want, err := readCopy(p, id, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf[id*pageSize:(id+1)*pageSize], want) {
-				t.Fatalf("%s: page %d differs from Read", name, id)
+		for id := range pages {
+			if !bytes.Equal(run[id*pageSize:(id+1)*pageSize], content[id]) {
+				t.Fatalf("%s: page %d differs from what was written", name, id)
 			}
 		}
-		// A run in the middle, and the refusals.
-		if err := p.ReadDirect(7, buf[:3*pageSize], nil); err != nil || buf[0] != 8 || buf[2*pageSize] != 10 {
-			t.Fatalf("%s: direct read of pages [7,10): err=%v first bytes %d, %d", name, err, buf[0], buf[2*pageSize])
+		before = p.Stats()
+		if _, err := readCopy(p, 5, nil); err != nil {
+			t.Fatal(err)
 		}
-		if err := p.ReadDirect(pages-1, buf[:2*pageSize], nil); !errors.Is(err, ErrPageOutOfRange) {
-			t.Fatalf("%s: direct read past the end returned %v", name, err)
+		if d := p.Stats().Sub(before); d.Misses != 1 {
+			t.Fatalf("%s: a Read after the direct read recorded %+v: the direct read kept a page", name, d)
 		}
-		if err := p.ReadDirect(0, buf[:pageSize+1], nil); err == nil {
-			t.Fatalf("%s: direct read of a partial page succeeded", name)
+		// A run in the middle into a buffer large enough, and the refusals.
+		big := make([]byte, 4*pageSize)
+		if run, err := p.ReadDirect(7, 3, big, nil); err != nil || len(run) != 3*pageSize || run[0] != 8 || run[2*pageSize] != 10 || &run[0] != &big[0] {
+			t.Fatalf("%s: read of pages [7,10): err=%v", name, err)
+		}
+		if _, err := p.ReadDirect(pages-1, 2, nil, nil); !errors.Is(err, ErrPageOutOfRange) {
+			t.Fatalf("%s: read past the end returned %v", name, err)
 		}
 	}
 	check("finished", p)
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := Open(path, Options{PageSize: pageSize, PoolSize: pool})
-	if err != nil {
-		t.Fatal(err)
+	for _, pool := range []int{pages - 1, pages} {
+		reopened, err := Open(path, Options{PageSize: pageSize, PoolSize: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("reopened with a %d-page budget", pool), reopened)
+		reopened.Close()
 	}
-	defer reopened.Close()
-	check("reopened", reopened)
+}
+
+// TestReadRunBasics covers a read of a run of pages, on a resident file
+// and on one read from disk: its pages, where they live and their
+// accounting, and the error cases.
+func TestReadRunBasics(t *testing.T) {
+	const n = 64
+	for _, pool := range []int{n, n - 1} {
+		p := newTestPager(t, Options{PageSize: 64, PoolSize: pool}, n)
+		var io IOStats
+		buf := make([]byte, 0, 20*64)
+		for pass := 0; pass < 2; pass++ {
+			var pages [][]byte
+			var err error
+			if pages, buf, err = p.Read(3, 20, nil, buf, &io); err != nil {
+				t.Fatal(err)
+			}
+			for i, page := range pages {
+				if len(page) != 64 || page[0] != byte(3+i) {
+					t.Fatalf("pool %d: run page %d (id %d) corrupted", pool, i, 3+i)
+				}
+				// A resident file's pages are its own copies; a file read from
+				// disk reads into the caller's buffer.
+				if inBuf := &page[0] == &buf[i*64]; inBuf == p.Resident() {
+					t.Fatalf("pool %d pass %d: page %d in the caller's buffer: %v", pool, pass, i, inBuf)
+				}
+			}
+		}
+		if io.Reads != 40 || io.Pages() != 20 {
+			t.Fatalf("pool %d: io: Reads=%d Pages=%d, want 40/20", pool, io.Reads, io.Pages())
+		}
+		if _, _, err := p.Read(-1, 2, nil, nil, nil); err == nil {
+			t.Fatal("expected error for negative first page")
+		}
+		if _, _, err := p.Read(n-1, 2, nil, nil, nil); err == nil {
+			t.Fatal("expected error for run past the end")
+		}
+		if _, _, err := p.Read(2, -1, nil, nil, nil); err == nil {
+			t.Fatal("expected error for a negative page count")
+		}
+		if out, _, err := p.Read(5, 0, nil, nil, nil); err != nil || len(out) != 0 {
+			t.Fatalf("empty run: %v, %d pages", err, len(out))
+		}
+	}
+}
+
+// TestReadRunSeesWrites: a page the Writer wrote twice (as the iDistance ring
+// writer re-flushes the page the next ring continues on) reads back with its
+// last content, from the file and from memory.
+func TestReadRunSeesWrites(t *testing.T) {
+	stale, fresh := bytes.Repeat([]byte{0x11}, 64), bytes.Repeat([]byte{0xEE}, 64)
+	for _, pool := range []int{3, 2} {
+		w := writeFile(t, filepath.Join(t.TempDir(), "pages.db"), 64, [][]byte{stale, stale, stale}, nil)
+		if err := w.Write(1, fresh); err != nil {
+			t.Fatal(err)
+		}
+		p, err := w.Finish(Options{PoolSize: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			pages, err := runCopy(p, 0, 3, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pages[0], stale) || !bytes.Equal(pages[1], fresh) || !bytes.Equal(pages[2], stale) {
+				t.Fatalf("pool %d pass %d: the run is not the last write of each page", pool, pass)
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestReadRunAgainstRandomReads cross-checks runs against single-page reads
+// under random interleaving, on a resident file that keeps pages as they
+// are read (runs partly kept included) and on one read from disk through
+// one reused buffer.
+func TestReadRunAgainstRandomReads(t *testing.T) {
+	const n = 40
+	for _, pool := range []int{n, 4} {
+		p := newTestPager(t, Options{PageSize: 64, PoolSize: pool}, n)
+		rng := rand.New(rand.NewSource(77))
+		var pages [][]byte
+		var buf []byte
+		for trial := 0; trial < 300; trial++ {
+			first := int64(rng.Intn(n))
+			length := 1
+			if rng.Intn(2) == 0 {
+				length += rng.Intn(int(int64(n) - first))
+			}
+			var err error
+			if pages, buf, err = p.Read(first, length, pages[:0], buf, nil); err != nil {
+				t.Fatal(err)
+			}
+			for i, page := range pages {
+				if page[0] != byte(first+int64(i)) {
+					t.Fatalf("pool %d trial %d: run page id %d corrupted", pool, trial, first+int64(i))
+				}
+			}
+		}
+	}
 }

@@ -6,10 +6,9 @@ import (
 )
 
 // Writer creates a page file. Pages are allocated in id order and written in
-// any order, each Write going straight to the file — there is no pool in
-// front of a file under construction. Finish makes the file durable and
-// turns it into a Pager; until then nothing can read it, so a finished file
-// never has pages its readers cannot see.
+// any order, each Write going straight to the file. Finish makes the file
+// durable and turns it into a Pager; until then nothing can read it, so a
+// finished file never has pages its readers cannot see.
 type Writer struct {
 	f        *os.File // nil once Finish or Close has run
 	pageSize int
@@ -41,17 +40,19 @@ func (w *Writer) Alloc() int64 {
 	return w.numPages - 1
 }
 
-// Write sets the content of the allocated page id. data must be exactly one
-// page; writing a page again replaces it.
+// Write sets the content of the allocated pages from id on: data is a whole
+// number of pages, written with one WriteAt. Writing a page again replaces
+// it.
 func (w *Writer) Write(id int64, data []byte) error {
-	if len(data) != w.pageSize {
-		return fmt.Errorf("pager: write of %d bytes, want %d", len(data), w.pageSize)
+	n := int64(len(data) / w.pageSize)
+	if n == 0 || len(data)%w.pageSize != 0 {
+		return fmt.Errorf("pager: write of %d bytes is not a whole number of %d-byte pages", len(data), w.pageSize)
 	}
-	if id < 0 || id >= w.numPages {
-		return fmt.Errorf("%w: %d (have %d)", ErrPageOutOfRange, id, w.numPages)
+	if id < 0 || id+n > w.numPages {
+		return fmt.Errorf("%w: write [%d,%d) (have %d)", ErrPageOutOfRange, id, id+n, w.numPages)
 	}
 	if _, err := w.f.WriteAt(data, id*int64(w.pageSize)); err != nil {
-		return fmt.Errorf("pager: write page %d: %w", id, err)
+		return fmt.Errorf("pager: write pages [%d,%d): %w", id, id+n, err)
 	}
 	return nil
 }

@@ -432,9 +432,10 @@ func (ix *Index) writeRotation(w *pager.Writer, vs [][]float64) (int64, error) {
 	return first, flush()
 }
 
-// readRotateResidual reads cell c's rotation matrix from disk and returns
-// R·(x − centroid_c).
-func (ix *Index) readRotateResidual(c int, x []float32) ([]float32, error) {
+// readRotateResidual reads cell c's rotation matrix from disk, in one read
+// of its pages, and returns R·(x − centroid_c). pages and buf are the
+// read's scratch, returned for reuse; the page reads are recorded in io.
+func (ix *Index) readRotateResidual(c int, x []float32, pages [][]byte, buf []byte, io *pager.IOStats) ([]float32, [][]byte, []byte, error) {
 	D := ix.padded
 	res := make([]float64, D)
 	cent := ix.cellCents[c]
@@ -442,13 +443,12 @@ func (ix *Index) readRotateResidual(c int, x []float32) ([]float32, error) {
 		res[j] = float64(x[j]) - float64(cent[j])
 	}
 	out := make([]float32, D)
+	pages, buf, err := ix.rotPg.Read(ix.cells[c].rotStart, (D+ix.rotRowsPerPage-1)/ix.rotRowsPerPage, pages[:0], buf, io)
+	if err != nil {
+		return nil, pages, buf, err
+	}
 	rowsDone := 0
-	for pid := ix.cells[c].rotStart; rowsDone < D; pid++ {
-		pg, err := ix.rotPg.Read(pid, nil)
-		if err != nil {
-			return nil, err
-		}
-		page := pg.Bytes()
+	for _, page := range pages {
 		rows := ix.rotRowsPerPage
 		if D-rowsDone < rows {
 			rows = D - rowsDone
@@ -461,10 +461,9 @@ func (ix *Index) readRotateResidual(c int, x []float32) ([]float32, error) {
 			}
 			out[rowsDone+r] = float32(s)
 		}
-		pg.Release()
 		rowsDone += rows
 	}
-	return out, nil
+	return out, pages, buf, nil
 }
 
 // Name implements mips.Method.
@@ -496,14 +495,7 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 	if k > ix.n {
 		k = ix.n
 	}
-	pagers := []*pager.Pager{ix.rotPg, ix.listPg}
-	if ix.orig != nil {
-		pagers = append(pagers, ix.orig.Pager())
-	}
-	for _, pg := range pagers {
-		pg.DropPool()
-		pg.ResetStats()
-	}
+	var io pager.IOStats
 	var qs mips.QueryStats
 
 	normQ := vec.Norm2(q)
@@ -567,27 +559,28 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 		lut[s] = make([]float64, len(ix.codebooks[s]))
 	}
 	probe := ix.cfg.ProbeCells
+	var pages [][]byte
+	var buf []byte
 	for pi := 0; pi < probe && pi < len(cd); pi++ {
 		c := cd[pi].c
 		meta := ix.cells[c]
 		if meta.count == 0 {
 			continue
 		}
-		rq, err := ix.readRotateResidual(c, qt)
-		if err != nil {
+		var rq []float32
+		var err error
+		if rq, pages, buf, err = ix.readRotateResidual(c, qt, pages, buf, &io); err != nil {
 			return nil, qs, err
 		}
 		for s := 0; s < ix.cfg.Subspaces; s++ {
 			lo := s * ix.subDim
 			vec.L2DistSqEach(ix.codebooks[s], rq[lo:lo+ix.subDim], lut[s])
 		}
+		if pages, buf, err = ix.listPg.Read(meta.listStart, (meta.count+ix.entriesPerPage-1)/ix.entriesPerPage, pages[:0], buf, &io); err != nil {
+			return nil, qs, err
+		}
 		remaining := meta.count
-		for pid := meta.listStart; remaining > 0; pid++ {
-			pg, err := ix.listPg.Read(pid, nil)
-			if err != nil {
-				return nil, qs, err
-			}
-			page := pg.Bytes()
+		for _, page := range pages {
 			inPage := ix.entriesPerPage
 			if remaining < inPage {
 				inPage = remaining
@@ -602,7 +595,6 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 				qs.Candidates++
 				offer(scored{id: id, pos: meta.origStart + meta.count - remaining + e, dSq: dSq})
 			}
-			pg.Release()
 			remaining -= inPage
 		}
 	}
@@ -610,10 +602,10 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 	var out []mips.Result
 	if ix.orig != nil {
 		// Rerank the ADC shortlist with exact inner products.
-		buf := make([]float32, ix.d)
+		v := make([]float32, ix.d)
 		top := mips.NewTopK(k)
 		for _, b := range best {
-			o, err := ix.orig.VectorAt(b.pos, buf, nil)
+			o, err := ix.orig.VectorAt(b.pos, v, &io)
 			if err != nil {
 				return nil, qs, err
 			}
@@ -626,9 +618,7 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 			out[i] = mips.Result{ID: b.id, IP: ix.lambda * normQ * (1 - b.dSq/2)}
 		}
 	}
-	for _, pg := range pagers {
-		qs.PageAccesses += pg.Stats().Misses
-	}
+	qs.PageAccesses = io.Pages()
 	return out, qs, nil
 }
 

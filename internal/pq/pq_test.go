@@ -77,7 +77,7 @@ func TestRotationMatrixMatchesHouseholders(t *testing.T) {
 	qn := vec.Norm2(q)
 	qt := qnfTransform(q, qn, ix.lambda, ix.padded)
 	for c := 0; c < ix.Cells(); c++ {
-		rot, err := ix.readRotateResidual(c, qt)
+		rot, _, _, err := ix.readRotateResidual(c, qt, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

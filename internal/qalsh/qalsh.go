@@ -214,26 +214,46 @@ func (idx *Index) IndexSizeBytes() int64 {
 // Pager exposes the table pager for I/O accounting.
 func (idx *Index) Pager() *pager.Pager { return idx.pg }
 
+// tableReader reads table entries for one search, recording its page reads
+// in io. It keeps the page of the last entry read: the cursors of a search
+// walk a table an entry at a time, so consecutive entries mostly share a
+// page, and a table file read from disk then reads that page once.
+type tableReader struct {
+	idx   *Index
+	io    *pager.IOStats
+	pid   int64 // the page in pages[0]; -1 before the first read
+	pages [][]byte
+	buf   []byte
+}
+
+func (idx *Index) reader(io *pager.IOStats) *tableReader {
+	return &tableReader{idx: idx, io: io, pid: -1}
+}
+
 // entry reads entry j of table t.
-func (idx *Index) entry(t int, j int) (float64, uint32, error) {
-	pid := idx.tableStart[t] + int64(j/idx.entriesPerPage)
-	page, err := idx.pg.Read(pid, nil)
-	if err != nil {
-		return 0, 0, err
+func (r *tableReader) entry(t int, j int) (float64, uint32, error) {
+	idx := r.idx
+	if pid := idx.tableStart[t] + int64(j/idx.entriesPerPage); pid != r.pid {
+		var err error
+		if r.pages, r.buf, err = idx.pg.Read(pid, 1, r.pages[:0], r.buf, r.io); err != nil {
+			r.pid = -1
+			return 0, 0, err
+		}
+		r.pid = pid
 	}
-	defer page.Release()
 	off := (j % idx.entriesPerPage) * entrySize
-	return math.Float64frombits(binary.LittleEndian.Uint64(page.Bytes()[off:])),
-		binary.LittleEndian.Uint32(page.Bytes()[off+8:]), nil
+	page := r.pages[0]
+	return math.Float64frombits(binary.LittleEndian.Uint64(page[off:])),
+		binary.LittleEndian.Uint32(page[off+8:]), nil
 }
 
 // lowerBound returns the first entry index of table t whose projection is
 // ≥ x (binary search over disk pages).
-func (idx *Index) lowerBound(t int, x float64) (int, error) {
-	lo, hi := 0, idx.n
+func (r *tableReader) lowerBound(t int, x float64) (int, error) {
+	lo, hi := 0, r.idx.n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		p, _, err := idx.entry(t, mid)
+		p, _, err := r.entry(t, mid)
 		if err != nil {
 			return 0, err
 		}
@@ -249,8 +269,9 @@ func (idx *Index) lowerBound(t int, x float64) (int, error) {
 // Search runs c-k-ANN with virtual rehashing. verify maps a candidate id
 // to its true distance (the H2-ALSH wrapper reads the original vector and
 // converts the inner product; its page accesses land on its own pager).
-// Returns the k nearest verified candidates by oracle distance.
-func (idx *Index) Search(q []float32, k int, verify func(id uint32) (float64, error)) ([]Neighbor, error) {
+// Returns the k nearest verified candidates by oracle distance. The table
+// page reads are recorded in io (nil discards the accounting).
+func (idx *Index) Search(q []float32, k int, io *pager.IOStats, verify func(id uint32) (float64, error)) ([]Neighbor, error) {
 	if len(q) != idx.d {
 		return nil, fmt.Errorf("qalsh: query dim %d, want %d", len(q), idx.d)
 	}
@@ -259,6 +280,7 @@ func (idx *Index) Search(q []float32, k int, verify func(id uint32) (float64, er
 	}
 
 	// Query projections and initial cursors.
+	tables := idx.reader(io)
 	pos := make([]float64, idx.K)
 	left := make([]int, idx.K)  // next entry to the left (descending)
 	right := make([]int, idx.K) // next entry to the right (ascending)
@@ -269,7 +291,7 @@ func (idx *Index) Search(q []float32, k int, verify func(id uint32) (float64, er
 			s += float64(v) * float64(q[j])
 		}
 		pos[t] = s
-		lb, err := idx.lowerBound(t, s)
+		lb, err := tables.lowerBound(t, s)
 		if err != nil {
 			return nil, err
 		}
@@ -304,7 +326,7 @@ func (idx *Index) Search(q []float32, k int, verify func(id uint32) (float64, er
 		for t := 0; t < idx.K; t++ {
 			// Extend the bucket [pos−half, pos+half] on both sides.
 			for left[t] >= 0 {
-				p, id, err := idx.entry(t, left[t])
+				p, id, err := tables.entry(t, left[t])
 				if err != nil {
 					return nil, err
 				}
@@ -321,7 +343,7 @@ func (idx *Index) Search(q []float32, k int, verify func(id uint32) (float64, er
 				}
 			}
 			for right[t] < idx.n {
-				p, id, err := idx.entry(t, right[t])
+				p, id, err := tables.entry(t, right[t])
 				if err != nil {
 					return nil, err
 				}

@@ -20,7 +20,7 @@ func TestSearchDrainsTables(t *testing.T) {
 	defer idx.Close()
 	q := randData(r, 1, 8)[0]
 	verify := func(id uint32) (float64, error) { return vec.L2Dist(data[id], q), nil }
-	got, err := idx.Search(q, 1, verify)
+	got, err := idx.Search(q, 1, nil, verify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestBudgetBoundsVerification(t *testing.T) {
 		verified++
 		return vec.L2Dist(data[id], q), nil
 	}
-	if _, err := idx.Search(q, 5, verify); err != nil {
+	if _, err := idx.Search(q, 5, nil, verify); err != nil {
 		t.Fatal(err)
 	}
 	// Budget is BetaCount + k; the final round may overshoot by the points
@@ -77,7 +77,7 @@ func TestIdenticalProjectionsHandled(t *testing.T) {
 	defer idx.Close()
 	q := []float32{1, 2, 3}
 	verify := func(id uint32) (float64, error) { return 0, nil }
-	got, err := idx.Search(q, 3, verify)
+	got, err := idx.Search(q, 3, nil, verify)
 	if err != nil {
 		t.Fatal(err)
 	}

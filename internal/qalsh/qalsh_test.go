@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"promips/internal/pager"
 	"promips/internal/vec"
 )
 
@@ -66,7 +67,7 @@ func TestBuildProperties(t *testing.T) {
 	for tb := 0; tb < idx.Tables(); tb++ {
 		prev := math.Inf(-1)
 		for j := 0; j < 500; j++ {
-			p, _, err := idx.entry(tb, j)
+			p, _, err := idx.reader(nil).entry(tb, j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,18 +89,18 @@ func TestLowerBound(t *testing.T) {
 	defer idx.Close()
 	// lowerBound(x) must be the first j with proj[j] >= x.
 	for _, x := range []float64{-100, -1, 0, 1, 100} {
-		j, err := idx.lowerBound(0, x)
+		j, err := idx.reader(nil).lowerBound(0, x)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if j > 0 {
-			p, _, _ := idx.entry(0, j-1)
+			p, _, _ := idx.reader(nil).entry(0, j-1)
 			if p >= x {
 				t.Fatalf("lowerBound(%v)=%d but entry %d has proj %v", x, j, j-1, p)
 			}
 		}
 		if j < 300 {
-			p, _, _ := idx.entry(0, j)
+			p, _, _ := idx.reader(nil).entry(0, j)
 			if p < x {
 				t.Fatalf("lowerBound(%v)=%d but proj there is %v", x, j, p)
 			}
@@ -136,7 +137,7 @@ func TestSearchCANNQuality(t *testing.T) {
 		verify := func(id uint32) (float64, error) {
 			return vec.L2Dist(data[id], q), nil
 		}
-		got, err := idx.Search(q, 1, verify)
+		got, err := idx.Search(q, 1, nil, verify)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +170,7 @@ func TestSearchTopKSortedAndUnique(t *testing.T) {
 	defer idx.Close()
 	q := randData(r, 1, 12)[0]
 	verify := func(id uint32) (float64, error) { return vec.L2Dist(data[id], q), nil }
-	got, err := idx.Search(q, 10, verify)
+	got, err := idx.Search(q, 10, nil, verify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestSearchQueryDimMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	if _, err := idx.Search(make([]float32, 7), 1, nil); err == nil {
+	if _, err := idx.Search(make([]float32, 7), 1, nil, nil); err == nil {
 		t.Fatal("expected dim mismatch error")
 	}
 }
@@ -210,13 +211,12 @@ func TestPageAccessesGrowWithWork(t *testing.T) {
 	}
 	defer idx.Close()
 	q := randData(r, 1, 12)[0]
-	idx.Pager().DropPool()
-	idx.Pager().ResetStats()
+	var io pager.IOStats
 	verify := func(id uint32) (float64, error) { return vec.L2Dist(data[id], q), nil }
-	if _, err := idx.Search(q, 10, verify); err != nil {
+	if _, err := idx.Search(q, 10, &io, verify); err != nil {
 		t.Fatal(err)
 	}
-	if idx.Pager().Stats().Misses == 0 {
+	if io.Pages() == 0 {
 		t.Fatal("search touched no pages")
 	}
 }

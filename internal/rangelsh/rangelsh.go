@@ -239,9 +239,7 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 	if k > ix.n {
 		k = ix.n
 	}
-	pg := ix.orig.Pager()
-	pg.DropPool()
-	pg.ResetStats()
+	var io pager.IOStats
 	var qs mips.QueryStats
 
 	normQ := vec.Norm2(q)
@@ -284,7 +282,9 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 	if budget < 10*k {
 		budget = 10 * k
 	}
-	buf := make([]float32, ix.d)
+	o := make([]float32, ix.d)
+	var buf []byte
+	var rows [][]byte
 	for _, rb := range rankedBuckets {
 		kth, full := top.Kth()
 		if full && rb.bound <= kth {
@@ -294,17 +294,18 @@ func (ix *Index) Search(q []float32, k int) ([]mips.Result, mips.QueryStats, err
 			break
 		}
 		b := ix.buckets[rb.bi]
-		for pos := b.startPos; pos < b.startPos+b.count; pos++ {
-			o, err := ix.orig.VectorAt(pos, buf, nil)
-			if err != nil {
-				return nil, qs, err
-			}
+		var err error
+		if buf, rows, err = ix.orig.RowsAt(b.startPos, b.count, buf, rows, &io); err != nil {
+			return nil, qs, err
+		}
+		for i, row := range rows {
+			o = vec.Decode(row, ix.d, o)
 			qs.Candidates++
-			top.Offer(ix.order[pos], vec.Dot(o, q))
+			top.Offer(ix.order[b.startPos+i], vec.Dot(o, q))
 		}
 	}
 
-	qs.PageAccesses = pg.Stats().Misses
+	qs.PageAccesses = io.Pages()
 	return append([]mips.Result(nil), top.Results()...), qs, nil
 }
 

@@ -67,11 +67,11 @@ func walkDots(t *testing.T, st *Store, q []float32) []float64 {
 	return ips
 }
 
-// TestScanRowsMatchesDotAt: the walk visits every position once, its rows
-// score bit-identically to DotAt, and it reads around the pool whatever the
-// pool's size — one miss per data page, one file read per chunk, nothing
-// installed, evicted or left pinned — on a store its pool holds, on one far
-// larger than its pool as Finalize returned it, and on that file reopened.
+// TestScanRowsMatchesDotAt: the walk visits every position once and its rows
+// score bit-identically to DotAt, and it reads from the file whatever the
+// pool's size — one miss per data page, one file read per chunk, no page
+// kept — on a store its pool holds, on one far larger than its pool as
+// Finalize returned it, and on that file reopened.
 func TestScanRowsMatchesDotAt(t *testing.T) {
 	resident, data := buildRandomStore(t, scanN, scanDim, scanPageSize) // default pool: 1024 pages
 	finalized, path := smallPoolStore(t, data)
@@ -87,21 +87,16 @@ func TestScanRowsMatchesDotAt(t *testing.T) {
 		if delta := st.Pager().Stats().Sub(before); delta != want {
 			t.Fatalf("%s: walk of %d data pages recorded %+v, want %+v", name, dataPages, delta, want)
 		}
-		if n := st.Pager().Pinned(); n != 0 {
-			t.Fatalf("%s: %d pins held after the walk", name, n)
-		}
-		// Nothing was installed: every data page, the last ones first, is a
-		// miss when read through the pool now.
+		// Nothing was kept: every data page, the last ones first, is a miss
+		// when read now.
 		before = st.Pager().Stats()
 		for pid := st.firstData + dataPages - 1; pid >= st.firstData; pid-- {
-			page, err := st.Pager().Read(pid, nil)
-			if err != nil {
+			if _, _, err := st.Pager().Read(pid, 1, nil, nil, nil); err != nil {
 				t.Fatal(err)
 			}
-			page.Release()
 		}
 		if hits := st.Pager().Stats().Sub(before).Hits; hits != 0 {
-			t.Fatalf("%s: %d pages the walk read were in the pool", name, hits)
+			t.Fatalf("%s: %d pages the walk read were kept", name, hits)
 		}
 		for pos := range got {
 			want, _, err := st.DotAt(pos, q, nil, nil)
@@ -129,8 +124,7 @@ func TestScanRowsMatchesDotAt(t *testing.T) {
 // TestScanRowsCancel: a context cancelled mid-walk stops it and returns
 // context.Canceled. Every worker of the pool finishes at most the chunk it
 // holds, so a walk of more chunks than there are workers, cancelled in its
-// first visit, visits no more than a chunk per worker. (The pool bypass
-// needs no refusal of its own: a Store only exists over a finished file.)
+// first visit, visits no more than a chunk per worker.
 func TestScanRowsCancel(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	chunkRows := scanChunkBytes / scanPageSize * (scanPageSize / (4 * scanDim))

@@ -40,14 +40,16 @@ type Store struct {
 	firstData int64 // page of position 0: 1, or past a PVS1 file's table
 }
 
-// Writer builds a Store by appending vectors in layout order.
+// Writer builds a Store by appending vectors in layout order. It fills
+// scanChunkBytes of pages before it writes them, so a store costs one write
+// per chunk rather than one per page.
 type Writer struct {
-	st   *Store // pg is set by Finalize
-	pw   *pager.Writer
-	opts pager.Options
-	next int
-	page []byte
-	cur  int64
+	st    *Store // pg is set by Finalize
+	pw    *pager.Writer
+	opts  pager.Options
+	next  int
+	buf   []byte // the pages from first on, allocated and not yet written
+	first int64
 }
 
 // Create starts a new store file for n vectors of the given dimension.
@@ -72,7 +74,8 @@ func Create(path string, dim, n int, opts pager.Options) (*Writer, error) {
 	}
 	pw.Alloc() // the header, written by Finalize
 	st := &Store{dim: dim, n: n, perPage: perPage, firstData: 1}
-	return &Writer{st: st, pw: pw, opts: opts, page: make([]byte, opts.PageSize), cur: -1}, nil
+	buf := make([]byte, 0, max(1, scanChunkBytes/opts.PageSize)*opts.PageSize)
+	return &Writer{st: st, pw: pw, opts: opts, buf: buf, first: 1}, nil
 }
 
 // Append writes v at the next layout position.
@@ -84,15 +87,18 @@ func (w *Writer) Append(v []float32) error {
 	if len(v) != st.dim {
 		return fmt.Errorf("store: vector dim %d, want %d", len(v), st.dim)
 	}
-	slot := w.next % st.perPage
+	slot, pageSize := w.next%st.perPage, w.pw.PageSize()
 	if slot == 0 {
-		if err := w.flush(); err != nil {
-			return err
+		if len(w.buf) == cap(w.buf) {
+			if err := w.flush(); err != nil {
+				return err
+			}
 		}
-		w.cur = w.pw.Alloc()
-		clear(w.page)
+		w.pw.Alloc()
+		w.buf = w.buf[:len(w.buf)+pageSize]
+		clear(w.buf[len(w.buf)-pageSize:])
 	}
-	vec.Encode(w.page[slot*vec.EncodedSize(st.dim):], v)
+	vec.Encode(w.buf[len(w.buf)-pageSize+slot*vec.EncodedSize(st.dim):], v)
 	w.next++
 	return nil
 }
@@ -101,11 +107,17 @@ func (w *Writer) Append(v []float32) error {
 // Finalize the file belongs to the Store and Close does nothing.
 func (w *Writer) Close() error { return w.pw.Close() }
 
+// flush writes the buffered pages and empties the buffer.
 func (w *Writer) flush() error {
-	if w.cur < 0 {
+	if len(w.buf) == 0 {
 		return nil
 	}
-	return w.pw.Write(w.cur, w.page)
+	if err := w.pw.Write(w.first, w.buf); err != nil {
+		return err
+	}
+	w.first += int64(len(w.buf) / w.pw.PageSize())
+	w.buf = w.buf[:0]
+	return nil
 }
 
 // Finalize writes the header and returns the readable Store. The Writer
@@ -118,7 +130,7 @@ func (w *Writer) Finalize() (*Store, error) {
 	if err := w.flush(); err != nil {
 		return nil, err
 	}
-	header := make([]byte, len(w.page))
+	header := make([]byte, w.pw.PageSize())
 	binary.LittleEndian.PutUint32(header, storeMagic)
 	binary.LittleEndian.PutUint32(header[4:], uint32(st.dim))
 	binary.LittleEndian.PutUint32(header[8:], uint32(st.n))
@@ -153,12 +165,11 @@ func Open(path string, opts pager.Options) (*Store, error) {
 // readHeader decodes and checks page 0 of pg. The page arithmetic is int64:
 // the header's fields are uint32 and a 32-bit int cannot hold every one.
 func readHeader(pg *pager.Pager) (*Store, error) {
-	hp, err := pg.Read(0, nil)
+	pages, _, err := pg.Read(0, 1, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer hp.Release()
-	header := hp.Bytes()
+	header := pages[0]
 	if len(header) < headerBytes {
 		return nil, fmt.Errorf("store: %d-byte page holds no header: %w", len(header), errs.ErrCorruptIndex)
 	}
@@ -199,21 +210,19 @@ func (s *Store) Pager() *pager.Pager { return s.pg }
 // SizeBytes returns the on-disk size of the store file.
 func (s *Store) SizeBytes() int64 { return s.pg.SizeBytes() }
 
-// VectorAt reads the vector at a layout position (one page access; pages
-// shared by nearby positions hit the buffer pool). dst is reused when large
-// enough. The page read is recorded in io (nil discards the accounting).
+// VectorAt reads the vector at a layout position (one page access). dst is
+// reused when large enough. The page read is recorded in io (nil discards
+// the accounting).
 func (s *Store) VectorAt(posn int, dst []float32, io *pager.IOStats) ([]float32, error) {
 	if posn < 0 || posn >= s.n {
 		return nil, fmt.Errorf("store: position %d out of range [0,%d)", posn, s.n)
 	}
-	pid := s.firstData + int64(posn/s.perPage)
-	page, err := s.pg.Read(pid, io)
+	var one [1][]byte
+	pages, _, err := s.pg.Read(s.firstData+int64(posn/s.perPage), 1, one[:0], nil, io)
 	if err != nil {
 		return nil, err
 	}
-	defer page.Release()
-	off := (posn % s.perPage) * vec.EncodedSize(s.dim)
-	return vec.Decode(page.Bytes()[off:], s.dim, dst), nil
+	return vec.Decode(pages[0][(posn%s.perPage)*vec.EncodedSize(s.dim):], s.dim, dst), nil
 }
 
 // NoteAt records the page of layout position posn in io (pager.Note): the

@@ -155,16 +155,14 @@ func TestPageLocalityOfAdjacentPositions(t *testing.T) {
 	}
 	// 256B pages, 8 dims → 8 vectors per page (8*32=256).
 	st := buildStore(t, dim, n, 256, order, vecs)
-	pg := st.Pager()
-	pg.DropPool()
-	pg.ResetStats()
+	var io pager.IOStats
 	for pos := 0; pos < 8; pos++ {
-		if _, err := st.VectorAt(pos, nil, nil); err != nil {
+		if _, err := st.VectorAt(pos, nil, &io); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if misses := pg.Stats().Misses; misses != 1 {
-		t.Fatalf("reading 8 adjacent vectors cost %d page misses, want 1", misses)
+	if pages := io.Pages(); pages != 1 {
+		t.Fatalf("reading 8 adjacent vectors touched %d pages, want 1", pages)
 	}
 }
 

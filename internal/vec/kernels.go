@@ -35,8 +35,8 @@ var hostLittleEndian = func() bool {
 // copying, and ok=true, when the host is little-endian and buf is 4-byte
 // aligned. Otherwise ok=false and the caller must fall back to Decode (or a
 // fused *Bytes kernel). The view shares memory with buf: it is read-only
-// and valid exactly as long as buf is — for pager pages, until the holder
-// releases the pager.Page (see the pager's pin contract).
+// and valid exactly as long as buf is — for pager pages, as long as the
+// Pager of a resident file, or until the caller reuses its read buffer.
 func F32View(buf []byte, dim int) ([]float32, bool) {
 	if dim == 0 {
 		return nil, true

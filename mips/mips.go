@@ -16,10 +16,7 @@ type Result struct {
 type QueryStats struct {
 	// PageAccesses counts distinct disk pages touched during the query —
 	// the paper's Page Access metric, identical accounting for every
-	// method. ProMIPS accumulates it in a per-query pager.IOStats; the
-	// single-threaded baselines still measure it as buffer-pool misses
-	// against a pool dropped at query start (the two agree whenever the
-	// pool holds the query's working set).
+	// method: every method accumulates it in a per-query pager.IOStats.
 	PageAccesses int64
 	// Candidates is the number of points the method examined/verified.
 	Candidates int

@@ -100,16 +100,17 @@ type Options struct {
 	// fit in one page: use larger pages for very high dimensions, as the
 	// paper does for P53 (64KB).
 	PageSize int
-	// PoolSize is the per-file buffer pool capacity in pages (default
-	// 1024). A pool too small to hold the vector store is not used for its
-	// reads at all: its verifications and scans read the file directly, and
-	// the in-memory int8 copy of the store, which every index has whatever
-	// its PoolSize, settles most verifications without a read. Such a store
-	// makes the verifications that do read dearer, so a query switches to
-	// its exact sequential scan sooner (TerminatedBy "scan"): PoolSize can
-	// turn an approximate answer into an exact one, never the other way,
-	// and an answer that is not a scan at one PoolSize is the same at every
-	// larger one.
+	// PoolSize is the per-file memory budget in pages (default 1024): a
+	// page file (the projected data, the vector store) of at most this many
+	// pages keeps each page in memory from its first read on, and a larger
+	// one is read from disk on every page access. The
+	// in-memory int8 copy of the store, which every index has whatever its
+	// PoolSize, settles most verifications without a read. A store read
+	// from disk makes the verifications that do read dearer, so a query
+	// switches to its exact sequential scan sooner (TerminatedBy "scan"):
+	// PoolSize can turn an approximate answer into an exact one, never the
+	// other way, and an answer that is not a scan at one PoolSize is the
+	// same at every larger one.
 	PoolSize int
 
 	// Seed fixes all randomness (projections, clustering).
@@ -159,7 +160,7 @@ type DegradedStats = core.DegradedStats
 // SizeBreakdown itemizes index storage.
 type SizeBreakdown = core.SizeBreakdown
 
-// CacheStats aggregates the I/O engine's buffer-pool counters across every
+// CacheStats aggregates the I/O engine's page-read counters across every
 // page file the index reads through (the iDistance projected data and the
 // original-vector store). These are whole-index, whole-run counters —
 // concurrent queries all add to them — so two snapshots bracket a measured
@@ -167,10 +168,15 @@ type SizeBreakdown = core.SizeBreakdown
 type CacheStats struct {
 	// Accesses is the number of logical page reads.
 	Accesses int64
-	// Hits counts reads served by the buffer pool, Misses those that went
-	// to the file.
+	// Hits counts page reads served from the pages a file within
+	// Options.PoolSize keeps in memory, Misses those read from the file.
 	Hits, Misses int64
-	// Evictions counts pages the CLOCK policy pushed out to make room.
+	// Evictions is always zero.
+	//
+	// Deprecated: a page file either keeps every page it reads in memory or
+	// reads from disk on every access, so nothing is ever evicted. The field stays only
+	// because e2ebench/run.go reads it for its pager.evictions_per_query
+	// row, and goes when that row does.
 	Evictions int64
 }
 
@@ -185,10 +191,9 @@ func (s CacheStats) HitRatio() float64 {
 // Sub returns s - t component-wise, for bracketing an interval.
 func (s CacheStats) Sub(t CacheStats) CacheStats {
 	return CacheStats{
-		Accesses:  s.Accesses - t.Accesses,
-		Hits:      s.Hits - t.Hits,
-		Misses:    s.Misses - t.Misses,
-		Evictions: s.Evictions - t.Evictions,
+		Accesses: s.Accesses - t.Accesses,
+		Hits:     s.Hits - t.Hits,
+		Misses:   s.Misses - t.Misses,
 	}
 }
 
@@ -197,10 +202,9 @@ func (s CacheStats) Sub(t CacheStats) CacheStats {
 // stats aggregate one level further, across child indexes.
 func (s CacheStats) Add(t CacheStats) CacheStats {
 	return CacheStats{
-		Accesses:  s.Accesses + t.Accesses,
-		Hits:      s.Hits + t.Hits,
-		Misses:    s.Misses + t.Misses,
-		Evictions: s.Evictions + t.Evictions,
+		Accesses: s.Accesses + t.Accesses,
+		Hits:     s.Hits + t.Hits,
+		Misses:   s.Misses + t.Misses,
 	}
 }
 
@@ -637,15 +641,10 @@ func (ix *Index) M() int { return ix.inner.M() }
 // Sizes itemizes the index's storage footprint.
 func (ix *Index) Sizes() SizeBreakdown { return ix.inner.Sizes() }
 
-// CacheStats snapshots the buffer-pool counters of the index's I/O engine.
+// CacheStats snapshots the page-read counters of the index's I/O engine.
 func (ix *Index) CacheStats() CacheStats {
 	s := ix.inner.CacheStats()
-	return CacheStats{
-		Accesses:  s.Accesses,
-		Hits:      s.Hits,
-		Misses:    s.Misses,
-		Evictions: s.Evictions,
-	}
+	return CacheStats{Accesses: s.Accesses, Hits: s.Hits, Misses: s.Misses}
 }
 
 // Options returns the configuration the index was built with (Dir set to

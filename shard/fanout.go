@@ -452,7 +452,7 @@ func (ss *shardSet) Recovery() (rs promips.RecoveryStats) {
 	return rs
 }
 
-// CacheStats sums the buffer-pool counters of every shard's I/O engine.
+// CacheStats sums the page-read counters of every shard's I/O engine.
 func (ss *shardSet) CacheStats() (cs promips.CacheStats) {
 	ss.each(func(c *promips.Index) { cs = cs.Add(c.CacheStats()) })
 	return cs
