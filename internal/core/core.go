@@ -203,12 +203,13 @@ type SearchStats struct {
 	// every counted candidate is still exactly verified.
 	Preranked int
 	// NormPruned counts points skipped without computing their inner
-	// product because an exact in-memory bound — Cauchy-Schwarz ‖o‖‖q‖, or
-	// the PQ-sketch estimate plus its residual bound — proves they cannot
-	// enter the top-k (no probability is spent; results are unchanged).
-	// Both kinds of point count: disk candidates, whose store page is then
-	// never read, and un-compacted update entries (frozen segments and the
-	// delta), whose d-dimensional dot product is then never taken.
+	// product because an exact in-memory bound proves they cannot enter the
+	// top-k (no probability is spent; results are unchanged). Both kinds of
+	// point count: disk candidates dismissed by Cauchy-Schwarz ‖o‖‖q‖ or by
+	// the PQ-sketch estimate plus its residual bound, whose store page is
+	// then never read, and the un-compacted update entries (frozen segments
+	// and the delta) whose d-dimensional dot product the screened scan of
+	// the backlog never takes (segment.go, scanMem).
 	NormPruned int
 	// GroupsProbed is how many sign-code groups Quick-Probe examined.
 	GroupsProbed int
@@ -304,10 +305,12 @@ type Index struct {
 	// freed when the last snapshot drains.
 	ref *genRef
 
-	// Update state (see update.go and segment.go): the mutable delta,
-	// frozen immutable segments, and the copy-on-write tombstone set
-	// (never nil).
+	// Update state (see update.go and segment.go): the mutable delta and
+	// its entries' int8 rows, back to back in entry order (appended to,
+	// never rewritten, like the delta), frozen immutable segments, and the
+	// copy-on-write tombstone set (never nil).
 	delta         []deltaEntry
+	deltaRows     []int8
 	segs          []*segment
 	frozenEntries int // total entries across segs
 	tombs         *tombSet

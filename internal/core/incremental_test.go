@@ -21,7 +21,7 @@ func (s *query) referenceNNWalk() error {
 	sn, sc, top, st := s.sn, s.sc, s.top, &s.st
 	sc.pq = sn.proj.ProjectInto(s.q, sc.pq)
 	var err error
-	if st.NormPruned, err = sn.scanMem(s.ctx, s.q, s.normQSq, sn.memLUT(s.q, &sc.lut), top, &s.params); err != nil {
+	if st.NormPruned, err = s.scanMem(); err != nil {
 		return err
 	}
 	cands, err := sn.idist.Search(s.ctx, sc.pq, -1, math.Inf(1), s.io, nil)

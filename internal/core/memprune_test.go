@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,9 +17,9 @@ import (
 	"promips/internal/vec"
 )
 
-// Tests of scanMem's exact prune (segment.go): un-compacted entries carry
-// PQ codes under the current generation's sketch and are skipped when the
-// sketch bound or Cauchy-Schwarz proves they cannot enter the top-k.
+// Tests of scanMem's screened scan (segment.go, screen.go): un-compacted
+// entries carry int8 rows, and an entry is scored only when its int8 bound
+// can beat both the scan's threshold and the running k-th.
 
 // backlogIndex builds a Netflix-like index whose update state has every
 // shape scanMem walks: two frozen segments, a partly filled delta, and
@@ -103,9 +104,6 @@ func TestMemPruneIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sn.release()
-	if sn.memLUT(all[0], new([]float64)) == nil {
-		t.Fatal("prune not armed on an index with a sketch and a backlog")
-	}
 	filters := map[string]func(uint32) bool{
 		"unfiltered": nil,
 		"filtered":   func(id uint32) bool { return id%3 != 0 },
@@ -126,73 +124,117 @@ func TestMemPruneIsExact(t *testing.T) {
 	}
 }
 
-// scanMemBatched is scanMem's loop written out plainly, each survivor scored
-// by vec.Dot and every eight offered together before the next entry is
-// tested: the oracle of memBatch.
-func (sn *snapshot) scanMemBatched(q []float32, lut []float64, top *topK, params *SearchParams) (pruned int) {
-	normQSq := vec.Norm2Sq(q)
-	b := memBatch{sn: sn, q: q, lut: lut, normQSq: normQSq, normQ: math.Sqrt(normQSq), top: top}
-	if lut != nil {
-		b.codeLen = sn.sketch.Subspaces()
-	}
-	var batch []*deltaEntry
-	offer := func() {
-		for _, e := range batch {
-			top.offer(e.id, vec.Dot(e.v, q))
-		}
-		batch = batch[:0]
-	}
-	for si := 0; si <= len(sn.segs); si++ {
-		entries := sn.delta
-		if si < len(sn.segs) {
-			entries = sn.segs[si].entries
-		}
-		for i := range entries {
-			e := &entries[i]
-			if !sn.live(e.id) || (params != nil && !params.accepts(e.id)) {
-				continue
-			}
-			if b.prunable(e) {
-				pruned++
-				continue
-			}
-			if batch = append(batch, e); len(batch) == 8 {
-				offer()
+// offerBacklog offers every live entry of the view's backlog that accept
+// admits (nil admits every id) to top, each entry's vec.Dot, in the order
+// scanMem walks them: the segments, oldest first, then the delta.
+func offerBacklog(sn *snapshot, q []float32, top *topK, accept func(uint32) bool) {
+	scan := func(entries []deltaEntry) {
+		for _, e := range entries {
+			if sn.live(e.id) && (accept == nil || accept(e.id)) {
+				top.offer(e.id, vec.Dot(e.v, q))
 			}
 		}
 	}
-	offer()
-	return pruned
+	for _, seg := range sn.segs {
+		scan(seg.entries)
+	}
+	scan(sn.delta)
 }
 
-// TestScanMemOffersWhatItScores: scoring the backlog's survivors eight rows
-// at a time leaves the prune count and the accumulator exactly those of
-// offering each eight before the next entry is tested, for every k from 1
-// to 40, with and without a filter.
+// sameResults reports whether got and want hold the same ids in the same
+// order with bit-identical inner products.
+func sameResults(got, want []Result) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].ID != want[i].ID || math.Float64bits(got[i].IP) != math.Float64bits(want[i].IP) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestScanMemOffersWhatItScores: the screened backlog scan leaves the
+// accumulator exactly as offering every live, admitted entry's vec.Dot in
+// scan order does — the same ids, the same inner products bit for bit,
+// ties in the same order — for every k from 1 to 40 and 150, with and
+// without a filter. The backlog holds duplicate vectors in a segment and in
+// the delta, whose inner products tie bit for bit, and, in its first
+// segment, a zero row ahead of a row orthogonal to e₀. Both score 0 against
+// e₀; the zero row's bound is 0 too and the orthogonal row's is above it.
+// Every other row's first component is ±(3 + |x|), so for e₀ and k one past
+// the positive rows the k rows with the largest bounds are the positive
+// ones and the orthogonal row, the threshold is 0, and a scan that skipped
+// a row whose bound equals the threshold would return the orthogonal row in
+// the zero row's place.
 func TestScanMemOffersWhatItScores(t *testing.T) {
-	ix, all := backlogIndex(t, t.TempDir())
+	const d, segEntries = 24, 128
+	r := rand.New(rand.NewSource(29))
+	ix := buildIndex(t, randData(r, 300, d), Options{Seed: 4, M: 5, SegmentEntries: segEntries})
+	zero, orth := make([]float32, d), randData(r, 1, d)[0]
+	orth[0] = 0
+	rows := randData(r, 300, d)
+	for i, v := range rows {
+		v[0] = float32(3 + math.Abs(r.NormFloat64()))
+		if i%11 != 0 {
+			v[0] = -v[0]
+		}
+	}
+	backlog := append([][]float32{zero, orth}, rows...)
+	// Copies of first-segment and second-segment rows, positive ones among
+	// them, land in the delta.
+	backlog = append(backlog, rows[:22]...)
+	backlog = append(backlog, rows[150:172]...)
+	for _, v := range backlog {
+		if _, err := ix.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range []uint32{5, 140, 310, 330} { // places in the backlog
+		if !ix.Delete(300 + g) {
+			t.Fatalf("delete %d failed", 300+g)
+		}
+	}
 	sn, err := ix.snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sn.release()
-	filter := &SearchParams{Filter: func(id uint32) bool { return id%3 != 1 }}
-	for qi, q := range all[len(all)-24:] {
-		lut := sn.memLUT(q, new([]float64))
-		for k := 1; k <= 40; k++ {
-			for _, params := range []*SearchParams{nil, filter} {
-				got, want := newTopK(k), newTopK(k)
-				pruned, err := sn.scanMem(context.Background(), q, vec.Norm2Sq(q), lut, got, params)
+	if len(sn.segs) != 2 || len(sn.delta) != len(backlog)-2*segEntries {
+		t.Fatalf("backlog of %d segments and %d delta entries, want 2 and %d", len(sn.segs), len(sn.delta), len(backlog)-2*segEntries)
+	}
+	e0 := make([]float32, d)
+	e0[0] = 1
+	queries := [][]float32{e0, rows[0], rows[11], rows[154], randData(r, 1, d)[0]}
+	filter := func(id uint32) bool { return id%3 != 1 }
+	ks := []int{150}
+	for k := 1; k <= 40; k++ {
+		ks = append(ks, k)
+	}
+	skipped := 0
+	for qi, q := range queries {
+		for _, k := range ks {
+			for _, accept := range []func(uint32) bool{nil, filter} {
+				sc := getScratch()
+				s := sn.newQuery(context.Background(), sc, q, k, 0, 0, SearchParams{Filter: accept})
+				pruned, err := s.scanMem()
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantPruned := sn.scanMemBatched(q, lut, want, params)
-				if pruned != wantPruned || !reflect.DeepEqual(got.results, want.results) {
-					t.Fatalf("query %d k=%d filtered=%v: pruned %d, results %v; eight at a time: pruned %d, results %v",
-						qi, k, params != nil, pruned, got.results, wantPruned, want.results)
+				want := newTopK(k)
+				offerBacklog(sn, q, want, accept)
+				if !sameResults(sc.top.results, want.results) {
+					t.Fatalf("query %d k=%d filtered=%v: scanMem left %v, offering every entry leaves %v",
+						qi, k, accept != nil, sc.top.results, want.results)
 				}
+				skipped += pruned
+				putScratch(sc)
 			}
 		}
+	}
+	if skipped == 0 {
+		t.Fatal("the screened scan scored every entry")
 	}
 }
 
@@ -217,7 +259,7 @@ func TestScanMemCancellation(t *testing.T) {
 		return true
 	}}
 	q := all[0]
-	_, err = sn.scanMem(ctx, q, vec.Norm2Sq(q), sn.memLUT(q, new([]float64)), newTopK(5), &params)
+	_, err = sn.newQuery(ctx, getScratch(), q, 5, 0, 0, params).scanMem()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("scanMem under a cancelled context returned %v, want context.Canceled", err)
 	}
@@ -234,30 +276,32 @@ func TestScanMemCancellation(t *testing.T) {
 	}
 }
 
-// entryCodesErr verifies the codes-follow-the-generation invariant on a
-// captured view: every un-compacted entry's codes and residual are what a
-// fresh Encode under the view's own sketch produces.
-func entryCodesErr(sn *snapshot) error {
-	if sn.sketch == nil {
-		return errors.New("view has no sketch")
-	}
-	var want deltaEntry
-	check := func(entries []deltaEntry, where string) error {
-		for _, e := range entries {
-			want.resid = sn.sketch.Encode(e.v, want.codes[:sn.sketch.Subspaces()])
-			if e.codes != want.codes || e.resid != want.resid {
-				return fmt.Errorf("%s entry %d: codes %v resid %v, fresh Encode under the view's sketch gives %v %v",
-					where, e.id, e.codes, e.resid, want.codes, want.resid)
+// entryRowsErr verifies that every un-compacted entry of a captured view
+// has its own int8 row: the row at its place in its segment's or the
+// delta's rows, and the scale and residual bound the entry keeps, are what
+// quantizing its vector gives.
+func entryRowsErr(sn *snapshot) error {
+	stride := sn.screen.stride
+	want := make([]int8, stride)
+	check := func(entries []deltaEntry, rows []int8, where string) error {
+		if len(rows) != len(entries)*stride {
+			return fmt.Errorf("%s: %d entries hold %d row codes, want %d", where, len(entries), len(rows), len(entries)*stride)
+		}
+		for i, e := range entries {
+			scale, resid := vec.QuantizeInt8(want, e.v)
+			if row := rows[i*stride : (i+1)*stride]; !slices.Equal(row, want) || e.scale != scale || e.resid != resid {
+				return fmt.Errorf("%s entry %d: row %v scale %v resid %v, quantizing its vector gives %v %v %v",
+					where, e.id, row, e.scale, e.resid, want, scale, resid)
 			}
 		}
 		return nil
 	}
 	for i, seg := range sn.segs {
-		if err := check(seg.entries, fmt.Sprintf("segment %d", i)); err != nil {
+		if err := check(seg.entries, seg.rows, fmt.Sprintf("segment %d", i)); err != nil {
 			return err
 		}
 	}
-	return check(sn.delta, "delta")
+	return check(sn.delta, sn.deltaRows, "delta")
 }
 
 // bruteView is the top-k over the view's live, accepted points computed with
@@ -267,17 +311,7 @@ func entryCodesErr(sn *snapshot) error {
 func bruteView(sn *snapshot, q []float32, k int, accept func(uint32) bool) ([]Result, error) {
 	top := newTopK(k)
 	admits := func(id uint32) bool { return sn.live(id) && (accept == nil || accept(id)) }
-	scan := func(entries []deltaEntry) {
-		for _, e := range entries {
-			if admits(e.id) {
-				top.offer(e.id, vec.Dot(e.v, q))
-			}
-		}
-	}
-	for _, seg := range sn.segs {
-		scan(seg.entries)
-	}
-	scan(sn.delta)
+	offerBacklog(sn, q, top, accept)
 	buf := make([]float32, sn.d)
 	for pos, id := range sn.idist.Layout() {
 		if !admits(id) {
@@ -335,7 +369,7 @@ func forcedScanVsBrute(sn *snapshot, q []float32) error {
 
 // checkView runs every per-view check of this file.
 func checkView(sn *snapshot, q []float32) error {
-	if err := entryCodesErr(sn); err != nil {
+	if err := entryRowsErr(sn); err != nil {
 		return err
 	}
 	if _, err := memPruneDifferential(sn, q, 10, SearchParams{}); err != nil {
@@ -348,12 +382,12 @@ func checkView(sn *snapshot, q []float32) error {
 }
 
 // TestEntryCodesFollowGeneration races updaters and searchers against
-// repeated Compacts (run it under -race). A Compact retrains the sketch, so
-// no view may ever pair entries encoded against one generation's codebooks
-// with another generation's sketch: every captured view must hold the
-// invariant, answer identically with the prune on and off, and both its
-// Exact and a Search forced into the scan fallback (with a filter) must
-// equal a brute force over that same view's live set.
+// repeated Compacts (run it under -race). Every captured view must give
+// each un-compacted entry its own int8 codes — its row, across freezes and
+// the generation swaps that rebuild the backlog — answer identically with
+// the screen on and off, and both its Exact and a Search forced into the
+// scan fallback (with a filter) must equal a brute force over that same
+// view's live set.
 func TestEntryCodesFollowGeneration(t *testing.T) {
 	const n, d = 600, 24
 	r := rand.New(rand.NewSource(17))
@@ -420,13 +454,14 @@ func TestEntryCodesFollowGeneration(t *testing.T) {
 	wg.Wait()
 }
 
-// TestInsertPreparedAgainstRetiredSketch pins the re-check the race above
-// hits only by luck: an insert whose off-lock prep encoded against a sketch
-// that a Compact then retired must be re-encoded under the lock.
+// TestInsertPreparedAgainstRetiredSketch pins what the race above hits only
+// by luck: an insert whose off-lock prep ran before a Compact retired the
+// generation (and its sketch) is sequenced into the next one as it was
+// prepared — its int8 row depends on its vector alone.
 func TestInsertPreparedAgainstRetiredSketch(t *testing.T) {
 	ix, all := backlogIndex(t, t.TempDir())
 	retired := ix.sketch
-	e := newDeltaEntry(retired, 0, vec.Clone(all[2300]))
+	e, row := newDeltaEntry(0, vec.Clone(all[2300]))
 	if _, err := ix.Compact(context.Background(), filepath.Join(t.TempDir(), "gen1"), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +469,7 @@ func TestInsertPreparedAgainstRetiredSketch(t *testing.T) {
 		t.Fatal("Compact kept the old sketch")
 	}
 	ix.mu.Lock()
-	_, _, err := ix.insertPreparedLocked(e, retired, true)
+	_, _, err := ix.insertPreparedLocked(e, row, true)
 	ix.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -454,8 +489,8 @@ func TestInsertPreparedAgainstRetiredSketch(t *testing.T) {
 
 // TestRecoveredEntryCodes: entries rebuilt from persisted state — the
 // meta's delta list and the journal at Open, and a shipped
-// journal applied by a replica (ApplyWALChunk) — carry codes under the
-// sketch that index opened, though nothing about them was persisted.
+// journal applied by a replica (ApplyWALChunk) — carry their int8 codes,
+// though nothing about them was persisted.
 func TestRecoveredEntryCodes(t *testing.T) {
 	primaryDir := t.TempDir()
 	ix, all := backlogIndex(t, primaryDir)

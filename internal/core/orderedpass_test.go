@@ -25,8 +25,7 @@ import (
 // (plansScan), so queries that end in the sequential scan compare too.
 func (s *query) referenceRun() error {
 	sn, sc, top, st := s.sn, s.sc, s.top, &s.st
-	memLUT, err := s.begin()
-	if err != nil {
+	if err := s.begin(); err != nil {
 		return err
 	}
 	r, err := s.probeRadius()
@@ -84,9 +83,7 @@ func (s *query) referenceRun() error {
 	}
 	var preranked []uint32
 	if sn.sketch != nil && !s.params.NoPrerank && len(sc.cands) > s.k {
-		if memLUT == nil {
-			sc.lut = sn.sketch.NewLUT(s.q, sc.lut)
-		}
+		sc.lut = sn.sketch.NewLUT(s.q, sc.lut)
 		sketchLUT = sc.lut
 		for _, pc := range sc.selectPrerank(sn.sketch, s.k) {
 			v, err := verifyCand(pc.cand)
@@ -461,7 +458,7 @@ func TestPlansScanGateAtItsBoundary(t *testing.T) {
 		// floor, far below every survivor's bound.
 		k := tc.survivors + 1
 		s := sn.newQuery(context.Background(), sc, data[0], k, 0.9, 0.5, SearchParams{})
-		if _, err := s.begin(); err != nil {
+		if err := s.begin(); err != nil {
 			t.Fatal(err)
 		}
 		s.budget = tc.survivors

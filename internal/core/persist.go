@@ -255,9 +255,10 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 			return nil, fmt.Errorf("core: %v: %w", err, errs.ErrCorruptIndex)
 		}
 		// The search path indexes the sketch by base id and query dimension,
-		// and update entries hold entryCodeBytes codes: a sketch of any other
-		// geometry is not one Build wrote for this index.
-		if sk.Len() != m.N || sk.Dim() != m.D || sk.Subspaces() > entryCodeBytes {
+		// and Build never writes more than pq.SketchConfig's default of 16
+		// subspaces: a sketch of any other geometry is not one Build wrote
+		// for this index.
+		if sk.Len() != m.N || sk.Dim() != m.D || sk.Subspaces() > 16 {
 			closeAll()
 			return nil, fmt.Errorf("core: meta: sketch of %d points, dim %d, %d subspaces over n=%d d=%d: %w",
 				sk.Len(), sk.Dim(), sk.Subspaces(), m.N, m.D, errs.ErrCorruptIndex)
@@ -269,7 +270,7 @@ func OpenFS(dir string, fsys fsutil.FS) (*Index, error) {
 	if len(m.Delta) > 0 {
 		ix.delta = make([]deltaEntry, 0, len(m.Delta))
 		for _, e := range m.Delta {
-			ix.appendDeltaLocked(newDeltaEntry(ix.sketch, e.ID, e.V))
+			ix.appendDeltaLocked(newDeltaEntry(e.ID, e.V))
 		}
 	}
 	if len(m.Deleted) > 0 {
@@ -373,7 +374,7 @@ func (ix *Index) applyRecords(recs []wal.Record) (applied, skipped int, err erro
 			if len(r.Vec) != ix.d {
 				return applied, skipped, fmt.Errorf("core: journal: insert id %d has dim %d, want %d: %w", r.ID, len(r.Vec), ix.d, errs.ErrCorruptIndex)
 			}
-			ix.appendDeltaLocked(newDeltaEntry(ix.sketch, r.ID, r.Vec))
+			ix.appendDeltaLocked(newDeltaEntry(r.ID, r.Vec))
 			applied++
 		case wal.TypeDelete:
 			if int(r.ID) >= ix.n+ix.frozenEntries+len(ix.delta) {

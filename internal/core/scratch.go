@@ -50,8 +50,13 @@ type queryScratch struct {
 	// the ordered pass set aside (see query.orderedPass).
 	seen []idistance.Candidate
 
-	// kth is kthWith's min-heap: the planned scan's selection.
-	kth []float64
+	// The screened scans' state (screen.go): every admitted row of the scan
+	// in progress, the rows with the k largest bounds (keep, also the
+	// planned scan's selection), and the first pass's dot products of one
+	// chunk.
+	rows []scanRow
+	keep topK
+	dots [scanChunk]int64
 
 	top     topK           // its results slice is the pooled backing
 	zq      vec.Int16Query // the query as the int8 screen reads it
@@ -144,40 +149,6 @@ func bestByEstimate(sel []prerankCand, cands []idistance.Candidate, ests []float
 // strictly before pc in the pre-ranking order.
 func outranks(est float64, id uint32, pc prerankCand) bool {
 	return est > pc.est || (est == pc.est && id < pc.cand.ID)
-}
-
-// kthWith returns the len(top)-th largest value among the inner products of
-// top (the full top-k) and ests. It keeps the largest len(top) seen so far
-// in a min-heap in sc.kth, whose root is the answer.
-func (sc *queryScratch) kthWith(top []Result, ests []float64) float64 {
-	h := sc.kth[:0]
-	for _, r := range top {
-		h = append(h, r.IP)
-	}
-	sc.kth = h
-	// top is sorted best first, so h, reversed, is a min-heap.
-	slices.Reverse(h)
-	for _, e := range ests {
-		if e <= h[0] {
-			continue
-		}
-		h[0] = e
-		for i := 0; ; { // sift the new root down
-			m, l, r := i, 2*i+1, 2*i+2
-			if l < len(h) && h[l] < h[m] {
-				m = l
-			}
-			if r < len(h) && h[r] < h[m] {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	return h[0]
 }
 
 // rankedGroup is one Quick-Probe ranking entry: a sign-code group and its

@@ -14,6 +14,7 @@ import (
 
 	"promips/internal/dataset"
 	"promips/internal/leaktest"
+	"promips/internal/vec"
 )
 
 // liveScreenRows counts the row sets mapped and not yet freed, across every
@@ -122,8 +123,8 @@ func TestScreenIsInvisible(t *testing.T) {
 	}
 }
 
-// TestEveryIndexHasScreenRows: every index has its rows, n·d codes and n
-// scales, whatever its pool size — on the default pool, which holds this
+// TestEveryIndexHasScreenRows: every index has its rows, n·Int8RowLen(d)
+// codes and n scales, whatever its pool size — on the default pool, which holds this
 // store, and on an 8-page pool, which does not — after Build, after Open
 // (derived from the store file, equal to Build's), after Compact, and after
 // an Open of a directory written by an older version.
@@ -133,7 +134,7 @@ func TestEveryIndexHasScreenRows(t *testing.T) {
 	hasRows := func(t *testing.T, when string, ix *Index) *screenRows {
 		t.Helper()
 		r := ix.ref.screen
-		if r == nil || len(r.codes) != ix.n*ix.d || len(r.scales) != ix.n {
+		if r == nil || len(r.codes) != ix.n*vec.Int8RowLen(ix.d) || len(r.scales) != ix.n {
 			t.Fatalf("%s: screen rows %v over %d points", when, r != nil, ix.n)
 		}
 		return r

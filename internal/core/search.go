@@ -40,6 +40,12 @@ func (t *topK) offer(id uint32, ip float64) {
 	if len(t.results) == t.k && ip <= t.results[t.k-1].IP {
 		return
 	}
+	t.insert(id, ip)
+}
+
+// insert is offer's slow path, kept out of line so that offer's test
+// inlines into the loops that mostly fail it.
+func (t *topK) insert(id uint32, ip float64) {
 	pos := sort.Search(len(t.results), func(i int) bool { return t.results[i].IP < ip })
 	t.results = append(t.results, Result{})
 	copy(t.results[pos+1:], t.results[pos:])
@@ -287,8 +293,7 @@ func (s *query) finish(err error) ([]Result, SearchStats, error) {
 // computed — no extra disk reads, one threshold comparison per point.
 func (s *query) run() error {
 	sn, sc := s.sn, s.sc
-	memLUT, err := s.begin()
-	if err != nil {
+	if err := s.begin(); err != nil {
 		return err
 	}
 	r, err := s.probeRadius()
@@ -299,7 +304,7 @@ func (s *query) run() error {
 	if sc.cands, err = sn.idist.Search(s.ctx, sc.pq, -1, r, s.io, sc.cands[:0]); err != nil {
 		return err
 	}
-	if err := s.prerank(memLUT != nil); err != nil {
+	if err := s.prerank(); err != nil {
 		return err
 	}
 	// Condition A needs no distance frontier, so it can fire right after the
@@ -352,17 +357,14 @@ func (s *query) run() error {
 // projects the query, derives χ = Ψm⁻¹(p) and evaluates the recently
 // inserted points (frozen segments and the mutable delta) exactly, with no
 // disk I/O — their inner products can only tighten the termination
-// conditions. The query's sketch lookup table is built here when that scan
-// can prune with it, and returned so the pre-ranking pass reuses it; nil
-// when it was not built.
-func (s *query) begin() ([]float64, error) {
+// conditions.
+func (s *query) begin() error {
 	sn, sc := s.sn, s.sc
 	sc.pq = sn.proj.ProjectInto(s.q, sc.pq)
 	s.chi = stats.ChiSquareInvCDF(sn.m, s.p)
-	memLUT := sn.memLUT(s.q, &sc.lut)
 	var err error
-	s.st.NormPruned, err = sn.scanMem(s.ctx, s.q, s.normQSq, memLUT, s.top, &s.params)
-	return memLUT, err
+	s.st.NormPruned, err = s.scanMem()
+	return err
 }
 
 // probeRadius runs Quick-Probe (Algorithm 2) on the projected query and
@@ -399,15 +401,13 @@ func (s *query) probeRadius() (float64, error) {
 // members — verified or exactly bounded — in sc.seen, and every collected
 // candidate's estimate in sc.ests. No sketch, NoPrerank or at most k
 // candidates: all three stay empty and the sketch prune stays disarmed.
-func (s *query) prerank(lutBuilt bool) error {
+func (s *query) prerank() error {
 	sn, sc := s.sn, s.sc
 	sc.window, sc.seen, sc.ests = sc.window[:0], sc.seen[:0], sc.ests[:0]
 	if sn.sketch == nil || s.params.NoPrerank || len(sc.cands) <= s.k {
 		return nil
 	}
-	if !lutBuilt {
-		sc.lut = sn.sketch.NewLUT(s.q, sc.lut)
-	}
+	sc.lut = sn.sketch.NewLUT(s.q, sc.lut)
 	s.sketchLUT = sc.lut
 	for _, pc := range sc.selectPrerank(sn.sketch, s.k) {
 		sc.window = append(sc.window, pc.idx)
@@ -466,11 +466,16 @@ func (s *query) dismissed(cand idistance.Candidate, est *float64) bool {
 }
 
 // verify handles one admitted candidate at its turn: dismissed from memory
-// (counted in NormPruned) or settled (query.settle). Either way the
-// candidate is SEEN: it is exactly (if one-sidedly) bounded, which is all
-// the termination argument needs of a point inside the distance frontier.
-// est is the candidate's cached sketch estimate, nil when none was
-// computed.
+// (counted in NormPruned) or verified. Either way the candidate is SEEN:
+// it is exactly (if one-sidedly) bounded, which is all the termination
+// argument needs of a point inside the distance frontier. est is the
+// candidate's cached sketch estimate, nil when none was computed.
+//
+// A verification is settled by the int8 screen when it proves the inner
+// product cannot enter the top-k (query.screen), with no store page read;
+// otherwise store.DotAt computes it from the row's page and it is offered.
+// Either way it counts in Candidates and its page is noted, so results and
+// every SearchStats field are those of reading the row.
 func (s *query) verify(cand idistance.Candidate, est *float64) (verified bool, err error) {
 	if s.verifies&255 == 0 {
 		if err := s.ctx.Err(); err != nil {
@@ -485,35 +490,18 @@ func (s *query) verify(cand idistance.Candidate, est *float64) (verified bool, e
 	if s.st.Candidates >= s.budget {
 		return false, errRunaway
 	}
-	return true, s.settle(cand.Pos, cand.ID)
-}
-
-// settle verifies the stored row at layout position pos, of point id, that
-// no prune dismissed — the one way a stored row is scored, for verify and
-// for the sequential scan alike. The int8 screen settles it when it can
-// (query.screen): the screen proves that the inner product verification
-// would compute cannot enter the top-k, so offering it would change
-// nothing, and no store page is read. Otherwise its inner product is
-// computed straight from its store page (store.DotAt: a resident store's
-// kept page, or straight from the file into the scratch's readBuf) and
-// offered to the top-k. Either way it is a
-// verification — counted in Candidates, its page noted in the query's
-// accounting (store.NoteAt when screened) — so results and every
-// SearchStats field are those of reading the row.
-func (s *query) settle(pos, id uint32) error {
-	if s.screen(pos) {
-		s.sn.orig.NoteAt(int(pos), s.io)
-		s.screened++
-	} else {
-		ip, buf, err := s.sn.orig.DotAt(int(pos), s.q, s.sc.readBuf, s.io)
-		s.sc.readBuf = buf
-		if err != nil {
-			return err
-		}
-		s.top.offer(id, ip)
-	}
 	s.st.Candidates++
-	return nil
+	if s.screen(cand.Pos) {
+		s.sn.orig.NoteAt(int(cand.Pos), s.io)
+		s.screened++
+		return true, nil
+	}
+	ip, buf, err := s.sn.orig.DotAt(int(cand.Pos), s.q, s.sc.readBuf, s.io)
+	s.sc.readBuf = buf
+	if err == nil {
+		s.top.offer(cand.ID, ip)
+	}
+	return true, err
 }
 
 // stopFrom evaluates the termination tests against the current top-k: the
@@ -712,7 +700,14 @@ func (s *query) plansScan(survivors []idistance.Candidate, dismissed int) bool {
 	}
 	sc, sk := s.sc, s.sn.sketch
 	sc.ests = estimates(sk, survivors, sc.lut, sc.ests)
-	ipHat := sc.kthWith(s.top.results, sc.ests)
+	sc.keep.reset(s.k) // the top-k's inner products and the estimates
+	for _, r := range s.top.results {
+		sc.keep.offer(0, r.IP)
+	}
+	for _, e := range sc.ests {
+		sc.keep.offer(0, e)
+	}
+	ipHat, _ := sc.keep.kth()
 	denom := s.sn.conditionBDenominator(s.c, s.normQSq, ipHat)
 	if denom <= 0 {
 		return false
@@ -784,34 +779,38 @@ func (s *query) firstStop(after, before idistance.Candidate, fromWindow int) (re
 
 // scanAll replaces whatever the top-k holds with the EXACT top-k over the
 // view's live, admitted points: the un-compacted entries through scanMem,
-// then every stored row, in layout order, settled as verify settles a
-// candidate (query.settle) — most by the int8 screen once the top-k is
-// full. Every data page is noted in the query's accounting: an admitted
-// row's by settle, the others' here. It is how a runaway query finishes —
-// an exact answer satisfies any (c, p) with probability 1 — and it is all
-// of Exact. ctx is checked every 256 rows.
+// then every stored row, in layout order, through the screened scan
+// (screen.go), which reads a row (store.DotAt) only when its int8 bound
+// can beat both its threshold and the running k-th. The accounting is that
+// of verifying every admitted row: each counts in Candidates, the unread
+// ones in screened too, and every data page is noted. It is how a runaway
+// query finishes — an exact answer satisfies any (c, p) with probability
+// 1 — and it is all of Exact. ctx is checked every 256 rows.
 func (s *query) scanAll() error {
 	sn, sc := s.sn, s.sc
 	s.top.reset(s.k)
 	// The entries scanMem prunes were counted by the query's first scan.
-	if _, err := sn.scanMem(s.ctx, s.q, s.normQSq, sn.memLUT(s.q, &sc.lut), s.top, &s.params); err != nil {
+	if _, err := s.scanMem(); err != nil {
 		return err
 	}
-	for pos, id := range sn.idist.Layout() { // the store is written in this order
-		if pos&255 == 0 {
-			if err := s.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if !s.admits(id) {
-			sn.orig.NoteAt(pos, s.io)
-			continue
-		}
-		if err := s.settle(uint32(pos), id); err != nil {
-			return err
-		}
+	layout, rows := sn.idist.Layout(), sn.screen
+	sc.rows = slices.Grow(sc.rows[:0], len(layout))
+	if err := s.boundPass(0, len(layout), rows.codes, !sn.noScreen, func(pos int) (uint32, screenScale, float64) {
+		return layout[pos], rows.scales[pos], sn.norm2Sq[pos]
+	}); err != nil {
+		return err
 	}
-	return nil
+	sn.orig.NoteAll(s.io)
+	screened, err := s.settleRows(
+		func(pos uint32) uint32 { return layout[pos] },
+		func(pos uint32) (float64, error) {
+			ip, buf, err := sn.orig.DotAt(int(pos), s.q, sc.readBuf, s.io)
+			sc.readBuf = buf
+			return ip, err
+		})
+	s.st.Candidates += len(sc.rows)
+	s.screened += screened
+	return err
 }
 
 // quickProbe implements Algorithm 2: rank the sign-code groups by their
@@ -905,7 +904,7 @@ func (sn *snapshot) searchIncremental(ctx context.Context, q []float32, k int, p
 func (s *query) runIncremental() error {
 	sc := s.sc
 	s.budget = math.MaxInt
-	if _, err := s.begin(); err != nil {
+	if err := s.begin(); err != nil {
 		return err
 	}
 	reason := ""
@@ -934,10 +933,9 @@ func (s *query) runIncremental() error {
 // returns ctx.Err() — the scan is linear in the dataset, so a fanned-out
 // exact merge (promips/shard) needs the same cancellation point the
 // approximate paths have. It is scanAll, the walk a runaway Search finishes
-// with: un-compacted entries through the exactly-pruned scanMem (a pruned
-// entry provably cannot be in the top-k), stored rows as verify settles a
-// candidate — most by the int8 screen, which skips only a row that provably
-// cannot enter the top-k, the rest by store.DotAt.
+// with: un-compacted entries through scanMem, stored rows through the
+// screened scan, which reads only a row whose int8 bound can beat both its
+// threshold and the running k-th, by store.DotAt.
 func (ix *Index) Exact(ctx context.Context, q []float32, k int) ([]Result, error) {
 	sn, err := ix.snapshot()
 	if err != nil {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"math"
 	"slices"
 	"sync/atomic"
 
@@ -22,7 +20,8 @@ import (
 //   - At SegmentEntries inserts the mutable delta FREEZES into an
 //     immutable segment — a pure pointer move under the already-held
 //     exclusive lock, no I/O. Frozen segments stay searchable exactly like
-//     the delta (their entries are scanned with exact inner products).
+//     the delta (scanMem answers as if every entry's exact inner product
+//     were offered).
 //     Freezing is a query-time structure only: nothing about a segment is
 //     written anywhere. On disk the wal.log is the one redo log and
 //     promips.meta the one checkpoint (persist.go).
@@ -36,6 +35,7 @@ import (
 // publication.
 type segment struct {
 	entries []deltaEntry // frozen delta, ids dense and ascending
+	rows    []int8       // entry i's int8 row at rows[i·stride:(i+1)·stride]
 }
 
 // tombSet is the copy-on-write tombstone set. frozen is immutable once
@@ -108,10 +108,13 @@ type genRef struct {
 	// screen is the generation's int8 copy of orig (screen.go): set by
 	// Build and Open once derived, read by queries through their snapshot
 	// only.
-	screen   *screenRows
-	refs     atomic.Int64
-	closeErr error
-	done     chan struct{}
+	screen *screenRows
+	// backlogRows are the mappings the generation's update backlog keeps
+	// its int8 rows in (appendDeltaLocked), freed with screen.
+	backlogRows [][]int8
+	refs        atomic.Int64
+	closeErr    error
+	done        chan struct{}
 }
 
 func newGenRef(idist *idistance.Index, orig *store.Store) *genRef {
@@ -136,6 +139,11 @@ func (g *genRef) release() {
 	}
 	if g.screen != nil {
 		if err2 := g.screen.free(); err == nil {
+			err = err2
+		}
+	}
+	for _, m := range g.backlogRows {
+		if err2 := unmapCodes(m); err == nil {
 			err = err2
 		}
 	}
@@ -167,14 +175,14 @@ type snapshot struct {
 	optC, optP float64
 
 	delta      []deltaEntry
+	deltaRows  []int8
 	segs       []*segment
 	frozenLen  int // total entries across segs
 	tombFrozen map[uint32]bool
 	tombRecent []uint32
 
-	// noMemPrune makes scanMem evaluate every entry. Never set outside
-	// tests: it is the reference side of their prune-on/prune-off
-	// differential.
+	// noMemPrune makes scanMem score every entry. Never set outside tests:
+	// it is the reference side of their prune-on/prune-off differential.
 	noMemPrune bool
 	// noScreen makes verify read every verified candidate from the store.
 	// Never set outside tests: it is the reference side of their
@@ -196,7 +204,7 @@ func (ix *Index) snapshot() (*snapshot, error) {
 		n: ix.n, d: ix.d, m: ix.m,
 		maxNorm2Sq: ix.maxNorm2Sq,
 		optC:       ix.opts.C, optP: ix.opts.P,
-		delta: ix.delta, segs: ix.segs, frozenLen: ix.frozenEntries,
+		delta: ix.delta, deltaRows: ix.deltaRows, segs: ix.segs, frozenLen: ix.frozenEntries,
 		tombFrozen: ix.tombs.frozen, tombRecent: ix.tombs.recent,
 	}
 	sn.ref.acquire()
@@ -216,110 +224,50 @@ func (sn *snapshot) liveCount() int {
 	return sn.n + sn.frozenLen + len(sn.delta) - len(sn.tombFrozen) - len(sn.tombRecent)
 }
 
-// memLUT builds the query's sketch lookup table into *buf (reused when
-// large enough) when scanMem can prune with it: the snapshot has a sketch
-// and un-compacted entries to scan. nil otherwise — scanMem then evaluates
-// every entry, the only behavior an index saved before sketches existed has.
-func (sn *snapshot) memLUT(q []float32, buf *[]float64) []float64 {
-	if sn.sketch == nil || sn.noMemPrune || sn.frozenLen+len(sn.delta) == 0 {
-		return nil
-	}
-	*buf = sn.sketch.NewLUT(q, *buf)
-	return *buf
-}
-
-// scanMem offers the live in-memory points (frozen segments, then the
-// mutable delta, in insertion order) accepted by the query's filter to the
-// accumulator — exact evaluation, no disk I/O. params may be nil for an
-// unfiltered scan; normQSq is ‖q‖².
-//
-// With lut = memLUT(q) non-nil an entry is skipped — and counted in pruned —
-// when one of verifyCand's two exact bounds proves ⟨o,q⟩ ≤ the current k-th
-// inner product: Cauchy-Schwarz on the stored ‖o‖², or the sketch bound
-// over the codes the entry was encoded with (snapshot() captures sketch,
-// delta and segments under one lock acquisition, so they belong to the same
-// generation — see deltaEntry). topK.offer ignores such an entry anyway, so
-// the accumulator after the scan is bit-identical to evaluating everything.
-// Survivors are scored and offered eight at a time (memBatch), so the k-th
-// inner product a prune reads may lag up to seven offers behind, which only
-// makes the test more conservative.
-//
-// ctx is checked at the start of every segment and every 256 entries within
-// one, so a backlog scan is a cancellation point like the disk scans.
-func (sn *snapshot) scanMem(ctx context.Context, q []float32, normQSq float64, lut []float64, top *topK, params *SearchParams) (pruned int, err error) {
-	b := memBatch{sn: sn, q: q, lut: lut, normQSq: normQSq, normQ: math.Sqrt(normQSq), top: top}
-	if lut != nil {
-		b.codeLen = sn.sketch.Subspaces()
-	}
-	for si := 0; si <= len(sn.segs); si++ { // the segments, oldest first, then the delta
-		entries := sn.delta
+// scanMem offers the live in-memory points accepted by the query's filter
+// (frozen segments, then the mutable delta, in insertion order) to the
+// accumulator through the screened scan (screen.go: boundPass, then
+// settleRows): the result is that of offering every such entry's exact
+// inner product, vec.Dot, in that order. It returns how many of them it
+// never scored.
+// There is no disk I/O. ctx is checked at the start of every segment and
+// every 256 entries within one, so a backlog scan is a cancellation point
+// like the disk scans.
+func (s *query) scanMem() (pruned int, err error) {
+	sn, sc := s.sn, s.sc
+	sc.rows = slices.Grow(sc.rows[:0], sn.frozenLen+len(sn.delta))
+	// The segments, oldest first, then the delta; place is the first
+	// entry's place in the backlog.
+	place := 0
+	for si := 0; si <= len(sn.segs); si++ {
+		entries, rows := sn.delta, sn.deltaRows
 		if si < len(sn.segs) {
-			entries = sn.segs[si].entries
+			entries, rows = sn.segs[si].entries, sn.segs[si].rows
 		}
-		for i := range entries {
-			if i&255 == 0 {
-				if err := ctx.Err(); err != nil {
-					return pruned, err
-				}
-			}
+		if err := s.boundPass(place, len(entries), rows, !sn.noMemPrune, func(i int) (uint32, screenScale, float64) {
 			e := &entries[i]
-			if !sn.live(e.id) || (params != nil && !params.accepts(e.id)) {
-				continue
-			}
-			if b.prunable(e) {
-				pruned++
-				continue
-			}
-			b.rows[b.nr], b.ids[b.nr] = e.v, e.id
-			if b.nr++; b.nr == len(b.rows) {
-				b.score()
-			}
+			return e.id, e.screenScale, e.ip2
+		}); err != nil {
+			return 0, err
 		}
+		place += len(entries)
 	}
-	b.score()
-	return pruned, nil
+	return s.settleRows(
+		func(g uint32) uint32 { return sn.entry(g).id },
+		func(g uint32) (float64, error) { return vec.Dot(sn.entry(g).v, s.q), nil })
 }
 
-// memBatch is scanMem's survivor queue. Rows are scored eight at a time
-// (vec.Dot8) and offered together, in scan order, before the next entry is
-// tested.
-type memBatch struct {
-	sn             *snapshot
-	q              []float32
-	lut            []float64 // nil: nothing is prunable
-	normQSq, normQ float64
-	codeLen        int
-	top            *topK
-
-	rows [8][]float32 // survivors awaiting their inner products
-	ids  [8]uint32
-	nr   int
-}
-
-// prunable applies the two exact bounds to e against the current k-th.
-func (b *memBatch) prunable(e *deltaEntry) bool {
-	if b.lut == nil {
-		return false
-	}
-	ipK, full := b.top.kth()
-	return full && ((ipK >= 0 && e.ip2*b.normQSq <= ipK*ipK) ||
-		b.sn.sketch.BoundCodes(e.codes[:b.codeLen], e.resid, b.lut, b.normQ) <= ipK)
-}
-
-// score computes the queued rows' inner products and offers them in order.
-func (b *memBatch) score() {
-	var ips [8]float64
-	if b.nr == len(b.rows) {
-		vec.Dot8(&b.rows, b.q, &ips)
-	} else {
-		for j, row := range b.rows[:b.nr] {
-			ips[j] = vec.Dot(row, b.q)
+// entry returns the entry at place g of the backlog: the segments' entries,
+// oldest first, then the delta's.
+func (sn *snapshot) entry(g uint32) *deltaEntry {
+	i := int(g)
+	for _, seg := range sn.segs {
+		if i < len(seg.entries) {
+			return &seg.entries[i]
 		}
+		i -= len(seg.entries)
 	}
-	for j, id := range b.ids[:b.nr] {
-		b.top.offer(id, ips[j])
-	}
-	b.nr = 0
+	return &sn.delta[i]
 }
 
 // maybeFreezeLocked freezes the mutable delta into a segment when it has
@@ -334,9 +282,9 @@ func (ix *Index) maybeFreezeLocked() {
 // pointer move, no I/O, no copying. Caller holds ix.mu exclusive and
 // len(ix.delta) > 0.
 func (ix *Index) freezeLocked() {
-	ix.segs = append(ix.segs, &segment{entries: ix.delta})
+	ix.segs = append(ix.segs, &segment{entries: ix.delta, rows: ix.deltaRows})
 	ix.frozenEntries += len(ix.delta)
-	ix.delta = nil
+	ix.delta, ix.deltaRows = nil, nil
 	ix.freezes.Add(1)
 }
 

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"promips/internal/errs"
-	"promips/internal/pq"
 	"promips/internal/vec"
 	"promips/internal/wal"
 )
@@ -31,43 +30,44 @@ import (
 //     running against the old generation during the rebuild and see the
 //     new one atomically.
 
-// deltaEntry is one inserted point not yet folded into the disk index.
-// codes and resid are v's PQ encoding under the CURRENT generation's sketch
-// (pq.Sketch.Encode): derived state, never persisted, re-derived by
-// newDeltaEntry wherever an entry is built. They feed scanMem's exact
-// sketch-bound prune. The invariant — every entry reachable from ix.delta
-// and ix.segs is encoded against ix.sketch — holds under ix.mu: entries only
-// enter through newDeltaEntry with the sketch read (or re-checked) under the
-// lock, and Compact's swap replaces sketch, delta and segments together,
-// the latter two rebuilt by re-inserting into the next generation.
+// deltaEntry is one inserted point not yet folded into the disk index. Its
+// int8 row (vec.QuantizeInt8 at vec.Int8RowLen codes), which scanMem
+// screens it with, lies at the entry's place in the rows of the segment or
+// delta holding it; the entry keeps the row's scale and residual bound.
+// The row is derived from v alone, never persisted: newDeltaEntry builds
+// it wherever an entry is built (Insert, Open, journal replay, Compact).
 type deltaEntry struct {
-	id    uint32
-	resid float32
-	v     []float32
-	ip2   float64 // ‖v‖²
-	codes [entryCodeBytes]byte
+	id uint32
+	screenScale
+	v   []float32
+	ip2 float64 // ‖v‖²
 }
-
-// entryCodeBytes is the PQ code width a deltaEntry holds: the default
-// sketch geometry Build always uses (pq.SketchConfig's 16 subspaces, fewer
-// when d < 16). OpenFS rejects a persisted sketch that is wider.
-const entryCodeBytes = 16
 
 // newDeltaEntry builds the entry for point id with vector v (which the
-// entry takes ownership of), encoding it against sk — the generation's
-// sketch, nil for an index saved before sketches existed.
-func newDeltaEntry(sk *pq.Sketch, id uint32, v []float32) deltaEntry {
+// entry takes ownership of) and its int8 row.
+func newDeltaEntry(id uint32, v []float32) (deltaEntry, []int8) {
 	e := deltaEntry{id: id, v: v, ip2: vec.Norm2Sq(v)}
-	if sk != nil {
-		e.resid = sk.Encode(v, e.codes[:sk.Subspaces()])
-	}
-	return e
+	row := make([]int8, vec.Int8RowLen(len(v)))
+	e.scale, e.resid = vec.QuantizeInt8(row, v)
+	return e, row
 }
 
-// appendDeltaLocked publishes e in the mutable delta. Caller holds ix.mu
-// exclusive (or owns ix) and built e against ix.sketch.
-func (ix *Index) appendDeltaLocked(e deltaEntry) {
+// appendDeltaLocked publishes e, with its int8 row, in the mutable delta.
+// Caller holds ix.mu exclusive (or owns ix).
+//
+// The rows live off the Go heap in mappings (mapCodes) of SegmentEntries
+// rows, or twice the delta when a replay outgrows that, which the
+// generation frees with its screen rows; a full one stays mapped for the
+// snapshots still reading it. Without a mapping the rows grow on the heap.
+func (ix *Index) appendDeltaLocked(e deltaEntry, row []int8) {
+	if len(ix.deltaRows)+len(row) > cap(ix.deltaRows) {
+		if m, err := mapCodes(max(ix.segLimit, 2*len(ix.delta)) * len(row)); err == nil {
+			ix.ref.backlogRows = append(ix.ref.backlogRows, m)
+			ix.deltaRows = append(m[:0], ix.deltaRows...)
+		}
+	}
 	ix.delta = append(ix.delta, e)
+	ix.deltaRows = append(ix.deltaRows, row...)
 	if e.ip2 > ix.maxNorm2Sq {
 		// A new max-norm point tightens nothing but must be respected:
 		// Condition A's proof requires ‖oM‖ to bound every live norm.
@@ -77,7 +77,7 @@ func (ix *Index) appendDeltaLocked(e deltaEntry) {
 
 // Insert adds a point and returns its id. The point lives in the delta
 // region (and then a frozen segment) until compaction. The per-point prep
-// — cloning the vector, computing its norm and its PQ codes — runs BEFORE
+// — cloning the vector, computing its norm and its int8 row — runs BEFORE
 // the exclusive lock, so concurrent updaters overlap on it; the lock is held
 // only to SEQUENCE the update — write the journal record and apply the
 // in-memory change — and released before waiting for durability, so it
@@ -103,18 +103,15 @@ func (ix *Index) Insert(v []float32) (uint32, error) {
 		return 0, fmt.Errorf("core: %w: insert dim %d, want %d", errs.ErrDimMismatch, len(v), ix.d)
 	}
 	// Per-point prep outside the critical section: the clone is private
-	// from here on, so its norm and codes can be computed from it lock-free
-	// too. The sketch the codes are encoded against is re-checked under the
-	// exclusive lock (a Compact may swap generations in between).
-	ix.mu.RLock()
-	sk := ix.sketch
-	ix.mu.RUnlock()
-	e := newDeltaEntry(sk, 0, vec.Clone(v))
+	// from here on, so its norm and int8 row can be computed from it
+	// lock-free too, and neither depends on the generation a Compact may
+	// swap in before the lock is taken.
+	e, row := newDeltaEntry(0, vec.Clone(v))
 	if !finite(e.ip2) {
 		return 0, fmt.Errorf("core: insert: %w", errNonFinite)
 	}
 	ix.mu.Lock()
-	id, lsn, err := ix.insertPreparedLocked(e, sk, true)
+	id, lsn, err := ix.insertPreparedLocked(e, row, true)
 	j := ix.journal
 	ix.mu.Unlock()
 	if err != nil {
@@ -130,30 +127,16 @@ func (ix *Index) Insert(v []float32) (uint32, error) {
 	return id, nil
 }
 
-// insertLocked clones v and sequences it — the locked-path form Compact's
-// fold uses (journaled=false: the folded records were acknowledged in the
-// generation being replaced, which stays the durable one until the
-// handover commits — see Compact).
-func (ix *Index) insertLocked(v []float32, journaled bool) (uint32, int64, error) {
-	return ix.insertPreparedLocked(newDeltaEntry(ix.sketch, 0, vec.Clone(v)), ix.sketch, journaled)
-}
-
 // insertPreparedLocked is Insert's sequencing half; the caller holds
-// ix.mu exclusive and hands over e, prepared against sketch sk with its id
-// still unassigned. If the index has moved to another generation's sketch
-// since sk was read, e is re-encoded here, under the lock — rare (one
-// Compact swap racing one insert) and the only way codes of a retired
-// generation could have entered the new one's delta. It assigns the id,
-// writes the journal record, applies the in-memory change, freezes the
-// delta if it reached the segment threshold, and returns the record's LSN
-// — the caller waits for durability on it AFTER releasing the lock (lsn 0
-// means nothing to wait for: journaled=false).
-func (ix *Index) insertPreparedLocked(e deltaEntry, sk *pq.Sketch, journaled bool) (uint32, int64, error) {
+// ix.mu exclusive and hands over e and its int8 row, with e's id still
+// unassigned. It assigns the id, writes the journal record, applies the
+// in-memory change, freezes the delta if it reached the segment threshold,
+// and returns the record's LSN — the caller waits for durability on it
+// AFTER releasing the lock (lsn 0 means nothing to wait for:
+// journaled=false).
+func (ix *Index) insertPreparedLocked(e deltaEntry, row []int8, journaled bool) (uint32, int64, error) {
 	if ix.closed {
 		return 0, 0, errs.ErrClosed
-	}
-	if sk != ix.sketch {
-		e = newDeltaEntry(ix.sketch, 0, e.v)
 	}
 	id := uint32(ix.n + ix.frozenEntries + len(ix.delta))
 	e.id = id
@@ -171,7 +154,7 @@ func (ix *Index) insertPreparedLocked(e deltaEntry, sk *pq.Sketch, journaled boo
 		}
 		lsn = l
 	}
-	ix.appendDeltaLocked(e)
+	ix.appendDeltaLocked(e, row)
 	ix.maybeFreezeLocked()
 	return id, lsn, nil
 }
@@ -378,8 +361,11 @@ func (ix *Index) Compact(ctx context.Context, dir string, persist func(next *Ind
 				continue
 			}
 			// next is private to this call until the swap below, so its
-			// lock is not needed; journaled=false — see insertLocked.
-			newID, _, err := next.insertLocked(e.v, false)
+			// lock is not needed. journaled=false: the folded records were
+			// acknowledged in the generation being replaced, which stays
+			// the durable one until the handover below commits.
+			ne, row := newDeltaEntry(0, vec.Clone(e.v))
+			newID, _, err := next.insertPreparedLocked(ne, row, false)
 			if err != nil {
 				foldErr = err
 				return
@@ -451,7 +437,7 @@ func (ix *Index) swapLocked(next *Index) {
 	ix.sketch = next.sketch
 	ix.norm2Sq, ix.groups = next.norm2Sq, next.groups
 	ix.maxNorm2Sq = next.maxNorm2Sq
-	ix.delta, ix.tombs = next.delta, next.tombs
+	ix.delta, ix.deltaRows, ix.tombs = next.delta, next.deltaRows, next.tombs
 	ix.segs, ix.frozenEntries = next.segs, next.frozenEntries
 	// The journal swaps with the generation it lives in. The persist step
 	// above already saved the new generation's metadata (covering the

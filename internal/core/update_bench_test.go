@@ -12,14 +12,12 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 
 	"promips/internal/dataset"
 	"promips/internal/fsutil"
-	"promips/internal/vec"
 )
 
 // benchInsertIndex builds an index whose journal never fsyncs (fsutil.NoSync
@@ -81,23 +79,38 @@ func BenchmarkInsertContended(b *testing.B) {
 }
 
 // BenchmarkSearchBacklog is search latency against the un-compacted
-// backlog: one shard of the e2e benchmark's mixed-updates shape (Netflix
-// generator, d=300, resident pool, default SegmentEntries so 12,288 entries
-// are three frozen segments; the backlog is inserted through fsutil.NoSync
-// so setup does not pay 12,288 fsyncs), member queries, k=10. dots/query counts the
-// full d-dimensional inner products one query takes — verified disk
-// candidates plus backlog entries scanMem did not prune — and is a pure
-// function of the inputs, so it repeats exactly where ns/op does not.
+// backlog, member queries, k=10, on the Netflix generator at d=300 with a
+// resident pool and the default SegmentEntries (the backlog is inserted
+// through fsutil.NoSync so setup does not pay one fsync per entry): 8,000
+// points with no backlog, 4,096 entries (one frozen segment) and 12,288
+// (three), and one shard of the e2e benchmark's mixed-updates shape, 8,885
+// points under 6,144 entries. Beside ns/op it reports counts that are a
+// pure function of the inputs, so they repeat exactly where ns/op does not:
+// float-dots/query, the backlog entries whose inner product scanMem
+// computed; screened/query, the ones it did not; and dots/query, the full
+// d-dimensional inner products one query takes — verified disk candidates
+// plus float-dots.
 //
 //	go test ./internal/core -run NONE -bench SearchBacklog -benchtime 2000x
 func BenchmarkSearchBacklog(b *testing.B) {
-	const n, k = 8000, 10
-	all := dataset.Netflix().Generate(n+12288, 20210419)
-	queries := all[:64]
-	for _, backlog := range []int{0, 4096, 12288} {
-		b.Run(fmt.Sprint(backlog), func(b *testing.B) {
-			ix := buildIndex(b, all[:n], Options{Seed: 5, M: 6, PoolSize: 8192}.WithFS(fsutil.NoSync))
-			for _, v := range all[n : n+backlog] {
+	const k = 10
+	base := dataset.Netflix().Generate(8000+12288, 20210419)
+	arms := []struct {
+		name    string
+		n       int
+		backlog int
+		all     [][]float32
+	}{
+		{"0", 8000, 0, base},
+		{"4096", 8000, 4096, base},
+		{"12288", 8000, 12288, base},
+		{"mixed-updates", 8885, 6144, dataset.Netflix().Generate(8885+6144, 20210419)},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			queries := arm.all[:64]
+			ix := buildIndex(b, arm.all[:arm.n], Options{Seed: 5, M: 6, PoolSize: 8192}.WithFS(fsutil.NoSync))
+			for _, v := range arm.all[arm.n : arm.n+arm.backlog] {
 				if _, err := ix.Insert(v); err != nil {
 					b.Fatal(err)
 				}
@@ -107,11 +120,13 @@ func BenchmarkSearchBacklog(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			dots := 0
+			dots, screened := 0, 0
 			for _, q := range queries {
 				// The in-query scan starts from an empty accumulator too, so
-				// this replays exactly the prunes the search makes.
-				pruned, err := sn.scanMem(ctx, q, vec.Norm2Sq(q), sn.memLUT(q, new([]float64)), newTopK(k), nil)
+				// this replays exactly what the search's scan skips.
+				sc := getScratch()
+				pruned, err := sn.newQuery(ctx, sc, q, k, 0, 0, SearchParams{}).scanMem()
+				putScratch(sc)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -119,7 +134,8 @@ func BenchmarkSearchBacklog(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				dots += st.Candidates + backlog - pruned
+				screened += pruned
+				dots += st.Candidates + arm.backlog - pruned
 			}
 			sn.release()
 			b.ResetTimer()
@@ -128,7 +144,10 @@ func BenchmarkSearchBacklog(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(dots)/float64(len(queries)), "dots/query")
+			perQuery := func(c int) float64 { return float64(c) / float64(len(queries)) }
+			b.ReportMetric(perQuery(arm.backlog*len(queries)-screened), "float-dots/query")
+			b.ReportMetric(perQuery(screened), "screened/query")
+			b.ReportMetric(perQuery(dots), "dots/query")
 		})
 	}
 }

@@ -231,5 +231,13 @@ func (s *Store) NoteAt(posn int, io *pager.IOStats) {
 	s.pg.Note(s.firstData+int64(posn/s.perPage), io)
 }
 
+// NoteAll records every data page in io, as NoteAt of every position
+// would.
+func (s *Store) NoteAll(io *pager.IOStats) {
+	for p := range (int64(s.n) + int64(s.perPage) - 1) / int64(s.perPage) {
+		s.pg.Note(s.firstData+p, io)
+	}
+}
+
 // Close closes the file.
 func (s *Store) Close() error { return s.pg.Close() }

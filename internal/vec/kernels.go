@@ -103,8 +103,8 @@ func dotKernel(a, b []float32) float64 {
 // previous one — and the bit-exactness contract forbids splitting that sum.
 // Scoring four ROWS in one loop gives the CPU four independent add chains
 // instead, with no sum reassociated: each row keeps its own accumulator in
-// ascending index order. The random projection's rows use it; the linear
-// scans use Dot8. It panics on a dimension mismatch like Dot.
+// ascending index order. The random projection's rows use it. It panics on
+// a dimension mismatch like Dot.
 func Dot4(a0, a1, a2, a3, b []float32) (s0, s1, s2, s3 float64) {
 	n := len(b)
 	if len(a0) != n || len(a1) != n || len(a2) != n || len(a3) != n {
@@ -121,8 +121,8 @@ func Dot4(a0, a1, a2, a3, b []float32) (s0, s1, s2, s3 float64) {
 }
 
 // Dot8 sets dst[r] = Dot(rows[r], q) for each of the eight rows, bit for
-// bit: Dot4's independent chains, eight of them. The scan of the
-// un-compacted update entries and the sketch's lookup tables use it. On
+// bit: Dot4's independent chains, eight of them. The sketch's lookup
+// tables use it. On
 // amd64 with AVX2, whole blocks of four dimensions run in dot8Blocks, one
 // row per vector lane. Widening a float32 to float64 is exact, and so is
 // the product of two widened float32s (24+24 significant bits fit in 53,

@@ -90,11 +90,16 @@ func maxAbsTail(v []float32, m float32) float32 {
 	return math.Float32frombits(b)
 }
 
+// Int8RowLen is the length a scanned int8 row is laid out at, d codes
+// zero-padded to a multiple of 16, so that DotInt8Rows scores it in whole
+// blocks. Int16Query pads the query's codes to the same length.
+func Int8RowLen(d int) int { return (d + 15) &^ 15 }
+
 // Int16Query is a query held for the int8 screen: int16 codes, its scale and
 // the bound terms that depend on the query alone. The zero value is ready
 // for Quantize, which reuses the code buffer.
 type Int16Query struct {
-	codes []int16
+	codes []int16 // Int8RowLen(len(q)) of them, zero past len(q)
 	scale float64 // t, a float32 value
 	resid float64 // ≥ ‖q − t·d‖₂
 	norm  float64 // ‖q‖₂ as the search computes it
@@ -103,13 +108,15 @@ type Int16Query struct {
 
 // Quantize sets z to q's int16 form. q must be finite.
 func (z *Int16Query) Quantize(q []float32) {
-	if cap(z.codes) < len(q) {
-		z.codes = make([]int16, len(q))
+	n := Int8RowLen(len(q))
+	if cap(z.codes) < n {
+		z.codes = make([]int16, n)
 	}
-	z.codes = z.codes[:len(q)]
+	z.codes = z.codes[:n]
+	clear(z.codes[len(q):])
 	z.norm = math.Sqrt(Norm2Sq(q))
-	n := float64(len(q)) * 0x1p-53
-	z.gamma = n / (1 - n)
+	u := float64(len(q)) * 0x1p-53
+	z.gamma = u / (1 - u)
 	t := float32(float64(maxAbsTail(q, 0)) / 32767)
 	z.scale = float64(t)
 	if t == 0 {
@@ -131,10 +138,20 @@ func (z *Int16Query) Quantize(q []float32) {
 
 // Bound returns B ≥ DotBytes(o, q) for the row o quantized by QuantizeInt8
 // into (codes, scale, resid), where normO = math.Sqrt(Norm2Sq(o)) and q is
-// the vector z was quantized from. codes must have q's dimension.
+// the vector z was quantized from. codes holds q's dimension, or up to
+// Int8RowLen of it with zero padding.
 func (z *Int16Query) Bound(codes []int8, scale, resid float32, normO float64) float64 {
+	return z.BoundDot(float64(DotInt8Int16(codes, z.codes)), scale, resid, normO)
+}
+
+// BoundDot is Bound for the row whose codes' dot with z's, DotInt8Int16, is
+// dot: the bound of a row DotRows scored. (A dot is at most 2²² per
+// dimension in magnitude, so it is exact in a float64 at any row length a
+// page can hold; taking it as one keeps BoundDot small enough to inline
+// into the scans' loops.)
+func (z *Int16Query) BoundDot(dot float64, scale, resid float32, normO float64) float64 {
 	e := float64(resid)
-	t1 := float64(scale) * z.scale * float64(DotInt8Int16(codes, z.codes))
+	t1 := float64(scale) * z.scale * dot
 	t2 := (normO + e) * z.resid
 	t3 := e * z.norm
 	t4 := z.gamma * normO * z.norm
@@ -148,6 +165,37 @@ func DotInt8Int16(a []int8, b []int16) int64 {
 	b = b[:len(a)]
 	n8 := len(a) &^ 7
 	return dotInt8Blocks(a[:n8], b[:n8]) + dotInt8Tail(a[n8:], b[n8:])
+}
+
+// DotRows sets dst[i] to the DotInt8Int16 of row i of a with z's codes,
+// for len(dst) rows of Int8RowLen(len(q)) codes each, back to back from
+// a[0] on, q the vector z was quantized from (DotInt8Rows).
+func (z *Int16Query) DotRows(a []int8, dst []int64) { DotInt8Rows(a, z.codes, dst) }
+
+// DotInt8Rows sets dst[i] = DotInt8Int16(a[i·m:(i+1)·m], b), m = len(b), for
+// every i: the sequential scans' kernel. On amd64 with AVX2, whole groups of
+// four rows run in dotInt8Rows4 over the leading multiple of 16 dimensions
+// (every dimension of a row Int8RowLen laid out), the dimensions past it in
+// dotInt8Tail; the last one to three rows, and every row without AVX2, go
+// through DotInt8Int16. Every path sums the same products exactly, so every
+// path returns the same totals. It panics when a holds fewer than len(dst)
+// rows.
+func DotInt8Rows(a []int8, b []int16, dst []int64) {
+	m, rows := len(b), len(dst)
+	a = a[:rows*m]
+	i := 0
+	if m16 := m &^ 15; useAVX2 && m16 > 0 && rows >= 4 {
+		i = rows &^ 3
+		dotInt8Rows4(&a[0], m, i/4, &b[0], m16, &dst[0])
+		if m16 < m {
+			for r := range i {
+				dst[r] += dotInt8Tail(a[r*m+m16:(r+1)*m], b[m16:])
+			}
+		}
+	}
+	for ; i < rows; i++ {
+		dst[i] = DotInt8Int16(a[i*m:(i+1)*m], b)
+	}
 }
 
 // dotInt8Tail is DotInt8Int16's portable loop, and the reference

@@ -14,6 +14,13 @@ package vec
 // lanes, which are flushed into an int64 total every 255 blocks or fewer
 // (DESIGN "Int8 screen" has the bound). len(a) must be a multiple of eight
 // and len(b) at least len(a).
+//
+// dotInt8Rows4 is DotInt8Rows's AVX2 kernel: groups·4 rows, stride bytes
+// apart from a on, each scored over its first n dimensions (a multiple of
+// 16, at least 16) into dst[0:groups·4]. A block of 16 dimensions of four
+// rows is one load of the query's codes and, per row, one VPMOVSXBW, one
+// VPMADDWD and one VPADDD into eight int32 lanes, widened into int64 lanes
+// every 255 blocks or fewer (DESIGN "Int8 screen" has the bound).
 
 //go:noescape
 func quantizeBlocks(dst []int8, o []float32, inv, s float64) float64
@@ -23,3 +30,6 @@ func maxAbsBlocks(o []float32) float32
 
 //go:noescape
 func dotInt8Blocks(a []int8, b []int16) int64
+
+//go:noescape
+func dotInt8Rows4(a *int8, stride, groups int, b *int16, n int, dst *int64)

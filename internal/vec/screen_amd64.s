@@ -133,3 +133,95 @@ dotloop:
 dotdone:
 	MOVQ  AX, ret+48(FP)
 	RET
+
+// The int32 lanes of one row's accumulator (acc, accx its low half),
+// sign-extended to int64 and added to the row's int64 lanes (acc64).
+#define WIDEN(acc, accx, acc64) \
+	VPMOVSXDQ    accx, Y9 \
+	VEXTRACTI128 $1, acc, X10 \
+	VPMOVSXDQ    X10, Y10 \
+	VPADDQ       Y9, acc64, acc64 \
+	VPADDQ       Y10, acc64, acc64
+
+// One block of 16 dimensions of the row at r: its codes sign-extended to
+// int16 (VPMOVSXBW) and multiplied by the query's (Y8), each adjacent pair
+// of products summed into one of the eight int32 lanes of acc (VPMADDWD).
+#define ROWBLOCK(r, acc) \
+	VPMOVSXBW (r)(BX*1), Y9 \
+	VPMADDWD  Y8, Y9, Y9 \
+	VPADDD    Y9, acc, acc
+
+// func dotInt8Rows4(a *int8, stride, groups int, b *int16, n int, dst *int64)
+//
+// Four rows per group, stride bytes apart: R8–R11 point at the group's rows
+// and DI at the next group's first. BX is the dimension the next block
+// starts at. A lane gains at most 2·(−128)·(−32768) = 2²³ per block and
+// 255·2²³ < 2³¹, so the int32 lanes (Y0–Y3) are widened into the int64
+// ones (Y4–Y7) every 255 blocks or fewer; DX is where that happens next.
+// The group's four totals are then summed lane-wise into one register and
+// stored as dst[0..3].
+TEXT ·dotInt8Rows4(SB), NOSPLIT, $0-48
+	MOVQ a+0(FP), DI
+	MOVQ stride+8(FP), AX
+	MOVQ groups+16(FP), CX
+	MOVQ b+24(FP), SI
+	MOVQ n+32(FP), R13
+	MOVQ dst+40(FP), R12
+	TESTQ CX, CX
+	JZ    rowsdone
+
+group:
+	MOVQ  DI, R8
+	LEAQ  (R8)(AX*1), R9
+	LEAQ  (R9)(AX*1), R10
+	LEAQ  (R10)(AX*1), R11
+	LEAQ  (R11)(AX*1), DI
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	XORQ  BX, BX
+
+widen:
+	LEAQ    4080(BX), DX           // 255 blocks on
+	CMPQ    DX, R13
+	CMOVQGT R13, DX
+	VPXOR   Y0, Y0, Y0
+	VPXOR   Y1, Y1, Y1
+	VPXOR   Y2, Y2, Y2
+	VPXOR   Y3, Y3, Y3
+
+block:
+	VMOVDQU (SI)(BX*2), Y8         // the block's 16 query codes
+	ROWBLOCK(R8, Y0)
+	ROWBLOCK(R9, Y1)
+	ROWBLOCK(R10, Y2)
+	ROWBLOCK(R11, Y3)
+	ADDQ    $16, BX
+	CMPQ    BX, DX
+	JLT     block
+
+	WIDEN(Y0, X0, Y4)
+	WIDEN(Y1, X1, Y5)
+	WIDEN(Y2, X2, Y6)
+	WIDEN(Y3, X3, Y7)
+	CMPQ BX, R13
+	JLT  widen
+
+	VPUNPCKLQDQ Y5, Y4, Y9         // r0.0 r1.0 | r0.2 r1.2
+	VPUNPCKHQDQ Y5, Y4, Y10        // r0.1 r1.1 | r0.3 r1.3
+	VPADDQ      Y10, Y9, Y9
+	VPUNPCKLQDQ Y7, Y6, Y10        // r2.0 r3.0 | r2.2 r3.2
+	VPUNPCKHQDQ Y7, Y6, Y11        // r2.1 r3.1 | r2.3 r3.3
+	VPADDQ      Y11, Y10, Y10
+	VPERM2I128  $0x20, Y10, Y9, Y11 // lanes 0 and 1 of every row
+	VPERM2I128  $0x31, Y10, Y9, Y12 // lanes 2 and 3
+	VPADDQ      Y12, Y11, Y11
+	VMOVDQU     Y11, (R12)
+	ADDQ        $32, R12
+	DECQ        CX
+	JNZ         group
+
+rowsdone:
+	VZEROUPPER
+	RET

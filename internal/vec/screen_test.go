@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -148,6 +149,18 @@ func TestDotInt8Int16(t *testing.T) {
 		if got := dotInt8Tail(a, b); got != want {
 			t.Fatalf("%s, n=%d: dotInt8Tail=%d want %d", name, len(a), got, want)
 		}
+		// Nine rows — two groups of four and one more — each a rotation of
+		// a, back to back, the slab starting on and off a 16-byte boundary.
+		n := len(a)
+		for _, off := range []int{0, 3} {
+			slab := make([]int8, off+9*n)[off:]
+			for r := range 9 {
+				for i := range n {
+					slab[r*n+i] = a[(i+5*r)%n]
+				}
+			}
+			checkRows(t, name, slab, b[:n], 9)
+		}
 	}
 	// Each corner is a repeated pair of codes; alternate flips a's sign on
 	// every other dimension.
@@ -163,8 +176,9 @@ func TestDotInt8Int16(t *testing.T) {
 		{"alternating signs", -128, -32768, true},
 	}
 	rng := rand.New(rand.NewSource(5))
-	flush := 8 * 255
-	for _, n := range []int{0, 1, 3, 4, 7, 8, 9, 15, 16, 300, flush - 8, flush - 1, flush, flush + 1, flush + 8, 2048, 16384} {
+	flush, flush4 := 8*255, 16*255 // DotInt8Int16's and DotInt8Rows's
+	for _, n := range []int{0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 300, 304, flush - 8, flush - 1, flush, flush + 1, flush + 8, 2048,
+		flush4 - 16, flush4 - 1, flush4, flush4 + 1, flush4 + 16, 2 * flush4, 2*flush4 + 16, 16384} {
 		a, b := make([]int8, n), make([]int16, n+2) // b may be longer
 		for i := range a {
 			a[i], b[i] = int8(rng.Intn(256)-128), int16(rng.Intn(65536)-32768)
@@ -244,6 +258,34 @@ func FuzzScreenBound(f *testing.F) {
 
 // FuzzDotInt8Int16: for arbitrary codes at arbitrary offsets the kernel
 // returns what the portable loop does.
+// checkRows holds DotInt8Rows over the first rows rows of slab, len(b)
+// codes each, to dotInt8Tail on every row, on the portable path and, when
+// the host has AVX2, on the four-row kernel.
+func checkRows(t testing.TB, name string, slab []int8, b []int16, rows int) {
+	t.Helper()
+	m := len(b)
+	dot8Paths(func(path string) {
+		got := make([]int64, rows)
+		DotInt8Rows(slab, b, got)
+		for r, g := range got {
+			if want := dotInt8Tail(slab[r*m:(r+1)*m], b); g != want {
+				t.Fatalf("%s, %s, m=%d: row %d of %d: DotInt8Rows=%d want %d", name, path, m, r, rows, g, want)
+			}
+		}
+	})
+}
+
+// TestDotInt8RowsPanicsOnShortSlab: a slab holding fewer rows than asked
+// for is refused, not read past.
+func TestDotInt8RowsPanicsOnShortSlab(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DotInt8Rows accepted a slab one code short")
+		}
+	}()
+	DotInt8Rows(make([]int8, 4*16-1), make([]int16, 16), make([]int64, 4))
+}
+
 func FuzzDotInt8Int16(f *testing.F) {
 	f.Add([]byte{0x80, 0x80, 0x00, 0x80, 0x7f, 0x01, 0xff, 0xff, 0x00}, uint8(0))
 	f.Add(make([]byte, 3*8*255+5), uint8(0x35))
@@ -258,6 +300,12 @@ func FuzzDotInt8Int16(f *testing.F) {
 		}
 		if got, want := DotInt8Int16(a, b), dotInt8Tail(a, b); got != want {
 			t.Fatalf("n=%d: DotInt8Int16=%d, portable loop %d", n, got, want)
+		}
+		// The same codes as a slab of rows of m = 1 + off%n codes each, from
+		// a on (which starts off a 16-byte boundary when off&15 is not 0).
+		if n > 0 {
+			m := 1 + int(off)%n
+			checkRows(t, "fuzz", a, b[:m], n/m)
 		}
 	})
 }
@@ -295,6 +343,37 @@ func BenchmarkDotInt8Int16(b *testing.B) {
 		}
 	})
 	_ = sink
+}
+
+// BenchmarkDotInt8Rows times the scans' kernel per row at d=300 laid out
+// at Int8RowLen: 16 rows that stay in L1, and the rows of a 6,144-entry
+// backlog shard and of a 25,000-point store, each scored in chunks of 256.
+//
+//	go test ./internal/vec -run NONE -bench DotInt8Rows
+func BenchmarkDotInt8Rows(b *testing.B) {
+	const d = 300
+	m := Int8RowLen(d)
+	rng := rand.New(rand.NewSource(2))
+	var z Int16Query
+	z.Quantize(gaussVec(rng, d, 1))
+	for _, n := range []int{16, 6144, 25000} {
+		rows := make([]int8, n*m)
+		for i := range rows {
+			if i%m < d {
+				rows[i] = int8(rng.Intn(255) - 127)
+			}
+		}
+		dst := make([]int64, 256)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for b.Loop() {
+				for first := 0; first < n; first += 256 {
+					k := min(256, n-first)
+					z.DotRows(rows[first*m:], dst[:k])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
+	}
 }
 
 func BenchmarkQuantizeInt8(b *testing.B) {
